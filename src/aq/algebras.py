@@ -10,6 +10,7 @@ from itertools import product
 from .abgroups import FinAb
 from .presented import Presentation, Subquotient
 from .rings import GroupTable, Ring
+from .snf import identity_matrix
 from .terms import App, Term, Var, term_str
 from .theories import (
     TheoryPresentation,
@@ -396,8 +397,8 @@ class AlgebraMap:
         self.source = source
         self.target = target
         self.mapping = {s: dict(m) for s, m in mapping.items()}
-        if check and not source.is_free():
-            assert self.is_homomorphism(), "not a homomorphism"
+        if check and not source.is_free() and not self.is_homomorphism():
+            raise AlgebraError("not a homomorphism")
 
     @classmethod
     def from_generator_images(cls, source: FreeAlgebra, target, images):
@@ -749,8 +750,7 @@ def _realize_abelian_or_module(theta, gens, pairs, bound, name):
                 extra.append(acted)
         rel_vectors.extend(extra)
 
-    basis = [[1 if i == j else 0 for i in range(dim)] for j in range(dim)]
-    sq = Subquotient(dim, basis, rel_vectors)
+    sq = Subquotient(dim, identity_matrix(dim), rel_vectors)
     inv = sq.invariants()
     if inv.rank > 0:
         raise NotFiniteWithinBound("quotient has free rank; not finite")
@@ -961,30 +961,6 @@ def quaternion_8(name="Q8"):
                 inv[(x,)] = y
     return FiniteAlgebra(GP, name, {GP.sorts[0]: labels},
                          {"mul": mul, "inv": inv, "e": {(): "e"}})
-
-
-def abelian_group_algebra(moduli, name=None, theory=None):
-    """A finite abelian group as an algebra over the abelian theory."""
-    theory = theory or AB
-    finab = FinAb([m for m in moduli if m > 1] or [1])
-    sort = theory.sorts[0]
-    labels = {
-        el: "0" if not any(el) else "c" + ".".join(map(str, el))
-        for el in finab.elements()
-    }
-    carrier = [labels[el] for el in finab.elements()]
-    mul = {
-        (labels[x], labels[y]): labels[finab.add(x, y)]
-        for x in finab.elements() for y in finab.elements()
-    }
-    inv = {(labels[x],): labels[finab.neg(x)] for x in finab.elements()}
-    alg = FiniteAlgebra(
-        theory, name or "+".join(f"Z{m}" for m in moduli),
-        {sort: carrier}, {"mul": mul, "inv": inv, "e": {(): labels[finab.zero()]}},
-    )
-    alg.finab = finab
-    alg.element_coords = {labels[el]: el for el in finab.elements()}
-    return alg
 
 
 def quotient_by_normal_closure(alg: FiniteAlgebra, elements, name=None):

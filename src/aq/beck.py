@@ -18,6 +18,7 @@ from .algebras import (
     enumerate_homs,
 )
 from .rings import CoefficientModule, Ring
+from .snf import identity_matrix, mat_mul
 from .theories import abelianization_theory, module_theory
 
 
@@ -35,10 +36,9 @@ class XModule:
         self.name = name or "K"
         self.sort = base.theory.sorts[0]
         els = base.carriers[self.sort]
-        dim = len(carrier.moduli)
-        ident_mat = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
         if action is None:
-            action = {x: ident_mat for x in els}
+            ident = identity_matrix(len(carrier.moduli))
+            action = {x: ident for x in els}
         self.action = {x: [list(r) for r in action[x]] for x in els}
         self._validate()
 
@@ -46,8 +46,8 @@ class XModule:
         k = self.carrier
         x0 = self.base.identity(self.sort)
         for el in k.elements():
-            assert k.apply_matrix(self.action[x0], el) == el, \
-                "identity of X must act trivially"
+            if k.apply_matrix(self.action[x0], el) != el:
+                raise AlgebraError("identity of X must act trivially")
         for x in self.base.carriers[self.sort]:
             for y in self.base.carriers[self.sort]:
                 xy = self.base.gmul(x, y, self.sort)
@@ -56,13 +56,16 @@ class XModule:
                         self.action[x], k.apply_matrix(self.action[y], el)
                     )
                     rhs = k.apply_matrix(self.action[xy], el)
-                    assert lhs == rhs, "X-action must be multiplicative"
+                    if lhs != rhs:
+                        raise AlgebraError("X-action must be multiplicative")
         if self.base.theory.strength_flag:
             # over an abelian theory every module action is forced trivial
             for x in self.base.carriers[self.sort]:
                 for el in k.elements():
-                    assert k.apply_matrix(self.action[x], el) == el, \
-                        "modules over an abelian theory have trivial action"
+                    if k.apply_matrix(self.action[x], el) != el:
+                        raise AlgebraError(
+                            "modules over an abelian theory have trivial action"
+                        )
 
     @classmethod
     def trivial(cls, base, moduli, name=None):
@@ -511,7 +514,7 @@ def brute_force_group_objects(p: AlgebraMap, budget=10**7):
                 continue
             try:
                 rho_map = AlgebraMap(y_alg, y_alg, {sort: rho})
-            except AssertionError:
+            except AlgebraError:
                 continue
             out.append(GroupObjectStructure(sig, mumap, rho))
     return out
@@ -575,9 +578,11 @@ def x_module_structures(x: FiniteAlgebra, order):
             mats = {}
             ok = True
             for el in x.carriers[sort]:
-                m = _ident(len(k.moduli))
+                m = identity_matrix(len(k.moduli))
                 for g in expr[el]:
-                    m = _matmod(autos[combo[gens.index(g)]], m, k.moduli)
+                    prod = mat_mul(autos[combo[gens.index(g)]], m)
+                    m = [[x % mod for x in row]
+                         for row, mod in zip(prod, k.moduli)]
                 if el in mats and mats[el] != m:
                     ok = False
                     break
@@ -587,7 +592,7 @@ def x_module_structures(x: FiniteAlgebra, order):
             # well-defined action: verify multiplicativity
             try:
                 out.append(XModule(x, k, mats))
-            except AssertionError:
+            except AlgebraError:
                 continue
     # dedupe identical action data
     seen = set()
@@ -600,21 +605,6 @@ def x_module_structures(x: FiniteAlgebra, order):
             seen.add(key)
             uniq.append(km)
     return uniq
-
-
-def _ident(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _matmod(a, b, moduli):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for t in range(n):
-            if a[i][t]:
-                for j in range(n):
-                    out[i][j] += a[i][t] * b[t][j]
-    return [[out[i][j] % moduli[i] for j in range(n)] for i in range(n)]
 
 
 def _automorphism_matrices(k: FinAb):

@@ -622,20 +622,3 @@ def write_sres(v: SimplicialTheta, name="resolution"):
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def write_algebra(alg: FiniteAlgebra, theory_name="gp"):
-    sort_lines = []
-    for s, els in alg.carriers.items():
-        sort_lines.append(f"    sort {s} : " + " ".join(els))
-    op_lines = []
-    for opname, tab in alg.tables.items():
-        entries = " ".join(
-            f"({','.join(tup)})->{val}" for tup, val in sorted(tab.items())
-        )
-        op_lines.append(f"    op {opname} : {entries}")
-    body = "\n".join(sort_lines + op_lines)
-    return (
-        f"algebra {alg.name} {{\n  theory {theory_name}\n  table {{\n"
-        f"{body}\n  }}\n}}\n"
-    )

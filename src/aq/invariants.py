@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from .algebras import AlgebraError
 from .beck import XModule, abelianized_matrix
-from .presented import Presentation, Subquotient, induced_map
+from .presented import Presentation, Subquotient, cycle_lattice, induced_map
 from .resolutions import abelianized_complex
-from .rings import CoefficientModule
+from .rings import CoefficientModule, Ring
 from .simplicial import (
     CosimplicialAbelian,
     PresentedComplex,
@@ -24,6 +24,7 @@ from .simplicial import (
     cohomotopy_subquotients,
     moore_homotopy,
 )
+from .snf import mat_mul, mat_vec
 
 
 class InvalidCertificate(AlgebraError):
@@ -40,8 +41,6 @@ def _coefficient(k, x=None):
     of the computation: over a base X, integer modules lift to trivial
     group-ring modules; absolutely, a based module degrades to its
     underlying abelian group (the paper's trivial-module reading)."""
-    from .rings import Ring
-
     if isinstance(k, XModule):
         if x is None:
             return CoefficientModule.trivial(
@@ -178,49 +177,19 @@ def cohomology_via_em(v, k, n, x=None, certificate=None):
     duals = _dual_degen_matrices(v, k, x, coeff)
     amb = w.levels[n].gens
     # strict maps: normalized cochains killed by the cochain differential
-    stacked = []
-    stacked_rel_targets = []
-    for j in range(n):
-        stacked.append((duals[n][j], w.levels[n - 1]))
-    delta = _alternating_sum(w.cofaces[n])
-    stacked.append((delta, w.levels[n + 1]))
-    z_lattice = _joint_kernel(stacked, amb)
-    rel_vectors = [c for c in w.levels[n].rel_columns()]
+    stacked = [(duals[n][j], w.levels[n - 1]) for j in range(n)]
+    stacked.append((_alternating_sum(w.cofaces[n]), w.levels[n + 1]))
+    z_lattice = cycle_lattice(stacked, amb)
+    rel_vectors = w.levels[n].rel_columns()
     if n >= 1:
         prev_amb = w.levels[n - 1].gens
         prev_duals = [(duals[n - 1][j], w.levels[n - 2]) for j in range(n - 1)]
-        n_lattice = _joint_kernel(prev_duals, prev_amb)
+        n_lattice = cycle_lattice(prev_duals, prev_amb)
         delta_prev = _alternating_sum(w.cofaces[n - 1])
-        from .snf import mat_vec
-
         for bvec in n_lattice:
             rel_vectors.append(mat_vec(delta_prev, bvec))
     sq = Subquotient(amb, z_lattice, rel_vectors)
     return sq.invariants()
-
-
-def _joint_kernel(stacked, amb):
-    """Basis of {v : M v in rel-lattice(target) for all (M, target)}."""
-    from .snf import kernel_basis, lattice_basis
-
-    if not stacked:
-        return [[1 if i == j else 0 for i in range(amb)] for j in range(amb)]
-    rows = []
-    aug_cols = []
-    for mat, target in stacked:
-        aug_cols.append(target.rel_columns())
-    total_aug = sum(len(c) for c in aug_cols)
-    offset = 0
-    for (mat, target), rels in zip(stacked, aug_cols):
-        for r in range(len(mat)):
-            row = [mat[r][c] for c in range(amb)]
-            aug = [0] * total_aug
-            for ci, col in enumerate(rels):
-                aug[offset + ci] = -col[r]
-            rows.append(row + aug)
-        offset += len(rels)
-    ker = kernel_basis(rows, amb + total_aug)
-    return lattice_basis([vec[:amb] for vec in ker], amb)
 
 
 # ---------------------------------------------------------------------------
@@ -378,23 +347,10 @@ def diagram_coefficients(v, nodes, edges, op, degrees, x=None,
                 m1 = induced[(a, b)][n]
                 m2 = induced[(b, c)][n]
                 m3 = induced[(a, c)][n]
-                comp = _matmul_plain(m2, m1)
+                comp = mat_mul(m2, m1)
                 if not _equal_mod_canon(comp, m3, subquots[c][n]):
                     functorial = False
     return {"values": values, "induced": induced, "functorial": functorial}
-
-
-def _matmul_plain(a, b):
-    rows = len(a)
-    mid = len(b)
-    cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for t in range(mid):
-            if a[i][t]:
-                for j in range(cols):
-                    out[i][j] += a[i][t] * b[t][j]
-    return out
 
 
 def _equal_mod_canon(m1, m2, subq: Subquotient):

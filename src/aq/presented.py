@@ -7,6 +7,9 @@ from __future__ import annotations
 from .abgroups import FGAbelianGroup
 from .snf import (
     IntegerSolver,
+    cols_to_matrix,
+    identity_matrix,
+    invert_unimodular,
     kernel_basis,
     lattice_basis,
     mat_vec,
@@ -69,16 +72,10 @@ class Presentation:
             cols.append(c + [0] * other.gens)
         for c in other.rel_columns():
             cols.append([0] * self.gens + c)
-        return Presentation(gens, _cols_to_matrix(cols, gens))
+        return Presentation(gens, cols_to_matrix(cols, gens))
 
     def __repr__(self):
         return f"Presentation(gens={self.gens}, rels={self.nrels()})"
-
-
-def _cols_to_matrix(cols, rows):
-    if not cols:
-        return [[] for _ in range(rows)]
-    return [[c[i] for c in cols] for i in range(rows)]
 
 
 class Subquotient:
@@ -93,14 +90,14 @@ class Subquotient:
         self.ambient = ambient
         self.basis = basis_cols  # list of length-`ambient` columns
         k = len(basis_cols)
-        self._zmat = _cols_to_matrix(basis_cols, ambient)
+        self._zmat = cols_to_matrix(basis_cols, ambient)
         rel_in_z = []
         for v in rel_vectors:
             y = self.express(v)
             assert y is not None, "relation vector not inside the subgroup lattice"
             rel_in_z.append(y)
         self.rels_z = rel_in_z
-        relmat = _cols_to_matrix(rel_in_z, k)
+        relmat = cols_to_matrix(rel_in_z, k)
         if k:
             u, d, _ = smith_normal_form(relmat) if rel_in_z else (None, None, None)
             if rel_in_z:
@@ -109,7 +106,7 @@ class Subquotient:
                     d[t][t] if t < min(len(d), len(d[0])) else 0 for t in range(k)
                 ]
             else:
-                self._u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+                self._u = identity_matrix(k)
                 self._diag = [0] * k
         else:
             self._u = []
@@ -147,8 +144,6 @@ class Subquotient:
 
     def canonical_generators(self):
         """Ambient vectors generating the subquotient, matching canon coords."""
-        from .snf import invert_unimodular
-
         if not self.basis:
             return []
         uinv = invert_unimodular(self._u)
@@ -179,19 +174,44 @@ def homology_of_complex(levels, diffs, degrees):
     return out
 
 
+def cohomology_at(levels, deltas, n):
+    """Cohomology at degree n of a cochain complex of presented modules
+    (deltas[k]: level k-1 -> level k), as a Subquotient of level n."""
+    # reuse the chain machinery by flipping the complex
+    top = len(levels) - 1
+    flipped_levels = list(reversed(levels))
+    flipped_diffs = [None] + [deltas[k] for k in range(top, 0, -1)]
+    return homology_of_complex(flipped_levels, flipped_diffs, [top - n])[top - n]
+
+
+def cycle_lattice(pairs, g):
+    """Basis of {v in Z^g : m v lies in the relation lattice of `target`
+    for every (m, target) in `pairs`}; all of Z^g when nothing constrains v.
+    """
+    rels = [target.rel_columns() for _, target in pairs]
+    width = g + sum(len(cols) for cols in rels)
+    rows = []
+    offset = g
+    for (m, _), cols in zip(pairs, rels):
+        for i, m_row in enumerate(m):
+            row = list(m_row) + [0] * (width - g)
+            for ci, col in enumerate(cols):
+                row[offset + ci] = col[i]
+            rows.append(row)
+        offset += len(cols)
+    if not rows:
+        return identity_matrix(g)
+    ker = kernel_basis(rows, width)
+    return lattice_basis([v[:g] for v in ker], g)
+
+
 def _homology_at(levels, diffs, n):
     pn = levels[n]
     g = pn.gens
     if n == 0 or n >= len(diffs) or diffs[n] is None:
-        cycles = [[1 if i == j else 0 for i in range(g)] for j in range(g)]
+        cycles = identity_matrix(g)
     else:
-        d = diffs[n]
-        below = levels[n - 1]
-        cols = below.rel_columns()
-        stacked = [d[i] + [c[i] for c in cols] for i in range(below.gens)]
-        ker = kernel_basis(stacked, g + len(cols))
-        projected = [v[:g] for v in ker]
-        cycles = lattice_basis(projected, g)
+        cycles = cycle_lattice([(diffs[n], levels[n - 1])], g)
     rel_vectors = pn.rel_columns()
     if n + 1 < len(levels) and n + 1 < len(diffs) and diffs[n + 1] is not None:
         dup = diffs[n + 1]
@@ -204,33 +224,11 @@ def induced_map(f, source: Subquotient, target: Subquotient):
     """Matrix of the map induced on homology by a chain map component `f`
     (shape target_ambient x source_ambient), in canonical coordinates.
     """
-    cols = []
-    for z in source.basis:
-        v = mat_vec(f, z)
-        cols.append(list(target.canon(v)))
-    # columns indexed by source basis; compose with source canonical gens
-    src_gens = source.canonical_generators()
     out = []
-    for gvec in src_gens:
+    for gvec in source.canonical_generators():
         v = mat_vec(f, gvec)
         out.append(list(target.canon(v)))
     # rows = target canonical coords
     if not out:
         return []
     return [list(col) for col in zip(*out)]
-
-
-def complex_is_exact_composite(levels, diffs):
-    """Check d_{n} after d_{n+1} lands in the relation lattice, all n."""
-    from .snf import mat_mul
-
-    for n in range(1, len(diffs) - 1):
-        if diffs[n] is None or diffs[n + 1] is None:
-            continue
-        comp = mat_mul(diffs[n], diffs[n + 1])
-        below = levels[n - 1]
-        for j in range(len(comp[0]) if comp else 0):
-            col = [comp[i][j] for i in range(len(comp))]
-            if not below.contains_in_relations(col):
-                return False
-    return True

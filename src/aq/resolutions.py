@@ -11,22 +11,24 @@ from __future__ import annotations
 
 from itertools import product
 
-from .abgroups import FGAbelianGroup
+from .abgroups import FGAbelianGroup, invariants_from_addition
 from .algebras import (
     AlgebraError,
     AlgebraMap,
+    BudgetExhausted,
     FiniteAlgebra,
     FreeAlgebra,
     enumerate_homs,
     realize_presentation,
 )
-from .beck import abelianized_matrix
-from .presented import Presentation
+from .beck import XModule, abelianized_matrix
+from .presented import Presentation, cohomology_at
 from .rings import (
     CoefficientModule,
     RModulePresentation,
     Ring,
     ext_groups,
+    free_resolution,
     tor_groups,
 )
 from .simplicial import (
@@ -336,8 +338,6 @@ def resolve_module(module: RModulePresentation, length=4):
     """A free simplicial resolution of a finitely presented module over a
     registered ring, through the Dold-Kan correspondence; the certificate
     holds by construction but is re-checked."""
-    from .rings import free_resolution
-
     ranks, diffs = free_resolution(module, length)
     cx = ChainComplex(module.ring, ranks, diffs)
     v = dold_kan(cx, truncation=length)
@@ -403,8 +403,6 @@ def _norm_tuple(t, ident):
 def _coefficient_data(g: FiniteAlgebra, coeff):
     """(action matrices per group element, moduli) from an XModule or a
     CoefficientModule over Z[G]."""
-    from .beck import XModule
-
     if isinstance(coeff, XModule):
         return dict(coeff.action), list(coeff.carrier.moduli)
     assert isinstance(coeff, CoefficientModule)
@@ -416,14 +414,10 @@ def bar_resolution_group(g: FiniteAlgebra, coeff, top, budget=10**7):
     sort = g.theory.sorts[0]
     size = (len(g.carriers[sort]) - 1) ** (top + 1)
     if size * max(1, len(_coefficient_data(g, coeff)[1])) > budget:
-        from .algebras import BudgetExhausted
-
         raise BudgetExhausted("bar complex exceeds budget")
     levels, deltas = bar_cochain_complex(g, coeff, top)
-    from .simplicial import _cohomology_at
-
     return [
-        _cohomology_at(levels, deltas, n).invariants() for n in range(top + 1)
+        cohomology_at(levels, deltas, n).invariants() for n in range(top + 1)
     ]
 
 
@@ -431,8 +425,6 @@ def factor_set_cohomology(g: FiniteAlgebra, k, n, budget=10**6):
     """H^1 or H^2 of a finite group by explicit cocycle enumeration modulo
     coboundaries.  H^2 enumerates all functions G x G -> K when that fits
     the budget, otherwise the normalized ones (same cohomology)."""
-    from .beck import XModule
-
     assert n in (1, 2)
     sort = g.theory.sorts[0]
     els = list(g.carriers[sort])
@@ -515,8 +507,6 @@ def factor_set_cohomology(g: FiniteAlgebra, k, n, budget=10**6):
                 fixed[(ident, a)] = kc.zero()
         free_keys = [kk for kk in keys if kk not in fixed]
         if len(kels) ** len(free_keys) > budget:
-            from .algebras import BudgetExhausted
-
             raise BudgetExhausted("factor set enumeration exceeds budget")
         for combo in product(kels, repeat=len(free_keys)):
             f = dict(fixed)
@@ -540,8 +530,6 @@ def factor_set_cohomology(g: FiniteAlgebra, k, n, budget=10**6):
         )))
 
     zero = canon_of(tuple(sorted((kk, kc.zero()) for kk in keys)))
-    from .abgroups import invariants_from_addition
-
     return invariants_from_addition(classes, class_add, zero)
 
 

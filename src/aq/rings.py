@@ -8,8 +8,8 @@ from __future__ import annotations
 from math import gcd
 
 from .abgroups import FGAbelianGroup
-from .presented import Presentation, homology_of_complex
-from .snf import kernel_basis, smith_diagonal_naive
+from .presented import Presentation, cohomology_at, homology_of_complex
+from .snf import identity_matrix, kernel_basis, mat_mul, smith_diagonal_naive
 
 
 class GroupTable:
@@ -247,7 +247,7 @@ class CoefficientModule:
         for g in grp.elements:
             for h in grp.elements:
                 gh = grp.mul[(g, h)]
-                prod = _matmul(self.act[g], self.act[h])
+                prod = mat_mul(self.act[g], self.act[h])
                 for i in range(self.dim):
                     m = self._mod(i)
                     for j in range(self.dim):
@@ -263,7 +263,7 @@ class CoefficientModule:
         dim = len(moduli)
         act = None
         if ring.kind == "ZG":
-            ident = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
+            ident = identity_matrix(dim)
             act = {g: ident for g in ring.group.elements}
         return cls(ring, moduli, act)
 
@@ -292,18 +292,6 @@ class CoefficientModule:
                         out[i][j] += c * blk[i][j]
             return out
         return [[r if i == j else 0 for j in range(self.dim)] for i in range(self.dim)]
-
-
-def _matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        for t in range(k):
-            c = a[i][t]
-            if c:
-                for j in range(m):
-                    out[i][j] += c * b[t][j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +435,7 @@ def ext_groups(module: RModulePresentation, coeff: CoefficientModule, top):
     levels, deltas = hom_cochain_complex(module.ring, ranks, diffs, coeff)
     out = []
     for n in range(top + 1):
-        out.append(_cohomology_at(levels, deltas, n).invariants())
+        out.append(cohomology_at(levels, deltas, n).invariants())
     return out
 
 
@@ -457,18 +445,6 @@ def tor_groups(module: RModulePresentation, coeff: CoefficientModule, top):
     levels, bnds = tensor_chain_complex(module.ring, ranks, diffs, coeff)
     groups = homology_of_complex(levels, bnds, range(top + 1))
     return [groups[n].invariants() for n in range(top + 1)]
-
-
-def _cohomology_at(levels, deltas, n):
-    """Cohomology of a cochain complex (deltas[n]: level n-1 -> level n)."""
-    # reuse the chain machinery by flipping the complex
-    flipped_levels = list(reversed(levels))
-    flipped_diffs = [None]
-    top = len(levels) - 1
-    for k in range(top, 0, -1):
-        flipped_diffs.append(deltas[k])
-    groups = homology_of_complex(flipped_levels, flipped_diffs, [top - n])
-    return groups[top - n]
 
 
 # ---------------------------------------------------------------------------

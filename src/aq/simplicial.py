@@ -9,20 +9,35 @@ from __future__ import annotations
 
 from itertools import product
 
-from .abgroups import FGAbelianGroup, FinAb
-from .algebras import AlgebraError, AlgebraMap, FiniteAlgebra, FreeAlgebra
+from .abgroups import FGAbelianGroup, FinAb, invariants_from_addition
+from .algebras import (
+    AlgebraError,
+    AlgebraMap,
+    FiniteAlgebra,
+    FreeAlgebra,
+    find_isomorphism,
+    quotient_by_normal_closure,
+)
 from .beck import XModule, semidirect_product
 from .presented import (
     Presentation,
     Subquotient,
+    cohomology_at,
+    cycle_lattice,
     homology_of_complex,
     induced_map,
 )
-from .rings import Ring
-from .snf import smith_normal_form  # re-exported operation
+from .rings import RModulePresentation, Ring, r_matrix_to_z
+from .snf import (
+    cols_to_matrix,
+    identity_matrix,
+    kernel_basis,
+    mat_mul,
+    mat_vec,
+)
 
 __all__ = [
-    "smith_normal_form", "SimplicialTheta", "SimplicialAbelian",
+    "SimplicialTheta", "SimplicialAbelian",
     "SimplicialFreeModule", "ChainComplex", "PresentedComplex",
     "dold_kan", "normalize_dk", "moore_homotopy", "cohomotopy",
     "CosimplicialAbelian", "latching", "matching", "eilenberg_maclane",
@@ -165,22 +180,8 @@ class SimplicialAbelian(_SimplicialBase):
     generators.  Matrices may have zero rows, so compositions track their
     shapes through the level data explicitly."""
 
-    def _mm(self, outer, inner, src_cols):
-        rows = len(outer)
-        out = [[0] * src_cols for _ in range(rows)]
-        for i in range(rows):
-            row_o = outer[i]
-            for t in range(len(inner)):
-                c = row_o[t]
-                if c:
-                    row_i = inner[t]
-                    for j in range(src_cols):
-                        out[i][j] += c * row_i[j]
-        return out
-
     def _identity_on(self, n):
-        g = self.levels[n].gens
-        return [[1 if i == j else 0 for j in range(g)] for i in range(g)]
+        return identity_matrix(self.levels[n].gens)
 
     def check_identities(self):
         # matrix equality holds modulo the target level's relations
@@ -189,8 +190,8 @@ class SimplicialAbelian(_SimplicialBase):
             g = self.levels[n].gens
             for i in range(n + 1):
                 for j in range(i + 1, n + 1):
-                    a = self._mm(self.faces[n - 1][i], self.faces[n][j], g)
-                    b = self._mm(self.faces[n - 1][j - 1], self.faces[n][i], g)
+                    a = mat_mul(self.faces[n - 1][i], self.faces[n][j], g)
+                    b = mat_mul(self.faces[n - 1][j - 1], self.faces[n][i], g)
                     if not _matrices_equal_mod(a, b, g, self.levels[n - 2]):
                         raise SimplicialIdentityError(
                             f"d_{i} d_{j} != d_{j-1} d_{i} at level {n}"
@@ -199,14 +200,14 @@ class SimplicialAbelian(_SimplicialBase):
             g = self.levels[n].gens
             for j in range(n + 1):
                 for i in range(n + 2):
-                    lhs = self._mm(self.faces[n + 1][i], self.degens[n][j], g)
+                    lhs = mat_mul(self.faces[n + 1][i], self.degens[n][j], g)
                     if i == j or i == j + 1:
                         rhs = self._identity_on(n)
                     elif i < j:
-                        rhs = self._mm(self.degens[n - 1][j - 1],
+                        rhs = mat_mul(self.degens[n - 1][j - 1],
                                        self.faces[n][i], g)
                     else:
-                        rhs = self._mm(self.degens[n - 1][j],
+                        rhs = mat_mul(self.degens[n - 1][j],
                                        self.faces[n][i - 1], g)
                     if not _matrices_equal_mod(lhs, rhs, g, self.levels[n]):
                         raise SimplicialIdentityError(
@@ -216,24 +217,12 @@ class SimplicialAbelian(_SimplicialBase):
             g = self.levels[n].gens
             for i in range(n + 1):
                 for j in range(i, n + 1):
-                    a = self._mm(self.degens[n + 1][i], self.degens[n][j], g)
-                    b = self._mm(self.degens[n + 1][j + 1], self.degens[n][i], g)
+                    a = mat_mul(self.degens[n + 1][i], self.degens[n][j], g)
+                    b = mat_mul(self.degens[n + 1][j + 1], self.degens[n][i], g)
                     if not _matrices_equal_mod(a, b, g, self.levels[n + 2]):
                         raise SimplicialIdentityError(
                             f"s_{i} s_{j} != s_{j+1} s_{i} at level {n}"
                         )
-
-
-def _mat_mul_shaped(outer, inner, src_cols):
-    rows = len(outer)
-    out = [[0] * src_cols for _ in range(rows)]
-    for i in range(rows):
-        for t in range(len(inner)):
-            c = outer[i][t]
-            if c:
-                for j in range(src_cols):
-                    out[i][j] += c * inner[t][j]
-    return out
 
 
 def _matrices_equal_mod(m1, m2, cols, target: Presentation):
@@ -260,8 +249,6 @@ class SimplicialFreeModule(_SimplicialBase):
         levels = []
         faces = [[]]
         degens = []
-        from .rings import RModulePresentation, r_matrix_to_z
-
         for n, rk in enumerate(self.ranks):
             levels.append(RModulePresentation(self.ring, rk, []).z_presentation())
         faces = [
@@ -328,9 +315,10 @@ class ChainComplex:
         r = self.ring
         for n in range(1, len(self.ranks)):
             m = self.diffs[n]
-            assert len(m) == self.ranks[n - 1]
-            for row in m:
-                assert len(row) == self.ranks[n]
+            if len(m) != self.ranks[n - 1] or any(
+                len(row) != self.ranks[n] for row in m
+            ):
+                raise AlgebraError(f"differential {n} has the wrong shape")
         for n in range(2, len(self.ranks)):
             a, b = self.diffs[n - 1], self.diffs[n]
             rows = self.ranks[n - 2]
@@ -342,7 +330,8 @@ class ChainComplex:
                     acc = r.zero()
                     for t in range(self.ranks[n - 1]):
                         acc = r.add(acc, r.mul(b[t][j], a[i][t]))
-                    assert r.is_zero(acc), "d d != 0"
+                    if not r.is_zero(acc):
+                        raise AlgebraError("d d != 0")
 
     def __eq__(self, other):
         return (
@@ -687,23 +676,13 @@ def cohomotopy(w: CosimplicialAbelian, degrees):
     # cohomology at n: flip the complex
     out = {}
     for n in degrees:
-        out[n] = _cohomology_at(cx.levels, cx.diffs, n).invariants()
+        out[n] = cohomology_at(cx.levels, cx.diffs, n).invariants()
     return out
 
 
 def cohomotopy_subquotients(w: CosimplicialAbelian, degrees):
     cx = w.total_cochain_complex()
-    return {n: _cohomology_at(cx.levels, cx.diffs, n) for n in degrees}
-
-
-def _cohomology_at(levels, deltas, n):
-    top = len(levels) - 1
-    flipped_levels = list(reversed(levels))
-    flipped_diffs = [None]
-    for k in range(top, 0, -1):
-        flipped_diffs.append(deltas[k])
-    groups = homology_of_complex(flipped_levels, flipped_diffs, [top - n])
-    return groups[top - n]
+    return {n: cohomology_at(cx.levels, cx.diffs, n) for n in degrees}
 
 
 # ---------------------------------------------------------------------------
@@ -762,13 +741,6 @@ def _the_gen(word):
     return word[0][0]
 
 
-def _finab_of_level(pres: Presentation) -> FinAb:
-    inv = pres.invariants()
-    assert inv.rank == 0, "matching enumeration needs finite levels"
-    # the level must already be in diagonal (moduli) form for enumeration
-    return FinAb(list(inv.torsion) or [1])
-
-
 def matching(v, n):
     """The n-th matching object of a simplicial abelian object with finite
     levels: compatible tuples (x_0, ..., x_n) with d_i x_j = d_{j-1} x_i
@@ -818,8 +790,6 @@ def matching(v, n):
     zero = tuple(
         tuple(0 for _ in range(v.levels[n - 1].gens)) for _ in range(n + 1)
     )
-    from .abgroups import invariants_from_addition
-
     inv = invariants_from_addition(tuples, add_tuples, zero)
     # canonical comparison x -> (d_0 x, ..., d_n x)
     level_els = _elements_of_presented(v.levels[n])
@@ -957,7 +927,6 @@ def em_pi_checks(em, upto=None):
 
 
 def _pi0_is_x(em):
-    from .algebras import find_isomorphism, quotient_by_normal_closure
 
     sort = em.base.theory.sorts[0]
     lvl0, lvl1 = em.levels[0], em.levels[1]
@@ -1131,11 +1100,11 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
     smax = len(columns) - 1
     for s in range(1, smax + 1):
         for t in range(1, len(columns[s].levels)):
-            lhs = _mat_mul_shaped(
+            lhs = mat_mul(
                 columns[s - 1].diffs[t], hdiffs[s][t],
                 columns[s].levels[t].gens,
             )
-            rhs = _mat_mul_shaped(
+            rhs = mat_mul(
                 hdiffs[s][t - 1], columns[s].diffs[t],
                 columns[s].levels[t].gens,
             )
@@ -1269,8 +1238,6 @@ def _blockwise_vertical(layout, verticals, q, offsets, size, pick, target_level)
 
 def diag(b: BisimplicialAbelian) -> SimplicialAbelian:
     """The diagonal simplicial abelian object."""
-    from .snf import mat_mul
-
     trunc = b.truncation
     levels = [b.levels[n][n] for n in range(trunc + 1)]
     faces = [[]]
@@ -1382,36 +1349,14 @@ class CosimplicialSimplicial:
 def _conormalized_lattices(w: CosimplicialSimplicial):
     """Per (s,t): a basis of the conormalized sublattice (joint kernel of
     the codegeneracies, modulo the level's relations)."""
-    from .snf import kernel_basis, lattice_basis
-
     trunc = w.truncation
     out = {}
     for s in range(trunc + 1):
         for t in range(trunc + 1):
-            g = w.levels[s][t].gens
-            if s == 0 or w.codegens is None:
-                out[(s, t)] = [
-                    [1 if i == j else 0 for i in range(g)] for j in range(g)
-                ]
-                continue
-            mats = w.codegens[s][t]
-            below_rels = w.levels[s - 1][t].rel_columns()
-            stacked = []
-            aug_width = len(below_rels) * len(mats)
-            rows_per = w.levels[s - 1][t].gens
-            for mi, m in enumerate(mats):
-                for r in range(rows_per):
-                    row = list(m[r]) + [0] * aug_width
-                    for ci, col in enumerate(below_rels):
-                        row[g + mi * len(below_rels) + ci] = -col[r]
-                    stacked.append(row)
-            if not stacked:
-                out[(s, t)] = [
-                    [1 if i == j else 0 for i in range(g)] for j in range(g)
-                ]
-                continue
-            ker = kernel_basis(stacked, g + aug_width)
-            out[(s, t)] = lattice_basis([v[:g] for v in ker], g)
+            pairs = []
+            if s > 0 and w.codegens is not None:
+                pairs = [(m, w.levels[s - 1][t]) for m in w.codegens[s][t]]
+            out[(s, t)] = cycle_lattice(pairs, w.levels[s][t].gens)
     return out
 
 
@@ -1419,8 +1364,6 @@ def tot(w: CosimplicialSimplicial):
     """Totalization of the conormalized (in the cosimplicial direction)
     double complex: a chain complex graded by t - s, stored with offset,
     with differential (alternating face sum) + (-1)^t (coface sum)."""
-    from .snf import mat_vec, solve_integer
-
     trunc = w.truncation
     lattices = _conormalized_lattices(w)
     pieces = {}
@@ -1453,7 +1396,7 @@ def tot(w: CosimplicialSimplicial):
             k = len(sq.basis)
             off[(s, t)] = pos
             pos += k
-            piece = Presentation(k, _cols_matrix(sq.rels_z, k))
+            piece = Presentation(k, cols_to_matrix(sq.rels_z, k))
             pres = piece if pres is None else pres.direct_sum(piece)
         offsets.append(off)
         levels.append(pres if pres is not None else Presentation.free(0))
@@ -1488,32 +1431,15 @@ def tot(w: CosimplicialSimplicial):
     return cx
 
 
-def _cols_matrix(cols, rows):
-    if not cols:
-        return None
-    return [[c[i] for c in cols] for i in range(rows)]
-
-
 def _intersect_relations(basis, rel_cols, ambient):
     """Generators of (relation lattice) intersected with span(basis)."""
-    from .snf import kernel_basis
-
     if not rel_cols:
         return []
+    negated = [[-x for x in col] for col in rel_cols]
+    mat = cols_to_matrix(basis + negated, ambient)
+    span = cols_to_matrix(basis, ambient)
     k = len(basis)
-    r = len(rel_cols)
-    mat = []
-    for i in range(ambient):
-        mat.append([basis[j][i] for j in range(k)]
-                   + [-rel_cols[j][i] for j in range(r)])
-    out = []
-    for v in kernel_basis(mat, k + r):
-        vec = [0] * ambient
-        for j in range(k):
-            for i in range(ambient):
-                vec[i] += v[j] * basis[j][i]
-        out.append(vec)
-    return out
+    return [mat_vec(span, v[:k]) for v in kernel_basis(mat, k + len(negated))]
 
 
 def tot_homotopy(w: CosimplicialSimplicial, degrees):
@@ -1550,7 +1476,7 @@ def tot_e2_page(w: CosimplicialSimplicial, smax, tmax):
             dsum = _alternating_sum(w.cofaces[s - 1][t])
             deltas.append(induced_map(dsum, cols[s - 1], cols[s]))
         for s in range(min(smax, trunc - 1) + 1):
-            sq = _cohomology_at(levels, deltas, s)
+            sq = cohomology_at(levels, deltas, s)
             grid[(s, t)] = sq.invariants()
     return grid
 
@@ -1648,5 +1574,5 @@ def hom_bicomplex_total_cohomology(b: BisimplicialAbelian, moduli, degrees):
         deltas.append(mat)
     out = {}
     for n in degrees:
-        out[n] = _cohomology_at(tot_levels, deltas, n).invariants()
+        out[n] = cohomology_at(tot_levels, deltas, n).invariants()
     return out

@@ -5,6 +5,12 @@ Python's arbitrary-precision ints, so no overflow is possible.  Two
 independent Smith reductions are provided: `smith_normal_form` (the primary
 one, tracking unimodular transforms) and `smith_diagonal_naive` (a second,
 deliberately separate reduction used only to cross-check invariants).
+
+This is the one home of the integer linear algebra every other module
+uses: `identity_matrix`, `cols_to_matrix`, `mat_mul` and `mat_vec` for
+building and multiplying matrices; `smith_normal_form`, `smith_diagonal`
+and `cokernel_diagonal` for invariants; `kernel_basis`, `lattice_basis`,
+`IntegerSolver` / `solve_integer` and `invert_unimodular` for lattices.
 """
 
 from __future__ import annotations
@@ -14,14 +20,18 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(rows, cols):
-    return [[0] * cols for _ in range(rows)]
+def cols_to_matrix(cols, rows):
+    """The matrix with `rows` rows whose columns are `cols`."""
+    if not cols:
+        return [[] for _ in range(rows)]
+    return [[c[i] for c in cols] for i in range(rows)]
 
 
-def mat_mul(a, b):
+def mat_mul(a, b, cols=None):
+    """The product a @ b.  `cols` is the width of the product; it is only
+    needed when b has no rows, so that its width cannot be read off."""
     n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
-    assert all(len(row) == k for row in a) or not a
+    m = cols if cols is not None else (len(b[0]) if b else 0)
     out = [[0] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
@@ -37,20 +47,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(c * x for c, x in zip(row, v)) for row in a]
-
-
-def mat_transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
-def mat_eq(a, b):
-    return a == b
-
-
-def is_zero_matrix(a):
-    return all(all(x == 0 for x in row) for row in a)
 
 
 def _swap_rows(m, i, j):
@@ -71,11 +67,6 @@ def _add_row(m, src, dst, c):
 def _swap_cols(m, i, j):
     for row in m:
         row[i], row[j] = row[j], row[i]
-
-
-def _negate_col(m, i):
-    for row in m:
-        row[i] = -row[i]
 
 
 def _add_col(m, src, dst, c):
@@ -240,7 +231,7 @@ def kernel_basis(mat, cols=None):
     if nc == 0:
         return []
     if nr == 0:
-        return [[1 if i == j else 0 for i in range(nc)] for j in range(nc)]
+        return identity_matrix(nc)
     _, d, v = smith_normal_form(mat)
     out = []
     for j in range(nc):
@@ -285,8 +276,7 @@ def lattice_basis(vectors, dim):
     """Basis of the lattice spanned by `vectors` (each of length dim)."""
     if not vectors:
         return []
-    mat = [[vec[i] for vec in vectors] for i in range(dim)]
-    u, d, _ = smith_normal_form(mat)
+    u, d, _ = smith_normal_form(cols_to_matrix(vectors, dim))
     uinv = invert_unimodular(u)
     out = []
     for j in range(min(dim, len(vectors))):
@@ -299,7 +289,7 @@ def lattice_basis(vectors, dim):
 def invert_unimodular(u):
     """Exact inverse of a unimodular integer matrix."""
     n = len(u)
-    a = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(u)]
+    a = [list(row) + e for row, e in zip(u, identity_matrix(n))]
     # fraction-free Gauss-Jordan works since all pivots end up +-1
     for k in range(n):
         piv = None

@@ -17,6 +17,17 @@ from .rings import (
     ext_groups,
     tor_groups,
 )
+from .simplicial import (
+    PresentedComplex,
+    bisimplicial_from_double_complex,
+    cohomotopy,
+    diag,
+    hom_bicomplex_total_cohomology,
+    hom_cochain_of_simplicial,
+    moore_homotopy,
+    total_complex,
+)
+from .snf import identity_matrix, mat_mul
 
 
 class GradedModule:
@@ -62,7 +73,7 @@ class SpectralPage:
         for (s, t), mat in self.d2.items():
             nxt = (s + 2, t + 1) if self.quadrant == "first" else (s + 2, t + 1)
             if nxt in self.d2:
-                comp = _matmul(self.d2[nxt], mat)
+                comp = mat_mul(self.d2[nxt], mat)
                 assert all(all(x == 0 for x in row) for row in comp), \
                     "d2 . d2 != 0"
 
@@ -82,18 +93,6 @@ class SpectralPage:
             ],
             "convergence": self.convergence,
         }
-
-
-def _matmul(a, b):
-    rows, mid = len(a), len(b)
-    cols = len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        for t in range(mid):
-            if a[i][t]:
-                for j in range(cols):
-                    out[i][j] += a[i][t] * b[t][j]
-    return out
 
 
 def _order_or_rank_consistent(groups, target: FGAbelianGroup):
@@ -247,17 +246,6 @@ def bicomplex_checks(seed=20240817, trials=50, truncation=3):
     """The complete-setting checks: Eilenberg-Zilber equality of diagonal
     and total homology on random bisimplicial abelian fixtures, plus the
     Tot/diag Hom adjointness identity.  Returns an aggregate report."""
-    from .simplicial import (
-        PresentedComplex,
-        bisimplicial_from_double_complex,
-        cohomotopy,
-        diag,
-        hom_bicomplex_total_cohomology,
-        hom_cochain_of_simplicial,
-        moore_homotopy,
-        total_complex,
-    )
-
     rng = random.Random(seed)
     ez_pass = 0
     adj_pass = 0
@@ -288,8 +276,6 @@ def bicomplex_checks(seed=20240817, trials=50, truncation=3):
 def _tensor_double_complex(rng, smax, tmax):
     """The double complex C (x) D of two random free complexes: both
     directions carry nonzero differentials and commute by construction."""
-    from .simplicial import PresentedComplex as PC
-
     def random_free_complex(length):
         ranks = [rng.randint(1, 2) for _ in range(length + 1)]
         diffs = [None]
@@ -315,9 +301,6 @@ def _tensor_double_complex(rng, smax, tmax):
                                 a[i][j] * b[p][q]
         return out
 
-    def ident(n):
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
     cols = []
     for s in range(smax + 1):
         levels = [Presentation.free(c_ranks[s] * d_ranks[t])
@@ -325,25 +308,23 @@ def _tensor_double_complex(rng, smax, tmax):
         diffs = [None]
         for t in range(1, tmax + 1):
             diffs.append(kron(
-                ident(c_ranks[s]), c_ranks[s], c_ranks[s],
+                identity_matrix(c_ranks[s]), c_ranks[s], c_ranks[s],
                 d_diffs[t], d_ranks[t - 1], d_ranks[t],
             ))
-        cols.append(PC(levels, diffs))
+        cols.append(PresentedComplex(levels, diffs))
     hdiffs = [None]
     for s in range(1, smax + 1):
         per_degree = []
         for t in range(tmax + 1):
             per_degree.append(kron(
                 c_diffs[s], c_ranks[s - 1], c_ranks[s],
-                ident(d_ranks[t]), d_ranks[t], d_ranks[t],
+                identity_matrix(d_ranks[t]), d_ranks[t], d_ranks[t],
             ))
         hdiffs.append(per_degree)
     return cols, hdiffs
 
 
 def _zero_vertical_double_complex(rng, smax, tmax):
-    from .simplicial import PresentedComplex as PC
-
     cols = []
     for s in range(smax + 1):
         levels = [Presentation.free(rng.randint(0, 2))
@@ -352,7 +333,7 @@ def _zero_vertical_double_complex(rng, smax, tmax):
         for t in range(1, tmax + 1):
             diffs.append([[0] * levels[t].gens
                           for _ in range(levels[t - 1].gens)])
-        cols.append(PC(levels, diffs))
+        cols.append(PresentedComplex(levels, diffs))
     hdiffs = [None]
     for s in range(1, smax + 1):
         per_degree = []

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 from aq.abgroups import FGAbelianGroup, FinAb
 from aq.algebras import (
     AlgebraMap,
@@ -152,6 +156,20 @@ def test_x_module_structures_of_order_3_over_z2():
     mods = x_module_structures(x, 3)
     # trivial and inversion actions
     assert len(mods) == 2
+
+
+def test_x_module_structures_do_not_depend_on_assert():
+    # invalid actions are rejected by a raised AlgebraError, which
+    # `python -O` keeps; it strips asserts
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("from aq.algebras import cyclic_group\n"
+            "from aq.beck import x_module_structures\n"
+            "print(len(x_module_structures(cyclic_group(3), 4)))")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "4"
+    assert len(x_module_structures(cyclic_group(3), 4)) == 4
 
 
 def test_brute_vs_formula_v4_over_z2():

@@ -11,7 +11,7 @@ from aq.beck import abelianized_matrix, x_module_structures
 from aq.invariants import cohomology, cohomology_via_em
 from aq.resolutions import bar_resolution_group, loop_group_resolution
 from aq.rings import Ring
-from aq.snf import smith_diagonal, smith_diagonal_naive
+from aq.snf import mat_mul, smith_diagonal, smith_diagonal_naive, smith_normal_form
 
 
 def G(*divs):
@@ -56,6 +56,23 @@ def test_snf_invariant_product_is_determinant(seed=101, trials=60):
         else:
             assert len(diag) == n and prod == abs(det)
         assert diag == smith_diagonal_naive(mat)
+
+
+def test_snf_matches_naive_on_sparse_relation_shapes(seed=211, trials=24):
+    # shaped like the relation matrices of the S3 certificate: mostly
+    # wide, about 3% nonzeros, small entries; every fourth one tall
+    rng = random.Random(seed)
+    for trial in range(trials):
+        nr, nc = rng.randint(8, 30), rng.randint(40, 180)
+        if trial % 4 == 3:
+            nr, nc = nc // 3, nr
+        mat = [[0] * nc for _ in range(nr)]
+        for _ in range(max(1, round(0.03 * nr * nc))):
+            mat[rng.randrange(nr)][rng.randrange(nc)] = rng.choice(
+                [-3, -2, -1, 1, 2, 3])
+        u, d, v = smith_normal_form(mat)
+        assert mat_mul(mat_mul(u, mat), v) == d
+        assert smith_diagonal(mat) == smith_diagonal_naive(mat)
 
 
 def test_fox_chain_rule_noncommutative():

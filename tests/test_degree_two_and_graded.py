@@ -5,7 +5,7 @@ and a scale guard for the Smith reduction."""
 import random
 
 from aq.abgroups import FGAbelianGroup
-from aq.algebras import cyclic_group
+from aq.algebras import AlgebraError, cyclic_group
 from aq.beck import XModule
 from aq.invariants import cohomology, homology_with_coeffs
 from aq.resolutions import bar_resolution_group, loop_group_resolution
@@ -41,7 +41,7 @@ def _random_free_complex(rng, length):
             diffs.append(mat)
         try:
             return ChainComplex(Ring("Z"), ranks, diffs)
-        except AssertionError:
+        except AlgebraError:
             continue
 
 

@@ -218,7 +218,8 @@ def test_em_route_matches_brute_force_simplicial_maps():
             maps_found.add(key)
 
     # strict cocycles of the derivation complex at degree 1
-    from aq.invariants import _dual_degen_matrices, _coefficient, _joint_kernel
+    from aq.invariants import _dual_degen_matrices, _coefficient
+    from aq.presented import cycle_lattice
     from aq.simplicial import _alternating_sum
 
     w = der_cochain(v, k, x=z2)
@@ -226,7 +227,7 @@ def test_em_route_matches_brute_force_simplicial_maps():
     duals = _dual_degen_matrices(v, k, z2, coeff)
     stacked = [(duals[1][0], w.levels[0]),
                (_alternating_sum(w.cofaces[1]), w.levels[2])]
-    lattice = _joint_kernel(stacked, w.levels[1].gens)
+    lattice = cycle_lattice(stacked, w.levels[1].gens)
     # enumerate the finite set of lattice points mod the moduli
     pts = set()
     for coeffs in iproduct(range(-2, 3), repeat=len(lattice)):

@@ -57,6 +57,14 @@ def test_zero_matrix():
     assert u == identity_matrix(2) and v == identity_matrix(2)
 
 
+def test_mat_mul_shapes():
+    assert mat_mul([[1, 2], [3, 4]], [[0, 1], [1, 0]]) == [[2, 1], [4, 3]]
+    # an inner dimension of zero: the width comes from `cols`
+    assert mat_mul([[], []], [], cols=3) == [[0, 0, 0], [0, 0, 0]]
+    assert mat_mul([[], []], []) == [[], []]
+    assert mat_mul([], [[1, 2]], cols=2) == []
+
+
 def test_snf_matches_naive_on_random(seed=20240817, trials=120):
     rng = random.Random(seed)
     for _ in range(trials):
