@@ -8,6 +8,7 @@ from __future__ import annotations
 from itertools import product
 
 from .abgroups import FinAb
+from .errors import AlgebraError
 from .presented import Presentation, Subquotient
 from .rings import GroupTable, Ring
 from .snf import identity_matrix
@@ -19,10 +20,6 @@ from .theories import (
     validate_group_structure,
 )
 from .toddcox import BoundExceeded, coset_enumeration, multiplication_table
-
-
-class AlgebraError(Exception):
-    pass
 
 
 class BudgetExhausted(AlgebraError):

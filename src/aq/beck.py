@@ -159,8 +159,8 @@ class Derivation:
         self.p = p
         self.module = module
         self.values = dict(values)
-        if check and not p.source.is_free():
-            assert self.is_derivation(), "derivation identity fails"
+        if check and not p.source.is_free() and not self.is_derivation():
+            raise AlgebraError("derivation identity fails")
 
     def __call__(self, y):
         return self.values[y]

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .algebras import BudgetExhausted, NotFiniteWithinBound
+from .algebras import AlgebraError, BudgetExhausted, NotFiniteWithinBound
 from .beck import XModule
 from .dsl import DslSyntaxError, parse_theory, print_theory
 from .fixtures import (
@@ -129,6 +129,9 @@ def main(argv=None):
     except (FixtureError, DslSyntaxError, TheoryError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AlgebraError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
 
 
 def _emit(args, payload, human_lines):

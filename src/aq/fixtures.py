@@ -14,6 +14,7 @@ from .abgroups import FinAb
 from .algebras import (
     AB,
     GP,
+    AlgebraError,
     AlgebraMap,
     FiniteAlgebra,
     FreeAlgebra,
@@ -324,11 +325,15 @@ def parse_module_presentation(text, base_dir=""):
 def load_xmodule(path, base=None) -> XModule:
     with open(path) as fh:
         text = fh.read()
-    return parse_xmodule(text, base_dir=os.path.dirname(path), base=base)
+    return parse_xmodule(text, base_dir=os.path.dirname(path), base=base,
+                         source=path)
 
 
-def parse_xmodule(text, base_dir="", base=None) -> XModule:
+def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
+    """The module of an .xmod text; a module that fails validation raises
+    FixtureError at `source`:line of its first act entry (or its header)."""
     p = _FixtureParser(_tokenize_fixture(text))
+    line = p.peek().line
     p.expect("xmodule")
     name = p.expect_ident()
     p.expect("{")
@@ -349,6 +354,8 @@ def parse_xmodule(text, base_dir="", base=None) -> XModule:
             while p.peek().kind == "ident" and p.peek().text.isdigit():
                 moduli.append(int(p.expect_ident()))
         elif kw == "act":
+            if not act:
+                line = p.peek().line
             el = p.expect_ident()
             p.expect(":")
             act[el] = p.parse_matrix()
@@ -393,7 +400,10 @@ def parse_xmodule(text, base_dir="", base=None) -> XModule:
         for el in base.carriers[base.theory.sorts[0]]:
             if el not in act_mats:
                 raise FixtureError(f"missing act matrix for {el!r}")
-    km = XModule(base, finab, act_mats, name=name)
+    try:
+        km = XModule(base, finab, act_mats, name=name)
+    except AlgebraError as exc:
+        raise FixtureError(f"{source}:{line}: xmodule {name}: {exc}") from exc
     _validate_fhat_tables(km, fhat_tables)
     return km
 

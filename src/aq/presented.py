@@ -5,6 +5,7 @@ of presented modules, with induced maps (functoriality) throughout.
 from __future__ import annotations
 
 from .abgroups import FGAbelianGroup
+from .errors import AlgebraError
 from .snf import (
     IntegerSolver,
     cols_to_matrix,
@@ -26,7 +27,9 @@ class Presentation:
         self.gens = int(gens)
         self.rels = [list(r) for r in rels] if rels else [[] for _ in range(gens)]
         self._solver = None
-        assert len(self.rels) == self.gens or self.gens == 0
+        if len(self.rels) != self.gens and self.gens != 0:
+            raise AlgebraError(
+                f"Presentation: {len(self.rels)} relation rows for {gens} generators")
 
     @classmethod
     def from_moduli(cls, moduli):
@@ -94,13 +97,16 @@ class Subquotient:
         rel_in_z = []
         for v in rel_vectors:
             y = self.express(v)
-            assert y is not None, "relation vector not inside the subgroup lattice"
+            if y is None:
+                raise AlgebraError(
+                    "Subquotient: relation vector not inside the subgroup lattice")
             rel_in_z.append(y)
         self.rels_z = rel_in_z
-        relmat = cols_to_matrix(rel_in_z, k)
+        self._generators = None
         if k:
-            u, d, _ = smith_normal_form(relmat) if rel_in_z else (None, None, None)
             if rel_in_z:
+                u, d, _ = smith_normal_form(cols_to_matrix(rel_in_z, k),
+                                            want_v=False)
                 self._u = u
                 self._diag = [
                     d[t][t] if t < min(len(d), len(d[0])) else 0 for t in range(k)
@@ -130,7 +136,8 @@ class Subquotient:
     def canon(self, vec):
         """Canonical reduced coordinates of an ambient vector (must lie in L)."""
         y = self.express(vec)
-        assert y is not None, "vector not in cycle lattice"
+        if y is None:
+            raise AlgebraError("Subquotient.canon: vector not in the cycle lattice")
         return self.canon_z(y)
 
     def canon_z(self, y):
@@ -143,17 +150,19 @@ class Subquotient:
         return tuple(out)
 
     def canonical_generators(self):
-        """Ambient vectors generating the subquotient, matching canon coords."""
-        if not self.basis:
-            return []
-        uinv = invert_unimodular(self._u)
-        gens = []
-        for j, d in enumerate(self._diag):
-            if d == 1:
-                continue
-            y = [uinv[i][j] for i in range(len(self._diag))]
-            gens.append(mat_vec(self._zmat, y))
-        return gens
+        """Ambient vectors generating the subquotient, matching canon coords.
+
+        Computed once; callers read the returned vectors and never change them.
+        """
+        if self._generators is None:
+            self._generators = []
+            if self.basis:
+                uinv = invert_unimodular(self._u)
+                for j, d in enumerate(self._diag):
+                    if d != 1:
+                        y = [uinv[i][j] for i in range(len(self._diag))]
+                        self._generators.append(mat_vec(self._zmat, y))
+        return self._generators
 
     def is_zero_class(self, vec):
         return all(x == 0 for x in self.canon(vec))
@@ -169,7 +178,9 @@ def homology_of_complex(levels, diffs, degrees):
     """
     out = {}
     for n in degrees:
-        assert n + 1 < len(levels) or n + 1 == len(levels), "complex too short"
+        if n >= len(levels):
+            raise AlgebraError(
+                f"homology_of_complex: degree {n} beyond the {len(levels)} levels")
         out[n] = _homology_at(levels, diffs, n)
     return out
 

@@ -11,9 +11,25 @@ uses: `identity_matrix`, `cols_to_matrix`, `mat_mul` and `mat_vec` for
 building and multiplying matrices; `smith_normal_form`, `smith_diagonal`
 and `cokernel_diagonal` for invariants; `kernel_basis`, `lattice_basis`,
 `IntegerSolver` / `solve_integer` and `invert_unimodular` for lattices.
+
+Pivot rule of `smith_normal_form`: at step k the pivot is the entry of
+least absolute value in the trailing submatrix, the first such entry in
+row-major order; a +-1 is taken as soon as the search meets it, since no
+entry is smaller.  Pivot row and column are cleared by Euclidean steps,
+the pivot is re-searched while a remainder survives, and an entry not
+divisible by the pivot (never one when the pivot is 1) has its row added
+to the pivot row.  Rows and transforms are stored sparsely while the
+elimination runs.  The same rule fixes U, D and V whichever of them are
+built, and each entry point builds only the transforms it reads: none
+for `smith_diagonal` and `cokernel_diagonal`, V for `kernel_basis`, U for
+`lattice_basis` (and `presented.Subquotient`), both for `IntegerSolver`,
+which keeps them as sparse columns so that a solve touches only the
+columns picked out by the nonzero entries of its right-hand side.
 """
 
 from __future__ import annotations
+
+from .errors import AlgebraError
 
 
 def identity_matrix(n):
@@ -49,56 +65,60 @@ def mat_vec(a, v):
     return [sum(c * x for c, x in zip(row, v)) for row in a]
 
 
-def _swap_rows(m, i, j):
-    m[i], m[j] = m[j], m[i]
+def _axpy(dst, src, c):
+    """dst += c * src on sparse vectors ({index: nonzero entry} dicts)."""
+    for j, x in src.items():
+        y = dst.get(j, 0) + c * x
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
 
 
-def _negate_row(m, i):
-    m[i] = [-x for x in m[i]]
+def _dense(vecs, n):
+    """The length-n dense lists of the sparse vectors `vecs`."""
+    out = []
+    for vec in vecs:
+        row = [0] * n
+        for j, x in vec.items():
+            row[j] = x
+        out.append(row)
+    return out
 
 
-def _add_row(m, src, dst, c):
-    # row dst += c * row src
-    row_s, row_d = m[src], m[dst]
-    for j in range(len(row_d)):
-        row_d[j] += c * row_s[j]
-
-
-def _swap_cols(m, i, j):
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_col(m, src, dst, c):
-    # col dst += c * col src
-    for row in m:
-        row[dst] += c * row[src]
-
-
-def smith_normal_form(mat):
+def smith_normal_form(mat, *, want_u=True, want_v=True):
     """Return (U, D, V) with U*mat*V == D, U and V unimodular.
 
     D is diagonal with nonnegative entries in divisibility order (each
     entry divides the next; zeros come last).  The reduction always pivots
-    on the globally smallest entry of the trailing submatrix and absorbs
-    divisibility offenders into the pivot row, which keeps intermediate
-    entries small.
+    on the globally smallest entry of the trailing submatrix (the first one
+    in row-major order), and absorbs divisibility offenders into the pivot
+    row, which keeps intermediate entries small.  U (V) is built only when
+    `want_u` (`want_v`) is set and is None otherwise; the ones built do not
+    depend on which were asked for.
     """
-    a = [list(row) for row in mat]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    u = identity_matrix(nr)
-    v = identity_matrix(nc)
+    nr = len(mat)
+    nc = len(mat[0]) if mat else 0
+    # rows of the working matrix and of U, columns of V, all sparse
+    a = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    u = [{i: 1} for i in range(nr)] if want_u else None
+    v = [{j: 1} for j in range(nc)] if want_v else None
 
     def pivot_search(k):
-        # smallest nonzero |entry| in the trailing submatrix, deterministic
+        # rows >= k are zero left of column k.  The first row holding the
+        # smallest |entry|, at its leftmost such column, is the row-major
+        # first minimum; a unit in a row is a minimum, so stop there.
         best = None
         for i in range(k, nr):
-            for j in range(k, nc):
-                x = a[i][j]
-                if x != 0 and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
+            row = a[i]
+            if row:
+                m = min(map(abs, row.values()))
+                if m == 1 or best is None or m < best[0]:
+                    j = min(j for j, x in row.items() if x == m or x == -m)
+                    if m == 1:
+                        return i, j
+                    best = (m, i, j)
+        return best and best[1:]
 
     k = 0
     while k < min(nr, nc):
@@ -107,61 +127,83 @@ def smith_normal_form(mat):
             break
         i, j = piv
         if i != k:
-            _swap_rows(a, i, k)
-            _swap_rows(u, i, k)
+            a[i], a[k] = a[k], a[i]
+            if u:
+                u[i], u[k] = u[k], u[i]
         if j != k:
-            _swap_cols(a, j, k)
-            _swap_cols(v, j, k)
-        if a[k][k] < 0:
-            _negate_row(a, k)
-            _negate_row(u, k)
+            for row in a[k:]:
+                x, y = row.pop(j, 0), row.pop(k, 0)
+                if x:
+                    row[k] = x
+                if y:
+                    row[j] = y
+            if v:
+                v[j], v[k] = v[k], v[j]
+        row_k = a[k]
+        if row_k[k] < 0:
+            a[k] = row_k = {j: -x for j, x in row_k.items()}
+            if u:
+                u[k] = {j: -x for j, x in u[k].items()}
+        p = row_k[k]
 
         # one folding pass; if anything survives, re-search the pivot
-        # (its absolute value strictly decreased)
+        # (its absolute value strictly decreased).  Each row (column)
+        # operation reads only the pivot row (column), so their order
+        # does not matter.
         changed = False
         for i in range(k + 1, nr):
-            if a[i][k]:
-                q = a[i][k] // a[k][k]
+            row = a[i]
+            if k in row:
+                q = row[k] // p
                 if q:
-                    _add_row(a, k, i, -q)
-                    _add_row(u, k, i, -q)
-                changed = changed or a[i][k] != 0
-        for j in range(k + 1, nc):
-            if a[k][j]:
-                q = a[k][j] // a[k][k]
-                if q:
-                    _add_col(a, k, j, -q)
-                    _add_col(v, k, j, -q)
-                changed = changed or a[k][j] != 0
+                    _axpy(row, row_k, -q)
+                    if u:
+                        _axpy(u[i], u[k], -q)
+                changed = changed or k in row
+        col_k = [row for row in a[k:] if k in row]
+        for j, x in list(row_k.items()):
+            if j == k:
+                continue
+            q = x // p
+            if q:
+                for row in col_k:
+                    y = row.get(j, 0) - q * row[k]
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+                if v:
+                    _axpy(v[j], v[k], -q)
+            changed = changed or j in row_k
         if changed:
             continue
         # row and column are clear; make the pivot divide the rest
-        offender = None
-        for i in range(k + 1, nr):
-            for j in range(k + 1, nc):
-                if a[i][j] % a[k][k] != 0:
-                    offender = i
-                    break
+        # (nothing fails to be divisible by 1)
+        if p != 1:
+            offender = next((i for i in range(k + 1, nr)
+                             if any(x % p for x in a[i].values())), None)
             if offender is not None:
-                break
-        if offender is not None:
-            _add_row(a, offender, k, 1)
-            _add_row(u, offender, k, 1)
-            continue
+                _axpy(row_k, a[offender], 1)
+                if u:
+                    _axpy(u[k], u[offender], 1)
+                continue
         k += 1
 
     # global-min pivoting with offender absorption already yields the
-    # divisibility chain; normalize signs
+    # divisibility chain, and every pivot was made positive
+    d = [[0] * nc for _ in range(nr)]
     for t in range(min(nr, nc)):
-        if a[t][t] < 0:
-            _negate_row(a, t)
-            _negate_row(u, t)
-    return u, a, v
+        d[t][t] = a[t].get(t, 0)
+    if u:
+        u = _dense(u, nr)
+    if v:
+        v = [list(r) for r in zip(*_dense(v, nc))]
+    return u, d, v
 
 
 def smith_diagonal(mat):
     """Diagonal entries of the Smith form (nonzero ones only)."""
-    _, d, _ = smith_normal_form(mat)
+    _, d, _ = smith_normal_form(mat, want_u=False, want_v=False)
     out = []
     for t in range(min(len(d), len(d[0]) if d else 0)):
         if d[t][t] != 0:
@@ -232,7 +274,7 @@ def kernel_basis(mat, cols=None):
         return []
     if nr == 0:
         return identity_matrix(nc)
-    _, d, v = smith_normal_form(mat)
+    _, d, v = smith_normal_form(mat, want_u=False)
     out = []
     for j in range(nc):
         dj = d[j][j] if j < min(nr, nc) else 0
@@ -241,30 +283,53 @@ def kernel_basis(mat, cols=None):
     return out
 
 
+def _sparse_cols(m, nc):
+    """Column j of the dense matrix m as a list of its (row, entry) pairs."""
+    cols = [[] for _ in range(nc)]
+    for i, row in enumerate(m):
+        for j, x in enumerate(row):
+            if x:
+                cols[j].append((i, x))
+    return cols
+
+
 class IntegerSolver:
-    """Factors a matrix once so many mat @ x == rhs solves stay cheap."""
+    """Factors a matrix once so many mat @ x == rhs solves stay cheap.
+
+    U and V are kept as sparse columns, so a solve costs the nonzeros of
+    the columns that the nonzero entries of rhs (and of y) pick out.
+    """
 
     def __init__(self, mat):
         self.nr = len(mat)
         self.nc = len(mat[0]) if mat else 0
         if self.nr:
-            self.u, self.d, self.v = smith_normal_form(mat)
+            u, d, v = smith_normal_form(mat)
+            self.u_cols = _sparse_cols(u, self.nr)
+            self.diag = [d[t][t] for t in range(min(self.nr, self.nc))]
+            self.v_cols = _sparse_cols(v, self.nc)
 
     def solve(self, rhs):
         if self.nr == 0:
             return [0] * self.nc
-        ub = mat_vec(self.u, rhs)
-        y = [0] * self.nc
-        for i in range(self.nr):
-            di = self.d[i][i] if i < min(self.nr, self.nc) else 0
-            if di == 0:
-                if ub[i] != 0:
-                    return None
-            else:
-                if ub[i] % di != 0:
-                    return None
-                y[i] = ub[i] // di
-        return mat_vec(self.v, y)
+        # U rhs, then y = D^-1 U rhs, then V y
+        ub = {}
+        for j, x in enumerate(rhs):
+            if x:
+                for i, c in self.u_cols[j]:
+                    ub[i] = ub.get(i, 0) + c * x
+        diag = self.diag
+        out = [0] * self.nc
+        for i, b in ub.items():
+            if not b:
+                continue
+            di = diag[i] if i < len(diag) else 0
+            if di == 0 or b % di:
+                return None
+            yi = b // di
+            for r, c in self.v_cols[i]:
+                out[r] += c * yi
+        return out
 
 
 def solve_integer(mat, rhs):
@@ -276,7 +341,7 @@ def lattice_basis(vectors, dim):
     """Basis of the lattice spanned by `vectors` (each of length dim)."""
     if not vectors:
         return []
-    u, d, _ = smith_normal_form(cols_to_matrix(vectors, dim))
+    u, d, _ = smith_normal_form(cols_to_matrix(vectors, dim), want_v=False)
     uinv = invert_unimodular(u)
     out = []
     for j in range(min(dim, len(vectors))):
@@ -328,8 +393,10 @@ def cokernel_diagonal(mat, ambient_rank):
     """
     if not mat or not mat[0]:
         return [], ambient_rank
-    assert len(mat) == ambient_rank
-    _, d, _ = smith_normal_form(mat)
+    if len(mat) != ambient_rank:
+        raise AlgebraError(
+            f"cokernel_diagonal: {len(mat)} rows for ambient rank {ambient_rank}")
+    _, d, _ = smith_normal_form(mat, want_u=False, want_v=False)
     tor = []
     rank = ambient_rank
     for t in range(min(len(d), len(d[0]))):

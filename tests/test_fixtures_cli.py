@@ -285,3 +285,28 @@ def test_cli_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_cli_invalid_xmodule_exits_2_with_its_position(tmp_path, capsys):
+    bad = tmp_path / "bad.xmod"
+    bad.write_text("xmodule bad {\n"
+                   f"  base \"{os.path.abspath(fx('z2.alg'))}\"\n"
+                   "  carrier g : 3\n"
+                   "  act e : [[2]]\n"
+                   "  act a : [[1]]\n"
+                   "}\n")
+    code = main(["cohomology", "--theory", "gp", "--algebra", fx("z2.alg"),
+                 "--coeffs", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}:4: xmodule bad: identity of X must act trivially" in err
+
+
+def test_cli_algebra_error_exits_1_naming_the_check(capsys):
+    # the fixture resolution has too few levels for degree 3
+    code = main(["cohomology", "--theory", "gp", "--algebra", fx("z2.alg"),
+                 "--resolution", fx("z2res.sres"), "--coeffs", "2",
+                 "--max-degree", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "check failed: range needs levels up to degree+1" in err

@@ -2,10 +2,20 @@
 through the generic enumeration engine, and the per-operation action
 accessor of modules."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from aq.abgroups import FinAb
-from aq.algebras import FiniteAlgebra, FreeAlgebra, cyclic_group, enumerate_homs
+from aq.algebras import (
+    AlgebraError,
+    FiniteAlgebra,
+    FreeAlgebra,
+    cyclic_group,
+    enumerate_homs,
+)
 from aq.beck import Derivation, XModule, identity_map
 from aq.dsl import parse_theory
 from aq.theories import abelian_theory, product_theory
@@ -81,8 +91,25 @@ def test_derivation_validation_rejects_non_derivation():
     k = XModule.trivial(x, [2])
     good = Derivation(identity_map(x), k, {"e": (0,), "a": (1,)})
     assert good.is_derivation()
-    with pytest.raises(AssertionError):
+    with pytest.raises(AlgebraError):
         Derivation(identity_map(x), k, {"e": (1,), "a": (0,)})
+
+
+def test_derivation_validation_does_not_depend_on_assert():
+    # `python -O` strips asserts; the check must still reject the map
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("from aq.algebras import AlgebraError, cyclic_group\n"
+            "from aq.beck import Derivation, XModule, identity_map\n"
+            "x = cyclic_group(2)\n"
+            "k = XModule.trivial(x, [2])\n"
+            "try:\n"
+            "    Derivation(identity_map(x), k, {'e': (1,), 'a': (0,)})\n"
+            "except AlgebraError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "derivation identity fails"
 
 
 def test_free_algebra_over_two_sorted_discrete():

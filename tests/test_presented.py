@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+
+import pytest
 
 from aq.abgroups import FGAbelianGroup, FinAb, invariants_from_addition
+from aq.errors import AlgebraError
 from aq.presented import Presentation, Subquotient, homology_of_complex, induced_map
 from aq.rings import (
     CoefficientModule,
@@ -158,3 +164,31 @@ def test_random_complexes_dd_zero_invariance(seed=99, trials=25):
         h = homology_of_complex(levels, diffs, range(n + 1))
         for k in range(n + 1):
             assert h[k].invariants() == FGAbelianGroup(levels[k].gens)
+
+
+def test_kernel_validation_raises_named_algebra_errors():
+    with pytest.raises(AlgebraError, match="relation vector not inside"):
+        Subquotient(2, [[2, 0]], [[1, 0]])
+    sq = Subquotient(2, [[2, 0]], [[4, 0]])
+    with pytest.raises(AlgebraError, match="not in the cycle lattice"):
+        sq.canon([0, 1])
+    with pytest.raises(AlgebraError, match="relation rows"):
+        Presentation(2, [[1]])
+    with pytest.raises(AlgebraError, match="beyond the 1 levels"):
+        homology_of_complex([Presentation.free(1)], [None], [1])
+
+
+def test_subquotient_validation_does_not_depend_on_assert():
+    # under `python -O`, which strips asserts, a relation vector outside
+    # the lattice must still be named, not fail later with a TypeError
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("from aq.errors import AlgebraError\n"
+            "from aq.presented import Subquotient\n"
+            "try:\n"
+            "    Subquotient(2, [[2, 0]], [[1, 0]])\n"
+            "except AlgebraError as exc:\n"
+            "    print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert "relation vector not inside the subgroup lattice" in out.stdout

@@ -1,6 +1,11 @@
+import hashlib
 import random
 
+import pytest
+
+from aq.errors import AlgebraError
 from aq.snf import (
+    IntegerSolver,
     cokernel_diagonal,
     identity_matrix,
     invert_unimodular,
@@ -119,3 +124,92 @@ def test_cokernel_diagonal():
     assert tor == [6] and rank == 0
     tor, rank = cokernel_diagonal([[4], [0]], 2)
     assert tor == [4] and rank == 1
+    with pytest.raises(AlgebraError, match="ambient rank"):
+        cokernel_diagonal([[2, 0], [0, 3]], 3)
+
+
+def s3_shaped(seed, entries, nr=40, nc=240, used=None):
+    """Sparse like the relation matrices of the S3 certificate: one to
+    four nonzeros per column, in the first `used` rows (all by default)."""
+    rng = random.Random(seed)
+    mat = [[0] * nc for _ in range(nr)]
+    for j in range(nc):
+        for i in rng.sample(range(used or nr), rng.randint(1, 4)):
+            mat[i][j] = rng.choice(entries)
+    return mat
+
+
+PINNED = [
+    # (seed, entries, used rows, SHA-256 of repr((U, D, V))); the digests
+    # are those of the dense full-scan reduction with the same pivot rule,
+    # so they fix that rule and with it U, V and every canonical coordinate
+    (1110, (-3, -2, -1, 1, 2, 3), 40,
+     "faff592554d35104ddae2e20e057699107c143aac81f430cac56af8cbb1a290c"),
+    (155, (-6, -4, -2, 2, 4, 6, 9), 36,
+     "6162356bf915d94a9c53e6b8b109c85a679006382f424829471362cbb9fa51db"),
+]
+
+
+@pytest.mark.parametrize("seed,entries,used,digest", PINNED,
+                         ids=["units", "torsion"])
+def test_smith_transforms_are_pinned(seed, entries, used, digest):
+    mat = s3_shaped(seed, entries, used=used)
+    u, d, v = smith_normal_form(mat)
+    assert hashlib.sha256(repr((u, d, v)).encode()).hexdigest() == digest
+    assert mat_mul(mat_mul(u, mat), v) == d
+
+
+def _sample_matrices(seed=404):
+    rng = random.Random(seed)
+    mats = [s3_shaped(seed, (-3, -2, -1, 1, 2, 3), nr=12, nc=60, used=10),
+            [[0, 0], [0, 0]], [[5]], [[], []]]
+    for _ in range(40):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        mats.append([[rng.choice((0, 0, 0, 2, -3, 4, 6))
+                      for _ in range(nc)] for _ in range(nr)])
+    return mats
+
+
+def test_requested_transforms_match_the_full_call():
+    for mat in _sample_matrices():
+        u, d, v = smith_normal_form(mat)
+        assert smith_normal_form(mat, want_v=False) == (u, d, None)
+        assert smith_normal_form(mat, want_u=False) == (None, d, v)
+        assert smith_normal_form(mat, want_u=False, want_v=False) == (None, d, None)
+
+
+def _dense_solve(mat, rhs):
+    """x = V D^-1 U rhs with dense products, or None."""
+    u, d, v = smith_normal_form(mat)
+    y = [0] * len(v)
+    for i, b in enumerate(mat_vec(u, rhs)):
+        di = d[i][i] if i < len(v) else 0
+        if (di == 0 and b) or (di and b % di):
+            return None
+        if di:
+            y[i] = b // di
+    return mat_vec(v, y)
+
+
+def test_sparse_solve_matches_the_dense_formula(seed=505):
+    rng = random.Random(seed)
+    for mat in _sample_matrices():
+        if not mat[0]:
+            continue
+        solver = IntegerSolver(mat)
+        for _ in range(6):
+            x = [rng.randint(-3, 3) for _ in mat[0]]
+            rhs = mat_vec(mat, x)
+            got = solver.solve(rhs)
+            assert got == _dense_solve(mat, rhs)
+            assert mat_vec(mat, got) == rhs
+            rhs = [rng.choice((0, 0, 1, -2)) for _ in mat]
+            assert solver.solve(rhs) == _dense_solve(mat, rhs)
+
+
+def test_sparse_solve_rejects_unsolvable_right_hand_sides():
+    solver = IntegerSolver([[2, 0, 0], [0, 4, 0], [0, 0, 0]])
+    assert solver.solve([2, 8, 0]) == [1, 2, 0]
+    assert solver.solve([1, 0, 0]) is None  # not divisible
+    assert solver.solve([0, 0, 1]) is None  # outside the column span
+    assert IntegerSolver(s3_shaped(7, (2, 4), nr=8, nc=30)).solve([1] + [0] * 7) is None
