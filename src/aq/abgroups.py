@@ -5,8 +5,8 @@ finite carriers with enumerable elements.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
 
+from .errors import AlgebraError
 from .snf import cokernel_diagonal
 
 
@@ -94,10 +94,6 @@ class FGAbelianGroup:
     def to_json(self):
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["rank"], data["torsion"])
-
 
 def _factor(n):
     out = {}
@@ -121,7 +117,8 @@ class FinAb:
     __slots__ = ("moduli",)
 
     def __init__(self, moduli):
-        assert all(m >= 1 for m in moduli)
+        if not all(m >= 1 for m in moduli):
+            raise AlgebraError(f"FinAb moduli must be >= 1, not {list(moduli)}")
         self.moduli = tuple(int(m) for m in moduli)
 
     @classmethod
@@ -157,13 +154,6 @@ class FinAb:
         n = 1
         for m in self.moduli:
             n *= m
-        return n
-
-    def element_order(self, a):
-        n = 1
-        for x, m in zip(a, self.moduli):
-            if x:
-                n = n * (m // gcd(m, x)) // gcd(n, m // gcd(m, x))
         return n
 
     def apply_matrix(self, mat, a):

@@ -159,9 +159,14 @@ class FreeAlgebra:
     def eval_term(self, t: Term, env=None):
         env = env or {}
         if isinstance(t, Var):
+            if t.name not in env:
+                raise AlgebraError(f"unbound variable ${t.name}")
             return env[t.name]
         if t.op in self._gen_sort and not t.args:
             return self.gen(t.op)
+        op = self.theory.op_index.get(t.op)
+        if op is not None and len(t.args) != len(op.args):
+            raise AlgebraError(f"arity mismatch in term {term_str(t)}")
         tag = self.theory.class_tag
         if tag in ("group", "abelian", "module"):
             witness = self.theory.group_witness[self.sort]

@@ -23,7 +23,7 @@ from .fixtures import (
     load_xmodule,
     parse_module_presentation,
 )
-from .rings import CoefficientModule, Ring, parse_ring
+from .rings import CoefficientModule, Ring, RingDescriptorError, parse_ring
 from .simplicial import SimplicialIdentityError, SimplicialTheta
 from .theories import (
     TheoryError,
@@ -32,6 +32,10 @@ from .theories import (
     module_theory,
     product_theory,
 )
+
+
+class UsageError(Exception):
+    """A command-line option whose value names no valid input."""
 
 
 def main(argv=None):
@@ -126,7 +130,8 @@ def main(argv=None):
     except NotFiniteWithinBound as exc:
         print(f"not finite within bound: {exc}", file=sys.stderr)
         return 3
-    except (FixtureError, DslSyntaxError, TheoryError, FileNotFoundError) as exc:
+    except (FixtureError, DslSyntaxError, TheoryError, FileNotFoundError,
+            UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AlgebraError as exc:
@@ -221,16 +226,37 @@ def cmd_theory(args):
     return _emit(args, {"theory": text}, [text.rstrip()])
 
 
+def _ring_option(text):
+    try:
+        return parse_ring(text)
+    except RingDescriptorError as exc:
+        raise UsageError(f"--ring: {exc}") from exc
+
+
+def _moduli_option(text):
+    try:
+        return [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise UsageError(
+            f"--coeffs: expected moduli like 2,4, not {text!r}") from None
+
+
+def _trivial_coefficients(kind, base, text):
+    """kind.trivial(base, moduli) for the moduli of a --coeffs value."""
+    try:
+        return kind.trivial(base, _moduli_option(text))
+    except AlgebraError as exc:
+        raise UsageError(f"--coeffs {text}: {exc}") from exc
+
+
 def _parse_coeffs(args, theory, base_algebra):
     ref = args.coeffs
     if ref is None:
-        print("missing --coeffs", file=sys.stderr)
-        raise FixtureError("missing coefficients")
+        raise UsageError("missing --coeffs")
     if ref.endswith(".xmod"):
         return load_xmodule(ref, base=base_algebra)
-    moduli = [int(x) for x in ref.split(",") if x != ""]
-    ring = theory.ring if theory.ring else Ring("Z")
-    return CoefficientModule.trivial(ring, moduli)
+    return _trivial_coefficients(CoefficientModule, theory.ring or Ring("Z"),
+                                 ref)
 
 
 def cmd_invariants(args):
@@ -284,7 +310,7 @@ def cmd_invariants(args):
         return _report_values(args, values, {})
     # module theories: resolve the presented module
     with open(args.algebra) as fh:
-        y = parse_module_presentation(fh.read())
+        y = parse_module_presentation(fh.read(), source=args.algebra)
     v = resolve_module(y, length=top + 2)
     cert = check_certificate(v, y, rng=min(top, v.truncation - 1))
     if not cert.valid:
@@ -347,8 +373,7 @@ def cmd_oracle(args):
         if args.coeffs and args.coeffs.endswith(".xmod"):
             k = load_xmodule(args.coeffs, base=g)
         else:
-            moduli = [int(x) for x in (args.coeffs or "2").split(",")]
-            k = XModule.trivial(g, moduli)
+            k = _trivial_coefficients(XModule, g, args.coeffs or "2")
         if args.kind == "bar":
             values = bar_resolution_group(g, k, args.max_degree,
                                           budget=max(args.budget, 10**6))
@@ -359,11 +384,10 @@ def cmd_oracle(args):
         value = factor_set_cohomology(g, k, args.degree, budget=args.budget)
         return _emit(args, {"degree": args.degree, **value.to_json()},
                      [f"H^{args.degree}({g.name}) = {value}"])
-    ring = parse_ring(args.ring)
+    ring = _ring_option(args.ring)
     with open(args.module) as fh:
-        mod = parse_module_presentation(fh.read())
-    moduli = [int(x) for x in (args.coeffs or "2").split(",")]
-    coeff = CoefficientModule.trivial(ring, moduli)
+        mod = parse_module_presentation(fh.read(), source=args.module)
+    coeff = _trivial_coefficients(CoefficientModule, ring, args.coeffs or "2")
     fn = ext_oracle if args.kind == "ext" else tor_oracle
     values = fn(mod, coeff, args.max_degree)
     name = "Ext" if args.kind == "ext" else "Tor"
@@ -377,23 +401,28 @@ def cmd_ss(args):
     from .resolutions import resolve_module
     from .spectral import GradedModule, reverse_adams_e2, tor_e2, uct_e2
 
-    ring = parse_ring(args.ring)
+    ring = _ring_option(args.ring)
     if args.module:
         with open(args.module) as fh:
-            mod = parse_module_presentation(fh.read())
+            mod = parse_module_presentation(fh.read(), source=args.module)
         graded = GradedModule.concentrated(mod)
     elif args.h:
         from .rings import RModulePresentation
 
         components = {}
         for spec in args.h:
-            deg_text, moduli_text = spec.split(":")
-            divisors = [int(x) for x in moduli_text.split(",")]
+            try:
+                deg_text, moduli_text = spec.split(":")
+                deg = int(deg_text)
+                divisors = [int(x) for x in moduli_text.split(",")]
+            except ValueError:
+                raise UsageError(
+                    f"--h: expected DEG:moduli like 1:2,2, not {spec!r}") from None
             cols = [
                 [ring.from_int(d if gi == i else 0) for gi in range(len(divisors))]
                 for i, d in enumerate(divisors) if d != 0
             ]
-            components[int(deg_text)] = RModulePresentation(
+            components[deg] = RModulePresentation(
                 ring, len(divisors), cols
             )
         graded = GradedModule(ring, components)
@@ -401,8 +430,7 @@ def cmd_ss(args):
     else:
         print("ss needs --module or --h", file=sys.stderr)
         return 2
-    moduli = [int(x) for x in args.coeffs.split(",")]
-    coeff = CoefficientModule.trivial(ring, moduli)
+    coeff = _trivial_coefficients(CoefficientModule, ring, args.coeffs)
     direct = None
     if args.check and mod is None:
         print("--check needs --module (degree-0 concentrated)", file=sys.stderr)

@@ -18,11 +18,12 @@ from .algebras import (
     AlgebraMap,
     FiniteAlgebra,
     FreeAlgebra,
+    cyclic_group,
     realize_presentation,
 )
 from .beck import XModule
-from .dsl import DslSyntaxError, _Parser, parse_theory, tokenize
-from .rings import Ring, parse_ring
+from .dsl import DslSyntaxError, _Parser, parse_theory
+from .rings import Ring, RingDescriptorError, parse_ring
 from .simplicial import ChainComplex, SimplicialTheta, dold_kan
 from .theories import TheoryPresentation, module_theory, zmod_module_theory
 
@@ -36,15 +37,16 @@ def builtin_theory(name: str) -> TheoryPresentation:
         return GP
     if name == "ab":
         return AB
-    if name == "mod:Z":
-        return AB
-    if name.startswith("mod:Z/"):
-        return zmod_module_theory(int(name[len("mod:Z/"):]))
-    if name.startswith("mod:Z[C") and name.endswith("]"):
-        from .algebras import cyclic_group
-
-        m = int(name[len("mod:Z[C"):-1])
-        return module_theory(GP, cyclic_group(m))
+    if name.startswith("mod:"):
+        try:
+            ring = parse_ring(name[len("mod:"):])
+        except RingDescriptorError as exc:
+            raise FixtureError(f"unknown builtin theory {name!r}: {exc}") from exc
+        if ring.kind == "Z":
+            return AB
+        if ring.kind == "Zmod":
+            return zmod_module_theory(ring.m)
+        return module_theory(GP, cyclic_group(ring.group.order()))
     raise FixtureError(f"unknown builtin theory {name!r}")
 
 
@@ -172,10 +174,19 @@ def _theory_ref(p: _FixtureParser, base_dir):
 def load_algebra(path) -> FiniteAlgebra:
     with open(path) as fh:
         text = fh.read()
-    return parse_algebra(text, base_dir=os.path.dirname(path))
+    return parse_algebra(text, base_dir=os.path.dirname(path), source=path)
 
 
-def parse_algebra(text, base_dir="") -> FiniteAlgebra:
+def _eval_at(free, term, where):
+    """free.eval_term(term); a term it cannot evaluate is a fixture error
+    at `where` (path:line of the entry holding the term)."""
+    try:
+        return free.eval_term(term)
+    except AlgebraError as exc:
+        raise FixtureError(f"{where}: {exc}") from exc
+
+
+def parse_algebra(text, base_dir="", source="<algebra>") -> FiniteAlgebra:
     p = _FixtureParser(_tokenize_fixture(text))
     p.expect("algebra")
     name = p.expect_ident()
@@ -185,7 +196,7 @@ def parse_algebra(text, base_dir="") -> FiniteAlgebra:
     if kw == "table":
         alg = _parse_table_block(p, theory, name)
     elif kw == "presentation":
-        alg = _parse_presentation_block(p, theory, name)
+        alg = _parse_presentation_block(p, theory, name, source)
     else:
         raise FixtureError(f"unknown algebra block {kw!r}")
     p.expect("}")
@@ -226,10 +237,11 @@ def _parse_table_block(p, theory, name):
     return FiniteAlgebra(theory, name, carriers, tables)
 
 
-def _parse_presentation_block(p, theory, name):
+def _parse_presentation_block(p, theory, name, source):
     p.expect("{")
     gens = []
     rels = []
+    rel_lines = []
     bound = 256
     while p.peek().text != "}":
         kw = p.expect_ident()
@@ -241,6 +253,7 @@ def _parse_presentation_block(p, theory, name):
             ):
                 gens.append(p.expect_ident())
         elif kw == "rel":
+            rel_lines.append(p.peek().line)
             lhs = p.parse_term()
             if p.peek().text == "=":
                 p.next()
@@ -254,10 +267,14 @@ def _parse_presentation_block(p, theory, name):
         else:
             raise FixtureError(f"unknown presentation entry {kw!r}")
     p.expect("}")
+    free = FreeAlgebra(theory, gens)
+    for rel, line in zip(rels, rel_lines):
+        for term in rel if isinstance(rel, tuple) else (rel,):
+            _eval_at(free, term, f"{source}:{line}")
     return realize_presentation(theory, gens, rels, bound=bound, name=name)
 
 
-def parse_module_presentation(text, base_dir=""):
+def parse_module_presentation(text, base_dir="", source="<module>"):
     """A presentation-form .alg over a module theory, kept as an
     RModulePresentation (for the resolution pipeline)."""
     from .rings import RModulePresentation
@@ -284,12 +301,13 @@ def parse_module_presentation(text, base_dir=""):
             ):
                 gens.append(p.expect_ident())
         elif kw2 == "rel":
+            line = p.peek().line
             lhs = p.parse_term()
             if p.peek().text == "=":
                 p.next()
-                rel_terms.append((lhs, p.parse_term()))
+                rel_terms.append((lhs, p.parse_term(), line))
             else:
-                rel_terms.append((lhs, None))
+                rel_terms.append((lhs, None, line))
         elif kw2 == "realize":
             p.expect("bound")
             p.expect("=")
@@ -300,12 +318,11 @@ def parse_module_presentation(text, base_dir=""):
     p.expect("}")
     free = FreeAlgebra(theory, gens)
     cols = []
-    from .terms import App
-
-    for lhs, rhs in rel_terms:
-        word = free.eval_term(lhs)
+    for lhs, rhs, line in rel_terms:
+        where = f"{source}:{line}"
+        word = _eval_at(free, lhs, where)
         if rhs is not None:
-            word = free.mul(word, free.inv(free.eval_term(rhs)))
+            word = free.mul(word, free.inv(_eval_at(free, rhs, where)))
         col = []
         wd = dict(word)
         for g in gens:
@@ -467,10 +484,10 @@ def _validate_fhat_tables(km: XModule, fhat_tables):
 def load_sres(path):
     with open(path) as fh:
         text = fh.read()
-    return parse_sres(text, base_dir=os.path.dirname(path))
+    return parse_sres(text, base_dir=os.path.dirname(path), source=path)
 
 
-def parse_sres(text, base_dir=""):
+def parse_sres(text, base_dir="", source="<sres>"):
     p = _FixtureParser(_tokenize_fixture(text))
     p.expect("sres")
     name = p.expect_ident()
@@ -478,7 +495,10 @@ def parse_sres(text, base_dir=""):
     tok = p.peek()
     if tok.text == "ring":
         p.next()
-        ring = parse_ring(p.expect_ident())
+        try:
+            ring = parse_ring(p.expect_ident())
+        except RingDescriptorError as exc:
+            raise FixtureError(f"{source}:{tok.line}: {exc}") from exc
         p.expect("chain")
         p.expect("{")
         p.expect("ranks")
@@ -600,7 +620,6 @@ def parse_sres(text, base_dir=""):
 
 def write_sres(v: SimplicialTheta, name="resolution"):
     """Serialize a free simplicial algebra with term-image blocks."""
-    from .algebras import normalize
     from .terms import term_str
 
     sort = v.theory.sorts[0]

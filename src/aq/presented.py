@@ -164,9 +164,6 @@ class Subquotient:
                         self._generators.append(mat_vec(self._zmat, y))
         return self._generators
 
-    def is_zero_class(self, vec):
-        return all(x == 0 for x in self.canon(vec))
-
 
 def homology_of_complex(levels, diffs, degrees):
     """Homology of a presented-module chain complex.

@@ -29,6 +29,7 @@ from .rings import (
     Ring,
     ext_groups,
     free_resolution,
+    r_matrix_to_z,
     tor_groups,
 )
 from .simplicial import (
@@ -191,7 +192,8 @@ def abelianized_complex(v: SimplicialTheta, over=None):
             total = None
             for i, face in enumerate(v.faces[n]):
                 mat = abelianized_matrix(face, over=augmentations[n - 1])
-                zmat = _ring_matrix_to_z(ring, mat)
+                zmat = r_matrix_to_z(ring, mat, len(mat),
+                                     len(mat[0]) if mat else 0)
                 if total is None:
                     total = zmat
                 else:
@@ -201,21 +203,6 @@ def abelianized_complex(v: SimplicialTheta, over=None):
                             total[r][c] += sgn * zmat[r][c]
             diffs.append(total if total is not None else [])
     return PresentedComplex(levels, diffs), ranks, ring
-
-
-def _ring_matrix_to_z(ring: Ring, mat):
-    # left-module map entries realize over Z by right multiplication
-    zr = ring.zrank()
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    out = [[0] * (cols * zr) for _ in range(rows * zr)]
-    for i in range(rows):
-        for j in range(cols):
-            blk = ring.right_regular_block(mat[i][j])
-            for a in range(zr):
-                for b in range(zr):
-                    out[i * zr + a][j * zr + b] = blk[a][b]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +299,9 @@ def _abelianized_acyclic(v: SimplicialTheta, x, rng):
 def _check_module_certificate(v: SimplicialFreeModule, module, rng):
     checks = {}
     detail = {}
+    realized = v.to_abelian()
     try:
-        v.check_identities()
+        realized.check_identities()
         checks["simplicial_identities"] = True
     except SimplicialIdentityError as exc:
         checks["simplicial_identities"] = False
@@ -321,7 +309,7 @@ def _check_module_certificate(v: SimplicialFreeModule, module, rng):
     checks["degreewise_free"] = True  # free by construction of the container
     if rng + 1 > v.truncation:
         raise AlgebraError("certificate range exceeds the truncation")
-    pis = moore_homotopy(v, range(rng + 1))
+    pis = moore_homotopy(realized, range(rng + 1))
     if isinstance(module, RModulePresentation):
         target_inv = module.invariants()
     else:

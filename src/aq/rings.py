@@ -8,6 +8,7 @@ from __future__ import annotations
 from math import gcd
 
 from .abgroups import FGAbelianGroup
+from .errors import AlgebraError
 from .presented import Presentation, cohomology_at, homology_of_complex
 from .snf import identity_matrix, kernel_basis, mat_mul, smith_diagonal_naive
 
@@ -20,16 +21,22 @@ class GroupTable:
         self.mul = dict(mul)
         self.identity = identity
         self.index = {g: i for i, g in enumerate(self.elements)}
+        if any(self.mul.get((g, h)) not in self.index
+               for g in self.elements for h in self.elements):
+            raise AlgebraError("group table is not total on its elements")
         self.inv = {}
         for g in self.elements:
             for h in self.elements:
                 if self.mul[(g, h)] == identity:
                     self.inv[g] = h
                     break
-        assert len(self.inv) == len(self.elements), "not a group table"
+        if len(self.inv) != len(self.elements):
+            raise AlgebraError("not a group table: an element has no inverse")
 
     @classmethod
     def cyclic(cls, m, prefix="g"):
+        if m < 1:
+            raise AlgebraError(f"a cyclic group needs order >= 1, not {m}")
         els = [f"{prefix}{i}" for i in range(m)]
         mul = {(els[i], els[j]): els[(i + j) % m] for i in range(m) for j in range(m)}
         return cls(els, mul, els[0])
@@ -42,14 +49,15 @@ class Ring:
     """Z, Z/m, or Z[G]; elements are ints (Z, Z/m) or {label: int} dicts."""
 
     def __init__(self, kind, m=None, group: GroupTable | None = None):
-        assert kind in ("Z", "Zmod", "ZG")
+        if kind not in ("Z", "Zmod", "ZG"):
+            raise AlgebraError(f"unknown ring kind {kind!r}")
+        if kind == "Zmod" and not (isinstance(m, int) and m >= 2):
+            raise AlgebraError(f"Z/m needs an integer m >= 2, not {m!r}")
+        if kind == "ZG" and group is None:
+            raise AlgebraError("a group ring needs a group")
         self.kind = kind
         self.m = m
         self.group = group
-        if kind == "Zmod":
-            assert m and m >= 2
-        if kind == "ZG":
-            assert group is not None
 
     def __repr__(self):
         if self.kind == "Z":
@@ -83,7 +91,8 @@ class Ring:
         return n % self.m if self.kind == "Zmod" else n
 
     def from_group_element(self, g):
-        assert self.kind == "ZG"
+        if self.kind != "ZG":
+            raise AlgebraError(f"{self!r} is not a group ring")
         return {g: 1}
 
     def add(self, a, b):
@@ -149,24 +158,6 @@ class Ring:
             out[0][0] = a
         return out
 
-    def right_regular_block(self, a):
-        """Matrix of right multiplication r -> r * a on the ring's Z-basis.
-
-        This is the Z-realization of the map generated by a matrix entry
-        of a left-module homomorphism (coefficients multiply on the left),
-        so free-module maps convert through it.
-        """
-        n = self.zrank()
-        out = [[0] * n for _ in range(n)]
-        if self.kind == "ZG":
-            for j, h in enumerate(self.group.elements):
-                prod = self.mul({h: 1}, a)
-                for g, c in prod.items():
-                    out[self.group.index[g]][j] = c
-        else:
-            out[0][0] = a
-        return out
-
 
 # ---------------------------------------------------------------------------
 # modules over a ring
@@ -178,8 +169,9 @@ class RModulePresentation:
         self.ring = ring
         self.gens = gens
         self.rel_cols = [list(c) for c in rel_cols]
-        for c in self.rel_cols:
-            assert len(c) == gens
+        if any(len(c) != gens for c in self.rel_cols):
+            raise AlgebraError(
+                f"RModulePresentation: a relation column is not of length {gens}")
 
     @classmethod
     def cyclic(cls, ring, annihilator: int):
@@ -223,11 +215,14 @@ class CoefficientModule:
         self.act = dict(act) if act else {}
         if ring.kind == "ZG":
             for g in ring.group.elements:
-                assert g in self.act, f"missing action matrix for {g}"
+                if g not in self.act:
+                    raise AlgebraError(f"missing action matrix for {g}")
         if ring.kind == "Zmod":
             for m in self.moduli:
-                assert m != 0 and ring.m % m == 0, \
-                    "Z/m-module carrier must be m-torsion"
+                if m == 0 or ring.m % m:
+                    raise AlgebraError(
+                        f"Z/{ring.m}-module carrier must be {ring.m}-torsion "
+                        f"(modulus {m})")
         self._validate()
 
     def _validate(self):
@@ -239,11 +234,12 @@ class CoefficientModule:
 
         grp = self.ring.group
         ident = self.act[grp.identity]
-        assert all(
+        if not all(
             congruent(ident[i][j] - (1 if i == j else 0), self._mod(i))
             for i in range(self.dim)
             for j in range(self.dim)
-        ), "identity must act as the identity"
+        ):
+            raise AlgebraError("identity must act as the identity")
         for g in grp.elements:
             for h in grp.elements:
                 gh = grp.mul[(g, h)]
@@ -252,8 +248,8 @@ class CoefficientModule:
                     m = self._mod(i)
                     for j in range(self.dim):
                         diff = prod[i][j] - self.act[gh][i][j]
-                        assert congruent(diff, m), \
-                            "action is not multiplicative"
+                        if not congruent(diff, m):
+                            raise AlgebraError("action is not multiplicative")
 
     def _mod(self, i):
         return self.moduli[i]
@@ -270,13 +266,11 @@ class CoefficientModule:
     @classmethod
     def group_ring(cls, ring):
         """Z[G] as a module over itself (free rank one)."""
-        assert ring.kind == "ZG"
+        if ring.kind != "ZG":
+            raise AlgebraError(f"{ring!r} is not a group ring")
         n = ring.zrank()
         act = {g: ring.regular_block({g: 1}) for g in ring.group.elements}
         return cls(ring, [0] * n, act)
-
-    def presentation(self) -> Presentation:
-        return Presentation.from_moduli(self.moduli)
 
     def invariants(self) -> FGAbelianGroup:
         return FGAbelianGroup.from_divisors(self.moduli)
@@ -314,18 +308,17 @@ def free_resolution(module: RModulePresentation, length):
                           for i in range(ranks[-2])])
         else:
             diffs.append([[] for _ in range(ranks[-2])])
-        current = _kernel_columns(ring, ranks[-2], current)
+        current = _kernel_columns(ring, diffs[-1], ranks[-2], ranks[-1])
     return ranks, diffs
 
 
-def _kernel_columns(ring, ambient_rank, cols):
+def _kernel_columns(ring, rmat, ambient_rank, k):
     """R-generating columns of the kernel of the map R^k -> R^ambient
-    whose matrix has the given columns."""
-    k = len(cols)
+    with the given R-matrix."""
     if k == 0:
         return []
     zr = ring.zrank()
-    zmat = _r_matrix_to_z(ring, ambient_rank, cols)
+    zmat = r_matrix_to_z(ring, rmat, ambient_rank, k)
     if ring.kind == "Zmod":
         m = ring.m
         rows = len(zmat)
@@ -353,25 +346,22 @@ def _kernel_columns(ring, ambient_rank, cols):
     return out
 
 
-def _r_matrix_to_z(ring, rows, cols):
-    """Z-matrix of the R-map with the given R-columns (each of length rows)."""
-    zr = ring.zrank()
-    if ring.kind == "Zmod":
-        return [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
-    out = [[0] * (len(cols) * zr) for _ in range(rows * zr)]
-    for j, col in enumerate(cols):
-        for i, entry in enumerate(col):
-            blk = ring.right_regular_block(entry)
-            for a in range(zr):
-                for b in range(zr):
-                    out[i * zr + a][j * zr + b] = blk[a][b]
-    return out
-
-
 def r_matrix_to_z(ring, rmat, rows, cols):
-    """Z-matrix for an R-matrix given as rows x cols nested lists."""
-    columns = [[rmat[i][j] for i in range(rows)] for j in range(cols)]
-    return _r_matrix_to_z(ring, rows, columns)
+    """Z-matrix of a rows x cols R-matrix of a left-module map.  Over Z[G]
+    an entry r becomes the block of x -> x * r on the basis G, which makes
+    the realization multiplicative (coefficients multiply on the left);
+    over Z and Z/m the entries are copied."""
+    if ring.kind != "ZG":
+        return [[rmat[i][j] for j in range(cols)] for i in range(rows)]
+    grp = ring.group
+    n = grp.order()
+    out = [[0] * (cols * n) for _ in range(rows * n)]
+    for i in range(rows):
+        for j in range(cols):
+            for g, c in rmat[i][j].items():
+                for b, h in enumerate(grp.elements):
+                    out[i * n + grp.index[grp.mul[(h, g)]]][j * n + b] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +484,26 @@ def tensor_z(a, b):
     return _pairwise(a, b, gcd, lambda t: t, lambda s: s, True)
 
 
+class RingDescriptorError(ValueError):
+    """A ring descriptor that names no registered ring."""
+
+
 def parse_ring(text) -> Ring:
-    """Ring descriptors: 'Z', 'Z/4', 'Z[C2]' (cyclic group ring)."""
+    """Ring descriptors: 'Z', 'Z/m' (m >= 2), 'Z[Cm]' (cyclic group ring,
+    m >= 1)."""
     text = text.strip()
     if text == "Z":
         return Ring("Z")
     if text.startswith("Z/"):
-        return Ring("Zmod", m=int(text[2:]))
-    if text.startswith("Z[C") and text.endswith("]"):
-        return Ring("ZG", group=GroupTable.cyclic(int(text[3:-1])))
-    raise ValueError(f"unknown ring descriptor: {text!r}")
+        kind, digits, least = "Zmod", text[2:], 2
+    elif text.startswith("Z[C") and text.endswith("]"):
+        kind, digits, least = "ZG", text[3:-1], 1
+    else:
+        raise RingDescriptorError(
+            f"unknown ring descriptor {text!r} (expected Z, Z/m or Z[Cm])")
+    if not (digits.isascii() and digits.isdigit()) or int(digits) < least:
+        raise RingDescriptorError(
+            f"ring descriptor {text!r} needs an integer m >= {least}")
+    if kind == "Zmod":
+        return Ring("Zmod", m=int(digits))
+    return Ring("ZG", group=GroupTable.cyclic(int(digits)))

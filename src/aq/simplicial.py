@@ -13,7 +13,6 @@ from .abgroups import FGAbelianGroup, FinAb, invariants_from_addition
 from .algebras import (
     AlgebraError,
     AlgebraMap,
-    FiniteAlgebra,
     FreeAlgebra,
     find_isomorphism,
     quotient_by_normal_closure,
@@ -54,7 +53,10 @@ class SimplicialIdentityError(AlgebraError):
 # containers
 
 class _SimplicialBase:
-    """levels[n]; faces[n][i]: level n -> n-1; degens[n][j]: n -> n+1."""
+    """levels[n]; faces[n][i]: level n -> n-1; degens[n][j]: n -> n+1.
+
+    A flavor supplies the hooks `_compose(outer, inner, src_level)`,
+    `_identity_on(n)` and `_maps_equal(m1, m2, src_level, tgt_level)`."""
 
     def __init__(self, levels, faces, degens, truncation):
         self.levels = list(levels)
@@ -66,52 +68,39 @@ class _SimplicialBase:
         """All five simplicial identity families, mechanically, within the
         truncation; raises SimplicialIdentityError naming the failure."""
         t = self.truncation
+        d, s = self.faces, self.degens
         for n in range(2, t + 1):
             for i in range(n + 1):
                 for j in range(i + 1, n + 1):
-                    lhs = self._compose(self.faces[n - 1][i], self.faces[n][j])
-                    rhs = self._compose(self.faces[n - 1][j - 1], self.faces[n][i])
-                    if not self._maps_equal(lhs, rhs, n):
+                    lhs = self._compose(d[n - 1][i], d[n][j], n)
+                    rhs = self._compose(d[n - 1][j - 1], d[n][i], n)
+                    if not self._maps_equal(lhs, rhs, n, n - 2):
                         raise SimplicialIdentityError(
                             f"d_{i} d_{j} != d_{j-1} d_{i} at level {n}"
                         )
         for n in range(0, t):
             for j in range(n + 1):
                 for i in range(n + 2):
-                    lhs = self._compose(self.faces[n + 1][i], self.degens[n][j])
-                    if not self._face_degen_expected(lhs, i, j, n):
+                    lhs = self._compose(d[n + 1][i], s[n][j], n)
+                    if i == j or i == j + 1:
+                        rhs = self._identity_on(n)
+                    elif i < j:
+                        rhs = self._compose(s[n - 1][j - 1], d[n][i], n)
+                    else:
+                        rhs = self._compose(s[n - 1][j], d[n][i - 1], n)
+                    if not self._maps_equal(lhs, rhs, n, n):
                         raise SimplicialIdentityError(
                             f"d_{i} s_{j} identity fails at level {n}"
                         )
         for n in range(0, t - 1):
             for i in range(n + 1):
                 for j in range(i, n + 1):
-                    lhs = self._compose(self.degens[n + 1][i], self.degens[n][j])
-                    rhs = self._compose(self.degens[n + 1][j + 1], self.degens[n][i])
-                    if not self._maps_equal(lhs, rhs, n):
+                    lhs = self._compose(s[n + 1][i], s[n][j], n)
+                    rhs = self._compose(s[n + 1][j + 1], s[n][i], n)
+                    if not self._maps_equal(lhs, rhs, n, n + 2):
                         raise SimplicialIdentityError(
                             f"s_{i} s_{j} != s_{j+1} s_{i} at level {n}"
                         )
-
-    # flavor hooks -----------------------------------------------------
-
-    def _compose(self, outer, inner):
-        raise NotImplementedError
-
-    def _identity_on(self, n):
-        raise NotImplementedError
-
-    def _maps_equal(self, m1, m2, src_level):
-        raise NotImplementedError
-
-    def _face_degen_expected(self, lhs, i, j, n):
-        if i == j or i == j + 1:
-            return self._maps_equal(lhs, self._identity_on(n), n)
-        if i < j:
-            expected = self._compose(self.degens[n - 1][j - 1], self.faces[n][i])
-        else:
-            expected = self._compose(self.degens[n - 1][j], self.faces[n][i - 1])
-        return self._maps_equal(lhs, expected, n)
 
 
 class SimplicialTheta(_SimplicialBase):
@@ -128,7 +117,7 @@ class SimplicialTheta(_SimplicialBase):
     def is_free_levelwise(self):
         return all(lv.is_free() for lv in self.levels)
 
-    def _compose(self, outer: AlgebraMap, inner: AlgebraMap):
+    def _compose(self, outer: AlgebraMap, inner: AlgebraMap, src_level):
         src = inner.source
         sort = src.theory.sorts[0]
         if src.is_free():
@@ -155,7 +144,7 @@ class SimplicialTheta(_SimplicialBase):
             check=False,
         )
 
-    def _maps_equal(self, m1, m2, n):
+    def _maps_equal(self, m1, m2, n, tgt_level):
         lv = self.levels[n]
         sort = lv.theory.sorts[0]
         if lv.is_free():
@@ -171,7 +160,7 @@ class SimplicialTheta(_SimplicialBase):
         m = self.augmentation
         chain = m
         for k in range(1, n + 1):
-            chain = self._compose(chain, self.faces[k][0])
+            chain = self._compose(chain, self.faces[k][0], k)
         return chain
 
 
@@ -180,49 +169,16 @@ class SimplicialAbelian(_SimplicialBase):
     generators.  Matrices may have zero rows, so compositions track their
     shapes through the level data explicitly."""
 
+    def _compose(self, outer, inner, src_level):
+        return mat_mul(outer, inner, self.levels[src_level].gens)
+
     def _identity_on(self, n):
         return identity_matrix(self.levels[n].gens)
 
-    def check_identities(self):
+    def _maps_equal(self, m1, m2, src_level, tgt_level):
         # matrix equality holds modulo the target level's relations
-        t = self.truncation
-        for n in range(2, t + 1):
-            g = self.levels[n].gens
-            for i in range(n + 1):
-                for j in range(i + 1, n + 1):
-                    a = mat_mul(self.faces[n - 1][i], self.faces[n][j], g)
-                    b = mat_mul(self.faces[n - 1][j - 1], self.faces[n][i], g)
-                    if not _matrices_equal_mod(a, b, g, self.levels[n - 2]):
-                        raise SimplicialIdentityError(
-                            f"d_{i} d_{j} != d_{j-1} d_{i} at level {n}"
-                        )
-        for n in range(0, t):
-            g = self.levels[n].gens
-            for j in range(n + 1):
-                for i in range(n + 2):
-                    lhs = mat_mul(self.faces[n + 1][i], self.degens[n][j], g)
-                    if i == j or i == j + 1:
-                        rhs = self._identity_on(n)
-                    elif i < j:
-                        rhs = mat_mul(self.degens[n - 1][j - 1],
-                                       self.faces[n][i], g)
-                    else:
-                        rhs = mat_mul(self.degens[n - 1][j],
-                                       self.faces[n][i - 1], g)
-                    if not _matrices_equal_mod(lhs, rhs, g, self.levels[n]):
-                        raise SimplicialIdentityError(
-                            f"d_{i} s_{j} identity fails at level {n}"
-                        )
-        for n in range(0, t - 1):
-            g = self.levels[n].gens
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    a = mat_mul(self.degens[n + 1][i], self.degens[n][j], g)
-                    b = mat_mul(self.degens[n + 1][j + 1], self.degens[n][i], g)
-                    if not _matrices_equal_mod(a, b, g, self.levels[n + 2]):
-                        raise SimplicialIdentityError(
-                            f"s_{i} s_{j} != s_{j+1} s_{i} at level {n}"
-                        )
+        return _matrices_equal_mod(m1, m2, self.levels[src_level].gens,
+                                   self.levels[tgt_level])
 
 
 def _matrices_equal_mod(m1, m2, cols, target: Presentation):
@@ -231,7 +187,7 @@ def _matrices_equal_mod(m1, m2, cols, target: Presentation):
         return False
     for j in range(cols):
         col = [m1[i][j] - m2[i][j] for i in range(rows)]
-        if not target.contains_in_relations(col):
+        if any(col) and not target.contains_in_relations(col):
             return False
     return True
 
@@ -246,54 +202,24 @@ class SimplicialFreeModule(_SimplicialBase):
         self.ranks = list(ranks)
 
     def to_abelian(self) -> SimplicialAbelian:
-        levels = []
-        faces = [[]]
-        degens = []
-        for n, rk in enumerate(self.ranks):
-            levels.append(RModulePresentation(self.ring, rk, []).z_presentation())
-        faces = [
-            [r_matrix_to_z(self.ring, m, self.ranks[n - 1], self.ranks[n])
-             for m in self.faces[n]] if n else []
-            for n in range(len(self.ranks))
-        ]
-        degens = [
-            [r_matrix_to_z(self.ring, m, self.ranks[n + 1], self.ranks[n])
-             for m in self.degens[n]]
-            if n < len(self.ranks) - 1 else []
-            for n in range(len(self.ranks))
-        ]
-        out = SimplicialAbelian(levels, faces, degens, self.truncation)
-        return out
+        """The underlying simplicial abelian group: each R-matrix entry
+        realized over Z by `r_matrix_to_z`, Z/m levels with m*I relations."""
+        r, ranks = self.ring, self.ranks
+        levels = [RModulePresentation(r, rk, []).z_presentation()
+                  for rk in ranks]
+        faces = [[r_matrix_to_z(r, m, ranks[n - 1], ranks[n])
+                  for m in self.faces[n]] if n else []
+                 for n in range(len(ranks))]
+        degens = [[r_matrix_to_z(r, m, ranks[n + 1], ranks[n])
+                   for m in self.degens[n]] if n < len(ranks) - 1 else []
+                  for n in range(len(ranks))]
+        return SimplicialAbelian(levels, faces, degens, self.truncation)
 
-    def _compose(self, outer, inner):
-        rows = len(outer)
-        mid = len(inner)
-        cols = len(inner[0]) if inner else 0
-        r = self.ring
-        out = [[r.zero() for _ in range(cols)] for _ in range(rows)]
-        for i in range(rows):
-            for t in range(mid):
-                a = outer[i][t]
-                if r.is_zero(a):
-                    continue
-                for j in range(cols):
-                    # inner coefficients multiply on the left (left modules)
-                    out[i][j] = r.add(out[i][j], r.mul(inner[t][j], a))
-        return out
-
-    def _identity_on(self, n):
-        rk = self.ranks[n]
-        return [[self.ring.one() if i == j else self.ring.zero()
-                 for j in range(rk)] for i in range(rk)]
-
-    def _maps_equal(self, m1, m2, n):
-        if len(m1) != len(m2):
-            return False
-        r = self.ring
-        return all(
-            r.is_zero(r.add(a, r.neg(b)))
-            for row1, row2 in zip(m1, m2) for a, b in zip(row1, row2)
-        )
+    def check_identities(self):
+        # the realization is faithful and multiplicative for left-module
+        # composition, and equality modulo m*I is equality in Z/m, so the
+        # identities hold over R exactly when they hold over Z
+        self.to_abelian().check_identities()
 
 
 # ---------------------------------------------------------------------------
@@ -417,12 +343,11 @@ def _factor_epi_mono(values, k):
     return tau, tuple(image)
 
 
-def _dk_block(sigma, k, alpha, complex_diff_at, top):
+def _dk_block(sigma, k, alpha):
     """Target summand and kind ('id' | 'd' | None) of the alpha-component
     out of summand (sigma, k)."""
     composite = tuple(sigma[a] for a in alpha)
     tau, image = _factor_epi_mono(composite, k)
-    j = len(image) - 1
     if image == tuple(range(k + 1)):
         return (tau, k), "id"
     if image == tuple(range(k)):
@@ -478,10 +403,9 @@ def dold_kan(cx, truncation=None):
     def structure_matrix(n, m, alpha):
         mat = zero_mat(sizes[m], sizes[n])
         for sigma, k in layouts[n]:
-            target, kind = _dk_block(sigma, k, alpha, None, top)
+            target, kind = _dk_block(sigma, k, alpha)
             if kind is None:
                 continue
-            tk = target[1]
             r0 = offsets[m][target]
             c0 = offsets[n][(sigma, k)]
             insert_block(mat, r0, c0, kind, k)
@@ -506,10 +430,8 @@ def dold_kan(cx, truncation=None):
     if presented:
         levels = []
         for n in range(trunc + 1):
-            moduli_pres = [cx.levels[k] for _, k in layouts[n]]
-            pres = Presentation.free(0)
             acc = None
-            for p in moduli_pres:
+            for p in (cx.levels[k] for _, k in layouts[n]):
                 acc = p if acc is None else acc.direct_sum(p)
             levels.append(acc if acc is not None else Presentation.free(0))
         out = SimplicialAbelian(levels, faces, degens, trunc)
@@ -561,9 +483,6 @@ def eilenberg_maclane_complex(group: FGAbelianGroup, n) -> PresentedComplex:
     """The complex with one group concentrated in degree n."""
     levels = [Presentation.free(0) for _ in range(n)] + [
         Presentation.from_moduli(list(group.torsion) + [0] * group.rank)
-    ]
-    diffs = [None] + [
-        [[] for _ in range(levels[k - 1].gens)] for k in range(1, n + 1)
     ]
     diffs = [None]
     for k in range(1, n + 1):
@@ -842,6 +761,65 @@ def _power_xmodule(x, k: XModule, copies) -> XModule:
 VALIDATE_LEVEL_LIMIT = 80
 
 
+def _lift(x, mat, src, src_mod, tgt, tgt_mod):
+    """The map src -> tgt of semidirect levels that is the integer matrix
+    `mat` on the module part and the identity on X."""
+    sort = x.theory.sorts[0]
+    moduli = tgt_mod.carrier.moduli
+    mapping = {}
+    for ke in src_mod.elements():
+        img = tgt_mod.carrier.reduce(
+            tuple(
+                sum(mat[r][c] * ke[c] for c in range(len(ke)))
+                for r in range(len(moduli))
+            )
+        ) if moduli else ()
+        for xe in x.carriers[sort]:
+            mapping[src.label_of[(ke, xe)]] = tgt.label_of[(img, xe)]
+    return AlgebraMap(src, tgt, {sort: mapping}, check=False)
+
+
+def _semidirect_object(x, k: XModule, n, kernel, name):
+    """The simplicial algebra K^c x| X over a Dold-Kan object `kernel` whose
+    level i has c copies of K's generators: levels, lifted faces and
+    degeneracies, and the augmentation onto X."""
+    trunc = kernel.truncation
+    sort = x.theory.sorts[0]
+    dim = len(k.carrier.moduli)
+    mods = [_power_xmodule(x, k, lv.gens // dim if dim else 0)
+            for lv in kernel.levels]
+    levels = [
+        semidirect_product(
+            km, x, name=f"{name}{i}",
+            validate=(km.carrier.order() * len(x.carriers[sort])
+                      <= VALIDATE_LEVEL_LIMIT),
+        )
+        for i, km in enumerate(mods)
+    ]
+
+    def lift(i, mat, j):
+        return _lift(x, mat, levels[i], mods[i], levels[j], mods[j])
+
+    faces = [[]] + [[lift(i, kernel.faces[i][a], i - 1) for a in range(i + 1)]
+                    for i in range(1, trunc + 1)]
+    degens = [[lift(i, kernel.degens[i][a], i + 1) for a in range(i + 1)]
+              for i in range(trunc)] + [[]]
+    aug = AlgebraMap(
+        levels[0], x,
+        {sort: {lab: levels[0].pair_of[lab][1]
+                for lab in levels[0].carriers[sort]}},
+        check=False,
+    )
+    obj = SimplicialTheta(x.theory, levels, faces, degens, trunc,
+                          augmentation=aug)
+    obj.kernel_part = kernel
+    obj.xmodule = k
+    obj.base = x
+    obj.degree = n
+    obj.level_xmodules = mods
+    return obj
+
+
 def eilenberg_maclane(x, k: XModule, n, truncation=None):
     """The extended Eilenberg-MacLane object E^X(K, n): levels X below n,
     K x| X at n, degenerate sums above, faces from the Dold-Kan image of
@@ -850,62 +828,7 @@ def eilenberg_maclane(x, k: XModule, n, truncation=None):
         raise AlgebraError("eilenberg_maclane needs n >= 1")
     trunc = truncation if truncation is not None else n + 2
     kernel = k_object(k.invariants(), n, truncation=trunc)
-    dim = len(k.carrier.moduli)
-    copies = [lv.gens // dim if dim else 0 for lv in kernel.levels]
-    sort = x.theory.sorts[0]
-
-    level_mods = [_power_xmodule(x, k, c) for c in copies]
-    levels = []
-    for i, km in enumerate(level_mods):
-        validate = (km.carrier.order() * len(x.carriers[sort])
-                    <= VALIDATE_LEVEL_LIMIT)
-        levels.append(semidirect_product(km, x, name=f"E{i}", validate=validate))
-
-    def lift_map(i, mat, target_idx):
-        src = levels[i]
-        tgt = levels[target_idx]
-        km_src = level_mods[i]
-        km_tgt = level_mods[target_idx]
-        mapping = {}
-        for ke in km_src.elements():
-            img = km_tgt.carrier.reduce(
-                tuple(
-                    sum(mat[r][c] * ke[c] for c in range(len(ke)))
-                    for r in range(len(km_tgt.carrier.moduli))
-                )
-            ) if km_tgt.carrier.moduli else ()
-            for xe in x.carriers[sort]:
-                mapping[src.label_of[(ke, xe)]] = tgt.label_of[(img, xe)]
-        return AlgebraMap(src, tgt, {sort: mapping}, check=False)
-
-    faces = [[]]
-    degens = []
-    for i in range(trunc + 1):
-        if i >= 1:
-            faces.append([
-                lift_map(i, kernel.faces[i][a], i - 1) for a in range(i + 1)
-            ])
-        if i < trunc:
-            degens.append([
-                lift_map(i, kernel.degens[i][a], i + 1) for a in range(i + 1)
-            ])
-        else:
-            degens.append([])
-
-    aug = AlgebraMap(
-        levels[0], x,
-        {sort: {lab: levels[0].pair_of[lab][1]
-                for lab in levels[0].carriers[sort]}},
-        check=False,
-    )
-    em = SimplicialTheta(x.theory, levels, faces, degens, trunc,
-                         augmentation=aug)
-    em.kernel_part = kernel
-    em.xmodule = k
-    em.base = x
-    em.degree = n
-    em.level_xmodules = level_mods
-    return em
+    return _semidirect_object(x, k, n, kernel, "E")
 
 
 def em_pi_checks(em, upto=None):
@@ -966,88 +889,16 @@ def path_object(em):
         diffs.append(bd)
     path_cx = PresentedComplex(levels, diffs)
     kernel = dold_kan(path_cx, truncation=trunc)
-    copies = [lv.gens // dim if dim else 0 for lv in kernel.levels]
-    sort = x.theory.sorts[0]
-    level_mods = [_power_xmodule(x, k, c) for c in copies]
-    lv_algs = []
-    for i, km in enumerate(level_mods):
-        validate = (km.carrier.order() * len(x.carriers[sort])
-                    <= VALIDATE_LEVEL_LIMIT)
-        lv_algs.append(
-            semidirect_product(km, x, name=f"EI{i}", validate=validate)
-        )
-
-    def lift_map(i, mat, target_idx, tgt_algs, tgt_mods):
-        src = lv_algs[i]
-        tgt = tgt_algs[target_idx]
-        km_tgt = tgt_mods[target_idx]
-        mapping = {}
-        for ke in level_mods[i].elements():
-            img = km_tgt.carrier.reduce(
-                tuple(
-                    sum(mat[r][c] * ke[c] for c in range(len(ke)))
-                    for r in range(len(km_tgt.carrier.moduli))
-                )
-            ) if km_tgt.carrier.moduli else ()
-            for xe in x.carriers[sort]:
-                mapping[src.label_of[(ke, xe)]] = tgt.label_of[(img, xe)]
-        return AlgebraMap(src, tgt, {sort: mapping}, check=False)
-
-    faces = [[]]
-    degens = []
-    for i in range(trunc + 1):
-        if i >= 1:
-            faces.append([
-                lift_map(i, kernel.faces[i][a], i - 1, lv_algs, level_mods)
-                for a in range(i + 1)
-            ])
-        if i < trunc:
-            degens.append([
-                lift_map(i, kernel.degens[i][a], i + 1, lv_algs, level_mods)
-                for a in range(i + 1)
-            ])
-        else:
-            degens.append([])
-    aug = AlgebraMap(
-        lv_algs[0], x,
-        {sort: {lab: lv_algs[0].pair_of[lab][1]
-                for lab in lv_algs[0].carriers[sort]}},
-        check=False,
-    )
-    pe = SimplicialTheta(x.theory, lv_algs, faces, degens, trunc,
-                         augmentation=aug)
-    pe.kernel_part = kernel
-    pe.xmodule = k
-    pe.base = x
-    pe.degree = n
+    pe = _semidirect_object(x, k, n, kernel, "EI")
 
     # chain projections K + K -> K (first and second copy)
-    projections = []
-    for which in (0, 1):
-        proj_levels = []
-        for i in range(trunc + 1):
-            src = lv_algs[i]
-            tgt = em.levels[i]
-            src_mod = level_mods[i]
-            tgt_mod = em.level_xmodules[i]
-            pmat = _dk_chain_projection(
-                kernel, em.kernel_part, i, dim, which
-            )
-            mapping = {}
-            for ke in src_mod.elements():
-                img = tgt_mod.carrier.reduce(
-                    tuple(
-                        sum(pmat[r][c] * ke[c] for c in range(len(ke)))
-                        for r in range(len(tgt_mod.carrier.moduli))
-                    )
-                ) if tgt_mod.carrier.moduli else ()
-                for xe in x.carriers[sort]:
-                    mapping[src.label_of[(ke, xe)]] = tgt.label_of[(img, xe)]
-            proj_levels.append(
-                AlgebraMap(src, tgt, {sort: mapping}, check=False)
-            )
-        projections.append(proj_levels)
-    pe.projections = projections
+    pe.projections = [
+        [_lift(x, _dk_chain_projection(kernel, em.kernel_part, i, dim, which),
+               pe.levels[i], pe.level_xmodules[i],
+               em.levels[i], em.level_xmodules[i])
+         for i in range(trunc + 1)]
+        for which in (0, 1)
+    ]
     return pe
 
 
@@ -1127,8 +978,6 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
                 if kk >= len(hdiffs[s]):
                     continue
                 comp = hdiffs[s][kk]
-                if not comp or not comp[0:]:
-                    pass
                 r0 = tgt.dk_offsets[q].get((sigma, kk))
                 if r0 is None:
                     continue
@@ -1169,7 +1018,7 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
                 mat = [[0] * sizes[p] for _ in range(sizes[m])]
                 m_off = offsets[m]
                 for sigma, kk in layouts[p]:
-                    target, kind = _dk_block(sigma, kk, alpha, None, smax)
+                    target, kind = _dk_block(sigma, kk, alpha)
                     if kind is None:
                         continue
                     r0 = m_off[target]
@@ -1198,7 +1047,7 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
             if q >= 1:
                 vfaces[p][q] = [
                     _blockwise_vertical(
-                        layouts[p], verticals, q, offsets[p], sizes[p],
+                        layouts[p], verticals, offsets[p], sizes[p],
                         lambda vert: vert.faces[q][jj],
                         target_level=q - 1,
                     )
@@ -1207,7 +1056,7 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
             if q < truncation:
                 vdegens[p][q] = [
                     _blockwise_vertical(
-                        layouts[p], verticals, q, offsets[p], sizes[p],
+                        layouts[p], verticals, offsets[p], sizes[p],
                         lambda vert: vert.degens[q][jj],
                         target_level=q + 1,
                     )
@@ -1217,8 +1066,7 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
                                truncation)
 
 
-def _blockwise_vertical(layout, verticals, q, offsets, size, pick, target_level):
-    target_sizes = {}
+def _blockwise_vertical(layout, verticals, offsets, size, pick, target_level):
     pos = 0
     t_off = {}
     for sm in layout:

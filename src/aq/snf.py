@@ -21,8 +21,8 @@ divisible by the pivot (never one when the pivot is 1) has its row added
 to the pivot row.  Rows and transforms are stored sparsely while the
 elimination runs.  The same rule fixes U, D and V whichever of them are
 built, and each entry point builds only the transforms it reads: none
-for `smith_diagonal` and `cokernel_diagonal`, V for `kernel_basis`, U for
-`lattice_basis` (and `presented.Subquotient`), both for `IntegerSolver`,
+for `smith_diagonal` and `cokernel_diagonal`, V for `kernel_basis` and
+`lattice_basis`, U for `presented.Subquotient`, both for `IntegerSolver`,
 which keeps them as sparse columns so that a solve touches only the
 columns picked out by the nonzero entries of its right-hand side.
 """
@@ -338,16 +338,23 @@ def solve_integer(mat, rhs):
 
 
 def lattice_basis(vectors, dim):
-    """Basis of the lattice spanned by `vectors` (each of length dim)."""
+    """Basis of the lattice spanned by `vectors` (each of length dim).
+
+    With U*A*V = D for the matrix A of the vectors, column j of A*V is
+    d_j * U^-1 e_j, so the basis is read off V without inverting U."""
     if not vectors:
         return []
-    u, d, _ = smith_normal_form(cols_to_matrix(vectors, dim), want_v=False)
-    uinv = invert_unimodular(u)
+    _, d, v = smith_normal_form(cols_to_matrix(vectors, dim), want_u=False)
     out = []
     for j in range(min(dim, len(vectors))):
-        dj = d[j][j]
-        if dj != 0:
-            out.append([dj * uinv[i][j] for i in range(dim)])
+        if d[j][j] != 0:
+            col = [0] * dim
+            for vec, vrow in zip(vectors, v):
+                c = vrow[j]
+                if c:
+                    for i, x in enumerate(vec):
+                        col[i] += c * x
+            out.append(col)
     return out
 
 

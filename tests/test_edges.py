@@ -17,7 +17,9 @@ from aq.algebras import (
 from aq.beck import XModule
 from aq.dsl import DslSyntaxError
 from aq.fixtures import FixtureError, parse_sres, parse_xmodule
+from aq.errors import AlgebraError
 from aq.resolutions import factor_set_cohomology, loop_group_resolution
+from aq.rings import CoefficientModule, GroupTable, RModulePresentation, Ring
 from aq.simplicial import (
     CosimplicialSimplicial,
     dold_kan,
@@ -181,3 +183,29 @@ def test_factor_set_budget_exhaustion():
     k = XModule.trivial(v4, [3])
     with pytest.raises(BudgetExhausted):
         factor_set_cohomology(v4, k, 2, budget=10)
+
+
+def test_rings_and_their_modules_reject_invalid_input():
+    with pytest.raises(AlgebraError, match="unknown ring kind"):
+        Ring("Q")
+    with pytest.raises(AlgebraError, match="m >= 2"):
+        Ring("Zmod", m=1)
+    with pytest.raises(AlgebraError, match="needs a group"):
+        Ring("ZG")
+    with pytest.raises(AlgebraError, match="order >= 1"):
+        GroupTable.cyclic(0)
+    with pytest.raises(AlgebraError, match="not total"):
+        GroupTable(["e", "a"], {("e", "e"): "e"}, "e")
+    idempotent = {(x, y): "a" if "a" in (x, y) else "e"
+                  for x in "ea" for y in "ea"}
+    with pytest.raises(AlgebraError, match="no inverse"):
+        GroupTable(["e", "a"], idempotent, "e")
+    with pytest.raises(AlgebraError, match="not of length 2"):
+        RModulePresentation(Ring("Z"), 2, [[1]])
+    zc2 = Ring("ZG", group=GroupTable.cyclic(2))
+    with pytest.raises(AlgebraError, match="missing action matrix"):
+        CoefficientModule(zc2, [3], {"g0": [[1]]})
+    with pytest.raises(AlgebraError, match="not multiplicative"):
+        CoefficientModule(zc2, [3], {"g0": [[1]], "g1": [[0]]})
+    with pytest.raises(AlgebraError, match="4-torsion"):
+        CoefficientModule.trivial(Ring("Zmod", m=4), [3])

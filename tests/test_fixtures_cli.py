@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from aq.abgroups import FGAbelianGroup
 from aq.algebras import cyclic_group, find_isomorphism
 from aq.cli import main
@@ -20,6 +22,11 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 def fx(name):
     return os.path.join(FIXTURES, name)
+
+
+def fx_text(name):
+    with open(fx(name)) as fh:
+        return fh.read()
 
 
 def G(*divs):
@@ -310,3 +317,90 @@ def test_cli_algebra_error_exits_1_naming_the_check(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "check failed: range needs levels up to degree+1" in err
+
+
+@pytest.mark.parametrize("ring", ["Z/0", "Z/1", "Z/x", "Z[C0]", "Q"])
+def test_cli_malformed_ring_exits_2_naming_the_option(ring, capsys):
+    code = main(["oracle", "ext", "--ring", ring, "--module", fx("y-z4.alg"),
+                 "--coeffs", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: --ring: " in err and repr(ring) in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["oracle", "ext", "--ring", "Z", "--module", fx("y-z4.alg"),
+      "--coeffs", "2,x"], "--coeffs: expected moduli"),
+    (["oracle", "ext", "--ring", "Z/4", "--module", fx("y-z4.alg"),
+      "--coeffs", "3"], "--coeffs 3: Z/4-module carrier must be 4-torsion"),
+    (["ss", "uct", "--ring", "Z/4", "--h", "0:2", "--coeffs", "3"],
+     "--coeffs 3: Z/4-module carrier must be 4-torsion"),
+    (["ss", "uct", "--ring", "Z", "--h", "0:x", "--coeffs", "2"],
+     "--h: expected DEG:moduli"),
+    (["oracle", "bar", "--group", fx("z2.alg"), "--coeffs", "0"],
+     "--coeffs 0: FinAb moduli must be >= 1"),
+    (["homology", "--theory", "mod:Z/1", "--algebra", fx("y-z4.alg")],
+     "unknown builtin theory 'mod:Z/1': ring descriptor 'Z/1'"),
+], ids=["not-an-integer", "oracle-torsion", "ss-torsion", "graded-spec",
+        "group-coefficients", "theory-ring"])
+def test_cli_malformed_options_exit_2(argv, message, capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+
+
+def test_cli_coefficient_check_does_not_depend_on_assert():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "aq.cli", "ss", "uct", "--ring", "Z/4",
+         "--h", "0:2", "--coeffs", "3"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "must be 4-torsion" in proc.stderr
+
+
+def test_cli_sres_with_malformed_ring_exits_2_with_its_position(tmp_path,
+                                                                 capsys):
+    bad = tmp_path / "bad.sres"
+    bad.write_text("sres zres {\n"
+                   "  ring Z/0\n"
+                   "  chain {\n"
+                   "    ranks 1 1\n"
+                   "    d 1 : [[4]]\n"
+                   "  }\n"
+                   "}\n")
+    code = main(["check", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}:2: ring descriptor 'Z/0' needs an integer m >= 2" in err
+
+
+@pytest.mark.parametrize("rel,message", [
+    ("mul(a, b)", "cannot evaluate b() in free group algebra"),
+    ("mul(a, $x)", "unbound variable $x"),
+], ids=["undeclared-generator", "variable"])
+def test_cli_alg_relation_error_exits_2_with_its_position(rel, message,
+                                                         tmp_path, capsys):
+    text = fx_text("z4-presented.alg").replace(
+        "rel mul(a, mul(a, mul(a, a)))", f"rel {rel}")
+    bad = tmp_path / "bad.alg"
+    bad.write_text(text)
+    code = main(["check", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}:5: {message}" in err
+
+
+def test_cli_module_relation_error_exits_2_with_its_position(tmp_path, capsys):
+    bad_mod = tmp_path / "bad-mod.alg"
+    bad_mod.write_text(fx_text("y-z4.alg").replace(
+        "rel mul(a, mul(a, mul(a, a)))", "rel mul(a)"))
+    code = main(["cohomology", "--theory", "mod:Z", "--algebra", str(bad_mod),
+                 "--coeffs", "2"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad_mod}:6: arity mismatch in term mul(a())" in err

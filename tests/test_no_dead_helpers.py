@@ -1,6 +1,7 @@
-"""Every module-level function in `src/aq` is used: some code in `src/aq`
-or `tests` names it (a call, an attribute access or an import) outside
-its own body."""
+"""Every module-level function and every non-dunder method of a
+module-level class in `src/aq` is used: some code in `src/aq` or `tests`
+names it (a call, an attribute access or an import) outside its own
+body."""
 
 import ast
 import pathlib
@@ -8,31 +9,52 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "aq").glob("*.py"))
 TESTS = sorted((ROOT / "tests").glob("*.py"))
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _names(node):
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            yield sub.id
-        elif isinstance(sub, ast.Attribute):
-            yield sub.attr
-        elif isinstance(sub, ast.alias):
-            yield sub.name.rsplit(".", 1)[-1]
+def _name(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.rsplit(".", 1)[-1]
+    return None
+
+
+def _references(node, own=frozenset()):
+    """Names used under `node`; inside a definition its own name (a
+    recursive call) does not count."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, FUNCS):
+            yield from _references(child, own | {child.name})
+            continue
+        name = _name(child)
+        if name is not None and name not in own:
+            yield name
+        yield from _references(child, own)
+
+
+def _definitions(tree):
+    for top in tree.body:
+        if isinstance(top, FUNCS):
+            yield top.name
+        elif isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, FUNCS) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{top.name}.{item.name}"
 
 
 def test_every_module_level_function_is_referenced():
-    defined = {}
+    defined = []
     referenced = set()
     for path in SRC + TESTS:
         tree = ast.parse(path.read_text(), filename=str(path))
-        for top in tree.body:
-            own = None
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                own = top.name
-                if path in SRC:
-                    defined.setdefault(own, []).append(path.name)
-            # a function's references to itself (recursion) do not count
-            referenced.update(n for n in _names(top) if n != own)
-    dead = sorted(f"{mod}:{name}" for name, mods in defined.items()
-                  if name not in referenced for mod in mods)
-    assert dead == [], f"unreferenced module-level functions: {dead}"
+        if path in SRC:
+            defined += [(path.name, name) for name in _definitions(tree)]
+        referenced.update(_references(tree))
+    dead = sorted(f"{mod}:{name}" for mod, name in defined
+                  if name.rsplit(".", 1)[-1] not in referenced)
+    assert dead == [], f"unreferenced functions and methods: {dead}"

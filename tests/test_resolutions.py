@@ -1,3 +1,5 @@
+import random
+
 from aq.abgroups import FGAbelianGroup
 from aq.algebras import cyclic_group, symmetric_3
 from aq.beck import XModule
@@ -8,8 +10,14 @@ from aq.resolutions import (
     loop_group_resolution,
     resolve_module,
 )
-from aq.rings import CoefficientModule, RModulePresentation, Ring
+from aq.rings import (
+    CoefficientModule,
+    RModulePresentation,
+    Ring,
+    r_matrix_to_z,
+)
 from aq.simplicial import moore_homotopy
+from aq.snf import mat_mul
 
 
 def G(*divs):
@@ -55,6 +63,69 @@ def test_certificate_catches_broken_identity():
     assert "identity_failure" in cert.detail
     assert "d_" in cert.detail["identity_failure"] or \
         "s_" in cert.detail["identity_failure"]
+
+
+def _module_resolutions():
+    z3 = cyclic_group(3)
+    zc3 = Ring("ZG", group=z3.group_table("g"))
+    a = z3.carriers["g"][1]
+    # Z[C3]/(1 - a): the trivial module Z
+    trivial = RModulePresentation(zc3, 1, [[zc3.add(zc3.one(), {a: -1})]])
+    return [RModulePresentation.cyclic(Ring("Z"), 4),
+            RModulePresentation.cyclic(Ring("Zmod", m=4), 2), trivial]
+
+
+def test_module_certificate_catches_a_corrupted_face():
+    for m in _module_resolutions():
+        ring = m.ring
+        v = resolve_module(m, length=3)
+        assert check_certificate(v, m, rng=2).valid
+        face = v.faces[2][0]
+        face[0][0] = ring.add(face[0][0], ring.one())
+        cert = check_certificate(v, m, rng=2)
+        assert not cert.valid, ring
+        assert not cert.checks["simplicial_identities"]
+        assert cert.detail["identity_failure"].startswith("d_"), ring
+
+
+def test_module_certificate_works_modulo_m():
+    # over Z/4 an entry changed by 4 is the same ring element
+    m = RModulePresentation.cyclic(Ring("Zmod", m=4), 2)
+    v = resolve_module(m, length=3)
+    v.faces[2][0][0][0] += 4
+    v.check_identities()
+    assert check_certificate(v, m, rng=2).valid
+
+
+def test_r_matrix_to_z_is_multiplicative_over_s3():
+    ring = Ring("ZG", group=symmetric_3().group_table("g"))
+    els = ring.group.elements
+    rng = random.Random(3)
+
+    def rmat(rows, cols):
+        return [[{g: rng.randint(-2, 2) for g in rng.sample(els, 2)}
+                 for _ in range(cols)] for _ in range(rows)]
+
+    def compose(outer, inner, right_first):
+        # left-module maps: inner coefficients multiply on the left
+        out = [[ring.zero()] * len(inner[0]) for _ in outer]
+        for i, row in enumerate(outer):
+            for j in range(len(inner[0])):
+                for t, a in enumerate(row):
+                    b = inner[t][j]
+                    prod = ring.mul(b, a) if right_first else ring.mul(a, b)
+                    out[i][j] = ring.add(out[i][j], prod)
+        return out
+
+    naive_differs = False
+    for _ in range(5):
+        outer, inner = rmat(2, 3), rmat(3, 2)
+        z = mat_mul(r_matrix_to_z(ring, outer, 2, 3),
+                    r_matrix_to_z(ring, inner, 3, 2))
+        assert r_matrix_to_z(ring, compose(outer, inner, True), 2, 2) == z
+        naive = r_matrix_to_z(ring, compose(outer, inner, False), 2, 2)
+        naive_differs = naive_differs or naive != z
+    assert naive_differs  # S3 is not commutative, so the order matters
 
 
 def test_resolve_module_z4_over_z():

@@ -7,6 +7,7 @@ from aq.errors import AlgebraError
 from aq.snf import (
     IntegerSolver,
     cokernel_diagonal,
+    cols_to_matrix,
     identity_matrix,
     invert_unimodular,
     kernel_basis,
@@ -176,6 +177,23 @@ def test_requested_transforms_match_the_full_call():
         assert smith_normal_form(mat, want_v=False) == (u, d, None)
         assert smith_normal_form(mat, want_u=False) == (None, d, v)
         assert smith_normal_form(mat, want_u=False, want_v=False) == (None, d, None)
+
+
+def _lattice_basis_by_inverse(vectors, dim):
+    """The lattice basis d_j * U^-1 e_j through an explicit inverse of U."""
+    u, d, _ = smith_normal_form(cols_to_matrix(vectors, dim))
+    uinv = invert_unimodular(u)
+    return [[d[j][j] * uinv[i][j] for i in range(dim)]
+            for j in range(min(dim, len(vectors))) if d[j][j]]
+
+
+def test_lattice_basis_matches_the_inverse_formula():
+    mats = [s3_shaped(seed, entries, used=used) for seed, entries, used, _ in PINNED]
+    for mat in mats + _sample_matrices():
+        vectors = [list(col) for col in zip(*mat)]
+        if vectors:
+            assert lattice_basis(vectors, len(mat)) == \
+                _lattice_basis_by_inverse(vectors, len(mat))
 
 
 def _dense_solve(mat, rhs):
