@@ -56,17 +56,23 @@ class FreeAlgebra:
         if isinstance(generators, dict):
             self.generators = {s: list(g) for s, g in generators.items()}
         else:
-            assert len(theory.sorts) == 1
+            if len(theory.sorts) != 1:
+                raise AlgebraError(
+                    f"a generator list needs a one-sorted theory, "
+                    f"not {len(theory.sorts)} sorts")
             self.generators = {theory.sorts[0]: list(generators)}
         for s in self.generators:
-            assert s in theory.sorts, f"unknown sort {s}"
+            if s not in theory.sorts:
+                raise AlgebraError(f"unknown sort {s!r}")
         if theory.class_tag not in ("discrete", "group", "abelian", "module"):
             if any(self.generators.values()):
                 raise NotRegisteredError(
                     f"no normal-form engine for theory class {theory.class_tag!r}"
                 )
         names = [g for gs in self.generators.values() for g in gs]
-        assert len(set(names)) == len(names), "duplicate generator"
+        dups = sorted({g for g in names if names.count(g) > 1})
+        if dups:
+            raise AlgebraError(f"duplicate generator {', '.join(dups)}")
         for g in names:
             if g in theory.op_index:
                 raise AlgebraError(f"generator {g!r} collides with an op name")

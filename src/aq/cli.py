@@ -84,7 +84,8 @@ def main(argv=None):
     p_oracle.add_argument("--degree", type=int, default=2,
                           help="1 or 2 for factor-set")
     p_oracle.add_argument("--budget", type=int, default=10**6,
-                          help="enumeration budget (elementary steps)")
+                          help="search budget: nodes of the factor-set "
+                               "search (bar: cochain cells, at least 10^6)")
     p_oracle.add_argument("--json", dest="json_path")
 
     p_ss = sub.add_parser("ss", help="spectral sequence E2 pages")
@@ -369,6 +370,9 @@ def cmd_oracle(args):
         if not args.group:
             print("needs --group", file=sys.stderr)
             return 2
+        if args.kind == "factor-set" and args.degree not in (1, 2):
+            raise UsageError(
+                f"--degree: factor-set computes degree 1 or 2, not {args.degree}")
         g = load_algebra(args.group)
         if args.coeffs and args.coeffs.endswith(".xmod"):
             k = load_xmodule(args.coeffs, base=g)

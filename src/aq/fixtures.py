@@ -186,6 +186,15 @@ def _eval_at(free, term, where):
         raise FixtureError(f"{where}: {exc}") from exc
 
 
+def _free_at(theory, gens, where):
+    """FreeAlgebra(theory, gens); a generator list it rejects is a fixture
+    error at `where` (path:line of the entry that lists the generators)."""
+    try:
+        return FreeAlgebra(theory, gens)
+    except AlgebraError as exc:
+        raise FixtureError(f"{where}: {exc}") from exc
+
+
 def parse_algebra(text, base_dir="", source="<algebra>") -> FiniteAlgebra:
     p = _FixtureParser(_tokenize_fixture(text))
     p.expect("algebra")
@@ -243,9 +252,12 @@ def _parse_presentation_block(p, theory, name, source):
     rels = []
     rel_lines = []
     bound = 256
+    gens_line = None
     while p.peek().text != "}":
+        line = p.peek().line
         kw = p.expect_ident()
         if kw == "gens":
+            gens_line = gens_line or line
             p.expect_ident()  # sort name
             p.expect(":")
             while p.peek().kind == "ident" and p.peek().text not in (
@@ -267,7 +279,7 @@ def _parse_presentation_block(p, theory, name, source):
         else:
             raise FixtureError(f"unknown presentation entry {kw!r}")
     p.expect("}")
-    free = FreeAlgebra(theory, gens)
+    free = _free_at(theory, gens, f"{source}:{gens_line}")
     for rel, line in zip(rels, rel_lines):
         for term in rel if isinstance(rel, tuple) else (rel,):
             _eval_at(free, term, f"{source}:{line}")
@@ -291,9 +303,12 @@ def parse_module_presentation(text, base_dir="", source="<module>"):
     p.expect("{")
     gens = []
     rel_terms = []
+    gens_line = None
     while p.peek().text != "}":
+        line = p.peek().line
         kw2 = p.expect_ident()
         if kw2 == "gens":
+            gens_line = gens_line or line
             p.expect_ident()
             p.expect(":")
             while p.peek().kind == "ident" and p.peek().text not in (
@@ -316,7 +331,7 @@ def parse_module_presentation(text, base_dir="", source="<module>"):
             raise FixtureError(f"unknown presentation entry {kw2!r}")
     p.expect("}")
     p.expect("}")
-    free = FreeAlgebra(theory, gens)
+    free = _free_at(theory, gens, f"{source}:{gens_line}")
     cols = []
     for lhs, rhs, line in rel_terms:
         where = f"{source}:{line}"
@@ -527,10 +542,12 @@ def parse_sres(text, base_dir="", source="<sres>"):
     over = None
     truncation = None
     level_gens = {}
+    level_lines = {}
     faces = {}
     degens = {}
     augment = {}
     while p.peek().text != "}":
+        line = p.peek().line
         kw = p.expect_ident()
         if kw == "over":
             over = load_algebra(os.path.join(base_dir, p.parse_string_ref()))
@@ -547,6 +564,7 @@ def parse_sres(text, base_dir="", source="<sres>"):
                 gens.append(p.expect_ident())
             p.expect("}")
             level_gens[idx] = gens
+            level_lines[idx] = line
         elif kw in ("face", "degen"):
             n = p.parse_int()
             i = p.parse_int()
@@ -574,7 +592,8 @@ def parse_sres(text, base_dir="", source="<sres>"):
     for n in range(truncation + 1):
         if n not in level_gens:
             raise FixtureError(f"missing level {n}")
-        levels.append(FreeAlgebra(theory, level_gens[n]))
+        levels.append(_free_at(theory, level_gens[n],
+                               f"{source}:{level_lines[n]}"))
     face_maps = [[]]
     degen_maps = []
     for n in range(truncation + 1):

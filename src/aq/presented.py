@@ -4,6 +4,8 @@ of presented modules, with induced maps (functoriality) throughout.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .abgroups import FGAbelianGroup
 from .errors import AlgebraError
 from .snf import (
@@ -55,18 +57,24 @@ class Presentation:
             return FGAbelianGroup()
         return FGAbelianGroup.from_presentation_matrix(self.rels, self.gens)
 
-    def _rel_solver(self):
-        solver = getattr(self, "_solver", None)
-        if solver is None:
-            solver = IntegerSolver(self.rels)
-            self._solver = solver
-        return solver
-
     def contains_in_relations(self, vec):
-        """Is `vec` in the relation lattice (i.e. zero in the module)?"""
+        """Is `vec` in the relation lattice (i.e. zero in the module)?
+
+        When every relation column has at most one nonzero entry (the m*I
+        relations of from_moduli, say), the lattice is the product of
+        gcd(row i)*Z over the coordinates and membership is a divisibility
+        test; otherwise it is a solve, through one IntegerSolver."""
         if self.nrels() == 0:
             return all(x == 0 for x in vec)
-        return self._rel_solver().solve(vec) is not None
+        if self._solver is None:
+            if all(sum(1 for x in col if x) <= 1 for col in self.rel_columns()):
+                self._solver = [gcd(*row) for row in self.rels]
+            else:
+                self._solver = IntegerSolver(self.rels)
+        if isinstance(self._solver, list):
+            return all(x % m == 0 if m else x == 0
+                       for x, m in zip(vec, self._solver))
+        return self._solver.solve(vec) is not None
 
     def direct_sum(self, other):
         gens = self.gens + other.gens

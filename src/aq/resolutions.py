@@ -393,7 +393,9 @@ def _coefficient_data(g: FiniteAlgebra, coeff):
     CoefficientModule over Z[G]."""
     if isinstance(coeff, XModule):
         return dict(coeff.action), list(coeff.carrier.moduli)
-    assert isinstance(coeff, CoefficientModule)
+    if not isinstance(coeff, CoefficientModule):
+        raise AlgebraError(
+            "group coefficients must be an XModule or a CoefficientModule")
     return dict(coeff.act), list(coeff.moduli)
 
 
@@ -410,115 +412,99 @@ def bar_resolution_group(g: FiniteAlgebra, coeff, top, budget=10**7):
 
 
 def factor_set_cohomology(g: FiniteAlgebra, k, n, budget=10**6):
-    """H^1 or H^2 of a finite group by explicit cocycle enumeration modulo
-    coboundaries.  H^2 enumerates all functions G x G -> K when that fits
-    the budget, otherwise the normalized ones (same cohomology)."""
-    assert n in (1, 2)
+    """H^1 or H^2 of a finite group from the definition: cocycles modulo
+    coboundaries.  The cocycles are found by a depth-first search over
+    cochains that checks each cocycle equation as soon as its last entry is
+    set.  H^2 searches all functions G x G -> K when |K|^(|G|^2) fits the
+    budget, otherwise the normalized ones (same cohomology).  The budget
+    counts search nodes and coboundary candidates."""
+    if n not in (1, 2):
+        raise AlgebraError(f"factor-set cohomology needs degree 1 or 2, not {n}")
+    if not isinstance(k, XModule):
+        raise AlgebraError("factor-set cohomology needs an XModule")
     sort = g.theory.sorts[0]
     els = list(g.carriers[sort])
-    ident = g.identity(sort)
-    assert isinstance(k, XModule)
     kels = k.elements()
-    kc = k.carrier
+    gi = {x: i for i, x in enumerate(els)}
+    ki = {v: i for i, v in enumerate(kels)}
+    G, K, N = range(len(els)), range(len(kels)), len(els)
+    e, zero = gi[g.identity(sort)], ki[k.zero()]
+    mul = [[gi[g.gmul(a, b, sort)] for b in els] for a in els]
+    add = [[ki[k.carrier.add(u, v)] for v in kels] for u in kels]
+    sub = [[ki[k.carrier.sub(u, v)] for v in kels] for u in kels]
+    act = [[ki[k.act(a, v)] for v in kels] for a in els]
+    used = 0
 
+    def spend(count, stage):
+        nonlocal used
+        used += count
+        if used > budget:
+            raise BudgetExhausted(
+                f"factor-set H^{n} {stage}: {used} nodes used, limit {budget}")
+
+    # a cochain is a list of module indices, one slot per key: a for (a,),
+    # N*a + b for (a, b); slot `nk` holds a constant 0, so that every
+    # cocycle equation reads a.f(s1) + f(s2) == f(s3) + f(s4)
+    nk = N ** n
+    fixed = set()
     if n == 1:
-        def is_cocycle(f):
-            return all(
-                f[(g.gmul(a, b, sort),)] == kc.add(f[(a,)], k.act(a, f[(b,)]))
-                for a in els for b in els
-            )
-        coboundaries = []
-        for kv in kels:
-            cob = {(a,): kc.sub(k.act(a, kv), kv) for a in els}
-            coboundaries.append(tuple(sorted(cob.items())))
-        keys = [(a,) for a in els]
+        equations = [(a, b, a, mul[a][b], nk) for a in G for b in G]
+        spend(len(kels), "coboundaries")
+        coboundaries = {tuple(sub[act[a][h]][h] for a in G) for h in K}
     else:
-        keys = [(a, b) for a in els for b in els]
-        normalized_only = len(kels) ** len(keys) > budget
-        if normalized_only:
-            keys_free = [(a, b) for a in els for b in els
-                         if a != ident and b != ident]
-        else:
-            keys_free = keys
+        if len(kels) ** nk > budget:
+            fixed = {N * a + e for a in G} | {N * e + a for a in G}
+        equations = [(a, N * b + c, N * a + mul[b][c], N * mul[a][b] + c,
+                      N * a + b) for a in G for b in G for c in G]
+        h_free = [a for a in G if a != e or not fixed]
+        spend(len(kels) ** len(h_free), "coboundaries")
+        coboundaries = set()
+        for vals in product(K, repeat=len(h_free)):
+            h = [zero] * N
+            for a, v in zip(h_free, vals):
+                h[a] = v
+            coboundaries.add(tuple(sub[add[act[a][h[b]]][h[a]]][h[mul[a][b]]]
+                                   for a in G for b in G))
 
-        def is_cocycle(f):
-            # a.f(b,c) - f(ab,c) + f(a,bc) - f(a,b) = 0
-            for a in els:
-                for b in els:
-                    for c in els:
-                        lhs = kc.add(
-                            k.act(a, f[(b, c)]),
-                            f[(a, g.gmul(b, c, sort))],
-                        )
-                        rhs = kc.add(
-                            f[(g.gmul(a, b, sort), c)],
-                            f[(a, b)],
-                        )
-                        if lhs != rhs:
-                            return False
-            return True
-
-        # normalized cocycles pair with normalized coboundaries (h(e) = 0);
-        # the full enumeration needs h(e) free
-        coboundaries = []
-        if normalized_only:
-            h_domains = [e for e in els if e != ident]
-        else:
-            h_domains = list(els)
-        for hvals in product(kels, repeat=len(h_domains)):
-            h = {ident: kc.zero()}
-            h.update(dict(zip(h_domains, hvals)))
-            cob = {}
-            for a in els:
-                for b in els:
-                    cob[(a, b)] = kc.sub(
-                        kc.add(k.act(a, h[b]), h[a]),
-                        h[g.gmul(a, b, sort)],
-                    )
-            coboundaries.append(tuple(sorted(cob.items())))
-        coboundaries = sorted(set(coboundaries))
-        keys = [(a, b) for a in els for b in els]
-
-    # enumerate candidate cochains
+    free = [s for s in range(nk) if s not in fixed]
+    step = {s: i for i, s in enumerate(free)}
+    # checks[i + 1] holds the equations whose last free entry is free[i];
+    # checks[0] those with no free entry
+    checks = [[] for _ in range(len(free) + 1)]
+    for eq in equations:
+        checks[1 + max(step.get(s, -1) for s in eq[1:])].append(eq)
+    f = [zero] * (nk + 1)
     cocycles = []
-    if n == 1:
-        pools = [kels] * len(keys)
-        for combo in product(*pools):
-            f = dict(zip(keys, combo))
-            if is_cocycle(f):
-                cocycles.append(tuple(sorted(f.items())))
-    else:
-        fixed = {}
-        if normalized_only:
-            for a in els:
-                fixed[(a, ident)] = kc.zero()
-                fixed[(ident, a)] = kc.zero()
-        free_keys = [kk for kk in keys if kk not in fixed]
-        if len(kels) ** len(free_keys) > budget:
-            raise BudgetExhausted("factor set enumeration exceeds budget")
-        for combo in product(kels, repeat=len(free_keys)):
-            f = dict(fixed)
-            f.update(dict(zip(free_keys, combo)))
-            if is_cocycle(f):
-                cocycles.append(tuple(sorted(f.items())))
 
-    def canon_of(z):
-        zd = dict(z)
-        return min(
-            tuple(sorted((kk, kc.sub(zd[kk], dict(cob)[kk])) for kk in zd))
-            for cob in coboundaries
-        )
+    def holds(eqs):
+        return all(add[act[a][f[s1]]][f[s2]] == add[f[s3]][f[s4]]
+                   for a, s1, s2, s3, s4 in eqs)
 
-    classes = sorted({canon_of(z) for z in cocycles})
+    def extend(i):
+        if i == len(free):
+            cocycles.append(tuple(f[:nk]))
+            return
+        for v in K:
+            spend(1, "cocycle search")
+            f[free[i]] = v
+            if holds(checks[i + 1]):
+                extend(i + 1)
+
+    if holds(checks[0]):
+        extend(0)
+
+    # each class is the coset z + B of its first cocycle z
+    rep = {}
+    for z in cocycles:
+        if z not in rep:
+            for b in coboundaries:
+                rep[tuple(sub[x][y] for x, y in zip(z, b))] = z
 
     def class_add(z1, z2):
-        d1, d2 = dict(z1), dict(z2)
-        return canon_of(tuple(sorted(
-            (kk, kc.add(d1[kk], d2[kk])) for kk in d1
-        )))
+        return rep[tuple(add[x][y] for x, y in zip(z1, z2))]
 
-    zero = canon_of(tuple(sorted((kk, kc.zero()) for kk in keys)))
-    return invariants_from_addition(classes, class_add, zero)
+    return invariants_from_addition(sorted(set(rep.values())), class_add,
+                                    rep[(zero,) * nk])
 
 
 def ext_oracle(module: RModulePresentation, coeff: CoefficientModule, top):

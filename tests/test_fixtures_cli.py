@@ -404,3 +404,51 @@ def test_cli_module_relation_error_exits_2_with_its_position(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"{bad_mod}:6: arity mismatch in term mul(a())" in err
+
+
+@pytest.mark.parametrize("fixture,old,new,line", [
+    ("z4-presented.alg", "gens g : a", "gens g : a a", 4),
+    ("y-z4.alg", "gens g : a", "gens g : a a", 5),
+    ("z2res.sres", "gens g : t/a/e t/a/a }", "gens g : t/a/e t/a/e }", 6),
+], ids=["alg", "module", "sres"])
+def test_cli_duplicate_generator_exits_2_with_its_position(
+        fixture, old, new, line, tmp_path, capsys):
+    (tmp_path / "z2.alg").write_text(fx_text("z2.alg"))  # the .sres base
+    bad = tmp_path / fixture
+    bad.write_text(fx_text(fixture).replace(old, new, 1))
+    if fixture == "y-z4.alg":
+        argv = ["cohomology", "--theory", "mod:Z", "--algebra", str(bad),
+                "--coeffs", "2"]
+    else:
+        argv = ["check", str(bad)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}:{line}: duplicate generator " in err
+
+
+def test_cli_factor_set_budget_exits_3_naming_the_stage(capsys):
+    code = main(["oracle", "factor-set", "--group", fx("z3.alg"),
+                 "--coeffs", "3", "--degree", "2", "--budget", "10"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert ("budget exhausted: factor-set H^2 cocycle search: "
+            "11 nodes used, limit 10") in err
+
+
+def test_cli_factor_set_degree_is_checked_without_assert():
+    # under `python -O` the parent printed H^3(z3) = Z/3 from the degree-2
+    # branch; the degree is an option error, exit 2
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "aq.cli", "oracle", "factor-set",
+             "--group", fx("z3.alg"), "--coeffs", "3", "--degree", "3"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2, flags
+        assert "--degree: factor-set computes degree 1 or 2, not 3" \
+            in proc.stderr, flags
+        assert proc.stdout == "", flags

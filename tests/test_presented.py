@@ -21,6 +21,7 @@ from aq.rings import (
     tor_groups,
     tor_z,
 )
+from aq.snf import IntegerSolver, cols_to_matrix
 
 
 def G(*divs):
@@ -192,3 +193,33 @@ def test_subquotient_validation_does_not_depend_on_assert():
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src))
     assert "relation vector not inside the subgroup lattice" in out.stdout
+
+
+def test_relation_membership_shortcut_matches_the_solver():
+    # presentations whose relation columns have at most one nonzero entry
+    # answer by divisibility; others, and the solver, must agree with them
+    rng = random.Random(7)
+    shortcuts = 0
+    for trial in range(80):
+        n = rng.randint(1, 5)
+        cols = []
+        for _ in range(rng.randint(1, 7)):
+            col = [0] * n
+            if rng.random() < 0.85:
+                col[rng.randrange(n)] = rng.choice([-6, -4, -2, -1, 1, 2, 3, 5])
+            cols.append(col)
+        if trial % 2:
+            cols.append([rng.randint(-3, 3) for _ in range(n)])
+        pres = Presentation(n, cols_to_matrix(cols, n))
+        solver = IntegerSolver(pres.rels)
+        for _ in range(25):
+            vec = [sum(rng.randint(-3, 3) * c[i] for c in cols)
+                   for i in range(n)]
+            if rng.random() < 0.5:
+                vec[rng.randrange(n)] += rng.randint(-4, 4)
+            want = solver.solve(vec) is not None
+            assert pres.contains_in_relations(vec) == want, (cols, vec)
+        diagonal = all(sum(1 for x in c if x) <= 1 for c in cols)
+        assert isinstance(pres._solver, list) == diagonal
+        shortcuts += diagonal
+    assert 30 <= shortcuts < 80

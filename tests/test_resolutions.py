@@ -1,7 +1,17 @@
 import random
 
+import pytest
+
 from aq.abgroups import FGAbelianGroup
-from aq.algebras import cyclic_group, symmetric_3
+from aq.algebras import (
+    AlgebraError,
+    BudgetExhausted,
+    cyclic_group,
+    dihedral_4,
+    klein_four,
+    quaternion_8,
+    symmetric_3,
+)
 from aq.beck import XModule
 from aq.resolutions import (
     bar_resolution_group,
@@ -235,3 +245,71 @@ def test_factor_set_nontrivial_action():
     bar = bar_resolution_group(z2, k, 2)
     assert factor_set_cohomology(z2, k, 1) == bar[1] == G()
     assert factor_set_cohomology(z2, k, 2) == bar[2] == G()
+
+
+def test_factor_set_reaches_s3_at_the_default_budget():
+    # the backtracking search reaches a nonabelian group of order 6
+    s3 = symmetric_3()
+    for moduli in ([2], [3]):
+        k = XModule.trivial(s3, moduli)
+        bar = bar_resolution_group(s3, k, 2)
+        assert factor_set_cohomology(s3, k, 1) == bar[1], moduli
+        assert factor_set_cohomology(s3, k, 2) == bar[2], moduli
+
+
+def test_factor_set_reaches_order_8_with_z2_coefficients():
+    for g, h1, h2 in ((dihedral_4(), G(2, 2), G(2, 2, 2)),
+                      (quaternion_8(), G(2, 2), G(2, 2))):
+        k = XModule.trivial(g, [2])
+        assert bar_resolution_group(g, k, 2)[1:] == [h1, h2], g.name
+        assert factor_set_cohomology(g, k, 1) == h1, g.name
+        assert factor_set_cohomology(g, k, 2) == h2, g.name
+
+
+def test_factor_set_h2_klein_four_with_two_generator_coefficients():
+    v4 = klein_four()
+    k = XModule.trivial(v4, [2, 2])
+    assert factor_set_cohomology(v4, k, 2) == G(2, 2, 2, 2, 2, 2)
+
+
+def test_factor_set_budget_names_stage_and_nodes():
+    # Z/3 with Z/3 searches normalized cochains: 3^2 coboundary candidates
+    # fit a budget of 10, the second search node does not
+    z3 = cyclic_group(3)
+    with pytest.raises(BudgetExhausted, match=r"^factor-set H\^2 cocycle "
+                       r"search: 11 nodes used, limit 10$"):
+        factor_set_cohomology(z3, XModule.trivial(z3, [3]), 2, budget=10)
+    z4 = cyclic_group(4)
+    with pytest.raises(BudgetExhausted, match=r"^factor-set H\^2 "
+                       r"coboundaries: 27 nodes used, limit 10$"):
+        factor_set_cohomology(z4, XModule.trivial(z4, [3]), 2, budget=10)
+
+
+def test_group_oracles_reject_invalid_arguments():
+    z2 = cyclic_group(2)
+    k = XModule.trivial(z2, [2])
+    with pytest.raises(AlgebraError, match="degree 1 or 2, not 3"):
+        factor_set_cohomology(z2, k, 3)
+    with pytest.raises(AlgebraError, match="needs an XModule"):
+        factor_set_cohomology(z2, k.coefficient_module(), 2)
+    with pytest.raises(AlgebraError, match="XModule or a CoefficientModule"):
+        bar_resolution_group(z2, [2], 2)
+
+
+def test_factor_set_oracle_uses_nothing_from_the_linear_algebra():
+    # the oracle can only disagree with the bar and Smith routes if it
+    # shares no code with them
+    import ast
+    import inspect
+
+    from aq import resolutions
+
+    tree = ast.parse(inspect.getsource(resolutions.factor_set_cohomology))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    shared = sorted(
+        name for name in names
+        if getattr(getattr(resolutions, name, None), "__module__", None)
+        in ("aq.snf", "aq.presented")
+    )
+    assert shared == []
+    assert {"BudgetExhausted", "XModule", "invariants_from_addition"} <= names
