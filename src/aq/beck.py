@@ -284,9 +284,26 @@ def _k_label(k: FinAb, el):
     return "0" if not any(el) else "k" + ".".join(str(c) for c in el)
 
 
+class SemidirectProduct(FiniteAlgebra):
+    """K semidirect X, with `pair_of`/`label_of` between its element labels
+    and the pairs (k, x), and `xmodule` K over `base` X."""
+
+    @property
+    def projection(self):
+        """The projection onto X, built on each use: kept as an attribute,
+        the map would point back at the product, and that cycle keeps the
+        product's tables alive until the cyclic garbage collector runs."""
+        return AlgebraMap(
+            self, self.base,
+            {self.xmodule.sort: {lab: xe for lab, (_, xe) in self.pair_of.items()}},
+            check=False,
+        )
+
+
 def semidirect_product(k: XModule, x: FiniteAlgebra, name=None, validate=True):
-    """K semidirect X with tables (f(k, x), X(f)(x)); the projection and
-    the zero section are attached as `projection` and `zero_section`.
+    """K semidirect X with tables (f(k, x), X(f)(x)), as a
+    SemidirectProduct; its projection and its zero section are checked to
+    be homomorphisms.
 
     The action invariants were checked at XModule construction; with
     validate=True the product's tables are re-checked against the theory
@@ -314,19 +331,21 @@ def semidirect_product(k: XModule, x: FiniteAlgebra, name=None, validate=True):
             res = (fh(ks), x.apply(op.name, xs))
             tab[tuple(labels[t] for t in tup)] = labels[res]
         tables[op.name] = tab
-    sd = FiniteAlgebra(
+    sd = SemidirectProduct(
         x.theory, name or f"{k.name}:{x.name}", {sort: carrier}, tables,
         validate=validate,
     )
     sd.pair_of = {v: pk for pk, v in labels.items()}
     sd.label_of = labels
-    sd.projection = AlgebraMap(
-        sd, x, {sort: {labels[(ke, xe)]: xe for ke in kels for xe in xels}}
-    )
-    sd.zero_section = AlgebraMap(
-        x, sd, {sort: {xe: labels[(k.carrier.zero(), xe)] for xe in xels}}
-    )
     sd.xmodule = k
+    sd.base = x
+    zero_section = AlgebraMap(
+        x, sd, {sort: {xe: labels[(k.carrier.zero(), xe)] for xe in xels}},
+        check=False,
+    )
+    if not (sd.projection.is_homomorphism()
+            and zero_section.is_homomorphism()):
+        raise AlgebraError("not a homomorphism")
     return sd
 
 
@@ -823,12 +842,11 @@ def kappa_lambda_roundtrip(p: AlgebraMap, structure: GroupObjectStructure) -> bo
 # ---------------------------------------------------------------------------
 # abelianization of free algebras and its Fox-derivative functoriality
 
-def abelianized_matrix(m: AlgebraMap, over: AlgebraMap | None):
-    """Matrix of the abelianization of a map of free group-theory algebras.
-
-    Rows index target generators, columns source generators.  Entries lie
-    in Z (absolute case, `over` None) or Z[X] (over p: target -> X).
-    """
+def fox_columns(m: AlgebraMap, over: AlgebraMap | None):
+    """The abelianization of a map of free group-theory algebras, sparse:
+    per source generator, the (target generator index, entry) pairs of the
+    nonzero Fox derivatives of its image.  Entries lie in Z (absolute case,
+    `over` None) or Z[X] (over p: target -> X)."""
     src, tgt = m.source, m.target
     sort = src.sort
     if over is None:
@@ -847,23 +865,34 @@ def abelianized_matrix(m: AlgebraMap, over: AlgebraMap | None):
                 val = x.ginv(val, sort)
             return val
 
+    index = {g: i for i, g in enumerate(tgt.generators[sort])}
     cols = []
     for t in src.generators[sort]:
-        word = m.mapping[sort][t]
-        coeffs = {g: ring.zero() for g in tgt.generators[sort]}
+        coeffs = {}
         prefix = ring.one()
-        for g, e in word:
+        for g, e in m.mapping[sort][t]:
             if e > 0:
-                coeffs[g] = ring.add(coeffs[g], prefix)
+                coeffs[g] = ring.add(coeffs.get(g, ring.zero()), prefix)
                 prefix = _rmul_group(ring, prefix, p_of(g, 1))
             else:
                 prefix = _rmul_group(ring, prefix, p_of(g, -1))
-                coeffs[g] = ring.add(coeffs[g], ring.neg(prefix))
-        cols.append(coeffs)
-    return [
-        [cols[j][g] for j in range(len(cols))]
-        for g in tgt.generators[sort]
-    ]
+                coeffs[g] = ring.add(coeffs.get(g, ring.zero()),
+                                     ring.neg(prefix))
+        cols.append([(index[g], c) for g, c in coeffs.items() if c])
+    return cols
+
+
+def abelianized_matrix(m: AlgebraMap, over: AlgebraMap | None):
+    """Matrix of the abelianization of a map of free group-theory algebras:
+    `fox_columns` as a dense matrix, rows indexing target generators."""
+    rows = len(m.target.generators[m.source.sort])
+    zero = 0 if over is None else {}
+    cols = fox_columns(m, over)
+    out = [[zero] * len(cols) for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, entry in col:
+            out[i][j] = entry
+    return out
 
 
 def _rmul_group(ring: Ring, acc, gelem):

@@ -85,7 +85,7 @@ def main(argv=None):
                           help="1 or 2 for factor-set")
     p_oracle.add_argument("--budget", type=int, default=10**6,
                           help="search budget: nodes of the factor-set "
-                               "search (bar: cochain cells, at least 10^6)")
+                               "search, cochain cells of the bar complex")
     p_oracle.add_argument("--json", dest="json_path")
 
     p_ss = sub.add_parser("ss", help="spectral sequence E2 pages")
@@ -380,7 +380,7 @@ def cmd_oracle(args):
             k = _trivial_coefficients(XModule, g, args.coeffs or "2")
         if args.kind == "bar":
             values = bar_resolution_group(g, k, args.max_degree,
-                                          budget=max(args.budget, 10**6))
+                                          budget=args.budget)
             lines = [f"H^{n}({g.name}) = {v}" for n, v in enumerate(values)]
             payload = [{"degree": n, **v.to_json()}
                        for n, v in enumerate(values)]

@@ -571,11 +571,13 @@ def parse_sres(text, base_dir="", source="<sres>"):
             p.expect("{")
             images = {}
             while p.peek().text != "}":
+                entry_line = p.peek().line
                 g = p.expect_ident()
                 p.expect("->")
-                images[g] = p.parse_term()
+                images[g] = (p.parse_term(), f"{source}:{entry_line}")
             p.expect("}")
-            (faces if kw == "face" else degens)[(n, i)] = images
+            (faces if kw == "face" else degens)[(n, i)] = (
+                images, f"{source}:{line}")
         elif kw == "augment":
             p.expect("{")
             while p.peek().text != "}":
@@ -602,26 +604,14 @@ def parse_sres(text, base_dir="", source="<sres>"):
             for i in range(n + 1):
                 if (n, i) not in faces:
                     raise FixtureError(f"missing face {n} {i}")
-                images = {
-                    g: levels[n - 1].eval_term(t)
-                    for g, t in faces[(n, i)].items()
-                }
-                fs.append(AlgebraMap.from_generator_images(
-                    levels[n], levels[n - 1], images
-                ))
+                fs.append(_sres_map(faces[(n, i)], levels[n], levels[n - 1]))
             face_maps.append(fs)
         if n < truncation:
             ds = []
             for j in range(n + 1):
                 if (n, j) not in degens:
                     raise FixtureError(f"missing degen {n} {j}")
-                images = {
-                    g: levels[n + 1].eval_term(t)
-                    for g, t in degens[(n, j)].items()
-                }
-                ds.append(AlgebraMap.from_generator_images(
-                    levels[n], levels[n + 1], images
-                ))
+                ds.append(_sres_map(degens[(n, j)], levels[n], levels[n + 1]))
             degen_maps.append(ds)
         else:
             degen_maps.append([])
@@ -635,6 +625,22 @@ def parse_sres(text, base_dir="", source="<sres>"):
     v.name = name
     v.target = over
     return v
+
+
+def _sres_map(block, src, tgt):
+    """The map of one `face`/`degen` block, ({generator: (term, where)},
+    where): each generator of `src` needs exactly one image, a term over
+    the generators of `tgt`."""
+    images, where = block
+    gens = set(src.generators[src.sort])
+    for g, (_, at) in images.items():
+        if g not in gens:
+            raise FixtureError(f"{at}: {g} is not a generator of the source level")
+    for g in src.generators[src.sort]:
+        if g not in images:
+            raise FixtureError(f"{where}: the block gives no image for {g}")
+    return AlgebraMap.from_generator_images(
+        src, tgt, {g: _eval_at(tgt, t, at) for g, (t, at) in images.items()})
 
 
 def write_sres(v: SimplicialTheta, name="resolution"):

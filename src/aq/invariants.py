@@ -10,9 +10,9 @@ objects.  Homology is the homotopy of the (relative) abelianization.
 from __future__ import annotations
 
 from .algebras import AlgebraError
-from .beck import XModule, abelianized_matrix
+from .beck import XModule
 from .presented import Presentation, Subquotient, cycle_lattice, induced_map
-from .resolutions import abelianized_complex
+from .resolutions import abelianized_complex, nondegenerate_generators
 from .rings import CoefficientModule, Ring
 from .simplicial import (
     CosimplicialAbelian,
@@ -47,75 +47,85 @@ def _coefficient(k, x=None):
                 Ring("Z"), list(k.carrier.moduli)
             )
         return k.coefficient_module()
-    assert isinstance(k, CoefficientModule)
+    if not isinstance(k, CoefficientModule):
+        raise AlgebraError(
+            "coefficients must be an XModule or a CoefficientModule")
     if x is not None and k.ring.kind != "ZG":
         ring = Ring("ZG", group=x.group_table(x.theory.sorts[0]))
         return CoefficientModule.trivial(ring, list(k.moduli))
     return k
 
 
-def _fox_matrices(v: SimplicialTheta, x):
-    """Per level n >= 1, per face i, the group-ring Fox matrix of d_i
-    (rows index level n-1 generators)."""
-    augmentations = [v.structure_map(n) if x is not None else None
-                     for n in range(v.truncation + 1)]
-    out = [None]
-    for n in range(1, v.truncation + 1):
-        out.append([
-            abelianized_matrix(face, over=augmentations[n - 1])
-            for face in v.faces[n]
-        ])
-    return out
+def _structure_matrices(v, x):
+    """(faces, degens) as sparse R-matrices, per column the (row, entry)
+    pairs of its nonzero entries: the Fox matrices of a free simplicial
+    algebra (over Z[X] when x is given), the level maps of a free module."""
+    if isinstance(v, SimplicialTheta):
+        return v.fox_matrices(x is not None)
+    ranks = [lv.gens for lv in v.levels]
+
+    def sparse(maps, cols):
+        return [[[(i, row[j]) for i, row in enumerate(m) if row[j]]
+                 for j in range(cols)] for m in maps]
+
+    return ([sparse(maps, ranks[n]) for n, maps in enumerate(v.faces)],
+            [sparse(maps, ranks[n]) for n, maps in enumerate(v.degens)])
 
 
-def _degen_fox_matrices(v: SimplicialTheta, x):
-    augmentations = [v.structure_map(n) if x is not None else None
-                     for n in range(v.truncation + 1)]
-    out = []
-    for n in range(v.truncation):
-        out.append([
-            abelianized_matrix(s, over=augmentations[n + 1])
-            for s in v.degens[n]
-        ])
-    out.append([])
-    return out
+def _normalized_cells(v):
+    """Per level, the generator indices of the normalized complex: the
+    nondegenerate generators where the degeneracies send generators to
+    generators (`nondegenerate_generators`), else None."""
+    if isinstance(v, SimplicialTheta):
+        return nondegenerate_generators(v)
+    return None
 
 
-def _level_ranks(v):
+def _all_cells(v):
     if isinstance(v, SimplicialTheta):
         sort = v.theory.sorts[0]
-        return [len(lv.generators[sort]) for lv in v.levels]
-    return [lv.gens for lv in v.levels]
+        return [range(len(lv.generators[sort])) for lv in v.levels]
+    return [range(lv.gens) for lv in v.levels]
 
 
-def der_cochain(v, k, x=None) -> CosimplicialAbelian:
-    """The cosimplicial abelian group n -> Der_{p_n}(V_n, K), with cofaces
-    pulled back along the faces (the free-case identification K^T)."""
-    coeff = _coefficient(k, x)
+def _act_matrix(mat, coeff, rows, cols, dual=False):
+    """The integer matrix of the sparse R-matrix `mat`, restricted to
+    rows x cols, acting on coefficient blocks: block (r, c) is the action
+    of entry (rows[r], cols[c]), placed at (c, r) when `dual`."""
     dim = coeff.dim
-    ranks = _level_ranks(v)
+    pos = {i: r for r, i in enumerate(rows)}
+    shape = (len(cols), len(rows)) if dual else (len(rows), len(cols))
+    big = [[0] * (shape[1] * dim) for _ in range(shape[0] * dim)]
+    for c, j in enumerate(cols):
+        for i, entry in mat[j]:
+            r = pos.get(i)
+            if r is None:
+                continue
+            blk = coeff.act_of(entry)
+            br, bc = (c, r) if dual else (r, c)
+            for a in range(dim):
+                big[br * dim + a][bc * dim:(bc + 1) * dim] = blk[a]
+    return big
+
+
+def der_cochain(v, k, x=None, cells=None) -> CosimplicialAbelian:
+    """The cosimplicial abelian group n -> Der_{p_n}(V_n, K), with cofaces
+    pulled back along the faces (the free-case identification K^T).
+
+    `cells` restricts level n to the generators cells[n]; on the
+    nondegenerate generators this is the normalized cochain complex.
+    Default: all generators."""
+    coeff = _coefficient(k, x)
+    cells = cells or _all_cells(v)
     levels = [
-        Presentation.from_moduli(list(coeff.moduli) * r) for r in ranks
+        Presentation.from_moduli(list(coeff.moduli) * len(c)) for c in cells
     ]
-    if isinstance(v, SimplicialTheta):
-        face_mats = _fox_matrices(v, x)
-    else:
-        face_mats = v.faces
-    cofaces = []
-    for n in range(v.truncation):
-        mats = []
-        for i in range(n + 2):
-            fox = face_mats[n + 1][i]  # rows: T_n, cols: T_{n+1}
-            big = [[0] * (ranks[n] * dim)
-                   for _ in range(ranks[n + 1] * dim)]
-            for t in range(ranks[n + 1]):
-                for j in range(ranks[n]):
-                    blk = coeff.act_of(fox[j][t])
-                    for a in range(dim):
-                        for b in range(dim):
-                            big[t * dim + a][j * dim + b] = blk[a][b]
-            mats.append(big)
-        cofaces.append(mats)
+    face_mats, _ = _structure_matrices(v, x)
+    cofaces = [
+        [_act_matrix(fox, coeff, cells[n], cells[n + 1], dual=True)
+         for fox in face_mats[n + 1]]
+        for n in range(v.truncation)
+    ]
     return CosimplicialAbelian(levels, cofaces, [], v.truncation)
 
 
@@ -125,43 +135,25 @@ def cohomology(v, k, degrees, x=None, certificate=None):
     top = max(degrees)
     if top + 1 > v.truncation:
         raise AlgebraError("range needs levels up to degree+1")
-    w = der_cochain(v, k, x=x)
+    w = der_cochain(v, k, x=x, cells=_normalized_cells(v))
     return cohomotopy(w, degrees)
 
 
 def cohomology_subquotients(v, k, degrees, x=None):
-    w = der_cochain(v, k, x=x)
+    w = der_cochain(v, k, x=x, cells=_normalized_cells(v))
     return cohomotopy_subquotients(w, degrees), w
 
 
 def _dual_degen_matrices(v, k, x, coeff):
     """Codegeneracy duals s^j: C^n -> C^{n-1} for normalization."""
-    dim = coeff.dim
-    ranks = _level_ranks(v)
-    if isinstance(v, SimplicialTheta):
-        degen_mats = _degen_fox_matrices(v, x)
-    else:
-        degen_mats = v.degens
-    out = []
-    for n in range(len(ranks)):
-        if n == 0:
-            out.append([])
-            continue
-        mats = []
-        for j in range(n):
-            # s_j: V_{n-1} -> V_n, dual: C^n -> C^{n-1}
-            mat = degen_mats[n - 1][j]  # rows: T_n, cols: T_{n-1}
-            big = [[0] * (ranks[n] * dim)
-                   for _ in range(ranks[n - 1] * dim)]
-            for t in range(ranks[n - 1]):
-                for jj in range(ranks[n]):
-                    blk = coeff.act_of(mat[jj][t])
-                    for a in range(dim):
-                        for b in range(dim):
-                            big[t * dim + a][jj * dim + b] = blk[a][b]
-            mats.append(big)
-        out.append(mats)
-    return out
+    cells = _all_cells(v)
+    _, degen_mats = _structure_matrices(v, x)
+    # s_j: V_{n-1} -> V_n (rows: T_n), dual: C^n -> C^{n-1}
+    return [[]] + [
+        [_act_matrix(degen_mats[n - 1][j], coeff, cells[n], cells[n - 1],
+                     dual=True) for j in range(n)]
+        for n in range(1, len(cells))
+    ]
 
 
 def cohomology_via_em(v, k, n, x=None, certificate=None):
@@ -228,56 +220,31 @@ def homology(v, degrees, x=None, certificate=None, with_action=False):
 
 
 def _tensored_complex(v, coeff, x=None) -> PresentedComplex:
-    """The abelianization tensored with a coefficient module, normalized
-    by degeneracy images, as a presented complex."""
-    dim = coeff.dim
-    ranks = _level_ranks(v)
-    if isinstance(v, SimplicialTheta):
-        face_mats = _fox_matrices(v, x)
-        degen_mats = _degen_fox_matrices(v, x)
-    else:
-        face_mats = v.faces
-        degen_mats = v.degens
+    """The abelianization tensored with a coefficient module, normalized:
+    on the nondegenerate generators where `v` has them, otherwise modulo
+    the degeneracy images, as a presented complex."""
+    face_mats, degen_mats = _structure_matrices(v, x)
+    cells = _normalized_cells(v)
+    normalized = cells is not None
+    cells = cells or _all_cells(v)
     levels = []
     diffs = [None]
     for n in range(v.truncation + 1):
-        rels = []
-        if n >= 1:
+        rels = Presentation.from_moduli(
+            list(coeff.moduli) * len(cells[n])).rel_columns()
+        if n >= 1 and not normalized:
             for s in degen_mats[n - 1]:
-                for j in range(ranks[n - 1]):
-                    for unit in range(dim):
-                        col = [0] * (ranks[n] * dim)
-                        for i in range(ranks[n]):
-                            blk = coeff.act_of(s[i][j])
-                            for a in range(dim):
-                                col[i * dim + a] += blk[a][unit]
-                        rels.append(col)
-        base = Presentation.from_moduli(list(coeff.moduli) * ranks[n])
-        allrels = base.rel_columns() + rels
+                degen = _act_matrix(s, coeff, cells[n], cells[n - 1])
+                rels += [list(c) for c in zip(*degen)]
+        size = len(cells[n]) * coeff.dim
         levels.append(Presentation(
-            ranks[n] * dim,
-            [[c[i] for c in allrels] for i in range(ranks[n] * dim)]
-            if allrels else None,
+            size, [[c[i] for c in rels] for i in range(size)] if rels else None,
         ))
         if n >= 1:
-            total = None
-            for i, fox in enumerate(face_mats[n]):
-                big = [[0] * (ranks[n] * dim)
-                       for _ in range(ranks[n - 1] * dim)]
-                for r in range(ranks[n - 1]):
-                    for c in range(ranks[n]):
-                        blk = coeff.act_of(fox[r][c])
-                        for a in range(dim):
-                            for b in range(dim):
-                                big[r * dim + a][c * dim + b] = blk[a][b]
-                if total is None:
-                    total = big
-                else:
-                    sgn = 1 if i % 2 == 0 else -1
-                    for r in range(len(big)):
-                        for c in range(len(big[0]) if big else 0):
-                            total[r][c] += sgn * big[r][c]
-            diffs.append(total)
+            diffs.append(_alternating_sum([
+                _act_matrix(fox, coeff, cells[n - 1], cells[n])
+                for fox in face_mats[n]
+            ]))
     return PresentedComplex(levels, diffs)
 
 
@@ -309,7 +276,9 @@ def diagram_coefficients(v, nodes, edges, op, degrees, x=None,
     composable pairs.
     """
     _require_valid(certificate)
-    assert op in ("cohomology", "homology")
+    if op not in ("cohomology", "homology"):
+        raise AlgebraError(
+            f"diagram coefficients: op must be cohomology or homology, not {op!r}")
     values = {}
     subquots = {}
     for name, coeff in nodes.items():
@@ -320,7 +289,7 @@ def diagram_coefficients(v, nodes, edges, op, degrees, x=None,
             subq = cx.homology_subquotients(degrees)
         subquots[name] = subq
         values[name] = {n: subq[n].invariants() for n in degrees}
-    ranks = _level_ranks(v)
+    ranks = [len(c) for c in _normalized_cells(v) or _all_cells(v)]
     induced = {}
     for (src, dst), alpha in edges.items():
         co_s = _coefficient(nodes[src], x)

@@ -21,7 +21,7 @@ from .algebras import (
     enumerate_homs,
     realize_presentation,
 )
-from .beck import XModule, abelianized_matrix
+from .beck import XModule
 from .presented import Presentation, cohomology_at
 from .rings import (
     CoefficientModule,
@@ -38,6 +38,8 @@ from .simplicial import (
     SimplicialFreeModule,
     SimplicialIdentityError,
     SimplicialTheta,
+    _is_single_gen,
+    _the_gen,
     dold_kan,
     moore_homotopy,
 )
@@ -145,64 +147,102 @@ def loop_group_resolution(g: FiniteAlgebra, truncation=2) -> SimplicialTheta:
 # ---------------------------------------------------------------------------
 # abelianized chain complexes of free simplicial algebras
 
+def nondegenerate_generators(v: SimplicialTheta):
+    """Per level, the indices of the generators outside every degeneracy
+    image, or None when some degeneracy does not send each generator to a
+    single generator (exponent +1).  In the first case the quotient of
+    each abelianized level by its degenerate part is free on these
+    generators, so they index the normalized complex."""
+    sort = v.theory.sorts[0]
+    out = []
+    for n, lv in enumerate(v.levels):
+        degenerate = set()
+        for s in v.degens[n - 1] if n >= 1 else []:
+            for word in s.mapping[sort].values():
+                if not _is_single_gen(word):
+                    return None
+                degenerate.add(_the_gen(word))
+        out.append([i for i, g in enumerate(lv.generators[sort])
+                    if g not in degenerate])
+    return out
+
+
+def _coefficient_ring(v: SimplicialTheta, over):
+    if over is None:
+        return Ring("Z")
+    return Ring("ZG", group=over.group_table(v.theory.sorts[0]))
+
+
 def abelianized_complex(v: SimplicialTheta, over=None):
     """The (relative or absolute) abelianization of a free simplicial
     algebra as a normalized presented complex over Z.
 
     over=None: coefficients Z (exponent sums).  over=X: coefficients in
     the group ring Z[X] through the structure maps, then restricted to Z.
-    Returns (PresentedComplex, ranks, ring).
+    Level n is free on the nondegenerate generators; the differential is
+    the alternating sum of the face Fox matrices restricted to them.
+    Returns (PresentedComplex, ranks, ring), ranks the nondegenerate
+    counts.
     """
-    sort = v.theory.sorts[0]
-    x = over
-    ring = Ring("Z") if x is None else Ring("ZG", group=x.group_table(sort))
+    cells = nondegenerate_generators(v)
+    if cells is None:
+        return _degenerate_quotient_complex(v, over)
+    ring = _coefficient_ring(v, over)
+    faces, _ = v.fox_matrices(over is not None)
+    levels = [Presentation(len(c) * ring.zrank()) for c in cells]
+    return (_fox_complex(ring, levels, faces, cells), [len(c) for c in cells],
+            ring)
+
+
+def _degenerate_quotient_complex(v: SimplicialTheta, over=None):
+    """abelianized_complex for a resolution with a degeneracy that sends
+    some generator to a word other than a single generator: every level
+    keeps all its generators and is presented modulo the Z[X]-submodule
+    spanned by the degenerate images."""
+    ring = _coefficient_ring(v, over)
     zr = ring.zrank()
-    augmentations = [None] * (v.truncation + 1)
-    if x is not None:
-        for n in range(v.truncation + 1):
-            augmentations[n] = v.structure_map(n)
+    # the Z-basis of the ring: closing a column under it spans the submodule
+    basis = ([ring.one()] if ring.kind == "Z"
+             else [{h: 1} for h in ring.group.elements])
+    faces, degens = v.fox_matrices(over is not None)
+    ranks = [len(lv.generators[v.theory.sorts[0]]) for lv in v.levels]
     levels = []
-    diffs = [None]
-    ranks = []
-    for n in range(v.truncation + 1):
-        rank = len(v.levels[n].generators[sort])
-        ranks.append(rank)
+    for n, rank in enumerate(ranks):
         rels = []
-        if n >= 1:
-            for s in v.degens[n - 1]:
-                mat = abelianized_matrix(s, over=augmentations[n])
-                for j in range(ranks[n - 1]):
-                    # quotient by the submodule generated by the degenerate
-                    # image: close the column under the group-ring action
-                    basis = ([None] if ring.kind == "Z"
-                             else ring.group.elements)
-                    for h in basis:
-                        col = []
-                        for i in range(rank):
-                            entry = mat[i][j]
-                            if h is not None:
-                                entry = ring.mul({h: 1}, entry)
-                            col.extend(ring.element_zcol(entry))
-                        rels.append(col)
+        for mat in degens[n - 1] if n >= 1 else []:
+            for column in mat:
+                for h in basis:
+                    col = [0] * (rank * zr)
+                    for i, entry in column:
+                        col[i * zr:(i + 1) * zr] = ring.element_zcol(
+                            ring.mul(h, entry))
+                    rels.append(col)
         levels.append(Presentation(
             rank * zr,
             [[c[i] for c in rels] for i in range(rank * zr)] if rels else None,
         ))
-        if n >= 1:
-            total = None
-            for i, face in enumerate(v.faces[n]):
-                mat = abelianized_matrix(face, over=augmentations[n - 1])
-                zmat = r_matrix_to_z(ring, mat, len(mat),
-                                     len(mat[0]) if mat else 0)
-                if total is None:
-                    total = zmat
-                else:
-                    sgn = 1 if i % 2 == 0 else -1
-                    for r in range(len(zmat)):
-                        for c in range(len(zmat[0]) if zmat else 0):
-                            total[r][c] += sgn * zmat[r][c]
-            diffs.append(total if total is not None else [])
-    return PresentedComplex(levels, diffs), ranks, ring
+    cells = [range(r) for r in ranks]
+    return _fox_complex(ring, levels, faces, cells), ranks, ring
+
+
+def _fox_complex(ring, levels, faces, cells):
+    """The presented complex on `levels` whose differential at n is the
+    alternating sum of the face Fox matrices restricted to
+    cells[n-1] x cells[n], realized over Z once."""
+    diffs = [None]
+    for n in range(1, len(levels)):
+        rows, cols = cells[n - 1], cells[n]
+        pos = {i: r for r, i in enumerate(rows)}
+        total = [[ring.zero()] * len(cols) for _ in rows]
+        for k, fox in enumerate(faces[n]):
+            for c, j in enumerate(cols):
+                for i, entry in fox[j]:
+                    r = pos.get(i)
+                    if r is not None:
+                        total[r][c] = ring.add(
+                            total[r][c], entry if k % 2 == 0 else ring.neg(entry))
+        diffs.append(r_matrix_to_z(ring, total, len(rows), len(cols)))
+    return PresentedComplex(levels, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +443,9 @@ def bar_resolution_group(g: FiniteAlgebra, coeff, top, budget=10**7):
     """H^n(G; K) for 0 <= n <= top via the normalized bar complex."""
     sort = g.theory.sorts[0]
     size = (len(g.carriers[sort]) - 1) ** (top + 1)
-    if size * max(1, len(_coefficient_data(g, coeff)[1])) > budget:
-        raise BudgetExhausted("bar complex exceeds budget")
+    cells = size * max(1, len(_coefficient_data(g, coeff)[1]))
+    if cells > budget:
+        raise BudgetExhausted(f"bar complex: {cells} cells, limit {budget}")
     levels, deltas = bar_cochain_complex(g, coeff, top)
     return [
         cohomology_at(levels, deltas, n).invariants() for n in range(top + 1)

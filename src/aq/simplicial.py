@@ -17,7 +17,7 @@ from .algebras import (
     find_isomorphism,
     quotient_by_normal_closure,
 )
-from .beck import XModule, semidirect_product
+from .beck import XModule, fox_columns, semidirect_product
 from .presented import (
     Presentation,
     Subquotient,
@@ -113,6 +113,7 @@ class SimplicialTheta(_SimplicialBase):
         super().__init__(levels, faces, degens, truncation)
         self.theory = theory
         self.augmentation = augmentation  # AlgebraMap level0 -> X
+        self._fox = {}  # relative? -> (face, degeneracy) Fox matrices
 
     def is_free_levelwise(self):
         return all(lv.is_free() for lv in self.levels)
@@ -156,12 +157,35 @@ class SimplicialTheta(_SimplicialBase):
 
     def structure_map(self, n):
         """The canonical map level n -> X (augmentation after d_0 chains)."""
-        assert self.augmentation is not None
+        if self.augmentation is None:
+            raise AlgebraError(
+                "structure map: the simplicial algebra has no augmentation")
         m = self.augmentation
         chain = m
         for k in range(1, n + 1):
             chain = self._compose(chain, self.faces[k][0], k)
         return chain
+
+    def fox_matrices(self, relative):
+        """(faces, degens) of a free simplicial algebra as sparse Fox
+        matrices (`fox_columns`): faces[n][i][j] lists the nonzero entries
+        (level n-1 generator index, entry) of d_i on generator j of level
+        n, degens[n][j] those of s_j on level n; entries in Z, or in Z[X]
+        through the structure maps when `relative`.  Built once per
+        object."""
+        if relative not in self._fox:
+            over = [self.structure_map(n) if relative else None
+                    for n in range(self.truncation + 1)]
+            faces = [None] + [
+                [fox_columns(d, over=over[n - 1]) for d in self.faces[n]]
+                for n in range(1, self.truncation + 1)
+            ]
+            degens = [
+                [fox_columns(s, over=over[n + 1]) for s in self.degens[n]]
+                for n in range(self.truncation)
+            ] + [[]]
+            self._fox[relative] = (faces, degens)
+        return self._fox[relative]
 
 
 class SimplicialAbelian(_SimplicialBase):

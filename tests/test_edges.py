@@ -101,24 +101,24 @@ def test_tot_on_ext_bidegree_fixture():
 def test_latching_plus_moore_ranks_cover_levels():
     # degreewise-free resolutions split level n into the latching
     # (degenerate) part and the normalized part
+    from aq.resolutions import _degenerate_quotient_complex, abelianized_complex
+
     for m in (2, 3):
         g = cyclic_group(m)
         v = loop_group_resolution(g, truncation=3)
-        cx = _abelian_of(v, g)
+        closure, _, _ = _degenerate_quotient_complex(v, over=g)
+        normalized, ranks, _ = abelianized_complex(v, over=g)
         for n in (1, 2, 3):
             l_rank = len(latching(v, n).generators["g"])
             level_rank = len(v.levels[n].generators["g"])
             # the degenerate relation lattice has one free Z[X]-summand
             # per latching generator
-            assert l_rank * _zr(g) == _degenerate_rank(cx.levels[n]), (m, n)
+            assert l_rank * _zr(g) == _degenerate_rank(closure.levels[n]), (m, n)
             assert l_rank < level_rank
-
-
-def _abelian_of(v, g):
-    from aq.resolutions import abelianized_complex
-
-    cx, _, _ = abelianized_complex(v, over=g)
-    return cx
+            # latching rank + normalized rank = level rank
+            assert l_rank + ranks[n] == level_rank, (m, n)
+            assert normalized.levels[n].gens == ranks[n] * _zr(g)
+            assert normalized.levels[n].nrels() == 0
 
 
 def _degenerate_rank(pres):

@@ -427,6 +427,28 @@ def test_cli_duplicate_generator_exits_2_with_its_position(
     assert f"{bad}:{line}: duplicate generator " in err
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("    t/a/a -> inv(t/a())", "    t/a/a -> inv(t/zz())",
+     "11: cannot evaluate t/zz() in free group algebra"),
+    ("    t/a/a -> t/a/a/e()", "    t/a/a -> t/zz/e()",
+     "84: cannot evaluate t/zz/e() in free group algebra"),
+    ("    t/a/e -> t/a()", "    t/zz -> t/a()",
+     "10: t/zz is not a generator of the source level"),
+    ("    t/a/a/a -> t/a/e()\n", "",
+     "23: the block gives no image for t/a/a/a"),
+], ids=["face-image", "degen-image", "face-source", "face-missing"])
+def test_cli_sres_map_errors_exit_2_with_their_position(
+        old, new, message, tmp_path, capsys):
+    (tmp_path / "z2.alg").write_text(fx_text("z2.alg"))
+    bad = tmp_path / "z2res.sres"
+    text = fx_text("z2res.sres")
+    assert old in text
+    bad.write_text(text.replace(old, new, 1))
+    code = main(["check", str(bad)])
+    assert code == 2
+    assert f"error: {bad}:{message}" in capsys.readouterr().err
+
+
 def test_cli_factor_set_budget_exits_3_naming_the_stage(capsys):
     code = main(["oracle", "factor-set", "--group", fx("z3.alg"),
                  "--coeffs", "3", "--degree", "2", "--budget", "10"])
@@ -434,6 +456,23 @@ def test_cli_factor_set_budget_exits_3_naming_the_stage(capsys):
     assert code == 3
     assert ("budget exhausted: factor-set H^2 cocycle search: "
             "11 nodes used, limit 10") in err
+
+
+def test_cli_bar_oracle_honors_the_budget(capsys):
+    # the top bar cochain group of Z/4 to degree 3 has 3^4 = 81 cells
+    argv = ["oracle", "bar", "--group", fx("z4.alg"), "--coeffs", "2",
+            "--max-degree", "3"]
+    assert main(argv + ["--budget", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "budget exhausted: bar complex: 81 cells, limit 1" in err
+    assert main(argv + ["--budget", "80"]) == 3
+    capsys.readouterr()
+    assert main(argv + ["--budget", "81"]) == 0
+    at_limit = capsys.readouterr().out
+    assert at_limit.count("H^") == 4
+    assert main(argv) == 0  # the default budget
+    assert capsys.readouterr().out == at_limit
 
 
 def test_cli_factor_set_degree_is_checked_without_assert():

@@ -389,3 +389,38 @@ def test_diagram_constant_and_identity():
     )
     assert out2["functorial"]
     assert out2["values"]["a"][1] == G(2)  # Tor_1(Z/4, Z/2)
+
+
+def test_coefficient_and_diagram_checks_do_not_depend_on_assert():
+    # each check raises an AlgebraError that names it, under `python -O`
+    # (which strips asserts) as well
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "\n".join([
+        "from aq.algebras import AlgebraError, cyclic_group",
+        "from aq.invariants import _coefficient, diagram_coefficients",
+        "from aq.resolutions import loop_group_resolution",
+        "v = loop_group_resolution(cyclic_group(2), truncation=2)",
+        "def fails(f):",
+        "    try:",
+        "        f()",
+        "    except AlgebraError as exc:",
+        "        print(exc)",
+        "fails(lambda: _coefficient([2]))",
+        "fails(lambda: diagram_coefficients(v, {}, {}, 'tensor', [0]))",
+        "v.augmentation = None",
+        "fails(lambda: v.structure_map(1))",
+    ])
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.splitlines() == [
+            "coefficients must be an XModule or a CoefficientModule",
+            "diagram coefficients: op must be cohomology or homology, "
+            "not 'tensor'",
+            "structure map: the simplicial algebra has no augmentation",
+        ], flags
