@@ -47,9 +47,8 @@ GROUPS = {
 
 
 def _sign_module(g, m):
-    """Z/m on which the elements of order 2 act by -1 (for S3 the sign
-    character; for an abelian group of exponent 2 not a homomorphism, so
-    only used on S3 and Z/2)."""
+    """Z/m on which the elements of order 2 act by -1: the sign
+    character of S3 or of Z/2 (the groups it is used on)."""
     e = g.identity()
     act = {x: [[m - 1 if x != e and g.gmul(x, x) == e else 1]]
            for x in g.carriers["g"]}
