@@ -18,6 +18,7 @@ from .dsl import DslSyntaxError, parse_theory, print_theory
 from .fixtures import (
     FixtureError,
     builtin_theory,
+    declared_theory,
     load_algebra,
     load_sres,
     load_xmodule,
@@ -271,6 +272,13 @@ def cmd_invariants(args):
         resolve_module
 
     theory = _load_theory_arg(args.theory)
+    for path in filter(None, (args.algebra, args.over)):
+        declared = declared_theory(path)
+        if declared is not theory and \
+                print_theory(declared) != print_theory(theory):
+            raise UsageError(
+                f"--theory {args.theory} (theory {theory.name}) does not "
+                f"match theory {declared.name} declared by {path}")
     top = args.max_degree
     if theory.class_tag == "group":
         y = load_algebra(args.algebra)

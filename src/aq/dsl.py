@@ -27,9 +27,8 @@ class DslSyntaxError(Exception):
         self.col = col
 
 
-_PUNCT = ("->", "{", "}", "(", ")", ":", ",", "=", "$")
 _IDENT_CHARS = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.@/'"
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.@/'|"
 )
 
 
@@ -44,6 +43,9 @@ class _Token:
 
 
 def tokenize(text):
+    """Tokens of a .thy or fixture text: identifiers (which may contain
+    `.@/'|`), punctuation `-> { } ( ) : , = $ [ ] -`, and "quoted" strings
+    that end on their own line; `#` starts a comment."""
     tokens = []
     line, col = 1, 1
     i = 0
@@ -63,12 +65,20 @@ def tokenize(text):
             while i < n and text[i] != "\n":
                 i += 1
             continue
+        if c == '"':
+            j = text.find('"', i + 1)
+            if j < 0 or "\n" in text[i:j]:
+                raise DslSyntaxError(line, col, "unterminated string")
+            tokens.append(_Token("string", text[i + 1:j], line, col))
+            col += j - i + 1
+            i = j + 1
+            continue
         if text.startswith("->", i):
             tokens.append(_Token("punct", "->", line, col))
             i += 2
             col += 2
             continue
-        if c in "{}():,=$":
+        if c in "{}():,=$[]-":
             tokens.append(_Token("punct", c, line, col))
             i += 1
             col += 1

@@ -22,8 +22,8 @@ from .algebras import (
     realize_presentation,
 )
 from .beck import XModule
-from .dsl import DslSyntaxError, _Parser, parse_theory
-from .rings import Ring, RingDescriptorError, parse_ring
+from .dsl import DslSyntaxError, _Parser, parse_theory, tokenize
+from .rings import RingDescriptorError, parse_ring
 from .simplicial import ChainComplex, SimplicialTheta, dold_kan
 from .theories import TheoryPresentation, module_theory, zmod_module_theory
 
@@ -32,7 +32,11 @@ class FixtureError(Exception):
     pass
 
 
+_MODULE_THEORIES = {}  # (ring kind, m or group order) -> theory
+
+
 def builtin_theory(name: str) -> TheoryPresentation:
+    """gp, ab or mod:R; each is built once per process."""
     if name == "gp":
         return GP
     if name == "ab":
@@ -44,9 +48,12 @@ def builtin_theory(name: str) -> TheoryPresentation:
             raise FixtureError(f"unknown builtin theory {name!r}: {exc}") from exc
         if ring.kind == "Z":
             return AB
-        if ring.kind == "Zmod":
-            return zmod_module_theory(ring.m)
-        return module_theory(GP, cyclic_group(ring.group.order()))
+        key = (ring.kind, ring.m or ring.group.order())
+        if key not in _MODULE_THEORIES:
+            _MODULE_THEORIES[key] = (
+                zmod_module_theory(ring.m) if ring.kind == "Zmod"
+                else module_theory(GP, cyclic_group(key[1])))
+        return _MODULE_THEORIES[key]
     raise FixtureError(f"unknown builtin theory {name!r}")
 
 
@@ -87,70 +94,6 @@ class _FixtureParser(_Parser):
         if tok.kind != "string":
             raise DslSyntaxError(tok.line, tok.col, "expected a quoted path")
         return tok.text
-
-
-def _tokenize_fixture(text):
-    # extend the DSL tokenizer with brackets, minus signs and strings
-    tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    ident_chars = set(
-        "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.@/'"
-    )
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = text.index('"', i + 1)
-            tok = _Tok("string", text[i + 1:j], line, col)
-            tokens.append(tok)
-            col += j - i + 1
-            i = j + 1
-            continue
-        if text.startswith("->", i):
-            tokens.append(_Tok("punct", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "{}():,=$[]-":
-            tokens.append(_Tok("punct", c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c in ident_chars:
-            j = i
-            while j < n and text[j] in ident_chars:
-                j += 1
-            tokens.append(_Tok("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise DslSyntaxError(line, col, f"unexpected character {c!r}")
-    tokens.append(_Tok("eof", "", line, col))
-    return tokens
-
-
-class _Tok:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
 
 
 def _theory_ref(p: _FixtureParser, base_dir):
@@ -195,12 +138,26 @@ def _free_at(theory, gens, where):
         raise FixtureError(f"{where}: {exc}") from exc
 
 
-def parse_algebra(text, base_dir="", source="<algebra>") -> FiniteAlgebra:
-    p = _FixtureParser(_tokenize_fixture(text))
+def _algebra_header(p: _FixtureParser, base_dir):
+    """`algebra NAME { theory REF`: the name, the theory and the line of
+    the theory reference."""
     p.expect("algebra")
     name = p.expect_ident()
     p.expect("{")
-    theory = _theory_ref(p, base_dir)
+    line = p.peek().line
+    return name, _theory_ref(p, base_dir), line
+
+
+def declared_theory(path) -> TheoryPresentation:
+    """The theory that the `theory` line of an .alg file names."""
+    with open(path) as fh:
+        p = _FixtureParser(tokenize(fh.read()))
+    return _algebra_header(p, os.path.dirname(path))[1]
+
+
+def parse_algebra(text, base_dir="", source="<algebra>") -> FiniteAlgebra:
+    p = _FixtureParser(tokenize(text))
+    name, theory, _ = _algebra_header(p, base_dir)
     kw = p.expect_ident()
     if kw == "table":
         alg = _parse_table_block(p, theory, name)
@@ -291,12 +248,13 @@ def parse_module_presentation(text, base_dir="", source="<module>"):
     RModulePresentation (for the resolution pipeline)."""
     from .rings import RModulePresentation
 
-    p = _FixtureParser(_tokenize_fixture(text))
-    p.expect("algebra")
-    name = p.expect_ident()
-    p.expect("{")
-    theory = _theory_ref(p, base_dir)
-    ring = theory.ring if theory.ring else Ring("Z")
+    p = _FixtureParser(tokenize(text))
+    name, theory, line = _algebra_header(p, base_dir)
+    if theory.ring is None:
+        raise FixtureError(
+            f"{source}:{line}: theory {theory.name} is neither abelian nor "
+            "a module theory")
+    ring = theory.ring
     kw = p.expect_ident()
     if kw != "presentation":
         raise FixtureError("module presentations need a presentation block")
@@ -364,7 +322,7 @@ def load_xmodule(path, base=None) -> XModule:
 def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
     """The module of an .xmod text; a module that fails validation raises
     FixtureError at `source`:line of its first act entry (or its header)."""
-    p = _FixtureParser(_tokenize_fixture(text))
+    p = _FixtureParser(tokenize(text))
     line = p.peek().line
     p.expect("xmodule")
     name = p.expect_ident()
@@ -503,7 +461,7 @@ def load_sres(path):
 
 
 def parse_sres(text, base_dir="", source="<sres>"):
-    p = _FixtureParser(_tokenize_fixture(text))
+    p = _FixtureParser(tokenize(text))
     p.expect("sres")
     name = p.expect_ident()
     p.expect("{")

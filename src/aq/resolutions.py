@@ -521,18 +521,23 @@ def factor_set_cohomology(g: FiniteAlgebra, k, n, budget=10**6):
         return all(add[act[a][f[s1]]][f[s2]] == add[f[s3]][f[s4]]
                    for a, s1, s2, s3, s4 in eqs)
 
-    def extend(i):
+    # depth-first over the free entries; tried[i] counts the values tried
+    # for free[i] (a loop, not a recursive closure, which would be a
+    # reference cycle)
+    tried = [0] if holds(checks[0]) else []
+    while tried:
+        i = len(tried) - 1
         if i == len(free):
             cocycles.append(tuple(f[:nk]))
-            return
-        for v in K:
+            tried.pop()
+        elif tried[i] == len(K):
+            tried.pop()
+        else:
             spend(1, "cocycle search")
-            f[free[i]] = v
+            f[free[i]] = tried[i]
+            tried[i] += 1
             if holds(checks[i + 1]):
-                extend(i + 1)
-
-    if holds(checks[0]):
-        extend(0)
+                tried.append(0)
 
     # each class is the coset z + B of its first cocycle z
     rep = {}

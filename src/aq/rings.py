@@ -370,19 +370,24 @@ def r_matrix_to_z(ring, rmat, rows, cols):
 def hom_cochain_complex(ring, ranks, diffs, coeff: CoefficientModule):
     """Apply Hom_R(-, coeff) to a free resolution; returns (levels, deltas)
     where deltas[n] maps cochain degree n-1 to degree n."""
-    levels = []
-    deltas = [None]
-    for n, rk in enumerate(ranks):
-        levels.append(_power_presentation(coeff, rk))
-        if n >= 1:
-            d = diffs[n]
-            rows, cols = ranks[n - 1], ranks[n]
-            blocks = [[None] * rows for _ in range(cols)]
-            for j in range(cols):
-                for i in range(rows):
-                    blocks[j][i] = coeff.act_of(d[i][j])
-            deltas.append(_assemble_blocks(blocks, coeff.dim))
+    levels = [_power_presentation(coeff, rk) for rk in ranks]
+    deltas = [None] + [hom_dual(diffs[n], ranks[n - 1], ranks[n], coeff)
+                       for n in range(1, len(ranks))]
     return levels, deltas
+
+
+def hom_dual(d, rows, cols, coeff: CoefficientModule):
+    """Hom_R(d, coeff) of a rows x cols R-matrix d: the integer matrix of
+    coeff^rows -> coeff^cols, block (j, i) the action of d[i][j]; a zero
+    entry (0 or the empty group-ring element) leaves a zero block."""
+    dim = coeff.dim
+    out = [[0] * (rows * dim) for _ in range(cols * dim)]
+    for i in range(rows):
+        for j in range(cols):
+            if d[i][j]:
+                for a, row in enumerate(coeff.act_of(d[i][j])):
+                    out[j * dim + a][i * dim:(i + 1) * dim] = row
+    return out
 
 
 def tensor_chain_complex(ring, ranks, diffs, coeff: CoefficientModule):

@@ -7,7 +7,7 @@ and bisimplicial diagonal / cosimplicial totalization with their E2 grids.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from .abgroups import FGAbelianGroup, FinAb, invariants_from_addition
 from .algebras import (
@@ -26,7 +26,14 @@ from .presented import (
     homology_of_complex,
     induced_map,
 )
-from .rings import RModulePresentation, Ring, r_matrix_to_z
+from .rings import (
+    CoefficientModule,
+    RModulePresentation,
+    Ring,
+    hom_cochain_complex,
+    hom_dual,
+    r_matrix_to_z,
+)
 from .snf import (
     cols_to_matrix,
     identity_matrix,
@@ -319,23 +326,12 @@ class PresentedComplex:
 # Dold-Kan
 
 def surjections(n, k):
-    """Monotone surjections [n] ->> [k] as value tuples, lexicographic."""
-    out = []
-
-    def rec(prefix, last):
-        if len(prefix) == n + 1:
-            if last == k:
-                out.append(tuple(prefix))
-            return
-        remaining = n + 1 - len(prefix)
-        for v in (last, last + 1):
-            if v > k:
-                continue
-            if k - v <= remaining - 1:
-                rec(prefix + [v], v)
-
-    rec([0], 0)
-    return out
+    """Monotone surjections [n] ->> [k] as value tuples, lexicographic: one
+    per choice of the k steps (out of n) at which the value goes up."""
+    return sorted(
+        tuple(sum(1 for p in steps if p <= i) for i in range(n + 1))
+        for steps in combinations(range(1, n + 1), k)
+    )
 
 
 def dk_summands(n, top):
@@ -698,10 +694,14 @@ def matching(v, n):
         lv = v.levels[0]
         return FGAbelianGroup(), lv.invariants().is_trivial()
     below = _elements_of_presented(v.levels[n - 1])
+    # moduli of the face targets, once per level
+    moduli = {level: _moduli_of(v.levels[level])
+              for level in range(max(n - 2, 0), n)}
+    mods_below = moduli[n - 1]
 
     def face(level, i, vec):
         mat = v.faces[level][i]
-        mods = _moduli_of(v.levels[level - 1])
+        mods = moduli[level - 1]
         return tuple(
             sum(mat[r][c] * vec[c] for c in range(len(vec))) % (mods[r] or 1)
             if mods[r] else
@@ -709,19 +709,12 @@ def matching(v, n):
             for r in range(len(mat))
         )
 
-    tuples = []
-    for combo in product(below, repeat=n + 1):
-        ok = True
-        for i in range(n + 1):
-            for j in range(i + 1, n + 1):
-                if face(n - 1, i, combo[j]) != face(n - 1, j - 1, combo[i]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            tuples.append(combo)
-    mods_below = _moduli_of(v.levels[n - 1])
+    # level 0 has no faces, so M_1 = X_0 x X_0
+    tuples = [
+        combo for combo in product(below, repeat=n + 1)
+        if n < 2 or all(face(n - 1, i, combo[j]) == face(n - 1, j - 1, combo[i])
+                        for i in range(n + 1) for j in range(i + 1, n + 1))
+    ]
 
     def add_tuples(a, b):
         return tuple(
@@ -753,14 +746,17 @@ def _moduli_of(pres: Presentation):
     mods = [0] * pres.gens
     for col in pres.rel_columns():
         nz = [i for i, x in enumerate(col) if x]
-        assert len(nz) == 1, "level presentation must be diagonal"
+        if len(nz) != 1:
+            raise AlgebraError(
+                "matching: a level presentation is not diagonal")
         mods[nz[0]] = abs(col[nz[0]])
     return mods
 
 
 def _elements_of_presented(pres: Presentation):
     mods = _moduli_of(pres)
-    assert all(m > 0 for m in mods) or pres.gens == 0, "finite levels required"
+    if not all(mods):
+        raise AlgebraError("matching: a level is infinite")
     return [tuple(t) for t in product(*(range(m) for m in mods))]
 
 
@@ -895,59 +891,27 @@ def path_object(em):
     trunc = em.truncation
     dim = len(k.carrier.moduli)
     moduli = list(k.carrier.moduli)
+    # the chain maps K + K -> K onto the first and second copy in degree n
+    copies = [[[int(j == which * dim + i) for j in range(2 * dim)]
+               for i in range(dim)] for which in (0, 1)]
     levels = [Presentation.free(0) for _ in range(n - 1)]
     levels.append(Presentation.from_moduli(moduli))
     levels.append(Presentation.from_moduli(moduli * 2))
-    diffs = [None]
-    for t in range(1, n - 1):
-        diffs.append([[0] * levels[t].gens for _ in range(levels[t - 1].gens)])
-    if n >= 1:
-        if n - 1 >= 1:
-            diffs.append([[0] * levels[n - 1].gens
-                          for _ in range(levels[n - 2].gens)])
-        # boundary K + K -> K is (id, -id)
-        bd = [[0] * (2 * dim) for _ in range(dim)]
-        for i in range(dim):
-            bd[i][i] = 1
-            bd[i][dim + i] = -1
-        diffs.append(bd)
-    path_cx = PresentedComplex(levels, diffs)
-    kernel = dold_kan(path_cx, truncation=trunc)
+    # zero below degree n; the boundary K + K -> K is (id, -id)
+    diffs = [None] + [[[0] * levels[t].gens for _ in range(levels[t - 1].gens)]
+                      for t in range(1, n)]
+    diffs.append([[a - b for a, b in zip(r0, r1)] for r0, r1 in zip(*copies)])
+    kernel = dold_kan(PresentedComplex(levels, diffs), truncation=trunc)
     pe = _semidirect_object(x, k, n, kernel, "EI")
-
-    # chain projections K + K -> K (first and second copy)
+    # the EM complex is zero below degree n, so are the projections
     pe.projections = [
-        [_lift(x, _dk_chain_projection(kernel, em.kernel_part, i, dim, which),
+        [_lift(x, _dk_map(kernel, em.kernel_part, [[]] * n + [proj], i),
                pe.levels[i], pe.level_xmodules[i],
                em.levels[i], em.level_xmodules[i])
          for i in range(trunc + 1)]
-        for which in (0, 1)
+        for proj in copies
     ]
     return pe
-
-
-def _dk_chain_projection(src_dk, tgt_dk, level, dim, which):
-    """Matrix of the Dold-Kan image of the chain projection (pick one K
-    copy at the top level, zero below) at a given simplicial level."""
-    src_layout = src_dk.dk_layouts[level]
-    tgt_layout = tgt_dk.dk_layouts[level]
-    src_size = src_dk.levels[level].gens
-    tgt_size = tgt_dk.levels[level].gens
-    out = [[0] * src_size for _ in range(tgt_size)]
-    src_off = src_dk.dk_offsets[level]
-    tgt_off = tgt_dk.dk_offsets[level]
-    n_src_top = len(src_dk.dk_source.levels) - 1
-    n_tgt_top = len(tgt_dk.dk_source.levels) - 1
-    for sigma, kk in src_layout:
-        if kk != n_src_top:
-            continue  # lower level of the path complex maps to zero
-        if (sigma, n_tgt_top) not in tgt_off:
-            continue
-        r0 = tgt_off[(sigma, n_tgt_top)]
-        c0 = src_off[(sigma, kk)]
-        for i in range(dim):
-            out[r0 + i][c0 + which * dim + i] = 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -971,9 +935,13 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
 
     columns[s] is a PresentedComplex (the s-th column, graded by t);
     hdiffs[s]: chain map columns[s] -> columns[s-1] given per degree t.
+    Vertically, each column goes through dold_kan; horizontally, so does
+    each row q, the complex s -> verticals[s].levels[q] whose differentials
+    are the Dold-Kan images of the horizontal chain maps.  The vertical
+    structure maps of the verticals are chain maps between rows, and act
+    on each horizontal level through their Dold-Kan images.
     """
-    smax = len(columns) - 1
-    for s in range(1, smax + 1):
+    for s in range(1, len(columns)):
         for t in range(1, len(columns[s].levels)):
             lhs = mat_mul(
                 columns[s - 1].diffs[t], hdiffs[s][t],
@@ -989,122 +957,48 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
                     f"horizontal differential at ({s},{t}) is not a chain map"
                 )
     verticals = [dold_kan(c, truncation=truncation) for c in columns]
-    # horizontal chain maps induce simplicial maps between the DK images
-    gamma_h = [None]
-    for s in range(1, smax + 1):
-        per_level = []
-        for q in range(truncation + 1):
-            src = verticals[s]
-            tgt = verticals[s - 1]
-            mat = [[0] * src.levels[q].gens for _ in range(tgt.levels[q].gens)]
-            for sigma_k in src.dk_layouts[q]:
-                sigma, kk = sigma_k
-                if kk >= len(hdiffs[s]):
-                    continue
-                comp = hdiffs[s][kk]
-                r0 = tgt.dk_offsets[q].get((sigma, kk))
-                if r0 is None:
-                    continue
-                c0 = src.dk_offsets[q][sigma_k]
-                for i in range(len(comp)):
-                    for j in range(len(comp[0]) if comp else 0):
-                        mat[r0 + i][c0 + j] = comp[i][j]
-            per_level.append(mat)
-        gamma_h.append(per_level)
+    rows = [
+        dold_kan(PresentedComplex(
+            [v.levels[q] for v in verticals],
+            [None] + [_dk_map(verticals[s], verticals[s - 1], hdiffs[s], q)
+                      for s in range(1, len(verticals))],
+        ), truncation=truncation)
+        for q in range(truncation + 1)
+    ]
+    span = range(truncation + 1)
 
-    # now DK in the horizontal direction, per vertical level q
-    levels = [[None] * (truncation + 1) for _ in range(truncation + 1)]
-    hfaces = [[None] * (truncation + 1) for _ in range(truncation + 1)]
-    vfaces = [[None] * (truncation + 1) for _ in range(truncation + 1)]
-    hdegens = [[None] * (truncation + 1) for _ in range(truncation + 1)]
-    vdegens = [[None] * (truncation + 1) for _ in range(truncation + 1)]
+    def vertical(p, q, target, maps):
+        # maps[s][i]: the i-th structure map of verticals[s] at level q; for
+        # each i these form a chain map of rows, row q -> row target
+        return [_dk_map(rows[q], rows[target], comps, p)
+                for comps in zip(*maps)]
 
-    layouts = [dk_summands(p, smax) for p in range(truncation + 1)]
-    for q in range(truncation + 1):
-        sizes = []
-        offsets = []
-        for p in range(truncation + 1):
-            off = {}
-            pos = 0
-            for sm in layouts[p]:
-                off[sm] = pos
-                pos += verticals[sm[1]].levels[q].gens
-            offsets.append(off)
-            sizes.append(pos)
-        for p in range(truncation + 1):
-            pres = None
-            for sm in layouts[p]:
-                piece = verticals[sm[1]].levels[q]
-                pres = piece if pres is None else pres.direct_sum(piece)
-            levels[p][q] = pres if pres is not None else Presentation.free(0)
-
-            def h_structure(alpha, m):
-                mat = [[0] * sizes[p] for _ in range(sizes[m])]
-                m_off = offsets[m]
-                for sigma, kk in layouts[p]:
-                    target, kind = _dk_block(sigma, kk, alpha)
-                    if kind is None:
-                        continue
-                    r0 = m_off[target]
-                    c0 = offsets[p][(sigma, kk)]
-                    if kind == "id":
-                        for t in range(verticals[kk].levels[q].gens):
-                            mat[r0 + t][c0 + t] = 1
-                    else:
-                        blk = gamma_h[kk][q]
-                        for i in range(len(blk)):
-                            for j in range(len(blk[0]) if blk else 0):
-                                mat[r0 + i][c0 + j] = blk[i][j]
-                return mat
-
-            if p >= 1:
-                hfaces[p][q] = [
-                    h_structure(_delta_coface(i, p - 1), p - 1)
-                    for i in range(p + 1)
-                ]
-            if p < truncation:
-                hdegens[p][q] = [
-                    h_structure(_sigma_codegen(j, p), p + 1)
-                    for j in range(p + 1)
-                ]
-            # vertical structure: blockwise from each vertical object
-            if q >= 1:
-                vfaces[p][q] = [
-                    _blockwise_vertical(
-                        layouts[p], verticals, offsets[p], sizes[p],
-                        lambda vert: vert.faces[q][jj],
-                        target_level=q - 1,
-                    )
-                    for jj in range(q + 1)
-                ]
-            if q < truncation:
-                vdegens[p][q] = [
-                    _blockwise_vertical(
-                        layouts[p], verticals, offsets[p], sizes[p],
-                        lambda vert: vert.degens[q][jj],
-                        target_level=q + 1,
-                    )
-                    for jj in range(q + 1)
-                ]
-    return BisimplicialAbelian(levels, hfaces, vfaces, hdegens, vdegens,
-                               truncation)
+    return BisimplicialAbelian(
+        [[rows[q].levels[p] for q in span] for p in span],
+        [[rows[q].faces[p] if p else None for q in span] for p in span],
+        [[vertical(p, q, q - 1, [v.faces[q] for v in verticals])
+          if q else None for q in span] for p in span],
+        [[rows[q].degens[p] if p < truncation else None for q in span]
+         for p in span],
+        [[vertical(p, q, q + 1, [v.degens[q] for v in verticals])
+          if q < truncation else None for q in span] for p in span],
+        truncation,
+    )
 
 
-def _blockwise_vertical(layout, verticals, offsets, size, pick, target_level):
-    pos = 0
-    t_off = {}
-    for sm in layout:
-        t_off[sm] = pos
-        pos += verticals[sm[1]].levels[target_level].gens
-    out = [[0] * size for _ in range(pos)]
-    for sm in layout:
-        vert = verticals[sm[1]]
-        blk = pick(vert)
-        r0 = t_off[sm]
-        c0 = offsets[sm]
-        for i in range(len(blk)):
-            for j in range(len(blk[0]) if blk else 0):
-                out[r0 + i][c0 + j] = blk[i][j]
+def _dk_map(src_dk, tgt_dk, components, level):
+    """Matrix at a simplicial level of the Dold-Kan image of a chain map
+    src_dk.dk_source -> tgt_dk.dk_source whose degree-k component is
+    components[k]: it maps each summand (sigma, k) to (sigma, k)."""
+    tgt_off = tgt_dk.dk_offsets[level]
+    out = [[0] * src_dk.levels[level].gens
+           for _ in range(tgt_dk.levels[level].gens)]
+    for summand, c0 in src_dk.dk_offsets[level].items():
+        r0 = tgt_off.get(summand)
+        if r0 is None:
+            continue
+        for i, row in enumerate(components[summand[1]]):
+            out[r0 + i][c0:c0 + len(row)] = row
     return out
 
 
@@ -1356,95 +1250,34 @@ def tot_e2_page(w: CosimplicialSimplicial, smax, tmax):
 # ---------------------------------------------------------------------------
 # Hom duals used by the adjointness identity
 
+def _free_ranks(levels, what):
+    """Ranks of free levels; Hom duals on generators need them free."""
+    if any(lv.nrels() for lv in levels):
+        raise AlgebraError(f"{what}: the Hom dual needs free levels")
+    return [lv.gens for lv in levels]
+
+
 def hom_cochain_of_simplicial(v: SimplicialAbelian, moduli, truncation=None):
     """Hom(v, G) for free levels: the cosimplicial abelian group with
     C^n = G^{rank v_n} and cofaces dual to the faces."""
     trunc = truncation if truncation is not None else v.truncation
-    dim = len(moduli)
-    levels = []
-    cofaces = []
-    for n in range(trunc + 1):
-        assert v.levels[n].nrels() == 0, "hom dual needs free levels"
-        levels.append(Presentation.from_moduli(moduli * v.levels[n].gens))
-    for n in range(trunc):
-        duals = []
-        for i in range(n + 2):
-            f = v.faces[n + 1][i]
-            rows = v.levels[n].gens
-            cols = v.levels[n + 1].gens
-            dual = [[0] * (rows * dim) for _ in range(cols * dim)]
-            for a in range(cols):
-                for bidx in range(rows):
-                    coef = f[bidx][a]
-                    if coef:
-                        for d in range(dim):
-                            dual[a * dim + d][bidx * dim + d] = coef
-            duals.append(dual)
-        cofaces.append(duals)
-    codegens = []
-    return CosimplicialAbelian(levels, cofaces, codegens, trunc)
+    ranks = _free_ranks(v.levels[:trunc + 1], "hom_cochain_of_simplicial")
+    g = CoefficientModule.trivial(Ring("Z"), moduli)
+    levels = [Presentation.from_moduli(moduli * rk) for rk in ranks]
+    cofaces = [[hom_dual(f, ranks[n], ranks[n + 1], g)
+                for f in v.faces[n + 1]] for n in range(trunc)]
+    return CosimplicialAbelian(levels, cofaces, [], trunc)
 
 
 def hom_bicomplex_total_cohomology(b: BisimplicialAbelian, moduli, degrees):
-    """Cohomology of the total complex of Hom(b, G) (free levels)."""
-    trunc = b.truncation
-    dim = len(moduli)
-    # cochain bicomplex C^{p,q} = G^{rank b_{p,q}} with both deltas
-    levels = {}
-    for p in range(trunc + 1):
-        for q in range(trunc + 1):
-            levels[(p, q)] = b.levels[p][q].gens
-    tot_levels = []
-    offsets = []
-    for m in range(2 * trunc + 1):
-        off = {}
-        pos = 0
-        pres = None
-        for p in range(min(m, trunc) + 1):
-            q = m - p
-            if q < 0 or q > trunc:
-                continue
-            off[(p, q)] = pos
-            piece = Presentation.from_moduli(moduli * levels[(p, q)])
-            pos += piece.gens
-            pres = piece if pres is None else pres.direct_sum(piece)
-        offsets.append(off)
-        tot_levels.append(pres if pres is not None else Presentation.free(0))
-
-    def dual_of(mat, rows, cols):
-        dual = [[0] * (rows * dim) for _ in range(cols * dim)]
-        for a in range(cols):
-            for bidx in range(rows):
-                c = mat[bidx][a]
-                if c:
-                    for d in range(dim):
-                        dual[a * dim + d][bidx * dim + d] = c
-        return dual
-
-    deltas = [None]
-    for m in range(1, 2 * trunc + 1):
-        rows = tot_levels[m - 1].gens
-        cols = tot_levels[m].gens
-        mat = [[0] * rows for _ in range(cols)]
-        # delta: C^{m-1} -> C^m; components from (p,q) with p+q = m-1
-        for (p, q), c0 in offsets[m - 1].items():
-            if p + 1 <= trunc and (p + 1, q) in offsets[m]:
-                h = _alternating_sum(b.hfaces[p + 1][q])
-                dual = dual_of(h, len(h), len(h[0]) if h else 0)
-                r0 = offsets[m][(p + 1, q)]
-                for i in range(len(dual)):
-                    for j in range(len(dual[0]) if dual else 0):
-                        mat[r0 + i][c0 + j] += dual[i][j]
-            if q + 1 <= trunc and (p, q + 1) in offsets[m]:
-                v = _alternating_sum(b.vfaces[p][q + 1])
-                dual = dual_of(v, len(v), len(v[0]) if v else 0)
-                sgn = 1 if p % 2 == 0 else -1
-                r0 = offsets[m][(p, q + 1)]
-                for i in range(len(dual)):
-                    for j in range(len(dual[0]) if dual else 0):
-                        mat[r0 + i][c0 + j] += sgn * dual[i][j]
-        deltas.append(mat)
-    out = {}
-    for n in degrees:
-        out[n] = cohomology_at(tot_levels, deltas, n).invariants()
-    return out
+    """Cohomology of the total complex of Hom(b, G) (free levels) below
+    the truncation: Hom of the total complex is the total complex of the
+    Hom bicomplex, with the same blocks and signs."""
+    if max(degrees) + 1 > b.truncation:
+        raise AlgebraError("truncation too small")
+    cx = total_complex(b)
+    ranks = _free_ranks(cx.levels, "hom_bicomplex_total_cohomology")
+    z = Ring("Z")
+    levels, deltas = hom_cochain_complex(
+        z, ranks, cx.diffs, CoefficientModule.trivial(z, moduli))
+    return {n: cohomology_at(levels, deltas, n).invariants() for n in degrees}

@@ -52,16 +52,14 @@ def term_str(t: Term) -> str:
 def variables(t: Term):
     """Variable names in order of first occurrence."""
     out = []
-
-    def walk(u):
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if isinstance(u, Var):
             if u.name not in out:
                 out.append(u.name)
         else:
-            for a in u.args:
-                walk(a)
-
-    walk(t)
+            stack.extend(reversed(u.args))
     return out
 
 

@@ -1,6 +1,7 @@
 """Edge paths: chain-form .sres fixtures, the bidegree Ext fixture through
 tot, latching/Moore rank bookkeeping on generated resolutions, error
-positions, and budget exhaustion."""
+positions, budget exhaustion, and searches that leave no reference
+cycles."""
 
 import os
 
@@ -183,6 +184,31 @@ def test_factor_set_budget_exhaustion():
     k = XModule.trivial(v4, [3])
     with pytest.raises(BudgetExhausted):
         factor_set_cohomology(v4, k, 2, budget=10)
+
+
+def test_searches_leave_no_reference_cycles():
+    # a recursive closure refers to itself through its cell, a cycle that
+    # only the cyclic garbage collector frees
+    import gc
+
+    from aq.dsl import parse_term
+    from aq.simplicial import surjections
+    from aq.terms import variables
+
+    term = parse_term("f($x, g($y, $x), h($z))")
+    z2 = cyclic_group(2)
+    k = XModule.trivial(z2, [2])
+    for call in (lambda: surjections(4, 2), lambda: variables(term),
+                 lambda: factor_set_cohomology(z2, k, 2)):
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+    assert variables(term) == ["x", "y", "z"]
+    assert factor_set_cohomology(z2, k, 2) == G(2)
 
 
 def test_rings_and_their_modules_reject_invalid_input():

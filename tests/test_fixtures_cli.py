@@ -491,3 +491,68 @@ def test_cli_factor_set_degree_is_checked_without_assert():
         assert "--degree: factor-set computes degree 1 or 2, not 3" \
             in proc.stderr, flags
         assert proc.stdout == "", flags
+
+
+def test_identifiers_may_contain_a_bar(capsys):
+    # v4.alg names its elements a|e, e|a, ... as direct_product does
+    v4 = load_algebra(fx("v4.alg"))
+    assert v4.order() == 4
+    code = main(["cohomology", "--theory", "gp", "--algebra", fx("v4.alg"),
+                 "--coeffs", "2", "--max-degree", "1", "--method", "both"])
+    out = capsys.readouterr().out
+    assert code == 0
+    # H^1 here is the classical H^2(V4; Z/2) = (Z/2)^3
+    assert out.splitlines() == [
+        "H^0 = Z/2 + Z/2",
+        "H^1 = Z/2 + Z/2 + Z/2   (em route: Z/2 + Z/2 + Z/2)",
+    ]
+
+
+def test_unterminated_string_is_a_syntax_error(tmp_path, capsys):
+    (tmp_path / "z2.alg").write_text(fx_text("z2.alg"))
+    bad = tmp_path / "bad.xmod"
+    bad.write_text('xmodule bad {\n  base "z2.alg\n  carrier g : 2\n}\n')
+    code = main(["check", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error: 2:8: unterminated string" in err
+
+
+@pytest.mark.parametrize("argv,theory,declared", [
+    (["cohomology", "--coeffs", "2", "--theory", "mod:Z[C2]", "--algebra",
+      fx("y-z4.alg")], "mod:Z[C2]", "Ab"),
+    (["cohomology", "--coeffs", "2", "--theory", "mod:Z/4", "--algebra",
+      fx("y-z4.alg")], "mod:Z/4", "Ab"),
+    (["homology", "--theory", "mod:Z", "--algebra", fx("z4-presented.alg")],
+     "mod:Z", "Gp"),
+    (["homology", "--theory", "gp", "--algebra", fx("y-z4.alg")],
+     "gp", "Ab"),
+    (["homology", "--theory", "gp", "--algebra", fx("z4.alg"),
+      "--over", fx("y-z4.alg")], "gp", "Ab"),
+], ids=["group-ring", "zmod", "module-on-group-file", "group-on-module-file",
+        "over-module-file"])
+def test_theory_option_must_match_the_declared_theory(argv, theory, declared,
+                                                      capsys):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"--theory {theory} " in err
+    assert f"does not match theory {declared} declared by {argv[-1]}" in err
+
+
+def test_module_presentation_rejects_a_group_theory():
+    from aq.fixtures import FixtureError
+
+    with pytest.raises(FixtureError) as exc:
+        parse_module_presentation(fx_text("z4-presented.alg"),
+                                  source="z4-presented.alg")
+    assert str(exc.value).startswith("z4-presented.alg:2: theory Gp is "
+                                     "neither abelian nor a module theory")
+
+
+def test_builtin_module_theories_are_built_once():
+    from aq.fixtures import builtin_theory
+
+    for name in ("mod:Z/4", "mod:Z[C3]"):
+        assert builtin_theory(name) is builtin_theory(name)
+    assert builtin_theory("mod:Z/4") is not builtin_theory("mod:Z/2")

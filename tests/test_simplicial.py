@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 from aq.abgroups import FGAbelianGroup, FinAb
@@ -222,6 +223,46 @@ def test_matching_of_em_object():
     assert bijective  # level n+2 equals its matching object
     inv2, bij2 = matching(kernel, 2)
     assert not bij2  # level n+1 is strictly bigger than M_{n+1}
+    # level 0 has no faces, so M_1 = X_0 x X_0 = 0, smaller than level 1
+    assert matching(kernel, 1) == (G(), False)
+    assert matching(k_object(G(2), 2, truncation=4), 1) == (G(), True)
+
+
+def test_matching_and_hom_dual_checks_do_not_depend_on_assert():
+    # each input check raises an AlgebraError, under `python -O` (which
+    # strips asserts) as well
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "\n".join([
+        "from aq.abgroups import FGAbelianGroup",
+        "from aq.algebras import AlgebraError",
+        "from aq.presented import Presentation",
+        "from aq.simplicial import PresentedComplex, dold_kan, "
+        "hom_cochain_of_simplicial, k_object, matching",
+        "def fails(f):",
+        "    try:",
+        "        f()",
+        "    except AlgebraError as exc:",
+        "        print(exc)",
+        "skew = PresentedComplex([Presentation(2, [[2], [2]])], [None])",
+        "fails(lambda: matching(dold_kan(skew, truncation=2), 1))",
+        "z = k_object(FGAbelianGroup(1), 1, truncation=3)",
+        "fails(lambda: matching(z, 2))",
+        "z2 = k_object(FGAbelianGroup.from_divisors([2]), 1, truncation=3)",
+        "fails(lambda: hom_cochain_of_simplicial(z2, [2]))",
+    ])
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.splitlines() == [
+            "matching: a level presentation is not diagonal",
+            "matching: a level is infinite",
+            "hom_cochain_of_simplicial: the Hom dual needs free levels",
+        ], flags
 
 
 def test_eilenberg_maclane_levels_z2():
@@ -269,6 +310,10 @@ def test_path_object_levels_and_projections():
     em = eilenberg_maclane(x, k, 1, truncation=3)
     pe = path_object(em)
     pe.check_identities()
+    assert hashlib.sha256(repr([
+        [sorted(m.mapping["g"].items()) for m in proj]
+        for proj in pe.projections
+    ]).encode()).hexdigest() == PATH_PROJECTIONS_DIGEST
     # E^I_0 = K x| X; E^I_1 = (K + K + s_0 K) x| X
     assert pe.levels[0].order() == 4
     assert pe.levels[1].order() == 16
@@ -333,6 +378,42 @@ def _random_double_complex(rng, smax, tmax):
     return cols, hdiffs
 
 
+# SHA-256 digests of exact outputs, recorded from the earlier hand-written
+# layouts (a horizontal Dold-Kan of its own, a separate Hom totalization and
+# per-copy projection blocks); the shared dold_kan, _dk_map and
+# hom_cochain_complex route must reproduce them bit for bit
+BISIMPLICIAL_DIGEST = (
+    "12f589d6b10f5abaa5e66ef96f7632cff3ab16c7de7d172ed5ea7d72572d2672")
+PATH_PROJECTIONS_DIGEST = (
+    "41fd45707fd9c8cf44f9cb745427af99e80376381dbaa3c6ac849f1fdf1e2088")
+
+
+def _bisimplicial_digest(seed=2024, trials=40):
+    """Levels and all structure maps at truncation 3, and the Hom total
+    cohomology with G = Z/2 and Z/3 + Z, of the double complexes that
+    bicomplex_checks draws."""
+    from aq.spectral import (
+        _tensor_double_complex,
+        _zero_vertical_double_complex,
+    )
+
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for trial in range(trials):
+        make = (_tensor_double_complex if trial % 2 == 0
+                else _zero_vertical_double_complex)
+        b = bisimplicial_from_double_complex(*make(rng, 2, 2), 3)
+        h.update(repr((
+            [[(p.gens, p.rels) for p in row] for row in b.levels],
+            b.hfaces, b.vfaces, b.hdegens, b.vdegens,
+        )).encode())
+        for g in ([2], [3, 0]):
+            coh = hom_bicomplex_total_cohomology(b, g, range(3))
+            h.update(repr(sorted((n, c.to_json())
+                                 for n, c in coh.items())).encode())
+    return h.hexdigest()
+
+
 def test_eilenberg_zilber_on_random_bisimplicial(seed=5, trials=6):
     rng = random.Random(seed)
     for _ in range(trials):
@@ -344,6 +425,7 @@ def test_eilenberg_zilber_on_random_bisimplicial(seed=5, trials=6):
         pis = moore_homotopy(d, range(3))
         hs = tc.homology(range(3))
         assert pis == hs, (pis, hs)
+    assert _bisimplicial_digest() == BISIMPLICIAL_DIGEST
 
 
 def test_diag_constant_direction_collapses():
