@@ -21,9 +21,14 @@ class FGAbelianGroup:
 
     def __init__(self, rank=0, torsion=()):
         torsion = [int(t) for t in torsion if t != 1]
-        assert rank >= 0 and all(t >= 2 for t in torsion)
+        if rank < 0 or any(t < 2 for t in torsion):
+            raise AlgebraError(
+                f"FGAbelianGroup: rank {rank} must be >= 0 and torsion "
+                f"{torsion} >= 2")
         for a, b in zip(torsion, torsion[1:]):
-            assert b % a == 0, f"torsion {torsion} not in divisibility order"
+            if b % a:
+                raise AlgebraError(
+                    f"torsion {torsion} not in divisibility order")
         self.rank = int(rank)
         self.torsion = tuple(torsion)
 
@@ -123,7 +128,8 @@ class FinAb:
 
     @classmethod
     def from_invariants(cls, group: FGAbelianGroup):
-        assert group.rank == 0, "FinAb carriers must be finite"
+        if group.rank:
+            raise AlgebraError(f"FinAb carriers must be finite, not {group}")
         return cls(group.torsion or ())
 
     def invariants(self):

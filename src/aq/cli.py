@@ -14,7 +14,7 @@ import sys
 
 from .algebras import AlgebraError, BudgetExhausted, NotFiniteWithinBound
 from .beck import XModule
-from .dsl import DslSyntaxError, parse_theory, print_theory
+from .dsl import DslSyntaxError, parse_file, parse_theory, print_theory
 from .fixtures import (
     FixtureError,
     builtin_theory,
@@ -153,16 +153,14 @@ def _emit(args, payload, human_lines):
 
 def _load_theory_arg(ref):
     if ref.endswith(".thy"):
-        with open(ref) as fh:
-            return parse_theory(fh.read())
+        return parse_file(ref, parse_theory)
     return builtin_theory(ref)
 
 
 def cmd_check(args):
     path = args.path
     if path.endswith(".thy"):
-        with open(path) as fh:
-            t = parse_theory(fh.read())
+        t = parse_file(path, parse_theory)
         return _emit(args, {"kind": "theory", "name": t.name,
                             "sorts": list(t.sorts),
                             "ops": len(t.ops), "equations": len(t.equations)},
@@ -318,8 +316,8 @@ def cmd_invariants(args):
         values = homology(v, range(top + 1), certificate=cert)
         return _report_values(args, values, {})
     # module theories: resolve the presented module
-    with open(args.algebra) as fh:
-        y = parse_module_presentation(fh.read(), source=args.algebra)
+    y = parse_file(args.algebra, parse_module_presentation,
+                   source=args.algebra)
     v = resolve_module(y, length=top + 2)
     cert = check_certificate(v, y, rng=min(top, v.truncation - 1))
     if not cert.valid:
@@ -397,8 +395,8 @@ def cmd_oracle(args):
         return _emit(args, {"degree": args.degree, **value.to_json()},
                      [f"H^{args.degree}({g.name}) = {value}"])
     ring = _ring_option(args.ring)
-    with open(args.module) as fh:
-        mod = parse_module_presentation(fh.read(), source=args.module)
+    mod = parse_file(args.module, parse_module_presentation,
+                     source=args.module)
     coeff = _trivial_coefficients(CoefficientModule, ring, args.coeffs or "2")
     fn = ext_oracle if args.kind == "ext" else tor_oracle
     values = fn(mod, coeff, args.max_degree)
@@ -415,8 +413,8 @@ def cmd_ss(args):
 
     ring = _ring_option(args.ring)
     if args.module:
-        with open(args.module) as fh:
-            mod = parse_module_presentation(fh.read(), source=args.module)
+        mod = parse_file(args.module, parse_module_presentation,
+                         source=args.module)
         graded = GradedModule.concentrated(mod)
     elif args.h:
         from .rings import RModulePresentation

@@ -21,10 +21,16 @@ from .theories import OpDecl, TheoryPresentation
 
 
 class DslSyntaxError(Exception):
-    def __init__(self, line, col, msg):
-        super().__init__(f"{line}:{col}: {msg}")
+    """A syntax error at line:col, prefixed by the file that holds it once
+    a loader knows it (`parse_file`)."""
+
+    def __init__(self, line, col, msg, path=None):
+        where = f"{path}:{line}:{col}" if path else f"{line}:{col}"
+        super().__init__(f"{where}: {msg}")
         self.line = line
         self.col = col
+        self.msg = msg
+        self.path = path
 
 
 _IDENT_CHARS = set(
@@ -197,6 +203,20 @@ def parse_theory(text) -> TheoryPresentation:
     t = _Parser(tokenize(text)).parse_theory()
     _recognize_class(t)
     return t
+
+
+def parse_file(path, parse, **kwargs):
+    """parse(text of the file `path`, **kwargs).  A DslSyntaxError in that
+    text is reported at path:line:col; one that already names a file (a
+    file the text refers to, such as an .xmod `base`) keeps it."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text, **kwargs)
+    except DslSyntaxError as exc:
+        if exc.path is not None:
+            raise
+        raise DslSyntaxError(exc.line, exc.col, exc.msg, path) from None
 
 
 def parse_term(text) -> Term:

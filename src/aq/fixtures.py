@@ -22,7 +22,7 @@ from .algebras import (
     realize_presentation,
 )
 from .beck import XModule
-from .dsl import DslSyntaxError, _Parser, parse_theory, tokenize
+from .dsl import DslSyntaxError, _Parser, parse_file, parse_theory, tokenize
 from .rings import RingDescriptorError, parse_ring
 from .simplicial import ChainComplex, SimplicialTheta, dold_kan
 from .theories import TheoryPresentation, module_theory, zmod_module_theory
@@ -100,9 +100,8 @@ def _theory_ref(p: _FixtureParser, base_dir):
     p.expect("theory")
     tok = p.peek()
     if tok.kind == "string":
-        path = p.parse_string_ref()
-        with open(os.path.join(base_dir, path)) as fh:
-            return parse_theory(fh.read())
+        return parse_file(os.path.join(base_dir, p.parse_string_ref()),
+                          parse_theory)
     name = p.expect_ident()
     if p.peek().text == ":":
         p.next()
@@ -115,9 +114,8 @@ def _theory_ref(p: _FixtureParser, base_dir):
 
 
 def load_algebra(path) -> FiniteAlgebra:
-    with open(path) as fh:
-        text = fh.read()
-    return parse_algebra(text, base_dir=os.path.dirname(path), source=path)
+    return parse_file(path, parse_algebra, base_dir=os.path.dirname(path),
+                      source=path)
 
 
 def _eval_at(free, term, where):
@@ -150,9 +148,11 @@ def _algebra_header(p: _FixtureParser, base_dir):
 
 def declared_theory(path) -> TheoryPresentation:
     """The theory that the `theory` line of an .alg file names."""
-    with open(path) as fh:
-        p = _FixtureParser(tokenize(fh.read()))
-    return _algebra_header(p, os.path.dirname(path))[1]
+    def header_theory(text):
+        p = _FixtureParser(tokenize(text))
+        return _algebra_header(p, os.path.dirname(path))[1]
+
+    return parse_file(path, header_theory)
 
 
 def parse_algebra(text, base_dir="", source="<algebra>") -> FiniteAlgebra:
@@ -313,10 +313,8 @@ def parse_module_presentation(text, base_dir="", source="<module>"):
 
 
 def load_xmodule(path, base=None) -> XModule:
-    with open(path) as fh:
-        text = fh.read()
-    return parse_xmodule(text, base_dir=os.path.dirname(path), base=base,
-                         source=path)
+    return parse_file(path, parse_xmodule, base_dir=os.path.dirname(path),
+                      base=base, source=path)
 
 
 def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
@@ -455,9 +453,8 @@ def _validate_fhat_tables(km: XModule, fhat_tables):
 
 
 def load_sres(path):
-    with open(path) as fh:
-        text = fh.read()
-    return parse_sres(text, base_dir=os.path.dirname(path), source=path)
+    return parse_file(path, parse_sres, base_dir=os.path.dirname(path),
+                      source=path)
 
 
 def parse_sres(text, base_dir="", source="<sres>"):

@@ -23,6 +23,7 @@ from .simplicial import (
     cohomotopy,
     cohomotopy_subquotients,
     moore_homotopy,
+    nondegenerate_cells,
 )
 from .snf import mat_mul, mat_vec
 
@@ -59,26 +60,21 @@ def _coefficient(k, x=None):
 def _structure_matrices(v, x):
     """(faces, degens) as sparse R-matrices, per column the (row, entry)
     pairs of its nonzero entries: the Fox matrices of a free simplicial
-    algebra (over Z[X] when x is given), the level maps of a free module."""
+    algebra (over Z[X] when x is given), the level maps of a free module.
+    Each object builds them once."""
     if isinstance(v, SimplicialTheta):
         return v.fox_matrices(x is not None)
-    ranks = [lv.gens for lv in v.levels]
-
-    def sparse(maps, cols):
-        return [[[(i, row[j]) for i, row in enumerate(m) if row[j]]
-                 for j in range(cols)] for m in maps]
-
-    return ([sparse(maps, ranks[n]) for n, maps in enumerate(v.faces)],
-            [sparse(maps, ranks[n]) for n, maps in enumerate(v.degens)])
+    return v.columns()
 
 
 def _normalized_cells(v):
     """Per level, the generator indices of the normalized complex: the
-    nondegenerate generators where the degeneracies send generators to
-    generators (`nondegenerate_generators`), else None."""
+    nondegenerate generators where every degeneracy sends each generator
+    to a single one (`nondegenerate_generators` for free algebras,
+    `nondegenerate_cells` for free modules), else None."""
     if isinstance(v, SimplicialTheta):
         return nondegenerate_generators(v)
-    return None
+    return nondegenerate_cells(v)
 
 
 def _all_cells(v):

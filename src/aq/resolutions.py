@@ -29,16 +29,15 @@ from .rings import (
     Ring,
     ext_groups,
     free_resolution,
-    r_matrix_to_z,
     tor_groups,
 )
 from .simplicial import (
     ChainComplex,
-    PresentedComplex,
     SimplicialFreeModule,
     SimplicialIdentityError,
     SimplicialTheta,
     _is_single_gen,
+    _restricted_complex,
     _the_gen,
     dold_kan,
     moore_homotopy,
@@ -190,8 +189,8 @@ def abelianized_complex(v: SimplicialTheta, over=None):
     ring = _coefficient_ring(v, over)
     faces, _ = v.fox_matrices(over is not None)
     levels = [Presentation(len(c) * ring.zrank()) for c in cells]
-    return (_fox_complex(ring, levels, faces, cells), [len(c) for c in cells],
-            ring)
+    return (_restricted_complex(ring, levels, faces, cells),
+            [len(c) for c in cells], ring)
 
 
 def _degenerate_quotient_complex(v: SimplicialTheta, over=None):
@@ -222,27 +221,7 @@ def _degenerate_quotient_complex(v: SimplicialTheta, over=None):
             [[c[i] for c in rels] for i in range(rank * zr)] if rels else None,
         ))
     cells = [range(r) for r in ranks]
-    return _fox_complex(ring, levels, faces, cells), ranks, ring
-
-
-def _fox_complex(ring, levels, faces, cells):
-    """The presented complex on `levels` whose differential at n is the
-    alternating sum of the face Fox matrices restricted to
-    cells[n-1] x cells[n], realized over Z once."""
-    diffs = [None]
-    for n in range(1, len(levels)):
-        rows, cols = cells[n - 1], cells[n]
-        pos = {i: r for r, i in enumerate(rows)}
-        total = [[ring.zero()] * len(cols) for _ in rows]
-        for k, fox in enumerate(faces[n]):
-            for c, j in enumerate(cols):
-                for i, entry in fox[j]:
-                    r = pos.get(i)
-                    if r is not None:
-                        total[r][c] = ring.add(
-                            total[r][c], entry if k % 2 == 0 else ring.neg(entry))
-        diffs.append(r_matrix_to_z(ring, total, len(rows), len(cols)))
-    return PresentedComplex(levels, diffs)
+    return _restricted_complex(ring, levels, faces, cells), ranks, ring
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +318,8 @@ def _abelianized_acyclic(v: SimplicialTheta, x, rng):
 def _check_module_certificate(v: SimplicialFreeModule, module, rng):
     checks = {}
     detail = {}
-    realized = v.to_abelian()
     try:
-        realized.check_identities()
+        v.check_identities()
         checks["simplicial_identities"] = True
     except SimplicialIdentityError as exc:
         checks["simplicial_identities"] = False
@@ -349,7 +327,7 @@ def _check_module_certificate(v: SimplicialFreeModule, module, rng):
     checks["degreewise_free"] = True  # free by construction of the container
     if rng + 1 > v.truncation:
         raise AlgebraError("certificate range exceeds the truncation")
-    pis = moore_homotopy(realized, range(rng + 1))
+    pis = moore_homotopy(v, range(rng + 1))
     if isinstance(module, RModulePresentation):
         target_inv = module.invariants()
     else:

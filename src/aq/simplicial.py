@@ -36,7 +36,6 @@ from .rings import (
 )
 from .snf import (
     cols_to_matrix,
-    identity_matrix,
     kernel_basis,
     mat_mul,
     mat_vec,
@@ -45,7 +44,8 @@ from .snf import (
 __all__ = [
     "SimplicialTheta", "SimplicialAbelian",
     "SimplicialFreeModule", "ChainComplex", "PresentedComplex",
-    "dold_kan", "normalize_dk", "moore_homotopy", "cohomotopy",
+    "dold_kan", "normalize_dk", "moore_homotopy", "nondegenerate_cells",
+    "cohomotopy",
     "CosimplicialAbelian", "latching", "matching", "eilenberg_maclane",
     "path_object", "BisimplicialAbelian", "diag", "diag_e2_page",
     "total_complex", "CosimplicialSimplicial", "tot", "tot_e2_page",
@@ -62,8 +62,9 @@ class SimplicialIdentityError(AlgebraError):
 class _SimplicialBase:
     """levels[n]; faces[n][i]: level n -> n-1; degens[n][j]: n -> n+1.
 
-    A flavor supplies the hooks `_compose(outer, inner, src_level)`,
-    `_identity_on(n)` and `_maps_equal(m1, m2, src_level, tgt_level)`."""
+    A flavor supplies the hooks `_compose(outer, inner)`,
+    `_identity_on(n)` and `_maps_equal(m1, m2, src_level, tgt_level)`, and
+    may override `_identity_maps` to hand them its maps in another form."""
 
     def __init__(self, levels, faces, degens, truncation):
         self.levels = list(levels)
@@ -75,12 +76,12 @@ class _SimplicialBase:
         """All five simplicial identity families, mechanically, within the
         truncation; raises SimplicialIdentityError naming the failure."""
         t = self.truncation
-        d, s = self.faces, self.degens
+        d, s = self._identity_maps()
         for n in range(2, t + 1):
             for i in range(n + 1):
                 for j in range(i + 1, n + 1):
-                    lhs = self._compose(d[n - 1][i], d[n][j], n)
-                    rhs = self._compose(d[n - 1][j - 1], d[n][i], n)
+                    lhs = self._compose(d[n - 1][i], d[n][j])
+                    rhs = self._compose(d[n - 1][j - 1], d[n][i])
                     if not self._maps_equal(lhs, rhs, n, n - 2):
                         raise SimplicialIdentityError(
                             f"d_{i} d_{j} != d_{j-1} d_{i} at level {n}"
@@ -88,13 +89,13 @@ class _SimplicialBase:
         for n in range(0, t):
             for j in range(n + 1):
                 for i in range(n + 2):
-                    lhs = self._compose(d[n + 1][i], s[n][j], n)
+                    lhs = self._compose(d[n + 1][i], s[n][j])
                     if i == j or i == j + 1:
                         rhs = self._identity_on(n)
                     elif i < j:
-                        rhs = self._compose(s[n - 1][j - 1], d[n][i], n)
+                        rhs = self._compose(s[n - 1][j - 1], d[n][i])
                     else:
-                        rhs = self._compose(s[n - 1][j], d[n][i - 1], n)
+                        rhs = self._compose(s[n - 1][j], d[n][i - 1])
                     if not self._maps_equal(lhs, rhs, n, n):
                         raise SimplicialIdentityError(
                             f"d_{i} s_{j} identity fails at level {n}"
@@ -102,12 +103,16 @@ class _SimplicialBase:
         for n in range(0, t - 1):
             for i in range(n + 1):
                 for j in range(i, n + 1):
-                    lhs = self._compose(s[n + 1][i], s[n][j], n)
-                    rhs = self._compose(s[n + 1][j + 1], s[n][i], n)
+                    lhs = self._compose(s[n + 1][i], s[n][j])
+                    rhs = self._compose(s[n + 1][j + 1], s[n][i])
                     if not self._maps_equal(lhs, rhs, n, n + 2):
                         raise SimplicialIdentityError(
                             f"s_{i} s_{j} != s_{j+1} s_{i} at level {n}"
                         )
+
+    def _identity_maps(self):
+        """(faces, degens) in the form the hooks take."""
+        return self.faces, self.degens
 
 
 class SimplicialTheta(_SimplicialBase):
@@ -125,7 +130,7 @@ class SimplicialTheta(_SimplicialBase):
     def is_free_levelwise(self):
         return all(lv.is_free() for lv in self.levels)
 
-    def _compose(self, outer: AlgebraMap, inner: AlgebraMap, src_level):
+    def _compose(self, outer: AlgebraMap, inner: AlgebraMap):
         src = inner.source
         sort = src.theory.sorts[0]
         if src.is_free():
@@ -170,7 +175,7 @@ class SimplicialTheta(_SimplicialBase):
         m = self.augmentation
         chain = m
         for k in range(1, n + 1):
-            chain = self._compose(chain, self.faces[k][0], k)
+            chain = self._compose(chain, self.faces[k][0])
         return chain
 
     def fox_matrices(self, relative):
@@ -195,21 +200,95 @@ class SimplicialTheta(_SimplicialBase):
         return self._fox[relative]
 
 
-class SimplicialAbelian(_SimplicialBase):
-    """Levels are presented Z-modules, maps are integer matrices on
-    generators.  Matrices may have zero rows, so compositions track their
-    shapes through the level data explicitly."""
+class _MatrixSimplicial(_SimplicialBase):
+    """A flavor whose maps are matrices on generators (rows: the target
+    level) with entries in `ring`, or integers when `ring` is None.  The
+    identity check and the normalized complex read them as sparse
+    columns."""
 
-    def _compose(self, outer, inner, src_level):
-        return mat_mul(outer, inner, self.levels[src_level].gens)
+    ring = None
+    _columns = None
+
+    def columns(self, refresh=False):
+        """(faces, degens) as sparse columns: faces[n][i][j] lists the
+        (row, entry) pairs of the nonzero entries of d_i on generator j of
+        level n, degens[n][j] those of s_j on level n.  Built once and
+        kept; `refresh` reads the matrices again, as the identity check
+        does, so that it always checks the maps as they are."""
+        if refresh or self._columns is None:
+            gens = [lv.gens for lv in self.levels]
+
+            def sparse(mat, n):
+                cols = [[] for _ in range(gens[n])]
+                for i, row in enumerate(mat):
+                    for j, x in enumerate(row):
+                        if x:
+                            cols[j].append((i, x))
+                return cols
+
+            self._columns = (
+                [[sparse(m, n) for m in maps]
+                 for n, maps in enumerate(self.faces)],
+                [[sparse(m, n) for m in maps]
+                 for n, maps in enumerate(self.degens)],
+            )
+        return self._columns
+
+    def _identity_maps(self):
+        return self.columns(refresh=True)
+
+    def _compose(self, outer, inner):
+        return _compose_columns(outer, inner, self.ring)
 
     def _identity_on(self, n):
-        return identity_matrix(self.levels[n].gens)
+        one = 1 if self.ring is None else self.ring.one()
+        return [{j: one} for j in range(self.levels[n].gens)]
+
+
+def _compose_columns(outer, inner, ring):
+    """outer . inner on sparse columns, as one {row: entry} dict of the
+    nonzero entries per column of `inner`.  Integer entries (reduced mod m
+    over Z/m), or group-ring entries composed as left-module maps: the
+    coefficient of the inner map multiplies on the left."""
+    out = []
+    if ring is not None and ring.kind == "ZG":
+        for col in inner:
+            acc = {}
+            for t, a in col:
+                for i, b in outer[t]:
+                    acc[i] = ring.add(acc.get(i, {}), ring.mul(a, b))
+            out.append({i: x for i, x in acc.items() if x})
+        return out
+    m = ring.m if ring is not None and ring.kind == "Zmod" else 0
+    for col in inner:
+        acc = {}
+        for t, a in col:
+            for i, b in outer[t]:
+                acc[i] = acc.get(i, 0) + a * b
+        if m:
+            acc = {i: x % m for i, x in acc.items()}
+        out.append({i: x for i, x in acc.items() if x})
+    return out
+
+
+class SimplicialAbelian(_MatrixSimplicial):
+    """Levels are presented Z-modules, maps are integer matrices on
+    generators.  Matrices may have zero rows, so the column count of a map
+    is read from its source level."""
 
     def _maps_equal(self, m1, m2, src_level, tgt_level):
-        # matrix equality holds modulo the target level's relations
-        return _matrices_equal_mod(m1, m2, self.levels[src_level].gens,
-                                   self.levels[tgt_level])
+        # column by column, equal modulo the target level's relations
+        target = self.levels[tgt_level]
+        for a, b in zip(m1, m2):
+            if a != b:
+                col = [0] * target.gens
+                for i, x in a.items():
+                    col[i] += x
+                for i, x in b.items():
+                    col[i] -= x
+                if not target.contains_in_relations(col):
+                    return False
+        return True
 
 
 def _matrices_equal_mod(m1, m2, cols, target: Presentation):
@@ -223,14 +302,19 @@ def _matrices_equal_mod(m1, m2, cols, target: Presentation):
     return True
 
 
-class SimplicialFreeModule(_SimplicialBase):
-    """Levels are free modules over a registered ring; maps are R-matrices."""
+class SimplicialFreeModule(_MatrixSimplicial):
+    """Levels are free modules over a registered ring; maps are R-matrices.
+    The simplicial identities are checked over R: entries compose in the
+    ring and compare as ring elements (over Z/m, modulo m)."""
 
     def __init__(self, ring: Ring, ranks, faces, degens, truncation):
         super().__init__([Presentation.free(r) for r in ranks], faces, degens,
                          truncation)
         self.ring = ring
         self.ranks = list(ranks)
+
+    def _maps_equal(self, m1, m2, src_level, tgt_level):
+        return m1 == m2
 
     def to_abelian(self) -> SimplicialAbelian:
         """The underlying simplicial abelian group: each R-matrix entry
@@ -245,12 +329,6 @@ class SimplicialFreeModule(_SimplicialBase):
                    for m in self.degens[n]] if n < len(ranks) - 1 else []
                   for n in range(len(ranks))]
         return SimplicialAbelian(levels, faces, degens, self.truncation)
-
-    def check_identities(self):
-        # the realization is faithful and multiplicative for left-module
-        # composition, and equality modulo m*I is equality in Z/m, so the
-        # identities hold over R exactly when they hold over Z
-        self.to_abelian().check_identities()
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +599,84 @@ def k_object(group: FGAbelianGroup, n, truncation=None):
 # ---------------------------------------------------------------------------
 # Moore homotopy and cohomotopy
 
-def _normalized_quotient(v: SimplicialAbelian):
-    """The degenerate-image quotient complex (isomorphic to the Moore
-    complex) with the alternating-sum differential."""
+def nondegenerate_cells(v):
+    """Per level, the indices of the generators that no degeneracy hits,
+    when every degeneracy column of `v` (a SimplicialAbelian or a
+    SimplicialFreeModule) is a single entry equal to one (+1, or the
+    ring's one); else None.  Then the degenerate part of level n is
+    spanned by the hit generators, so the normalized complex lives on the
+    others.  Read from the degeneracy matrices alone."""
+    one = 1 if v.ring is None else v.ring.one()
+    _, degens = v.columns()
+    out = []
+    for n, lv in enumerate(v.levels):
+        hit = set()
+        for s in degens[n - 1] if n >= 1 else []:
+            for col in s:
+                if len(col) != 1 or col[0][1] != one:
+                    return None
+                hit.add(col[0][0])
+        out.append([i for i in range(lv.gens) if i not in hit])
+    return out
+
+
+def _restricted_complex(ring, levels, faces, cells):
+    """The presented complex on `levels` whose differential at n is the
+    alternating sum of the sparse face matrices over `ring` restricted to
+    cells[n-1] x cells[n], realized over Z once."""
+    diffs = [None]
+    for n in range(1, len(levels)):
+        rows, cols = cells[n - 1], cells[n]
+        pos = {i: r for r, i in enumerate(rows)}
+        total = [[ring.zero()] * len(cols) for _ in rows]
+        for k, face in enumerate(faces[n]):
+            for c, j in enumerate(cols):
+                for i, entry in face[j]:
+                    r = pos.get(i)
+                    if r is not None:
+                        total[r][c] = ring.add(
+                            total[r][c], entry if k % 2 == 0 else ring.neg(entry))
+        diffs.append(r_matrix_to_z(ring, total, len(rows), len(cols)))
+    return PresentedComplex(levels, diffs)
+
+
+def _normalized_quotient(v, top):
+    """The normalized (Moore) complex of a SimplicialAbelian or
+    SimplicialFreeModule through level `top`, with the alternating-sum
+    differential, and per level the generator indices it lives on.
+
+    On the nondegenerate generators (`nondegenerate_cells`) level n is the
+    quotient by the degenerate ones: free over the ring on the others, or
+    presented by its relations restricted to them.  Otherwise every
+    generator stays, modulo the degenerate images."""
+    cells = nondegenerate_cells(v)
+    if cells is None:
+        return _degenerate_quotient(v, top)
+    cells = cells[:top + 1]
+    if isinstance(v, SimplicialFreeModule):
+        ring = v.ring
+        levels = [RModulePresentation(ring, len(c), []).z_presentation()
+                  for c in cells]
+    else:
+        ring = Ring("Z")
+        levels = []
+        for lv, c in zip(v.levels, cells):
+            rels = [r for r in ([col[i] for i in c] for col in lv.rel_columns())
+                    if any(r)]
+            levels.append(Presentation(
+                len(c), cols_to_matrix(rels, len(c)) if rels else None))
+    faces, _ = v.columns()
+    return _restricted_complex(ring, levels, faces, cells), cells
+
+
+def _degenerate_quotient(v, top):
+    """The degenerate-image quotient complex through level `top`: every
+    generator, modulo the relations and the degeneracy columns."""
+    if isinstance(v, SimplicialFreeModule):
+        v = v.to_abelian()
     levels = []
     diffs = [None]
-    for n in range(v.truncation + 1):
+    for n in range(top + 1):
         pres = v.levels[n]
         cols = pres.rel_columns()
         if n >= 1:
@@ -539,7 +689,8 @@ def _normalized_quotient(v: SimplicialAbelian):
         if n >= 1:
             alt = _alternating_sum(v.faces[n])
             diffs.append(alt)
-    return PresentedComplex(levels, diffs)
+    return (PresentedComplex(levels, diffs),
+            [range(lv.gens) for lv in v.levels[:top + 1]])
 
 
 def _alternating_sum(mats):
@@ -556,24 +707,23 @@ def _alternating_sum(mats):
 
 def moore_homotopy(v, degrees):
     """Homotopy groups of a simplicial abelian object: homology of the
-    normalized (Moore) complex, computed on the degenerate-quotient model.
+    normalized (Moore) complex, built through level max(degrees) + 1.
     """
-    if isinstance(v, SimplicialFreeModule):
-        v = v.to_abelian()
     top = max(degrees)
     if top + 1 > v.truncation:
         raise AlgebraError(
             f"truncation {v.truncation} too small for degree {top}"
         )
-    quo = _normalized_quotient(v)
+    quo, _ = _normalized_quotient(v, top + 1)
     return quo.homology(degrees)
 
 
 def moore_subquotients(v, degrees):
-    if isinstance(v, SimplicialFreeModule):
-        v = v.to_abelian()
-    quo = _normalized_quotient(v)
-    return quo.homology_subquotients(degrees), quo
+    """The homology subquotients of the normalized complex at `degrees`,
+    and per level the generator indices that complex lives on."""
+    top = min(max(degrees) + 1, v.truncation)
+    quo, cells = _normalized_quotient(v, top)
+    return quo.homology_subquotients(degrees), cells
 
 
 def unnormalized_homotopy(v, degrees):
@@ -1081,17 +1231,20 @@ def diag_e2_page(b: BisimplicialAbelian, smax, tmax):
                 [b.vdegens[p][q] for q in range(trunc)] + [[]],
                 trunc,
             )
-            subq, quo = moore_subquotients(col, [t])
-            cols.append((subq[t], quo))
+            subq, cells = moore_subquotients(col, [t])
+            cols.append((subq[t], cells[t]))
         levels = []
         diffs = [None]
-        for p, (subq, _) in enumerate(cols):
+        for p, (subq, cells) in enumerate(cols):
             levels.append(Presentation.from_moduli(
                 [d for d in subq._diag if d != 1]
             ))
             if p >= 1:
-                prev = cols[p - 1][0]
+                prev, rows = cols[p - 1]
+                # the horizontal faces are vertical simplicial maps, so they
+                # act on the vertical normalized complexes by restriction
                 hsum = _alternating_sum(b.hfaces[p][t])
+                hsum = [[hsum[i][j] for j in cells] for i in rows]
                 diffs.append(induced_map(hsum, subq, prev))
         h = homology_of_complex(levels, diffs, range(min(smax, len(cols) - 2) + 1))
         for s in h:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 
 from .abgroups import FGAbelianGroup
+from .errors import AlgebraError
 from .presented import Presentation
 from .rings import (
     CoefficientModule,
@@ -41,7 +42,10 @@ class GradedModule:
             if isinstance(m, RModulePresentation)
         }
         for d, m in self.components.items():
-            assert d >= 0 and m.ring == ring
+            if d < 0 or m.ring != ring:
+                raise AlgebraError(
+                    f"graded module: the component in degree {d} needs a "
+                    f"degree >= 0 and the ring {ring!r}, not {m.ring!r}")
 
     @classmethod
     def concentrated(cls, module: RModulePresentation, degree=0):
@@ -68,7 +72,10 @@ class SpectralPage:
 
     def _validate(self):
         for (s, t) in self.grid:
-            assert s >= 0 and t >= 0, "grid must live in the stated quadrant"
+            if s < 0 or t < 0:
+                raise AlgebraError(
+                    f"grid entry ({s},{t}) lies outside the quadrant: "
+                    "indices must be >= 0")
         # d2 followed by d2 must vanish (trivially so for forced-zero data)
         for (s, t), mat in self.d2.items():
             nxt = (s + 2, t + 1) if self.quadrant == "first" else (s + 2, t + 1)
@@ -204,7 +211,10 @@ def reverse_adams_e2(pi: GradedModule, g: CoefficientModule, variant,
     For pi concentrated in degree 0 the page is a single row collapsing
     exactly; `comparison` ({degree: group}) is then compared entrywise.
     """
-    assert variant in ("homology", "cohomology")
+    if variant not in ("homology", "cohomology"):
+        raise AlgebraError(
+            f"reverse_adams_e2: variant must be homology or cohomology, "
+            f"not {variant!r}")
     grid = {}
     for t in pi.degrees():
         if variant == "homology":

@@ -7,7 +7,8 @@ import pytest
 
 from aq.abgroups import FGAbelianGroup
 from aq.algebras import cyclic_group, find_isomorphism
-from aq.cli import main
+from aq.cli import _load_theory_arg, main
+from aq.dsl import DslSyntaxError
 from aq.fixtures import (
     load_algebra,
     load_sres,
@@ -515,7 +516,30 @@ def test_unterminated_string_is_a_syntax_error(tmp_path, capsys):
     code = main(["check", str(bad)])
     err = capsys.readouterr().err
     assert code == 2
-    assert "error: 2:8: unterminated string" in err
+    assert f"error: {bad}:2:8: unterminated string" in err
+
+
+def test_syntax_error_in_a_base_file_names_that_file(tmp_path, capsys):
+    # the error is in the .alg that the .xmod names, not in the .xmod
+    text = fx_text("z2.alg").replace("(a,e)->a (e,a)", "(a,e)->a ~ (e,a)")
+    (tmp_path / "badbase.alg").write_text(text)
+    good = tmp_path / "k.xmod"
+    good.write_text('xmodule k {\n  base "badbase.alg"\n  carrier g : 2\n}\n')
+    code = main(["check", str(good)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"error: {tmp_path / 'badbase.alg'}:5:32: unexpected character '~'" \
+        in err
+    for loader, name, body in [
+        (load_algebra, "bad.alg", text),
+        (load_sres, "bad.sres", "sres r {\n  ring Z\n  chain { ranks 1 ~ }\n}\n"),
+        (_load_theory_arg, "bad.thy", "theory T {\n  sort g ~\n}\n"),
+    ]:
+        path = tmp_path / name
+        path.write_text(body)
+        with pytest.raises(DslSyntaxError) as exc:
+            loader(str(path))
+        assert str(exc.value).startswith(f"{path}:"), (name, str(exc.value))
 
 
 @pytest.mark.parametrize("argv,theory,declared", [

@@ -1,13 +1,18 @@
-"""The normalized loop-group complexes: homology and the cochain route on the
+"""The normalized complexes: homology and the cochain route on the
 nondegenerate generators agree with the degenerate-quotient construction,
-the fallback for resolutions whose degeneracies send generators to words,
-and groups of order 8 realized from presentations."""
+for loop-group resolutions and for free simplicial modules; the fallbacks
+for resolutions whose degeneracies send generators to words or to
+anything but one unit entry; groups of order 8 realized from
+presentations."""
 
 import os
+import random
+import re
 
 import pytest
 
-from aq.abgroups import FinAb
+from aq import invariants
+from aq.abgroups import FGAbelianGroup, FinAb
 from aq.algebras import (
     cyclic_group,
     dihedral_4,
@@ -32,8 +37,17 @@ from aq.resolutions import (
     check_certificate,
     loop_group_resolution,
     nondegenerate_generators,
+    resolve_module,
 )
-from aq.simplicial import cohomotopy
+from aq.rings import CoefficientModule, RModulePresentation, Ring
+from aq.simplicial import (
+    SimplicialFreeModule,
+    SimplicialIdentityError,
+    _degenerate_quotient,
+    cohomotopy,
+    k_object,
+    nondegenerate_cells,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -157,3 +171,153 @@ def test_order_8_groups_from_presentations(text, reference, modulus):
     bar = bar_resolution_group(g, k, 2)
     assert cochain[0] == bar[1]
     assert cochain[1] == bar[2] == cohomology_via_em(v, k, 1, x=g)
+
+
+RINGS = {
+    "Z": lambda: Ring("Z"),
+    "Z/4": lambda: Ring("Zmod", m=4),
+    "Z/6": lambda: Ring("Zmod", m=6),
+    "Z[C2]": lambda: Ring("ZG", group=cyclic_group(2).group_table("g")),
+    "Z[C3]": lambda: Ring("ZG", group=cyclic_group(3).group_table("g")),
+}
+
+COEFFS = {"Z": [3], "Z/4": [2], "Z/6": [3], "Z[C2]": [2], "Z[C3]": [3]}
+
+# per ring, two seeds; the first gives nonzero (co)homology with COEFFS in
+# degree 1 (over Z/6, a product of fields, every module is projective)
+SEEDS = [("Z", 2), ("Z", 3), ("Z/4", 7), ("Z/4", 2), ("Z/6", 1), ("Z/6", 2),
+         ("Z[C2]", 2), ("Z[C2]", 1), ("Z[C3]", 3), ("Z[C3]", 1)]
+
+
+def _seeded_module(ring, seed):
+    """A module on two generators with two seeded relation columns of
+    small entries (group-ring entries with one or two terms)."""
+    rng = random.Random(seed)
+
+    def entry():
+        if ring.kind != "ZG":
+            return ring.from_int(rng.randint(-3, 3))
+        els = ring.group.elements
+        return ring.add({rng.choice(els): rng.choice((-2, -1, 1, 2))},
+                        {rng.choice(els): rng.choice((-1, 0, 1))})
+
+    return RModulePresentation(ring, 2, [[entry(), entry()] for _ in range(2)])
+
+
+@pytest.mark.parametrize("name,seed", SEEDS)
+def test_normalized_module_route_matches_the_degenerate_quotient(
+        name, seed, monkeypatch):
+    ring = RINGS[name]()
+    m = _seeded_module(ring, seed)
+    v = resolve_module(m, length=3)
+    cells = nondegenerate_cells(v)
+    # on its nondegenerate generators, level n has the resolution's rank
+    assert [len(c) for c in cells] == v.dk_source.ranks
+    cert = check_certificate(v, m, rng=2)
+    assert cert.valid, cert.checks
+    degrees = range(3)
+    quotient, all_cells = _degenerate_quotient(v, 3)
+    assert [len(c) for c in all_cells] == [r * ring.zrank() for r in v.ranks[:4]]
+    assert homology(v, degrees) == quotient.homology(degrees)
+    k = CoefficientModule.trivial(ring, COEFFS[name])
+    assert cohomology(v, k, degrees) == \
+        cohomotopy(der_cochain(v, k), degrees)
+    normalized = homology_with_coeffs(v, k, degrees)
+    monkeypatch.setattr(invariants, "_normalized_cells", lambda v: None)
+    assert homology_with_coeffs(v, k, degrees) == normalized
+
+
+def _r_mat_mul(ring, a, b, inner):
+    # a product in which one factor has integer entries, which are central
+    out = [[ring.zero()] * (len(b[0]) if b else 0) for _ in a]
+    for i, row in enumerate(out):
+        for j in range(len(row)):
+            for t in range(inner):
+                row[j] = ring.add(row[j], ring.mul(a[i][t], b[t][j]))
+    return out
+
+
+def _rebased(v, n, a, b):
+    """v with level n in the basis P = I + E_ab (e_b -> e_a + e_b): maps
+    into level n become P times them, maps out of it times P^-1."""
+    ring, ranks = v.ring, v.ranks
+    size = ranks[n]
+
+    def elementary(sign):
+        return [[ring.from_int(int(i == j) + (sign if (i, j) == (a, b) else 0))
+                 for j in range(size)] for i in range(size)]
+
+    p, p_inv = elementary(1), elementary(-1)
+    faces = [list(f) for f in v.faces]
+    degens = [list(s) for s in v.degens]
+    faces[n] = [_r_mat_mul(ring, d, p_inv, size) for d in faces[n]]
+    faces[n + 1] = [_r_mat_mul(ring, p, d, size) for d in faces[n + 1]]
+    degens[n - 1] = [_r_mat_mul(ring, p, s, size) for s in degens[n - 1]]
+    degens[n] = [_r_mat_mul(ring, s, p_inv, size) for s in degens[n]]
+    return SimplicialFreeModule(ring, ranks, faces, degens, v.truncation)
+
+
+@pytest.mark.parametrize("name", ["Z/4", "Z[C3]"])
+def test_module_fallback_for_a_degeneracy_that_is_not_one_unit(name):
+    ring = RINGS[name]()
+    m = _seeded_module(ring, 7 if name == "Z/4" else 3)
+    v = resolve_module(m, length=3)
+    cells = nondegenerate_cells(v)
+    degenerate = [i for i in range(v.ranks[1]) if i not in cells[1]]
+    w = _rebased(v, 1, cells[1][0], degenerate[0])
+    # s_0 now sends a generator to the sum of two
+    assert nondegenerate_cells(w) is None
+    cert = check_certificate(w, m, rng=2)
+    assert cert.valid, cert.checks
+    degrees = range(3)
+    k = CoefficientModule.trivial(ring, COEFFS[name])
+    assert homology(w, degrees) == homology(v, degrees)
+    assert homology_with_coeffs(w, k, degrees) == \
+        homology_with_coeffs(v, k, degrees)
+    assert cohomology(w, k, degrees) == cohomology(v, k, degrees)
+    assert cohomology_via_em(w, k, 2) == cohomology_via_em(v, k, 2)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_module_certificate_catches_a_corrupted_degeneracy(name):
+    ring = RINGS[name]()
+    m = _seeded_module(ring, 1)
+    v = resolve_module(m, length=3)
+    assert check_certificate(v, m, rng=2).valid
+    degen = v.degens[1][0]
+    degen[0][0] = ring.add(degen[0][0], ring.one())
+    cert = check_certificate(v, m, rng=2)
+    assert not cert.valid
+    assert not cert.checks["simplicial_identities"]
+    assert re.fullmatch(r"d_\d s_\d identity fails at level \d"
+                        r"|s_\d s_\d != s_\d s_\d at level \d",
+                        cert.detail["identity_failure"])
+
+
+def test_module_certificate_catches_a_degeneracy_off_by_a_cycle():
+    # over Z/4, Z/2 is resolved by multiplication by 2 in every degree, so
+    # 2 times the nondegenerate generator of level 3 is killed by every
+    # face.  Added to the top degeneracy s_0: 2 -> 3 on a degenerate
+    # generator, it keeps every d_i s_j identity (the top degeneracies
+    # enter them only under a face), and only the s_i s_j family sees it.
+    ring = Ring("Zmod", m=4)
+    m = RModulePresentation.cyclic(ring, 2)
+    v = resolve_module(m, length=3)
+    cells = nondegenerate_cells(v)
+    (row,) = cells[3]
+    col = next(c for c in range(v.ranks[2]) if c not in cells[2])
+    v.degens[2][0][row][col] += 2
+    cert = check_certificate(v, m, rng=2)
+    assert not cert.checks["simplicial_identities"]
+    assert re.fullmatch(r"s_\d s_\d != s_\d s_\d at level 1",
+                        cert.detail["identity_failure"])
+
+
+def test_identity_check_works_modulo_the_relations():
+    # K(Z/2, 1): a face entry changed by 2 is the same map, by 1 it is not
+    v = k_object(FGAbelianGroup(0, [2]), 1, truncation=3)
+    v.faces[2][0][0][0] += 2
+    v.check_identities()
+    v.faces[2][0][0][0] += 1
+    with pytest.raises(SimplicialIdentityError, match=r"^d_"):
+        v.check_identities()

@@ -123,3 +123,68 @@ def test_page_serialization_round_trip():
 def test_bicomplex_checks_pass():
     report = bicomplex_checks(trials=10)
     assert report["all_pass"], report
+
+
+def _messages_under_both_modes(lines):
+    """Run `lines` with and without `python -O` (which strips asserts) and
+    return the printed lines of each run."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "\n".join([
+        "from aq.errors import AlgebraError",
+        "def fails(f):",
+        "    try:",
+        "        f()",
+        "    except AlgebraError as exc:",
+        "        print(exc)",
+        *lines,
+    ])
+    return [
+        subprocess.run([sys.executable, *flags, "-c", code], check=True,
+                       capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=src)).stdout.splitlines()
+        for flags in ([], ["-O"])
+    ]
+
+
+def test_abelian_group_checks_do_not_depend_on_assert():
+    runs = _messages_under_both_modes([
+        "from aq.abgroups import FGAbelianGroup, FinAb",
+        "fails(lambda: FGAbelianGroup(-1))",
+        "fails(lambda: FGAbelianGroup(0, [0]))",
+        "fails(lambda: FGAbelianGroup(0, [2, 3]))",
+        "fails(lambda: FinAb.from_invariants(FGAbelianGroup(1, [2])))",
+    ])
+    for out in runs:
+        assert out == [
+            "FGAbelianGroup: rank -1 must be >= 0 and torsion [] >= 2",
+            "FGAbelianGroup: rank 0 must be >= 0 and torsion [0] >= 2",
+            "torsion [2, 3] not in divisibility order",
+            "FinAb carriers must be finite, not Z/2 + Z",
+        ]
+
+
+def test_spectral_checks_do_not_depend_on_assert():
+    runs = _messages_under_both_modes([
+        "from aq.abgroups import FGAbelianGroup",
+        "from aq.rings import CoefficientModule, RModulePresentation, Ring",
+        "from aq.spectral import GradedModule, SpectralPage, reverse_adams_e2",
+        "z = Ring('Z')",
+        "pi = GradedModule.concentrated(RModulePresentation.cyclic(z, 2))",
+        "g = CoefficientModule.trivial(z, [2])",
+        "fails(lambda: SpectralPage({(-1, 0): FGAbelianGroup()}, 'first'))",
+        "fails(lambda: reverse_adams_e2(pi, g, 'tensor', 2))",
+        "z4 = RModulePresentation.cyclic(Ring('Zmod', m=4), 2)",
+        "fails(lambda: GradedModule(z, {0: z4}))",
+    ])
+    for out in runs:
+        assert out == [
+            "grid entry (-1,0) lies outside the quadrant: indices must be >= 0",
+            "reverse_adams_e2: variant must be homology or cohomology, "
+            "not 'tensor'",
+            "graded module: the component in degree 0 needs a degree >= 0 "
+            "and the ring Z, not Z/4",
+        ]
