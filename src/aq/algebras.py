@@ -9,7 +9,7 @@ from itertools import product
 
 from .abgroups import FinAb
 from .errors import AlgebraError
-from .presented import Presentation, Subquotient
+from .presented import Subquotient
 from .rings import GroupTable, Ring
 from .snf import identity_matrix
 from .terms import App, Term, Var, term_str
@@ -286,13 +286,19 @@ class FiniteAlgebra:
 
     def validate(self):
         t = self.theory
-        assert set(self.carriers) == set(t.sorts), "carriers must cover all sorts"
+        if set(self.carriers) != set(t.sorts):
+            raise AlgebraError(f"{self.name}: carriers must cover all sorts")
         for op in t.ops:
             tab = self.tables.get(op.name)
-            assert tab is not None, f"missing table for {op.name}"
+            if tab is None:
+                raise AlgebraError(f"{self.name}: missing table for {op.name}")
             for tup in product(*(self.carriers[s] for s in op.args)):
-                assert tup in tab, f"table for {op.name} not total at {tup}"
-                assert tab[tup] in self.carriers[op.result]
+                if tup not in tab or tab[tup] not in self.carriers[op.result]:
+                    what = ("not total" if tup not in tab
+                            else "leaves the carrier")
+                    at = ",".join(map(str, tup))
+                    raise AlgebraError(
+                        f"{self.name}: table for {op.name} {what} at ({at})")
         for lhs, rhs in t.equations:
             _, env = t.infer_equation_sorts(lhs, rhs)
             names = sorted(env)

@@ -9,6 +9,7 @@ error, 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,7 +40,9 @@ class UsageError(Exception):
     """A command-line option whose value names no valid input."""
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="aq",
         description="Andre-Quillen (co)homology of algebras over "
@@ -110,8 +113,11 @@ def main(argv=None):
     p_acc.add_argument("--quick", action="store_true",
                        help="smaller fixture sets (same checks)")
     p_acc.add_argument("--json", dest="json_path")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         if args.command == "check":
             return cmd_check(args)

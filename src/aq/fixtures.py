@@ -158,9 +158,10 @@ def declared_theory(path) -> TheoryPresentation:
 def parse_algebra(text, base_dir="", source="<algebra>") -> FiniteAlgebra:
     p = _FixtureParser(tokenize(text))
     name, theory, _ = _algebra_header(p, base_dir)
+    line = p.peek().line
     kw = p.expect_ident()
     if kw == "table":
-        alg = _parse_table_block(p, theory, name)
+        alg = _parse_table_block(p, theory, name, f"{source}:{line}")
     elif kw == "presentation":
         alg = _parse_presentation_block(p, theory, name, source)
     else:
@@ -169,7 +170,10 @@ def parse_algebra(text, base_dir="", source="<algebra>") -> FiniteAlgebra:
     return alg
 
 
-def _parse_table_block(p, theory, name):
+def _parse_table_block(p, theory, name, where):
+    """The finite algebra of a `table` block; a table that is not total,
+    leaves its carrier or fails an equation of the theory is a fixture
+    error at `where` (path:line of the block)."""
     p.expect("{")
     carriers = {}
     tables = {}
@@ -200,7 +204,10 @@ def _parse_table_block(p, theory, name):
         else:
             raise FixtureError(f"unknown table entry {kw!r}")
     p.expect("}")
-    return FiniteAlgebra(theory, name, carriers, tables)
+    try:
+        return FiniteAlgebra(theory, name, carriers, tables)
+    except AlgebraError as exc:
+        raise FixtureError(f"{where}: {exc}") from exc
 
 
 def _parse_presentation_block(p, theory, name, source):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from .algebras import AlgebraError
 from .beck import XModule
 from .presented import Presentation, Subquotient, cycle_lattice, induced_map
-from .resolutions import abelianized_complex, nondegenerate_generators
+from .resolutions import abelianized_complex
 from .rings import CoefficientModule, Ring
 from .simplicial import (
     CosimplicialAbelian,
@@ -57,31 +57,14 @@ def _coefficient(k, x=None):
     return k
 
 
-def _structure_matrices(v, x):
-    """(faces, degens) as sparse R-matrices, per column the (row, entry)
-    pairs of its nonzero entries: the Fox matrices of a free simplicial
-    algebra (over Z[X] when x is given), the level maps of a free module.
-    Each object builds them once."""
+def _abelianization(v, x):
+    """The free simplicial module the (co)homology of `v` is computed on:
+    the abelianization of a free simplicial algebra (over Z[X] when x is
+    given, its columns the sparse Fox matrices), or a free simplicial
+    module itself.  Each object builds it once."""
     if isinstance(v, SimplicialTheta):
-        return v.fox_matrices(x is not None)
-    return v.columns()
-
-
-def _normalized_cells(v):
-    """Per level, the generator indices of the normalized complex: the
-    nondegenerate generators where every degeneracy sends each generator
-    to a single one (`nondegenerate_generators` for free algebras,
-    `nondegenerate_cells` for free modules), else None."""
-    if isinstance(v, SimplicialTheta):
-        return nondegenerate_generators(v)
-    return nondegenerate_cells(v)
-
-
-def _all_cells(v):
-    if isinstance(v, SimplicialTheta):
-        sort = v.theory.sorts[0]
-        return [range(len(lv.generators[sort])) for lv in v.levels]
-    return [range(lv.gens) for lv in v.levels]
+        return v.abelianization(x is not None)
+    return v
 
 
 def _act_matrix(mat, coeff, rows, cols, dual=False):
@@ -112,11 +95,12 @@ def der_cochain(v, k, x=None, cells=None) -> CosimplicialAbelian:
     nondegenerate generators this is the normalized cochain complex.
     Default: all generators."""
     coeff = _coefficient(k, x)
-    cells = cells or _all_cells(v)
+    ab = _abelianization(v, x)
+    cells = cells or [range(lv.gens) for lv in ab.levels]
     levels = [
         Presentation.from_moduli(list(coeff.moduli) * len(c)) for c in cells
     ]
-    face_mats, _ = _structure_matrices(v, x)
+    face_mats, _ = ab.columns()
     cofaces = [
         [_act_matrix(fox, coeff, cells[n], cells[n + 1], dual=True)
          for fox in face_mats[n + 1]]
@@ -131,19 +115,22 @@ def cohomology(v, k, degrees, x=None, certificate=None):
     top = max(degrees)
     if top + 1 > v.truncation:
         raise AlgebraError("range needs levels up to degree+1")
-    w = der_cochain(v, k, x=x, cells=_normalized_cells(v))
+    w = der_cochain(v, k, x=x,
+                    cells=nondegenerate_cells(_abelianization(v, x)))
     return cohomotopy(w, degrees)
 
 
 def cohomology_subquotients(v, k, degrees, x=None):
-    w = der_cochain(v, k, x=x, cells=_normalized_cells(v))
+    w = der_cochain(v, k, x=x,
+                    cells=nondegenerate_cells(_abelianization(v, x)))
     return cohomotopy_subquotients(w, degrees), w
 
 
 def _dual_degen_matrices(v, k, x, coeff):
     """Codegeneracy duals s^j: C^n -> C^{n-1} for normalization."""
-    cells = _all_cells(v)
-    _, degen_mats = _structure_matrices(v, x)
+    ab = _abelianization(v, x)
+    cells = [range(lv.gens) for lv in ab.levels]
+    _, degen_mats = ab.columns()
     # s_j: V_{n-1} -> V_n (rows: T_n), dual: C^n -> C^{n-1}
     return [[]] + [
         [_act_matrix(degen_mats[n - 1][j], coeff, cells[n], cells[n - 1],
@@ -219,10 +206,11 @@ def _tensored_complex(v, coeff, x=None) -> PresentedComplex:
     """The abelianization tensored with a coefficient module, normalized:
     on the nondegenerate generators where `v` has them, otherwise modulo
     the degeneracy images, as a presented complex."""
-    face_mats, degen_mats = _structure_matrices(v, x)
-    cells = _normalized_cells(v)
+    ab = _abelianization(v, x)
+    face_mats, degen_mats = ab.columns()
+    cells = nondegenerate_cells(ab)
     normalized = cells is not None
-    cells = cells or _all_cells(v)
+    cells = cells or [range(lv.gens) for lv in ab.levels]
     levels = []
     diffs = [None]
     for n in range(v.truncation + 1):
@@ -285,7 +273,9 @@ def diagram_coefficients(v, nodes, edges, op, degrees, x=None,
             subq = cx.homology_subquotients(degrees)
         subquots[name] = subq
         values[name] = {n: subq[n].invariants() for n in degrees}
-    ranks = [len(c) for c in _normalized_cells(v) or _all_cells(v)]
+    ab = _abelianization(v, x)
+    cells = nondegenerate_cells(ab)
+    ranks = [len(c) for c in cells] if cells else [lv.gens for lv in ab.levels]
     induced = {}
     for (src, dst), alpha in edges.items():
         co_s = _coefficient(nodes[src], x)

@@ -26,7 +26,6 @@ from .presented import Presentation, cohomology_at
 from .rings import (
     CoefficientModule,
     RModulePresentation,
-    Ring,
     ext_groups,
     free_resolution,
     tor_groups,
@@ -36,9 +35,7 @@ from .simplicial import (
     SimplicialFreeModule,
     SimplicialIdentityError,
     SimplicialTheta,
-    _is_single_gen,
-    _restricted_complex,
-    _the_gen,
+    _normalized_quotient,
     dold_kan,
     moore_homotopy,
 )
@@ -146,82 +143,20 @@ def loop_group_resolution(g: FiniteAlgebra, truncation=2) -> SimplicialTheta:
 # ---------------------------------------------------------------------------
 # abelianized chain complexes of free simplicial algebras
 
-def nondegenerate_generators(v: SimplicialTheta):
-    """Per level, the indices of the generators outside every degeneracy
-    image, or None when some degeneracy does not send each generator to a
-    single generator (exponent +1).  In the first case the quotient of
-    each abelianized level by its degenerate part is free on these
-    generators, so they index the normalized complex."""
-    sort = v.theory.sorts[0]
-    out = []
-    for n, lv in enumerate(v.levels):
-        degenerate = set()
-        for s in v.degens[n - 1] if n >= 1 else []:
-            for word in s.mapping[sort].values():
-                if not _is_single_gen(word):
-                    return None
-                degenerate.add(_the_gen(word))
-        out.append([i for i, g in enumerate(lv.generators[sort])
-                    if g not in degenerate])
-    return out
-
-
-def _coefficient_ring(v: SimplicialTheta, over):
-    if over is None:
-        return Ring("Z")
-    return Ring("ZG", group=over.group_table(v.theory.sorts[0]))
-
-
 def abelianized_complex(v: SimplicialTheta, over=None):
     """The (relative or absolute) abelianization of a free simplicial
     algebra as a normalized presented complex over Z.
 
     over=None: coefficients Z (exponent sums).  over=X: coefficients in
     the group ring Z[X] through the structure maps, then restricted to Z.
-    Level n is free on the nondegenerate generators; the differential is
-    the alternating sum of the face Fox matrices restricted to them.
-    Returns (PresentedComplex, ranks, ring), ranks the nondegenerate
-    counts.
+    The abelianization is a free simplicial module (`abelianization`), so
+    this is its normalized complex (`_normalized_quotient`).  Returns
+    (PresentedComplex, ranks, ring), ranks the generator counts per level
+    of that complex.
     """
-    cells = nondegenerate_generators(v)
-    if cells is None:
-        return _degenerate_quotient_complex(v, over)
-    ring = _coefficient_ring(v, over)
-    faces, _ = v.fox_matrices(over is not None)
-    levels = [Presentation(len(c) * ring.zrank()) for c in cells]
-    return (_restricted_complex(ring, levels, faces, cells),
-            [len(c) for c in cells], ring)
-
-
-def _degenerate_quotient_complex(v: SimplicialTheta, over=None):
-    """abelianized_complex for a resolution with a degeneracy that sends
-    some generator to a word other than a single generator: every level
-    keeps all its generators and is presented modulo the Z[X]-submodule
-    spanned by the degenerate images."""
-    ring = _coefficient_ring(v, over)
-    zr = ring.zrank()
-    # the Z-basis of the ring: closing a column under it spans the submodule
-    basis = ([ring.one()] if ring.kind == "Z"
-             else [{h: 1} for h in ring.group.elements])
-    faces, degens = v.fox_matrices(over is not None)
-    ranks = [len(lv.generators[v.theory.sorts[0]]) for lv in v.levels]
-    levels = []
-    for n, rank in enumerate(ranks):
-        rels = []
-        for mat in degens[n - 1] if n >= 1 else []:
-            for column in mat:
-                for h in basis:
-                    col = [0] * (rank * zr)
-                    for i, entry in column:
-                        col[i * zr:(i + 1) * zr] = ring.element_zcol(
-                            ring.mul(h, entry))
-                    rels.append(col)
-        levels.append(Presentation(
-            rank * zr,
-            [[c[i] for c in rels] for i in range(rank * zr)] if rels else None,
-        ))
-    cells = [range(r) for r in ranks]
-    return _restricted_complex(ring, levels, faces, cells), ranks, ring
+    ab = v.abelianization(over is not None)
+    cx, cells = _normalized_quotient(ab, v.truncation)
+    return cx, [len(c) for c in cells], ab.ring
 
 
 # ---------------------------------------------------------------------------

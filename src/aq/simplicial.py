@@ -125,7 +125,7 @@ class SimplicialTheta(_SimplicialBase):
         super().__init__(levels, faces, degens, truncation)
         self.theory = theory
         self.augmentation = augmentation  # AlgebraMap level0 -> X
-        self._fox = {}  # relative? -> (face, degeneracy) Fox matrices
+        self._abelianizations = {}  # relative? -> SimplicialFreeModule
 
     def is_free_levelwise(self):
         return all(lv.is_free() for lv in self.levels)
@@ -178,17 +178,21 @@ class SimplicialTheta(_SimplicialBase):
             chain = self._compose(chain, self.faces[k][0])
         return chain
 
-    def fox_matrices(self, relative):
-        """(faces, degens) of a free simplicial algebra as sparse Fox
-        matrices (`fox_columns`): faces[n][i][j] lists the nonzero entries
-        (level n-1 generator index, entry) of d_i on generator j of level
-        n, degens[n][j] those of s_j on level n; entries in Z, or in Z[X]
-        through the structure maps when `relative`.  Built once per
-        object."""
-        if relative not in self._fox:
+    def abelianization(self, relative):
+        """The abelianization of a free simplicial algebra: the free
+        simplicial module on the same generators, over Z, or over Z[X]
+        through the structure maps when `relative`.  Its columns are the
+        sparse Fox derivatives of the faces and degeneracies
+        (`fox_columns`); it keeps no matrices.  Built once per object."""
+        if relative not in self._abelianizations:
+            sort = self.theory.sorts[0]
             over = [self.structure_map(n) if relative else None
                     for n in range(self.truncation + 1)]
-            faces = [None] + [
+            ring = Ring("Z")
+            if relative:
+                x = self.augmentation.target
+                ring = Ring("ZG", group=x.group_table(sort))
+            faces = [[]] + [
                 [fox_columns(d, over=over[n - 1]) for d in self.faces[n]]
                 for n in range(1, self.truncation + 1)
             ]
@@ -196,17 +200,19 @@ class SimplicialTheta(_SimplicialBase):
                 [fox_columns(s, over=over[n + 1]) for s in self.degens[n]]
                 for n in range(self.truncation)
             ] + [[]]
-            self._fox[relative] = (faces, degens)
-        return self._fox[relative]
+            ranks = [len(lv.generators[sort]) for lv in self.levels]
+            self._abelianizations[relative] = SimplicialFreeModule.from_columns(
+                ring, ranks, faces, degens, self.truncation)
+        return self._abelianizations[relative]
 
 
 class _MatrixSimplicial(_SimplicialBase):
     """A flavor whose maps are matrices on generators (rows: the target
-    level) with entries in `ring`, or integers when `ring` is None.  The
-    identity check and the normalized complex read them as sparse
-    columns."""
+    level) with entries in `ring` (integers unless a subclass says
+    otherwise).  The identity check and the normalized complex read them
+    as sparse columns."""
 
-    ring = None
+    ring = Ring("Z")
     _columns = None
 
     def columns(self, refresh=False):
@@ -214,8 +220,9 @@ class _MatrixSimplicial(_SimplicialBase):
         (row, entry) pairs of the nonzero entries of d_i on generator j of
         level n, degens[n][j] those of s_j on level n.  Built once and
         kept; `refresh` reads the matrices again, as the identity check
-        does, so that it always checks the maps as they are."""
-        if refresh or self._columns is None:
+        does, so that it always checks the maps as they are.  An object
+        given by its columns alone (`faces` None) has nothing to re-read."""
+        if self._columns is None or refresh and self.faces is not None:
             gens = [lv.gens for lv in self.levels]
 
             def sparse(mat, n):
@@ -241,7 +248,7 @@ class _MatrixSimplicial(_SimplicialBase):
         return _compose_columns(outer, inner, self.ring)
 
     def _identity_on(self, n):
-        one = 1 if self.ring is None else self.ring.one()
+        one = self.ring.one()
         return [{j: one} for j in range(self.levels[n].gens)]
 
 
@@ -251,7 +258,7 @@ def _compose_columns(outer, inner, ring):
     over Z/m), or group-ring entries composed as left-module maps: the
     coefficient of the inner map multiplies on the left."""
     out = []
-    if ring is not None and ring.kind == "ZG":
+    if ring.kind == "ZG":
         for col in inner:
             acc = {}
             for t, a in col:
@@ -259,7 +266,7 @@ def _compose_columns(outer, inner, ring):
                     acc[i] = ring.add(acc.get(i, {}), ring.mul(a, b))
             out.append({i: x for i, x in acc.items() if x})
         return out
-    m = ring.m if ring is not None and ring.kind == "Zmod" else 0
+    m = ring.m if ring.kind == "Zmod" else 0
     for col in inner:
         acc = {}
         for t, a in col:
@@ -312,6 +319,16 @@ class SimplicialFreeModule(_MatrixSimplicial):
                          truncation)
         self.ring = ring
         self.ranks = list(ranks)
+
+    @classmethod
+    def from_columns(cls, ring, ranks, faces, degens, truncation):
+        """The free simplicial module whose maps are the sparse columns
+        (faces, degens), in the form `columns()` returns, with no
+        matrices."""
+        v = cls(ring, ranks, [], [], truncation)
+        v.faces = v.degens = None
+        v._columns = (faces, degens)
+        return v
 
     def _maps_equal(self, m1, m2, src_level, tgt_level):
         return m1 == m2
@@ -602,11 +619,11 @@ def k_object(group: FGAbelianGroup, n, truncation=None):
 def nondegenerate_cells(v):
     """Per level, the indices of the generators that no degeneracy hits,
     when every degeneracy column of `v` (a SimplicialAbelian or a
-    SimplicialFreeModule) is a single entry equal to one (+1, or the
-    ring's one); else None.  Then the degenerate part of level n is
+    SimplicialFreeModule) is a single entry equal to the ring's one; else
+    None.  Then the degenerate part of level n is
     spanned by the hit generators, so the normalized complex lives on the
     others.  Read from the degeneracy matrices alone."""
-    one = 1 if v.ring is None else v.ring.one()
+    one = v.ring.one()
     _, degens = v.columns()
     out = []
     for n, lv in enumerate(v.levels):
@@ -620,12 +637,27 @@ def nondegenerate_cells(v):
     return out
 
 
-def _restricted_complex(ring, levels, faces, cells):
-    """The presented complex on `levels` whose differential at n is the
-    alternating sum of the sparse face matrices over `ring` restricted to
-    cells[n-1] x cells[n], realized over Z once."""
+def _level_relations(v, n, cells):
+    """The relation columns of level n of `v` restricted to the generators
+    `cells`: none for a free module, the level's own for a presented
+    one."""
+    if isinstance(v, SimplicialFreeModule):
+        return []
+    return [r for r in ([col[i] for i in cells]
+                        for col in v.levels[n].rel_columns()) if any(r)]
+
+
+def _restricted_complex(v, cells, rels):
+    """The presented complex on the generators cells[n] of each level of
+    `v`, modulo the relation columns rels[n] over the ring, whose
+    differential at n is the alternating sum of the sparse face columns
+    restricted to cells[n-1] x cells[n]; both realized over Z once."""
+    ring = v.ring
+    faces, _ = v.columns()
+    levels = [RModulePresentation(ring, len(c), r).z_presentation()
+              for c, r in zip(cells, rels)]
     diffs = [None]
-    for n in range(1, len(levels)):
+    for n in range(1, len(cells)):
         rows, cols = cells[n - 1], cells[n]
         pos = {i: r for r, i in enumerate(rows)}
         total = [[ring.zero()] * len(cols) for _ in rows]
@@ -648,49 +680,34 @@ def _normalized_quotient(v, top):
     On the nondegenerate generators (`nondegenerate_cells`) level n is the
     quotient by the degenerate ones: free over the ring on the others, or
     presented by its relations restricted to them.  Otherwise every
-    generator stays, modulo the degenerate images."""
+    generator stays, modulo the degenerate images (`_degenerate_quotient`).
+    """
     cells = nondegenerate_cells(v)
     if cells is None:
         return _degenerate_quotient(v, top)
     cells = cells[:top + 1]
-    if isinstance(v, SimplicialFreeModule):
-        ring = v.ring
-        levels = [RModulePresentation(ring, len(c), []).z_presentation()
-                  for c in cells]
-    else:
-        ring = Ring("Z")
-        levels = []
-        for lv, c in zip(v.levels, cells):
-            rels = [r for r in ([col[i] for i in c] for col in lv.rel_columns())
-                    if any(r)]
-            levels.append(Presentation(
-                len(c), cols_to_matrix(rels, len(c)) if rels else None))
-    faces, _ = v.columns()
-    return _restricted_complex(ring, levels, faces, cells), cells
+    rels = [_level_relations(v, n, c) for n, c in enumerate(cells)]
+    return _restricted_complex(v, cells, rels), cells
 
 
 def _degenerate_quotient(v, top):
-    """The degenerate-image quotient complex through level `top`: every
-    generator, modulo the relations and the degeneracy columns."""
-    if isinstance(v, SimplicialFreeModule):
-        v = v.to_abelian()
-    levels = []
-    diffs = [None]
-    for n in range(top + 1):
-        pres = v.levels[n]
-        cols = pres.rel_columns()
-        if n >= 1:
-            below = v.levels[n - 1]
-            for s in v.degens[n - 1]:
-                for j in range(below.gens):
-                    cols.append([s[i][j] for i in range(pres.gens)])
-        mat = [[c[i] for c in cols] for i in range(pres.gens)] if cols else None
-        levels.append(Presentation(pres.gens, mat))
-        if n >= 1:
-            alt = _alternating_sum(v.faces[n])
-            diffs.append(alt)
-    return (PresentedComplex(levels, diffs),
-            [range(lv.gens) for lv in v.levels[:top + 1]])
+    """The degenerate-image quotient complex through level `top`, and per
+    level its generator indices: every generator, modulo the level's
+    relations and the degeneracy columns, each realized over Z as the
+    submodule it spans (closed under the ring's Z-basis)."""
+    _, degens = v.columns()
+    cells = [range(lv.gens) for lv in v.levels[:top + 1]]
+    rels = []
+    for n, c in enumerate(cells):
+        cols = _level_relations(v, n, c)
+        for s in degens[n - 1] if n >= 1 else []:
+            for column in s:
+                col = [v.ring.zero()] * len(c)
+                for i, entry in column:
+                    col[i] = entry
+                cols.append(col)
+        rels.append(cols)
+    return _restricted_complex(v, cells, rels), cells
 
 
 def _alternating_sum(mats):

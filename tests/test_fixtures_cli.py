@@ -112,6 +112,25 @@ def test_cli_check_fixtures(capsys):
     capsys.readouterr()
 
 
+def test_cli_parser_is_built_once_and_keeps_no_state(capsys):
+    from aq import cli
+
+    graded = ["ss", "uct", "--ring", "Z", "--h", "0:4", "--h", "1:2",
+              "--coeffs", "2"]
+    assert main(graded) == 0
+    first = capsys.readouterr().out
+    parser = cli._parser()
+    # a repeated option's list starts empty on every call
+    assert main(graded) == 0
+    assert capsys.readouterr().out == first
+    assert cli._parser() is parser
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["check"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: aq check ")
+
+
 def test_cli_check_broken_sres_names_identity(capsys):
     code = main(["check", fx("broken.sres")])
     captured = capsys.readouterr()
@@ -491,6 +510,25 @@ def test_cli_factor_set_degree_is_checked_without_assert():
         assert proc.returncode == 2, flags
         assert "--degree: factor-set computes degree 1 or 2, not 3" \
             in proc.stderr, flags
+        assert proc.stdout == "", flags
+
+
+def test_a_table_that_is_not_total_is_a_fixture_error(tmp_path):
+    # z2.alg without (a,e)->a: an error at the table block's line, exit 2,
+    # also under `python -O`, which strips asserts
+    bad = tmp_path / "nontotal.alg"
+    bad.write_text(fx_text("z2.alg").replace(" (a,e)->a", ""))
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "aq.cli", "check", str(bad)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2, flags
+        assert proc.stderr == \
+            f"error: {bad}:3: z2: table for mul not total at (a,e)\n", flags
         assert proc.stdout == "", flags
 
 

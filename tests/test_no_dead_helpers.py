@@ -1,7 +1,9 @@
 """Every module-level function and every non-dunder method of a
 module-level class in `src/aq` is used: some code in `src/aq` or `tests`
 names it (a call, an attribute access or an import) outside its own
-body."""
+body.  Every module-level import of a module in `src/aq` (other than
+`__init__.py` and `__future__`) is used there, listed in its `__all__`,
+or imported from it by another module."""
 
 import ast
 import pathlib
@@ -58,3 +60,48 @@ def test_every_module_level_function_is_referenced():
     dead = sorted(f"{mod}:{name}" for mod, name in defined
                   if name.rsplit(".", 1)[-1] not in referenced)
     assert dead == [], f"unreferenced functions and methods: {dead}"
+
+
+def _imported_names(tree):
+    """(bound name, line) of each module-level import."""
+    for top in tree.body:
+        if isinstance(top, ast.Import):
+            for alias in top.names:
+                yield alias.asname or alias.name.split(".")[0], top.lineno
+        elif isinstance(top, ast.ImportFrom) and top.module != "__future__":
+            for alias in top.names:
+                yield alias.asname or alias.name, top.lineno
+
+
+def _exported(tree):
+    for top in tree.body:
+        if isinstance(top, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in top.targets):
+            return {c.value for c in ast.walk(top.value)
+                    if isinstance(c, ast.Constant)}
+    return set()
+
+
+def test_every_module_level_import_is_used():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in SRC + TESTS}
+    # module stem -> names other modules import from it (re-exports)
+    reexported = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                stem = node.module.rsplit(".", 1)[-1]
+                reexported.setdefault(stem, set()).update(
+                    alias.name for alias in node.names)
+    unused = []
+    for path in SRC:
+        if path.name == "__init__.py":
+            continue
+        tree = trees[path]
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        used |= _exported(tree) | reexported.get(path.stem, set())
+        unused += [f"{path.name}:{line}:{name}"
+                   for name, line in _imported_names(tree) if name not in used]
+    assert unused == [], f"unused imports: {unused}"

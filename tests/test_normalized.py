@@ -31,12 +31,10 @@ from aq.invariants import (
     homology_with_coeffs,
 )
 from aq.resolutions import (
-    _degenerate_quotient_complex,
     abelianized_complex,
     bar_resolution_group,
     check_certificate,
     loop_group_resolution,
-    nondegenerate_generators,
     resolve_module,
 )
 from aq.rings import CoefficientModule, RModulePresentation, Ring
@@ -77,16 +75,21 @@ def test_normalized_complex_matches_the_degenerate_quotient(name, truncation):
     g = GROUPS[name]()
     v = loop_group_resolution(g, truncation=truncation)
     order = g.order()
-    cells = nondegenerate_generators(v)
+    cells = nondegenerate_cells(v.abelianization(False))
     # the nondegenerate (n+1)-tuples: no identity after the first entry
     assert [len(c) for c in cells] == [
         (order - 1) ** (n + 1) for n in range(truncation + 1)]
     degrees = range(truncation)
     for over in (None, g):
+        ab = v.abelianization(over is not None)
+        # the Fox chain rule: the columns compose as a simplicial module
+        ab.check_identities()
+        assert nondegenerate_cells(ab) == cells
         normalized, ranks, ring = abelianized_complex(v, over=over)
-        closure, full_ranks, _ = _degenerate_quotient_complex(v, over=over)
+        closure, full_cells = _degenerate_quotient(ab, truncation)
         assert ranks == [len(c) for c in cells]
-        assert full_ranks == [len(lv.generators["g"]) for lv in v.levels]
+        assert [len(c) for c in full_cells] == [
+            len(lv.generators["g"]) for lv in v.levels]
         assert all(lv.nrels() == 0 for lv in normalized.levels)
         assert [lv.gens for lv in normalized.levels] == [
             r * ring.zrank() for r in ranks]
@@ -113,11 +116,13 @@ def test_fallback_for_degeneracies_into_words():
     z2 = load_algebra(os.path.join(FIXTURES, "z2.alg"))
     v = load_sres(os.path.join(FIXTURES, "z2res-basis.sres"))
     assert v.degens[0][0].mapping["g"]["t/a"] == (("u", 1), ("w", -1))
-    assert nondegenerate_generators(v) is None
+    for relative in (False, True):
+        assert nondegenerate_cells(v.abelianization(relative)) is None
     cert = check_certificate(v, z2, rng=2)
     assert cert.valid, cert.checks
     loop = loop_group_resolution(z2, truncation=3)
-    assert nondegenerate_generators(loop) is not None
+    for relative in (False, True):
+        assert nondegenerate_cells(loop.abelianization(relative)) is not None
     degrees = range(3)
     for k in (XModule.trivial(z2, [2]), _sign_module(z2, 3)):
         assert cohomology(v, k, degrees, x=z2, certificate=cert) == \
@@ -217,13 +222,15 @@ def test_normalized_module_route_matches_the_degenerate_quotient(
     assert cert.valid, cert.checks
     degrees = range(3)
     quotient, all_cells = _degenerate_quotient(v, 3)
-    assert [len(c) for c in all_cells] == [r * ring.zrank() for r in v.ranks[:4]]
+    assert [len(c) for c in all_cells] == v.ranks[:4]
+    assert [lv.gens for lv in quotient.levels] == [
+        r * ring.zrank() for r in v.ranks[:4]]
     assert homology(v, degrees) == quotient.homology(degrees)
     k = CoefficientModule.trivial(ring, COEFFS[name])
     assert cohomology(v, k, degrees) == \
         cohomotopy(der_cochain(v, k), degrees)
     normalized = homology_with_coeffs(v, k, degrees)
-    monkeypatch.setattr(invariants, "_normalized_cells", lambda v: None)
+    monkeypatch.setattr(invariants, "nondegenerate_cells", lambda v: None)
     assert homology_with_coeffs(v, k, degrees) == normalized
 
 
