@@ -223,3 +223,30 @@ def test_relation_membership_shortcut_matches_the_solver():
         assert isinstance(pres._solver, list) == diagonal
         shortcuts += diagonal
     assert 30 <= shortcuts < 80
+
+
+def _dense_from_moduli(moduli):
+    """The n x n diagonal of the moduli with its zero columns dropped."""
+    n = len(moduli)
+    rels = [[moduli[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    return Presentation(n, [[row[j] for j in range(n) if moduli[j] != 0]
+                            for row in rels])
+
+
+def test_from_moduli_equals_the_filtered_diagonal():
+    rng = random.Random(31)
+    cases = [[], [0] * 7, [2] * 9, [0, 3, 0, 4, 1, 0]]
+    cases += [[rng.choice([0, 0, 2, 3, 4, 6]) for _ in range(rng.randint(1, 40))]
+              for _ in range(20)]
+    for moduli in cases:
+        new, old = Presentation.from_moduli(moduli), _dense_from_moduli(moduli)
+        assert (new.gens, new.rels, new.nrels()) == \
+            (old.gens, old.rels, old.nrels()), moduli
+    # a large mostly-free level: one relation column per nonzero modulus
+    moduli = [rng.choice([0] * 49 + [5]) for _ in range(4000)]
+    pres = Presentation.from_moduli(moduli)
+    nonzero = [i for i, m in enumerate(moduli) if m]
+    assert pres.gens == 4000 and pres.nrels() == len(nonzero) > 0
+    assert pres.rel_columns() == [
+        [moduli[j] if i == j else 0 for i in range(4000)] for j in nonzero]
+    assert Presentation.from_moduli([0] * 4000).rels == [[]] * 4000
