@@ -366,6 +366,7 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
             p.expect("{")
             entries = {}
             while p.peek().text != "}":
+                entry_line = p.peek().line
                 args = []
                 if p.peek().text == "(":
                     p.expect("(")
@@ -377,7 +378,7 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
                 else:
                     args.append(p.expect_ident())
                 p.expect("->")
-                entries[tuple(args)] = p.expect_ident()
+                entries[tuple(args)] = (p.expect_ident(), entry_line)
             p.expect("}")
             fhat_tables.append((opname, tuple(tup), entries))
         else:
@@ -389,7 +390,7 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
         raise FixtureError("xmodule needs a carrier")
     finab = FinAb([m for m in moduli if m > 1] or [1])
     if not act:
-        act_mats = _derive_action_from_tables(base, finab, fhat_tables)
+        act_mats = _derive_action_from_tables(base, finab, fhat_tables, source)
     else:
         act_mats = {el: m for el, m in act.items()}
         for el in base.carriers[base.theory.sorts[0]]:
@@ -399,19 +400,28 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
         km = XModule(base, finab, act_mats, name=name)
     except AlgebraError as exc:
         raise FixtureError(f"{source}:{line}: xmodule {name}: {exc}") from exc
-    _validate_fhat_tables(km, fhat_tables)
+    _validate_fhat_tables(km, fhat_tables, source)
     return km
 
 
-def _parse_carrier_element(token, finab):
+def _parse_carrier_element(token, finab, where):
+    """The carrier element `c1.c2...` (or `0`) of an action table entry at
+    `where` (path:line), one integer coordinate per modulus."""
     if token == "0":
         return finab.zero()
-    coords = tuple(int(x) for x in token.split("."))
-    assert len(coords) == len(finab.moduli)
+    try:
+        coords = tuple(int(x) for x in token.split("."))
+    except ValueError:
+        raise FixtureError(
+            f"{where}: {token!r} is not a carrier element") from None
+    if len(coords) != len(finab.moduli):
+        raise FixtureError(
+            f"{where}: {token!r} has {len(coords)} coordinates, the carrier "
+            f"has {len(finab.moduli)}")
     return finab.reduce(coords)
 
 
-def _derive_action_from_tables(base, finab, fhat_tables):
+def _derive_action_from_tables(base, finab, fhat_tables, source):
     """x . k is read off the mul action table at the tuple (x, e)."""
     sort = base.theory.sorts[0]
     mul, _, _ = base.group_ops(sort)
@@ -426,12 +436,12 @@ def _derive_action_from_tables(base, finab, fhat_tables):
         for j in range(dim):
             basis = tuple(1 if i == j else 0 for i in range(dim))
             key = (_element_token(finab.zero()), _element_token(basis))
-            img = entries.get(key)
-            if img is None:
+            if key not in entries:
                 raise FixtureError(
                     f"action table for ({x},{ident}) missing entry {key}"
                 )
-            cols.append(_parse_carrier_element(img, finab))
+            img, line = entries[key]
+            cols.append(_parse_carrier_element(img, finab, f"{source}:{line}"))
         per_element[x] = [[cols[j][i] for j in range(dim)] for i in range(dim)]
     missing = [x for x in base.carriers[sort] if x not in per_element]
     if missing:
@@ -443,19 +453,20 @@ def _element_token(el):
     return "0" if not any(el) else ".".join(str(c) for c in el)
 
 
-def _validate_fhat_tables(km: XModule, fhat_tables):
+def _validate_fhat_tables(km: XModule, fhat_tables, source):
     """Explicit per-(op, tuple) tables must match the structural f_hat."""
     finab = km.carrier
     for opname, tup, entries in fhat_tables:
         fh = km.f_hat(opname, tup)
-        for args, img in entries.items():
-            ks = tuple(_parse_carrier_element(a, finab) for a in args)
+        for args, (img, line) in entries.items():
+            where = f"{source}:{line}"
+            ks = tuple(_parse_carrier_element(a, finab, where) for a in args)
             expected = fh(ks)
-            got = _parse_carrier_element(img, finab)
+            got = _parse_carrier_element(img, finab, where)
             if expected != got:
                 raise FixtureError(
-                    f"action table for {opname}{tup} violates the module "
-                    f"laws at {args}: expected {_element_token(expected)}"
+                    f"{where}: action table for {opname}{tup} violates the "
+                    f"module laws at {args}: expected {_element_token(expected)}"
                 )
 
 

@@ -35,12 +35,13 @@ class Presentation:
 
     @classmethod
     def from_moduli(cls, moduli):
-        n = len(moduli)
-        rels = [[moduli[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        rels = [
-            [row[j] for j in range(n) if moduli[j] != 0] for row in rels
-        ]
-        return cls(n, rels)
+        """Z/moduli[0] + Z/moduli[1] + ... (0 = Z): one relation column
+        per nonzero modulus, built as its n x r rows directly."""
+        nonzero = [i for i, m in enumerate(moduli) if m != 0]
+        rels = [[0] * len(nonzero) for _ in moduli]
+        for c, i in enumerate(nonzero):
+            rels[i][c] = moduli[i]
+        return cls(len(moduli), rels)
 
     @classmethod
     def free(cls, rank):

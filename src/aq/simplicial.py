@@ -7,6 +7,7 @@ and bisimplicial diagonal / cosimplicial totalization with their E2 grids.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 
 from .abgroups import FGAbelianGroup, FinAb, invariants_from_addition
@@ -183,7 +184,8 @@ class SimplicialTheta(_SimplicialBase):
         simplicial module on the same generators, over Z, or over Z[X]
         through the structure maps when `relative`.  Its columns are the
         sparse Fox derivatives of the faces and degeneracies
-        (`fox_columns`); it keeps no matrices.  Built once per object."""
+        (`fox_columns`), and it builds dense matrices only when they are
+        read.  Built once per object."""
         if relative not in self._abelianizations:
             sort = self.theory.sorts[0]
             over = [self.structure_map(n) if relative else None
@@ -210,34 +212,73 @@ class _MatrixSimplicial(_SimplicialBase):
     """A flavor whose maps are matrices on generators (rows: the target
     level) with entries in `ring` (integers unless a subclass says
     otherwise).  The identity check and the normalized complex read them
-    as sparse columns."""
+    as sparse columns.  An object built from its columns (a Dold-Kan
+    object, an abelianization) makes the dense matrices `faces` and
+    `degens` only when something reads them."""
 
     ring = Ring("Z")
     _columns = None
+    _faces = _degens = None
+
+    @property
+    def faces(self):
+        if self._faces is None and self._columns is not None:
+            self._dense_from_columns()
+        return self._faces
+
+    @faces.setter
+    def faces(self, maps):
+        self._faces = maps
+
+    @property
+    def degens(self):
+        if self._degens is None and self._columns is not None:
+            self._dense_from_columns()
+        return self._degens
+
+    @degens.setter
+    def degens(self, maps):
+        self._degens = maps
+
+    def _set_columns(self, faces, degens):
+        """Make the sparse columns (faces, degens), in the form `columns()`
+        returns, the maps of this object, with no dense matrices yet."""
+        self._faces = self._degens = None
+        self._columns = (faces, degens)
+        return self
+
+    def _dense_from_columns(self):
+        zero = self.ring.zero()
+        gens = [lv.gens for lv in self.levels]
+
+        def dense(cols, rows):
+            mat = [[zero] * len(cols) for _ in range(rows)]
+            for j, col in enumerate(cols):
+                for i, x in col:
+                    mat[i][j] = x
+            return mat
+
+        faces, degens = self._columns
+        self._faces = [[dense(c, gens[n - 1]) for c in maps]
+                       for n, maps in enumerate(faces)]
+        self._degens = [[dense(c, gens[n + 1]) for c in maps]
+                        for n, maps in enumerate(degens)]
 
     def columns(self, refresh=False):
         """(faces, degens) as sparse columns: faces[n][i][j] lists the
         (row, entry) pairs of the nonzero entries of d_i on generator j of
         level n, degens[n][j] those of s_j on level n.  Built once and
-        kept; `refresh` reads the matrices again, as the identity check
-        does, so that it always checks the maps as they are.  An object
-        given by its columns alone (`faces` None) has nothing to re-read."""
-        if self._columns is None or refresh and self.faces is not None:
+        kept; `refresh` reads the dense matrices again, as the identity
+        check does, so that it always checks the maps as they are.  Until
+        something has read the dense matrices there is nothing to
+        re-read."""
+        if self._columns is None or refresh and self._faces is not None:
             gens = [lv.gens for lv in self.levels]
-
-            def sparse(mat, n):
-                cols = [[] for _ in range(gens[n])]
-                for i, row in enumerate(mat):
-                    for j, x in enumerate(row):
-                        if x:
-                            cols[j].append((i, x))
-                return cols
-
             self._columns = (
-                [[sparse(m, n) for m in maps]
-                 for n, maps in enumerate(self.faces)],
-                [[sparse(m, n) for m in maps]
-                 for n, maps in enumerate(self.degens)],
+                [[_matrix_columns(m, gens[n]) for m in maps]
+                 for n, maps in enumerate(self._faces)],
+                [[_matrix_columns(m, gens[n]) for m in maps]
+                 for n, maps in enumerate(self._degens)],
             )
         return self._columns
 
@@ -252,14 +293,33 @@ class _MatrixSimplicial(_SimplicialBase):
         return [{j: one} for j in range(self.levels[n].gens)]
 
 
+def _matrix_columns(mat, cols):
+    """The sparse columns of a matrix with `cols` columns: per column, the
+    (row, entry) pairs of its nonzero entries."""
+    out = [[] for _ in range(cols)]
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            if x:
+                out[j].append((i, x))
+    return out
+
+
 def _compose_columns(outer, inner, ring):
     """outer . inner on sparse columns, as one {row: entry} dict of the
     nonzero entries per column of `inner`.  Integer entries (reduced mod m
     over Z/m), or group-ring entries composed as left-module maps: the
-    coefficient of the inner map multiplies on the left."""
+    coefficient of the inner map multiplies on the left.  An inner column
+    that is one entry equal to the ring's one, as nearly every Dold-Kan
+    degeneracy column is, picks a copy of one outer column.  Columns hold
+    each row at most once and only nonzero entries, as `_matrix_columns`
+    makes them."""
+    one = ring.one()
     out = []
     if ring.kind == "ZG":
         for col in inner:
+            if len(col) == 1 and col[0][1] == one:
+                out.append(dict(outer[col[0][0]]))
+                continue
             acc = {}
             for t, a in col:
                 for i, b in outer[t]:
@@ -268,6 +328,13 @@ def _compose_columns(outer, inner, ring):
         return out
     m = ring.m if ring.kind == "Zmod" else 0
     for col in inner:
+        if len(col) == 1 and col[0][1] == one:
+            if m:
+                out.append({i: x for i, b in outer[col[0][0]]
+                            if (x := b % m)})
+            else:
+                out.append(dict(outer[col[0][0]]))
+            continue
         acc = {}
         for t, a in col:
             for i, b in outer[t]:
@@ -323,12 +390,9 @@ class SimplicialFreeModule(_MatrixSimplicial):
     @classmethod
     def from_columns(cls, ring, ranks, faces, degens, truncation):
         """The free simplicial module whose maps are the sparse columns
-        (faces, degens), in the form `columns()` returns, with no
-        matrices."""
-        v = cls(ring, ranks, [], [], truncation)
-        v.faces = v.degens = None
-        v._columns = (faces, degens)
-        return v
+        (faces, degens), in the form `columns()` returns; its dense
+        matrices are built when first read."""
+        return cls(ring, ranks, [], [], truncation)._set_columns(faces, degens)
 
     def _maps_equal(self, m1, m2, src_level, tgt_level):
         return m1 == m2
@@ -429,13 +493,11 @@ def surjections(n, k):
     )
 
 
+@lru_cache(maxsize=None)
 def dk_summands(n, top):
-    """Summand index [(sigma, k)] of a Dold-Kan level at degree n."""
-    out = []
-    for k in range(min(n, top) + 1):
-        for sigma in surjections(n, k):
-            out.append((sigma, k))
-    return out
+    """Summand index ((sigma, k), ...) of a Dold-Kan level at degree n."""
+    return tuple((sigma, k) for k in range(min(n, top) + 1)
+                 for sigma in surjections(n, k))
 
 
 def _delta_coface(i, m):
@@ -470,77 +532,73 @@ def _dk_block(sigma, k, alpha):
     return None, None
 
 
+@lru_cache(maxsize=None)
+def _dk_plan(n, top, alpha):
+    """The structure map alpha: [m] -> [n] of a Dold-Kan object on a
+    complex of length `top`, summand by summand: per summand of level n,
+    in `dk_summands` order, the index of its target summand at level m and
+    the kind of its block ('id', 'd' or None).  It depends on the shape
+    alone, so each is worked out once per process."""
+    index = {sm: t for t, sm in enumerate(dk_summands(len(alpha) - 1, top))}
+    plan = []
+    for sigma, k in dk_summands(n, top):
+        target, kind = _dk_block(sigma, k, alpha)
+        plan.append((index[target] if kind else None, kind))
+    return tuple(plan)
+
+
 def dold_kan(cx, truncation=None):
     """The Dold-Kan simplicial object of a nonnegative chain complex.
 
     Accepts a ChainComplex (free modules over a ring) or a
     PresentedComplex, and tags the result with its summand layout so that
-    normalize_dk can extract the complex back exactly.
+    normalize_dk can extract the complex back exactly.  The faces and
+    degeneracies are built as sparse columns from the cached per-shape
+    plans (`_dk_plan`): an 'id' block is a unit column per generator, a
+    'd' block the shifted columns of the differential.
     """
     presented = isinstance(cx, PresentedComplex)
-    top = (len(cx.levels) if presented else len(cx.ranks)) - 1
+    if presented:
+        size, one = [lv.gens for lv in cx.levels], 1
+    else:
+        size, one = cx.ranks, cx.ring.one()
+    top = len(size) - 1
     trunc = truncation if truncation is not None else top + 1
 
     layouts = [dk_summands(n, top) for n in range(trunc + 1)]
-
-    def summand_size(k):
-        if presented:
-            return cx.levels[k].gens
-        return cx.ranks[k]
-
-    offsets = []
-    sizes = []
-    for n in range(trunc + 1):
-        off = {}
+    starts = []
+    for layout in layouts:
         pos = 0
-        for sm in layouts[n]:
-            off[sm] = pos
-            pos += summand_size(sm[1])
-        offsets.append(off)
-        sizes.append(pos)
+        starts.append([])
+        for _, k in layout:
+            starts[-1].append(pos)
+            pos += size[k]
+    diff_columns = [None] + [_matrix_columns(cx.diffs[k], size[k])
+                             for k in range(1, top + 1)]
 
-    ring = None if presented else cx.ring
+    def structure_columns(n, alpha):
+        first = starts[len(alpha) - 1]
+        cols = []
+        for (_, k), (target, kind) in zip(layouts[n], _dk_plan(n, top, alpha)):
+            if kind == "id":
+                r0 = first[target]
+                cols += [[(r0 + j, one)] for j in range(size[k])]
+            elif kind == "d":
+                r0 = first[target]
+                cols += [[(r0 + i, x) for i, x in col]
+                         for col in diff_columns[k]]
+            else:
+                cols += [[] for _ in range(size[k])]
+        return cols
 
-    def zero_mat(rows, cols):
-        z = 0 if presented else ring.zero()
-        return [[z] * cols for _ in range(rows)]
-
-    def insert_block(mat, r0, c0, kind, k):
-        if kind == "id":
-            for t in range(summand_size(k)):
-                mat[r0 + t][c0 + t] = 1 if presented else ring.one()
-        else:
-            d = cx.diffs[k]
-            for i in range(len(d)):
-                for j in range(len(d[0]) if d else 0):
-                    mat[r0 + i][c0 + j] = d[i][j]
-
-    def structure_matrix(n, m, alpha):
-        mat = zero_mat(sizes[m], sizes[n])
-        for sigma, k in layouts[n]:
-            target, kind = _dk_block(sigma, k, alpha)
-            if kind is None:
-                continue
-            r0 = offsets[m][target]
-            c0 = offsets[n][(sigma, k)]
-            insert_block(mat, r0, c0, kind, k)
-        return mat
-
-    faces = [[]]
-    degens = []
-    for n in range(trunc + 1):
-        if n >= 1:
-            faces.append([
-                structure_matrix(n, n - 1, _delta_coface(i, n - 1))
-                for i in range(n + 1)
-            ])
-        if n < trunc:
-            degens.append([
-                structure_matrix(n, n + 1, _sigma_codegen(j, n))
-                for j in range(n + 1)
-            ])
-        else:
-            degens.append([])
+    faces = [[]] + [
+        [structure_columns(n, _delta_coface(i, n - 1)) for i in range(n + 1)]
+        for n in range(1, trunc + 1)
+    ]
+    degens = [
+        [structure_columns(n, _sigma_codegen(j, n)) for j in range(n + 1)]
+        for n in range(trunc)
+    ] + [[]]
 
     if presented:
         levels = []
@@ -549,46 +607,45 @@ def dold_kan(cx, truncation=None):
             for p in (cx.levels[k] for _, k in layouts[n]):
                 acc = p if acc is None else acc.direct_sum(p)
             levels.append(acc if acc is not None else Presentation.free(0))
-        out = SimplicialAbelian(levels, faces, degens, trunc)
+        out = SimplicialAbelian(levels, [], [], trunc)
     else:
         out = SimplicialFreeModule(
-            ring, [sizes[n] for n in range(trunc + 1)], faces, degens, trunc
-        )
+            cx.ring, [sum(size[k] for _, k in layout) for layout in layouts],
+            [], [], trunc)
+    out._set_columns(faces, degens)
     out.dk_source = cx
-    out.dk_layouts = layouts
-    out.dk_offsets = offsets
+    out.dk_offsets = [dict(zip(layout, first))
+                      for layout, first in zip(layouts, starts)]
     return out
 
 
 def normalize_dk(v):
     """Inverse of dold_kan on tagged objects: extract the normalized
-    complex, which reproduces the source complex on the nose."""
+    complex, which reproduces the source complex on the nose.  Reads the
+    face columns as the maps are now (`columns(refresh=True)`)."""
     if not hasattr(v, "dk_source"):
         raise AlgebraError("normalize_dk needs a Dold-Kan tagged object")
     cx = v.dk_source
     presented = isinstance(cx, PresentedComplex)
-    top = (len(cx.levels) if presented else len(cx.ranks)) - 1
-    out_levels = []
+    if presented:
+        out_levels, zero = list(cx.levels), 0
+        size = [lv.gens for lv in cx.levels]
+    else:
+        out_levels, zero = list(cx.ranks), cx.ring.zero()
+        size = cx.ranks
+    faces, _ = v.columns(refresh=True)
     out_diffs = [None]
-    for k in range(top + 1):
-        ident = (tuple(range(k + 1)), k)
-        if presented:
-            out_levels.append(cx.levels[k])
-        else:
-            out_levels.append(cx.ranks[k])
-        if k >= 1:
-            # component of d_k from identity summand at level k to identity
-            # summand at level k-1
-            mat = v.faces[k][k]
-            r0 = v.dk_offsets[k - 1][(tuple(range(k)), k - 1)]
-            c0 = v.dk_offsets[k][ident]
-            size_r = cx.levels[k - 1].gens if presented else cx.ranks[k - 1]
-            size_c = cx.levels[k].gens if presented else cx.ranks[k]
-            block = [
-                [mat[r0 + i][c0 + j] for j in range(size_c)]
-                for i in range(size_r)
-            ]
-            out_diffs.append(block)
+    for k in range(1, len(size)):
+        # component of d_k from the identity summand at level k to the
+        # identity summand at level k-1
+        r0 = v.dk_offsets[k - 1][(tuple(range(k)), k - 1)]
+        c0 = v.dk_offsets[k][(tuple(range(k + 1)), k)]
+        block = [[zero] * size[k] for _ in range(size[k - 1])]
+        for j in range(size[k]):
+            for i, x in faces[k][k][c0 + j]:
+                if r0 <= i < r0 + size[k - 1]:
+                    block[i - r0][j] = x
+        out_diffs.append(block)
     if presented:
         return PresentedComplex(out_levels, out_diffs)
     return ChainComplex(cx.ring, out_levels, out_diffs)
@@ -876,10 +933,13 @@ def matching(v, n):
             for r in range(len(mat))
         )
 
-    # level 0 has no faces, so M_1 = X_0 x X_0
+    # level 0 has no faces, so M_1 = X_0 x X_0; above, each face image of
+    # an element of level n-1 is computed once and the tuples compare them
+    img = [{x: face(n - 1, i, x) for x in below}
+           for i in range(n if n >= 2 else 0)]
     tuples = [
         combo for combo in product(below, repeat=n + 1)
-        if n < 2 or all(face(n - 1, i, combo[j]) == face(n - 1, j - 1, combo[i])
+        if n < 2 or all(img[i][combo[j]] == img[j - 1][combo[i]]
                         for i in range(n + 1) for j in range(i + 1, n + 1))
     ]
 

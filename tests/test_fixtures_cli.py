@@ -52,6 +52,55 @@ def test_load_xmodule_with_action_tables():
     assert km.is_trivial_action()
 
 
+def test_xmodule_given_by_action_tables_alone():
+    # z2-table.xmod has no act blocks: the action is read off its mul
+    # tables at (x, e), and it is the module of z2-triv.xmod
+    tables = load_xmodule(fx("z2-table.xmod"))
+    acts = load_xmodule(fx("z2-triv.xmod"))
+    for km in (tables, acts):
+        assert (km.base.carriers, km.base.tables) == \
+            (acts.base.carriers, acts.base.tables)
+    assert (tables.carrier.moduli, tables.action) == \
+        (acts.carrier.moduli, acts.action)
+
+
+def test_cli_cohomology_is_the_same_for_either_z2_fixture(tmp_path, capsys):
+    outputs = []
+    for name in ("z2-triv.xmod", "z2-table.xmod"):
+        out = tmp_path / f"{name}.json"
+        assert main(["cohomology", "--theory", "gp", "--algebra", fx("z2.alg"),
+                     "--coeffs", fx(name), "--max-degree", "1",
+                     "--method", "both", "--json", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])[1]["em_route"] == {"rank": 0, "torsion": [2]}
+
+
+@pytest.mark.parametrize("entry,message", [
+    ("(0,1)->1.0", "'1.0' has 2 coordinates, the carrier has 1"),
+    ("(0,1)->b", "'b' is not a carrier element"),
+])
+def test_a_bad_action_table_entry_is_a_fixture_error(tmp_path, entry, message):
+    # an entry of the mul table at (a, e), moved to line 8 of the file;
+    # also under `python -O`, which strips asserts
+    bad = tmp_path / "bad.xmod"
+    text = fx_text("z2-table.xmod").replace(
+        '"z2.alg"', f'"{os.path.abspath(fx("z2.alg"))}"')
+    bad.write_text(text.replace("{ (0,0)->0 (0,1)->1 (1,0)->1 (1,1)->0 }\n}",
+                                f"{{ (0,0)->0\n {entry} }}\n}}"))
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "aq.cli", "check", str(bad)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2, flags
+        assert proc.stderr == f"error: {bad}:8: {message}\n", flags
+        assert proc.stdout == "", flags
+
+
 def test_load_xmodule_inversion():
     km = load_xmodule(fx("z3-inv.xmod"))
     assert km.invariants() == G(3)

@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from aq import invariants
+from aq import invariants, simplicial
 from aq.abgroups import FGAbelianGroup, FinAb
 from aq.algebras import (
     cyclic_group,
@@ -283,6 +283,45 @@ def test_module_fallback_for_a_degeneracy_that_is_not_one_unit(name):
         homology_with_coeffs(v, k, degrees)
     assert cohomology(w, k, degrees) == cohomology(v, k, degrees)
     assert cohomology_via_em(w, k, 2) == cohomology_via_em(v, k, 2)
+
+
+@pytest.mark.parametrize("name,seed", SEEDS[::2])
+def test_module_routes_build_no_dense_matrices(name, seed):
+    # a Dold-Kan resolution is built as sparse columns, and the
+    # certificate and every module route read only those
+    ring = RINGS[name]()
+    m = _seeded_module(ring, seed)
+    v = resolve_module(m, length=3)
+    k = CoefficientModule.trivial(ring, COEFFS[name])
+    degrees = range(3)
+    assert check_certificate(v, m, rng=2).valid
+    homology(v, degrees)
+    homology_with_coeffs(v, k, degrees)
+    cohomology(v, k, degrees)
+    cohomology_via_em(v, k, 2)
+    assert v._faces is None and v._degens is None
+    # reading them builds them from the columns, and the check re-reads them
+    dense = v.faces
+    assert v._faces is dense and v._degens is not None
+    dense[2][0][0][0] = ring.add(dense[2][0][0][0], ring.one())
+    assert not check_certificate(v, m, rng=2).checks["simplicial_identities"]
+
+
+def test_dold_kan_blocks_are_worked_out_once_per_shape(monkeypatch):
+    calls = []
+    block = simplicial._dk_block
+    monkeypatch.setattr(simplicial, "_dk_block",
+                        lambda *a: calls.append(a) or block(*a))
+    simplicial._dk_plan.cache_clear()
+    ring = Ring("Zmod", m=4)
+    resolve_module(RModulePresentation.cyclic(ring, 2), length=4)
+    assert calls
+    assert len(set(calls)) == len(calls)
+    first = len(calls)
+    for a in (2, 1):
+        resolve_module(RModulePresentation.cyclic(Ring("Z"), a), length=4)
+    assert len(calls) == first
+    simplicial._dk_plan.cache_clear()
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))

@@ -69,6 +69,18 @@ def test_dk_of_multiplication_by_4():
     assert pis[0] == G(4) and pis[1] == G() and pis[2] == G()
 
 
+def test_normalize_dk_reads_the_maps_as_they_are():
+    # the faces of a Dold-Kan object are read back from its dense matrices
+    # once something has built and edited them
+    cx = PresentedComplex(
+        [Presentation.free(1), Presentation.free(1)], [None, [[4]]]
+    )
+    v = dold_kan(cx, truncation=3)
+    assert normalize_dk(v) == cx
+    v.faces[1][1][0][1] = 6
+    assert normalize_dk(v).diffs[1] == [[6]]
+
+
 def test_k_objects_have_right_homotopy():
     for group, n in [(G(0), 1), (G(2), 1), (G(3), 2), (G(0, 4), 2)]:
         v = k_object(group, n, truncation=n + 2)
