@@ -535,16 +535,14 @@ def _dk_block(sigma, k, alpha):
 @lru_cache(maxsize=None)
 def _dk_plan(n, top, alpha):
     """The structure map alpha: [m] -> [n] of a Dold-Kan object on a
-    complex of length `top`, summand by summand: per summand of level n,
-    in `dk_summands` order, the index of its target summand at level m and
-    the kind of its block ('id', 'd' or None).  It depends on the shape
-    alone, so each is worked out once per process."""
+    complex of length `top`, summand by summand: (targets, kinds), per
+    summand of level n in `dk_summands` order the index of its target
+    summand at level m and the kind of its block ('id', 'd' or None).  It
+    depends on the shape alone, so each is worked out once per process."""
     index = {sm: t for t, sm in enumerate(dk_summands(len(alpha) - 1, top))}
-    plan = []
-    for sigma, k in dk_summands(n, top):
-        target, kind = _dk_block(sigma, k, alpha)
-        plan.append((index[target] if kind else None, kind))
-    return tuple(plan)
+    blocks = [_dk_block(sigma, k, alpha) for sigma, k in dk_summands(n, top)]
+    return (tuple(index[target] if kind else None for target, kind in blocks),
+            tuple(kind for _, kind in blocks))
 
 
 def dold_kan(cx, truncation=None):
@@ -578,8 +576,9 @@ def dold_kan(cx, truncation=None):
 
     def structure_columns(n, alpha):
         first = starts[len(alpha) - 1]
+        targets, kinds = _dk_plan(n, top, alpha)
         cols = []
-        for (_, k), (target, kind) in zip(layouts[n], _dk_plan(n, top, alpha)):
+        for (_, k), target, kind in zip(layouts[n], targets, kinds):
             if kind == "id":
                 r0 = first[target]
                 cols += [[(r0 + j, one)] for j in range(size[k])]
