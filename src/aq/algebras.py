@@ -326,7 +326,9 @@ class FiniteAlgebra:
 
     def group_ops(self, sort):
         w = self.witness()
-        assert w, f"theory {self.theory.name} has no group structure"
+        if not w:
+            raise AlgebraError(
+                f"theory {self.theory.name} has no group structure")
         return w.triples[sort]
 
     def identity(self, sort=None):

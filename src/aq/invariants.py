@@ -70,17 +70,23 @@ def _abelianization(v, x):
 def _act_matrix(mat, coeff, rows, cols, dual=False):
     """The integer matrix of the sparse R-matrix `mat`, restricted to
     rows x cols, acting on coefficient blocks: block (r, c) is the action
-    of entry (rows[r], cols[c]), placed at (c, r) when `dual`."""
+    of entry (rows[r], cols[c]), placed at (c, r) when `dual`.  Each
+    distinct entry's block is worked out once per call."""
     dim = coeff.dim
     pos = {i: r for r, i in enumerate(rows)}
     shape = (len(cols), len(rows)) if dual else (len(rows), len(cols))
     big = [[0] * (shape[1] * dim) for _ in range(shape[0] * dim)]
+    blocks = {}
     for c, j in enumerate(cols):
         for i, entry in mat[j]:
             r = pos.get(i)
             if r is None:
                 continue
-            blk = coeff.act_of(entry)
+            key = frozenset(entry.items()) if isinstance(entry, dict) \
+                else entry
+            blk = blocks.get(key)
+            if blk is None:
+                blk = blocks[key] = coeff.act_of(entry)
             br, bc = (c, r) if dual else (r, c)
             for a in range(dim):
                 big[br * dim + a][bc * dim:(bc + 1) * dim] = blk[a]
@@ -110,14 +116,37 @@ def der_cochain(v, k, x=None, cells=None) -> CosimplicialAbelian:
 
 
 def cohomology(v, k, degrees, x=None, certificate=None):
-    """Andre-Quillen cohomology groups through the cochain route."""
+    """Andre-Quillen cohomology groups through the cochain route: Hom into
+    the coefficients of the normalized complex reduced by unit pivots
+    (`SimplicialFreeModule.reduced_complex`), or the cohomotopy of the
+    whole derivation complex (`der_cochain`) where the degeneracies leave
+    nothing to reduce."""
     _require_valid(certificate)
     top = max(degrees)
     if top + 1 > v.truncation:
         raise AlgebraError("range needs levels up to degree+1")
-    w = der_cochain(v, k, x=x,
-                    cells=nondegenerate_cells(_abelianization(v, x)))
+    reduced = _abelianization(v, x).reduced_complex()
+    if reduced is None:
+        return cohomotopy(der_cochain(v, k, x=x), degrees)
+    levels, deltas = _with_coefficients(reduced, _coefficient(k, x), top + 1,
+                                        dual=True)
+    # the reduced cochain complex, each coboundary the one coface of its
+    # level, so that its alternating coface sum is the coboundary itself
+    w = CosimplicialAbelian(levels, [[d] for d in deltas[1:]], [], top + 1)
     return cohomotopy(w, degrees)
+
+
+def _with_coefficients(reduced, coeff, top, dual=False):
+    """Through degree `top`, the levels and maps of a reduced complex
+    (ranks, diffs) tensored with `coeff` (maps[n]: level n -> n-1), or of
+    its Hom into `coeff` when `dual` (maps[n]: level n-1 -> n)."""
+    ranks, diffs = reduced
+    ranks = ranks[:top + 1]
+    levels = [Presentation.from_moduli(list(coeff.moduli) * r) for r in ranks]
+    maps = [None] + [
+        _act_matrix(diffs[n], coeff, range(ranks[n - 1]), range(ranks[n]),
+                    dual=dual) for n in range(1, len(ranks))]
+    return levels, maps
 
 
 def cohomology_subquotients(v, k, degrees, x=None):
@@ -181,25 +210,28 @@ def homology(v, degrees, x=None, certificate=None, with_action=False):
     _require_valid(certificate)
     if isinstance(v, SimplicialFreeModule):
         return moore_homotopy(v, degrees)
+    if not with_action or x is None:
+        cx, _, _ = abelianized_complex(v, over=x, reduced=True)
+        return cx.homology(degrees)
+    # the action is read in the canonical coordinates of the unreduced
+    # complex, so its matrices stay those of the whole normalized complex
     cx, ranks, ring = abelianized_complex(v, over=x)
     subq = cx.homology_subquotients(degrees)
     out = {nn: subq[nn].invariants() for nn in degrees}
-    if with_action and x is not None:
-        actions = {}
-        for nn in degrees:
-            zr = ring.zrank()
-            acts = {}
-            for h in ring.group.elements:
-                blk = ring.regular_block({h: 1})
-                big = [[0] * (ranks[nn] * zr) for _ in range(ranks[nn] * zr)]
-                for c in range(ranks[nn]):
-                    for a in range(zr):
-                        for b in range(zr):
-                            big[c * zr + a][c * zr + b] = blk[a][b]
-                acts[h] = induced_map(big, subq[nn], subq[nn])
-            actions[nn] = acts
-        return out, actions
-    return out
+    actions = {}
+    for nn in degrees:
+        zr = ring.zrank()
+        acts = {}
+        for h in ring.group.elements:
+            blk = ring.regular_block({h: 1})
+            big = [[0] * (ranks[nn] * zr) for _ in range(ranks[nn] * zr)]
+            for c in range(ranks[nn]):
+                for a in range(zr):
+                    for b in range(zr):
+                        big[c * zr + a][c * zr + b] = blk[a][b]
+            acts[h] = induced_map(big, subq[nn], subq[nn])
+        actions[nn] = acts
+    return out, actions
 
 
 def _tensored_complex(v, coeff, x=None) -> PresentedComplex:
@@ -235,10 +267,15 @@ def _tensored_complex(v, coeff, x=None) -> PresentedComplex:
 def homology_with_coeffs(v, g, degrees, x=None, certificate=None):
     """Homology with coefficients: tensor of the abelianization with a
     module over the relevant ring (free levels tensor by the
-    generator-product rule), then homotopy."""
+    generator-product rule), then homotopy; on the normalized complex
+    reduced by unit pivots where there is one."""
     _require_valid(certificate)
     coeff = _coefficient(g, x)
-    return _tensored_complex(v, coeff, x=x).homology(degrees)
+    reduced = _abelianization(v, x).reduced_complex()
+    if reduced is None:
+        return _tensored_complex(v, coeff, x=x).homology(degrees)
+    levels, bnds = _with_coefficients(reduced, coeff, max(degrees) + 1)
+    return PresentedComplex(levels, bnds).homology(degrees)
 
 
 def tensor_free_generators(gens_t, gens_s):

@@ -38,6 +38,7 @@ from .simplicial import (
     _normalized_quotient,
     dold_kan,
     moore_homotopy,
+    reduced_quotient,
 )
 from .terms import App
 
@@ -143,18 +144,23 @@ def loop_group_resolution(g: FiniteAlgebra, truncation=2) -> SimplicialTheta:
 # ---------------------------------------------------------------------------
 # abelianized chain complexes of free simplicial algebras
 
-def abelianized_complex(v: SimplicialTheta, over=None):
+def abelianized_complex(v: SimplicialTheta, over=None, reduced=False):
     """The (relative or absolute) abelianization of a free simplicial
     algebra as a normalized presented complex over Z.
 
     over=None: coefficients Z (exponent sums).  over=X: coefficients in
     the group ring Z[X] through the structure maps, then restricted to Z.
     The abelianization is a free simplicial module (`abelianization`), so
-    this is its normalized complex (`_normalized_quotient`).  Returns
+    this is its normalized complex (`_normalized_quotient`); `reduced`
+    gives that complex reduced by unit pivots over the ring
+    (`reduced_quotient`), where there is one.  Returns
     (PresentedComplex, ranks, ring), ranks the generator counts per level
     of that complex.
     """
     ab = v.abelianization(over is not None)
+    red = ab.reduced_complex() if reduced else None
+    if red is not None:
+        return reduced_quotient(ab, v.truncation), red[0], ab.ring
     cx, cells = _normalized_quotient(ab, v.truncation)
     return cx, [len(c) for c in cells], ab.ring
 
@@ -241,7 +247,7 @@ def _pi0_matches(v: SimplicialTheta, x) -> bool:
 def _abelianized_acyclic(v: SimplicialTheta, x, rng):
     if rng + 1 > v.truncation:
         raise AlgebraError("certificate range exceeds the truncation")
-    cx, ranks, ring = abelianized_complex(v, over=x)
+    cx, _, _ = abelianized_complex(v, over=x, reduced=True)
     got = cx.homology(range(rng + 1))
     expected0 = FGAbelianGroup(x.order() - 1)
     ok = got[0] == expected0 and all(

@@ -127,6 +127,19 @@ class Ring:
             return not a
         return (a % self.m if self.kind == "Zmod" else a) == 0
 
+    def unit_inverse(self, a):
+        """The inverse of `a` when it is a unit of the ring, else None:
+        +-1 over Z, u prime to m over Z/m, +-g over Z[G]."""
+        if self.kind == "ZG":
+            if len(a) == 1:
+                ((g, c),) = a.items()
+                if c in (1, -1):
+                    return {self.group.inv[g]: c}
+            return None
+        if self.kind == "Zmod":
+            return pow(a, -1, self.m) if gcd(a, self.m) == 1 else None
+        return a if a in (1, -1) else None
+
     def zrank(self):
         """Rank of the ring as a free Z-module (Z/m handled separately)."""
         return self.group.order() if self.kind == "ZG" else 1

@@ -381,6 +381,8 @@ class SimplicialFreeModule(_MatrixSimplicial):
     The simplicial identities are checked over R: entries compose in the
     ring and compare as ring elements (over Z/m, modulo m)."""
 
+    _reduced = None
+
     def __init__(self, ring: Ring, ranks, faces, degens, truncation):
         super().__init__([Presentation.free(r) for r in ranks], faces, degens,
                          truncation)
@@ -396,6 +398,24 @@ class SimplicialFreeModule(_MatrixSimplicial):
 
     def _maps_equal(self, m1, m2, src_level, tgt_level):
         return m1 == m2
+
+    def reduced_complex(self):
+        """(ranks, diffs): the normalized complex through the truncation,
+        the alternating face sums on `nondegenerate_cells`, reduced by
+        unit pivots (`reduce_by_units`) and checked to square to zero;
+        None when the degeneracies do not single out nondegenerate
+        generators.  Built once per set of columns and kept, so a map
+        re-read by the identity check gets a new one."""
+        cols = self.columns()
+        if self._reduced is None or self._reduced[0] is not cols:
+            cells = nondegenerate_cells(self)
+            red = None
+            if cells is not None:
+                red = reduce_by_units(self.ring, [len(c) for c in cells],
+                                      _alternating_columns(self, cells))
+                check_square_zero(self.ring, red[1])
+            self._reduced = (cols, red)
+        return self._reduced[1]
 
     def to_abelian(self) -> SimplicialAbelian:
         """The underlying simplicial abelian group: each R-matrix entry
@@ -708,24 +728,137 @@ def _restricted_complex(v, cells, rels):
     `v`, modulo the relation columns rels[n] over the ring, whose
     differential at n is the alternating sum of the sparse face columns
     restricted to cells[n-1] x cells[n]; both realized over Z once."""
+    return _realize(v.ring, [len(c) for c in cells], rels,
+                    _alternating_columns(v, cells))
+
+
+def _alternating_columns(v, cells):
+    """Per level n >= 1 (None at 0), the sparse columns of the alternating
+    sum of the faces of `v` restricted to cells[n-1] x cells[n]: per
+    generator of cells[n], the (row, entry) pairs of its nonzero entries,
+    rows numbered by their position in cells[n-1]."""
     ring = v.ring
+    zero = ring.zero()
     faces, _ = v.columns()
-    levels = [RModulePresentation(ring, len(c), r).z_presentation()
-              for c, r in zip(cells, rels)]
-    diffs = [None]
+    out = [None]
     for n in range(1, len(cells)):
-        rows, cols = cells[n - 1], cells[n]
-        pos = {i: r for r, i in enumerate(rows)}
-        total = [[ring.zero()] * len(cols) for _ in rows]
-        for k, face in enumerate(faces[n]):
-            for c, j in enumerate(cols):
+        pos = {i: r for r, i in enumerate(cells[n - 1])}
+        cols = []
+        for j in cells[n]:
+            acc = {}
+            for k, face in enumerate(faces[n]):
                 for i, entry in face[j]:
                     r = pos.get(i)
                     if r is not None:
-                        total[r][c] = ring.add(
-                            total[r][c], entry if k % 2 == 0 else ring.neg(entry))
-        diffs.append(r_matrix_to_z(ring, total, len(rows), len(cols)))
-    return PresentedComplex(levels, diffs)
+                        acc[r] = ring.add(acc.get(r, zero), entry if k % 2 == 0
+                                          else ring.neg(entry))
+            cols.append([(r, x) for r, x in sorted(acc.items())
+                         if not ring.is_zero(x)])
+        out.append(cols)
+    return out
+
+
+def _realize(ring, ranks, rels, diffs):
+    """The presented complex over Z of a complex of R-modules: level n is
+    R^ranks[n] modulo the relation columns rels[n], and diffs[n] are the
+    sparse columns of the differential at n, as `_alternating_columns`
+    gives them; each realized by `r_matrix_to_z`."""
+    levels = [RModulePresentation(ring, r, rel).z_presentation()
+              for r, rel in zip(ranks, rels)]
+    out = [None]
+    for n in range(1, len(ranks)):
+        dense = [[ring.zero()] * ranks[n] for _ in range(ranks[n - 1])]
+        for j, col in enumerate(diffs[n]):
+            for i, x in col:
+                dense[i][j] = x
+        out.append(r_matrix_to_z(ring, dense, ranks[n - 1], ranks[n]))
+    return PresentedComplex(levels, out)
+
+
+def reduce_by_units(ring, ranks, diffs):
+    """A complex of free R-modules reduced by Gaussian elimination on unit
+    entries of R (`Ring.unit_inverse`); the result is chain homotopy
+    equivalent to it over R, so every additive functor gives it the same
+    homology.
+
+    ranks[n] is the rank in degree n and diffs[n] (n >= 1; diffs[0] is
+    None) the sparse columns of d_n, as `_alternating_columns` gives them.
+    From the top degree down, each column j of d_n in turn pivots on its
+    unit entry u whose row i has the fewest entries (then the lowest i).
+    Every other column k becomes d[.][k] - d[i][k] u^-1 d[.][j], and
+    generator j of degree n and generator i of degree n-1 go, with row j
+    of d_{n+1} and column i of d_{n-1}.  An entry r acts as x -> x r
+    (`r_matrix_to_z`), so matrices compose in the opposite ring: that
+    product order is the one that keeps d d = 0 (`check_square_zero`).
+    Returns (ranks, diffs) in the same form."""
+    zero = ring.zero()
+    cols = [None] + [[dict(c) for c in d] for d in diffs[1:]]
+    alive = [[True] * r for r in ranks]
+    for n in range(len(ranks) - 1, 0, -1):
+        d = cols[n]
+        live = [j for j in range(ranks[n]) if alive[n][j]]
+        rows = {}
+        for j in live:
+            for i in d[j]:
+                rows.setdefault(i, set()).add(j)
+        for j in live:
+            col = d[j]
+            best = None
+            for i, u in col.items():
+                inv = ring.unit_inverse(u)
+                if inv is not None and (best is None or (len(rows[i]), i)
+                                        < (len(rows[best[0]]), best[0])):
+                    best = (i, inv)
+            if best is None:
+                continue
+            i, inv = best
+            for r in col:
+                rows[r].discard(j)
+            for k in rows.pop(i):
+                dk = d[k]
+                f = ring.neg(ring.mul(dk.pop(i), inv))
+                for r, e in col.items():
+                    if r == i:
+                        continue
+                    x = ring.add(dk.get(r, zero), ring.mul(f, e))
+                    if not ring.is_zero(x):
+                        if r not in dk:
+                            rows[r].add(k)
+                        dk[r] = x
+                    elif r in dk:
+                        del dk[r]
+                        rows[r].discard(k)
+            alive[n][j] = alive[n - 1][i] = False
+    pos = [{j: p for p, j in enumerate(j for j, a in enumerate(flags) if a)}
+           for flags in alive]
+    out = [None] + [
+        [sorted((pos[n - 1][i], x) for i, x in cols[n][j].items()
+                if i in pos[n - 1]) for j in pos[n]]
+        for n in range(1, len(ranks))]
+    return [len(p) for p in pos], out
+
+
+def check_square_zero(ring, diffs):
+    """Raise an AlgebraError naming the degree unless d_n d_{n+1} = 0 for
+    every pair of the sparse differentials `diffs` (composed as
+    `_compose_columns` composes simplicial maps)."""
+    for n in range(1, len(diffs) - 1):
+        if any(_compose_columns(diffs[n], diffs[n + 1], ring)):
+            raise AlgebraError(
+                f"reduced complex: d_{n} d_{n + 1} is not zero in degree {n}")
+
+
+def reduced_quotient(v, top):
+    """The normalized complex of a SimplicialFreeModule `v` reduced by
+    unit pivots (`SimplicialFreeModule.reduced_complex`), realized over Z
+    through level `top`; None for any other `v`, or when `v` has no
+    nondegenerate generators to reduce."""
+    red = v.reduced_complex() if isinstance(v, SimplicialFreeModule) else None
+    if red is None:
+        return None
+    ranks, diffs = red
+    ranks = ranks[:top + 1]
+    return _realize(v.ring, ranks, [[]] * len(ranks), diffs[:top + 1])
 
 
 def _normalized_quotient(v, top):
@@ -780,14 +913,17 @@ def _alternating_sum(mats):
 
 def moore_homotopy(v, degrees):
     """Homotopy groups of a simplicial abelian object: homology of the
-    normalized (Moore) complex, built through level max(degrees) + 1.
+    normalized (Moore) complex, built through level max(degrees) + 1;
+    for a free simplicial module, of that complex reduced by unit pivots.
     """
     top = max(degrees)
     if top + 1 > v.truncation:
         raise AlgebraError(
             f"truncation {v.truncation} too small for degree {top}"
         )
-    quo, _ = _normalized_quotient(v, top + 1)
+    quo = reduced_quotient(v, top + 1)
+    if quo is None:
+        quo, _ = _normalized_quotient(v, top + 1)
     return quo.homology(degrees)
 
 

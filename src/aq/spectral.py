@@ -81,8 +81,9 @@ class SpectralPage:
             nxt = (s + 2, t + 1) if self.quadrant == "first" else (s + 2, t + 1)
             if nxt in self.d2:
                 comp = mat_mul(self.d2[nxt], mat)
-                assert all(all(x == 0 for x in row) for row in comp), \
-                    "d2 . d2 != 0"
+                if any(any(row) for row in comp):
+                    raise AlgebraError(
+                        f"d2 . d2 != 0 at ({s},{t}) -> {nxt}")
 
     def entry(self, s, t) -> FGAbelianGroup:
         return self.grid.get((s, t), FGAbelianGroup())

@@ -5,6 +5,7 @@ discrete, product, abelianization, comma, and module theories.
 
 from __future__ import annotations
 
+from .errors import AlgebraError
 from .rings import Ring
 from .terms import (
     App,
@@ -505,7 +506,10 @@ def comma_theory(theta: TheoryPresentation, x, name=None):
             amap = dict(zip(names, assignment))
             new_l, lv = _fiber_term(theta, x, lhs, amap)
             new_r, rv = _fiber_term(theta, x, rhs, amap)
-            assert lv == rv, "base algebra violates a theory equation"
+            if lv != rv:
+                raise AlgebraError(
+                    f"base algebra {x.name} violates the theory equation "
+                    f"{term_str(lhs)} = {term_str(rhs)} at {amap}")
             out.add_equation_if_new((new_l, new_r))
     out.validate()
     return out

@@ -1,0 +1,269 @@
+"""The normalized complex reduced by unit pivots over its ring: pivots
+are units of the ring, the reduced complex squares to zero (and a pivot
+taken in the wrong product order does not), it gives the same homology
+and cohomology as the unreduced complex on every loop-group, `.sres` and
+module fixture, and the certificate and the main routes read it."""
+
+import glob
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from aq import invariants, resolutions, simplicial
+from aq.algebras import AlgebraError, cyclic_group, symmetric_3
+from aq.beck import XModule
+from aq.cli import main
+from aq.fixtures import (
+    load_algebra,
+    load_sres,
+    load_xmodule,
+    parse_module_presentation,
+)
+from aq.invariants import (
+    _coefficient,
+    _tensored_complex,
+    cohomology,
+    der_cochain,
+    homology,
+    homology_with_coeffs,
+)
+from aq.resolutions import (
+    abelianized_complex,
+    bar_resolution_group,
+    check_certificate,
+    loop_group_resolution,
+    resolve_module,
+)
+from aq.rings import CoefficientModule, Ring
+from aq.simplicial import (
+    _alternating_columns,
+    _normalized_quotient,
+    check_square_zero,
+    cohomotopy,
+    moore_homotopy,
+    nondegenerate_cells,
+    reduce_by_units,
+)
+from test_normalized import COEFFS, RINGS, SEEDS, _seeded_module
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def _z_c2():
+    return Ring("ZG", group=cyclic_group(2).group_table("g"))
+
+
+@pytest.mark.parametrize("ring,entry,inverse", [
+    (Ring("Z"), 2, None),
+    (Ring("Z"), 1, 1),
+    (Ring("Z"), -1, -1),
+    (Ring("Zmod", m=4), 2, None),
+    (Ring("Zmod", m=4), -1, 3),
+    (Ring("Zmod", m=4), 3, 3),
+    (Ring("Zmod", m=6), 5, 5),
+    (_z_c2(), {"e": 1, "a": 1}, None),
+    (_z_c2(), {"e": 2}, None),
+    (_z_c2(), {"a": -1}, {"a": -1}),
+    (_z_c2(), {"e": 1}, {"e": 1}),
+], ids=["Z:2", "Z:1", "Z:-1", "Z/4:2", "Z/4:-1", "Z/4:3", "Z/6:5",
+        "Z[C2]:1+g", "Z[C2]:2", "Z[C2]:-g", "Z[C2]:1"])
+def test_a_pivot_is_a_unit_of_the_ring(ring, entry, inverse):
+    assert ring.unit_inverse(entry) == inverse
+    # the complex R --entry--> R: a unit cancels both generators, anything
+    # else is kept
+    ranks, diffs = reduce_by_units(ring, [1, 1], [None, [[(0, entry)]]])
+    assert ranks == ([1, 1] if inverse is None else [0, 0])
+    if inverse is None:
+        assert diffs[1] == [[(0, entry)]]
+
+
+def test_a_pivot_in_the_wrong_product_order_breaks_d_d():
+    # an entry r acts as x -> x r, so matrices compose in the opposite
+    # ring; eliminating in the other order (here: in the opposite ring of
+    # Z[S3]) leaves a complex whose differentials no longer compose to 0
+    class Opposite(Ring):
+        def mul(self, a, b):
+            return Ring.mul(self, b, a)
+
+    ab = loop_group_resolution(symmetric_3(), truncation=3).abelianization(True)
+    cells = nondegenerate_cells(ab)
+    ranks = [len(c) for c in cells]
+    diffs = _alternating_columns(ab, cells)
+    check_square_zero(ab.ring, diffs)
+    _, right = reduce_by_units(ab.ring, ranks, diffs)
+    check_square_zero(ab.ring, right)
+    _, wrong = reduce_by_units(Opposite("ZG", group=ab.ring.group), ranks,
+                               diffs)
+    with pytest.raises(AlgebraError, match=r"is not zero in degree \d+$"):
+        check_square_zero(ab.ring, wrong)
+
+
+def test_reduced_ranks_of_s3_are_pinned(monkeypatch):
+    v = loop_group_resolution(symmetric_3(), truncation=3)
+    g = v.target
+    for relative, ranks in ((False, [1, 1, 1, 521]), (True, [2, 2, 1, 521])):
+        ab = v.abelianization(relative)
+        assert [len(c) for c in nondegenerate_cells(ab)] == [5, 25, 125, 625]
+        assert ab.reduced_complex()[0] == ranks
+        assert ab.reduced_complex() is ab.reduced_complex()
+
+    # the certificate and the main routes never fall back to the unreduced
+    # complex when there is a reduced one
+    def unreduced(*args, **kwargs):
+        raise AssertionError("the unreduced complex was built")
+
+    monkeypatch.setattr(resolutions, "_normalized_quotient", unreduced)
+    monkeypatch.setattr(simplicial, "_normalized_quotient", unreduced)
+    monkeypatch.setattr(invariants, "der_cochain", unreduced)
+    monkeypatch.setattr(invariants, "_tensored_complex", unreduced)
+    cert = check_certificate(v, g, rng=2)
+    assert cert.valid, cert.checks
+    k = XModule.trivial(g, [2])
+    assert cohomology(v, k, range(3), x=g, certificate=cert)[2].torsion == (2,)
+    homology(v, range(3), x=g)
+    homology(v, range(3))
+    homology_with_coeffs(v, k, range(3), x=g)
+    module = resolve_module(_seeded_module(Ring("Zmod", m=4), 7), length=3)
+    moore_homotopy(module, range(3))
+
+
+def _fixture_names(pattern, keep=lambda text: True):
+    out = []
+    for path in sorted(glob.glob(os.path.join(FIXTURES, pattern))):
+        with open(path) as fh:
+            if keep(fh.read()):
+                out.append(os.path.basename(path))
+    return out
+
+
+# every group fixture, and every `.sres` fixture but broken.sres, whose
+# simplicial identities fail on purpose
+GROUP_FIXTURES = _fixture_names("*.alg", lambda text: "theory gp" in text) \
+    + [n for n in _fixture_names("*.sres") if n != "broken.sres"]
+
+
+@pytest.mark.parametrize("name", GROUP_FIXTURES)
+def test_reduced_and_unreduced_agree_on_group_fixtures(name):
+    # loop-group resolutions of the groups, the `.sres` resolutions as
+    # given (both resolve Z/2); trivial Z/2 and Z/3 and every `.xmod`
+    # fixture on a group it is a module over
+    path = os.path.join(FIXTURES, name)
+    if name.endswith(".sres"):
+        v = load_sres(path)
+        g = load_algebra(os.path.join(FIXTURES, "z2.alg"))
+    else:
+        g = load_algebra(path)
+        v = loop_group_resolution(g, truncation=3 if g.order() <= 4 else 2)
+    assert check_certificate(v, g, rng=v.truncation - 1).valid
+    coeffs = [XModule.trivial(g, [2]), XModule.trivial(g, [3])]
+    coeffs += [load_xmodule(p, base=g) for p in _xmods_over(g)]
+    degrees = range(v.truncation)
+    for x in (None, g):
+        ab = v.abelianization(x is not None)
+        cells = nondegenerate_cells(ab)
+        unreduced, _, _ = abelianized_complex(v, over=x)
+        reduced, _, _ = abelianized_complex(v, over=x, reduced=True)
+        assert reduced.homology(degrees) == unreduced.homology(degrees)
+        for k in coeffs:
+            full = cohomotopy(der_cochain(v, k, x=x, cells=cells), degrees)
+            assert cohomology(v, k, degrees, x=x) == full, (x, k.action)
+            tensored = _tensored_complex(v, _coefficient(k, x), x=x)
+            assert homology_with_coeffs(v, k, degrees, x=x) == \
+                tensored.homology(degrees), (x, k.action)
+
+
+def _xmods_over(g):
+    out = []
+    for name in _fixture_names("*.xmod"):
+        path = os.path.join(FIXTURES, name)
+        if load_xmodule(path).base.carriers == g.carriers:
+            out.append(path)
+    return out
+
+
+def _module_fixtures():
+    with open(os.path.join(FIXTURES, "y-z4.alg")) as fh:
+        yz4 = parse_module_presentation(fh.read())
+    out = [("y-z4.alg", yz4, CoefficientModule.trivial(yz4.ring, [2]))]
+    for ring_name, seed in SEEDS:
+        ring = RINGS[ring_name]()
+        out.append((f"{ring_name}-{seed}", _seeded_module(ring, seed),
+                    CoefficientModule.trivial(ring, COEFFS[ring_name])))
+    return out
+
+
+@pytest.mark.parametrize("name,module,k", _module_fixtures(),
+                         ids=lambda p: p if isinstance(p, str) else "")
+def test_reduced_and_unreduced_agree_on_module_fixtures(name, module, k):
+    v = resolve_module(module, length=4)
+    degrees = range(4)
+    assert v.reduced_complex() is not None
+    unreduced, _ = _normalized_quotient(v, 4)
+    assert moore_homotopy(v, degrees) == unreduced.homology(degrees)
+    full = cohomotopy(der_cochain(v, k, cells=nondegenerate_cells(v)), degrees)
+    assert cohomology(v, k, degrees) == full
+    assert homology_with_coeffs(v, k, degrees) == \
+        _tensored_complex(v, k).homology(degrees)
+
+
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_s3_in_aq_degree_2_agrees_with_the_bar_complex(modulus, tmp_path):
+    out = tmp_path / "out.json"
+    code = main(["cohomology", "--theory", "gp", "--algebra",
+                 os.path.join(FIXTURES, "s3.alg"), "--coeffs", str(modulus),
+                 "--max-degree", "2", "--method", "cochain",
+                 "--json", str(out)])
+    assert code == 0
+    got = json.loads(out.read_text())
+    g = load_algebra(os.path.join(FIXTURES, "s3.alg"))
+    bar = bar_resolution_group(g, XModule.trivial(g, [modulus]), 3)
+    # AQ H^n is classical H^{n+1}
+    for entry in got:
+        n = entry["degree"]
+        assert (entry["rank"], entry["torsion"]) == \
+            (bar[n + 1].rank, list(bar[n + 1].torsion))
+
+
+_INPUT_CHECKS = {
+    "comma theory of a base that violates an equation": (
+        "from aq.algebras import cyclic_group, FiniteAlgebra\n"
+        "from aq.theories import comma_theory\n"
+        "g = cyclic_group(2)\n"
+        "tables = {op: dict(t) for op, t in g.tables.items()}\n"
+        "tables['mul'][('a', 'a')] = 'a'\n"
+        "bad = FiniteAlgebra(g.theory, 'bad', g.carriers, tables, "
+        "validate=False)\n"
+        "comma_theory(g.theory, bad)\n"),
+    "E2 page whose d2 squares to nonzero": (
+        "from aq.abgroups import FGAbelianGroup\n"
+        "from aq.spectral import SpectralPage\n"
+        "grid = {(0, 0): FGAbelianGroup(1), (2, 1): FGAbelianGroup(1),\n"
+        "        (4, 2): FGAbelianGroup(1)}\n"
+        "SpectralPage(grid, 'first', d2={(0, 0): [[1]], (2, 1): [[1]]})\n"),
+    "group operations of a theory with no group structure": (
+        "from aq.algebras import FiniteAlgebra\n"
+        "from aq.theories import trivial_theory\n"
+        "t = trivial_theory()\n"
+        "FiniteAlgebra(t, 'one', {'g': ['x']}, {}).identity()\n"),
+}
+
+
+@pytest.mark.parametrize("what", sorted(_INPUT_CHECKS))
+def test_input_checks_raise_algebra_error_also_under_O(what):
+    code = ("from aq.errors import AlgebraError\n"
+            "try:\n"
+            + "".join(f"    {line}\n"
+                      for line in _INPUT_CHECKS[what].splitlines())
+            + "except AlgebraError as exc:\n"
+            "    print('AlgebraError', exc)\n")
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", code],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=SRC))
+        assert out.returncode == 0, (flags, out.stderr)
+        assert out.stdout.startswith("AlgebraError "), (flags, out.stdout)
+
