@@ -113,9 +113,6 @@ def _factor(n):
     return out
 
 
-ZERO_GROUP = FGAbelianGroup()
-
-
 class FinAb:
     """A concrete finite abelian group prod_i Z/moduli[i], elements = tuples."""
 

@@ -13,7 +13,7 @@ from .algebras import AlgebraError
 from .beck import XModule
 from .presented import Presentation, Subquotient, cycle_lattice, induced_map
 from .resolutions import abelianized_complex
-from .rings import CoefficientModule, Ring
+from .rings import CoefficientModule, Ring, _act_matrix
 from .simplicial import (
     CosimplicialAbelian,
     PresentedComplex,
@@ -65,32 +65,6 @@ def _abelianization(v, x):
     if isinstance(v, SimplicialTheta):
         return v.abelianization(x is not None)
     return v
-
-
-def _act_matrix(mat, coeff, rows, cols, dual=False):
-    """The integer matrix of the sparse R-matrix `mat`, restricted to
-    rows x cols, acting on coefficient blocks: block (r, c) is the action
-    of entry (rows[r], cols[c]), placed at (c, r) when `dual`.  Each
-    distinct entry's block is worked out once per call."""
-    dim = coeff.dim
-    pos = {i: r for r, i in enumerate(rows)}
-    shape = (len(cols), len(rows)) if dual else (len(rows), len(cols))
-    big = [[0] * (shape[1] * dim) for _ in range(shape[0] * dim)]
-    blocks = {}
-    for c, j in enumerate(cols):
-        for i, entry in mat[j]:
-            r = pos.get(i)
-            if r is None:
-                continue
-            key = frozenset(entry.items()) if isinstance(entry, dict) \
-                else entry
-            blk = blocks.get(key)
-            if blk is None:
-                blk = blocks[key] = coeff.act_of(entry)
-            br, bc = (c, r) if dual else (r, c)
-            for a in range(dim):
-                big[br * dim + a][bc * dim:(bc + 1) * dim] = blk[a]
-    return big
 
 
 def der_cochain(v, k, x=None, cells=None) -> CosimplicialAbelian:

@@ -403,6 +403,32 @@ def hom_dual(d, rows, cols, coeff: CoefficientModule):
     return out
 
 
+def _act_matrix(mat, coeff, rows, cols, dual=False):
+    """The integer matrix of the sparse R-matrix `mat`, restricted to
+    rows x cols, acting on coefficient blocks: block (r, c) is the action
+    of entry (rows[r], cols[c]), placed at (c, r) when `dual`.  Each
+    distinct entry's block is worked out once per call."""
+    dim = coeff.dim
+    pos = {i: r for r, i in enumerate(rows)}
+    shape = (len(cols), len(rows)) if dual else (len(rows), len(cols))
+    big = [[0] * (shape[1] * dim) for _ in range(shape[0] * dim)]
+    blocks = {}
+    for c, j in enumerate(cols):
+        for i, entry in mat[j]:
+            r = pos.get(i)
+            if r is None:
+                continue
+            key = frozenset(entry.items()) if isinstance(entry, dict) \
+                else entry
+            blk = blocks.get(key)
+            if blk is None:
+                blk = blocks[key] = coeff.act_of(entry)
+            br, bc = (c, r) if dual else (r, c)
+            for a in range(dim):
+                big[br * dim + a][bc * dim:(bc + 1) * dim] = blk[a]
+    return big
+
+
 def tensor_chain_complex(ring, ranks, diffs, coeff: CoefficientModule):
     """Apply - tensor_R coeff to a free resolution; returns (levels, bnds)."""
     levels = []

@@ -31,8 +31,8 @@ from .rings import (
     CoefficientModule,
     RModulePresentation,
     Ring,
+    _act_matrix,
     hom_cochain_complex,
-    hom_dual,
     r_matrix_to_z,
 )
 from .snf import (
@@ -61,16 +61,15 @@ class SimplicialIdentityError(AlgebraError):
 # containers
 
 class _SimplicialBase:
-    """levels[n]; faces[n][i]: level n -> n-1; degens[n][j]: n -> n+1.
+    """levels[n] and the truncation; a flavor keeps the faces d_i: level
+    n -> n-1 and the degeneracies s_j: n -> n+1.
 
-    A flavor supplies the hooks `_compose(outer, inner)`,
-    `_identity_on(n)` and `_maps_equal(m1, m2, src_level, tgt_level)`, and
-    may override `_identity_maps` to hand them its maps in another form."""
+    A flavor supplies the hooks `_identity_maps()` (faces, degens),
+    `_compose(outer, inner)`, `_identity_on(n)` and
+    `_maps_equal(m1, m2, src_level, tgt_level)`."""
 
-    def __init__(self, levels, faces, degens, truncation):
+    def __init__(self, levels, truncation):
         self.levels = list(levels)
-        self.faces = [list(f) if f else [] for f in faces]
-        self.degens = [list(s) if s else [] for s in degens]
         self.truncation = truncation
 
     def check_identities(self):
@@ -111,10 +110,6 @@ class _SimplicialBase:
                             f"s_{i} s_{j} != s_{j+1} s_{i} at level {n}"
                         )
 
-    def _identity_maps(self):
-        """(faces, degens) in the form the hooks take."""
-        return self.faces, self.degens
-
 
 class SimplicialTheta(_SimplicialBase):
     """Simplicial algebras over a group-like theory; levels are FreeAlgebra
@@ -123,13 +118,18 @@ class SimplicialTheta(_SimplicialBase):
 
     def __init__(self, theory, levels, faces, degens, truncation,
                  augmentation=None):
-        super().__init__(levels, faces, degens, truncation)
+        super().__init__(levels, truncation)
+        self.faces = [list(f) if f else [] for f in faces]
+        self.degens = [list(s) if s else [] for s in degens]
         self.theory = theory
         self.augmentation = augmentation  # AlgebraMap level0 -> X
         self._abelianizations = {}  # relative? -> SimplicialFreeModule
 
     def is_free_levelwise(self):
         return all(lv.is_free() for lv in self.levels)
+
+    def _identity_maps(self):
+        return self.faces, self.degens
 
     def _compose(self, outer: AlgebraMap, inner: AlgebraMap):
         src = inner.source
@@ -184,8 +184,7 @@ class SimplicialTheta(_SimplicialBase):
         simplicial module on the same generators, over Z, or over Z[X]
         through the structure maps when `relative`.  Its columns are the
         sparse Fox derivatives of the faces and degeneracies
-        (`fox_columns`), and it builds dense matrices only when they are
-        read.  Built once per object."""
+        (`fox_columns`).  Built once per object."""
         if relative not in self._abelianizations:
             sort = self.theory.sorts[0]
             over = [self.structure_map(n) if relative else None
@@ -203,87 +202,31 @@ class SimplicialTheta(_SimplicialBase):
                 for n in range(self.truncation)
             ] + [[]]
             ranks = [len(lv.generators[sort]) for lv in self.levels]
-            self._abelianizations[relative] = SimplicialFreeModule.from_columns(
+            self._abelianizations[relative] = SimplicialFreeModule(
                 ring, ranks, faces, degens, self.truncation)
         return self._abelianizations[relative]
 
 
 class _MatrixSimplicial(_SimplicialBase):
-    """A flavor whose maps are matrices on generators (rows: the target
-    level) with entries in `ring` (integers unless a subclass says
-    otherwise).  The identity check and the normalized complex read them
-    as sparse columns.  An object built from its columns (a Dold-Kan
-    object, an abelianization) makes the dense matrices `faces` and
-    `degens` only when something reads them."""
+    """A flavor whose maps are matrices on generators with entries in
+    `ring` (integers unless a subclass says otherwise), kept as sparse
+    columns only: faces[n][i][j] lists the (row, entry) pairs of the
+    nonzero entries of d_i on generator j of level n, degens[n][j] those
+    of s_j on level n, rows numbered by the target level's generators."""
 
     ring = Ring("Z")
-    _columns = None
-    _faces = _degens = None
 
-    @property
-    def faces(self):
-        if self._faces is None and self._columns is not None:
-            self._dense_from_columns()
-        return self._faces
+    def __init__(self, levels, faces, degens, truncation):
+        super().__init__(levels, truncation)
+        self._columns = ([list(f) for f in faces], [list(s) for s in degens])
 
-    @faces.setter
-    def faces(self, maps):
-        self._faces = maps
-
-    @property
-    def degens(self):
-        if self._degens is None and self._columns is not None:
-            self._dense_from_columns()
-        return self._degens
-
-    @degens.setter
-    def degens(self, maps):
-        self._degens = maps
-
-    def _set_columns(self, faces, degens):
-        """Make the sparse columns (faces, degens), in the form `columns()`
-        returns, the maps of this object, with no dense matrices yet."""
-        self._faces = self._degens = None
-        self._columns = (faces, degens)
-        return self
-
-    def _dense_from_columns(self):
-        zero = self.ring.zero()
-        gens = [lv.gens for lv in self.levels]
-
-        def dense(cols, rows):
-            mat = [[zero] * len(cols) for _ in range(rows)]
-            for j, col in enumerate(cols):
-                for i, x in col:
-                    mat[i][j] = x
-            return mat
-
-        faces, degens = self._columns
-        self._faces = [[dense(c, gens[n - 1]) for c in maps]
-                       for n, maps in enumerate(faces)]
-        self._degens = [[dense(c, gens[n + 1]) for c in maps]
-                        for n, maps in enumerate(degens)]
-
-    def columns(self, refresh=False):
-        """(faces, degens) as sparse columns: faces[n][i][j] lists the
-        (row, entry) pairs of the nonzero entries of d_i on generator j of
-        level n, degens[n][j] those of s_j on level n.  Built once and
-        kept; `refresh` reads the dense matrices again, as the identity
-        check does, so that it always checks the maps as they are.  Until
-        something has read the dense matrices there is nothing to
-        re-read."""
-        if self._columns is None or refresh and self._faces is not None:
-            gens = [lv.gens for lv in self.levels]
-            self._columns = (
-                [[_matrix_columns(m, gens[n]) for m in maps]
-                 for n, maps in enumerate(self._faces)],
-                [[_matrix_columns(m, gens[n]) for m in maps]
-                 for n, maps in enumerate(self._degens)],
-            )
+    def columns(self):
+        """(faces, degens) as sparse columns, in the form the constructor
+        takes them."""
         return self._columns
 
     def _identity_maps(self):
-        return self.columns(refresh=True)
+        return self._columns
 
     def _compose(self, outer, inner):
         return _compose_columns(outer, inner, self.ring)
@@ -302,6 +245,17 @@ def _matrix_columns(mat, cols):
             if x:
                 out[j].append((i, x))
     return out
+
+
+def _dense_matrix(cols, rows, zero=0):
+    """The matrix with `rows` rows whose sparse columns are `cols`, the
+    inverse of `_matrix_columns`, for `r_matrix_to_z` and the containers
+    whose maps stay dense."""
+    mat = [[zero] * len(cols) for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            mat[i][j] = x
+    return mat
 
 
 def _compose_columns(outer, inner, ring):
@@ -346,40 +300,36 @@ def _compose_columns(outer, inner, ring):
 
 
 class SimplicialAbelian(_MatrixSimplicial):
-    """Levels are presented Z-modules, maps are integer matrices on
-    generators.  Matrices may have zero rows, so the column count of a map
-    is read from its source level."""
+    """Levels are presented Z-modules, maps are integer columns on
+    generators.  The simplicial identities are checked modulo the
+    relations of the target level."""
 
     def _maps_equal(self, m1, m2, src_level, tgt_level):
-        # column by column, equal modulo the target level's relations
-        target = self.levels[tgt_level]
-        for a, b in zip(m1, m2):
-            if a != b:
-                col = [0] * target.gens
-                for i, x in a.items():
-                    col[i] += x
-                for i, x in b.items():
-                    col[i] -= x
-                if not target.contains_in_relations(col):
-                    return False
-        return True
+        return _equal_mod_relations(m1, m2, self.levels[tgt_level])
 
 
-def _matrices_equal_mod(m1, m2, cols, target: Presentation):
-    rows = len(m1)
-    if len(m2) != rows:
-        return False
-    for j in range(cols):
-        col = [m1[i][j] - m2[i][j] for i in range(rows)]
-        if any(col) and not target.contains_in_relations(col):
-            return False
+def _equal_mod_relations(m1, m2, target: Presentation):
+    """Whether two integer maps into the presented module `target` agree
+    column by column modulo its relations.  A column is a {row: entry}
+    dict of its nonzero entries, or their (row, entry) pairs in row
+    order."""
+    for a, b in zip(m1, m2):
+        if a != b:
+            col = [0] * target.gens
+            for i, x in dict(a).items():
+                col[i] += x
+            for i, x in dict(b).items():
+                col[i] -= x
+            if not target.contains_in_relations(col):
+                return False
     return True
 
 
 class SimplicialFreeModule(_MatrixSimplicial):
-    """Levels are free modules over a registered ring; maps are R-matrices.
-    The simplicial identities are checked over R: entries compose in the
-    ring and compare as ring elements (over Z/m, modulo m)."""
+    """Levels are free modules over a registered ring; maps are sparse
+    R-columns.  The simplicial identities are checked over R: entries
+    compose in the ring and compare as ring elements (over Z/m, modulo
+    m)."""
 
     _reduced = None
 
@@ -389,13 +339,6 @@ class SimplicialFreeModule(_MatrixSimplicial):
         self.ring = ring
         self.ranks = list(ranks)
 
-    @classmethod
-    def from_columns(cls, ring, ranks, faces, degens, truncation):
-        """The free simplicial module whose maps are the sparse columns
-        (faces, degens), in the form `columns()` returns; its dense
-        matrices are built when first read."""
-        return cls(ring, ranks, [], [], truncation)._set_columns(faces, degens)
-
     def _maps_equal(self, m1, m2, src_level, tgt_level):
         return m1 == m2
 
@@ -404,32 +347,16 @@ class SimplicialFreeModule(_MatrixSimplicial):
         the alternating face sums on `nondegenerate_cells`, reduced by
         unit pivots (`reduce_by_units`) and checked to square to zero;
         None when the degeneracies do not single out nondegenerate
-        generators.  Built once per set of columns and kept, so a map
-        re-read by the identity check gets a new one."""
-        cols = self.columns()
-        if self._reduced is None or self._reduced[0] is not cols:
+        generators.  Built once and kept."""
+        if self._reduced is None:
             cells = nondegenerate_cells(self)
             red = None
             if cells is not None:
                 red = reduce_by_units(self.ring, [len(c) for c in cells],
                                       _alternating_columns(self, cells))
                 check_square_zero(self.ring, red[1])
-            self._reduced = (cols, red)
-        return self._reduced[1]
-
-    def to_abelian(self) -> SimplicialAbelian:
-        """The underlying simplicial abelian group: each R-matrix entry
-        realized over Z by `r_matrix_to_z`, Z/m levels with m*I relations."""
-        r, ranks = self.ring, self.ranks
-        levels = [RModulePresentation(r, rk, []).z_presentation()
-                  for rk in ranks]
-        faces = [[r_matrix_to_z(r, m, ranks[n - 1], ranks[n])
-                  for m in self.faces[n]] if n else []
-                 for n in range(len(ranks))]
-        degens = [[r_matrix_to_z(r, m, ranks[n + 1], ranks[n])
-                   for m in self.degens[n]] if n < len(ranks) - 1 else []
-                  for n in range(len(ranks))]
-        return SimplicialAbelian(levels, faces, degens, self.truncation)
+            self._reduced = (red,)
+        return self._reduced[0]
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +553,11 @@ def dold_kan(cx, truncation=None):
             for p in (cx.levels[k] for _, k in layouts[n]):
                 acc = p if acc is None else acc.direct_sum(p)
             levels.append(acc if acc is not None else Presentation.free(0))
-        out = SimplicialAbelian(levels, [], [], trunc)
+        out = SimplicialAbelian(levels, faces, degens, trunc)
     else:
         out = SimplicialFreeModule(
             cx.ring, [sum(size[k] for _, k in layout) for layout in layouts],
-            [], [], trunc)
-    out._set_columns(faces, degens)
+            faces, degens, trunc)
     out.dk_source = cx
     out.dk_offsets = [dict(zip(layout, first))
                       for layout, first in zip(layouts, starts)]
@@ -640,8 +566,8 @@ def dold_kan(cx, truncation=None):
 
 def normalize_dk(v):
     """Inverse of dold_kan on tagged objects: extract the normalized
-    complex, which reproduces the source complex on the nose.  Reads the
-    face columns as the maps are now (`columns(refresh=True)`)."""
+    complex, which reproduces the source complex on the nose, from the
+    face columns."""
     if not hasattr(v, "dk_source"):
         raise AlgebraError("normalize_dk needs a Dold-Kan tagged object")
     cx = v.dk_source
@@ -652,7 +578,7 @@ def normalize_dk(v):
     else:
         out_levels, zero = list(cx.ranks), cx.ring.zero()
         size = cx.ranks
-    faces, _ = v.columns(refresh=True)
+    faces, _ = v.columns()
     out_diffs = [None]
     for k in range(1, len(size)):
         # component of d_k from the identity summand at level k to the
@@ -765,13 +691,11 @@ def _realize(ring, ranks, rels, diffs):
     gives them; each realized by `r_matrix_to_z`."""
     levels = [RModulePresentation(ring, r, rel).z_presentation()
               for r, rel in zip(ranks, rels)]
-    out = [None]
-    for n in range(1, len(ranks)):
-        dense = [[ring.zero()] * ranks[n] for _ in range(ranks[n - 1])]
-        for j, col in enumerate(diffs[n]):
-            for i, x in col:
-                dense[i][j] = x
-        out.append(r_matrix_to_z(ring, dense, ranks[n - 1], ranks[n]))
+    out = [None] + [
+        r_matrix_to_z(ring,
+                      _dense_matrix(diffs[n], ranks[n - 1], ring.zero()),
+                      ranks[n - 1], ranks[n])
+        for n in range(1, len(ranks))]
     return PresentedComplex(levels, out)
 
 
@@ -936,13 +860,11 @@ def moore_subquotients(v, degrees):
 
 
 def unnormalized_homotopy(v, degrees):
-    """Homology of the raw alternating-sum complex (cross-check route)."""
-    if isinstance(v, SimplicialFreeModule):
-        v = v.to_abelian()
-    diffs = [None] + [
-        _alternating_sum(v.faces[n]) for n in range(1, v.truncation + 1)
-    ]
-    return PresentedComplex(list(v.levels), diffs).homology(degrees)
+    """Homology of the raw alternating-sum complex on every generator,
+    modulo the level relations (cross-check route)."""
+    cells = [range(lv.gens) for lv in v.levels]
+    rels = [_level_relations(v, n, c) for n, c in enumerate(cells)]
+    return _restricted_complex(v, cells, rels).homology(degrees)
 
 
 class CosimplicialAbelian:
@@ -1047,8 +969,8 @@ def matching(v, n):
     Returns (invariants of M_n, comparison map level_n -> M_n bijective?).
     Levels must be finite; this is the dual finite limit, enumerated.
     """
-    if isinstance(v, SimplicialFreeModule):
-        v = v.to_abelian()
+    if v.ring.kind != "Z":
+        raise AlgebraError("matching: the maps must be integer columns")
     if n == 0:
         lv = v.levels[0]
         return FGAbelianGroup(), lv.invariants().is_trivial()
@@ -1057,16 +979,13 @@ def matching(v, n):
     moduli = {level: _moduli_of(v.levels[level])
               for level in range(max(n - 2, 0), n)}
     mods_below = moduli[n - 1]
+    faces, _ = v.columns()
 
     def face(level, i, vec):
-        mat = v.faces[level][i]
         mods = moduli[level - 1]
-        return tuple(
-            sum(mat[r][c] * vec[c] for c in range(len(vec))) % (mods[r] or 1)
-            if mods[r] else
-            sum(mat[r][c] * vec[c] for c in range(len(vec)))
-            for r in range(len(mat))
-        )
+        return tuple(x % m if m else x
+                     for x, m in zip(_apply_columns(faces[level][i], vec,
+                                                    len(mods)), mods))
 
     # level 0 has no faces, so M_1 = X_0 x X_0; above, each face image of
     # an element of level n-1 is computed once and the tuples compare them
@@ -1101,6 +1020,17 @@ def matching(v, n):
     bijective = injective and len(images) == len(tuples) and \
         images == set(tuples)
     return inv, bijective
+
+
+def _apply_columns(cols, vec, rows):
+    """The image of the integer vector `vec` under the map with sparse
+    columns `cols` into Z^rows."""
+    out = [0] * rows
+    for c, col in zip(vec, cols):
+        if c:
+            for r, x in col:
+                out[r] += x * c
+    return out
 
 
 def _moduli_of(pres: Presentation):
@@ -1143,19 +1073,16 @@ def _power_xmodule(x, k: XModule, copies) -> XModule:
 VALIDATE_LEVEL_LIMIT = 80
 
 
-def _lift(x, mat, src, src_mod, tgt, tgt_mod):
-    """The map src -> tgt of semidirect levels that is the integer matrix
-    `mat` on the module part and the identity on X."""
+def _lift(x, cols, src, src_mod, tgt, tgt_mod):
+    """The map src -> tgt of semidirect levels that is the integer map
+    with sparse columns `cols` on the module part and the identity on
+    X."""
     sort = x.theory.sorts[0]
     moduli = tgt_mod.carrier.moduli
     mapping = {}
     for ke in src_mod.elements():
-        img = tgt_mod.carrier.reduce(
-            tuple(
-                sum(mat[r][c] * ke[c] for c in range(len(ke)))
-                for r in range(len(moduli))
-            )
-        ) if moduli else ()
+        img = tgt_mod.carrier.reduce(tuple(
+            _apply_columns(cols, ke, len(moduli)))) if moduli else ()
         for xe in x.carriers[sort]:
             mapping[src.label_of[(ke, xe)]] = tgt.label_of[(img, xe)]
     return AlgebraMap(src, tgt, {sort: mapping}, check=False)
@@ -1179,12 +1106,13 @@ def _semidirect_object(x, k: XModule, n, kernel, name):
         for i, km in enumerate(mods)
     ]
 
-    def lift(i, mat, j):
-        return _lift(x, mat, levels[i], mods[i], levels[j], mods[j])
+    def lift(i, cols, j):
+        return _lift(x, cols, levels[i], mods[i], levels[j], mods[j])
 
-    faces = [[]] + [[lift(i, kernel.faces[i][a], i - 1) for a in range(i + 1)]
+    kfaces, kdegens = kernel.columns()
+    faces = [[]] + [[lift(i, kfaces[i][a], i - 1) for a in range(i + 1)]
                     for i in range(1, trunc + 1)]
-    degens = [[lift(i, kernel.degens[i][a], i + 1) for a in range(i + 1)]
+    degens = [[lift(i, kdegens[i][a], i + 1) for a in range(i + 1)]
               for i in range(trunc)] + [[]]
     aug = AlgebraMap(
         levels[0], x,
@@ -1267,7 +1195,9 @@ def path_object(em):
     pe = _semidirect_object(x, k, n, kernel, "EI")
     # the EM complex is zero below degree n, so are the projections
     pe.projections = [
-        [_lift(x, _dk_map(kernel, em.kernel_part, [[]] * n + [proj], i),
+        [_lift(x, _matrix_columns(
+                   _dk_map(kernel, em.kernel_part, [[]] * n + [proj], i),
+                   kernel.levels[i].gens),
                pe.levels[i], pe.level_xmodules[i],
                em.levels[i], em.level_xmodules[i])
          for i in range(trunc + 1)]
@@ -1305,16 +1235,12 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
     """
     for s in range(1, len(columns)):
         for t in range(1, len(columns[s].levels)):
-            lhs = mat_mul(
-                columns[s - 1].diffs[t], hdiffs[s][t],
-                columns[s].levels[t].gens,
-            )
-            rhs = mat_mul(
-                hdiffs[s][t - 1], columns[s].diffs[t],
-                columns[s].levels[t].gens,
-            )
-            if not _matrices_equal_mod(lhs, rhs, columns[s].levels[t].gens,
-                                       columns[s - 1].levels[t - 1]):
+            gens = columns[s].levels[t].gens
+            lhs = mat_mul(columns[s - 1].diffs[t], hdiffs[s][t], gens)
+            rhs = mat_mul(hdiffs[s][t - 1], columns[s].diffs[t], gens)
+            if len(lhs) != len(rhs) or not _equal_mod_relations(
+                    _matrix_columns(lhs, gens), _matrix_columns(rhs, gens),
+                    columns[s - 1].levels[t - 1]):
                 raise AlgebraError(
                     f"horizontal differential at ({s},{t}) is not a chain map"
                 )
@@ -1329,21 +1255,32 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
     ]
     span = range(truncation + 1)
 
+    def dense(v, n, kind, shift):
+        # the faces (kind 0, shift -1) or degeneracies (kind 1, shift 1)
+        # of v at level n as matrices
+        height = v.levels[n + shift].gens
+        return [_dense_matrix(c, height) for c in v.columns()[kind][n]]
+
     def vertical(p, q, target, maps):
         # maps[s][i]: the i-th structure map of verticals[s] at level q; for
         # each i these form a chain map of rows, row q -> row target
         return [_dk_map(rows[q], rows[target], comps, p)
                 for comps in zip(*maps)]
 
+    vfaces = [[dense(v, q, 0, -1) for v in verticals] if q else None
+              for q in span]
+    vdegens = [[dense(v, q, 1, 1) for v in verticals] if q < truncation
+               else None for q in span]
     return BisimplicialAbelian(
         [[rows[q].levels[p] for q in span] for p in span],
-        [[rows[q].faces[p] if p else None for q in span] for p in span],
-        [[vertical(p, q, q - 1, [v.faces[q] for v in verticals])
-          if q else None for q in span] for p in span],
-        [[rows[q].degens[p] if p < truncation else None for q in span]
+        [[dense(rows[q], p, 0, -1) if p else None for q in span]
          for p in span],
-        [[vertical(p, q, q + 1, [v.degens[q] for v in verticals])
-          if q < truncation else None for q in span] for p in span],
+        [[vertical(p, q, q - 1, vfaces[q]) if q else None for q in span]
+         for p in span],
+        [[dense(rows[q], p, 1, 1) if p < truncation else None for q in span]
+         for p in span],
+        [[vertical(p, q, q + 1, vdegens[q]) if q < truncation else None
+          for q in span] for p in span],
         truncation,
     )
 
@@ -1368,21 +1305,16 @@ def diag(b: BisimplicialAbelian) -> SimplicialAbelian:
     """The diagonal simplicial abelian object."""
     trunc = b.truncation
     levels = [b.levels[n][n] for n in range(trunc + 1)]
-    faces = [[]]
-    degens = []
-    for n in range(trunc + 1):
-        if n >= 1:
-            fs = []
-            for i in range(n + 1):
-                fs.append(mat_mul(b.hfaces[n][n - 1][i], b.vfaces[n][n][i]))
-            faces.append(fs)
-        if n < trunc:
-            ds = []
-            for j in range(n + 1):
-                ds.append(mat_mul(b.hdegens[n][n + 1][j], b.vdegens[n][n][j]))
-            degens.append(ds)
-        else:
-            degens.append([])
+
+    def composite(outer, inner, n):
+        return _matrix_columns(mat_mul(outer, inner), levels[n].gens)
+
+    faces = [[]] + [
+        [composite(b.hfaces[n][n - 1][i], b.vfaces[n][n][i], n)
+         for i in range(n + 1)] for n in range(1, trunc + 1)]
+    degens = [
+        [composite(b.hdegens[n][n + 1][j], b.vdegens[n][n][j], n)
+         for j in range(n + 1)] for n in range(trunc)] + [[]]
     return SimplicialAbelian(levels, faces, degens, trunc)
 
 
@@ -1437,10 +1369,14 @@ def diag_e2_page(b: BisimplicialAbelian, smax, tmax):
         # vertical homotopy at level t for each horizontal degree p
         cols = []
         for p in range(min(smax + 2, trunc) + 1):
+            vlevels = [b.levels[p][q] for q in range(trunc + 1)]
             col = SimplicialAbelian(
-                [b.levels[p][q] for q in range(trunc + 1)],
-                [[]] + [b.vfaces[p][q] for q in range(1, trunc + 1)],
-                [b.vdegens[p][q] for q in range(trunc)] + [[]],
+                vlevels,
+                [[]] + [[_matrix_columns(m, vlevels[q].gens)
+                         for m in b.vfaces[p][q]]
+                        for q in range(1, trunc + 1)],
+                [[_matrix_columns(m, vlevels[q].gens) for m in b.vdegens[p][q]]
+                 for q in range(trunc)] + [[]],
                 trunc,
             )
             subq, cells = moore_subquotients(col, [t])
@@ -1506,9 +1442,11 @@ def tot(w: CosimplicialSimplicial):
         sq = Subquotient(g, basis, _intersect_relations(basis, rels, g))
         pieces[(s, t)] = sq
 
-    def express_in(sq: Subquotient, vec):
+    def express_in(sq: Subquotient, vec, s, t):
         y = sq.express(vec)
-        assert y is not None, "differential leaves the conormalized part"
+        if y is None:
+            raise AlgebraError(f"tot: the differential out of ({s}, {t}) "
+                               "leaves the conormalized part")
         return y
 
     offset = trunc
@@ -1543,7 +1481,7 @@ def tot(w: CosimplicialSimplicial):
                     v = _alternating_sum(w.faces[s][t])
                     img = mat_vec(v, basis_vec) if v else []
                     target = pieces[(s, t - 1)]
-                    y = express_in(target, img)
+                    y = express_in(target, img, s, t)
                     r0 = offsets[idx - 1][(s, t - 1)]
                     for i, val in enumerate(y):
                         mat[r0 + i][c0 + bi] += val
@@ -1551,7 +1489,7 @@ def tot(w: CosimplicialSimplicial):
                     d = _alternating_sum(w.cofaces[s][t])
                     img = mat_vec(d, basis_vec) if d else []
                     target = pieces[(s + 1, t)]
-                    y = express_in(target, img)
+                    y = express_in(target, img, s, t)
                     sgn = 1 if t % 2 == 0 else -1
                     r0 = offsets[idx - 1][(s + 1, t)]
                     for i, val in enumerate(y):
@@ -1629,8 +1567,10 @@ def hom_cochain_of_simplicial(v: SimplicialAbelian, moduli, truncation=None):
     ranks = _free_ranks(v.levels[:trunc + 1], "hom_cochain_of_simplicial")
     g = CoefficientModule.trivial(Ring("Z"), moduli)
     levels = [Presentation.from_moduli(moduli * rk) for rk in ranks]
-    cofaces = [[hom_dual(f, ranks[n], ranks[n + 1], g)
-                for f in v.faces[n + 1]] for n in range(trunc)]
+    faces, _ = v.columns()
+    cofaces = [[_act_matrix(f, g, range(ranks[n]), range(ranks[n + 1]),
+                            dual=True)
+                for f in faces[n + 1]] for n in range(trunc)]
     return CosimplicialAbelian(levels, cofaces, [], trunc)
 
 

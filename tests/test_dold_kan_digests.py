@@ -1,9 +1,10 @@
-"""Pinned SHA-256 digests of Dold-Kan objects: the dense faces and
-degeneracies, the sparse columns, the summand offsets and the normalized
-complex read back, for seeded chain complexes over Z, Z/4, Z/6, Z[C2] and
-Z[C3] (free resolutions and complexes with zero differentials in every
-other degree) and for presented complexes (K(A, n) and a boundary
-K + K -> K), at truncations 3-5.  Any change to how these objects are
+"""Pinned SHA-256 digests of Dold-Kan objects: the sparse columns, the
+faces and degeneracies written out from them as dense matrices, the
+summand offsets and the normalized complex read back, for seeded chain
+complexes over Z, Z/4, Z/6, Z[C2] and Z[C3] (free resolutions and
+complexes with zero differentials in every other degree) and for
+presented complexes (K(A, n) and a boundary K + K -> K), at truncations
+3-5.  Any change to how these objects are
 built must leave every entry, column and offset as it is.  Also: sparse
 column composition, the identity check's product, equals the plain
 accumulation over the ring."""
@@ -78,21 +79,40 @@ def _boundary_complex():
     return PresentedComplex(levels, diffs)
 
 
+def _dense_maps(v):
+    """The faces and degeneracies of `v` as dense matrices over its ring,
+    written out here from `columns()`."""
+    zero = v.ring.zero()
+    gens = [lv.gens for lv in v.levels]
+
+    def dense(cols, rows):
+        mat = [[zero] * len(cols) for _ in range(rows)]
+        for j, col in enumerate(cols):
+            for i, x in col:
+                mat[i][j] = x
+        return mat
+
+    faces, degens = v.columns()
+    return ([[dense(c, gens[n - 1]) for c in maps]
+             for n, maps in enumerate(faces)],
+            [[dense(c, gens[n + 1]) for c in maps]
+             for n, maps in enumerate(degens)])
+
+
 def _digest(v):
     def levels(cx):
         if isinstance(cx, PresentedComplex):
             return [[lv.gens, lv.rels] for lv in cx.levels]
         return cx.ranks
 
-    # the normalized complex and the columns first, as the routes read
-    # them, before anything asks for the dense matrices
     back = normalize_dk(v)
+    faces, degens = _dense_maps(v)
     obj = {
         "normalized": [levels(back), back.diffs],
         "columns": v.columns(),
         "levels": [[lv.gens, lv.rels] for lv in v.levels],
-        "faces": v.faces,
-        "degens": v.degens,
+        "faces": faces,
+        "degens": degens,
         "offsets": [sorted([list(s), k, off] for (s, k), off in level.items())
                     for level in v.dk_offsets],
     }

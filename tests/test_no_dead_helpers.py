@@ -3,7 +3,9 @@ module-level class in `src/aq` is used: some code in `src/aq` or `tests`
 names it (a call, an attribute access or an import) outside its own
 body.  Every module-level import of a module in `src/aq` (other than
 `__init__.py` and `__future__`) is used there, listed in its `__all__`,
-or imported from it by another module."""
+or imported from it by another module.  Every name a module-level
+assignment in `src/aq` binds (other than `__all__` and `__slots__`) is
+read somewhere in `src/aq` or `tests`."""
 
 import ast
 import pathlib
@@ -105,3 +107,40 @@ def test_every_module_level_import_is_used():
         unused += [f"{path.name}:{line}:{name}"
                    for name, line in _imported_names(tree) if name not in used]
     assert unused == [], f"unused imports: {unused}"
+
+
+def _assigned_names(tree):
+    """(name, line) of each name a module-level assignment binds."""
+    for top in tree.body:
+        if isinstance(top, ast.Assign):
+            targets = top.targets
+        elif isinstance(top, (ast.AnnAssign, ast.AugAssign)):
+            targets = [top.target]
+        else:
+            continue
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    yield node.id, top.lineno
+
+
+def _read_names(tree):
+    """Names read under `tree`: loaded names and attributes, and imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(
+                node.ctx, ast.Load):
+            yield _name(node)
+        elif isinstance(node, ast.alias):
+            yield _name(node)
+
+
+def test_every_module_level_name_is_read():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in SRC + TESTS}
+    read = set()
+    for tree in trees.values():
+        read.update(_read_names(tree))
+    unread = [f"{path.name}:{line}:{name}"
+              for path in SRC for name, line in _assigned_names(trees[path])
+              if name not in read and name not in ("__all__", "__slots__")]
+    assert unread == [], f"module-level names nothing reads: {unread}"

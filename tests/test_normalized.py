@@ -5,6 +5,7 @@ for resolutions whose degeneracies send generators to words or to
 anything but one unit entry; groups of order 8 realized from
 presentations."""
 
+import copy
 import os
 import random
 import re
@@ -14,6 +15,7 @@ import pytest
 from aq import invariants, simplicial
 from aq.abgroups import FGAbelianGroup, FinAb
 from aq.algebras import (
+    AlgebraError,
     cyclic_group,
     dihedral_4,
     find_isomorphism,
@@ -39,12 +41,16 @@ from aq.resolutions import (
 )
 from aq.rings import CoefficientModule, RModulePresentation, Ring
 from aq.simplicial import (
+    SimplicialAbelian,
     SimplicialFreeModule,
     SimplicialIdentityError,
     _degenerate_quotient,
     cohomotopy,
     k_object,
+    matching,
+    moore_homotopy,
     nondegenerate_cells,
+    unnormalized_homotopy,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -234,34 +240,63 @@ def test_normalized_module_route_matches_the_degenerate_quotient(
     assert invariants._tensored_complex(v, k).homology(degrees) == normalized
 
 
-def _r_mat_mul(ring, a, b, inner):
-    # a product in which one factor has integer entries, which are central
-    out = [[ring.zero()] * (len(b[0]) if b else 0) for _ in a]
-    for i, row in enumerate(out):
-        for j in range(len(row)):
-            for t in range(inner):
-                row[j] = ring.add(row[j], ring.mul(a[i][t], b[t][j]))
-    return out
+def _sparse_column(entries):
+    """A {row: entry} dict as a sparse column: the (row, entry) pairs of
+    its entries other than 0 (or the empty group-ring element), in row
+    order.  Entries are kept as they are, unreduced."""
+    return sorted(((i, x) for i, x in entries.items() if x),
+                  key=lambda pair: pair[0])
 
 
 def _rebased(v, n, a, b):
     """v with level n in the basis P = I + E_ab (e_b -> e_a + e_b): maps
-    into level n become P times them, maps out of it times P^-1."""
-    ring, ranks = v.ring, v.ranks
-    size = ranks[n]
+    into level n become P times them (row a gains row b), maps out of it
+    times P^-1 (column b loses column a)."""
+    ring = v.ring
 
-    def elementary(sign):
-        return [[ring.from_int(int(i == j) + (sign if (i, j) == (a, b) else 0))
-                 for j in range(size)] for i in range(size)]
+    def into(cols):
+        out = []
+        for col in cols:
+            entries = dict(col)
+            if b in entries:
+                entries[a] = ring.add(entries.get(a, ring.zero()), entries[b])
+            out.append(_sparse_column(entries))
+        return out
 
-    p, p_inv = elementary(1), elementary(-1)
-    faces = [list(f) for f in v.faces]
-    degens = [list(s) for s in v.degens]
-    faces[n] = [_r_mat_mul(ring, d, p_inv, size) for d in faces[n]]
-    faces[n + 1] = [_r_mat_mul(ring, p, d, size) for d in faces[n + 1]]
-    degens[n - 1] = [_r_mat_mul(ring, p, s, size) for s in degens[n - 1]]
-    degens[n] = [_r_mat_mul(ring, s, p_inv, size) for s in degens[n]]
-    return SimplicialFreeModule(ring, ranks, faces, degens, v.truncation)
+    def out_of(cols):
+        cols = list(cols)
+        entries = dict(cols[b])
+        for i, x in cols[a]:
+            entries[i] = ring.add(entries.get(i, ring.zero()), ring.neg(x))
+        cols[b] = _sparse_column(entries)
+        return cols
+
+    faces, degens = ([list(maps) for maps in kind] for kind in v.columns())
+    faces[n] = [out_of(d) for d in faces[n]]
+    faces[n + 1] = [into(d) for d in faces[n + 1]]
+    degens[n - 1] = [into(s) for s in degens[n - 1]]
+    degens[n] = [out_of(s) for s in degens[n]]
+    return SimplicialFreeModule(ring, v.ranks, faces, degens, v.truncation)
+
+
+def with_entry(v, kind, n, i, row, col, change):
+    """A new simplicial object like `v` (its flavor, levels and Dold-Kan
+    tags) built from a copy of its columns in which entry (row, col) of
+    the face (`kind` "faces") or degeneracy ("degens") i at level n is
+    change(entry), kept as `_sparse_column` keeps it."""
+    faces, degens = copy.deepcopy(v.columns())
+    maps = faces if kind == "faces" else degens
+    entries = dict(maps[n][i][col])
+    entries[row] = change(entries.get(row, v.ring.zero()))
+    maps[n][i][col] = _sparse_column(entries)
+    if isinstance(v, SimplicialFreeModule):
+        w = SimplicialFreeModule(v.ring, v.ranks, faces, degens, v.truncation)
+    else:
+        w = SimplicialAbelian(v.levels, faces, degens, v.truncation)
+    for tag in ("dk_source", "dk_offsets"):
+        if hasattr(v, tag):
+            setattr(w, tag, getattr(v, tag))
+    return w
 
 
 @pytest.mark.parametrize("name", ["Z/4", "Z[C3]"])
@@ -299,12 +334,31 @@ def test_module_routes_build_no_dense_matrices(name, seed):
     homology_with_coeffs(v, k, degrees)
     cohomology(v, k, degrees)
     cohomology_via_em(v, k, 2)
-    assert v._faces is None and v._degens is None
-    # reading them builds them from the columns, and the check re-reads them
-    dense = v.faces
-    assert v._faces is dense and v._degens is not None
-    dense[2][0][0][0] = ring.add(dense[2][0][0][0], ring.one())
-    assert not check_certificate(v, m, rng=2).checks["simplicial_identities"]
+    # the object holds its maps only as columns of (row, entry) pairs
+    assert not hasattr(v, "faces") and not hasattr(v, "degens")
+    assert all(isinstance(pair, tuple) and len(pair) == 2
+               for maps in v.columns() for level in maps for m in level
+               for column in m for pair in column)
+    # a rebuild from corrupted columns fails the identity check
+    w = with_entry(v, "faces", 2, 0, 0, 0, lambda x: ring.add(x, ring.one()))
+    assert not check_certificate(w, m, rng=2).checks["simplicial_identities"]
+
+
+@pytest.mark.parametrize("name,seed", SEEDS[::2])
+def test_unnormalized_homotopy_of_a_free_module_matches_moore(name, seed):
+    # the raw alternating-sum complex on every generator of a resolution,
+    # over each ring, has the homotopy of the normalized complex
+    v = resolve_module(_seeded_module(RINGS[name](), seed), length=3)
+    assert unnormalized_homotopy(v, range(3)) == moore_homotopy(v, range(3))
+
+
+def test_matching_refuses_a_free_module_over_another_ring():
+    # matching enumerates integer levels; R-columns over Z/4 are not that
+    v = resolve_module(RModulePresentation.cyclic(Ring("Zmod", m=4), 2),
+                       length=3)
+    with pytest.raises(AlgebraError,
+                       match="^matching: the maps must be integer columns$"):
+        matching(v, 1)
 
 
 def test_dold_kan_blocks_are_worked_out_once_per_shape(monkeypatch):
@@ -330,9 +384,8 @@ def test_module_certificate_catches_a_corrupted_degeneracy(name):
     m = _seeded_module(ring, 1)
     v = resolve_module(m, length=3)
     assert check_certificate(v, m, rng=2).valid
-    degen = v.degens[1][0]
-    degen[0][0] = ring.add(degen[0][0], ring.one())
-    cert = check_certificate(v, m, rng=2)
+    w = with_entry(v, "degens", 1, 0, 0, 0, lambda x: ring.add(x, ring.one()))
+    cert = check_certificate(w, m, rng=2)
     assert not cert.valid
     assert not cert.checks["simplicial_identities"]
     assert re.fullmatch(r"d_\d s_\d identity fails at level \d"
@@ -352,8 +405,8 @@ def test_module_certificate_catches_a_degeneracy_off_by_a_cycle():
     cells = nondegenerate_cells(v)
     (row,) = cells[3]
     col = next(c for c in range(v.ranks[2]) if c not in cells[2])
-    v.degens[2][0][row][col] += 2
-    cert = check_certificate(v, m, rng=2)
+    w = with_entry(v, "degens", 2, 0, row, col, lambda x: x + 2)
+    cert = check_certificate(w, m, rng=2)
     assert not cert.checks["simplicial_identities"]
     assert re.fullmatch(r"s_\d s_\d != s_\d s_\d at level 1",
                         cert.detail["identity_failure"])
@@ -362,8 +415,8 @@ def test_module_certificate_catches_a_degeneracy_off_by_a_cycle():
 def test_identity_check_works_modulo_the_relations():
     # K(Z/2, 1): a face entry changed by 2 is the same map, by 1 it is not
     v = k_object(FGAbelianGroup(0, [2]), 1, truncation=3)
-    v.faces[2][0][0][0] += 2
-    v.check_identities()
-    v.faces[2][0][0][0] += 1
+    w = with_entry(v, "faces", 2, 0, 0, 0, lambda x: x + 2)
+    w.check_identities()
+    w = with_entry(w, "faces", 2, 0, 0, 0, lambda x: x + 1)
     with pytest.raises(SimplicialIdentityError, match=r"^d_"):
-        v.check_identities()
+        w.check_identities()

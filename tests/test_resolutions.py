@@ -28,6 +28,7 @@ from aq.rings import (
 )
 from aq.simplicial import moore_homotopy
 from aq.snf import mat_mul
+from test_normalized import with_entry
 
 
 def G(*divs):
@@ -90,9 +91,9 @@ def test_module_certificate_catches_a_corrupted_face():
         ring = m.ring
         v = resolve_module(m, length=3)
         assert check_certificate(v, m, rng=2).valid
-        face = v.faces[2][0]
-        face[0][0] = ring.add(face[0][0], ring.one())
-        cert = check_certificate(v, m, rng=2)
+        w = with_entry(v, "faces", 2, 0, 0, 0,
+                       lambda x: ring.add(x, ring.one()))
+        cert = check_certificate(w, m, rng=2)
         assert not cert.valid, ring
         assert not cert.checks["simplicial_identities"]
         assert cert.detail["identity_failure"].startswith("d_"), ring
@@ -102,9 +103,9 @@ def test_module_certificate_works_modulo_m():
     # over Z/4 an entry changed by 4 is the same ring element
     m = RModulePresentation.cyclic(Ring("Zmod", m=4), 2)
     v = resolve_module(m, length=3)
-    v.faces[2][0][0][0] += 4
-    v.check_identities()
-    assert check_certificate(v, m, rng=2).valid
+    w = with_entry(v, "faces", 2, 0, 0, 0, lambda x: x + 4)
+    w.check_identities()
+    assert check_certificate(w, m, rng=2).valid
 
 
 def test_r_matrix_to_z_is_multiplicative_over_s3():

@@ -12,6 +12,7 @@ from aq.simplicial import (
     CosimplicialSimplicial,
     PresentedComplex,
     SimplicialTheta,
+    _dense_matrix,
     bisimplicial_from_double_complex,
     cohomotopy,
     diag,
@@ -34,6 +35,7 @@ from aq.simplicial import (
     total_complex,
     unnormalized_homotopy,
 )
+from test_normalized import with_entry
 
 
 def G(*divs):
@@ -70,14 +72,14 @@ def test_dk_of_multiplication_by_4():
 
 
 def test_normalize_dk_reads_the_maps_as_they_are():
-    # the faces of a Dold-Kan object are read back from its dense matrices
-    # once something has built and edited them
+    # the faces of a Dold-Kan object are read back from its columns, so a
+    # rebuild from edited columns reads back the edit
     cx = PresentedComplex(
         [Presentation.free(1), Presentation.free(1)], [None, [[4]]]
     )
     v = dold_kan(cx, truncation=3)
     assert normalize_dk(v) == cx
-    v.faces[1][1][0][1] = 6
+    v = with_entry(v, "faces", 1, 1, 0, 1, lambda x: 6)
     assert normalize_dk(v).diffs[1] == [[6]]
 
 
@@ -153,7 +155,8 @@ def test_moore_matches_unnormalized():
 
 def test_simplicial_identities_checker_catches_breakage():
     v = k_object(G(2), 1, truncation=3)
-    v.faces[2][0][0][0] += 1  # corrupt d_0 at level 2
+    # corrupt d_0 at level 2
+    v = with_entry(v, "faces", 2, 0, 0, 0, lambda x: x + 1)
     try:
         v.check_identities()
         raised = False
@@ -495,7 +498,10 @@ def test_tot_constant_cosimplicial_direction():
             crow.append([ident for _ in range(s)])
         cofaces.append(row)
         codegens.append(crow)
-    faces = [[inner.faces[t] if t >= 1 else [] for t in range(trunc + 1)]
+    inner_faces, _ = inner.columns()
+    faces = [[[_dense_matrix(c, inner.levels[t - 1].gens)
+               for c in inner_faces[t]] if t >= 1 else []
+              for t in range(trunc + 1)]
              for _ in range(trunc + 1)]
     w = CosimplicialSimplicial(levels, cofaces, faces, trunc, codegens=codegens)
     pis = tot_homotopy(w, [0, 1])
@@ -505,6 +511,40 @@ def test_tot_constant_cosimplicial_direction():
     for (s, t), val in grid.items():
         if s > 0:
             assert val == G()
+
+
+def test_tot_names_where_the_differential_leaves_the_conormalized_part():
+    # truncation 1, free rank-1 levels: the codegeneracy at s = 1 is the
+    # identity, so the conormalized part there is 0, while the coface sum
+    # out of s = 0 is 1 - 0.  An AlgebraError, under `python -O` as well
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = "\n".join([
+        "from aq.algebras import AlgebraError",
+        "from aq.presented import Presentation",
+        "from aq.simplicial import CosimplicialSimplicial, tot",
+        "levels = [[Presentation.free(1)] * 2 for _ in range(2)]",
+        "cofaces = [[[[[1]], [[0]]]] * 2]",
+        "codegens = [[[], []], [[[[1]]]] * 2]",
+        "faces = [[[], [[[0]], [[0]]]]] * 2",
+        "w = CosimplicialSimplicial(levels, cofaces, faces, 1,",
+        "                           codegens=codegens)",
+        "try:",
+        "    tot(w)",
+        "except AlgebraError as exc:",
+        "    print(exc)",
+    ])
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", code],
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 0, (flags, out.stderr)
+        assert out.stdout.splitlines() == [
+            "tot: the differential out of (0, 0) leaves the conormalized "
+            "part"], flags
 
 
 def test_adjointness_identity_on_fixtures(seed=13, trials=4):
