@@ -203,6 +203,7 @@ def _decompose(module: RModulePresentation):
     ring = module.ring
     if ring.kind == "Z":
         return [0] * inv.rank + list(inv.torsion)
+    # internal invariant: a module over Z/m is killed by m, so finite
     assert inv.rank == 0
     return list(inv.torsion)
 

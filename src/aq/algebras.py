@@ -86,6 +86,7 @@ class FreeAlgebra:
 
     @property
     def sort(self):
+        # internal invariant: free algebras are built single-sorted
         assert len(self.theory.sorts) == 1
         return self.theory.sorts[0]
 
@@ -135,6 +136,7 @@ class FreeAlgebra:
     def act(self, op_name, a):
         """Unary module action op applied to a normal form."""
         ring = self.theory.ring
+        # internal invariant: only module theories have act_ ops to call this
         assert ring is not None and op_name.startswith("act_")
         label = op_name[len("act_"):]
         r = ring.from_group_element(label)
@@ -387,7 +389,11 @@ class FiniteAlgebra:
                 if y not in expr:
                     expr[y] = expr[x] + [g]
                     queue.append(y)
-        assert len(expr) == len(self.carriers[sort]), "generators do not generate"
+        if len(expr) != len(self.carriers[sort]):
+            raise AlgebraError(
+                f"{self.name}: the generators {', '.join(gens)} of sort {sort} "
+                f"reach {len(expr)} of its {len(self.carriers[sort])} elements "
+                f"as products")
         return gens, expr
 
     def group_table(self, sort=None) -> GroupTable:
@@ -422,6 +428,7 @@ class AlgebraMap:
         return cls(source, target, {source.sort: dict(images)}, check=False)
 
     def gen_images(self):
+        # internal invariant: called only on maps out of a free algebra
         assert self.source.is_free()
         return self.mapping[self.source.sort]
 
@@ -513,6 +520,7 @@ class AlgebraMap:
 
     def compose(self, other):
         """self after other (other: A -> B, self: B -> C)."""
+        # internal invariant: only maps out of finite algebras are composed
         assert not other.source.is_free()
         mapping = {
             s: {x: self.mapping[s][y] for x, y in m.items()}
@@ -546,6 +554,7 @@ def enumerate_homs(a, b: FiniteAlgebra, over=None, budget=DEFAULT_BUDGET):
     else:
         maps = _finite_generic_homs(a, b, over, budget)
     for m in maps:
+        # internal invariant: the searches keep only homomorphisms
         assert m.is_homomorphism(), "search produced a non-homomorphism"
     return maps
 
@@ -864,7 +873,11 @@ def trivial_group(theory=None):
 
 def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name=None):
     t = a.theory
-    assert b.theory is t or b.theory.sorts == t.sorts
+    if b.theory is not t and b.theory.sorts != t.sorts:
+        raise AlgebraError(
+            f"direct_product: {a.name} has sorts {', '.join(t.sorts)} "
+            f"(theory {t.name}), {b.name} has sorts "
+            f"{', '.join(b.theory.sorts)} (theory {b.theory.name})")
     carriers = {
         s: [f"{x}|{y}" for x in a.carriers[s] for y in b.carriers[s]]
         for s in t.sorts

@@ -310,7 +310,10 @@ def semidirect_product(k: XModule, x: FiniteAlgebra, name=None, validate=True):
     equations exhaustively (cubic in the order, so large Eilenberg-MacLane
     levels pass validate=False and rely on the module laws).
     """
-    assert k.base is x or k.base.carriers == x.carriers
+    if k.base is not x and k.base.carriers != x.carriers:
+        raise AlgebraError(
+            f"semidirect_product: the coefficients {k.name} are over "
+            f"{k.base.name}, not over {x.name}")
     sort = k.sort
     kels = k.elements()
     xels = x.carriers[sort]
@@ -757,6 +760,7 @@ def kappa(p: AlgebraMap, structure: GroupObjectStructure) -> XModule:
             if mats is None:
                 mats = mat
             else:
+                # internal invariant: K is abelian, so every lift acts alike
                 assert mats == mat, "conjugation action depends on the lift"
         action[xe] = mats
     km = XModule(x, finab, action, name=f"ker({y_alg.name})")

@@ -4,17 +4,17 @@ of presented modules, with induced maps (functoriality) throughout.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .abgroups import FGAbelianGroup
 from .errors import AlgebraError
 from .snf import (
     IntegerSolver,
+    _sparse_cols,
     cols_to_matrix,
     identity_matrix,
     invert_unimodular,
     kernel_basis,
-    lattice_basis,
     mat_vec,
     smith_normal_form,
 )
@@ -58,24 +58,33 @@ class Presentation:
             return FGAbelianGroup()
         return FGAbelianGroup.from_presentation_matrix(self.rels, self.gens)
 
-    def contains_in_relations(self, vec):
-        """Is `vec` in the relation lattice (i.e. zero in the module)?
+    def diagonalized(self):
+        """A pair (U, d) with U * (relation lattice) = d[0]Z + d[1]Z + ...,
+        U unimodular and given as sparse columns of (row, entry) pairs,
+        d of length `gens`.  Computed once per presentation.
 
         When every relation column has at most one nonzero entry (the m*I
-        relations of from_moduli, say), the lattice is the product of
-        gcd(row i)*Z over the coordinates and membership is a divisibility
-        test; otherwise it is a solve, through one IntegerSolver."""
-        if self.nrels() == 0:
-            return all(x == 0 for x in vec)
+        relations of from_moduli, say), the lattice already is the product
+        of gcd(row i)*Z over the coordinates, and U is None (the identity);
+        otherwise U and d come from one Smith reduction."""
         if self._solver is None:
-            if all(sum(1 for x in col if x) <= 1 for col in self.rel_columns()):
-                self._solver = [gcd(*row) for row in self.rels]
+            cols = self.rel_columns()
+            if all(sum(1 for x in col if x) <= 1 for col in cols):
+                self._solver = None, [gcd(*row) for row in self.rels]
             else:
-                self._solver = IntegerSolver(self.rels)
-        if isinstance(self._solver, list):
-            return all(x % m == 0 if m else x == 0
-                       for x, m in zip(vec, self._solver))
-        return self._solver.solve(vec) is not None
+                u, dmat, _ = smith_normal_form(self.rels, want_v=False)
+                diag = [dmat[t][t] if t < len(cols) else 0
+                        for t in range(self.gens)]
+                self._solver = _sparse_cols(u, self.gens), diag
+        return self._solver
+
+    def contains_in_relations(self, vec):
+        """Is `vec` in the relation lattice (i.e. zero in the module)?
+        A divisibility test per coordinate of U * vec."""
+        ucols, diag = self.diagonalized()
+        if ucols is not None:
+            vec = [row[0] for row in _transform(ucols, [[x] for x in vec], 1)]
+        return all(x % m == 0 if m else x == 0 for x, m in zip(vec, diag))
 
     def direct_sum(self, other):
         gens = self.gens + other.gens
@@ -201,25 +210,71 @@ def cohomology_at(levels, deltas, n):
     return homology_of_complex(flipped_levels, flipped_diffs, [top - n])[top - n]
 
 
+def _transform(ucols, rows, width):
+    """U * rows, for U given as sparse columns and `rows` of length `width`."""
+    out = [[0] * width for _ in ucols]
+    for col, row in zip(ucols, rows):
+        nz = [(j, x) for j, x in enumerate(row) if x]
+        if nz:
+            for i, c in col:
+                out_i = out[i]
+                for j, x in nz:
+                    out_i[j] += c * x
+    return out
+
+
 def cycle_lattice(pairs, g):
     """Basis of {v in Z^g : m v lies in the relation lattice of `target`
     for every (m, target) in `pairs`}; all of Z^g when nothing constrains v.
+
+    With (U, d) = target.diagonalized(), the condition is (U m v)_i = 0
+    where d_i = 0 and (U m v)_i = 0 mod d_i elsewhere.  The exact rows
+    give a kernel basis K (the identity when there are none).  Each
+    modular row, scaled by lam / d_i for lam the lcm of the moduli, times
+    K is a row of N, and N w = 0 mod lam is to be solved for w.  With
+    U' N V = S in Smith form, that holds iff s_j y_j = 0 mod lam for
+    y = V^-1 w, so the lattice is K V diag(lam / gcd(lam, s_j)).
     """
-    rels = [target.rel_columns() for _, target in pairs]
-    width = g + sum(len(cols) for cols in rels)
-    rows = []
-    offset = g
-    for (m, _), cols in zip(pairs, rels):
-        for i, m_row in enumerate(m):
-            row = list(m_row) + [0] * (width - g)
-            for ci, col in enumerate(cols):
-                row[offset + ci] = col[i]
-            rows.append(row)
-        offset += len(cols)
-    if not rows:
-        return identity_matrix(g)
-    ker = kernel_basis(rows, width)
-    return lattice_basis([v[:g] for v in ker], g)
+    exact, modular = [], []
+    for m, target in pairs:
+        ucols, diag = target.diagonalized()
+        if ucols is not None:
+            m = _transform(ucols, m, g)
+        for row, d in zip(m, diag):
+            if d == 0:
+                exact.append(row)
+            elif d != 1:
+                modular.append((row, d))
+    basis = kernel_basis(exact, g) if exact else None
+    if not modular:
+        return identity_matrix(g) if basis is None else basis
+    k = g if basis is None else len(basis)
+    if k == 0:
+        return []
+    lam = lcm(*(d for _, d in modular))
+    nmat = []
+    for row, d in modular:
+        scale = lam // d
+        if basis is None:
+            nmat.append([scale * x for x in row])
+        else:
+            nz = [(i, x) for i, x in enumerate(row) if x]
+            nmat.append([scale * sum(x * b[i] for i, x in nz) for b in basis])
+    _, s, v = smith_normal_form(nmat, want_u=False)
+    out = []
+    for j in range(k):
+        c = lam // gcd(lam, s[j][j] if j < len(nmat) else 0)
+        if basis is None:
+            out.append([c * v[i][j] for i in range(g)])
+        else:
+            col = [0] * g
+            for t, b in enumerate(basis):
+                y = c * v[t][j]
+                if y:
+                    for i, x in enumerate(b):
+                        col[i] += y * x
+            out.append(col)
+    return out
 
 
 def _homology_at(levels, diffs, n):

@@ -22,7 +22,8 @@ to the pivot row.  Rows and transforms are stored sparsely while the
 elimination runs.  The same rule fixes U, D and V whichever of them are
 built, and each entry point builds only the transforms it reads: none
 for `smith_diagonal` and `cokernel_diagonal`, V for `kernel_basis` and
-`lattice_basis`, U for `presented.Subquotient`, both for `IntegerSolver`,
+`lattice_basis`, U for `presented.Subquotient` and
+`Presentation.diagonalized`, both for `IntegerSolver`,
 which keeps them as sparse columns so that a solve touches only the
 columns picked out by the nonzero entries of its right-hand side.
 """

@@ -2,12 +2,20 @@ import os
 import random
 import subprocess
 import sys
+from itertools import permutations, product
+from math import gcd, lcm, prod
 
 import pytest
 
 from aq.abgroups import FGAbelianGroup, FinAb, invariants_from_addition
 from aq.errors import AlgebraError
-from aq.presented import Presentation, Subquotient, homology_of_complex, induced_map
+from aq.presented import (
+    Presentation,
+    Subquotient,
+    cycle_lattice,
+    homology_of_complex,
+    induced_map,
+)
 from aq.rings import (
     CoefficientModule,
     Ring,
@@ -21,7 +29,7 @@ from aq.rings import (
     tor_groups,
     tor_z,
 )
-from aq.snf import IntegerSolver, cols_to_matrix
+from aq.snf import IntegerSolver, cols_to_matrix, kernel_basis, lattice_basis
 
 
 def G(*divs):
@@ -220,7 +228,7 @@ def test_relation_membership_shortcut_matches_the_solver():
             want = solver.solve(vec) is not None
             assert pres.contains_in_relations(vec) == want, (cols, vec)
         diagonal = all(sum(1 for x in c if x) <= 1 for c in cols)
-        assert isinstance(pres._solver, list) == diagonal
+        assert (pres.diagonalized()[0] is None) == diagonal
         shortcuts += diagonal
     assert 30 <= shortcuts < 80
 
@@ -250,3 +258,95 @@ def test_from_moduli_equals_the_filtered_diagonal():
     assert pres.rel_columns() == [
         [moduli[j] if i == j else 0 for i in range(4000)] for j in nonzero]
     assert Presentation.from_moduli([0] * 4000).rels == [[]] * 4000
+
+
+def _stacked_cycle_lattice(pairs, g):
+    """The [M | R] construction: the kernel of each m beside the relation
+    columns of its target, cut to its first g coordinates and reduced to
+    a basis."""
+    rels = [target.rel_columns() for _, target in pairs]
+    width = g + sum(len(cols) for cols in rels)
+    rows, offset = [], g
+    for (m, _), cols in zip(pairs, rels):
+        for i, m_row in enumerate(m):
+            row = list(m_row) + [0] * (width - g)
+            for ci, col in enumerate(cols):
+                row[offset + ci] = col[i]
+            rows.append(row)
+        offset += len(cols)
+    if not rows:
+        return [[int(i == j) for i in range(g)] for j in range(g)]
+    return lattice_basis([v[:g] for v in kernel_basis(rows, width)], g)
+
+
+def _det(cols):
+    g = len(cols)
+    total = 0
+    for perm in permutations(range(g)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(g) for j in range(i + 1, g))
+        total += (-1) ** inversions * prod(cols[j][perm[j]] for j in range(g))
+    return total
+
+
+def _spans(basis, vectors, g):
+    if not basis:
+        return not any(map(any, vectors))
+    solver = IntegerSolver(cols_to_matrix(basis, g))
+    return all(solver.solve(v) is not None for v in vectors)
+
+
+def _seeded_pairs(rng, g, moduli_pool, diagonal):
+    pairs = []
+    for _ in range(rng.randint(1, 2)):
+        if diagonal:
+            target = Presentation.from_moduli(
+                [rng.choice(moduli_pool) for _ in range(rng.randint(1, 4))])
+        else:
+            target = Presentation(2, rng.choice([
+                [[2, 0], [2, 4]],                 # columns (2, 2) and (0, 4)
+                [[2, 3], [4, 0]],
+                [[6, 0, 2], [4, 0, 0]],
+                [[1, 2], [3, 6]],
+            ]))
+        m = [[rng.randint(-5, 5) for _ in range(g)] for _ in range(target.gens)]
+        pairs.append((m, target))
+    return pairs
+
+
+def test_cycle_lattice_counts_the_solutions_modulo_the_moduli():
+    # against finite diagonal targets the lattice contains lam * Z^g, and
+    # its index is lam^g over the number of solutions of the congruences
+    # in [0, lam)^g, counted by plain loops
+    rng = random.Random(13)
+    for _ in range(60):
+        g = rng.randint(1, 3)
+        pairs = _seeded_pairs(rng, g, [1, 2, 3, 4, 6], diagonal=True)
+        moduli = [[gcd(*row) for row in t.rels] for _, t in pairs]
+        lam = lcm(*(d for ds in moduli for d in ds))
+        solutions = sum(
+            all(sum(a * b for a, b in zip(row, v)) % d == 0
+                for (m, _), ds in zip(pairs, moduli)
+                for row, d in zip(m, ds))
+            for v in product(range(lam), repeat=g))
+        basis = cycle_lattice(pairs, g)
+        assert len(basis) == g
+        assert abs(_det(basis)) * solutions == lam ** g, pairs
+        for v in basis:
+            assert all(t.contains_in_relations(
+                [sum(a * b for a, b in zip(row, v)) for row in m])
+                for m, t in pairs)
+
+
+def test_cycle_lattice_equals_the_stacked_construction():
+    # free summands and targets whose relations are not diagonal: the
+    # same lattice as the kernel of [M | R]
+    rng = random.Random(17)
+    for trial in range(80):
+        g = rng.randint(0, 5)
+        pairs = _seeded_pairs(rng, g, [0, 1, 2, 3, 4, 6],
+                              diagonal=trial % 2 == 0)
+        got = cycle_lattice(pairs, g)
+        want = _stacked_cycle_lattice(pairs, g)
+        assert len(got) == len(want), pairs
+        assert _spans(got, want, g) and _spans(want, got, g), pairs

@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from aq import invariants, resolutions, simplicial
+from aq import invariants, presented, resolutions, simplicial, snf
 from aq.algebras import AlgebraError, cyclic_group, symmetric_3
 from aq.beck import XModule
 from aq.cli import main
@@ -26,6 +26,7 @@ from aq.invariants import (
     _coefficient,
     _tensored_complex,
     cohomology,
+    cohomology_via_em,
     der_cochain,
     homology,
     homology_with_coeffs,
@@ -228,6 +229,49 @@ def test_s3_in_aq_degree_2_agrees_with_the_bar_complex(modulus, tmp_path):
             (bar[n + 1].rank, list(bar[n + 1].torsion))
 
 
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_s3_em_route_in_aq_degree_2_agrees_with_the_bar_complex(modulus):
+    g = symmetric_3()
+    k = XModule.trivial(g, [modulus])
+    got = cohomology_via_em(loop_group_resolution(g, truncation=3), k, 2, x=g)
+    # AQ H^2 is classical H^3
+    want = bar_resolution_group(g, k, 3)[3]
+    assert (got.rank, got.torsion) == (want.rank, want.torsion)
+
+
+def test_cycle_lattices_hand_the_smith_kernel_no_relation_columns(monkeypatch):
+    # both cohomology routes solve their cycle conditions modulo the
+    # moduli of the targets: every Smith reduction run for a cycle
+    # lattice on Z^g has at most g columns, none for a relation
+    shapes, inside = [], []
+    smith = snf.smith_normal_form
+
+    def recording_smith(mat, **kwargs):
+        if inside:
+            shapes.append((inside[-1], len(mat), len(mat[0]) if mat else 0))
+        return smith(mat, **kwargs)
+
+    lattice = presented.cycle_lattice
+
+    def recording_lattice(pairs, g):
+        inside.append(g)
+        try:
+            return lattice(pairs, g)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(snf, "smith_normal_form", recording_smith)
+    monkeypatch.setattr(presented, "smith_normal_form", recording_smith)
+    for module in (presented, invariants, simplicial):
+        monkeypatch.setattr(module, "cycle_lattice", recording_lattice)
+    g = symmetric_3()
+    v = loop_group_resolution(g, truncation=3)
+    k = XModule.trivial(g, [2])
+    assert cohomology(v, k, [2], x=g)[2] == cohomology_via_em(v, k, 2, x=g)
+    assert shapes and all(cols <= width for width, _, cols in shapes), shapes
+
+
+# each input check: the code that must raise, and what its message names
 _INPUT_CHECKS = {
     "comma theory of a base that violates an equation": (
         "from aq.algebras import cyclic_group, FiniteAlgebra\n"
@@ -237,27 +281,50 @@ _INPUT_CHECKS = {
         "tables['mul'][('a', 'a')] = 'a'\n"
         "bad = FiniteAlgebra(g.theory, 'bad', g.carriers, tables, "
         "validate=False)\n"
-        "comma_theory(g.theory, bad)\n"),
+        "comma_theory(g.theory, bad)\n", "bad"),
     "E2 page whose d2 squares to nonzero": (
         "from aq.abgroups import FGAbelianGroup\n"
         "from aq.spectral import SpectralPage\n"
         "grid = {(0, 0): FGAbelianGroup(1), (2, 1): FGAbelianGroup(1),\n"
         "        (4, 2): FGAbelianGroup(1)}\n"
-        "SpectralPage(grid, 'first', d2={(0, 0): [[1]], (2, 1): [[1]]})\n"),
+        "SpectralPage(grid, 'first', d2={(0, 0): [[1]], (2, 1): [[1]]})\n",
+        "d2"),
     "group operations of a theory with no group structure": (
         "from aq.algebras import FiniteAlgebra\n"
         "from aq.theories import trivial_theory\n"
         "t = trivial_theory()\n"
-        "FiniteAlgebra(t, 'one', {'g': ['x']}, {}).identity()\n"),
+        "FiniteAlgebra(t, 'one', {'g': ['x']}, {}).identity()\n", "Triv"),
+    "generators that do not generate": (
+        "from aq.algebras import FiniteAlgebra, cyclic_group\n"
+        "els = ['e', 'a', 'b']\n"
+        "mul = {(x, y): 'b' for x in els for y in els}\n"
+        "mul.update({('e', 'e'): 'e', ('e', 'a'): 'a', ('a', 'a'): 'e',\n"
+        "            ('e', 'b'): 'a', ('a', 'b'): 'e'})\n"
+        "tables = {'mul': mul, 'inv': {(x,): x for x in els},\n"
+        "          'e': {(): 'e'}}\n"
+        "bad = FiniteAlgebra(cyclic_group(2).theory, 'bad', {'g': els},\n"
+        "                    tables, validate=False)\n"
+        "bad.expressions()\n", "bad: the generators a, b of sort g"),
+    "direct product across theories": (
+        "from aq.algebras import cyclic_group, direct_product\n"
+        "from aq.theories import group_theory\n"
+        "other = cyclic_group(2, name='Z2h', theory=group_theory(sort='h'))\n"
+        "direct_product(cyclic_group(2), other)\n", "Z2h has sorts h"),
+    "semidirect product with coefficients over another base": (
+        "from aq.algebras import cyclic_group\n"
+        "from aq.beck import XModule, semidirect_product\n"
+        "k = XModule.trivial(cyclic_group(2), [2])\n"
+        "semidirect_product(k, cyclic_group(3))\n",
+        "coefficients K are over Z2, not over Z3"),
 }
 
 
 @pytest.mark.parametrize("what", sorted(_INPUT_CHECKS))
 def test_input_checks_raise_algebra_error_also_under_O(what):
+    check, named = _INPUT_CHECKS[what]
     code = ("from aq.errors import AlgebraError\n"
             "try:\n"
-            + "".join(f"    {line}\n"
-                      for line in _INPUT_CHECKS[what].splitlines())
+            + "".join(f"    {line}\n" for line in check.splitlines())
             + "except AlgebraError as exc:\n"
             "    print('AlgebraError', exc)\n")
     for flags in ([], ["-O"]):
@@ -266,4 +333,5 @@ def test_input_checks_raise_algebra_error_also_under_O(what):
                              env=dict(os.environ, PYTHONPATH=SRC))
         assert out.returncode == 0, (flags, out.stderr)
         assert out.stdout.startswith("AlgebraError "), (flags, out.stdout)
+        assert named in out.stdout, (flags, out.stdout)
 
