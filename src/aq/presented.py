@@ -36,12 +36,15 @@ class Presentation:
     @classmethod
     def from_moduli(cls, moduli):
         """Z/moduli[0] + Z/moduli[1] + ... (0 = Z): one relation column
-        per nonzero modulus, built as its n x r rows directly."""
+        per nonzero modulus, built as its n x r rows directly.  The
+        relations are diagonal, so `diagonalized()` is known already."""
         nonzero = [i for i, m in enumerate(moduli) if m != 0]
         rels = [[0] * len(nonzero) for _ in moduli]
         for c, i in enumerate(nonzero):
             rels[i][c] = moduli[i]
-        return cls(len(moduli), rels)
+        pres = cls(len(moduli), rels)
+        pres._solver = None, [abs(m) for m in moduli]
+        return pres
 
     @classmethod
     def free(cls, rank):

@@ -250,6 +250,8 @@ def test_from_moduli_equals_the_filtered_diagonal():
         new, old = Presentation.from_moduli(moduli), _dense_from_moduli(moduli)
         assert (new.gens, new.rels, new.nrels()) == \
             (old.gens, old.rels, old.nrels()), moduli
+        # the diagonal from_moduli records is the one worked out from rows
+        assert new.diagonalized() == old.diagonalized() == (None, moduli)
     # a large mostly-free level: one relation column per nonzero modulus
     moduli = [rng.choice([0] * 49 + [5]) for _ in range(4000)]
     pres = Presentation.from_moduli(moduli)
