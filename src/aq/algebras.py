@@ -6,6 +6,7 @@ brute-force oracle), and realization of finite presentations.
 from __future__ import annotations
 
 from itertools import product
+from operator import itemgetter
 
 from .abgroups import FinAb
 from .errors import AlgebraError
@@ -304,21 +305,36 @@ class FiniteAlgebra:
         for lhs, rhs in t.equations:
             _, env = t.infer_equation_sorts(lhs, rhs)
             names = sorted(env)
+            slot = {v: i for i, v in enumerate(names)}
+            left, right = self._compile(lhs, slot), self._compile(rhs, slot)
             for tup in product(*(self.carriers[env[v]] for v in names)):
-                asg = dict(zip(names, tup))
-                if self.eval_term(lhs, asg) != self.eval_term(rhs, asg):
+                if left(tup) != right(tup):
                     raise AlgebraError(
-                        f"{self.name}: equation fails at {asg}: "
+                        f"{self.name}: equation fails at "
+                        f"{dict(zip(names, tup))}: "
                         f"{term_str(lhs)} = {term_str(rhs)}"
                     )
 
+    def _compile(self, t: Term, slot):
+        """`t` as a function of an assignment tuple (variable v at
+        position slot[v]) that looks each op up in its table."""
+        if isinstance(t, Var):
+            return itemgetter(slot[t.name])
+        tab = self.tables[t.op]
+        args = [self._compile(a, slot) for a in t.args]
+        if not args:
+            value = tab[()]
+            return lambda tup: value
+        if len(args) == 1:
+            (f,) = args
+            return lambda tup: tab[(f(tup),)]
+        if len(args) == 2:
+            f, g = args
+            return lambda tup: tab[(f(tup), g(tup))]
+        return lambda tup: tab[tuple(f(tup) for f in args)]
+
     def apply(self, op, tup):
         return self.tables[op][tuple(tup)]
-
-    def eval_term(self, t: Term, env):
-        if isinstance(t, Var):
-            return env[t.name]
-        return self.apply(t.op, tuple(self.eval_term(a, env) for a in t.args))
 
     def witness(self):
         if self._witness is None:
@@ -502,13 +518,14 @@ class AlgebraMap:
     def is_homomorphism(self):
         src, tgt = self.source, self.target
         for op in src.theory.ops:
-            for tup in product(*(src.carriers[s] for s in op.args)):
-                lhs = self.mapping[op.result][src.apply(op.name, tup)]
-                rhs = tgt.apply(
-                    op.name,
-                    tuple(self.mapping[s][x] for s, x in zip(op.args, tup)),
-                )
-                if lhs != rhs:
+            stab, ttab = src.tables[op.name], tgt.tables[op.name]
+            res = self.mapping[op.result]
+            doms = [src.carriers[s] for s in op.args]
+            # the images of the tuples of doms, in the same order
+            imgs = [[self.mapping[s][x] for x in dom]
+                    for s, dom in zip(op.args, doms)]
+            for tup, img in zip(product(*doms), product(*imgs)):
+                if res[stab[tup]] != ttab[img]:
                     return False
         return True
 

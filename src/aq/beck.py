@@ -40,39 +40,39 @@ class XModule:
             ident = identity_matrix(len(carrier.moduli))
             action = {x: ident for x in els}
         self.action = {x: [list(r) for r in action[x]] for x in els}
-        self._validate()
+        kels = carrier.elements()
+        # x -> {k: x.k}, read by `act` and the module-law checks
+        self._acts = {
+            x: {el: carrier.apply_matrix(mat, el) for el in kels}
+            for x, mat in self.action.items()
+        }
+        self._validate(kels)
 
-    def _validate(self):
-        k = self.carrier
-        x0 = self.base.identity(self.sort)
-        for el in k.elements():
-            if k.apply_matrix(self.action[x0], el) != el:
-                raise AlgebraError("identity of X must act trivially")
+    def _validate(self, kels):
+        acts = self._acts
+        one = acts[self.base.identity(self.sort)]
+        if any(one[el] != el for el in kels):
+            raise AlgebraError("identity of X must act trivially")
         for x in self.base.carriers[self.sort]:
+            ax = acts[x]
             for y in self.base.carriers[self.sort]:
-                xy = self.base.gmul(x, y, self.sort)
-                for el in k.elements():
-                    lhs = k.apply_matrix(
-                        self.action[x], k.apply_matrix(self.action[y], el)
-                    )
-                    rhs = k.apply_matrix(self.action[xy], el)
-                    if lhs != rhs:
-                        raise AlgebraError("X-action must be multiplicative")
+                ay, axy = acts[y], acts[self.base.gmul(x, y, self.sort)]
+                if any(ax[ay[el]] != axy[el] for el in kels):
+                    raise AlgebraError("X-action must be multiplicative")
         if self.base.theory.strength_flag:
             # over an abelian theory every module action is forced trivial
             for x in self.base.carriers[self.sort]:
-                for el in k.elements():
-                    if k.apply_matrix(self.action[x], el) != el:
-                        raise AlgebraError(
-                            "modules over an abelian theory have trivial action"
-                        )
+                if any(acts[x][el] != el for el in kels):
+                    raise AlgebraError(
+                        "modules over an abelian theory have trivial action"
+                    )
 
     @classmethod
     def trivial(cls, base, moduli, name=None):
         return cls(base, FinAb(moduli), None, name=name)
 
     def act(self, x, el):
-        return self.carrier.apply_matrix(self.action[x], el)
+        return self._acts[x][el]
 
     def zero(self):
         return self.carrier.zero()
@@ -321,17 +321,19 @@ def semidirect_product(k: XModule, x: FiniteAlgebra, name=None, validate=True):
         (ke, xe): _pair_label(_k_label(k.carrier, ke), xe)
         for ke in kels for xe in xels
     }
-    carrier = [labels[(ke, xe)] for ke in kels for xe in xels]
+    pairs = list(labels)
+    carrier = [labels[pk] for pk in pairs]
     tables = {}
     for op in x.theory.ops:
-        decl = op
+        # f_hat(-, xs) and X(f)(xs) depend on the X-tuple alone
+        per_x = {
+            xs: (k.f_hat(op.name, xs), x.apply(op.name, xs))
+            for xs in product(xels, repeat=len(op.args))
+        }
         tab = {}
-        for tup in product(*( [(ke, xe) for ke in kels for xe in xels]
-                              for _ in decl.args )):
-            xs = tuple(t[1] for t in tup)
-            ks = tuple(t[0] for t in tup)
-            fh = k.f_hat(op.name, xs)
-            res = (fh(ks), x.apply(op.name, xs))
+        for tup in product(pairs, repeat=len(op.args)):
+            fh, xres = per_x[tuple(t[1] for t in tup)]
+            res = (fh(tuple(t[0] for t in tup)), xres)
             tab[tuple(labels[t] for t in tup)] = labels[res]
         tables[op.name] = tab
     sd = SemidirectProduct(

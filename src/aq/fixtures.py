@@ -22,7 +22,14 @@ from .algebras import (
     realize_presentation,
 )
 from .beck import XModule
-from .dsl import DslSyntaxError, _Parser, parse_file, parse_theory, tokenize
+from .dsl import (
+    _IDENT_CHARS,
+    DslSyntaxError,
+    _Parser,
+    parse_file,
+    parse_theory,
+    tokenize,
+)
 from .rings import RingDescriptorError, parse_ring
 from .simplicial import ChainComplex, SimplicialTheta, dold_kan
 from .theories import TheoryPresentation, module_theory, zmod_module_theory
@@ -648,4 +655,31 @@ def write_sres(v: SimplicialTheta, name="resolution"):
             lines.append(f"    {g} -> {v.augmentation.mapping[sort][g]}")
         lines.append("  }")
     lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def write_alg(alg: FiniteAlgebra, name=None):
+    """Serialize a finite algebra over a builtin theory as an `.alg`
+    `table` block, with its carriers and table entries in their order;
+    `parse_algebra` reads back the same carriers and tables."""
+    theory = alg.theory
+    refs = {GP: "gp", AB: "ab"}
+    for (kind, n), t in _MODULE_THEORIES.items():
+        refs[t] = f"mod:Z/{n}" if kind == "Zmod" else f"mod:Z[C{n}]"
+    if theory not in refs:
+        raise AlgebraError(f"write_alg: theory {theory.name} is not builtin")
+    name = name or alg.name
+    words = [name, *theory.sorts, *(op.name for op in theory.ops),
+             *(x for els in alg.carriers.values() for x in els)]
+    for w in words:
+        if not w or not set(w) <= _IDENT_CHARS:
+            raise AlgebraError(f"write_alg: {w!r} is not an identifier")
+    lines = [f"algebra {name} {{", f"  theory {refs[theory]}", "  table {"]
+    for s in theory.sorts:
+        lines.append(f"    sort {s} : " + " ".join(alg.carriers[s]))
+    for op in theory.ops:
+        lines.append(f"    op {op.name} : " + " ".join(
+            f"({','.join(tup)})->{val}"
+            for tup, val in alg.tables[op.name].items()))
+    lines += ["  }", "}"]
     return "\n".join(lines) + "\n"

@@ -1,4 +1,8 @@
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -205,3 +209,56 @@ def test_enumerate_homs_over_restriction():
     homs = enumerate_homs(z4, z4, over=(proj, proj))
     # x -> kx needs k odd: k in {1, 3}
     assert len(homs) == 2
+
+
+# each table or module that fails a law, and the message naming its first
+# failure, as `FiniteAlgebra.validate` and `XModule` raise it
+_LAW_FAILURES = (
+    "from aq.abgroups import FinAb\n"
+    "from aq.algebras import GP, AlgebraError, FiniteAlgebra, cyclic_group\n"
+    "from aq.beck import XModule\n"
+    "els = ['e', 'a', 'b']\n"
+    "mul = {(x, y): els[(i + j) % 3] for i, x in enumerate(els)\n"
+    "       for j, y in enumerate(els)}\n"
+    "inv = {(x,): els[-i % 3] for i, x in enumerate(els)}\n"
+    "z2 = cyclic_group(2)\n"
+    "cases = {\n"
+    "    'associativity': lambda: FiniteAlgebra(GP, 'bad', {'g': els}, {\n"
+    "        'mul': {**mul, ('a', 'b'): 'b', ('b', 'a'): 'a'}, 'inv': inv,\n"
+    "        'e': {(): 'e'}}),\n"
+    "    'inverse': lambda: FiniteAlgebra(GP, 'bad', {'g': els}, {\n"
+    "        'mul': mul, 'inv': {**inv, ('b',): 'b'}, 'e': {(): 'e'}}),\n"
+    "    'unit': lambda: FiniteAlgebra(GP, 'bad', {'g': els}, {\n"
+    "        'mul': mul, 'inv': inv, 'e': {(): 'a'}}),\n"
+    "    'identity acts': lambda: XModule(\n"
+    "        z2, FinAb([3]), {'e': [[2]], 'a': [[2]]}),\n"
+    "    'not multiplicative': lambda: XModule(\n"
+    "        z2, FinAb([5]), {'e': [[1]], 'a': [[2]]}),\n"
+    "}\n"
+    "out = {}\n"
+    "for name, build in cases.items():\n"
+    "    try:\n"
+    "        build()\n"
+    "    except AlgebraError as exc:\n"
+    "        out[name] = str(exc)\n"
+    "print(json.dumps(out))\n"
+)
+
+
+def test_law_failures_name_their_first_failure_also_under_O():
+    want = {
+        "associativity": "bad: equation fails at {'x': 'a', 'y': 'a', "
+                         "'z': 'a'}: mul(mul($x, $y), $z) = mul($x, mul($y, $z))",
+        "inverse": "bad: equation fails at {'x': 'b'}: mul(inv($x), $x) = e()",
+        "unit": "bad: equation fails at {'x': 'e'}: mul(e(), $x) = $x",
+        "identity acts": "identity of X must act trivially",
+        "not multiplicative": "X-action must be multiplicative",
+    }
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", "import json\n" + _LAW_FAILURES],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 0, (flags, out.stderr)
+        assert json.loads(out.stdout) == want, flags

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from aq.abgroups import FGAbelianGroup
+from aq.abgroups import FGAbelianGroup, FinAb
 from aq.algebras import cyclic_group, find_isomorphism
 from aq.cli import _load_theory_arg, main
 from aq.dsl import DslSyntaxError
@@ -13,7 +13,9 @@ from aq.fixtures import (
     load_algebra,
     load_sres,
     load_xmodule,
+    parse_algebra,
     parse_module_presentation,
+    write_alg,
     write_sres,
 )
 from aq.resolutions import check_certificate
@@ -142,6 +144,21 @@ def test_cli_accept_quick(tmp_path, capsys):
     assert captured.out.count("[pass]") == 8
     data = json.loads(out.read_text())
     assert len(data) == 8 and all(rec["pass"] for rec in data)
+    # the same records under `python -O`, which strips the asserts (such
+    # as the re-check of every map `enumerate_homs` finds)
+    out_o = tmp_path / "accept-O.json"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "aq.cli", "accept", "--quick",
+         "--json", str(out_o)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    data_o = json.loads(out_o.read_text())
+    for recs in (data, data_o):
+        for rec in recs:
+            del rec["seconds"]
+    assert data_o == data
 
 
 def test_sres_round_trip():
@@ -151,6 +168,44 @@ def test_sres_round_trip():
 
     v2 = F.parse_sres(text, base_dir=FIXTURES)
     v2.check_identities()
+
+
+@pytest.mark.parametrize("which", ["direct", "semidirect", "quotient",
+                                   "z4-presented.alg", "y-z4.alg", "mod:Z/4"])
+def test_alg_round_trip(which):
+    # the reader validates the tables again
+    from aq.algebras import (
+        direct_product,
+        quotient_by_normal_closure,
+        symmetric_3,
+    )
+    from aq.beck import XModule, semidirect_product
+
+    if which == "direct":
+        alg = direct_product(cyclic_group(2), cyclic_group(3))
+    elif which == "semidirect":
+        s3 = symmetric_3()
+        sign = {x: [[2]] if x in ("p021", "p102", "p210") else [[1]]
+                for x in s3.carriers["g"]}
+        alg = semidirect_product(XModule(s3, FinAb([3]), sign), s3)
+    elif which == "quotient":
+        alg, _ = quotient_by_normal_closure(symmetric_3(), ["p120"])
+    elif which == "mod:Z/4":
+        alg = parse_algebra("algebra m { theory mod:Z/4 presentation {\n"
+                            "  gens g : a b\n  rel mul(a, a)\n} }\n")
+    else:
+        alg = load_algebra(fx(which))
+    back = parse_algebra(write_alg(alg, name="alg"))
+    assert back.carriers == alg.carriers
+    assert back.tables == alg.tables
+    assert back.theory is alg.theory
+
+
+def test_write_alg_refuses_what_it_cannot_write():
+    from aq.algebras import AlgebraError
+
+    with pytest.raises(AlgebraError, match="'Z2:Z2' is not an identifier"):
+        write_alg(cyclic_group(2), name="Z2:Z2")
 
 
 def test_cli_check_fixtures(capsys):
