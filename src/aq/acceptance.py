@@ -407,6 +407,7 @@ def criterion_5(quick=False):
 def criterion_6(quick=False):
     def run():
         from .simplicial import ChainComplex, dold_kan, k_object, normalize_dk
+        from .snf import _sparse_cols
 
         rng = random.Random(20240817)
         trials = 50 if quick else 200
@@ -419,7 +420,7 @@ def criterion_6(quick=False):
                 rows, cols = ranks[n - 1], ranks[n]
                 mat = [[rng.randint(-5, 5) if n % 2 == 1 else 0
                         for _ in range(cols)] for _ in range(rows)]
-                diffs.append(mat)
+                diffs.append(_sparse_cols(mat, cols))
             try:
                 cx = ChainComplex(Ring("Z"), ranks, diffs)
             except AlgebraError:

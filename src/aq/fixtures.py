@@ -32,6 +32,7 @@ from .dsl import (
 )
 from .rings import RingDescriptorError, parse_ring
 from .simplicial import ChainComplex, SimplicialTheta, dold_kan
+from .snf import _sparse_cols
 from .theories import TheoryPresentation, module_theory, zmod_module_theory
 
 
@@ -500,20 +501,29 @@ def parse_sres(text, base_dir="", source="<sres>"):
         ranks = []
         while p.peek().kind == "ident" and p.peek().text.isdigit():
             ranks.append(p.parse_int())
-        diffs = [None] + [None] * (len(ranks) - 1)
+        diffs = [None] * len(ranks)
         while p.peek().text != "}":
+            where = f"{source}:{p.peek().line}"
             p.expect("d")
             idx = p.parse_int()
             p.expect(":")
             mat = p.parse_matrix()
-            if ring.kind == "ZG":
-                raise FixtureError("chain fixtures support Z and Z/m rings")
-            diffs[idx] = mat
+            if not 1 <= idx < len(ranks):
+                raise FixtureError(
+                    f"{where}: d {idx} is not a differential of ranks "
+                    f"{' '.join(map(str, ranks))} (d 1 to d {len(ranks) - 1})")
+            if diffs[idx] is not None:
+                raise FixtureError(f"{where}: d {idx} is given twice")
+            rows, cols = ranks[idx - 1], ranks[idx]
+            if len(mat) != rows or any(len(row) != cols for row in mat):
+                raise FixtureError(
+                    f"{where}: d {idx} must be a {rows} x {cols} matrix")
+            diffs[idx] = _sparse_cols(mat, cols)
         p.expect("}")
         p.expect("}")
         for i in range(1, len(ranks)):
             if diffs[i] is None:
-                diffs[i] = [[0] * ranks[i] for _ in range(ranks[i - 1])]
+                diffs[i] = [[] for _ in range(ranks[i])]
         cx = ChainComplex(ring, ranks, diffs)
         v = dold_kan(cx)
         v.name = name

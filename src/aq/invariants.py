@@ -13,7 +13,7 @@ from .algebras import AlgebraError
 from .beck import XModule
 from .presented import Presentation, Subquotient, cycle_lattice, induced_map
 from .resolutions import abelianized_complex
-from .rings import CoefficientModule, Ring, _act_matrix
+from .rings import CoefficientModule, Ring, _act_matrix, with_coefficients
 from .simplicial import (
     CosimplicialAbelian,
     PresentedComplex,
@@ -102,25 +102,12 @@ def cohomology(v, k, degrees, x=None, certificate=None):
     reduced = _abelianization(v, x).reduced_complex()
     if reduced is None:
         return cohomotopy(der_cochain(v, k, x=x), degrees)
-    levels, deltas = _with_coefficients(reduced, _coefficient(k, x), top + 1,
-                                        dual=True)
+    levels, deltas = with_coefficients(*reduced, _coefficient(k, x), top + 1,
+                                       dual=True)
     # the reduced cochain complex, each coboundary the one coface of its
     # level, so that its alternating coface sum is the coboundary itself
     w = CosimplicialAbelian(levels, [[d] for d in deltas[1:]], [], top + 1)
     return cohomotopy(w, degrees)
-
-
-def _with_coefficients(reduced, coeff, top, dual=False):
-    """Through degree `top`, the levels and maps of a reduced complex
-    (ranks, diffs) tensored with `coeff` (maps[n]: level n -> n-1), or of
-    its Hom into `coeff` when `dual` (maps[n]: level n-1 -> n)."""
-    ranks, diffs = reduced
-    ranks = ranks[:top + 1]
-    levels = [Presentation.from_moduli(list(coeff.moduli) * r) for r in ranks]
-    maps = [None] + [
-        _act_matrix(diffs[n], coeff, range(ranks[n - 1]), range(ranks[n]),
-                    dual=dual) for n in range(1, len(ranks))]
-    return levels, maps
 
 
 def cohomology_subquotients(v, k, degrees, x=None):
@@ -248,7 +235,7 @@ def homology_with_coeffs(v, g, degrees, x=None, certificate=None):
     reduced = _abelianization(v, x).reduced_complex()
     if reduced is None:
         return _tensored_complex(v, coeff, x=x).homology(degrees)
-    levels, bnds = _with_coefficients(reduced, coeff, max(degrees) + 1)
+    levels, bnds = with_coefficients(*reduced, coeff, max(degrees) + 1)
     return PresentedComplex(levels, bnds).homology(degrees)
 
 

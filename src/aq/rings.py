@@ -306,32 +306,30 @@ class CoefficientModule:
 
 def free_resolution(module: RModulePresentation, length):
     """(ranks, diffs): free R-modules F_len -> ... -> F_0 with coker(d_1)
-    isomorphic to `module`; diffs[n] is the R-matrix of d_n (rows index
-    F_{n-1} generators).
+    isomorphic to `module`; diffs[n] lists the sparse columns of d_n: per
+    generator of F_n, the (row, entry) pairs of its nonzero entries, rows
+    numbered by the generators of F_{n-1}.
     """
     ring = module.ring
     ranks = [module.gens]
     diffs = [None]
-    current = [list(c) for c in module.rel_cols]  # columns: gens entries
+    current = module.rel_cols  # dense columns: one entry per generator
     for _ in range(length):
         current = [c for c in current if not all(ring.is_zero(x) for x in c)]
         ranks.append(len(current))
-        if current:
-            diffs.append([[current[j][i] for j in range(len(current))]
-                          for i in range(ranks[-2])])
-        else:
-            diffs.append([[] for _ in range(ranks[-2])])
-        current = _kernel_columns(ring, diffs[-1], ranks[-2], ranks[-1])
+        diffs.append([[(i, x) for i, x in enumerate(c) if x] for c in current])
+        current = _kernel_columns(ring, diffs[-1], ranks[-2])
     return ranks, diffs
 
 
-def _kernel_columns(ring, rmat, ambient_rank, k):
+def _kernel_columns(ring, cols, ambient_rank):
     """R-generating columns of the kernel of the map R^k -> R^ambient
-    with the given R-matrix."""
+    whose sparse columns are `cols`, as dense columns of R-elements."""
+    k = len(cols)
     if k == 0:
         return []
     zr = ring.zrank()
-    zmat = r_matrix_to_z(ring, rmat, ambient_rank, k)
+    zmat = r_matrix_to_z(ring, cols, ambient_rank)
     if ring.kind == "Zmod":
         m = ring.m
         rows = len(zmat)
@@ -346,7 +344,7 @@ def _kernel_columns(ring, rmat, ambient_rank, k):
                 key = tuple(col)
                 if key not in seen:
                     seen.add(key)
-                    out.append([c for c in col])
+                    out.append(col)
         return out
     ker = kernel_basis(zmat, k * zr)
     out = []
@@ -359,49 +357,31 @@ def _kernel_columns(ring, rmat, ambient_rank, k):
     return out
 
 
-def r_matrix_to_z(ring, rmat, rows, cols):
-    """Z-matrix of a rows x cols R-matrix of a left-module map.  Over Z[G]
-    an entry r becomes the block of x -> x * r on the basis G, which makes
-    the realization multiplicative (coefficients multiply on the left);
-    over Z and Z/m the entries are copied."""
+def r_matrix_to_z(ring, cols, rows):
+    """Z-matrix of the R-matrix with `rows` rows whose sparse columns are
+    `cols`, a left-module map.  Over Z[G] an entry r becomes the block of
+    x -> x * r on the basis G, which makes the realization multiplicative
+    (coefficients multiply on the left); over Z and Z/m the entries are
+    copied."""
     if ring.kind != "ZG":
-        return [[rmat[i][j] for j in range(cols)] for i in range(rows)]
+        out = [[0] * len(cols) for _ in range(rows)]
+        for j, col in enumerate(cols):
+            for i, x in col:
+                out[i][j] = x
+        return out
     grp = ring.group
     n = grp.order()
-    out = [[0] * (cols * n) for _ in range(rows * n)]
-    for i in range(rows):
-        for j in range(cols):
-            for g, c in rmat[i][j].items():
+    out = [[0] * (len(cols) * n) for _ in range(rows * n)]
+    for j, col in enumerate(cols):
+        for i, r in col:
+            for g, c in r.items():
                 for b, h in enumerate(grp.elements):
                     out[i * n + grp.index[grp.mul[(h, g)]]][j * n + b] = c
     return out
 
 
 # ---------------------------------------------------------------------------
-# Ext and Tor through a chosen free resolution
-
-def hom_cochain_complex(ring, ranks, diffs, coeff: CoefficientModule):
-    """Apply Hom_R(-, coeff) to a free resolution; returns (levels, deltas)
-    where deltas[n] maps cochain degree n-1 to degree n."""
-    levels = [_power_presentation(coeff, rk) for rk in ranks]
-    deltas = [None] + [hom_dual(diffs[n], ranks[n - 1], ranks[n], coeff)
-                       for n in range(1, len(ranks))]
-    return levels, deltas
-
-
-def hom_dual(d, rows, cols, coeff: CoefficientModule):
-    """Hom_R(d, coeff) of a rows x cols R-matrix d: the integer matrix of
-    coeff^rows -> coeff^cols, block (j, i) the action of d[i][j]; a zero
-    entry (0 or the empty group-ring element) leaves a zero block."""
-    dim = coeff.dim
-    out = [[0] * (rows * dim) for _ in range(cols * dim)]
-    for i in range(rows):
-        for j in range(cols):
-            if d[i][j]:
-                for a, row in enumerate(coeff.act_of(d[i][j])):
-                    out[j * dim + a][i * dim:(i + 1) * dim] = row
-    return out
-
+# coefficients on free complexes: Ext, Tor and the AQ cochain route
 
 def _act_matrix(mat, coeff, rows, cols, dual=False):
     """The integer matrix of the sparse R-matrix `mat`, restricted to
@@ -429,54 +409,33 @@ def _act_matrix(mat, coeff, rows, cols, dual=False):
     return big
 
 
-def tensor_chain_complex(ring, ranks, diffs, coeff: CoefficientModule):
-    """Apply - tensor_R coeff to a free resolution; returns (levels, bnds)."""
-    levels = []
-    bnds = [None]
-    for n, rk in enumerate(ranks):
-        levels.append(_power_presentation(coeff, rk))
-        if n >= 1:
-            d = diffs[n]
-            rows, cols = ranks[n - 1], ranks[n]
-            blocks = [[None] * cols for _ in range(rows)]
-            for i in range(rows):
-                for j in range(cols):
-                    blocks[i][j] = coeff.act_of(d[i][j])
-            bnds.append(_assemble_blocks(blocks, coeff.dim))
-    return levels, bnds
-
-
-def _power_presentation(coeff, rk):
-    return Presentation.from_moduli(list(coeff.moduli) * rk)
-
-
-def _assemble_blocks(blocks, dim):
-    brows = len(blocks)
-    bcols = len(blocks[0]) if brows else 0
-    out = [[0] * (bcols * dim) for _ in range(brows * dim)]
-    for bi in range(brows):
-        for bj in range(bcols):
-            blk = blocks[bi][bj]
-            for a in range(dim):
-                for b in range(dim):
-                    out[bi * dim + a][bj * dim + b] = blk[a][b]
-    return out
+def with_coefficients(ranks, diffs, coeff: CoefficientModule, top,
+                      dual=False):
+    """Through degree `top`, the levels and maps of the complex of free
+    R-modules (ranks, diffs), its differentials as sparse columns,
+    tensored with `coeff` (maps[n]: level n -> n-1), or of its Hom into
+    `coeff` when `dual` (maps[n]: level n-1 -> n)."""
+    ranks = ranks[:top + 1]
+    levels = [Presentation.from_moduli(list(coeff.moduli) * r) for r in ranks]
+    maps = [None] + [
+        _act_matrix(diffs[n], coeff, range(ranks[n - 1]), range(ranks[n]),
+                    dual=dual) for n in range(1, len(ranks))]
+    return levels, maps
 
 
 def ext_groups(module: RModulePresentation, coeff: CoefficientModule, top):
     """Ext^n_R(module, coeff) for 0 <= n <= top, by resolution + SNF."""
     ranks, diffs = free_resolution(module, top + 1)
-    levels, deltas = hom_cochain_complex(module.ring, ranks, diffs, coeff)
-    out = []
-    for n in range(top + 1):
-        out.append(cohomology_at(levels, deltas, n).invariants())
-    return out
+    levels, deltas = with_coefficients(ranks, diffs, coeff, top + 1,
+                                       dual=True)
+    return [cohomology_at(levels, deltas, n).invariants()
+            for n in range(top + 1)]
 
 
 def tor_groups(module: RModulePresentation, coeff: CoefficientModule, top):
     """Tor_n^R(module, coeff) for 0 <= n <= top."""
     ranks, diffs = free_resolution(module, top + 1)
-    levels, bnds = tensor_chain_complex(module.ring, ranks, diffs, coeff)
+    levels, bnds = with_coefficients(ranks, diffs, coeff, top + 1)
     groups = homology_of_complex(levels, bnds, range(top + 1))
     return [groups[n].invariants() for n in range(top + 1)]
 

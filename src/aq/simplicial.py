@@ -32,10 +32,11 @@ from .rings import (
     RModulePresentation,
     Ring,
     _act_matrix,
-    hom_cochain_complex,
     r_matrix_to_z,
+    with_coefficients,
 )
 from .snf import (
+    _sparse_cols,
     cols_to_matrix,
     kernel_basis,
     mat_mul,
@@ -236,21 +237,10 @@ class _MatrixSimplicial(_SimplicialBase):
         return [{j: one} for j in range(self.levels[n].gens)]
 
 
-def _matrix_columns(mat, cols):
-    """The sparse columns of a matrix with `cols` columns: per column, the
-    (row, entry) pairs of its nonzero entries."""
-    out = [[] for _ in range(cols)]
-    for i, row in enumerate(mat):
-        for j, x in enumerate(row):
-            if x:
-                out[j].append((i, x))
-    return out
-
-
 def _dense_matrix(cols, rows, zero=0):
     """The matrix with `rows` rows whose sparse columns are `cols`, the
-    inverse of `_matrix_columns`, for `r_matrix_to_z` and the containers
-    whose maps stay dense."""
+    inverse of `snf._sparse_cols`, for the containers whose maps stay
+    dense."""
     mat = [[zero] * len(cols) for _ in range(rows)]
     for j, col in enumerate(cols):
         for i, x in col:
@@ -265,7 +255,7 @@ def _compose_columns(outer, inner, ring):
     coefficient of the inner map multiplies on the left.  An inner column
     that is one entry equal to the ring's one, as nearly every Dold-Kan
     degeneracy column is, picks a copy of one outer column.  Columns hold
-    each row at most once and only nonzero entries, as `_matrix_columns`
+    each row at most once and only nonzero entries, as `snf._sparse_cols`
     makes them."""
     one = ring.one()
     out = []
@@ -364,37 +354,28 @@ class SimplicialFreeModule(_MatrixSimplicial):
 
 class ChainComplex:
     """Nonnegatively graded complex of free modules over a ring;
-    diffs[n]: degree n -> n-1 as an R-matrix (rows index degree n-1)."""
+    diffs[n]: degree n -> n-1 as sparse columns, per generator of degree
+    n the (row, entry) pairs of its nonzero entries, rows numbered by the
+    generators of degree n-1."""
 
     def __init__(self, ring: Ring, ranks, diffs):
         self.ring = ring
         self.ranks = list(ranks)
         self.diffs = [None] + [
-            [list(r) for r in m] for m in diffs[1:]
+            [list(c) for c in d] for d in diffs[1:]
         ] if diffs else [None]
         self.validate()
 
     def validate(self):
-        r = self.ring
+        """Each differential has a column per generator of its degree and
+        rows within the rank below, and d d = 0 (`check_square_zero`)."""
         for n in range(1, len(self.ranks)):
-            m = self.diffs[n]
-            if len(m) != self.ranks[n - 1] or any(
-                len(row) != self.ranks[n] for row in m
+            d = self.diffs[n]
+            if len(d) != self.ranks[n] or any(
+                not 0 <= i < self.ranks[n - 1] for col in d for i, _ in col
             ):
                 raise AlgebraError(f"differential {n} has the wrong shape")
-        for n in range(2, len(self.ranks)):
-            a, b = self.diffs[n - 1], self.diffs[n]
-            rows = self.ranks[n - 2]
-            cols = self.ranks[n]
-            for i in range(rows):
-                for j in range(cols):
-                    # left-module maps compose with inner coefficients on
-                    # the left (matters over noncommutative group rings)
-                    acc = r.zero()
-                    for t in range(self.ranks[n - 1]):
-                        acc = r.add(acc, r.mul(b[t][j], a[i][t]))
-                    if not r.is_zero(acc):
-                        raise AlgebraError("d d != 0")
+        check_square_zero(self.ring, self.diffs)
 
     def __eq__(self, other):
         return (
@@ -518,8 +499,8 @@ def dold_kan(cx, truncation=None):
         for _, k in layout:
             starts[-1].append(pos)
             pos += size[k]
-    diff_columns = [None] + [_matrix_columns(cx.diffs[k], size[k])
-                             for k in range(1, top + 1)]
+    diff_columns = cx.diffs if not presented else [None] + [
+        _sparse_cols(cx.diffs[k], size[k]) for k in range(1, top + 1)]
 
     def structure_columns(n, alpha):
         first = starts[len(alpha) - 1]
@@ -573,11 +554,9 @@ def normalize_dk(v):
     cx = v.dk_source
     presented = isinstance(cx, PresentedComplex)
     if presented:
-        out_levels, zero = list(cx.levels), 0
-        size = [lv.gens for lv in cx.levels]
+        out_levels, size = list(cx.levels), [lv.gens for lv in cx.levels]
     else:
-        out_levels, zero = list(cx.ranks), cx.ring.zero()
-        size = cx.ranks
+        out_levels, size = list(cx.ranks), cx.ranks
     faces, _ = v.columns()
     out_diffs = [None]
     for k in range(1, len(size)):
@@ -585,12 +564,10 @@ def normalize_dk(v):
         # identity summand at level k-1
         r0 = v.dk_offsets[k - 1][(tuple(range(k)), k - 1)]
         c0 = v.dk_offsets[k][(tuple(range(k + 1)), k)]
-        block = [[zero] * size[k] for _ in range(size[k - 1])]
-        for j in range(size[k]):
-            for i, x in faces[k][k][c0 + j]:
-                if r0 <= i < r0 + size[k - 1]:
-                    block[i - r0][j] = x
-        out_diffs.append(block)
+        cols = [[(i - r0, x) for i, x in faces[k][k][c0 + j]
+                 if r0 <= i < r0 + size[k - 1]] for j in range(size[k])]
+        out_diffs.append(_dense_matrix(cols, size[k - 1]) if presented
+                         else cols)
     if presented:
         return PresentedComplex(out_levels, out_diffs)
     return ChainComplex(cx.ring, out_levels, out_diffs)
@@ -691,11 +668,8 @@ def _realize(ring, ranks, rels, diffs):
     gives them; each realized by `r_matrix_to_z`."""
     levels = [RModulePresentation(ring, r, rel).z_presentation()
               for r, rel in zip(ranks, rels)]
-    out = [None] + [
-        r_matrix_to_z(ring,
-                      _dense_matrix(diffs[n], ranks[n - 1], ring.zero()),
-                      ranks[n - 1], ranks[n])
-        for n in range(1, len(ranks))]
+    out = [None] + [r_matrix_to_z(ring, diffs[n], ranks[n - 1])
+                    for n in range(1, len(ranks))]
     return PresentedComplex(levels, out)
 
 
@@ -769,7 +743,7 @@ def check_square_zero(ring, diffs):
     for n in range(1, len(diffs) - 1):
         if any(_compose_columns(diffs[n], diffs[n + 1], ring)):
             raise AlgebraError(
-                f"reduced complex: d_{n} d_{n + 1} is not zero in degree {n}")
+                f"d_{n} d_{n + 1} is not zero in degree {n}")
 
 
 def reduced_quotient(v, top):
@@ -1195,7 +1169,7 @@ def path_object(em):
     pe = _semidirect_object(x, k, n, kernel, "EI")
     # the EM complex is zero below degree n, so are the projections
     pe.projections = [
-        [_lift(x, _matrix_columns(
+        [_lift(x, _sparse_cols(
                    _dk_map(kernel, em.kernel_part, [[]] * n + [proj], i),
                    kernel.levels[i].gens),
                pe.levels[i], pe.level_xmodules[i],
@@ -1239,7 +1213,7 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
             lhs = mat_mul(columns[s - 1].diffs[t], hdiffs[s][t], gens)
             rhs = mat_mul(hdiffs[s][t - 1], columns[s].diffs[t], gens)
             if len(lhs) != len(rhs) or not _equal_mod_relations(
-                    _matrix_columns(lhs, gens), _matrix_columns(rhs, gens),
+                    _sparse_cols(lhs, gens), _sparse_cols(rhs, gens),
                     columns[s - 1].levels[t - 1]):
                 raise AlgebraError(
                     f"horizontal differential at ({s},{t}) is not a chain map"
@@ -1307,7 +1281,7 @@ def diag(b: BisimplicialAbelian) -> SimplicialAbelian:
     levels = [b.levels[n][n] for n in range(trunc + 1)]
 
     def composite(outer, inner, n):
-        return _matrix_columns(mat_mul(outer, inner), levels[n].gens)
+        return _sparse_cols(mat_mul(outer, inner), levels[n].gens)
 
     faces = [[]] + [
         [composite(b.hfaces[n][n - 1][i], b.vfaces[n][n][i], n)
@@ -1372,10 +1346,10 @@ def diag_e2_page(b: BisimplicialAbelian, smax, tmax):
             vlevels = [b.levels[p][q] for q in range(trunc + 1)]
             col = SimplicialAbelian(
                 vlevels,
-                [[]] + [[_matrix_columns(m, vlevels[q].gens)
+                [[]] + [[_sparse_cols(m, vlevels[q].gens)
                          for m in b.vfaces[p][q]]
                         for q in range(1, trunc + 1)],
-                [[_matrix_columns(m, vlevels[q].gens) for m in b.vdegens[p][q]]
+                [[_sparse_cols(m, vlevels[q].gens) for m in b.vdegens[p][q]]
                  for q in range(trunc)] + [[]],
                 trunc,
             )
@@ -1582,7 +1556,9 @@ def hom_bicomplex_total_cohomology(b: BisimplicialAbelian, moduli, degrees):
         raise AlgebraError("truncation too small")
     cx = total_complex(b)
     ranks = _free_ranks(cx.levels, "hom_bicomplex_total_cohomology")
-    z = Ring("Z")
-    levels, deltas = hom_cochain_complex(
-        z, ranks, cx.diffs, CoefficientModule.trivial(z, moduli))
+    diffs = [None] + [_sparse_cols(d, r) for d, r in zip(cx.diffs[1:],
+                                                          ranks[1:])]
+    levels, deltas = with_coefficients(
+        ranks, diffs, CoefficientModule.trivial(Ring("Z"), moduli),
+        len(ranks) - 1, dual=True)
     return {n: cohomology_at(levels, deltas, n).invariants() for n in degrees}

@@ -11,7 +11,7 @@ from aq.invariants import cohomology, homology_with_coeffs
 from aq.resolutions import bar_resolution_group, loop_group_resolution
 from aq.rings import CoefficientModule, RModulePresentation, Ring
 from aq.simplicial import ChainComplex, dold_kan, moore_homotopy
-from aq.snf import smith_diagonal, smith_diagonal_naive
+from aq.snf import _sparse_cols, smith_diagonal, smith_diagonal_naive
 from aq.spectral import GradedModule, tor_e2, uct_e2
 
 
@@ -38,7 +38,7 @@ def _random_free_complex(rng, length):
             rows, cols = ranks[n - 1], ranks[n]
             mat = [[rng.randint(-4, 4) if n % 2 == 1 else 0
                     for _ in range(cols)] for _ in range(rows)]
-            diffs.append(mat)
+            diffs.append(_sparse_cols(mat, cols))
         try:
             return ChainComplex(Ring("Z"), ranks, diffs)
         except AlgebraError:

@@ -25,6 +25,7 @@ from aq.simplicial import (
     k_object,
     normalize_dk,
 )
+from aq.snf import _sparse_cols
 
 
 def _rings():
@@ -49,9 +50,9 @@ def _alternating_complex(ring, seed):
     that d d = 0 whatever the entries."""
     rng = random.Random(seed)
     ranks = [rng.randint(0, 3) for _ in range(rng.randint(2, 5))]
-    diffs = [None] + [
+    diffs = [None] + [_sparse_cols(
         [[_entry(ring, rng) if n % 2 else ring.zero()
-          for _ in range(ranks[n])] for _ in range(ranks[n - 1])]
+          for _ in range(ranks[n])] for _ in range(ranks[n - 1])], ranks[n])
         for n in range(1, len(ranks))
     ]
     return ChainComplex(ring, ranks, diffs)
@@ -79,36 +80,42 @@ def _boundary_complex():
     return PresentedComplex(levels, diffs)
 
 
+def _dense(cols, rows, zero):
+    mat = [[zero] * len(cols) for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            mat[i][j] = x
+    return mat
+
+
 def _dense_maps(v):
     """The faces and degeneracies of `v` as dense matrices over its ring,
     written out here from `columns()`."""
     zero = v.ring.zero()
     gens = [lv.gens for lv in v.levels]
-
-    def dense(cols, rows):
-        mat = [[zero] * len(cols) for _ in range(rows)]
-        for j, col in enumerate(cols):
-            for i, x in col:
-                mat[i][j] = x
-        return mat
-
     faces, degens = v.columns()
-    return ([[dense(c, gens[n - 1]) for c in maps]
+    return ([[_dense(c, gens[n - 1], zero) for c in maps]
              for n, maps in enumerate(faces)],
-            [[dense(c, gens[n + 1]) for c in maps]
+            [[_dense(c, gens[n + 1], zero) for c in maps]
              for n, maps in enumerate(degens)])
 
 
-def _digest(v):
-    def levels(cx):
-        if isinstance(cx, PresentedComplex):
-            return [[lv.gens, lv.rels] for lv in cx.levels]
-        return cx.ranks
-
+def _normalized(v):
+    """The levels and differentials of normalize_dk(v); a chain complex's
+    sparse columns are written out here as dense matrices."""
     back = normalize_dk(v)
+    if isinstance(back, PresentedComplex):
+        return [[[lv.gens, lv.rels] for lv in back.levels], back.diffs]
+    zero = back.ring.zero()
+    return [back.ranks, [None] + [
+        _dense(d, back.ranks[n - 1], zero)
+        for n, d in enumerate(back.diffs) if n]]
+
+
+def _digest(v):
     faces, degens = _dense_maps(v)
     obj = {
-        "normalized": [levels(back), back.diffs],
+        "normalized": _normalized(v),
         "columns": v.columns(),
         "levels": [[lv.gens, lv.rels] for lv in v.levels],
         "faces": faces,

@@ -503,6 +503,64 @@ def test_cli_sres_with_malformed_ring_exits_2_with_its_position(tmp_path,
     assert f"{bad}:2: ring descriptor 'Z/0' needs an integer m >= 2" in err
 
 
+def _chain_sres(path, ring, body):
+    path.write_text("sres c {\n"
+                    f"  ring {ring}\n"
+                    "  chain {\n"
+                    "    ranks 1 1 1\n"
+                    + "".join(f"    {line}\n" for line in body)
+                    + "  }\n"
+                    "}\n")
+
+
+def _check_with_and_without_asserts(path):
+    """(returncode, stdout, stderr) of `aq check path`, the same under
+    `python -O`, which strips asserts."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    runs = [subprocess.run(
+        [sys.executable, *flags, "-m", "aq.cli", "check", str(path)],
+        capture_output=True, text=True, env=env) for flags in ([], ["-O"])]
+    outcomes = {(p.returncode, p.stdout, p.stderr) for p in runs}
+    assert len(outcomes) == 1, outcomes
+    return outcomes.pop()
+
+
+@pytest.mark.parametrize("ring,body,line,message", [
+    ("Z", ["d 3 : [[1]]"], 5,
+     "d 3 is not a differential of ranks 1 1 1 (d 1 to d 2)"),
+    ("Z", ["d 0 : [[1]]"], 5,
+     "d 0 is not a differential of ranks 1 1 1 (d 1 to d 2)"),
+    ("Z", ["d 1 : [[2]]", "d -1 : [[0]]"], 6,
+     "d -1 is not a differential of ranks 1 1 1 (d 1 to d 2)"),
+    ("Z/4", ["d 1 : [[2]]", "d 2 : [[2]]", "d 2 : [[0]]"], 7,
+     "d 2 is given twice"),
+    ("Z", ["d 1 : [[2, 1]]"], 5, "d 1 must be a 1 x 1 matrix"),
+    ("Z", ["d 2 : [[2], [1]]"], 5, "d 2 must be a 1 x 1 matrix"),
+], ids=["past-the-top", "degree-0", "negative", "repeated", "wide", "tall"])
+def test_a_bad_chain_differential_exits_2_with_its_position(
+        tmp_path, ring, body, line, message):
+    bad = tmp_path / "bad.sres"
+    _chain_sres(bad, ring, body)
+    assert _check_with_and_without_asserts(bad) == (
+        2, "", f"error: {bad}:{line}: {message}\n")
+
+
+def test_a_chain_whose_square_is_not_zero_exits_1_naming_the_degree(
+        tmp_path):
+    bad = tmp_path / "bad.sres"
+    _chain_sres(bad, "Z", ["d 1 : [[2]]", "d 2 : [[3]]"])
+    assert _check_with_and_without_asserts(bad) == (
+        1, "", "check failed: d_1 d_2 is not zero in degree 1\n")
+    # over Z/4, 2 * 2 = 0 and the same chain is a complex
+    good = tmp_path / "good.sres"
+    _chain_sres(good, "Z/4", ["d 1 : [[2]]", "d 2 : [[2]]"])
+    code, out, err = _check_with_and_without_asserts(good)
+    assert (code, err) == (0, "")
+    assert out == "sres: truncation 3, simplicial identities ok\n"
+
+
 @pytest.mark.parametrize("rel,message", [
     ("mul(a, b)", "cannot evaluate b() in free group algebra"),
     ("mul(a, $x)", "unbound variable $x"),

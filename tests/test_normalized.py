@@ -39,7 +39,13 @@ from aq.resolutions import (
     loop_group_resolution,
     resolve_module,
 )
-from aq.rings import CoefficientModule, RModulePresentation, Ring
+from aq.rings import (
+    CoefficientModule,
+    RModulePresentation,
+    Ring,
+    ext_groups,
+    tor_groups,
+)
 from aq.simplicial import (
     SimplicialAbelian,
     SimplicialFreeModule,
@@ -321,9 +327,14 @@ def test_module_fallback_for_a_degeneracy_that_is_not_one_unit(name):
 
 
 @pytest.mark.parametrize("name,seed", SEEDS[::2])
-def test_module_routes_build_no_dense_matrices(name, seed):
-    # a Dold-Kan resolution is built as sparse columns, and the
-    # certificate and every module route read only those
+def test_module_routes_build_no_dense_matrices(name, seed, monkeypatch):
+    # a free resolution and its Dold-Kan object are built as sparse
+    # columns, and the certificate, Ext, Tor and every module route read
+    # only those: none writes a column out as a dense matrix
+    def refuse(*args, **kwargs):
+        pytest.fail("a module route wrote sparse columns out densely")
+
+    monkeypatch.setattr(simplicial, "_dense_matrix", refuse)
     ring = RINGS[name]()
     m = _seeded_module(ring, seed)
     v = resolve_module(m, length=3)
@@ -334,11 +345,17 @@ def test_module_routes_build_no_dense_matrices(name, seed):
     homology_with_coeffs(v, k, degrees)
     cohomology(v, k, degrees)
     cohomology_via_em(v, k, 2)
-    # the object holds its maps only as columns of (row, entry) pairs
+    ext_groups(m, k, 2)
+    tor_groups(m, k, 2)
+    # the object and its source complex hold their maps only as columns
+    # of (row, entry) pairs
     assert not hasattr(v, "faces") and not hasattr(v, "degens")
     assert all(isinstance(pair, tuple) and len(pair) == 2
                for maps in v.columns() for level in maps for m in level
                for column in m for pair in column)
+    assert all(isinstance(pair, tuple) and len(pair) == 2
+               for d in v.dk_source.diffs[1:] for column in d
+               for pair in column)
     # a rebuild from corrupted columns fails the identity check
     w = with_entry(v, "faces", 2, 0, 0, 0, lambda x: ring.add(x, ring.one()))
     assert not check_certificate(w, m, rng=2).checks["simplicial_identities"]

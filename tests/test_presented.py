@@ -124,7 +124,7 @@ def test_free_resolution_over_z():
     ranks, diffs = free_resolution(m, 3)
     assert ranks[0] == 1 and ranks[1] == 1
     assert ranks[2] == 0  # kernel of x4 on Z is zero
-    assert diffs[1] == [[4]]
+    assert diffs[1] == [[(0, 4)]]
 
 
 def test_ext_tor_z4_z2_over_z():

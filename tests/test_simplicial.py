@@ -35,6 +35,7 @@ from aq.simplicial import (
     total_complex,
     unnormalized_homotopy,
 )
+from aq.snf import _sparse_cols
 from test_normalized import with_entry
 
 
@@ -114,7 +115,7 @@ def test_dold_kan_round_trip_random(seed=20240817, trials=200):
                 for i in range(rows):
                     for j in range(cols):
                         mat[i][j] = rng.randint(-5, 5)
-            diffs.append(mat)
+            diffs.append(_sparse_cols(mat, cols))
         try:
             cx = ChainComplex(ring, ranks, diffs)
         except AlgebraError:
@@ -396,7 +397,7 @@ def _random_double_complex(rng, smax, tmax):
 # SHA-256 digests of exact outputs, recorded from the earlier hand-written
 # layouts (a horizontal Dold-Kan of its own, a separate Hom totalization and
 # per-copy projection blocks); the shared dold_kan, _dk_map and
-# hom_cochain_complex route must reproduce them bit for bit
+# with_coefficients route must reproduce them bit for bit
 BISIMPLICIAL_DIGEST = (
     "12f589d6b10f5abaa5e66ef96f7632cff3ab16c7de7d172ed5ea7d72572d2672")
 PATH_PROJECTIONS_DIGEST = (
