@@ -5,6 +5,7 @@ brute-force oracle), and realization of finite presentations.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from operator import itemgetter
 
@@ -71,7 +72,7 @@ class FreeAlgebra:
                     f"no normal-form engine for theory class {theory.class_tag!r}"
                 )
         names = [g for gs in self.generators.values() for g in gs]
-        dups = sorted({g for g in names if names.count(g) > 1})
+        dups = sorted(g for g, c in Counter(names).items() if c > 1)
         if dups:
             raise AlgebraError(f"duplicate generator {', '.join(dups)}")
         for g in names:

@@ -301,8 +301,7 @@ def cmd_invariants(args):
             values = cohomology(v, k, range(top + 1), x=x, certificate=cert)
             em_values = {}
             if args.method in ("em", "both"):
-                for n in range(1, top + 1):
-                    em_values[n] = cohomology_via_em(v, k, n, x=x)
+                em_values = cohomology_via_em(v, k, range(1, top + 1), x=x)
                 if args.method == "both":
                     for n in em_values:
                         if em_values[n] != values[n]:
@@ -321,10 +320,11 @@ def cmd_invariants(args):
             return _report_values(args, values, {}, actions=actions)
         values = homology(v, range(top + 1), certificate=cert)
         return _report_values(args, values, {})
-    # module theories: resolve the presented module
+    # module theories: resolve the presented module through level top + 1,
+    # the last one that the certificate and every route read
     y = parse_file(args.algebra, parse_module_presentation,
                    source=args.algebra)
-    v = resolve_module(y, length=top + 2)
+    v = resolve_module(y, length=top + 1)
     cert = check_certificate(v, y, rng=min(top, v.truncation - 1))
     if not cert.valid:
         print("resolution certificate failed", file=sys.stderr)
@@ -334,8 +334,7 @@ def cmd_invariants(args):
         values = cohomology(v, k, range(top + 1), certificate=cert)
         em_values = {}
         if args.method in ("em", "both"):
-            for n in range(1, top + 1):
-                em_values[n] = cohomology_via_em(v, k, n)
+            em_values = cohomology_via_em(v, k, range(1, top + 1))
             if args.method == "both" and any(
                 em_values[n] != values[n] for n in em_values
             ):
@@ -452,7 +451,7 @@ def cmd_ss(args):
         print("--check needs --module (degree-0 concentrated)", file=sys.stderr)
         return 2
     if args.check:
-        v = resolve_module(mod, length=args.smax + 2)
+        v = resolve_module(mod, length=args.smax + 1)
         if args.kind == "uct" or (args.kind == "rev-adams"
                                   and args.variant == "cohomology"):
             direct = cohomology(v, coeff, range(args.smax + 1))

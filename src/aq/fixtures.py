@@ -113,12 +113,19 @@ def _theory_ref(p: _FixtureParser, base_dir):
     name = p.expect_ident()
     if p.peek().text == ":":
         p.next()
-        name += ":" + p.expect_ident()
-        if p.peek().text == "[":
-            p.next()
-            name += "[" + p.expect_ident() + "]"
-            p.expect("]")
+        name += ":" + p.expect_ident() + _group_suffix(p)
     return builtin_theory(name)
+
+
+def _group_suffix(p: _FixtureParser):
+    """The `[Cm]` of a group-ring descriptor such as Z[Cm], which the lexer
+    reads as three tokens after the `Z`; empty when none follows."""
+    if p.peek().text != "[":
+        return ""
+    p.next()
+    text = "[" + p.expect_ident() + "]"
+    p.expect("]")
+    return text
 
 
 def load_algebra(path) -> FiniteAlgebra:
@@ -491,10 +498,15 @@ def parse_sres(text, base_dir="", source="<sres>"):
     tok = p.peek()
     if tok.text == "ring":
         p.next()
+        text = p.expect_ident() + _group_suffix(p)
         try:
-            ring = parse_ring(p.expect_ident())
+            ring = parse_ring(text)
         except RingDescriptorError as exc:
             raise FixtureError(f"{source}:{tok.line}: {exc}") from exc
+        if ring.kind == "ZG":
+            # the integer matrices of a chain block cannot hold Z[G] entries
+            raise FixtureError(f"{source}:{tok.line}: ring {text}: chain "
+                               f"fixtures take Z or Z/m")
         p.expect("chain")
         p.expect("{")
         p.expect("ranks")

@@ -129,32 +129,39 @@ def _dual_degen_matrices(v, k, x, coeff):
     ]
 
 
-def cohomology_via_em(v, k, n, x=None, certificate=None):
+def cohomology_via_em(v, k, degrees, x=None, certificate=None):
     """Cohomology as homotopy classes of maps into the extended
     Eilenberg-MacLane object: strict simplicial maps over X (normalized
     cocycles of the derivation complex) modulo path-object homotopies
-    (coboundaries of normalized cochains)."""
+    (coboundaries of normalized cochains).  {n: group} for each of
+    `degrees`, all read off one derivation complex."""
     _require_valid(certificate)
-    if n + 1 > v.truncation:
+    degrees = list(degrees)
+    if not degrees:
+        return {}
+    top = max(degrees)
+    if top + 1 > v.truncation:
         raise AlgebraError("degree needs levels up to n+1")
     coeff = _coefficient(k, x)
     w = der_cochain(v, k, x=x)
     duals = _dual_degen_matrices(v, k, x, coeff)
-    amb = w.levels[n].gens
-    # strict maps: normalized cochains killed by the cochain differential
-    stacked = [(duals[n][j], w.levels[n - 1]) for j in range(n)]
-    stacked.append((_alternating_sum(w.cofaces[n]), w.levels[n + 1]))
-    z_lattice = cycle_lattice(stacked, amb)
-    rel_vectors = w.levels[n].rel_columns()
-    if n >= 1:
-        prev_amb = w.levels[n - 1].gens
-        prev_duals = [(duals[n - 1][j], w.levels[n - 2]) for j in range(n - 1)]
-        n_lattice = cycle_lattice(prev_duals, prev_amb)
-        delta_prev = _alternating_sum(w.cofaces[n - 1])
-        for bvec in n_lattice:
-            rel_vectors.append(mat_vec(delta_prev, bvec))
-    sq = Subquotient(amb, z_lattice, rel_vectors)
-    return sq.invariants()
+    deltas = [_alternating_sum(cofaces) for cofaces in w.cofaces[:top + 1]]
+    out = {}
+    for n in degrees:
+        amb = w.levels[n].gens
+        # strict maps: normalized cochains killed by the cochain differential
+        stacked = [(duals[n][j], w.levels[n - 1]) for j in range(n)]
+        stacked.append((deltas[n], w.levels[n + 1]))
+        z_lattice = cycle_lattice(stacked, amb)
+        rel_vectors = w.levels[n].rel_columns()
+        if n >= 1:
+            prev_amb = w.levels[n - 1].gens
+            prev_duals = [(duals[n - 1][j], w.levels[n - 2])
+                          for j in range(n - 1)]
+            for bvec in cycle_lattice(prev_duals, prev_amb):
+                rel_vectors.append(mat_vec(deltas[n - 1], bvec))
+        out[n] = Subquotient(amb, z_lattice, rel_vectors).invariants()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +177,11 @@ def homology(v, degrees, x=None, certificate=None, with_action=False):
     homotopy of the resolution itself."""
     _require_valid(certificate)
     if isinstance(v, SimplicialFreeModule):
+        # a module certificate has just computed this Moore homotopy
+        pis = (certificate.detail.get("abelianized_homotopy", {})
+               if certificate is not None and certificate.object is v else {})
+        if degrees and all(n in pis for n in degrees):
+            return {n: pis[n] for n in degrees}
         return moore_homotopy(v, degrees)
     if not with_action or x is None:
         cx, _, _ = abelianized_complex(v, over=x, reduced=True)

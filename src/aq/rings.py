@@ -314,11 +314,12 @@ def free_resolution(module: RModulePresentation, length):
     ranks = [module.gens]
     diffs = [None]
     current = module.rel_cols  # dense columns: one entry per generator
-    for _ in range(length):
+    for n in range(length):
+        if n:  # the kernel of d_n spans the image of d_n+1
+            current = _kernel_columns(ring, diffs[-1], ranks[-2])
         current = [c for c in current if not all(ring.is_zero(x) for x in c)]
         ranks.append(len(current))
         diffs.append([[(i, x) for i, x in enumerate(c) if x] for c in current])
-        current = _kernel_columns(ring, diffs[-1], ranks[-2])
     return ranks, diffs
 
 

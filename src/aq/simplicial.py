@@ -230,11 +230,20 @@ class _MatrixSimplicial(_SimplicialBase):
         return self._columns
 
     def _compose(self, outer, inner):
-        return _compose_columns(outer, inner, self.ring)
+        """outer . inner, one column per column of `inner`.  A unit inner
+        column is the outer column it picks, the same object, uncopied;
+        the others (all of them over Z/m, which reduces entries) are the
+        {row: entry} dicts of `_compose_columns`."""
+        if self.ring.kind == "Zmod":
+            return _compose_columns(outer, inner, self.ring)
+        one = self.ring.one()
+        return [outer[col[0][0]] if len(col) == 1 and col[0][1] == one
+                else _compose_columns(outer, [col], self.ring)[0]
+                for col in inner]
 
     def _identity_on(self, n):
         one = self.ring.one()
-        return [{j: one} for j in range(self.levels[n].gens)]
+        return [[(j, one)] for j in range(self.levels[n].gens)]
 
 
 def _dense_matrix(cols, rows, zero=0):
@@ -301,10 +310,9 @@ class SimplicialAbelian(_MatrixSimplicial):
 def _equal_mod_relations(m1, m2, target: Presentation):
     """Whether two integer maps into the presented module `target` agree
     column by column modulo its relations.  A column is a {row: entry}
-    dict of its nonzero entries, or their (row, entry) pairs in row
-    order."""
+    dict of its nonzero entries, or their (row, entry) pairs."""
     for a, b in zip(m1, m2):
-        if a != b:
+        if a != b and dict(a) != dict(b):
             col = [0] * target.gens
             for i, x in dict(a).items():
                 col[i] += x
@@ -330,7 +338,10 @@ class SimplicialFreeModule(_MatrixSimplicial):
         self.ranks = list(ranks)
 
     def _maps_equal(self, m1, m2, src_level, tgt_level):
-        return m1 == m2
+        """Equal as they are, or column by column as {row: entry} dicts
+        (a column is a dict or its (row, entry) pairs, in any order)."""
+        return m1 == m2 or len(m1) == len(m2) and all(
+            a == b or dict(a) == dict(b) for a, b in zip(m1, m2))
 
     def reduced_complex(self):
         """(ranks, diffs): the normalized complex through the truncation,

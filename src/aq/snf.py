@@ -10,7 +10,8 @@ This is the one home of the integer linear algebra every other module
 uses: `identity_matrix`, `cols_to_matrix`, `mat_mul` and `mat_vec` for
 building and multiplying matrices; `smith_normal_form`, `smith_diagonal`
 and `cokernel_diagonal` for invariants; `kernel_basis`, `lattice_basis`,
-`IntegerSolver` / `solve_integer` and `invert_unimodular` for lattices.
+`IntegerSolver` (an integer solution of mat @ x == rhs, or None) and
+`invert_unimodular` for lattices.
 
 Pivot rule of `smith_normal_form`: at step k the pivot is the entry of
 least absolute value in the trailing submatrix, the first such entry in
@@ -331,11 +332,6 @@ class IntegerSolver:
             for r, c in self.v_cols[i]:
                 out[r] += c * yi
         return out
-
-
-def solve_integer(mat, rhs):
-    """An integer solution x of mat @ x == rhs, or None."""
-    return IntegerSolver(mat).solve(rhs)
 
 
 def lattice_basis(vectors, dim):

@@ -9,6 +9,7 @@ import pytest
 from aq.algebras import (
     AB,
     GP,
+    AlgebraError,
     AlgebraMap,
     NotFiniteWithinBound,
     abelianization_table,
@@ -74,6 +75,17 @@ def test_free_abelian_rank_two():
     f = free_algebra(AB, ["a", "b"])
     x = f.eval_term(parse_term("mul(b, mul(a, b))"))
     assert x == (("a", 1), ("b", 2))
+
+
+def test_duplicate_generators_are_named_once_in_sorted_order():
+    with pytest.raises(AlgebraError) as err:
+        free_algebra(GP, ["b", "c", "a", "b", "a", "b"])
+    assert str(err.value) == "duplicate generator a, b"
+    # thousands of generators are checked in linear time
+    names = [f"g{i}" for i in range(30000)]
+    assert free_algebra(GP, names).gen_list == names
+    with pytest.raises(AlgebraError, match="^duplicate generator g7$"):
+        free_algebra(GP, names + ["g7"])
 
 
 def test_free_on_empty_set_is_zero():

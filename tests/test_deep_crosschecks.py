@@ -131,7 +131,7 @@ def test_route_agreement_over_all_small_modules():
         for order in (2, 3):
             for k in x_module_structures(x, order):
                 hs = cohomology(v, k, [0, 1], x=x)
-                em = cohomology_via_em(v, k, 1, x=x)
+                em = cohomology_via_em(v, k, [1], x=x)[1]
                 assert em == hs[1], (m, order, k.action)
                 bar = bar_resolution_group(x, k, 2)
                 assert hs[1] == bar[2], (m, order, k.action)
@@ -149,4 +149,4 @@ def test_z4_on_z3_inversion_module():
     hs = cohomology(v, k, [0, 1], x=z4)
     bar = bar_resolution_group(z4, k, 2)
     assert hs[1] == bar[2]
-    assert cohomology_via_em(v, k, 1, x=z4) == hs[1]
+    assert cohomology_via_em(v, k, [1], x=z4)[1] == hs[1]

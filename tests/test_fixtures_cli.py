@@ -547,6 +547,20 @@ def test_a_bad_chain_differential_exits_2_with_its_position(
         2, "", f"error: {bad}:{line}: {message}\n")
 
 
+@pytest.mark.parametrize("ring,message", [
+    ("Z[C2]", "ring Z[C2]: chain fixtures take Z or Z/m"),
+    ("Z[C3]", "ring Z[C3]: chain fixtures take Z or Z/m"),
+    ("Z[C0]", "ring descriptor 'Z[C0]' needs an integer m >= 1"),
+    ("Z/1", "ring descriptor 'Z/1' needs an integer m >= 2"),
+], ids=["zc2", "zc3", "zc0", "z-mod-1"])
+def test_a_chain_over_a_ring_it_cannot_hold_exits_2_naming_the_ring(
+        tmp_path, ring, message):
+    bad = tmp_path / "bad.sres"
+    _chain_sres(bad, ring, ["d 1 : [[2]]"])
+    assert _check_with_and_without_asserts(bad) == (
+        2, "", f"error: {bad}:2: {message}\n")
+
+
 def test_a_chain_whose_square_is_not_zero_exits_1_naming_the_degree(
         tmp_path):
     bad = tmp_path / "bad.sres"

@@ -102,7 +102,7 @@ def test_route_agreement_em_vs_cochain_groups():
             k = XModule.trivial(g, moduli)
             hs = cohomology(v, k, [0, 1, 2], x=g)
             for n in (1, 2):
-                em = cohomology_via_em(v, k, n, x=g)
+                em = cohomology_via_em(v, k, [n], x=g)[n]
                 assert em == hs[n], (m, moduli, n, em, hs[n])
 
 
@@ -112,7 +112,7 @@ def test_route_agreement_nontrivial_action():
     v = loop_group_resolution(z2, truncation=3)
     hs = cohomology(v, k, [0, 1, 2], x=z2)
     for n in (1, 2):
-        assert cohomology_via_em(v, k, n, x=z2) == hs[n]
+        assert cohomology_via_em(v, k, [n], x=z2)[n] == hs[n]
     # degree 0 is the full derivation group (classical H^1 divides out the
     # principal crossed homomorphisms, which vanish only for trivial K)
     ders = derivations(identity_map(z2), k)
@@ -128,15 +128,15 @@ def test_route_agreement_module_theory():
     v = resolve_module(y, length=3)
     g = CoefficientModule.trivial(ring, [2])
     hs = cohomology(v, g, [0, 1, 2])
-    assert cohomology_via_em(v, g, 1) == hs[1] == G(2)
-    assert cohomology_via_em(v, g, 2) == hs[2] == G()
+    assert cohomology_via_em(v, g, [1])[1] == hs[1] == G(2)
+    assert cohomology_via_em(v, g, [2])[2] == hs[2] == G()
 
 
 def test_em_route_zero_module():
     z2 = cyclic_group(2)
     v = loop_group_resolution(z2, truncation=2)
     k = XModule.trivial(z2, [1])
-    assert cohomology_via_em(v, k, 1, x=z2) == G()
+    assert cohomology_via_em(v, k, [1], x=z2)[1] == G()
 
 
 def test_em_route_matches_brute_force_simplicial_maps():
@@ -266,7 +266,7 @@ def test_em_route_matches_brute_force_simplicial_maps():
             tuple((a[0] - b) % 2 for a, b in zip(f0, bb)) for bb in boundaries
         )
         classes.add(canon)
-    em_h1 = cohomology_via_em(v, k, 1, x=z2)
+    em_h1 = cohomology_via_em(v, k, [1], x=z2)[1]
     assert len(classes) == em_h1.order()
 
 

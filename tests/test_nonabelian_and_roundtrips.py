@@ -69,7 +69,7 @@ def test_s3_em_route_matches_cochain():
     v = loop_group_resolution(s3, truncation=2)
     k = XModule.trivial(s3, [2])
     hs = cohomology(v, k, [1], x=s3)
-    assert cohomology_via_em(v, k, 1, x=s3) == hs[1] == G(2)
+    assert cohomology_via_em(v, k, [1], x=s3)[1] == hs[1] == G(2)
 
 
 def test_v4_cohomology_pipeline_vs_oracles():

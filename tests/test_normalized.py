@@ -139,8 +139,8 @@ def test_fallback_for_degeneracies_into_words():
     for k in (XModule.trivial(z2, [2]), _sign_module(z2, 3)):
         assert cohomology(v, k, degrees, x=z2, certificate=cert) == \
             cohomology(loop, k, degrees, x=z2)
-        assert cohomology_via_em(v, k, 2, x=z2) == \
-            cohomology_via_em(loop, k, 2, x=z2)
+        assert cohomology_via_em(v, k, [2], x=z2)[2] == \
+            cohomology_via_em(loop, k, [2], x=z2)[2]
         assert homology_with_coeffs(v, k, degrees, x=z2) == \
             homology_with_coeffs(loop, k, degrees, x=z2)
     for x in (None, z2):
@@ -187,7 +187,7 @@ def test_order_8_groups_from_presentations(text, reference, modulus):
     cochain = cohomology(v, k, [0, 1], x=g, certificate=cert)
     bar = bar_resolution_group(g, k, 2)
     assert cochain[0] == bar[1]
-    assert cochain[1] == bar[2] == cohomology_via_em(v, k, 1, x=g)
+    assert cochain[1] == bar[2] == cohomology_via_em(v, k, [1], x=g)[1]
 
 
 RINGS = {
@@ -323,7 +323,7 @@ def test_module_fallback_for_a_degeneracy_that_is_not_one_unit(name):
     assert homology_with_coeffs(w, k, degrees) == \
         homology_with_coeffs(v, k, degrees)
     assert cohomology(w, k, degrees) == cohomology(v, k, degrees)
-    assert cohomology_via_em(w, k, 2) == cohomology_via_em(v, k, 2)
+    assert cohomology_via_em(w, k, [2])[2] == cohomology_via_em(v, k, [2])[2]
 
 
 @pytest.mark.parametrize("name,seed", SEEDS[::2])
@@ -344,7 +344,7 @@ def test_module_routes_build_no_dense_matrices(name, seed, monkeypatch):
     homology(v, degrees)
     homology_with_coeffs(v, k, degrees)
     cohomology(v, k, degrees)
-    cohomology_via_em(v, k, 2)
+    cohomology_via_em(v, k, [2])
     ext_groups(m, k, 2)
     tor_groups(m, k, 2)
     # the object and its source complex hold their maps only as columns

@@ -233,7 +233,8 @@ def test_s3_in_aq_degree_2_agrees_with_the_bar_complex(modulus, tmp_path):
 def test_s3_em_route_in_aq_degree_2_agrees_with_the_bar_complex(modulus):
     g = symmetric_3()
     k = XModule.trivial(g, [modulus])
-    got = cohomology_via_em(loop_group_resolution(g, truncation=3), k, 2, x=g)
+    got = cohomology_via_em(loop_group_resolution(g, truncation=3), k, [2],
+                            x=g)[2]
     # AQ H^2 is classical H^3
     want = bar_resolution_group(g, k, 3)[3]
     assert (got.rank, got.torsion) == (want.rank, want.torsion)
@@ -267,7 +268,8 @@ def test_cycle_lattices_hand_the_smith_kernel_no_relation_columns(monkeypatch):
     g = symmetric_3()
     v = loop_group_resolution(g, truncation=3)
     k = XModule.trivial(g, [2])
-    assert cohomology(v, k, [2], x=g)[2] == cohomology_via_em(v, k, 2, x=g)
+    assert cohomology(v, k, [2], x=g)[2] == \
+        cohomology_via_em(v, k, [2], x=g)[2]
     assert shapes and all(cols <= width for width, _, cols in shapes), shapes
 
 

@@ -17,7 +17,6 @@ from aq.snf import (
     smith_diagonal,
     smith_diagonal_naive,
     smith_normal_form,
-    solve_integer,
 )
 
 
@@ -94,16 +93,16 @@ def test_kernel_basis_is_exact(seed=7, trials=60):
         # random integer kernel elements must be integer combos of the basis
         for v in ker:
             w = [3 * x for x in v]
-            coords = solve_integer(
-                [[kv[i] for kv in ker] for i in range(nc)], w
-            )
+            coords = IntegerSolver(
+                [[kv[i] for kv in ker] for i in range(nc)]
+            ).solve(w)
             assert coords is not None
 
 
 def test_solve_integer():
-    assert solve_integer([[2, 0], [0, 3]], [4, 9]) == [2, 3]
-    assert solve_integer([[2]], [3]) is None
-    assert solve_integer([[2, 3]], [1]) is not None
+    assert IntegerSolver([[2, 0], [0, 3]]).solve([4, 9]) == [2, 3]
+    assert IntegerSolver([[2]]).solve([3]) is None
+    assert IntegerSolver([[2, 3]]).solve([1]) is not None
 
 
 def test_lattice_basis_spans():
@@ -111,7 +110,7 @@ def test_lattice_basis_spans():
     basis = lattice_basis(vecs, 2)
     mat = [[b[i] for b in basis] for i in range(2)]
     for v in vecs:
-        assert solve_integer(mat, v) is not None
+        assert IntegerSolver(mat).solve(v) is not None
     # index of the lattice spanned by (2,0),(0,2),(1,1) in Z^2 is 2
     d = smith_diagonal(mat)
     prod = 1
