@@ -1,0 +1,80 @@
+"""The `--json` output of the README examples, of `aq cohomology` on S3 and
+of `aq accept --quick` is pinned byte for byte by its SHA-256, so that a
+change of representation inside the library cannot change what a user
+reads.  `aq accept` records how long each criterion took; those
+`seconds` fields are the only bytes that differ from run to run, so they
+are dropped before hashing."""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from aq.cli import main
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+COMMANDS = {
+    "check": (
+        ["check", "fixtures/z2res.sres"],
+        "86b9b470c527d8ca4474addb48c21c9f9f5a3176a9118a3e612ff16ff00a11b2"),
+    "theory-module": (
+        ["theory", "module", "--theory", "gp", "--algebra", "fixtures/z2.alg"],
+        "c4dcccd9ea36edb4b6a22c7069338f1fcc51d6d56b2cf15f58811eb19e4a5ec2"),
+    "cohomology-z2": (
+        ["cohomology", "--theory", "gp", "--algebra", "fixtures/z2.alg",
+         "--coeffs", "fixtures/z2-triv.xmod", "--max-degree", "1",
+         "--method", "both"],
+        "002a67cb2f8c59795fb78d2c375441d80567398361e32006eb70d12cb348489b"),
+    "homology-y-z4": (
+        ["homology", "--theory", "mod:Z", "--algebra", "fixtures/y-z4.alg",
+         "--coeffs", "2", "--max-degree", "1"],
+        "23a8918289cc8c92400c78907af88b3b2b7e2980b5bf6f25433c5e4b5a0d2ae2"),
+    "oracle-bar": (
+        ["oracle", "bar", "--group", "fixtures/z4.alg", "--coeffs", "2",
+         "--max-degree", "3"],
+        "5b46471bb1f6d94af6acca02002bbe486aa2edcffaa09b319549342eab536909"),
+    "oracle-factor-set": (
+        ["oracle", "factor-set", "--group", "fixtures/z3.alg", "--coeffs", "3",
+         "--degree", "2"],
+        "890c7e6232945dda0a28881fbf8c4230c19b79cf887a4b6949a5704fee966277"),
+    "ss-uct-module": (
+        ["ss", "uct", "--ring", "Z", "--module", "fixtures/y-z4.alg",
+         "--coeffs", "2", "--smax", "3", "--check"],
+        "d4e7fb10898a09f680e14af9a7420ac193848b2816cfd74068e5faedad842625"),
+    "ss-uct-graded": (
+        ["ss", "uct", "--ring", "Z", "--h", "0:4", "--h", "1:2",
+         "--coeffs", "2"],
+        "4e0570d75e9f58e7e9d1d327d2513d7f959cf5c5a955d170e3a891cd879e768d"),
+    "cohomology-s3": (
+        ["cohomology", "--theory", "gp", "--algebra", "fixtures/s3.alg",
+         "--coeffs", "2", "--max-degree", "1", "--method", "both"],
+        "002a67cb2f8c59795fb78d2c375441d80567398361e32006eb70d12cb348489b"),
+}
+
+ACCEPT_QUICK = (
+    "bf8e985da567ee3420f797a3b55a22d396a5754728ded8b488559ee8c83b7923")
+
+
+def _json_of(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "out.json"
+    assert main(argv + ["--json", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_json_digest(name, tmp_path, monkeypatch):
+    argv, digest = COMMANDS[name]
+    data = _json_of(argv, tmp_path, monkeypatch)
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_accept_quick_json_digest_without_seconds(tmp_path, monkeypatch):
+    records = json.loads(_json_of(["accept", "--quick"], tmp_path,
+                                  monkeypatch))
+    for rec in records:
+        del rec["seconds"]
+    data = (json.dumps(records, sort_keys=True, indent=2) + "\n").encode()
+    assert hashlib.sha256(data).hexdigest() == ACCEPT_QUICK
