@@ -49,6 +49,7 @@ from .simplicial import (
 from .spectral import (
     GradedModule,
     bicomplex_checks,
+    random_columns,
     reverse_adams_e2,
     tor_e2,
     uct_e2,
@@ -409,7 +410,6 @@ def criterion_5(quick=False):
 def criterion_6(quick=False):
     def run():
         from .simplicial import ChainComplex, dold_kan, k_object, normalize_dk
-        from .snf import _sparse_cols
 
         rng = random.Random(20240817)
         trials = 50 if quick else 200
@@ -420,9 +420,8 @@ def criterion_6(quick=False):
             diffs = [None]
             for n in range(1, length):
                 rows, cols = ranks[n - 1], ranks[n]
-                mat = [[rng.randint(-5, 5) if n % 2 == 1 else 0
-                        for _ in range(cols)] for _ in range(rows)]
-                diffs.append(_sparse_cols(mat, cols))
+                diffs.append(random_columns(rng, rows, cols, -5, 5)
+                             if n % 2 == 1 else [[] for _ in range(cols)])
             try:
                 cx = ChainComplex(Ring("Z"), ranks, diffs)
             except AlgebraError:

@@ -40,6 +40,19 @@ class UsageError(Exception):
     """A command-line option whose value names no valid input."""
 
 
+def _degree(text):
+    """The value of a degree bound (--max-degree, --smax): an integer
+    >= 0, else a usage error (exit 2) that names the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, not {text!r}")
+    return value
+
+
 @functools.cache
 def _parser():
     """The argument parser, built on first use and kept for the process."""
@@ -71,7 +84,7 @@ def _parser():
         pp.add_argument("--algebra", required=True)
         pp.add_argument("--over", help=".alg path (defaults to the algebra)")
         pp.add_argument("--coeffs", help=".xmod path or moduli like 2,4")
-        pp.add_argument("--max-degree", type=int, default=1)
+        pp.add_argument("--max-degree", type=_degree, default=1)
         pp.add_argument("--method", choices=["cochain", "em", "both"],
                         default="cochain")
         pp.add_argument("--resolution", help="user-supplied .sres path")
@@ -84,7 +97,7 @@ def _parser():
     p_oracle.add_argument("--coeffs", help=".xmod path or moduli")
     p_oracle.add_argument("--ring", default="Z", help="Z, Z/m (ext/tor)")
     p_oracle.add_argument("--module", help=".alg presentation path (ext/tor)")
-    p_oracle.add_argument("--max-degree", type=int, default=2)
+    p_oracle.add_argument("--max-degree", type=_degree, default=2)
     p_oracle.add_argument("--degree", type=int, default=2,
                           help="1 or 2 for factor-set")
     p_oracle.add_argument("--budget", type=int, default=10**6,
@@ -101,7 +114,7 @@ def _parser():
                       help="graded component DEG:moduli, e.g. 0:4 or 1:2,2 "
                            "(repeatable; alternative to --module)")
     p_ss.add_argument("--coeffs", required=True, help="moduli like 2 or 0,2")
-    p_ss.add_argument("--smax", type=int, default=3)
+    p_ss.add_argument("--smax", type=_degree, default=3)
     p_ss.add_argument("--tmax", type=int, default=2)
     p_ss.add_argument("--variant", choices=["homology", "cohomology"],
                       default="homology")

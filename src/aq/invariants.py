@@ -11,7 +11,14 @@ from __future__ import annotations
 
 from .algebras import AlgebraError
 from .beck import XModule
-from .presented import Presentation, Subquotient, cycle_lattice, induced_map
+from .presented import (
+    Presentation,
+    Subquotient,
+    _apply_columns,
+    _vectors,
+    cycle_lattice,
+    induced_map,
+)
 from .resolutions import abelianized_complex
 from .rings import CoefficientModule, Ring, _act_matrix, with_coefficients
 from .simplicial import (
@@ -25,7 +32,7 @@ from .simplicial import (
     moore_homotopy,
     nondegenerate_cells,
 )
-from .snf import mat_mul, mat_vec
+from .snf import cols_to_matrix, mat_mul
 
 
 class InvalidCertificate(AlgebraError):
@@ -153,13 +160,13 @@ def cohomology_via_em(v, k, degrees, x=None, certificate=None):
         stacked = [(duals[n][j], w.levels[n - 1]) for j in range(n)]
         stacked.append((deltas[n], w.levels[n + 1]))
         z_lattice = cycle_lattice(stacked, amb)
-        rel_vectors = w.levels[n].rel_columns()
+        rel_vectors = _vectors(w.levels[n].rels, amb)
         if n >= 1:
             prev_amb = w.levels[n - 1].gens
             prev_duals = [(duals[n - 1][j], w.levels[n - 2])
                           for j in range(n - 1)]
             for bvec in cycle_lattice(prev_duals, prev_amb):
-                rel_vectors.append(mat_vec(deltas[n - 1], bvec))
+                rel_vectors.append(_apply_columns(deltas[n - 1], bvec, amb))
         out[n] = Subquotient(amb, z_lattice, rel_vectors).invariants()
     return out
 
@@ -192,19 +199,23 @@ def homology(v, degrees, x=None, certificate=None, with_action=False):
     subq = cx.homology_subquotients(degrees)
     out = {nn: subq[nn].invariants() for nn in degrees}
     actions = {}
+    zr = ring.zrank()
     for nn in degrees:
-        zr = ring.zrank()
+        dim = len(subq[nn].canonical_generators())
         acts = {}
         for h in ring.group.elements:
-            blk = ring.regular_block({h: 1})
-            big = [[0] * (ranks[nn] * zr) for _ in range(ranks[nn] * zr)]
-            for c in range(ranks[nn]):
-                for a in range(zr):
-                    for b in range(zr):
-                        big[c * zr + a][c * zr + b] = blk[a][b]
-            acts[h] = induced_map(big, subq[nn], subq[nn])
+            blk = _block_diagonal(ring.regular_block({h: 1}), ranks[nn])
+            acts[h] = cols_to_matrix(induced_map(blk, subq[nn], subq[nn]), dim)
         actions[nn] = acts
     return out, actions
+
+
+def _block_diagonal(block, copies):
+    """Sparse columns of the block-diagonal map with `copies` copies of
+    the dense matrix `block` on its diagonal."""
+    rows, cols = len(block), len(block[0]) if block else 0
+    return [[(c * rows + a, block[a][b]) for a in range(rows) if block[a][b]]
+            for c in range(copies) for b in range(cols)]
 
 
 def _tensored_complex(v, coeff, x=None) -> PresentedComplex:
@@ -219,16 +230,11 @@ def _tensored_complex(v, coeff, x=None) -> PresentedComplex:
     levels = []
     diffs = [None]
     for n in range(v.truncation + 1):
-        rels = Presentation.from_moduli(
-            list(coeff.moduli) * len(cells[n])).rel_columns()
+        rels = Presentation.from_moduli(list(coeff.moduli) * len(cells[n])).rels
         if n >= 1 and not normalized:
             for s in degen_mats[n - 1]:
-                degen = _act_matrix(s, coeff, cells[n], cells[n - 1])
-                rels += [list(c) for c in zip(*degen)]
-        size = len(cells[n]) * coeff.dim
-        levels.append(Presentation(
-            size, [[c[i] for c in rels] for i in range(size)] if rels else None,
-        ))
+                rels += _act_matrix(s, coeff, cells[n], cells[n - 1])
+        levels.append(Presentation(len(cells[n]) * coeff.dim, rels))
         if n >= 1:
             diffs.append(_alternating_sum([
                 _act_matrix(fox, coeff, cells[n - 1], cells[n])
@@ -290,17 +296,16 @@ def diagram_coefficients(v, nodes, edges, op, degrees, x=None,
     for (src, dst), alpha in edges.items():
         co_s = _coefficient(nodes[src], x)
         co_d = _coefficient(nodes[dst], x)
+        if len(alpha) != co_d.dim or any(len(r) != co_s.dim for r in alpha):
+            raise AlgebraError(f"diagram coefficients: the map of edge "
+                               f"{src} -> {dst} is not {co_d.dim} x {co_s.dim}")
         per_degree = {}
         for n in degrees:
-            big = [[0] * (ranks[n] * co_s.dim)
-                   for _ in range(ranks[n] * co_d.dim)]
-            for t in range(ranks[n]):
-                for a in range(co_d.dim):
-                    for b in range(co_s.dim):
-                        big[t * co_d.dim + a][t * co_s.dim + b] = alpha[a][b]
-            per_degree[n] = induced_map(
-                big, subquots[src][n], subquots[dst][n]
-            )
+            target = subquots[dst][n]
+            per_degree[n] = cols_to_matrix(
+                induced_map(_block_diagonal(alpha, ranks[n]),
+                            subquots[src][n], target),
+                len(target.canonical_generators()))
         induced[(src, dst)] = per_degree
     functorial = True
     for (a, b) in edges:

@@ -1,5 +1,9 @@
 """Finitely presented Z-modules, subquotients, and homology of complexes
 of presented modules, with induced maps (functoriality) throughout.
+
+Relations and maps are sparse columns: per relation, or per generator of
+a map's source, the (row, entry) pairs of its nonzero entries.  Vectors
+are dense, and so is what a Subquotient keeps for its solver.
 """
 
 from __future__ import annotations
@@ -21,28 +25,26 @@ from .snf import (
 
 
 class Presentation:
-    """The Z-module Z^gens / colspan(rels); rels has `gens` rows."""
+    """The Z-module Z^gens / (span of the relations).  Each relation is a
+    sparse column, the (row, entry) pairs of its nonzero entries, and a
+    module on no generators keeps none."""
 
     __slots__ = ("gens", "rels", "_solver")
 
-    def __init__(self, gens, rels=None):
+    def __init__(self, gens, rels=()):
         self.gens = int(gens)
-        self.rels = [list(r) for r in rels] if rels else [[] for _ in range(gens)]
+        self.rels = [list(col) for col in rels] if self.gens else []
         self._solver = None
-        if len(self.rels) != self.gens and self.gens != 0:
+        if any(not 0 <= i < self.gens for col in self.rels for i, _ in col):
             raise AlgebraError(
-                f"Presentation: {len(self.rels)} relation rows for {gens} generators")
+                f"Presentation: a relation has a row outside {gens} generators")
 
     @classmethod
     def from_moduli(cls, moduli):
-        """Z/moduli[0] + Z/moduli[1] + ... (0 = Z): one relation column
-        per nonzero modulus, built as its n x r rows directly.  The
-        relations are diagonal, so `diagonalized()` is known already."""
-        nonzero = [i for i, m in enumerate(moduli) if m != 0]
-        rels = [[0] * len(nonzero) for _ in moduli]
-        for c, i in enumerate(nonzero):
-            rels[i][c] = moduli[i]
-        pres = cls(len(moduli), rels)
+        """Z/moduli[0] + Z/moduli[1] + ... (0 = Z): one relation column,
+        of one entry, per nonzero modulus.  The relations are diagonal, so
+        `diagonalized()` is known already."""
+        pres = cls(len(moduli), [[(i, m)] for i, m in enumerate(moduli) if m])
         pres._solver = None, [abs(m) for m in moduli]
         return pres
 
@@ -51,15 +53,13 @@ class Presentation:
         return cls(rank)
 
     def nrels(self):
-        return len(self.rels[0]) if self.gens and self.rels and self.rels[0] else 0
-
-    def rel_columns(self):
-        return [[self.rels[i][j] for i in range(self.gens)] for j in range(self.nrels())]
+        return len(self.rels)
 
     def invariants(self) -> FGAbelianGroup:
         if self.gens == 0:
             return FGAbelianGroup()
-        return FGAbelianGroup.from_presentation_matrix(self.rels, self.gens)
+        return FGAbelianGroup.from_presentation_matrix(
+            cols_to_matrix(self.rels, self.gens), self.gens)
 
     def diagonalized(self):
         """A pair (U, d) with U * (relation lattice) = d[0]Z + d[1]Z + ...,
@@ -71,12 +71,16 @@ class Presentation:
         of gcd(row i)*Z over the coordinates, and U is None (the identity);
         otherwise U and d come from one Smith reduction."""
         if self._solver is None:
-            cols = self.rel_columns()
-            if all(sum(1 for x in col if x) <= 1 for col in cols):
-                self._solver = None, [gcd(*row) for row in self.rels]
+            if all(len(col) <= 1 for col in self.rels):
+                diag = [0] * self.gens
+                for col in self.rels:
+                    for i, x in col:
+                        diag[i] = gcd(diag[i], x)
+                self._solver = None, diag
             else:
-                u, dmat, _ = smith_normal_form(self.rels, want_v=False)
-                diag = [dmat[t][t] if t < len(cols) else 0
+                u, dmat, _ = smith_normal_form(
+                    cols_to_matrix(self.rels, self.gens), want_v=False)
+                diag = [dmat[t][t] if t < len(self.rels) else 0
                         for t in range(self.gens)]
                 self._solver = _sparse_cols(u, self.gens), diag
         return self._solver
@@ -86,20 +90,38 @@ class Presentation:
         A divisibility test per coordinate of U * vec."""
         ucols, diag = self.diagonalized()
         if ucols is not None:
-            vec = [row[0] for row in _transform(ucols, [[x] for x in vec], 1)]
+            vec = _apply_columns(ucols, vec, self.gens)
         return all(x % m == 0 if m else x == 0 for x, m in zip(vec, diag))
 
     def direct_sum(self, other):
-        gens = self.gens + other.gens
-        cols = []
-        for c in self.rel_columns():
-            cols.append(c + [0] * other.gens)
-        for c in other.rel_columns():
-            cols.append([0] * self.gens + c)
-        return Presentation(gens, cols_to_matrix(cols, gens))
+        shifted = [[(i + self.gens, x) for i, x in col] for col in other.rels]
+        return Presentation(self.gens + other.gens, self.rels + shifted)
 
     def __repr__(self):
         return f"Presentation(gens={self.gens}, rels={self.nrels()})"
+
+
+def _apply_columns(cols, vec, rows):
+    """The image of the integer vector `vec` under the map with sparse
+    columns `cols` into Z^rows."""
+    out = [0] * rows
+    for c, col in zip(vec, cols):
+        if c:
+            for r, x in col:
+                out[r] += x * c
+    return out
+
+
+def _vectors(cols, rows):
+    """The dense vectors in Z^rows of the sparse columns `cols`: the
+    relation vectors that a Subquotient reads."""
+    out = []
+    for col in cols:
+        vec = [0] * rows
+        for i, x in col:
+            vec[i] = x
+        out.append(vec)
+    return out
 
 
 class Subquotient:
@@ -107,14 +129,14 @@ class Subquotient:
     B by `rel_vectors` (ambient vectors that must lie in L).
 
     Provides canonical coordinates so that induced maps of chain maps can
-    be written as integer matrices between canonical generator systems.
+    be written as sparse columns between canonical generator systems.
     """
 
     def __init__(self, ambient, basis_cols, rel_vectors):
         self.ambient = ambient
         self.basis = basis_cols  # list of length-`ambient` columns
         k = len(basis_cols)
-        self._zmat = cols_to_matrix(basis_cols, ambient)
+        self._zmat = [list(row) for row in zip(*basis_cols)]
         rel_in_z = []
         for v in rel_vectors:
             y = self.express(v)
@@ -126,8 +148,8 @@ class Subquotient:
         self._generators = None
         if k:
             if rel_in_z:
-                u, d, _ = smith_normal_form(cols_to_matrix(rel_in_z, k),
-                                            want_v=False)
+                u, d, _ = smith_normal_form(
+                    [list(row) for row in zip(*rel_in_z)], want_v=False)
                 self._u = u
                 self._diag = [
                     d[t][t] if t < min(len(d), len(d[0])) else 0 for t in range(k)
@@ -190,7 +212,7 @@ def homology_of_complex(levels, diffs, degrees):
     """Homology of a presented-module chain complex.
 
     levels[n] is a Presentation; diffs[n] (for n >= 1) maps level n to
-    level n-1, given on generators (shape g_{n-1} x g_n).  Returns
+    level n-1, as sparse columns, one per generator of level n.  Returns
     {n: Subquotient} for n in `degrees`; each Subquotient lives in the
     ambient generators of level n.
     """
@@ -205,7 +227,8 @@ def homology_of_complex(levels, diffs, degrees):
 
 def cohomology_at(levels, deltas, n):
     """Cohomology at degree n of a cochain complex of presented modules
-    (deltas[k]: level k-1 -> level k), as a Subquotient of level n."""
+    (deltas[k]: level k-1 -> level k, as sparse columns, one per generator
+    of level k-1), as a Subquotient of level n."""
     # reuse the chain machinery by flipping the complex
     top = len(levels) - 1
     flipped_levels = list(reversed(levels))
@@ -213,22 +236,23 @@ def cohomology_at(levels, deltas, n):
     return homology_of_complex(flipped_levels, flipped_diffs, [top - n])[top - n]
 
 
-def _transform(ucols, rows, width):
-    """U * rows, for U given as sparse columns and `rows` of length `width`."""
-    out = [[0] * width for _ in ucols]
-    for col, row in zip(ucols, rows):
-        nz = [(j, x) for j, x in enumerate(row) if x]
-        if nz:
-            for i, c in col:
-                out_i = out[i]
-                for j, x in nz:
-                    out_i[j] += c * x
-    return out
+def _rows(cols, nrows, ucols=None):
+    """The rows, as {column: entry} dicts, of U * m for the map m with
+    sparse columns `cols` into Z^nrows and U given by its sparse columns
+    `ucols` (the identity when None)."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for t, x in col:
+            for i, c in ((t, 1),) if ucols is None else ucols[t]:
+                row = rows[i]
+                row[j] = row.get(j, 0) + c * x
+    return rows
 
 
 def cycle_lattice(pairs, g):
     """Basis of {v in Z^g : m v lies in the relation lattice of `target`
-    for every (m, target) in `pairs`}; all of Z^g when nothing constrains v.
+    for every (m, target) in `pairs`}, each m given by its g sparse
+    columns; all of Z^g when nothing constrains v.
 
     With (U, d) = target.diagonalized(), the condition is (U m v)_i = 0
     where d_i = 0 and (U m v)_i = 0 mod d_i elsewhere.  The exact rows
@@ -241,11 +265,9 @@ def cycle_lattice(pairs, g):
     exact, modular = [], []
     for m, target in pairs:
         ucols, diag = target.diagonalized()
-        if ucols is not None:
-            m = _transform(ucols, m, g)
-        for row, d in zip(m, diag):
+        for row, d in zip(_rows(m, target.gens, ucols), diag):
             if d == 0:
-                exact.append(row)
+                exact.append([row.get(j, 0) for j in range(g)])
             elif d != 1:
                 modular.append((row, d))
     basis = kernel_basis(exact, g) if exact else None
@@ -259,9 +281,9 @@ def cycle_lattice(pairs, g):
     for row, d in modular:
         scale = lam // d
         if basis is None:
-            nmat.append([scale * x for x in row])
+            nmat.append([scale * row.get(j, 0) for j in range(g)])
         else:
-            nz = [(i, x) for i, x in enumerate(row) if x]
+            nz = [(i, x) for i, x in row.items() if x]
             nmat.append([scale * sum(x * b[i] for i, x in nz) for b in basis])
     _, s, v = smith_normal_form(nmat, want_u=False)
     out = []
@@ -287,23 +309,17 @@ def _homology_at(levels, diffs, n):
         cycles = identity_matrix(g)
     else:
         cycles = cycle_lattice([(diffs[n], levels[n - 1])], g)
-    rel_vectors = pn.rel_columns()
+    rel_cols = pn.rels
     if n + 1 < len(levels) and n + 1 < len(diffs) and diffs[n + 1] is not None:
-        dup = diffs[n + 1]
-        for j in range(levels[n + 1].gens):
-            rel_vectors.append([dup[i][j] for i in range(g)])
-    return Subquotient(g, cycles, rel_vectors)
+        rel_cols = rel_cols + diffs[n + 1]
+    return Subquotient(g, cycles, _vectors(rel_cols, g))
 
 
 def induced_map(f, source: Subquotient, target: Subquotient):
-    """Matrix of the map induced on homology by a chain map component `f`
-    (shape target_ambient x source_ambient), in canonical coordinates.
-    """
-    out = []
-    for gvec in source.canonical_generators():
-        v = mat_vec(f, gvec)
-        out.append(list(target.canon(v)))
-    # rows = target canonical coords
-    if not out:
-        return []
-    return [list(col) for col in zip(*out)]
+    """The map induced on homology by a chain map component `f` (sparse
+    columns, one per ambient generator of `source`), as sparse columns in
+    canonical coordinates: one per canonical generator of `source`, rows
+    numbered by the canonical coordinates of `target`."""
+    return [[(i, x) for i, x in enumerate(
+                target.canon(_apply_columns(f, gvec, target.ambient))) if x]
+            for gvec in source.canonical_generators()]

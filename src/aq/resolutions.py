@@ -296,7 +296,8 @@ def resolve_module(module: RModulePresentation, length=4):
 # classical group-cohomology oracles
 
 def bar_cochain_complex(g: FiniteAlgebra, coeff, top):
-    """Normalized bar cochain complex computing H^n(G; K) for n <= top."""
+    """Normalized bar cochain complex computing H^n(G; K) for n <= top:
+    its levels and its coboundaries as sparse columns."""
     sort = g.theory.sorts[0]
     ident = g.identity(sort)
     els = [x for x in g.carriers[sort] if x != ident]
@@ -316,16 +317,19 @@ def bar_cochain_complex(g: FiniteAlgebra, coeff, top):
     for n in range(1, top + 2):
         src = tuples(n - 1)
         tgt = tuples(n)
-        mat = [[0] * (len(src) * dim) for _ in range(len(tgt) * dim)]
+        # one {row: entry} dict per column, summed over the terms of delta
+        cols = [{} for _ in range(len(src) * dim)]
 
         def add_block(row_t, col_t, blk, sign):
             if col_t is None:
                 return
             c0 = index[n - 1][col_t] * dim
             r0 = index[n][row_t] * dim
-            for a in range(dim):
-                for b in range(dim):
-                    mat[r0 + a][c0 + b] += sign * blk[a][b]
+            for b in range(dim):
+                col = cols[c0 + b]
+                for a in range(dim):
+                    if blk[a][b]:
+                        col[r0 + a] = col.get(r0 + a, 0) + sign * blk[a][b]
 
         ident_blk = [[1 if a == b else 0 for b in range(dim)]
                      for a in range(dim)]
@@ -339,7 +343,8 @@ def bar_cochain_complex(g: FiniteAlgebra, coeff, top):
                           1 if i % 2 == 0 else -1)
             add_block(t, _norm_tuple(t[:-1], ident), ident_blk,
                       1 if n % 2 == 0 else -1)
-        deltas.append(mat)
+        deltas.append([[(i, x) for i, x in sorted(col.items()) if x]
+                       for col in cols])
     return levels, deltas
 
 

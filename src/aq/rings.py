@@ -10,7 +10,13 @@ from math import gcd
 from .abgroups import FGAbelianGroup
 from .errors import AlgebraError
 from .presented import Presentation, cohomology_at, homology_of_complex
-from .snf import identity_matrix, kernel_basis, mat_mul, smith_diagonal_naive
+from .snf import (
+    cols_to_matrix,
+    identity_matrix,
+    kernel_basis,
+    mat_mul,
+    smith_diagonal_naive,
+)
 
 
 class GroupTable:
@@ -195,23 +201,8 @@ class RModulePresentation:
 
     def z_presentation(self) -> Presentation:
         """Underlying Z-module presentation (Z/m relations made explicit)."""
-        r = self.ring
-        zr = r.zrank()
-        g = self.gens * zr
-        cols = []
-        basis = r.group.elements if r.kind == "ZG" else [None]
-        for c in self.rel_cols:
-            for b in basis:
-                col = []
-                for entry in c:
-                    shifted = entry if b is None else r.mul({b: 1}, entry)
-                    col.extend(r.element_zcol(shifted))
-                cols.append(col)
-        if r.kind == "Zmod":
-            for i in range(g):
-                cols.append([r.m if j == i else 0 for j in range(g)])
-        mat = [[c[i] for c in cols] for i in range(g)] if cols else None
-        return Presentation(g, mat)
+        return z_presentation(self.ring, self.gens, [
+            [(i, x) for i, x in enumerate(col) if x] for col in self.rel_cols])
 
     def invariants(self) -> FGAbelianGroup:
         return self.z_presentation().invariants()
@@ -330,13 +321,12 @@ def _kernel_columns(ring, cols, ambient_rank):
     if k == 0:
         return []
     zr = ring.zrank()
-    zmat = r_matrix_to_z(ring, cols, ambient_rank)
+    zcols = r_matrix_to_z(ring, cols, ambient_rank)
     if ring.kind == "Zmod":
         m = ring.m
-        rows = len(zmat)
-        aug = [zmat[i] + [m if j == i else 0 for j in range(rows)]
-               for i in range(rows)]
-        ker = kernel_basis(aug, k + rows)
+        ker = kernel_basis(cols_to_matrix(
+            zcols + [[(i, m)] for i in range(ambient_rank)], ambient_rank),
+            k + ambient_rank)
         out = []
         seen = set()
         for v in ker:
@@ -347,7 +337,7 @@ def _kernel_columns(ring, cols, ambient_rank):
                     seen.add(key)
                     out.append(col)
         return out
-    ker = kernel_basis(zmat, k * zr)
+    ker = kernel_basis(cols_to_matrix(zcols, ambient_rank * zr), k * zr)
     out = []
     for v in ker:
         col = []
@@ -359,40 +349,44 @@ def _kernel_columns(ring, cols, ambient_rank):
 
 
 def r_matrix_to_z(ring, cols, rows):
-    """Z-matrix of the R-matrix with `rows` rows whose sparse columns are
-    `cols`, a left-module map.  Over Z[G] an entry r becomes the block of
-    x -> x * r on the basis G, which makes the realization multiplicative
-    (coefficients multiply on the left); over Z and Z/m the entries are
-    copied."""
+    """Sparse Z-columns of the R-matrix with `rows` rows whose sparse
+    columns are `cols`, a left-module map.  Over Z[G] an entry r becomes
+    the block of x -> x * r on the basis G, which makes the realization
+    multiplicative (coefficients multiply on the left); over Z and Z/m
+    the entries are copied."""
     if ring.kind != "ZG":
-        out = [[0] * len(cols) for _ in range(rows)]
-        for j, col in enumerate(cols):
-            for i, x in col:
-                out[i][j] = x
-        return out
+        return list(cols)
     grp = ring.group
     n = grp.order()
-    out = [[0] * (len(cols) * n) for _ in range(rows * n)]
-    for j, col in enumerate(cols):
-        for i, r in col:
-            for g, c in r.items():
-                for b, h in enumerate(grp.elements):
-                    out[i * n + grp.index[grp.mul[(h, g)]]][j * n + b] = c
+    out = []
+    for col in cols:
+        for h in grp.elements:
+            out.append(sorted((i * n + grp.index[grp.mul[(h, g)]], c)
+                              for i, r in col for g, c in r.items() if c))
     return out
+
+
+def z_presentation(ring, gens, rel_cols):
+    """The Z-module presentation of R^gens modulo the sparse R-columns
+    `rel_cols`: the R-multiples of each relation realized by
+    `r_matrix_to_z`, and over Z/m the relations m * e_i as well."""
+    cols = r_matrix_to_z(ring, rel_cols, gens)
+    if ring.kind == "Zmod":
+        cols += [[(i, ring.m)] for i in range(gens)]
+    return Presentation(gens * ring.zrank(), cols)
 
 
 # ---------------------------------------------------------------------------
 # coefficients on free complexes: Ext, Tor and the AQ cochain route
 
 def _act_matrix(mat, coeff, rows, cols, dual=False):
-    """The integer matrix of the sparse R-matrix `mat`, restricted to
+    """Sparse integer columns of the sparse R-matrix `mat`, restricted to
     rows x cols, acting on coefficient blocks: block (r, c) is the action
     of entry (rows[r], cols[c]), placed at (c, r) when `dual`.  Each
     distinct entry's block is worked out once per call."""
     dim = coeff.dim
     pos = {i: r for r, i in enumerate(rows)}
-    shape = (len(cols), len(rows)) if dual else (len(rows), len(cols))
-    big = [[0] * (shape[1] * dim) for _ in range(shape[0] * dim)]
+    out = [[] for _ in range((len(rows) if dual else len(cols)) * dim)]
     blocks = {}
     for c, j in enumerate(cols):
         for i, entry in mat[j]:
@@ -403,11 +397,13 @@ def _act_matrix(mat, coeff, rows, cols, dual=False):
                 else entry
             blk = blocks.get(key)
             if blk is None:
-                blk = blocks[key] = coeff.act_of(entry)
+                blk = blocks[key] = [
+                    (a, b, x) for a, row in enumerate(coeff.act_of(entry))
+                    for b, x in enumerate(row) if x]
             br, bc = (c, r) if dual else (r, c)
-            for a in range(dim):
-                big[br * dim + a][bc * dim:(bc + 1) * dim] = blk[a]
-    return big
+            for a, b, x in blk:
+                out[bc * dim + b].append((br * dim + a, x))
+    return out
 
 
 def with_coefficients(ranks, diffs, coeff: CoefficientModule, top,
@@ -415,7 +411,8 @@ def with_coefficients(ranks, diffs, coeff: CoefficientModule, top,
     """Through degree `top`, the levels and maps of the complex of free
     R-modules (ranks, diffs), its differentials as sparse columns,
     tensored with `coeff` (maps[n]: level n -> n-1), or of its Hom into
-    `coeff` when `dual` (maps[n]: level n-1 -> n)."""
+    `coeff` when `dual` (maps[n]: level n-1 -> n), the maps as sparse
+    integer columns."""
     ranks = ranks[:top + 1]
     levels = [Presentation.from_moduli(list(coeff.moduli) * r) for r in ranks]
     maps = [None] + [
@@ -450,7 +447,7 @@ def invariants_naive(pres: Presentation) -> FGAbelianGroup:
         return FGAbelianGroup()
     if pres.nrels() == 0:
         return FGAbelianGroup(pres.gens)
-    diag = smith_diagonal_naive(pres.rels)
+    diag = smith_diagonal_naive(cols_to_matrix(pres.rels, pres.gens))
     rank = pres.gens - len(diag)
     return FGAbelianGroup.from_divisors([d for d in diag if d > 1] + [0] * rank)
 

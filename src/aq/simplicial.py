@@ -22,6 +22,7 @@ from .beck import XModule, fox_columns, semidirect_product
 from .presented import (
     Presentation,
     Subquotient,
+    _apply_columns,
     cohomology_at,
     cycle_lattice,
     homology_of_complex,
@@ -29,19 +30,13 @@ from .presented import (
 )
 from .rings import (
     CoefficientModule,
-    RModulePresentation,
     Ring,
     _act_matrix,
     r_matrix_to_z,
     with_coefficients,
+    z_presentation,
 )
-from .snf import (
-    _sparse_cols,
-    cols_to_matrix,
-    kernel_basis,
-    mat_mul,
-    mat_vec,
-)
+from .snf import kernel_basis
 
 __all__ = [
     "SimplicialTheta", "SimplicialAbelian",
@@ -246,17 +241,6 @@ class _MatrixSimplicial(_SimplicialBase):
         return [[(j, one)] for j in range(self.levels[n].gens)]
 
 
-def _dense_matrix(cols, rows, zero=0):
-    """The matrix with `rows` rows whose sparse columns are `cols`, the
-    inverse of `snf._sparse_cols`, for the containers whose maps stay
-    dense."""
-    mat = [[zero] * len(cols) for _ in range(rows)]
-    for j, col in enumerate(cols):
-        for i, x in col:
-            mat[i][j] = x
-    return mat
-
-
 def _compose_columns(outer, inner, ring):
     """outer . inner on sparse columns, as one {row: entry} dict of the
     nonzero entries per column of `inner`.  Integer entries (reduced mod m
@@ -264,8 +248,7 @@ def _compose_columns(outer, inner, ring):
     coefficient of the inner map multiplies on the left.  An inner column
     that is one entry equal to the ring's one, as nearly every Dold-Kan
     degeneracy column is, picks a copy of one outer column.  Columns hold
-    each row at most once and only nonzero entries, as `snf._sparse_cols`
-    makes them."""
+    each row at most once and only nonzero entries."""
     one = ring.one()
     out = []
     if ring.kind == "ZG":
@@ -398,11 +381,19 @@ class ChainComplex:
 
 
 class PresentedComplex:
-    """Nonnegatively graded complex of presented Z-modules."""
+    """Nonnegatively graded complex of presented Z-modules; diffs[n]:
+    level n -> n-1 as sparse columns, one per generator of level n, rows
+    numbered by the generators of level n-1 (diffs[0] is None)."""
+
+    ring = Ring("Z")
 
     def __init__(self, levels, diffs):
         self.levels = list(levels)
-        self.diffs = list(diffs)  # diffs[0] = None
+        self.diffs = list(diffs)
+
+    @property
+    def ranks(self):
+        return [lv.gens for lv in self.levels]
 
     def homology(self, degrees):
         groups = homology_of_complex(self.levels, self.diffs, degrees)
@@ -494,11 +485,7 @@ def dold_kan(cx, truncation=None):
     plans (`_dk_plan`): an 'id' block is a unit column per generator, a
     'd' block the shifted columns of the differential.
     """
-    presented = isinstance(cx, PresentedComplex)
-    if presented:
-        size, one = [lv.gens for lv in cx.levels], 1
-    else:
-        size, one = cx.ranks, cx.ring.one()
+    size, one = cx.ranks, cx.ring.one()
     top = len(size) - 1
     trunc = truncation if truncation is not None else top + 1
 
@@ -510,8 +497,6 @@ def dold_kan(cx, truncation=None):
         for _, k in layout:
             starts[-1].append(pos)
             pos += size[k]
-    diff_columns = cx.diffs if not presented else [None] + [
-        _sparse_cols(cx.diffs[k], size[k]) for k in range(1, top + 1)]
 
     def structure_columns(n, alpha):
         first = starts[len(alpha) - 1]
@@ -524,7 +509,7 @@ def dold_kan(cx, truncation=None):
             elif kind == "d":
                 r0 = first[target]
                 cols += [[(r0 + i, x) for i, x in col]
-                         for col in diff_columns[k]]
+                         for col in cx.diffs[k]]
             else:
                 cols += [[] for _ in range(size[k])]
         return cols
@@ -538,7 +523,7 @@ def dold_kan(cx, truncation=None):
         for n in range(trunc)
     ] + [[]]
 
-    if presented:
+    if isinstance(cx, PresentedComplex):
         levels = []
         for n in range(trunc + 1):
             acc = None
@@ -563,11 +548,7 @@ def normalize_dk(v):
     if not hasattr(v, "dk_source"):
         raise AlgebraError("normalize_dk needs a Dold-Kan tagged object")
     cx = v.dk_source
-    presented = isinstance(cx, PresentedComplex)
-    if presented:
-        out_levels, size = list(cx.levels), [lv.gens for lv in cx.levels]
-    else:
-        out_levels, size = list(cx.ranks), cx.ranks
+    size = cx.ranks
     faces, _ = v.columns()
     out_diffs = [None]
     for k in range(1, len(size)):
@@ -575,13 +556,12 @@ def normalize_dk(v):
         # identity summand at level k-1
         r0 = v.dk_offsets[k - 1][(tuple(range(k)), k - 1)]
         c0 = v.dk_offsets[k][(tuple(range(k + 1)), k)]
-        cols = [[(i - r0, x) for i, x in faces[k][k][c0 + j]
-                 if r0 <= i < r0 + size[k - 1]] for j in range(size[k])]
-        out_diffs.append(_dense_matrix(cols, size[k - 1]) if presented
-                         else cols)
-    if presented:
-        return PresentedComplex(out_levels, out_diffs)
-    return ChainComplex(cx.ring, out_levels, out_diffs)
+        out_diffs.append([[(i - r0, x) for i, x in faces[k][k][c0 + j]
+                           if r0 <= i < r0 + size[k - 1]]
+                          for j in range(size[k])])
+    if isinstance(cx, PresentedComplex):
+        return PresentedComplex(cx.levels, out_diffs)
+    return ChainComplex(cx.ring, size, out_diffs)
 
 
 def eilenberg_maclane_complex(group: FGAbelianGroup, n) -> PresentedComplex:
@@ -589,11 +569,8 @@ def eilenberg_maclane_complex(group: FGAbelianGroup, n) -> PresentedComplex:
     levels = [Presentation.free(0) for _ in range(n)] + [
         Presentation.from_moduli(list(group.torsion) + [0] * group.rank)
     ]
-    diffs = [None]
-    for k in range(1, n + 1):
-        rows = levels[k - 1].gens
-        cols = levels[k].gens
-        diffs.append([[0] * cols for _ in range(rows)])
+    diffs = [None] + [[[] for _ in range(levels[k].gens)]
+                      for k in range(1, n + 1)]
     return PresentedComplex(levels, diffs)
 
 
@@ -628,13 +605,15 @@ def nondegenerate_cells(v):
 
 
 def _level_relations(v, n, cells):
-    """The relation columns of level n of `v` restricted to the generators
-    `cells`: none for a free module, the level's own for a presented
-    one."""
+    """The sparse relation columns of level n of `v` restricted to the
+    generators `cells`, rows numbered by their position in `cells`, and
+    the columns left empty dropped: none for a free module, the level's
+    own for a presented one."""
     if isinstance(v, SimplicialFreeModule):
         return []
-    return [r for r in ([col[i] for i in cells]
-                        for col in v.levels[n].rel_columns()) if any(r)]
+    pos = {i: r for r, i in enumerate(cells)}
+    return [r for r in ([(pos[i], x) for i, x in col if i in pos]
+                        for col in v.levels[n].rels) if r]
 
 
 def _restricted_complex(v, cells, rels):
@@ -674,11 +653,10 @@ def _alternating_columns(v, cells):
 
 def _realize(ring, ranks, rels, diffs):
     """The presented complex over Z of a complex of R-modules: level n is
-    R^ranks[n] modulo the relation columns rels[n], and diffs[n] are the
-    sparse columns of the differential at n, as `_alternating_columns`
-    gives them; each realized by `r_matrix_to_z`."""
-    levels = [RModulePresentation(ring, r, rel).z_presentation()
-              for r, rel in zip(ranks, rels)]
+    R^ranks[n] modulo the sparse relation columns rels[n], and diffs[n]
+    are the sparse columns of the differential at n, as
+    `_alternating_columns` gives them; each realized by `r_matrix_to_z`."""
+    levels = [z_presentation(ring, r, rel) for r, rel in zip(ranks, rels)]
     out = [None] + [r_matrix_to_z(ring, diffs[n], ranks[n - 1])
                     for n in range(1, len(ranks))]
     return PresentedComplex(levels, out)
@@ -799,24 +777,21 @@ def _degenerate_quotient(v, top):
     for n, c in enumerate(cells):
         cols = _level_relations(v, n, c)
         for s in degens[n - 1] if n >= 1 else []:
-            for column in s:
-                col = [v.ring.zero()] * len(c)
-                for i, entry in column:
-                    col[i] = entry
-                cols.append(col)
+            cols += s
         rels.append(cols)
     return _restricted_complex(v, cells, rels), cells
 
 
-def _alternating_sum(mats):
-    rows = len(mats[0])
-    cols = len(mats[0][0]) if mats[0] else 0
-    out = [[0] * cols for _ in range(rows)]
-    for idx, m in enumerate(mats):
-        sgn = 1 if idx % 2 == 0 else -1
-        for i in range(rows):
-            for j in range(cols):
-                out[i][j] += sgn * m[i][j]
+def _alternating_sum(maps):
+    """The alternating sum maps[0] - maps[1] + ... of integer maps given
+    as sparse columns, column by column."""
+    out = []
+    for cols in zip(*maps):
+        acc = {}
+        for k, col in enumerate(cols):
+            for i, x in col:
+                acc[i] = acc.get(i, 0) + (-x if k % 2 else x)
+        out.append([(i, x) for i, x in sorted(acc.items()) if x])
     return out
 
 
@@ -853,8 +828,9 @@ def unnormalized_homotopy(v, degrees):
 
 
 class CosimplicialAbelian:
-    """levels[n]: Presentation; cofaces[n]: list of n+2 matrices
-    level n -> level n+1; codegens[n]: list of matrices level n -> n-1."""
+    """levels[n]: Presentation; cofaces[n]: list of n+2 maps level n ->
+    level n+1; codegens[n]: list of maps level n -> n-1; every map as
+    sparse columns, one per generator of its source."""
 
     def __init__(self, levels, cofaces, codegens, truncation):
         self.levels = list(levels)
@@ -864,7 +840,8 @@ class CosimplicialAbelian:
 
     def total_cochain_complex(self) -> PresentedComplex:
         """Unnormalized complex with delta = alternating coface sum,
-        reversed so chain machinery applies (degree n stored at index n)."""
+        delta^n: level n-1 -> n stored at index n, as `cohomology_at`
+        reads it."""
         diffs = [None]
         for n in range(1, self.truncation + 1):
             diffs.append(_alternating_sum(self.cofaces[n - 1]))
@@ -1007,26 +984,15 @@ def matching(v, n):
     return inv, bijective
 
 
-def _apply_columns(cols, vec, rows):
-    """The image of the integer vector `vec` under the map with sparse
-    columns `cols` into Z^rows."""
-    out = [0] * rows
-    for c, col in zip(vec, cols):
-        if c:
-            for r, x in col:
-                out[r] += x * c
-    return out
-
-
 def _moduli_of(pres: Presentation):
     """Moduli of a presentation whose relations are diagonal (0 = free)."""
     mods = [0] * pres.gens
-    for col in pres.rel_columns():
-        nz = [i for i, x in enumerate(col) if x]
-        if len(nz) != 1:
+    for col in pres.rels:
+        if len(col) != 1:
             raise AlgebraError(
                 "matching: a level presentation is not diagonal")
-        mods[nz[0]] = abs(col[nz[0]])
+        ((i, x),) = col
+        mods[i] = abs(x)
     return mods
 
 
@@ -1166,27 +1132,24 @@ def path_object(em):
     trunc = em.truncation
     dim = len(k.carrier.moduli)
     moduli = list(k.carrier.moduli)
-    # the chain maps K + K -> K onto the first and second copy in degree n
-    copies = [[[int(j == which * dim + i) for j in range(2 * dim)]
-               for i in range(dim)] for which in (0, 1)]
     levels = [Presentation.free(0) for _ in range(n - 1)]
     levels.append(Presentation.from_moduli(moduli))
     levels.append(Presentation.from_moduli(moduli * 2))
     # zero below degree n; the boundary K + K -> K is (id, -id)
-    diffs = [None] + [[[0] * levels[t].gens for _ in range(levels[t - 1].gens)]
-                      for t in range(1, n)]
-    diffs.append([[a - b for a, b in zip(r0, r1)] for r0, r1 in zip(*copies)])
+    diffs = [None] + [[[] for _ in range(levels[t].gens)] for t in range(1, n)]
+    diffs.append([[(i, 1)] for i in range(dim)] + [[(i, -1)] for i in range(dim)])
     kernel = dold_kan(PresentedComplex(levels, diffs), truncation=trunc)
     pe = _semidirect_object(x, k, n, kernel, "EI")
-    # the EM complex is zero below degree n, so are the projections
+    # the chain maps K + K -> K onto the first and second copy in degree
+    # n; the EM complex is zero below degree n, so are the projections
+    below = [[[] for _ in range(lv.gens)] for lv in levels[:n]]
+    unit, zero = [[(i, 1)] for i in range(dim)], [[] for _ in range(dim)]
     pe.projections = [
-        [_lift(x, _sparse_cols(
-                   _dk_map(kernel, em.kernel_part, [[]] * n + [proj], i),
-                   kernel.levels[i].gens),
+        [_lift(x, _dk_map(kernel, em.kernel_part, below + [proj], i),
                pe.levels[i], pe.level_xmodules[i],
                em.levels[i], em.level_xmodules[i])
          for i in range(trunc + 1)]
-        for proj in copies
+        for proj in (unit + zero, zero + unit)
     ]
     return pe
 
@@ -1196,7 +1159,8 @@ def path_object(em):
 
 class BisimplicialAbelian:
     """levels[p][q]: Presentation; hfaces[p][q][i]: (p,q) -> (p-1,q);
-    vfaces[p][q][j]: (p,q) -> (p,q-1); degeneracies likewise."""
+    vfaces[p][q][j]: (p,q) -> (p,q-1); degeneracies likewise; every map
+    as sparse columns, one per generator of its source."""
 
     def __init__(self, levels, hfaces, vfaces, hdegens, vdegens, truncation):
         self.levels = levels
@@ -1211,21 +1175,21 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
     """DK in both directions of a first-quadrant double complex.
 
     columns[s] is a PresentedComplex (the s-th column, graded by t);
-    hdiffs[s]: chain map columns[s] -> columns[s-1] given per degree t.
+    hdiffs[s]: chain map columns[s] -> columns[s-1] given per degree t,
+    each component as sparse columns.
     Vertically, each column goes through dold_kan; horizontally, so does
     each row q, the complex s -> verticals[s].levels[q] whose differentials
     are the Dold-Kan images of the horizontal chain maps.  The vertical
     structure maps of the verticals are chain maps between rows, and act
     on each horizontal level through their Dold-Kan images.
     """
+    z = Ring("Z")
     for s in range(1, len(columns)):
         for t in range(1, len(columns[s].levels)):
-            gens = columns[s].levels[t].gens
-            lhs = mat_mul(columns[s - 1].diffs[t], hdiffs[s][t], gens)
-            rhs = mat_mul(hdiffs[s][t - 1], columns[s].diffs[t], gens)
+            lhs = _compose_columns(columns[s - 1].diffs[t], hdiffs[s][t], z)
+            rhs = _compose_columns(hdiffs[s][t - 1], columns[s].diffs[t], z)
             if len(lhs) != len(rhs) or not _equal_mod_relations(
-                    _sparse_cols(lhs, gens), _sparse_cols(rhs, gens),
-                    columns[s - 1].levels[t - 1]):
+                    lhs, rhs, columns[s - 1].levels[t - 1]):
                 raise AlgebraError(
                     f"horizontal differential at ({s},{t}) is not a chain map"
                 )
@@ -1240,29 +1204,23 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
     ]
     span = range(truncation + 1)
 
-    def dense(v, n, kind, shift):
-        # the faces (kind 0, shift -1) or degeneracies (kind 1, shift 1)
-        # of v at level n as matrices
-        height = v.levels[n + shift].gens
-        return [_dense_matrix(c, height) for c in v.columns()[kind][n]]
-
     def vertical(p, q, target, maps):
         # maps[s][i]: the i-th structure map of verticals[s] at level q; for
         # each i these form a chain map of rows, row q -> row target
         return [_dk_map(rows[q], rows[target], comps, p)
                 for comps in zip(*maps)]
 
-    vfaces = [[dense(v, q, 0, -1) for v in verticals] if q else None
+    vfaces = [[v.columns()[0][q] for v in verticals] if q else None
               for q in span]
-    vdegens = [[dense(v, q, 1, 1) for v in verticals] if q < truncation
+    vdegens = [[v.columns()[1][q] for v in verticals] if q < truncation
                else None for q in span]
     return BisimplicialAbelian(
         [[rows[q].levels[p] for q in span] for p in span],
-        [[dense(rows[q], p, 0, -1) if p else None for q in span]
+        [[rows[q].columns()[0][p] if p else None for q in span]
          for p in span],
         [[vertical(p, q, q - 1, vfaces[q]) if q else None for q in span]
          for p in span],
-        [[dense(rows[q], p, 1, 1) if p < truncation else None for q in span]
+        [[rows[q].columns()[1][p] if p < truncation else None for q in span]
          for p in span],
         [[vertical(p, q, q + 1, vdegens[q]) if q < truncation else None
           for q in span] for p in span],
@@ -1271,18 +1229,17 @@ def bisimplicial_from_double_complex(columns, hdiffs, truncation):
 
 
 def _dk_map(src_dk, tgt_dk, components, level):
-    """Matrix at a simplicial level of the Dold-Kan image of a chain map
-    src_dk.dk_source -> tgt_dk.dk_source whose degree-k component is
-    components[k]: it maps each summand (sigma, k) to (sigma, k)."""
+    """Sparse columns at a simplicial level of the Dold-Kan image of a
+    chain map src_dk.dk_source -> tgt_dk.dk_source whose degree-k
+    component has the sparse columns components[k]: it maps each summand
+    (sigma, k) to (sigma, k)."""
     tgt_off = tgt_dk.dk_offsets[level]
-    out = [[0] * src_dk.levels[level].gens
-           for _ in range(tgt_dk.levels[level].gens)]
+    out = [[] for _ in range(src_dk.levels[level].gens)]
     for summand, c0 in src_dk.dk_offsets[level].items():
         r0 = tgt_off.get(summand)
-        if r0 is None:
-            continue
-        for i, row in enumerate(components[summand[1]]):
-            out[r0 + i][c0:c0 + len(row)] = row
+        if r0 is not None:
+            for j, col in enumerate(components[summand[1]]):
+                out[c0 + j] = [(r0 + i, x) for i, x in col]
     return out
 
 
@@ -1291,14 +1248,15 @@ def diag(b: BisimplicialAbelian) -> SimplicialAbelian:
     trunc = b.truncation
     levels = [b.levels[n][n] for n in range(trunc + 1)]
 
-    def composite(outer, inner, n):
-        return _sparse_cols(mat_mul(outer, inner), levels[n].gens)
+    def composite(outer, inner):
+        return [sorted(col.items())
+                for col in _compose_columns(outer, inner, Ring("Z"))]
 
     faces = [[]] + [
-        [composite(b.hfaces[n][n - 1][i], b.vfaces[n][n][i], n)
+        [composite(b.hfaces[n][n - 1][i], b.vfaces[n][n][i])
          for i in range(n + 1)] for n in range(1, trunc + 1)]
     degens = [
-        [composite(b.hdegens[n][n + 1][j], b.vdegens[n][n][j], n)
+        [composite(b.hdegens[n][n + 1][j], b.vdegens[n][n][j])
          for j in range(n + 1)] for n in range(trunc)] + [[]]
     return SimplicialAbelian(levels, faces, degens, trunc)
 
@@ -1322,26 +1280,21 @@ def total_complex(b: BisimplicialAbelian) -> PresentedComplex:
         levels.append(pres if pres is not None else Presentation.free(0))
     diffs = [None]
     for m in range(1, trunc + 1):
-        rows = levels[m - 1].gens
-        cols = levels[m].gens
-        mat = [[0] * cols for _ in range(rows)]
+        # the column of a generator of (p, q) is its horizontal image in
+        # (p-1, q) above its vertical image in (p, q-1), signed (-1)^p
+        cols = []
         for p in range(m + 1):
             q = m - p
-            c0 = offsets[m][(p, q)]
-            if p >= 1:
-                h = _alternating_sum(b.hfaces[p][q])
-                r0 = offsets[m - 1][(p - 1, q)]
-                for i in range(len(h)):
-                    for j in range(len(h[0]) if h else 0):
-                        mat[r0 + i][c0 + j] += h[i][j]
-            if q >= 1:
-                v = _alternating_sum(b.vfaces[p][q])
-                r0 = offsets[m - 1][(p, q - 1)]
-                sgn = 1 if p % 2 == 0 else -1
-                for i in range(len(v)):
-                    for j in range(len(v[0]) if v else 0):
-                        mat[r0 + i][c0 + j] += sgn * v[i][j]
-        diffs.append(mat)
+            h = _alternating_sum(b.hfaces[p][q]) if p else None
+            v = _alternating_sum(b.vfaces[p][q]) if q else None
+            rh = offsets[m - 1].get((p - 1, q))
+            rv = offsets[m - 1].get((p, q - 1))
+            sgn = 1 if p % 2 == 0 else -1
+            for j in range(b.levels[p][q].gens):
+                cols.append(([(rh + i, x) for i, x in h[j]] if p else [])
+                            + ([(rv + i, sgn * x) for i, x in v[j]] if q
+                               else []))
+        diffs.append(cols)
     return PresentedComplex(levels, diffs)
 
 
@@ -1357,11 +1310,8 @@ def diag_e2_page(b: BisimplicialAbelian, smax, tmax):
             vlevels = [b.levels[p][q] for q in range(trunc + 1)]
             col = SimplicialAbelian(
                 vlevels,
-                [[]] + [[_sparse_cols(m, vlevels[q].gens)
-                         for m in b.vfaces[p][q]]
-                        for q in range(1, trunc + 1)],
-                [[_sparse_cols(m, vlevels[q].gens) for m in b.vdegens[p][q]]
-                 for q in range(trunc)] + [[]],
+                [[]] + [b.vfaces[p][q] for q in range(1, trunc + 1)],
+                [b.vdegens[p][q] for q in range(trunc)] + [[]],
                 trunc,
             )
             subq, cells = moore_subquotients(col, [t])
@@ -1377,7 +1327,9 @@ def diag_e2_page(b: BisimplicialAbelian, smax, tmax):
                 # the horizontal faces are vertical simplicial maps, so they
                 # act on the vertical normalized complexes by restriction
                 hsum = _alternating_sum(b.hfaces[p][t])
-                hsum = [[hsum[i][j] for j in cells] for i in rows]
+                pos = {i: r for r, i in enumerate(rows)}
+                hsum = [[(pos[i], x) for i, x in hsum[j] if i in pos]
+                        for j in cells]
                 diffs.append(induced_map(hsum, subq, prev))
         h = homology_of_complex(levels, diffs, range(min(smax, len(cols) - 2) + 1))
         for s in h:
@@ -1388,7 +1340,8 @@ def diag_e2_page(b: BisimplicialAbelian, smax, tmax):
 class CosimplicialSimplicial:
     """levels[s][t]; cofaces[s][t][i]: (s,t) -> (s+1,t) for s < smax;
     codegens[s][t][j]: (s,t) -> (s-1,t) for s >= 1;
-    faces[s][t][j]: (s,t) -> (s,t-1)."""
+    faces[s][t][j]: (s,t) -> (s,t-1); every map as sparse columns, one
+    per generator of its source."""
 
     def __init__(self, levels, cofaces, faces, truncation, codegens=None):
         self.levels = levels
@@ -1420,12 +1373,9 @@ def tot(w: CosimplicialSimplicial):
     lattices = _conormalized_lattices(w)
     pieces = {}
     for (s, t), basis in lattices.items():
-        g = w.levels[s][t].gens
-        rels = []
-        for col in w.levels[s][t].rel_columns():
-            rels.append(col)
-        sq = Subquotient(g, basis, _intersect_relations(basis, rels, g))
-        pieces[(s, t)] = sq
+        lv = w.levels[s][t]
+        pieces[(s, t)] = Subquotient(
+            lv.gens, basis, _intersect_relations(basis, lv.rels, lv.gens))
 
     def express_in(sq: Subquotient, vec, s, t):
         y = sq.express(vec)
@@ -1450,50 +1400,51 @@ def tot(w: CosimplicialSimplicial):
             k = len(sq.basis)
             off[(s, t)] = pos
             pos += k
-            piece = Presentation(k, cols_to_matrix(sq.rels_z, k))
+            piece = Presentation(k, [[(i, x) for i, x in enumerate(y) if x]
+                                     for y in sq.rels_z])
             pres = piece if pres is None else pres.direct_sum(piece)
         offsets.append(off)
         levels.append(pres if pres is not None else Presentation.free(0))
     diffs = [None]
     for idx in range(1, 2 * trunc + 1):
-        rows = levels[idx - 1].gens
-        cols = levels[idx].gens
-        mat = [[0] * cols for _ in range(rows)]
-        for (s, t), c0 in offsets[idx].items():
-            sq = pieces[(s, t)]
-            for bi, basis_vec in enumerate(sq.basis):
-                if t >= 1 and (s, t - 1) in offsets[idx - 1]:
-                    v = _alternating_sum(w.faces[s][t])
-                    img = mat_vec(v, basis_vec) if v else []
-                    target = pieces[(s, t - 1)]
-                    y = express_in(target, img, s, t)
-                    r0 = offsets[idx - 1][(s, t - 1)]
-                    for i, val in enumerate(y):
-                        mat[r0 + i][c0 + bi] += val
-                if s < trunc and (s + 1, t) in offsets[idx - 1]:
-                    d = _alternating_sum(w.cofaces[s][t])
-                    img = mat_vec(d, basis_vec) if d else []
-                    target = pieces[(s + 1, t)]
-                    y = express_in(target, img, s, t)
-                    sgn = 1 if t % 2 == 0 else -1
-                    r0 = offsets[idx - 1][(s + 1, t)]
-                    for i, val in enumerate(y):
-                        mat[r0 + i][c0 + bi] += sgn * val
-        diffs.append(mat)
+        cols = []
+        for s, t in offsets[idx]:
+            # the face sum into (s, t-1) and the coface sum, signed
+            # (-1)^t, into (s+1, t), each in the basis of its target
+            parts = []
+            if t >= 1 and (s, t - 1) in offsets[idx - 1]:
+                parts.append((_alternating_sum(w.faces[s][t]), (s, t - 1), 1))
+            if s < trunc and (s + 1, t) in offsets[idx - 1]:
+                parts.append((_alternating_sum(w.cofaces[s][t]), (s + 1, t),
+                              1 if t % 2 == 0 else -1))
+            for basis_vec in pieces[(s, t)].basis:
+                col = []
+                for m, target, sgn in parts:
+                    r0 = offsets[idx - 1][target]
+                    img = _apply_columns(m, basis_vec,
+                                         w.levels[target[0]][target[1]].gens)
+                    y = express_in(pieces[target], img, s, t)
+                    col += [(r0 + i, sgn * x) for i, x in enumerate(y) if x]
+                cols.append(col)
+        diffs.append(cols)
     cx = PresentedComplex(levels, diffs)
     cx.degree_offset = offset
     return cx
 
 
 def _intersect_relations(basis, rel_cols, ambient):
-    """Generators of (relation lattice) intersected with span(basis)."""
+    """Generators of (relation lattice) intersected with span(basis), for
+    the sparse relation columns `rel_cols`: v[:k] of each v in the kernel
+    of [basis | -relations], mapped back through the basis."""
     if not rel_cols:
         return []
-    negated = [[-x for x in col] for col in rel_cols]
-    mat = cols_to_matrix(basis + negated, ambient)
-    span = cols_to_matrix(basis, ambient)
     k = len(basis)
-    return [mat_vec(span, v[:k]) for v in kernel_basis(mat, k + len(negated))]
+    mat = [[b[i] for b in basis] + [0] * len(rel_cols) for i in range(ambient)]
+    for j, col in enumerate(rel_cols):
+        for i, x in col:
+            mat[i][k + j] = -x
+    return [[sum(c * b[i] for c, b in zip(v, basis)) for i in range(ambient)]
+            for v in kernel_basis(mat, k + len(rel_cols))]
 
 
 def tot_homotopy(w: CosimplicialSimplicial, degrees):
@@ -1567,9 +1518,7 @@ def hom_bicomplex_total_cohomology(b: BisimplicialAbelian, moduli, degrees):
         raise AlgebraError("truncation too small")
     cx = total_complex(b)
     ranks = _free_ranks(cx.levels, "hom_bicomplex_total_cohomology")
-    diffs = [None] + [_sparse_cols(d, r) for d, r in zip(cx.diffs[1:],
-                                                          ranks[1:])]
     levels, deltas = with_coefficients(
-        ranks, diffs, CoefficientModule.trivial(Ring("Z"), moduli),
+        ranks, cx.diffs, CoefficientModule.trivial(Ring("Z"), moduli),
         len(ranks) - 1, dual=True)
     return {n: cohomology_at(levels, deltas, n).invariants() for n in degrees}

@@ -7,11 +7,16 @@ one, tracking unimodular transforms) and `smith_diagonal_naive` (a second,
 deliberately separate reduction used only to cross-check invariants).
 
 This is the one home of the integer linear algebra every other module
-uses: `identity_matrix`, `cols_to_matrix`, `mat_mul` and `mat_vec` for
-building and multiplying matrices; `smith_normal_form`, `smith_diagonal`
-and `cokernel_diagonal` for invariants; `kernel_basis`, `lattice_basis`,
-`IntegerSolver` (an integer solution of mat @ x == rhs, or None) and
-`invert_unimodular` for lattices.
+uses.  Outside this module a map between free or presented modules is
+kept only as sparse columns: per source generator, the (row, entry)
+pairs of its nonzero entries.  Dense rows appear only at the kernel's
+entry points, and `cols_to_matrix` is the one converter that builds them
+from sparse columns.  The entry points are `smith_normal_form`,
+`smith_diagonal` and `cokernel_diagonal` for invariants, and
+`kernel_basis`, `lattice_basis`, `IntegerSolver` (an integer solution of
+mat @ x == rhs, or None) and `invert_unimodular` for lattices; besides
+them `identity_matrix`, `mat_mul` and `mat_vec` multiply the dense
+matrices the kernel returns.
 
 Pivot rule of `smith_normal_form`: at step k the pivot is the entry of
 least absolute value in the trailing submatrix, the first such entry in
@@ -39,10 +44,14 @@ def identity_matrix(n):
 
 
 def cols_to_matrix(cols, rows):
-    """The matrix with `rows` rows whose columns are `cols`."""
-    if not cols:
-        return [[] for _ in range(rows)]
-    return [[c[i] for c in cols] for i in range(rows)]
+    """The dense matrix with `rows` rows whose sparse columns are `cols`
+    (per column the (row, entry) pairs of its nonzero entries), as the
+    kernel's entry points read it."""
+    mat = [[0] * len(cols) for _ in range(rows)]
+    for j, col in enumerate(cols):
+        for i, x in col:
+            mat[i][j] = x
+    return mat
 
 
 def mat_mul(a, b, cols=None):
@@ -341,7 +350,8 @@ def lattice_basis(vectors, dim):
     d_j * U^-1 e_j, so the basis is read off V without inverting U."""
     if not vectors:
         return []
-    _, d, v = smith_normal_form(cols_to_matrix(vectors, dim), want_u=False)
+    _, d, v = smith_normal_form([list(row) for row in zip(*vectors)],
+                                want_u=False)
     out = []
     for j in range(min(dim, len(vectors))):
         if d[j][j] != 0:

@@ -28,7 +28,7 @@ from .simplicial import (
     moore_homotopy,
     total_complex,
 )
-from .snf import identity_matrix, mat_mul
+from .snf import mat_mul
 
 
 class GradedModule:
@@ -284,54 +284,49 @@ def bicomplex_checks(seed=20240817, trials=50, truncation=3):
     }
 
 
+def random_columns(rng, rows, cols, lo, hi):
+    """Sparse columns of a rows x cols integer matrix with entries drawn
+    uniformly from lo..hi in row-major order."""
+    out = [[] for _ in range(cols)]
+    for i in range(rows):
+        for col in out:
+            x = rng.randint(lo, hi)
+            if x:
+                col.append((i, x))
+    return out
+
+
 def _tensor_double_complex(rng, smax, tmax):
     """The double complex C (x) D of two random free complexes: both
     directions carry nonzero differentials and commute by construction."""
     def random_free_complex(length):
         ranks = [rng.randint(1, 2) for _ in range(length + 1)]
-        diffs = [None]
-        for n in range(1, length + 1):
-            if n % 2 == 1:
-                diffs.append([[rng.randint(-3, 3) for _ in range(ranks[n])]
-                              for _ in range(ranks[n - 1])])
-            else:
-                diffs.append([[0] * ranks[n] for _ in range(ranks[n - 1])])
+        diffs = [None] + [
+            random_columns(rng, ranks[n - 1], ranks[n], -3, 3) if n % 2 == 1
+            else [[] for _ in range(ranks[n])] for n in range(1, length + 1)]
         return ranks, diffs
 
     c_ranks, c_diffs = random_free_complex(smax)
     d_ranks, d_diffs = random_free_complex(tmax)
 
-    def kron(a, rows_a, cols_a, b, rows_b, cols_b):
-        out = [[0] * (cols_a * cols_b) for _ in range(rows_a * rows_b)]
-        for i in range(rows_a):
-            for j in range(cols_a):
-                if a[i][j]:
-                    for p in range(rows_b):
-                        for q in range(cols_b):
-                            out[i * rows_b + p][j * cols_b + q] = \
-                                a[i][j] * b[p][q]
-        return out
+    def kron(a, b, rows_b):
+        # the Kronecker product of two maps given as sparse columns
+        return [[(i * rows_b + p, x * y) for i, x in ca for p, y in cb]
+                for ca in a for cb in b]
+
+    def identity(n):
+        return [[(i, 1)] for i in range(n)]
 
     cols = []
     for s in range(smax + 1):
         levels = [Presentation.free(c_ranks[s] * d_ranks[t])
                   for t in range(tmax + 1)]
-        diffs = [None]
-        for t in range(1, tmax + 1):
-            diffs.append(kron(
-                identity_matrix(c_ranks[s]), c_ranks[s], c_ranks[s],
-                d_diffs[t], d_ranks[t - 1], d_ranks[t],
-            ))
+        diffs = [None] + [kron(identity(c_ranks[s]), d_diffs[t], d_ranks[t - 1])
+                          for t in range(1, tmax + 1)]
         cols.append(PresentedComplex(levels, diffs))
-    hdiffs = [None]
-    for s in range(1, smax + 1):
-        per_degree = []
-        for t in range(tmax + 1):
-            per_degree.append(kron(
-                c_diffs[s], c_ranks[s - 1], c_ranks[s],
-                identity_matrix(d_ranks[t]), d_ranks[t], d_ranks[t],
-            ))
-        hdiffs.append(per_degree)
+    hdiffs = [None] + [
+        [kron(c_diffs[s], identity(d_ranks[t]), d_ranks[t])
+         for t in range(tmax + 1)] for s in range(1, smax + 1)]
     return cols, hdiffs
 
 
@@ -340,10 +335,8 @@ def _zero_vertical_double_complex(rng, smax, tmax):
     for s in range(smax + 1):
         levels = [Presentation.free(rng.randint(0, 2))
                   for _ in range(tmax + 1)]
-        diffs = [None]
-        for t in range(1, tmax + 1):
-            diffs.append([[0] * levels[t].gens
-                          for _ in range(levels[t - 1].gens)])
+        diffs = [None] + [[[] for _ in range(levels[t].gens)]
+                          for t in range(1, tmax + 1)]
         cols.append(PresentedComplex(levels, diffs))
     hdiffs = [None]
     for s in range(1, smax + 1):
@@ -352,9 +345,8 @@ def _zero_vertical_double_complex(rng, smax, tmax):
             rows = cols[s - 1].levels[t].gens
             ncols = cols[s].levels[t].gens
             if s % 2 == 1:
-                per_degree.append([[rng.randint(-2, 2) for _ in range(ncols)]
-                                   for _ in range(rows)])
+                per_degree.append(random_columns(rng, rows, ncols, -2, 2))
             else:
-                per_degree.append([[0] * ncols for _ in range(rows)])
+                per_degree.append([[] for _ in range(ncols)])
         hdiffs.append(per_degree)
     return cols, hdiffs

@@ -2,7 +2,9 @@
 resolutions (absolute and relative) and of their derivation cochain
 complexes, on all and on the nondegenerate generators, and of the
 fallback resolution `z2res-basis.sres`.  Any change to how these are
-built must leave every matrix, relation and rank as it is."""
+built must leave every matrix, relation and rank as it is.  The
+relations and maps, kept as sparse columns, are written out here as the
+dense matrices the digests were taken on."""
 
 import hashlib
 import json
@@ -16,6 +18,7 @@ from aq.fixtures import load_algebra, load_sres
 from aq.invariants import der_cochain
 from aq.resolutions import abelianized_complex, loop_group_resolution
 from aq.rings import CoefficientModule, Ring
+from aq.snf import cols_to_matrix
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -33,18 +36,22 @@ def _digest(obj):
 
 
 def _levels(levels):
-    return [[lv.gens, lv.rels] for lv in levels]
+    return [[lv.gens, cols_to_matrix(lv.rels, lv.gens)] for lv in levels]
 
 
 def _complex_digest(v, over):
     cx, ranks, ring = abelianized_complex(v, over=over)
-    return _digest({"levels": _levels(cx.levels), "diffs": cx.diffs,
+    diffs = [None] + [cols_to_matrix(d, cx.levels[n - 1].gens)
+                      for n, d in enumerate(cx.diffs) if n]
+    return _digest({"levels": _levels(cx.levels), "diffs": diffs,
                     "ranks": ranks, "zrank": ring.zrank()})
 
 
 def _cochain_digest(v, k, x, cells):
     w = der_cochain(v, k, x=x, cells=cells)
-    return _digest({"levels": _levels(w.levels), "cofaces": w.cofaces})
+    cofaces = [[cols_to_matrix(c, w.levels[n + 1].gens) for c in maps]
+               for n, maps in enumerate(w.cofaces)]
+    return _digest({"levels": _levels(w.levels), "cofaces": cofaces})
 
 
 def _nondegenerate_tuples(v, g):

@@ -4,15 +4,17 @@ dense R-matrices, and of the integer matrices and levels of Hom_R(F, K)
 and F tensor_R K on them: trivial coefficients (with and without a free
 summand over Z and the group rings) and, over a group ring, the group
 ring itself.  The digests were recorded while resolutions still kept
-dense R-matrices and Hom and tensor had routes of their own; any change
-to how resolutions are built or how coefficients meet them must leave
-every entry as it is."""
+dense R-matrices and Hom and tensor had routes of their own, so the
+sparse relation and map columns are written out here as dense matrices;
+any change to how resolutions are built or how coefficients meet them
+must leave every entry as it is."""
 
 import hashlib
 
 import pytest
 
 from aq.rings import CoefficientModule, free_resolution, with_coefficients
+from aq.snf import cols_to_matrix
 from test_dold_kan_digests import _dense
 from test_normalized import COEFFS, RINGS, SEEDS, _seeded_module
 
@@ -51,7 +53,10 @@ def _material(name, seed):
         for dual in (True, False):
             levels, maps = with_coefficients(ranks, diffs, coeff,
                                              len(ranks) - 1, dual=dual)
-            out.append([[(lv.gens, lv.rels) for lv in levels], maps])
+            out.append([
+                [(lv.gens, cols_to_matrix(lv.rels, lv.gens)) for lv in levels],
+                [None] + [cols_to_matrix(m, levels[n if dual else n - 1].gens)
+                          for n, m in enumerate(maps) if n]])
     return repr(out)
 
 

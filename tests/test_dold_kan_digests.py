@@ -76,7 +76,7 @@ def _boundary_complex():
     moduli = [2, 0]
     levels = [Presentation.free(0), Presentation.from_moduli(moduli),
               Presentation.from_moduli(moduli * 2)]
-    diffs = [None, [], [[1, 0, -1, 0], [0, 1, 0, -1]]]
+    diffs = [None, [[], []], [[(0, 1)], [(1, 1)], [(0, -1)], [(1, -1)]]]
     return PresentedComplex(levels, diffs)
 
 
@@ -100,16 +100,21 @@ def _dense_maps(v):
              for n, maps in enumerate(degens)])
 
 
+def _levels(levels):
+    """Generator counts and the relations written out as dense rows."""
+    return [[lv.gens, _dense(lv.rels, lv.gens, 0)] for lv in levels]
+
+
 def _normalized(v):
-    """The levels and differentials of normalize_dk(v); a chain complex's
-    sparse columns are written out here as dense matrices."""
+    """The levels and differentials of normalize_dk(v); the sparse
+    columns of the differentials are written out here as dense
+    matrices."""
     back = normalize_dk(v)
+    diffs = [None] + [_dense(d, back.ranks[n - 1], back.ring.zero())
+                      for n, d in enumerate(back.diffs) if n]
     if isinstance(back, PresentedComplex):
-        return [[[lv.gens, lv.rels] for lv in back.levels], back.diffs]
-    zero = back.ring.zero()
-    return [back.ranks, [None] + [
-        _dense(d, back.ranks[n - 1], zero)
-        for n, d in enumerate(back.diffs) if n]]
+        return [_levels(back.levels), diffs]
+    return [back.ranks, diffs]
 
 
 def _digest(v):
@@ -117,7 +122,7 @@ def _digest(v):
     obj = {
         "normalized": _normalized(v),
         "columns": v.columns(),
-        "levels": [[lv.gens, lv.rels] for lv in v.levels],
+        "levels": _levels(v.levels),
         "faces": faces,
         "degens": degens,
         "offsets": [sorted([list(s), k, off] for (s, k), off in level.items())

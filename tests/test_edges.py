@@ -79,7 +79,7 @@ def test_tot_on_ext_bidegree_fixture():
     from aq.simplicial import PresentedComplex
 
     cx = PresentedComplex(
-        [Presentation.free(1), Presentation.free(1)], [None, [[4]]]
+        [Presentation.free(1), Presentation.free(1)], [None, [[(0, 4)]]]
     )
     v = dold_kan(cx, truncation=3)
     w_cochain = hom_cochain_of_simplicial(v, [2])
@@ -124,13 +124,11 @@ def test_latching_plus_moore_ranks_cover_levels():
 
 
 def _degenerate_rank(pres):
-    from aq.snf import smith_diagonal
+    from aq.snf import cols_to_matrix, smith_diagonal
 
-    cols = pres.rel_columns()
-    if not cols:
+    if not pres.rels:
         return 0
-    mat = [[c[i] for c in cols] for i in range(pres.gens)]
-    return len(smith_diagonal(mat))
+    return len(smith_diagonal(cols_to_matrix(pres.rels, pres.gens)))
 
 
 def _zr(g):

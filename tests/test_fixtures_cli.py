@@ -794,3 +794,24 @@ def test_builtin_module_theories_are_built_once():
     for name in ("mod:Z/4", "mod:Z[C3]"):
         assert builtin_theory(name) is builtin_theory(name)
     assert builtin_theory("mod:Z/4") is not builtin_theory("mod:Z/2")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["homology", "--theory", "mod:Z", "--algebra", fx("y-z4.alg"),
+      "--max-degree", "-1"], "--max-degree"),
+    (["ss", "tor", "--ring", "Z", "--module", fx("y-z4.alg"), "--coeffs", "2",
+      "--smax", "-1", "--check"], "--smax"),
+    (["cohomology", "--theory", "gp", "--algebra", fx("z2.alg"), "--coeffs",
+      "2", "--max-degree", "-1", "--method", "em"], "--max-degree"),
+    (["oracle", "bar", "--group", fx("z4.alg"), "--coeffs", "2",
+      "--max-degree", "-1"], "--max-degree"),
+], ids=["homology", "ss-tor", "cohomology-em", "oracle-bar"])
+def test_a_negative_degree_bound_is_a_usage_error(argv, flag, capsys):
+    # exit 2 with the flag named, never a ValueError or IndexError (nor,
+    # for an oracle, an empty answer with exit 0)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected an integer >= 0, not '-1'" in err
+    assert "Traceback" not in err

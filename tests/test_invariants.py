@@ -146,7 +146,6 @@ def test_em_route_matches_brute_force_simplicial_maps():
 
     from aq.simplicial import eilenberg_maclane
     from aq.invariants import cohomology_subquotients, der_cochain
-    from aq.snf import mat_vec
 
     z2 = cyclic_group(2)
     k = XModule.trivial(z2, [2])
@@ -242,10 +241,10 @@ def test_em_route_matches_brute_force_simplicial_maps():
     # the path-object homotopy relation is an equivalence relation on the
     # enumerated maps: differences lie in the coboundary lattice of
     # normalized 0-cochains (C^0 is all of it), checked exhaustively
-    delta0 = _alternating_sum(w.cofaces[0])
+    delta0 = dict(_alternating_sum(w.cofaces[0])[0])  # its one column
     boundaries = set()
     for c in range(2):
-        boundaries.add(tuple((delta0[r][0] * c) % 2 for r in range(2)))
+        boundaries.add(tuple((delta0.get(r, 0) * c) % 2 for r in range(2)))
 
     def homotopic(f0, f1):
         diff = tuple((a[0] - b[0]) % 2 for a, b in zip(f0, f1))
@@ -401,6 +400,7 @@ def test_coefficient_and_diagram_checks_do_not_depend_on_assert():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     code = "\n".join([
         "from aq.algebras import AlgebraError, cyclic_group",
+        "from aq.beck import XModule",
         "from aq.invariants import _coefficient, diagram_coefficients",
         "from aq.resolutions import loop_group_resolution",
         "v = loop_group_resolution(cyclic_group(2), truncation=2)",
@@ -411,6 +411,9 @@ def test_coefficient_and_diagram_checks_do_not_depend_on_assert():
         "        print(exc)",
         "fails(lambda: _coefficient([2]))",
         "fails(lambda: diagram_coefficients(v, {}, {}, 'tensor', [0]))",
+        "k = _coefficient(XModule.trivial(cyclic_group(2), [2]))",
+        "fails(lambda: diagram_coefficients(v, {'a': k}, {('a', 'a'): [[1, 0]]},",
+        "                                   'homology', [0]))",
         "v.augmentation = None",
         "fails(lambda: v.structure_map(1))",
     ])
@@ -422,5 +425,6 @@ def test_coefficient_and_diagram_checks_do_not_depend_on_assert():
             "coefficients must be an XModule or a CoefficientModule",
             "diagram coefficients: op must be cohomology or homology, "
             "not 'tensor'",
+            "diagram coefficients: the map of edge a -> a is not 1 x 1",
             "structure map: the simplicial algebra has no augmentation",
         ], flags

@@ -45,6 +45,7 @@ from aq.rings import (
     Ring,
     ext_groups,
     tor_groups,
+    with_coefficients,
 )
 from aq.simplicial import (
     SimplicialAbelian,
@@ -327,14 +328,11 @@ def test_module_fallback_for_a_degeneracy_that_is_not_one_unit(name):
 
 
 @pytest.mark.parametrize("name,seed", SEEDS[::2])
-def test_module_routes_build_no_dense_matrices(name, seed, monkeypatch):
+def test_module_routes_build_no_dense_matrices(name, seed):
     # a free resolution and its Dold-Kan object are built as sparse
-    # columns, and the certificate, Ext, Tor and every module route read
-    # only those: none writes a column out as a dense matrix
-    def refuse(*args, **kwargs):
-        pytest.fail("a module route wrote sparse columns out densely")
-
-    monkeypatch.setattr(simplicial, "_dense_matrix", refuse)
+    # columns, and so is every complex of presented modules that the
+    # certificate, Ext, Tor and the module routes read: no map is a
+    # dense matrix until the Smith kernel's entry points
     ring = RINGS[name]()
     m = _seeded_module(ring, seed)
     v = resolve_module(m, length=3)
@@ -356,6 +354,19 @@ def test_module_routes_build_no_dense_matrices(name, seed, monkeypatch):
     assert all(isinstance(pair, tuple) and len(pair) == 2
                for d in v.dk_source.diffs[1:] for column in d
                for pair in column)
+    presented = [simplicial.reduced_quotient(v, 3),
+                 invariants._tensored_complex(v, k),
+                 simplicial._normalized_quotient(v, 3)[0]]
+    for dual in (True, False):
+        levels, maps = with_coefficients(*v.reduced_complex(), k, 3,
+                                         dual=dual)
+        presented.append(simplicial.PresentedComplex(levels, maps))
+    for cx in presented:
+        assert all(isinstance(pair, tuple) and len(pair) == 2
+                   for d in cx.diffs[1:] for column in d for pair in column)
+        assert all(isinstance(pair, tuple) and len(pair) == 2
+                   for lv in cx.levels for column in lv.rels
+                   for pair in column)
     # a rebuild from corrupted columns fails the identity check
     w = with_entry(v, "faces", 2, 0, 0, 0, lambda x: ring.add(x, ring.one()))
     assert not check_certificate(w, m, rng=2).checks["simplicial_identities"]

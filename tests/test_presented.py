@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from itertools import permutations, product
 from math import gcd, lcm, prod
 
@@ -30,6 +31,7 @@ from aq.rings import (
     tor_z,
 )
 from aq.snf import IntegerSolver, cols_to_matrix, kernel_basis, lattice_basis
+from aq.spectral import random_columns
 
 
 def G(*divs):
@@ -47,7 +49,7 @@ def test_fg_abelian_group_canonical():
 
 def test_presentation_invariants():
     # Z^2 / <(2,0),(0,3)> = Z/6
-    p = Presentation(2, [[2, 0], [0, 3]])
+    p = Presentation(2, [[(0, 2)], [(1, 3)]])
     assert p.invariants() == G(6)
     assert invariants_naive(p) == G(6)
     assert Presentation.free(3).invariants() == G(0, 0, 0)
@@ -57,7 +59,7 @@ def test_presentation_invariants():
 def test_homology_of_z4_complex():
     # 0 -> Z --4--> Z -> 0 has H_0 = Z/4, H_1 = 0
     levels = [Presentation.free(1), Presentation.free(1)]
-    diffs = [None, [[4]]]
+    diffs = [None, [[(0, 4)]]]
     h = homology_of_complex(levels, diffs, [0, 1])
     assert h[0].invariants() == G(4)
     assert h[1].invariants() == G()
@@ -67,7 +69,7 @@ def test_homology_with_torsion_levels():
     # Z/8 --2--> Z/8 --4--> Z/8: homology at middle = ker(4)/im(2) = 0
     # ker(4: Z/8 -> Z/8) = 2Z/8, im(2) = 2Z/8
     levels = [Presentation.from_moduli([8])] * 3
-    diffs = [None, [[4]], [[2]]]
+    diffs = [None, [[(0, 4)]], [[(0, 2)]]]
     h = homology_of_complex(levels, diffs, [0, 1, 2])
     assert h[1].invariants() == G()
     assert h[0].invariants() == G(4)  # Z/8 / im(4) = Z/4
@@ -82,9 +84,9 @@ def test_subquotient_canon_and_induced():
     assert sq.invariants() == G(2, 0)
     assert sq.canon([2, 0]) == sq.canon([0, 0])
     assert sq.canon([1, 0]) != sq.canon([0, 0])
-    f = [[3, 0], [0, 1]]
-    m = induced_map(f, sq, sq)
-    # x3 on Z/2 summand is identity, on Z is x... check via action on gens
+    f = [[(0, 3)], [(1, 1)]]
+    # x3 is the identity on the Z/2 summand and on the Z summand
+    assert induced_map(f, sq, sq) == [[(0, 1)], [(1, 1)]]
     gens = sq.canonical_generators()
     for gvec in gens:
         v = [3 * gvec[0], gvec[1]]
@@ -168,8 +170,7 @@ def test_random_complexes_dd_zero_invariance(seed=99, trials=25):
         diffs = [None]
         ok = True
         for k in range(1, n + 1):
-            rows, cols = levels[k - 1].gens, levels[k].gens
-            diffs.append([[0] * cols for _ in range(rows)])
+            diffs.append([[] for _ in range(levels[k].gens)])
         h = homology_of_complex(levels, diffs, range(n + 1))
         for k in range(n + 1):
             assert h[k].invariants() == FGAbelianGroup(levels[k].gens)
@@ -181,8 +182,8 @@ def test_kernel_validation_raises_named_algebra_errors():
     sq = Subquotient(2, [[2, 0]], [[4, 0]])
     with pytest.raises(AlgebraError, match="not in the cycle lattice"):
         sq.canon([0, 1])
-    with pytest.raises(AlgebraError, match="relation rows"):
-        Presentation(2, [[1]])
+    with pytest.raises(AlgebraError, match="row outside 2 generators"):
+        Presentation(2, [[(2, 1)]])
     with pytest.raises(AlgebraError, match="beyond the 1 levels"):
         homology_of_complex([Presentation.free(1)], [None], [1])
 
@@ -218,8 +219,9 @@ def test_relation_membership_shortcut_matches_the_solver():
             cols.append(col)
         if trial % 2:
             cols.append([rng.randint(-3, 3) for _ in range(n)])
-        pres = Presentation(n, cols_to_matrix(cols, n))
-        solver = IntegerSolver(pres.rels)
+        pres = Presentation(n, [[(i, x) for i, x in enumerate(c) if x]
+                                for c in cols])
+        solver = IntegerSolver(cols_to_matrix(pres.rels, n))
         for _ in range(25):
             vec = [sum(rng.randint(-3, 3) * c[i] for c in cols)
                    for i in range(n)]
@@ -233,12 +235,13 @@ def test_relation_membership_shortcut_matches_the_solver():
     assert 30 <= shortcuts < 80
 
 
-def _dense_from_moduli(moduli):
-    """The n x n diagonal of the moduli with its zero columns dropped."""
+def _filtered_diagonal(moduli):
+    """The columns of the n x n diagonal of the moduli, written out
+    densely, with the zero columns dropped and the others made sparse."""
     n = len(moduli)
-    rels = [[moduli[i] if i == j else 0 for j in range(n)] for i in range(n)]
-    return Presentation(n, [[row[j] for j in range(n) if moduli[j] != 0]
-                            for row in rels])
+    cols = [[moduli[i] if i == j else 0 for i in range(n)] for j in range(n)]
+    return Presentation(n, [[(i, x) for i, x in enumerate(col) if x]
+                            for col in cols if any(col)])
 
 
 def test_from_moduli_equals_the_filtered_diagonal():
@@ -247,7 +250,7 @@ def test_from_moduli_equals_the_filtered_diagonal():
     cases += [[rng.choice([0, 0, 2, 3, 4, 6]) for _ in range(rng.randint(1, 40))]
               for _ in range(20)]
     for moduli in cases:
-        new, old = Presentation.from_moduli(moduli), _dense_from_moduli(moduli)
+        new, old = Presentation.from_moduli(moduli), _filtered_diagonal(moduli)
         assert (new.gens, new.rels, new.nrels()) == \
             (old.gens, old.rels, old.nrels()), moduli
         # the diagonal from_moduli records is the one worked out from rows
@@ -257,25 +260,47 @@ def test_from_moduli_equals_the_filtered_diagonal():
     pres = Presentation.from_moduli(moduli)
     nonzero = [i for i, m in enumerate(moduli) if m]
     assert pres.gens == 4000 and pres.nrels() == len(nonzero) > 0
-    assert pres.rel_columns() == [
-        [moduli[j] if i == j else 0 for i in range(4000)] for j in nonzero]
-    assert Presentation.from_moduli([0] * 4000).rels == [[]] * 4000
+    assert pres.rels == [[(j, moduli[j])] for j in nonzero]
+    assert Presentation.from_moduli([0] * 4000).rels == []
+
+
+def _peak_bytes(build):
+    """What `build()` returns, and the peak of the memory it allocated."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_from_moduli_and_direct_sum_build_no_dense_rows():
+    # one one-entry relation column per nonzero modulus: n x n dense rows
+    # of a 4000-generator level peaked at 245 MiB
+    bound = 4 * 2 ** 20
+    pres, peak = _peak_bytes(lambda: Presentation.from_moduli([2] * 4000))
+    assert peak < bound
+    assert pres.rels == [[(i, 2)] for i in range(4000)]
+    other = Presentation.from_moduli([2] * 4000)
+    total, peak = _peak_bytes(lambda: pres.direct_sum(other))
+    assert peak < bound
+    assert total.gens == 8000
+    assert total.rels == [[(i, 2)] for i in range(8000)]
 
 
 def _stacked_cycle_lattice(pairs, g):
     """The [M | R] construction: the kernel of each m beside the relation
     columns of its target, cut to its first g coordinates and reduced to
     a basis."""
-    rels = [target.rel_columns() for _, target in pairs]
-    width = g + sum(len(cols) for cols in rels)
+    width = g + sum(target.nrels() for _, target in pairs)
     rows, offset = [], g
-    for (m, _), cols in zip(pairs, rels):
-        for i, m_row in enumerate(m):
-            row = list(m_row) + [0] * (width - g)
-            for ci, col in enumerate(cols):
-                row[offset + ci] = col[i]
+    for m, target in pairs:
+        for m_row, r_row in zip(cols_to_matrix(m, target.gens),
+                                cols_to_matrix(target.rels, target.gens)):
+            row = m_row + [0] * (width - g)
+            row[offset:offset + len(r_row)] = r_row
             rows.append(row)
-        offset += len(cols)
+        offset += target.nrels()
     if not rows:
         return [[int(i == j) for i in range(g)] for j in range(g)]
     return lattice_basis([v[:g] for v in kernel_basis(rows, width)], g)
@@ -294,7 +319,7 @@ def _det(cols):
 def _spans(basis, vectors, g):
     if not basis:
         return not any(map(any, vectors))
-    solver = IntegerSolver(cols_to_matrix(basis, g))
+    solver = IntegerSolver([list(row) for row in zip(*basis)])
     return all(solver.solve(v) is not None for v in vectors)
 
 
@@ -306,12 +331,12 @@ def _seeded_pairs(rng, g, moduli_pool, diagonal):
                 [rng.choice(moduli_pool) for _ in range(rng.randint(1, 4))])
         else:
             target = Presentation(2, rng.choice([
-                [[2, 0], [2, 4]],                 # columns (2, 2) and (0, 4)
-                [[2, 3], [4, 0]],
-                [[6, 0, 2], [4, 0, 0]],
-                [[1, 2], [3, 6]],
+                [[(0, 2), (1, 2)], [(1, 4)]],     # columns (2, 2) and (0, 4)
+                [[(0, 2), (1, 4)], [(0, 3)]],
+                [[(0, 6), (1, 4)], [], [(0, 2)]],
+                [[(0, 1), (1, 3)], [(0, 2), (1, 6)]],
             ]))
-        m = [[rng.randint(-5, 5) for _ in range(g)] for _ in range(target.gens)]
+        m = random_columns(rng, target.gens, g, -5, 5)
         pairs.append((m, target))
     return pairs
 
@@ -324,11 +349,13 @@ def test_cycle_lattice_counts_the_solutions_modulo_the_moduli():
     for _ in range(60):
         g = rng.randint(1, 3)
         pairs = _seeded_pairs(rng, g, [1, 2, 3, 4, 6], diagonal=True)
-        moduli = [[gcd(*row) for row in t.rels] for _, t in pairs]
+        dense = [(cols_to_matrix(m, t.gens), cols_to_matrix(t.rels, t.gens))
+                 for m, t in pairs]
+        moduli = [[gcd(*row) for row in rels] for _, rels in dense]
         lam = lcm(*(d for ds in moduli for d in ds))
         solutions = sum(
             all(sum(a * b for a, b in zip(row, v)) % d == 0
-                for (m, _), ds in zip(pairs, moduli)
+                for (m, _), ds in zip(dense, moduli)
                 for row, d in zip(m, ds))
             for v in product(range(lam), repeat=g))
         basis = cycle_lattice(pairs, g)
@@ -337,7 +364,7 @@ def test_cycle_lattice_counts_the_solutions_modulo_the_moduli():
         for v in basis:
             assert all(t.contains_in_relations(
                 [sum(a * b for a, b in zip(row, v)) for row in m])
-                for m, t in pairs)
+                for (m, _), (_, t) in zip(dense, pairs))
 
 
 def test_cycle_lattice_equals_the_stacked_construction():

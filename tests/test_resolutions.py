@@ -27,7 +27,7 @@ from aq.rings import (
     r_matrix_to_z,
 )
 from aq.simplicial import moore_homotopy
-from aq.snf import _sparse_cols, mat_mul
+from aq.snf import _sparse_cols, cols_to_matrix, mat_mul
 from test_normalized import with_entry
 
 
@@ -129,8 +129,10 @@ def test_r_matrix_to_z_is_multiplicative_over_s3():
         return out
 
     def to_z(mat):
-        # r_matrix_to_z reads sparse columns
-        return r_matrix_to_z(ring, _sparse_cols(mat, len(mat[0])), len(mat))
+        # r_matrix_to_z reads and writes sparse columns
+        return cols_to_matrix(
+            r_matrix_to_z(ring, _sparse_cols(mat, len(mat[0])), len(mat)),
+            len(mat) * len(els))
 
     naive_differs = False
     for _ in range(5):

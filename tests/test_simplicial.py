@@ -12,7 +12,6 @@ from aq.simplicial import (
     CosimplicialSimplicial,
     PresentedComplex,
     SimplicialTheta,
-    _dense_matrix,
     bisimplicial_from_double_complex,
     cohomotopy,
     diag,
@@ -35,7 +34,8 @@ from aq.simplicial import (
     total_complex,
     unnormalized_homotopy,
 )
-from aq.snf import _sparse_cols
+from aq.snf import cols_to_matrix
+from aq.spectral import random_columns
 from test_normalized import with_entry
 
 
@@ -64,7 +64,7 @@ def test_constant_simplicial_object_homotopy():
 def test_dk_of_multiplication_by_4():
     # 0 -> Z --4--> Z -> 0: pi_0 = Z/4, pi_1 = 0
     cx = PresentedComplex(
-        [Presentation.free(1), Presentation.free(1)], [None, [[4]]]
+        [Presentation.free(1), Presentation.free(1)], [None, [[(0, 4)]]]
     )
     v = dold_kan(cx, truncation=3)
     v.check_identities()
@@ -76,12 +76,12 @@ def test_normalize_dk_reads_the_maps_as_they_are():
     # the faces of a Dold-Kan object are read back from its columns, so a
     # rebuild from edited columns reads back the edit
     cx = PresentedComplex(
-        [Presentation.free(1), Presentation.free(1)], [None, [[4]]]
+        [Presentation.free(1), Presentation.free(1)], [None, [[(0, 4)]]]
     )
     v = dold_kan(cx, truncation=3)
     assert normalize_dk(v) == cx
     v = with_entry(v, "faces", 1, 1, 0, 1, lambda x: 6)
-    assert normalize_dk(v).diffs[1] == [[6]]
+    assert normalize_dk(v).diffs[1] == [[(0, 6)]]
 
 
 def test_k_objects_have_right_homotopy():
@@ -109,13 +109,9 @@ def test_dold_kan_round_trip_random(seed=20240817, trials=200):
         ok = True
         for n in range(1, length):
             rows, cols = ranks[n - 1], ranks[n]
-            # build d with d.d = 0: compose random map through zero blocks
-            mat = [[0] * cols for _ in range(rows)]
-            if n % 2 == 1:
-                for i in range(rows):
-                    for j in range(cols):
-                        mat[i][j] = rng.randint(-5, 5)
-            diffs.append(_sparse_cols(mat, cols))
+            # d.d = 0: random maps in odd degrees, zero ones in even degrees
+            diffs.append(random_columns(rng, rows, cols, -5, 5) if n % 2 == 1
+                         else [[] for _ in range(cols)])
         try:
             cx = ChainComplex(ring, ranks, diffs)
         except AlgebraError:
@@ -135,8 +131,7 @@ def test_dold_kan_round_trip_presented(seed=11, trials=50):
             levels.append(Presentation.from_moduli(moduli))
         diffs = [None]
         for n in range(1, length):
-            rows, cols = levels[n - 1].gens, levels[n].gens
-            diffs.append([[0] * cols for _ in range(rows)])
+            diffs.append([[] for _ in range(levels[n].gens)])
         cx = PresentedComplex(levels, diffs)
         v = dold_kan(cx)
         back = normalize_dk(v)
@@ -174,7 +169,7 @@ def test_cohomotopy_constant_and_zero():
         mats = []
         for i in range(n + 2):
             # constant cosimplicial object: all cofaces identity
-            mats.append([[1]])
+            mats.append([[(0, 1)]])
         cofaces.append(mats)
     w = CosimplicialAbelian(levels, cofaces, [], 3)
     pis = cohomotopy(w, range(3))
@@ -199,7 +194,7 @@ def test_cohomotopy_ext_fixture():
     # Hom(resolution of Z/4 over Z, Z/2) as a cosimplicial object via the
     # hom dual of the Dold-Kan image: H^0 = H^1 = Z/2, H^2 = 0
     cx = PresentedComplex(
-        [Presentation.free(1), Presentation.free(1)], [None, [[4]]]
+        [Presentation.free(1), Presentation.free(1)], [None, [[(0, 4)]]]
     )
     v = dold_kan(cx, truncation=3)
     w = hom_cochain_of_simplicial(v, [2])
@@ -263,7 +258,7 @@ def test_matching_and_hom_dual_checks_do_not_depend_on_assert():
         "        f()",
         "    except AlgebraError as exc:",
         "        print(exc)",
-        "skew = PresentedComplex([Presentation(2, [[2], [2]])], [None])",
+        "skew = PresentedComplex([Presentation(2, [[(0, 2), (1, 2)]])], [None])",
         "fails(lambda: matching(dold_kan(skew, truncation=2), 1))",
         "z = k_object(FGAbelianGroup(1), 1, truncation=3)",
         "fails(lambda: matching(z, 2))",
@@ -371,10 +366,8 @@ def _random_double_complex(rng, smax, tmax):
     cols = []
     for s in range(smax + 1):
         levels = [Presentation.free(rng.randint(0, 2)) for _ in range(tmax + 1)]
-        diffs = [None]
-        for t in range(1, tmax + 1):
-            rows, colsn = levels[t - 1].gens, levels[t].gens
-            diffs.append([[0] * colsn for _ in range(rows)])
+        diffs = [None] + [[[] for _ in range(levels[t].gens)]
+                          for t in range(1, tmax + 1)]
         cols.append(PresentedComplex(levels, diffs))
     hdiffs = [None]
     for s in range(1, smax + 1):
@@ -383,25 +376,30 @@ def _random_double_complex(rng, smax, tmax):
             rows = cols[s - 1].levels[t].gens
             colsn = cols[s].levels[t].gens
             if s % 2 == 1:
-                per_degree.append(
-                    [[rng.randint(-2, 2) for _ in range(colsn)]
-                     for _ in range(rows)]
-                )
+                per_degree.append(random_columns(rng, rows, colsn, -2, 2))
             else:
-                per_degree.append([[0] * colsn for _ in range(rows)])
-        per_degree_ok = per_degree
-        hdiffs.append(per_degree_ok)
+                per_degree.append([[] for _ in range(colsn)])
+        hdiffs.append(per_degree)
     return cols, hdiffs
 
 
 # SHA-256 digests of exact outputs, recorded from the earlier hand-written
 # layouts (a horizontal Dold-Kan of its own, a separate Hom totalization and
-# per-copy projection blocks); the shared dold_kan, _dk_map and
-# with_coefficients route must reproduce them bit for bit
+# per-copy projection blocks) while the maps were dense matrices; the shared
+# dold_kan, _dk_map and with_coefficients route must reproduce them bit for
+# bit, its sparse columns written out densely here
 BISIMPLICIAL_DIGEST = (
     "12f589d6b10f5abaa5e66ef96f7632cff3ab16c7de7d172ed5ea7d72572d2672")
 PATH_PROJECTIONS_DIGEST = (
     "41fd45707fd9c8cf44f9cb745427af99e80376381dbaa3c6ac849f1fdf1e2088")
+
+
+def _dense_maps(b, maps, dp, dq):
+    """maps[p][q] (a list of maps (p, q) -> (p + dp, q + dq), or None)
+    with each map written out as a dense matrix."""
+    return [[None if here is None else
+             [cols_to_matrix(m, b.levels[p + dp][q + dq].gens) for m in here]
+             for q, here in enumerate(row)] for p, row in enumerate(maps)]
 
 
 def _bisimplicial_digest(seed=2024, trials=40):
@@ -420,8 +418,10 @@ def _bisimplicial_digest(seed=2024, trials=40):
                 else _zero_vertical_double_complex)
         b = bisimplicial_from_double_complex(*make(rng, 2, 2), 3)
         h.update(repr((
-            [[(p.gens, p.rels) for p in row] for row in b.levels],
-            b.hfaces, b.vfaces, b.hdegens, b.vdegens,
+            [[(p.gens, cols_to_matrix(p.rels, p.gens)) for p in row]
+             for row in b.levels],
+            _dense_maps(b, b.hfaces, -1, 0), _dense_maps(b, b.vfaces, 0, -1),
+            _dense_maps(b, b.hdegens, 1, 0), _dense_maps(b, b.vdegens, 0, 1),
         )).encode())
         for g in ([2], [3, 0]):
             coh = hom_bicomplex_total_cohomology(b, g, range(3))
@@ -449,7 +449,7 @@ def test_diag_constant_direction_collapses():
     rng = random.Random(7)
     col = PresentedComplex(
         [Presentation.from_moduli([2]), Presentation.free(1)],
-        [None, [[2]]],
+        [None, [[(0, 2)]]],
     )
     b = bisimplicial_from_double_complex([col], [None], truncation=3)
     d = diag(b)
@@ -465,13 +465,13 @@ def test_diag_constant_direction_collapses():
 def test_diag_e2_page_resolutions_both_directions():
     # both directions resolve Z/2: pi_0 diag = Z/2
     col0 = PresentedComplex(
-        [Presentation.free(1), Presentation.free(1)], [None, [[2]]]
+        [Presentation.free(1), Presentation.free(1)], [None, [[(0, 2)]]]
     )
     col1 = PresentedComplex(
-        [Presentation.free(1), Presentation.free(1)], [None, [[2]]]
+        [Presentation.free(1), Presentation.free(1)], [None, [[(0, 2)]]]
     )
     # horizontal differential (x2, x2) is a chain map between the columns
-    hdiffs = [None, [[[2]], [[2]]]]
+    hdiffs = [None, [[[(0, 2)]], [[(0, 2)]]]]
     b = bisimplicial_from_double_complex([col0, col1], hdiffs, truncation=3)
     d = diag(b)
     d.check_identities()
@@ -494,15 +494,13 @@ def test_tot_constant_cosimplicial_direction():
         crow = []
         for t in range(trunc + 1):
             g = inner.levels[t].gens
-            ident = [[1 if i == j else 0 for j in range(g)] for i in range(g)]
+            ident = [[(i, 1)] for i in range(g)]
             row.append([ident for _ in range(s + 2)])
             crow.append([ident for _ in range(s)])
         cofaces.append(row)
         codegens.append(crow)
     inner_faces, _ = inner.columns()
-    faces = [[[_dense_matrix(c, inner.levels[t - 1].gens)
-               for c in inner_faces[t]] if t >= 1 else []
-              for t in range(trunc + 1)]
+    faces = [[inner_faces[t] for t in range(trunc + 1)]
              for _ in range(trunc + 1)]
     w = CosimplicialSimplicial(levels, cofaces, faces, trunc, codegens=codegens)
     pis = tot_homotopy(w, [0, 1])
@@ -528,9 +526,9 @@ def test_tot_names_where_the_differential_leaves_the_conormalized_part():
         "from aq.presented import Presentation",
         "from aq.simplicial import CosimplicialSimplicial, tot",
         "levels = [[Presentation.free(1)] * 2 for _ in range(2)]",
-        "cofaces = [[[[[1]], [[0]]]] * 2]",
-        "codegens = [[[], []], [[[[1]]]] * 2]",
-        "faces = [[[], [[[0]], [[0]]]]] * 2",
+        "cofaces = [[[[[(0, 1)]], [[]]]] * 2]",
+        "codegens = [[[], []], [[[[(0, 1)]]]] * 2]",
+        "faces = [[[], [[[]], [[]]]]] * 2",
         "w = CosimplicialSimplicial(levels, cofaces, faces, 1,",
         "                           codegens=codegens)",
         "try:",

@@ -7,7 +7,6 @@ from aq.errors import AlgebraError
 from aq.snf import (
     IntegerSolver,
     cokernel_diagonal,
-    cols_to_matrix,
     identity_matrix,
     invert_unimodular,
     kernel_basis,
@@ -180,7 +179,7 @@ def test_requested_transforms_match_the_full_call():
 
 def _lattice_basis_by_inverse(vectors, dim):
     """The lattice basis d_j * U^-1 e_j through an explicit inverse of U."""
-    u, d, _ = smith_normal_form(cols_to_matrix(vectors, dim))
+    u, d, _ = smith_normal_form([list(row) for row in zip(*vectors)])
     uinv = invert_unimodular(u)
     return [[d[j][j] * uinv[i][j] for i in range(dim)]
             for j in range(min(dim, len(vectors))) if d[j][j]]
