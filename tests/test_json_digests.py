@@ -1,5 +1,8 @@
-"""The `--json` output of the README examples, of `aq cohomology` on S3 and
-of `aq accept --quick` is pinned byte for byte by its SHA-256, so that a
+"""The `--json` output of the README examples, of `aq cohomology` and the
+action matrices of `aq homology --over` on S3, of the coefficient routes
+on the basis-changed Z/2 resolution `fixtures/z2res-basis.sres` (whose
+degeneracies single out no nondegenerate generators) and of
+`aq accept --quick` is pinned byte for byte by its SHA-256, so that a
 change of representation inside the library cannot change what a user
 reads.  `aq accept` records how long each criterion took; those
 `seconds` fields are the only bytes that differ from run to run, so they
@@ -51,6 +54,25 @@ COMMANDS = {
         ["cohomology", "--theory", "gp", "--algebra", "fixtures/s3.alg",
          "--coeffs", "2", "--max-degree", "1", "--method", "both"],
         "002a67cb2f8c59795fb78d2c375441d80567398361e32006eb70d12cb348489b"),
+    "homology-s3-action": (
+        ["homology", "--theory", "gp", "--algebra", "fixtures/s3.alg",
+         "--over", "fixtures/s3.alg", "--max-degree", "1"],
+        "34f4bd8995da98f56bb6c66a35fa97826ce8630f3278ac89b655bf5477ea2a30"),
+    "homology-z2-basis-over": (
+        ["homology", "--theory", "gp", "--algebra", "fixtures/z2.alg",
+         "--resolution", "fixtures/z2res-basis.sres",
+         "--over", "fixtures/z2.alg", "--max-degree", "2"],
+        "bb37686ef959f0a0b07cf24499329b5b4e3b54805e582ad31e7136d3952aca85"),
+    "homology-z2-basis-coeffs": (
+        ["homology", "--theory", "gp", "--algebra", "fixtures/z2.alg",
+         "--resolution", "fixtures/z2res-basis.sres",
+         "--coeffs", "2", "--max-degree", "2"],
+        "22471bb52e2737e254b4044ba9b1e8bc86b5f23ce3a6c93b6c2f55fb97a33873"),
+    "cohomology-z2-basis": (
+        ["cohomology", "--theory", "gp", "--algebra", "fixtures/z2.alg",
+         "--resolution", "fixtures/z2res-basis.sres",
+         "--coeffs", "2", "--max-degree", "2", "--method", "both"],
+        "e69323268856314ca8f4d0bba2f848a40e9166da3f78c793675f8ea40c11a332"),
 }
 
 ACCEPT_QUICK = (
