@@ -548,6 +548,7 @@ def parse_sres(text, base_dir="", source="<sres>"):
     faces = {}
     degens = {}
     augment = {}
+    augment_line = None
     while p.peek().text != "}":
         line = p.peek().line
         kw = p.expect_ident()
@@ -581,6 +582,7 @@ def parse_sres(text, base_dir="", source="<sres>"):
             (faces if kw == "face" else degens)[(n, i)] = (
                 images, f"{source}:{line}")
         elif kw == "augment":
+            augment_line = line
             p.expect("{")
             while p.peek().text != "}":
                 g = p.expect_ident()
@@ -618,6 +620,9 @@ def parse_sres(text, base_dir="", source="<sres>"):
         else:
             degen_maps.append([])
     aug_map = None
+    if over is None and augment_line is not None:
+        raise FixtureError(f"{source}:{augment_line}: an augment block needs "
+                           f"the over line that names its target")
     if over is not None:
         if set(augment) != set(level_gens[0]):
             raise FixtureError("augment block must cover level-0 generators")
@@ -645,13 +650,22 @@ def _sres_map(block, src, tgt):
         src, tgt, {g: _eval_at(tgt, t, at) for g, (t, at) in images.items()})
 
 
-def write_sres(v: SimplicialTheta, name="resolution"):
-    """Serialize a free simplicial algebra with term-image blocks."""
+def write_sres(v: SimplicialTheta, name="resolution", over=None):
+    """Serialize a free simplicial algebra with term-image blocks.  Its
+    augmentation, if any, needs `over`: the path of the target, relative
+    to the written file, for the `over` line that `parse_sres` reads."""
     from .terms import term_str
 
+    if (over is None) != (v.augmentation is None):
+        raise AlgebraError("write_sres: give over exactly when the "
+                           "resolution has an augmentation")
     sort = v.theory.sorts[0]
     lines = [f"sres {name} {{"]
     lines.append(f"  theory {'gp' if v.theory is GP else v.theory.name}")
+    if over is not None:
+        if '"' in over or "\n" in over:
+            raise AlgebraError(f"write_sres: over {over!r} cannot be quoted")
+        lines.append(f'  over "{over}"')
     lines.append(f"  truncation {v.truncation}")
     for n, lv in enumerate(v.levels):
         lines.append(

@@ -1,10 +1,13 @@
 """Andre-Quillen homology and cohomology of algebras over registered
 theories, computed on certified simplicial resolutions.
 
-Cohomology runs through the cochain route (cohomotopy of the derivation
-cosimplicial group, using the free-level identification Der(F T, K) = K^T)
-and, independently, through mapping into extended Eilenberg-MacLane
-objects.  Homology is the homotopy of the (relative) abelianization.
+Every coefficient route reads one free complex of the free simplicial
+module: Hom into, or tensor with, the coefficients (`with_coefficients`)
+of its normalized complex, reduced by unit pivots where only the groups
+are asked for.  Cohomology also runs, independently, through mapping into
+extended Eilenberg-MacLane objects, on the derivation cosimplicial group
+(the free-level identification Der(F T, K) = K^T).  Homology is the
+homotopy of the (relative) abelianization.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from .presented import (
     Subquotient,
     _apply_columns,
     _vectors,
+    cohomology_at,
     cycle_lattice,
+    homology_of_complex,
     induced_map,
 )
 from .resolutions import abelianized_complex
@@ -27,10 +32,8 @@ from .simplicial import (
     SimplicialFreeModule,
     SimplicialTheta,
     _alternating_sum,
-    cohomotopy,
-    cohomotopy_subquotients,
     moore_homotopy,
-    nondegenerate_cells,
+    require_levels,
 )
 from .snf import cols_to_matrix, mat_mul
 
@@ -74,22 +77,18 @@ def _abelianization(v, x):
     return v
 
 
-def der_cochain(v, k, x=None, cells=None) -> CosimplicialAbelian:
-    """The cosimplicial abelian group n -> Der_{p_n}(V_n, K), with cofaces
-    pulled back along the faces (the free-case identification K^T).
-
-    `cells` restricts level n to the generators cells[n]; on the
-    nondegenerate generators this is the normalized cochain complex.
-    Default: all generators."""
+def der_cochain(v, k, x=None) -> CosimplicialAbelian:
+    """The cosimplicial abelian group n -> Der_{p_n}(V_n, K) on every
+    generator, with cofaces pulled back along the faces (the free-case
+    identification K^T): the derivation complex of the EM route."""
     coeff = _coefficient(k, x)
     ab = _abelianization(v, x)
-    cells = cells or [range(lv.gens) for lv in ab.levels]
-    levels = [
-        Presentation.from_moduli(list(coeff.moduli) * len(c)) for c in cells
-    ]
+    ranks = ab.ranks
+    levels = [Presentation.from_moduli(list(coeff.moduli) * r) for r in ranks]
     face_mats, _ = ab.columns()
     cofaces = [
-        [_act_matrix(fox, coeff, cells[n], cells[n + 1], dual=True)
+        [_act_matrix(fox, coeff, range(ranks[n]), range(ranks[n + 1]),
+                     dual=True)
          for fox in face_mats[n + 1]]
         for n in range(v.truncation)
     ]
@@ -98,41 +97,26 @@ def der_cochain(v, k, x=None, cells=None) -> CosimplicialAbelian:
 
 def cohomology(v, k, degrees, x=None, certificate=None):
     """Andre-Quillen cohomology groups through the cochain route: Hom into
-    the coefficients of the normalized complex reduced by unit pivots
-    (`SimplicialFreeModule.reduced_complex`), or the cohomotopy of the
-    whole derivation complex (`der_cochain`) where the degeneracies leave
-    nothing to reduce."""
+    the coefficients of the reduced complex
+    (`SimplicialFreeModule.reduced_complex`)."""
     _require_valid(certificate)
-    top = max(degrees)
-    if top + 1 > v.truncation:
-        raise AlgebraError("range needs levels up to degree+1")
-    reduced = _abelianization(v, x).reduced_complex()
-    if reduced is None:
-        return cohomotopy(der_cochain(v, k, x=x), degrees)
-    levels, deltas = with_coefficients(*reduced, _coefficient(k, x), top + 1,
-                                       dual=True)
-    # the reduced cochain complex, each coboundary the one coface of its
-    # level, so that its alternating coface sum is the coboundary itself
-    w = CosimplicialAbelian(levels, [[d] for d in deltas[1:]], [], top + 1)
-    return cohomotopy(w, degrees)
-
-
-def cohomology_subquotients(v, k, degrees, x=None):
-    w = der_cochain(v, k, x=x,
-                    cells=nondegenerate_cells(_abelianization(v, x)))
-    return cohomotopy_subquotients(w, degrees), w
+    require_levels(v, degrees)
+    levels, deltas = with_coefficients(
+        *_abelianization(v, x).reduced_complex(), _coefficient(k, x),
+        max(degrees) + 1, dual=True)
+    return {n: cohomology_at(levels, deltas, n).invariants() for n in degrees}
 
 
 def _dual_degen_matrices(v, k, x, coeff):
     """Codegeneracy duals s^j: C^n -> C^{n-1} for normalization."""
     ab = _abelianization(v, x)
-    cells = [range(lv.gens) for lv in ab.levels]
+    ranks = ab.ranks
     _, degen_mats = ab.columns()
     # s_j: V_{n-1} -> V_n (rows: T_n), dual: C^n -> C^{n-1}
     return [[]] + [
-        [_act_matrix(degen_mats[n - 1][j], coeff, cells[n], cells[n - 1],
-                     dual=True) for j in range(n)]
-        for n in range(1, len(cells))
+        [_act_matrix(degen_mats[n - 1][j], coeff, range(ranks[n]),
+                     range(ranks[n - 1]), dual=True) for j in range(n)]
+        for n in range(1, len(ranks))
     ]
 
 
@@ -144,11 +128,10 @@ def cohomology_via_em(v, k, degrees, x=None, certificate=None):
     `degrees`, all read off one derivation complex."""
     _require_valid(certificate)
     degrees = list(degrees)
+    require_levels(v, degrees)
     if not degrees:
         return {}
     top = max(degrees)
-    if top + 1 > v.truncation:
-        raise AlgebraError("degree needs levels up to n+1")
     coeff = _coefficient(k, x)
     w = der_cochain(v, k, x=x)
     duals = _dual_degen_matrices(v, k, x, coeff)
@@ -183,6 +166,7 @@ def homology(v, degrees, x=None, certificate=None, with_action=False):
     Module theories: abelianization is the identity, so this is Moore
     homotopy of the resolution itself."""
     _require_valid(certificate)
+    require_levels(v, degrees)
     if isinstance(v, SimplicialFreeModule):
         # a module certificate has just computed this Moore homotopy
         pis = (certificate.detail.get("abelianized_homotopy", {})
@@ -218,42 +202,16 @@ def _block_diagonal(block, copies):
             for c in range(copies) for b in range(cols)]
 
 
-def _tensored_complex(v, coeff, x=None) -> PresentedComplex:
-    """The abelianization tensored with a coefficient module, normalized:
-    on the nondegenerate generators where `v` has them, otherwise modulo
-    the degeneracy images, as a presented complex."""
-    ab = _abelianization(v, x)
-    face_mats, degen_mats = ab.columns()
-    cells = nondegenerate_cells(ab)
-    normalized = cells is not None
-    cells = cells or [range(lv.gens) for lv in ab.levels]
-    levels = []
-    diffs = [None]
-    for n in range(v.truncation + 1):
-        rels = Presentation.from_moduli(list(coeff.moduli) * len(cells[n])).rels
-        if n >= 1 and not normalized:
-            for s in degen_mats[n - 1]:
-                rels += _act_matrix(s, coeff, cells[n], cells[n - 1])
-        levels.append(Presentation(len(cells[n]) * coeff.dim, rels))
-        if n >= 1:
-            diffs.append(_alternating_sum([
-                _act_matrix(fox, coeff, cells[n - 1], cells[n])
-                for fox in face_mats[n]
-            ]))
-    return PresentedComplex(levels, diffs)
-
-
 def homology_with_coeffs(v, g, degrees, x=None, certificate=None):
-    """Homology with coefficients: tensor of the abelianization with a
-    module over the relevant ring (free levels tensor by the
-    generator-product rule), then homotopy; on the normalized complex
-    reduced by unit pivots where there is one."""
+    """Homology with coefficients: the reduced complex
+    (`SimplicialFreeModule.reduced_complex`) tensored with a module over
+    its ring (free levels tensor by the generator-product rule), then
+    homology."""
     _require_valid(certificate)
-    coeff = _coefficient(g, x)
-    reduced = _abelianization(v, x).reduced_complex()
-    if reduced is None:
-        return _tensored_complex(v, coeff, x=x).homology(degrees)
-    levels, bnds = with_coefficients(*reduced, coeff, max(degrees) + 1)
+    require_levels(v, degrees)
+    levels, bnds = with_coefficients(
+        *_abelianization(v, x).reduced_complex(), _coefficient(g, x),
+        max(degrees) + 1)
     return PresentedComplex(levels, bnds).homology(degrees)
 
 
@@ -279,19 +237,22 @@ def diagram_coefficients(v, nodes, edges, op, degrees, x=None,
     if op not in ("cohomology", "homology"):
         raise AlgebraError(
             f"diagram coefficients: op must be cohomology or homology, not {op!r}")
+    require_levels(v, degrees)
+    # induced maps are read in the canonical coordinates of the
+    # unreduced complex, as the X-action on homology is
+    ranks, diffs = _abelianization(v, x).normalized_complex()
+    top = max(degrees) + 1
     values = {}
     subquots = {}
     for name, coeff in nodes.items():
+        levels, maps = with_coefficients(ranks, diffs, _coefficient(coeff, x),
+                                         top, dual=op == "cohomology")
         if op == "cohomology":
-            subq, _ = cohomology_subquotients(v, coeff, degrees, x=x)
+            subq = {n: cohomology_at(levels, maps, n) for n in degrees}
         else:
-            cx = _tensored_complex(v, _coefficient(coeff, x), x=x)
-            subq = cx.homology_subquotients(degrees)
+            subq = homology_of_complex(levels, maps, degrees)
         subquots[name] = subq
         values[name] = {n: subq[n].invariants() for n in degrees}
-    ab = _abelianization(v, x)
-    cells = nondegenerate_cells(ab)
-    ranks = [len(c) for c in cells] if cells else [lv.gens for lv in ab.levels]
     induced = {}
     for (src, dst), alpha in edges.items():
         co_s = _coefficient(nodes[src], x)

@@ -8,6 +8,7 @@ are dense, and so is what a Subquotient keeps for its solver.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import gcd, lcm
 
 from .abgroups import FGAbelianGroup
@@ -277,14 +278,25 @@ def cycle_lattice(pairs, g):
     if k == 0:
         return []
     lam = lcm(*(d for _, d in modular))
+    # per coordinate, the basis vectors nonzero there and their entries
+    # (one unit vector each when there is no basis), so that a row of N
+    # costs the basis entries at its own nonzeros
+    if basis is None:
+        at = [[(i, 1)] for i in range(g)]
+    else:
+        sparse = [[(i, b[i]) for i in compress(range(g), b)] for b in basis]
+        at = [[] for _ in range(g)]
+        for t, col in enumerate(sparse):
+            for i, x in col:
+                at[i].append((t, x))
     nmat = []
     for row, d in modular:
         scale = lam // d
-        if basis is None:
-            nmat.append([scale * row.get(j, 0) for j in range(g)])
-        else:
-            nz = [(i, x) for i, x in row.items() if x]
-            nmat.append([scale * sum(x * b[i] for i, x in nz) for b in basis])
+        acc = [0] * k
+        for i, x in row.items():
+            for t, y in at[i]:
+                acc[t] += scale * x * y
+        nmat.append(acc)
     _, s, v = smith_normal_form(nmat, want_u=False)
     out = []
     for j in range(k):
@@ -292,13 +304,13 @@ def cycle_lattice(pairs, g):
         if basis is None:
             out.append([c * v[i][j] for i in range(g)])
         else:
-            col = [0] * g
-            for t, b in enumerate(basis):
+            vec = [0] * g
+            for t, col in enumerate(sparse):
                 y = c * v[t][j]
                 if y:
-                    for i, x in enumerate(b):
-                        col[i] += y * x
-            out.append(col)
+                    for i, x in col:
+                        vec[i] += y * x
+            out.append(vec)
     return out
 
 

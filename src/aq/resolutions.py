@@ -152,15 +152,14 @@ def abelianized_complex(v: SimplicialTheta, over=None, reduced=False):
     the group ring Z[X] through the structure maps, then restricted to Z.
     The abelianization is a free simplicial module (`abelianization`), so
     this is its normalized complex (`_normalized_quotient`); `reduced`
-    gives that complex reduced by unit pivots over the ring
-    (`reduced_quotient`), where there is one.  Returns
+    gives its reduced complex (`reduced_quotient`) instead.  Returns
     (PresentedComplex, ranks, ring), ranks the generator counts per level
     of that complex.
     """
     ab = v.abelianization(over is not None)
-    red = ab.reduced_complex() if reduced else None
-    if red is not None:
-        return reduced_quotient(ab, v.truncation), red[0], ab.ring
+    if reduced:
+        return reduced_quotient(ab, v.truncation), ab.reduced_complex()[0], \
+            ab.ring
     cx, cells = _normalized_quotient(ab, v.truncation)
     return cx, [len(c) for c in cells], ab.ring
 
@@ -205,7 +204,9 @@ def check_certificate(v, x, rng) -> ResolutionCertificate:
         detail["identity_failure"] = str(exc)
     checks["degreewise_free"] = v.is_free_levelwise()
     checks["pi0"] = _pi0_matches(v, x) if checks["degreewise_free"] else False
-    if checks["simplicial_identities"] and checks["degreewise_free"]:
+    # the abelianization over x is taken along the augmentation
+    if checks["simplicial_identities"] and checks["degreewise_free"] \
+            and v.augmentation is not None:
         ok, got = _abelianized_acyclic(v, x, rng)
         checks["abelianized_acyclic"] = ok
         detail["abelianized_homotopy"] = got
@@ -215,6 +216,8 @@ def check_certificate(v, x, rng) -> ResolutionCertificate:
 
 
 def _pi0_matches(v: SimplicialTheta, x) -> bool:
+    if v.augmentation is None:
+        return False
     sort = v.theory.sorts[0]
     lvl0, lvl1 = v.levels[0], v.levels[1]
     gens = lvl0.generators[sort]

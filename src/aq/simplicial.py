@@ -326,21 +326,24 @@ class SimplicialFreeModule(_MatrixSimplicial):
         return m1 == m2 or len(m1) == len(m2) and all(
             a == b or dict(a) == dict(b) for a, b in zip(m1, m2))
 
+    def normalized_complex(self):
+        """(ranks, diffs): the normalized (Moore) complex through the
+        truncation, the alternating face sums as sparse R-columns on
+        `nondegenerate_cells`; on every generator when the degeneracies
+        single out none, which is the unnormalized complex, of the same
+        homotopy type.  The free complex every coefficient route reads."""
+        cells = nondegenerate_cells(self) or [range(r) for r in self.ranks]
+        return [len(c) for c in cells], _alternating_columns(self, cells)
+
     def reduced_complex(self):
-        """(ranks, diffs): the normalized complex through the truncation,
-        the alternating face sums on `nondegenerate_cells`, reduced by
-        unit pivots (`reduce_by_units`) and checked to square to zero;
-        None when the degeneracies do not single out nondegenerate
-        generators.  Built once and kept."""
+        """(ranks, diffs): `normalized_complex()` reduced by unit pivots
+        (`reduce_by_units`), chain homotopy equivalent to it, and checked
+        to square to zero.  Built once and kept."""
         if self._reduced is None:
-            cells = nondegenerate_cells(self)
-            red = None
-            if cells is not None:
-                red = reduce_by_units(self.ring, [len(c) for c in cells],
-                                      _alternating_columns(self, cells))
-                check_square_zero(self.ring, red[1])
-            self._reduced = (red,)
-        return self._reduced[0]
+            red = reduce_by_units(self.ring, *self.normalized_complex())
+            check_square_zero(self.ring, red[1])
+            self._reduced = red
+        return self._reduced
 
 
 # ---------------------------------------------------------------------------
@@ -736,14 +739,10 @@ def check_square_zero(ring, diffs):
 
 
 def reduced_quotient(v, top):
-    """The normalized complex of a SimplicialFreeModule `v` reduced by
-    unit pivots (`SimplicialFreeModule.reduced_complex`), realized over Z
-    through level `top`; None for any other `v`, or when `v` has no
-    nondegenerate generators to reduce."""
-    red = v.reduced_complex() if isinstance(v, SimplicialFreeModule) else None
-    if red is None:
-        return None
-    ranks, diffs = red
+    """The reduced complex of a SimplicialFreeModule `v`
+    (`SimplicialFreeModule.reduced_complex`) realized over Z through
+    level `top`."""
+    ranks, diffs = v.reduced_complex()
     ranks = ranks[:top + 1]
     return _realize(v.ring, ranks, [[]] * len(ranks), diffs[:top + 1])
 
@@ -795,18 +794,28 @@ def _alternating_sum(maps):
     return out
 
 
+def require_levels(v, degrees):
+    """Raise an AlgebraError naming the degree and the truncation unless
+    `v` has level max(degrees) + 1, where the boundaries of the top degree
+    (or the coboundaries out of it) come from."""
+    top = max(degrees, default=-1)
+    if top + 1 > v.truncation:
+        raise AlgebraError(
+            f"degree {top} needs level {top + 1}, above the truncation "
+            f"{v.truncation}")
+
+
 def moore_homotopy(v, degrees):
     """Homotopy groups of a simplicial abelian object: homology of the
     normalized (Moore) complex, built through level max(degrees) + 1;
-    for a free simplicial module, of that complex reduced by unit pivots.
+    for a free simplicial module, of its reduced complex
+    (`reduced_quotient`).
     """
+    require_levels(v, degrees)
     top = max(degrees)
-    if top + 1 > v.truncation:
-        raise AlgebraError(
-            f"truncation {v.truncation} too small for degree {top}"
-        )
-    quo = reduced_quotient(v, top + 1)
-    if quo is None:
+    if isinstance(v, SimplicialFreeModule):
+        quo = reduced_quotient(v, top + 1)
+    else:
         quo, _ = _normalized_quotient(v, top + 1)
     return quo.homology(degrees)
 
@@ -860,11 +869,6 @@ def cohomotopy(w: CosimplicialAbelian, degrees):
     for n in degrees:
         out[n] = cohomology_at(cx.levels, cx.diffs, n).invariants()
     return out
-
-
-def cohomotopy_subquotients(w: CosimplicialAbelian, degrees):
-    cx = w.total_cochain_complex()
-    return {n: cohomology_at(cx.levels, cx.diffs, n) for n in degrees}
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,10 @@ import pytest
 from aq.algebras import cyclic_group, klein_four, symmetric_3
 from aq.beck import XModule
 from aq.fixtures import load_algebra, load_sres
-from aq.invariants import der_cochain
+from aq.invariants import _abelianization, _coefficient, der_cochain
+from aq.presented import Presentation
 from aq.resolutions import abelianized_complex, loop_group_resolution
-from aq.rings import CoefficientModule, Ring
+from aq.rings import CoefficientModule, Ring, _act_matrix
 from aq.snf import cols_to_matrix
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -48,10 +49,23 @@ def _complex_digest(v, over):
 
 
 def _cochain_digest(v, k, x, cells):
-    w = der_cochain(v, k, x=x, cells=cells)
-    cofaces = [[cols_to_matrix(c, w.levels[n + 1].gens) for c in maps]
-               for n, maps in enumerate(w.cofaces)]
-    return _digest({"levels": _levels(w.levels), "cofaces": cofaces})
+    """The derivation complex on every generator (`der_cochain`), or, given
+    `cells`, its levels and cofaces restricted to the generators cells[n]
+    of each level n."""
+    if cells is None:
+        w = der_cochain(v, k, x=x)
+        levels, cofaces = w.levels, w.cofaces
+    else:
+        coeff = _coefficient(k, x)
+        face_mats, _ = _abelianization(v, x).columns()
+        levels = [Presentation.from_moduli(list(coeff.moduli) * len(c))
+                  for c in cells]
+        cofaces = [[_act_matrix(fox, coeff, cells[n], cells[n + 1], dual=True)
+                    for fox in face_mats[n + 1]]
+                   for n in range(v.truncation)]
+    return _digest({"levels": _levels(levels), "cofaces": [
+        [cols_to_matrix(c, levels[n + 1].gens) for c in maps]
+        for n, maps in enumerate(cofaces)]})
 
 
 def _nondegenerate_tuples(v, g):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from aq.abgroups import FGAbelianGroup, FinAb
-from aq.algebras import cyclic_group, find_isomorphism
+from aq.algebras import AlgebraError, cyclic_group, find_isomorphism
 from aq.cli import _load_theory_arg, main
 from aq.dsl import DslSyntaxError
 from aq.fixtures import (
@@ -18,7 +18,7 @@ from aq.fixtures import (
     write_alg,
     write_sres,
 )
-from aq.resolutions import check_certificate
+from aq.resolutions import check_certificate, loop_group_resolution
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -163,11 +163,72 @@ def test_cli_accept_quick(tmp_path, capsys):
 
 def test_sres_round_trip():
     v = load_sres(fx("z2res.sres"))
-    text = write_sres(v, name="z2res")
+    text = write_sres(v, name="z2res", over="z2.alg")
     import aq.fixtures as F
 
     v2 = F.parse_sres(text, base_dir=FIXTURES)
     v2.check_identities()
+    # the augmentation and its target survive, and so does the certificate
+    assert v2.augmentation.mapping == v.augmentation.mapping
+    assert v2.target.carriers == v.target.carriers
+    cert = check_certificate(v2, v2.target, rng=2)
+    assert cert.valid, cert.checks
+    # an augmentation cannot be written without the over line it needs
+    with pytest.raises(AlgebraError, match="^write_sres: give over"):
+        write_sres(v)
+
+
+def _z2res_without_over(keep_augment):
+    """z2res.sres without its over line, and without its augment block
+    unless `keep_augment`."""
+    text = fx_text("z2res.sres").replace('  over "z2.alg"\n', "")
+    if not keep_augment:
+        text = text.replace("  augment {\n    t/a -> a\n  }\n", "")
+    return text
+
+
+def test_an_sres_without_over_fails_the_pi0_check(tmp_path, capsys):
+    path = tmp_path / "z2res-no-over.sres"
+    path.write_text(_z2res_without_over(keep_augment=False))
+    code = main(["cohomology", "--theory", "gp", "--algebra", fx("z2.alg"),
+                 "--resolution", str(path), "--coeffs", "2"])
+    assert code == 1
+    assert "resolution certificate failed: ['pi0', 'abelianized_acyclic']" \
+        in capsys.readouterr().err
+
+
+def test_an_augment_block_without_over_exits_2_at_its_line(tmp_path, capsys):
+    text = _z2res_without_over(keep_augment=True)
+    path = tmp_path / "z2res-no-over.sres"
+    path.write_text(text)
+    line = text.splitlines().index("  augment {") + 1
+    assert main(["check", str(path)]) == 2
+    assert f"{path}:{line}: an augment block needs the over line" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [[], ["--over", fx("z3.alg")],
+                                   ["--coeffs", "2"]],
+                         ids=["absolute", "over", "coeffs"])
+def test_a_written_resolution_read_at_its_truncation_exits_1(
+        extra, tmp_path, capsys):
+    # Z/3 through level 2, written with its augmentation: degree 2 has no
+    # boundaries there and is refused by every homology route; degree 1
+    # agrees with the loop-group route
+    z3 = fx("z3.alg")
+    path = tmp_path / "z3t2.sres"
+    path.write_text(write_sres(
+        loop_group_resolution(load_algebra(z3), truncation=2), over=z3))
+    argv = ["homology", "--theory", "gp", "--algebra", z3, *extra]
+    assert main(argv + ["--resolution", str(path), "--max-degree", "2"]) == 1
+    assert "degree 2 needs level 3, above the truncation 2" in \
+        capsys.readouterr().err
+    assert main(argv + ["--resolution", str(path), "--max-degree", "1",
+                        "--json", str(tmp_path / "sres.json")]) == 0
+    assert main(argv + ["--max-degree", "1",
+                        "--json", str(tmp_path / "loop.json")]) == 0
+    assert (tmp_path / "sres.json").read_text() == \
+        (tmp_path / "loop.json").read_text()
 
 
 @pytest.mark.parametrize("which", ["direct", "semidirect", "quotient",
@@ -440,7 +501,8 @@ def test_cli_algebra_error_exits_1_naming_the_check(capsys):
                  "--max-degree", "3"])
     err = capsys.readouterr().err
     assert code == 1
-    assert "check failed: range needs levels up to degree+1" in err
+    assert "check failed: degree 3 needs level 4, above the truncation 3" \
+        in err
 
 
 @pytest.mark.parametrize("ring", ["Z/0", "Z/1", "Z/x", "Z[C0]", "Q"])

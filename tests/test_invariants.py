@@ -145,7 +145,7 @@ def test_em_route_matches_brute_force_simplicial_maps():
     from itertools import product as iproduct
 
     from aq.simplicial import eilenberg_maclane
-    from aq.invariants import cohomology_subquotients, der_cochain
+    from aq.invariants import der_cochain
 
     z2 = cyclic_group(2)
     k = XModule.trivial(z2, [2])

@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from aq import invariants, simplicial
+from aq import simplicial
 from aq.abgroups import FGAbelianGroup, FinAb
 from aq.algebras import (
     AlgebraError,
@@ -29,6 +29,7 @@ from aq.invariants import (
     cohomology,
     cohomology_via_em,
     der_cochain,
+    diagram_coefficients,
     homology,
     homology_with_coeffs,
 )
@@ -52,6 +53,7 @@ from aq.simplicial import (
     SimplicialFreeModule,
     SimplicialIdentityError,
     _degenerate_quotient,
+    check_square_zero,
     cohomotopy,
     k_object,
     matching,
@@ -243,8 +245,23 @@ def test_normalized_module_route_matches_the_degenerate_quotient(
     assert cohomology(v, k, degrees) == \
         cohomotopy(der_cochain(v, k), degrees)
     normalized = homology_with_coeffs(v, k, degrees)
-    monkeypatch.setattr(invariants, "nondegenerate_cells", lambda v: None)
-    assert invariants._tensored_complex(v, k).homology(degrees) == normalized
+    assert _tensored(v.normalized_complex(), k) == normalized
+    # where no generators are singled out, the free complex is the
+    # unnormalized one, and it gives the same homology
+    monkeypatch.setattr(simplicial, "nondegenerate_cells", lambda v: None)
+    unnormalized = v.normalized_complex()
+    assert unnormalized[0] == v.ranks
+    assert _tensored(unnormalized, k) == normalized
+    fresh = SimplicialFreeModule(ring, v.ranks, *v.columns(), v.truncation)
+    assert homology_with_coeffs(fresh, k, degrees) == normalized
+    assert cohomology(fresh, k, degrees) == cohomology(v, k, degrees)
+
+
+def _tensored(free_complex, k, degrees=range(3)):
+    """Homology in `degrees` of the free complex (ranks, diffs) tensored
+    with the coefficients `k`."""
+    levels, maps = with_coefficients(*free_complex, k, max(degrees) + 1)
+    return simplicial.PresentedComplex(levels, maps).homology(degrees)
 
 
 def _sparse_column(entries):
@@ -306,15 +323,22 @@ def with_entry(v, kind, n, i, row, col, change):
     return w
 
 
-@pytest.mark.parametrize("name", ["Z/4", "Z[C3]"])
-def test_module_fallback_for_a_degeneracy_that_is_not_one_unit(name):
+def _rebased_resolution(name):
+    """(m, v, w): a seeded module over the ring `name`, its resolution v
+    through level 3, and w, v with level 1 rebased so that s_0 sends a
+    generator to the sum of two."""
     ring = RINGS[name]()
     m = _seeded_module(ring, 7 if name == "Z/4" else 3)
     v = resolve_module(m, length=3)
     cells = nondegenerate_cells(v)
     degenerate = [i for i in range(v.ranks[1]) if i not in cells[1]]
-    w = _rebased(v, 1, cells[1][0], degenerate[0])
-    # s_0 now sends a generator to the sum of two
+    return m, v, _rebased(v, 1, cells[1][0], degenerate[0])
+
+
+@pytest.mark.parametrize("name", ["Z/4", "Z[C3]"])
+def test_module_fallback_for_a_degeneracy_that_is_not_one_unit(name):
+    m, v, w = _rebased_resolution(name)
+    ring = v.ring
     assert nondegenerate_cells(w) is None
     cert = check_certificate(w, m, rng=2)
     assert cert.valid, cert.checks
@@ -325,6 +349,68 @@ def test_module_fallback_for_a_degeneracy_that_is_not_one_unit(name):
         homology_with_coeffs(v, k, degrees)
     assert cohomology(w, k, degrees) == cohomology(v, k, degrees)
     assert cohomology_via_em(w, k, [2])[2] == cohomology_via_em(v, k, [2])[2]
+
+
+def _check_reduced_fallback(ab):
+    """The free simplicial module `ab` singles out no nondegenerate
+    generators, yet its reduced complex exists, squares to zero and has
+    the homology of the degenerate-image quotient below the truncation."""
+    assert nondegenerate_cells(ab) is None
+    ranks, diffs = ab.reduced_complex()
+    assert [len(d) for d in diffs[1:]] == ranks[1:]
+    check_square_zero(ab.ring, diffs)
+    top = ab.truncation
+    reference, _ = _degenerate_quotient(ab, top)
+    assert simplicial.reduced_quotient(ab, top).homology(range(top)) == \
+        reference.homology(range(top))
+
+
+def _diagram_values(v, trivial, moduli, x=None):
+    """The values and the functoriality of diagram coefficients on `v`,
+    for the trivial coefficients Z/m^2 and two copies of Z/m
+    (m = moduli[0]): a commuting triangle of the reduction and the
+    identity, and multiplication by m back into Z/m^2."""
+    m = moduli[0]
+    nodes = {"big": trivial([m * m]), "small": trivial([m]),
+             "copy": trivial([m])}
+    edges = {("big", "small"): [[1]], ("small", "copy"): [[1]],
+             ("big", "copy"): [[1]], ("copy", "big"): [[m]]}
+    out = {}
+    for op in ("cohomology", "homology"):
+        got = diagram_coefficients(v, nodes, edges, op, range(v.truncation),
+                                   x=x)
+        out[op] = got["values"], got["functorial"]
+    return out
+
+
+@pytest.mark.parametrize("relative", [False, True])
+def test_a_resolution_with_degeneracies_into_words_has_a_reduced_complex(
+        relative):
+    z2 = load_algebra(os.path.join(FIXTURES, "z2.alg"))
+    v = load_sres(os.path.join(FIXTURES, "z2res-basis.sres"))
+    _check_reduced_fallback(v.abelianization(relative))
+    loop = loop_group_resolution(z2, truncation=3)
+    x = z2 if relative else None
+
+    def trivial(moduli):
+        return XModule.trivial(z2, moduli)
+
+    got = _diagram_values(v, trivial, [2], x=x)
+    assert got == _diagram_values(loop, trivial, [2], x=x)
+    assert all(functorial for _, functorial in got.values())
+
+
+@pytest.mark.parametrize("name", ["Z/4", "Z[C3]"])
+def test_a_rebased_module_resolution_has_a_reduced_complex(name):
+    _, v, w = _rebased_resolution(name)
+    _check_reduced_fallback(w)
+
+    def trivial(moduli):
+        return CoefficientModule.trivial(v.ring, moduli)
+
+    got = _diagram_values(w, trivial, COEFFS[name])
+    assert got == _diagram_values(v, trivial, COEFFS[name])
+    assert all(functorial for _, functorial in got.values())
 
 
 @pytest.mark.parametrize("name,seed", SEEDS[::2])
@@ -355,12 +441,11 @@ def test_module_routes_build_no_dense_matrices(name, seed):
                for d in v.dk_source.diffs[1:] for column in d
                for pair in column)
     presented = [simplicial.reduced_quotient(v, 3),
-                 invariants._tensored_complex(v, k),
                  simplicial._normalized_quotient(v, 3)[0]]
-    for dual in (True, False):
-        levels, maps = with_coefficients(*v.reduced_complex(), k, 3,
-                                         dual=dual)
-        presented.append(simplicial.PresentedComplex(levels, maps))
+    for free_complex in (v.reduced_complex(), v.normalized_complex()):
+        for dual in (True, False):
+            levels, maps = with_coefficients(*free_complex, k, 3, dual=dual)
+            presented.append(simplicial.PresentedComplex(levels, maps))
     for cx in presented:
         assert all(isinstance(pair, tuple) and len(pair) == 2
                    for d in cx.diffs[1:] for column in d for pair in column)

@@ -24,13 +24,12 @@ from aq.fixtures import (
 )
 from aq.invariants import (
     _coefficient,
-    _tensored_complex,
     cohomology,
     cohomology_via_em,
-    der_cochain,
     homology,
     homology_with_coeffs,
 )
+from aq.presented import cohomology_at
 from aq.resolutions import (
     abelianized_complex,
     bar_resolution_group,
@@ -38,12 +37,12 @@ from aq.resolutions import (
     loop_group_resolution,
     resolve_module,
 )
-from aq.rings import CoefficientModule, Ring
+from aq.rings import CoefficientModule, Ring, with_coefficients
 from aq.simplicial import (
+    PresentedComplex,
     _alternating_columns,
     _normalized_quotient,
     check_square_zero,
-    cohomotopy,
     moore_homotopy,
     nondegenerate_cells,
     reduce_by_units,
@@ -120,7 +119,6 @@ def test_reduced_ranks_of_s3_are_pinned(monkeypatch):
     monkeypatch.setattr(resolutions, "_normalized_quotient", unreduced)
     monkeypatch.setattr(simplicial, "_normalized_quotient", unreduced)
     monkeypatch.setattr(invariants, "der_cochain", unreduced)
-    monkeypatch.setattr(invariants, "_tensored_complex", unreduced)
     cert = check_certificate(v, g, rng=2)
     assert cert.valid, cert.checks
     k = XModule.trivial(g, [2])
@@ -165,16 +163,26 @@ def test_reduced_and_unreduced_agree_on_group_fixtures(name):
     degrees = range(v.truncation)
     for x in (None, g):
         ab = v.abelianization(x is not None)
-        cells = nondegenerate_cells(ab)
         unreduced, _, _ = abelianized_complex(v, over=x)
         reduced, _, _ = abelianized_complex(v, over=x, reduced=True)
         assert reduced.homology(degrees) == unreduced.homology(degrees)
         for k in coeffs:
-            full = cohomotopy(der_cochain(v, k, x=x, cells=cells), degrees)
-            assert cohomology(v, k, degrees, x=x) == full, (x, k.action)
-            tensored = _tensored_complex(v, _coefficient(k, x), x=x)
-            assert homology_with_coeffs(v, k, degrees, x=x) == \
-                tensored.homology(degrees), (x, k.action)
+            hom, tensor = _unreduced_values(ab, _coefficient(k, x), degrees)
+            assert cohomology(v, k, degrees, x=x) == hom, (x, k.action)
+            assert homology_with_coeffs(v, k, degrees, x=x) == tensor, \
+                (x, k.action)
+
+
+def _unreduced_values(ab, coeff, degrees):
+    """The cohomology and the homology in `degrees` of Hom into and tensor
+    with `coeff` of the unreduced free complex of `ab`
+    (`normalized_complex`)."""
+    top = max(degrees) + 1
+    levels, deltas = with_coefficients(*ab.normalized_complex(), coeff, top,
+                                       dual=True)
+    hom = {n: cohomology_at(levels, deltas, n).invariants() for n in degrees}
+    levels, bnds = with_coefficients(*ab.normalized_complex(), coeff, top)
+    return hom, PresentedComplex(levels, bnds).homology(degrees)
 
 
 def _xmods_over(g):
@@ -202,13 +210,11 @@ def _module_fixtures():
 def test_reduced_and_unreduced_agree_on_module_fixtures(name, module, k):
     v = resolve_module(module, length=4)
     degrees = range(4)
-    assert v.reduced_complex() is not None
     unreduced, _ = _normalized_quotient(v, 4)
     assert moore_homotopy(v, degrees) == unreduced.homology(degrees)
-    full = cohomotopy(der_cochain(v, k, cells=nondegenerate_cells(v)), degrees)
-    assert cohomology(v, k, degrees) == full
-    assert homology_with_coeffs(v, k, degrees) == \
-        _tensored_complex(v, k).homology(degrees)
+    hom, tensor = _unreduced_values(v, k, degrees)
+    assert cohomology(v, k, degrees) == hom
+    assert homology_with_coeffs(v, k, degrees) == tensor
 
 
 @pytest.mark.parametrize("modulus", [2, 3])
