@@ -158,8 +158,8 @@ def abelianized_complex(v: SimplicialTheta, over=None, reduced=False):
     """
     ab = v.abelianization(over is not None)
     if reduced:
-        return reduced_quotient(ab, v.truncation), ab.reduced_complex()[0], \
-            ab.ring
+        ranks, _ = ab.reduced_complex()
+        return reduced_quotient(ab, v.truncation), ranks, ab.ring
     cx, cells = _normalized_quotient(ab, v.truncation)
     return cx, [len(c) for c in cells], ab.ring
 
