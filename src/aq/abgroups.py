@@ -180,7 +180,9 @@ def invariants_from_addition(elements, add, zero):
     """Invariants of a finite abelian group given by an explicit addition.
 
     Works on any hashable element list; classic peel-off of a maximal-order
-    cyclic summand, recursing on the quotient.
+    cyclic summand, recursing on the quotient.  Each element is mapped to
+    the representative of its coset once, so an addition in the quotient
+    is one `add` and one lookup.
     """
     elements = list(elements)
     if len(elements) == 1:
@@ -194,31 +196,25 @@ def invariants_from_addition(elements, add, zero):
         return n
 
     orders = {x: order_of(x) for x in elements}
-    gen = max(elements, key=lambda x: (orders[x], elements.index(x) * -1))
+    # the first element of maximal order: max keeps the first of equal keys
+    gen = max(elements, key=orders.__getitem__)
     d = orders[gen]
-    # cosets of <gen>
+    # cosets of <gen>, each represented by its first element
     cyclic = []
     y = zero
     for _ in range(d):
         cyclic.append(y)
         y = add(y, gen)
-    seen = {}
+    rep_of = {}
     reps = []
     for x in elements:
-        key = frozenset(_serialize(add(x, c)) for c in cyclic)
-        if key not in seen:
-            seen[key] = len(reps)
+        if x not in rep_of:
             reps.append(x)
+            for c in cyclic:
+                rep_of[add(x, c)] = x
 
     def q_add(a, b):
-        s = add(a, b)
-        key = frozenset(_serialize(add(s, c)) for c in cyclic)
-        return reps[seen[key]]
+        return rep_of[add(a, b)]
 
-    q_zero = reps[seen[frozenset(_serialize(c) for c in cyclic)]]
-    rest = invariants_from_addition(reps, q_add, q_zero)
+    rest = invariants_from_addition(reps, q_add, rep_of[zero])
     return FGAbelianGroup.from_divisors(list(rest.torsion) + [d])
-
-
-def _serialize(x):
-    return repr(x)

@@ -305,6 +305,12 @@ def semidirect_product(k: XModule, x: FiniteAlgebra, name=None, validate=True):
     SemidirectProduct; its projection and its zero section are checked to
     be homomorphisms.
 
+    The multiplication (k1, x1)(k2, x2) = (k1 + x1.k2, x1 x2) is read from
+    three tables indexed by element position, K's addition (|K|^2 adds),
+    the action x.k and X's multiplication, and written in the key order
+    of product(pairs, repeat=2).  The other operations apply f_hat once
+    per X-tuple.
+
     The action invariants were checked at XModule construction; with
     validate=True the product's tables are re-checked against the theory
     equations exhaustively (cubic in the order, so large Eilenberg-MacLane
@@ -323,8 +329,12 @@ def semidirect_product(k: XModule, x: FiniteAlgebra, name=None, validate=True):
     }
     pairs = list(labels)
     carrier = [labels[pk] for pk in pairs]
+    mul = x.group_ops(sort)[0]
     tables = {}
     for op in x.theory.ops:
+        if op.name == mul:
+            tables[mul] = _semidirect_mul(k, x, kels, xels, labels)
+            continue
         # f_hat(-, xs) and X(f)(xs) depend on the X-tuple alone
         per_x = {
             xs: (k.f_hat(op.name, xs), x.apply(op.name, xs))
@@ -352,6 +362,29 @@ def semidirect_product(k: XModule, x: FiniteAlgebra, name=None, validate=True):
             and zero_section.is_homomorphism()):
         raise AlgebraError("not a homomorphism")
     return sd
+
+
+def _semidirect_mul(k: XModule, x: FiniteAlgebra, kels, xels, labels):
+    """The table of (k1, x1)(k2, x2) = (k1 + x1.k2, x1 x2) on the labels
+    of the pairs, keys in the order of product(pairs, repeat=2)."""
+    kpos = {ke: i for i, ke in enumerate(kels)}
+    xpos = {xe: j for j, xe in enumerate(xels)}
+    add = [[kpos[k.carrier.add(a, b)] for b in kels] for a in kels]
+    act = {xe: [kpos[k.act(xe, ke)] for ke in kels] for xe in xels}
+    xmul = {x1: [xpos[x.gmul(x1, x2, k.sort)] for x2 in xels] for x1 in xels}
+    # lab[i][j]: the label of (kels[i], xels[j])
+    lab = [[labels[(ke, xe)] for xe in xels] for ke in kels]
+    xidx = range(len(xels))
+    tab = {}
+    for i1, row1 in enumerate(lab):
+        add1 = add[i1]
+        for j1, x1 in enumerate(xels):
+            left, act1, prod1 = row1[j1], act[x1], xmul[x1]
+            for i2, row2 in enumerate(lab):
+                out = lab[add1[act1[i2]]]
+                for j2 in xidx:
+                    tab[(left, row2[j2])] = out[prod1[j2]]
+    return tab
 
 
 def hom_as_derivations(p: AlgebraMap, k: XModule):

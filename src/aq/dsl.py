@@ -52,7 +52,12 @@ def tokenize(text):
     """Tokens of a .thy or fixture text: identifiers (which may contain
     `.@/'|`), punctuation `-> { } ( ) : , = $ [ ] -`, and "quoted" strings
     that end on their own line; `#` starts a comment."""
-    tokens = []
+    return list(_iter_tokens(text))
+
+
+def _iter_tokens(text):
+    """The tokens of `tokenize`, produced one at a time as they are read,
+    ending with an `eof` token."""
     line, col = 1, 1
     i = 0
     n = len(text)
@@ -75,17 +80,17 @@ def tokenize(text):
             j = text.find('"', i + 1)
             if j < 0 or "\n" in text[i:j]:
                 raise DslSyntaxError(line, col, "unterminated string")
-            tokens.append(_Token("string", text[i + 1:j], line, col))
+            yield _Token("string", text[i + 1:j], line, col)
             col += j - i + 1
             i = j + 1
             continue
         if text.startswith("->", i):
-            tokens.append(_Token("punct", "->", line, col))
+            yield _Token("punct", "->", line, col)
             i += 2
             col += 2
             continue
         if c in "{}():,=$[]-":
-            tokens.append(_Token("punct", c, line, col))
+            yield _Token("punct", c, line, col)
             i += 1
             col += 1
             continue
@@ -93,13 +98,26 @@ def tokenize(text):
             j = i
             while j < n and text[j] in _IDENT_CHARS:
                 j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
+            yield _Token("ident", text[i:j], line, col)
             col += j - i
             i = j
             continue
         raise DslSyntaxError(line, col, f"unexpected character {c!r}")
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+    yield _Token("eof", "", line, col)
+
+
+class _TokenPrefix(list):
+    """The tokens of a text, tokenized only as far as a parser reads them:
+    for reading the header of a file without tokenizing its body."""
+
+    def __init__(self, text):
+        super().__init__()
+        self._stream = _iter_tokens(text)
+
+    def __getitem__(self, i):
+        while len(self) <= i:
+            self.append(next(self._stream))
+        return super().__getitem__(i)
 
 
 class _Parser:

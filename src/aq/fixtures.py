@@ -26,6 +26,7 @@ from .dsl import (
     _IDENT_CHARS,
     DslSyntaxError,
     _Parser,
+    _TokenPrefix,
     parse_file,
     parse_theory,
     tokenize,
@@ -162,9 +163,11 @@ def _algebra_header(p: _FixtureParser, base_dir):
 
 
 def declared_theory(path) -> TheoryPresentation:
-    """The theory that the `theory` line of an .alg file names."""
+    """The theory that the `theory` line of an .alg file names, read from
+    the tokens of the header alone: the body is tokenized once, by the
+    parse that reads it."""
     def header_theory(text):
-        p = _FixtureParser(tokenize(text))
+        p = _FixtureParser(_TokenPrefix(text))
         return _algebra_header(p, os.path.dirname(path))[1]
 
     return parse_file(path, header_theory)

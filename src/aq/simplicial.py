@@ -933,7 +933,11 @@ def matching(v, n):
     for i < j.
 
     Returns (invariants of M_n, comparison map level_n -> M_n bijective?).
-    Levels must be finite; this is the dual finite limit, enumerated.
+    Levels must be finite; this is the dual finite limit, enumerated
+    exhaustively: for n >= 2 the compatible tuples are built one coordinate
+    at a time, each x_j looked up by its faces among the elements of level
+    n-1 (`_compatible_tuples`), in the lexicographic order of
+    product(level n-1, repeat=n+1) but without forming that product.
     """
     if v.ring.kind != "Z":
         raise AlgebraError("matching: the maps must be integer columns")
@@ -954,14 +958,12 @@ def matching(v, n):
                                                     len(mods)), mods))
 
     # level 0 has no faces, so M_1 = X_0 x X_0; above, each face image of
-    # an element of level n-1 is computed once and the tuples compare them
-    img = [{x: face(n - 1, i, x) for x in below}
-           for i in range(n if n >= 2 else 0)]
-    tuples = [
-        combo for combo in product(below, repeat=n + 1)
-        if n < 2 or all(img[i][combo[j]] == img[j - 1][combo[i]]
-                        for i in range(n + 1) for j in range(i + 1, n + 1))
-    ]
+    # an element of level n-1 is computed once
+    if n == 1:
+        tuples = list(product(below, repeat=2))
+    else:
+        tuples = _compatible_tuples(
+            below, [{x: face(n - 1, i, x) for x in below} for i in range(n)])
 
     def add_tuples(a, b):
         return tuple(
@@ -986,6 +988,27 @@ def matching(v, n):
     bijective = injective and len(images) == len(tuples) and \
         images == set(tuples)
     return inv, bijective
+
+
+def _compatible_tuples(below, img):
+    """The tuples (x_0, ..., x_n) of elements of `below` with
+    d_i x_j = d_{j-1} x_i for i < j, where img[i][x] = d_i x (n = len(img)),
+    in the lexicographic order of product(below, repeat=n + 1).
+
+    Built one coordinate at a time: x_j extends a compatible prefix exactly
+    when (d_0 x_j, ..., d_{j-1} x_j) is (d_{j-1} x_0, ..., d_{j-1} x_{j-1}),
+    so it is looked up among the elements of `below` grouped by their first
+    j faces.  Each prefix is extended in the order of `below`, which keeps
+    the tuples in lexicographic order."""
+    tuples = [(x,) for x in below]
+    for j in range(1, len(img) + 1):
+        by_faces = {}
+        for x in below:
+            by_faces.setdefault(tuple(img[i][x] for i in range(j)),
+                                []).append(x)
+        tuples = [t + (x,) for t in tuples
+                  for x in by_faces.get(tuple(img[j - 1][y] for y in t), ())]
+    return tuples
 
 
 def _moduli_of(pres: Presentation):
