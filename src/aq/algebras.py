@@ -19,7 +19,6 @@ from .theories import (
     TheoryPresentation,
     abelian_theory,
     group_theory,
-    validate_group_structure,
 )
 from .toddcox import BoundExceeded, coset_enumeration, multiplication_table
 
@@ -339,7 +338,7 @@ class FiniteAlgebra:
 
     def witness(self):
         if self._witness is None:
-            w = validate_group_structure(self.theory)
+            w = self.theory.group_structure()
             self._witness = w if w else False
         return self._witness
 

@@ -289,6 +289,9 @@ def cmd_invariants(args):
         resolve_module
 
     theory = _load_theory_arg(args.theory)
+    if args.over and theory.class_tag != "group":
+        raise UsageError(f"--over {args.over}: only a group theory reads "
+                         f"a base algebra, and --theory {args.theory} is not one")
     for path in filter(None, (args.algebra, args.over)):
         declared = declared_theory(path)
         if declared is not theory and \

@@ -12,14 +12,18 @@ homotopy of the (relative) abelianization.
 
 from __future__ import annotations
 
+from .abgroups import FGAbelianGroup
 from .algebras import AlgebraError
 from .beck import XModule
 from .presented import (
     Presentation,
     Subquotient,
     _apply_columns,
+    _composes_to_zero,
     _vectors,
     cohomology_at,
+    cohomology_groups,
+    common_prime,
     cycle_lattice,
     homology_of_complex,
     induced_map,
@@ -35,7 +39,7 @@ from .simplicial import (
     moore_homotopy,
     require_levels,
 )
-from .snf import cols_to_matrix, mat_mul
+from .snf import cols_to_matrix, mat_mul, rank_mod_p
 
 
 class InvalidCertificate(AlgebraError):
@@ -104,7 +108,7 @@ def cohomology(v, k, degrees, x=None, certificate=None):
     levels, deltas = with_coefficients(
         *_abelianization(v, x).reduced_complex(), _coefficient(k, x),
         max(degrees) + 1, dual=True)
-    return {n: cohomology_at(levels, deltas, n).invariants() for n in degrees}
+    return cohomology_groups(levels, deltas, degrees)
 
 
 def _dual_degen_matrices(v, k, x, coeff):
@@ -136,6 +140,10 @@ def cohomology_via_em(v, k, degrees, x=None, certificate=None):
     w = der_cochain(v, k, x=x)
     duals = _dual_degen_matrices(v, k, x, coeff)
     deltas = [_alternating_sum(cofaces) for cofaces in w.cofaces[:top + 1]]
+    p = common_prime(list(coeff.moduli))
+    if p and all(_composes_to_zero(deltas[n], deltas[n - 1], p)
+                 for n in degrees if n >= 1):
+        return _em_groups_mod_p(w.levels, duals, deltas, degrees, p)
     out = {}
     for n in degrees:
         amb = w.levels[n].gens
@@ -151,6 +159,32 @@ def cohomology_via_em(v, k, degrees, x=None, certificate=None):
             for bvec in cycle_lattice(prev_duals, prev_amb):
                 rel_vectors.append(_apply_columns(deltas[n - 1], bvec, amb))
         out[n] = Subquotient(amb, z_lattice, rel_vectors).invariants()
+    return out
+
+
+def _em_groups_mod_p(levels, duals, deltas, degrees, p):
+    """The EM route's groups when every level is (Z/p)^g and the
+    coboundaries square to zero: with S_n the codegeneracy duals out of
+    level n stacked, and r the rank mod p,
+    dim H^n = g_n - r(S_n; delta^n) - (r(S_{n-1}; delta^{n-1}) - r(S_{n-1})),
+    the normalized cocycles less the image of the normalized cochains."""
+    ranks = {}
+
+    def rank(n, with_delta):
+        if (n, with_delta) not in ranks:
+            maps = duals[n] + ([deltas[n]] if with_delta else [])
+            below = levels[n - 1].gens if n else 0
+            ranks[n, with_delta] = rank_mod_p(
+                [[(r + j * below, x) for j, m in enumerate(maps)
+                  for r, x in m[c]] for c in range(levels[n].gens)], p)
+        return ranks[n, with_delta]
+
+    out = {}
+    for n in degrees:
+        dim = levels[n].gens - rank(n, True)
+        if n >= 1:
+            dim -= rank(n - 1, True) - rank(n - 1, False)
+        out[n] = FGAbelianGroup(0, [p] * dim)
     return out
 
 

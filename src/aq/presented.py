@@ -4,12 +4,25 @@ of presented modules, with induced maps (functoriality) throughout.
 Relations and maps are sparse columns: per relation, or per generator of
 a map's source, the (row, entry) pairs of its nonzero entries.  Vectors
 are dense, and so is what a Subquotient keeps for its solver.
+
+Homology is read two ways.  A caller that needs only the isomorphism
+class of each group (the certificate, Moore homotopy, homology with and
+without coefficients, the cochain route, cohomotopy) takes
+`homology_groups` / `cohomology_groups`: one elimination per
+differential, its Smith diagonal over free levels or its rank mod p over
+(Z/p)^g levels, with no cycle lattice and no transforms.  A caller that
+reads canonical coordinates (induced maps, the X-action, diagram
+coefficients, E2 grids) takes the Subquotients of `homology_of_complex`
+/ `cohomology_at`, and so do the oracles (`bar_resolution_group`,
+`ext_groups`, `tor_groups`), so that they stay independent of the
+elimination the main routes read.  Any other level, such as Z/4 or
+Z + Z/2, goes through the Subquotient either way.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .abgroups import FGAbelianGroup
 from .errors import AlgebraError
@@ -21,6 +34,8 @@ from .snf import (
     invert_unimodular,
     kernel_basis,
     mat_vec,
+    rank_mod_p,
+    smith_diagonal,
     smith_normal_form,
 )
 
@@ -230,11 +245,16 @@ def cohomology_at(levels, deltas, n):
     """Cohomology at degree n of a cochain complex of presented modules
     (deltas[k]: level k-1 -> level k, as sparse columns, one per generator
     of level k-1), as a Subquotient of level n."""
-    # reuse the chain machinery by flipping the complex
     top = len(levels) - 1
-    flipped_levels = list(reversed(levels))
-    flipped_diffs = [None] + [deltas[k] for k in range(top, 0, -1)]
-    return homology_of_complex(flipped_levels, flipped_diffs, [top - n])[top - n]
+    return homology_of_complex(*_flipped(levels, deltas), [top - n])[top - n]
+
+
+def _flipped(levels, deltas):
+    """The cochain complex read as a chain complex: its level top - n
+    and the map out of it are level n and d_n of the result."""
+    top = len(levels) - 1
+    return (list(reversed(levels)),
+            [None] + [deltas[k] for k in range(top, 0, -1)])
 
 
 def _rows(cols, nrows, ucols=None):
@@ -312,6 +332,105 @@ def cycle_lattice(pairs, g):
                         vec[i] += y * x
             out.append(vec)
     return out
+
+
+def common_prime(moduli):
+    """p when every one of `moduli` is the one prime p, else 0."""
+    p = moduli[0] if moduli and all(m == moduli[0] for m in moduli) else 0
+    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        return 0
+    return p
+
+
+def _level_kind(pres):
+    """0 for a free level, p for (Z/p)^gens with p prime, -1 for any
+    other presentation."""
+    if not pres.rels:
+        return 0
+    if any(len(col) > 1 for col in pres.rels):
+        return -1
+    return common_prime(pres.diagonalized()[1]) or -1
+
+
+def _composes_to_zero(dn, dn1, p):
+    """Is d_n d_{n+1} zero (mod p when p is nonzero)?  Both are sparse
+    columns, the rows of d_{n+1} numbering the columns of d_n."""
+    for col in dn1:
+        acc = {}
+        for t, x in col:
+            for r, y in dn[t]:
+                acc[r] = acc.get(r, 0) + x * y
+        if any(y % p if p else y for y in acc.values()):
+            return False
+    return True
+
+
+def homology_groups(levels, diffs, degrees):
+    """The homology groups {n: FGAbelianGroup} of the complex that
+    `homology_of_complex` reads, from one elimination per differential,
+    without transforms, shared by the two degrees that read it.
+
+    Where levels n - 1 (when d_n is read) and n are free, H_n is
+    Z^(g_n - rank d_n - rank d_{n+1}) plus the Smith diagonal entries
+    > 1 of d_{n+1}.  Where both are (Z/p)^g for one prime p, H_n is
+    (Z/p)^(g_n - rank_p d_n - rank_p d_{n+1}).  A level on no generators
+    fits either kind.  Any other degree, and one where d_n d_{n+1} is not
+    zero (mod p), is read from its Subquotient, which raises on the
+    latter."""
+    kinds = {}
+    eliminated = {}
+
+    def diff(k):
+        return diffs[k] if 1 <= k < len(levels) and k < len(diffs) else None
+
+    def kind(k):
+        # None for a level on no generators, which fits either kind
+        if k not in kinds:
+            kinds[k] = _level_kind(levels[k]) if levels[k].gens else None
+        return kinds[k]
+
+    def elimination(k, p):
+        # the rank mod p of d_k, or for p = 0 its nonzero Smith entries
+        if (k, p) not in eliminated:
+            eliminated[k, p] = (
+                rank_mod_p(diffs[k], p) if p else
+                smith_diagonal(cols_to_matrix(diffs[k], levels[k - 1].gens)))
+        return eliminated[k, p]
+
+    out = {}
+    for n in degrees:
+        if n >= len(levels):
+            raise AlgebraError(
+                f"homology_of_complex: degree {n} beyond the {len(levels)} levels")
+        dn, dn1 = diff(n), diff(n + 1)
+        read = {kind(k) for k in ((n - 1, n) if dn is not None else (n,))}
+        read.discard(None)
+        p = read.pop() if read else 0
+        if read or p < 0 or (dn is not None and dn1 is not None
+                              and not _composes_to_zero(dn, dn1, p)):
+            out[n] = _homology_at(levels, diffs, n).invariants()
+            continue
+        reads = [k for k in (n, n + 1) if diff(k) is not None]
+        g = levels[n].gens
+        if p:
+            out[n] = FGAbelianGroup(
+                0, [p] * (g - sum(elimination(k, p) for k in reads)))
+        else:
+            out[n] = FGAbelianGroup(
+                g - sum(len(elimination(k, 0)) for k in reads),
+                [d for d in elimination(n + 1, 0) if d > 1]
+                if dn1 is not None else [])
+    return out
+
+
+def cohomology_groups(levels, deltas, degrees):
+    """The cohomology groups {n: FGAbelianGroup} of the cochain complex
+    that `cohomology_at` reads, by `homology_groups` on the flipped
+    complex."""
+    top = len(levels) - 1
+    flipped = homology_groups(*_flipped(levels, deltas),
+                              [top - n for n in degrees])
+    return {n: flipped[top - n] for n in degrees}
 
 
 def _homology_at(levels, diffs, n):

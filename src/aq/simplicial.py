@@ -24,7 +24,9 @@ from .presented import (
     Subquotient,
     _apply_columns,
     cohomology_at,
+    cohomology_groups,
     cycle_lattice,
+    homology_groups,
     homology_of_complex,
     induced_map,
 )
@@ -399,8 +401,7 @@ class PresentedComplex:
         return [lv.gens for lv in self.levels]
 
     def homology(self, degrees):
-        groups = homology_of_complex(self.levels, self.diffs, degrees)
-        return {n: groups[n].invariants() for n in degrees}
+        return homology_groups(self.levels, self.diffs, degrees)
 
     def homology_subquotients(self, degrees):
         return homology_of_complex(self.levels, self.diffs, degrees)
@@ -864,11 +865,7 @@ def cohomotopy(w: CosimplicialAbelian, degrees):
     if top + 1 > w.truncation:
         raise AlgebraError("truncation too small")
     cx = w.total_cochain_complex()
-    # cohomology at n: flip the complex
-    out = {}
-    for n in degrees:
-        out[n] = cohomology_at(cx.levels, cx.diffs, n).invariants()
-    return out
+    return cohomology_groups(cx.levels, cx.diffs, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -1548,4 +1545,4 @@ def hom_bicomplex_total_cohomology(b: BisimplicialAbelian, moduli, degrees):
     levels, deltas = with_coefficients(
         ranks, cx.diffs, CoefficientModule.trivial(Ring("Z"), moduli),
         len(ranks) - 1, dual=True)
-    return {n: cohomology_at(levels, deltas, n).invariants() for n in degrees}
+    return cohomology_groups(levels, deltas, degrees)

@@ -16,7 +16,11 @@ from sparse columns.  The entry points are `smith_normal_form`,
 `kernel_basis`, `lattice_basis`, `IntegerSolver` (an integer solution of
 mat @ x == rhs, or None) and `invert_unimodular` for lattices; besides
 them `identity_matrix`, `mat_mul` and `mat_vec` multiply the dense
-matrices the kernel returns.
+matrices the kernel returns.  `rank_mod_p` reads sparse columns directly:
+it is the rank over Z/p by column elimination, which is all that the
+homology group of a complex of (Z/p)^g levels needs
+(`presented.homology_groups`), as the Smith diagonal without transforms
+is all that one of free levels needs.
 
 Pivot rule of `smith_normal_form`: at step k the pivot is the entry of
 least absolute value in the trailing submatrix, the first such entry in
@@ -275,6 +279,38 @@ def smith_diagonal_naive(mat):
     # the offender-folding guarantees each pivot divides the rest, so the
     # chain is already in divisibility order; sort is a defensive no-op
     return sorted(diag)
+
+
+def rank_mod_p(cols, p):
+    """The rank over Z/p, p prime, of the integer matrix with sparse
+    columns `cols` (per column the (row, entry) pairs of its nonzero
+    entries; a row may repeat, its entries add up).
+
+    Gaussian elimination on the columns, with no transforms: each column
+    is reduced by the pivot columns kept so far, always at its lowest
+    row, and is kept as a pivot, scaled to 1 at that row, when anything
+    survives."""
+    pivots = {}
+    for col in cols:
+        acc = {}
+        for i, x in col:
+            acc[i] = acc.get(i, 0) + x
+        vec = {i: x % p for i, x in acc.items() if x % p}
+        while vec:
+            r = min(vec)
+            piv = pivots.get(r)
+            if piv is None:
+                inv = pow(vec[r], -1, p)
+                pivots[r] = {i: x * inv % p for i, x in vec.items()}
+                break
+            c = vec[r]
+            for i, x in piv.items():
+                y = (vec.get(i, 0) - c * x) % p
+                if y:
+                    vec[i] = y
+                else:
+                    del vec[i]
+    return len(pivots)
 
 
 def kernel_basis(mat, cols=None):

@@ -69,6 +69,7 @@ class TheoryPresentation:
         self.class_tag = class_tag
         self.ring = ring
         self.op_index = {}
+        self._group_structure = None
         self.validate()
 
     def validate(self):
@@ -153,6 +154,16 @@ class TheoryPresentation:
             "left-inverse": (m(App(inv, (x,)), x), e),
             "right-inverse": (m(x, App(inv, (x,))), e),
         }
+
+    def group_structure(self):
+        """`validate_group_structure` of this theory, derived once and
+        again only when its sorts, ops, equations or witness have changed
+        since."""
+        key = (self.sorts, [(op.name, op.args, op.result) for op in self.ops],
+               [tuple(eq) for eq in self.equations], dict(self.group_witness))
+        if self._group_structure is None or self._group_structure[0] != key:
+            self._group_structure = key, validate_group_structure(self)
+        return self._group_structure[1]
 
     def has_equation(self, eq):
         return any(

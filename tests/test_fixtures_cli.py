@@ -877,3 +877,18 @@ def test_a_negative_degree_bound_is_a_usage_error(argv, flag, capsys):
     assert exc.value.code == 2
     assert f"argument {flag}: expected an integer >= 0, not '-1'" in err
     assert "Traceback" not in err
+
+
+def test_over_with_a_module_theory_exits_2_naming_the_flag(tmp_path, capsys):
+    # a module theory has no base algebra: --over is refused before its
+    # file is read, so a lexical error in its body cannot pass unseen
+    bad = tmp_path / "bad.alg"
+    bad.write_text("algebra bad {\n  theory mod:Z\n"
+                   "  presentation { gens g : a ~ }\n}\n")
+    for over in (str(bad), fx("y-z4.alg")):
+        code = main(["homology", "--theory", "mod:Z", "--algebra",
+                     fx("y-z4.alg"), "--over", over])
+        out, err = capsys.readouterr()
+        assert code == 2 and not out
+        assert err.startswith(f"error: --over {over}: ")
+        assert "--theory mod:Z is not one" in err

@@ -4,6 +4,7 @@ from aq.dsl import DslSyntaxError, parse_term, parse_theory, print_theory
 from aq.terms import App, Var, equations_equal_up_to_renaming
 from aq.theories import (
     DuplicateNameError,
+    OpDecl,
     SortingError,
     TheoryMap,
     abelian_theory,
@@ -246,3 +247,40 @@ def test_equation_renaming_comparison():
     e1 = (App("mul", (x, y)), App("mul", (y, x)))
     e2 = (App("mul", (u, v)), App("mul", (v, u)))
     assert equations_equal_up_to_renaming(e1, e2)
+
+
+def test_the_group_structure_is_derived_once_per_theory(monkeypatch):
+    from aq import theories
+    from aq.algebras import FiniteAlgebra, cyclic_group
+
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return validate_group_structure(t)
+
+    monkeypatch.setattr(theories, "validate_group_structure", counting)
+    z2 = cyclic_group(2)
+    t = group_theory()
+
+    tables = dict(z2.tables, twice={(x,): z2.tables["mul"][(x, x)]
+                                    for x in z2.carriers["g"]})
+
+    def witness():
+        return FiniteAlgebra(t, "z2", z2.carriers, tables).witness()
+
+    first = witness()
+    assert first and first.triples["g"] == ("mul", "inv", "e")
+    assert witness() is first and len(calls) == 1
+    # a theory changed afterwards derives its witness again
+    right_inverse = t.equations.pop()
+    assert not witness() and len(calls) == 2
+    t.equations.append(right_inverse)
+    again = witness()
+    assert again and again is not first and len(calls) == 3
+    t.group_witness = {}
+    found = witness()
+    assert found.triples["g"] == ("mul", "inv", "e") and len(calls) == 4
+    t.ops.append(OpDecl("twice", ("g",), "g"))
+    assert witness() is not found and len(calls) == 5
+    assert witness() and len(calls) == 5
