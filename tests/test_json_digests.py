@@ -1,10 +1,11 @@
 """The `--json` output of the README examples, of `aq cohomology` and the
 action matrices of `aq homology --over` on S3, of the coefficient routes
 on the basis-changed Z/2 resolution `fixtures/z2res-basis.sres` (whose
-degeneracies single out no nondegenerate generators) and of
-`aq accept --quick` is pinned byte for byte by its SHA-256, so that a
-change of representation inside the library cannot change what a user
-reads.  `aq accept` records how long each criterion took; those
+degeneracies single out no nondegenerate generators), of the Tor and
+reverse-Adams pages of `aq ss`, of a module theory's cohomology by both
+routes and homology without coefficients, and of `aq accept --quick` is
+pinned byte for byte by its SHA-256, so that a change of representation
+inside the library cannot change what a user reads.  `aq accept` records how long each criterion took; those
 `seconds` fields are the only bytes that differ from run to run, so they
 are dropped before hashing."""
 
@@ -73,6 +74,33 @@ COMMANDS = {
          "--resolution", "fixtures/z2res-basis.sres",
          "--coeffs", "2", "--max-degree", "2", "--method", "both"],
         "e69323268856314ca8f4d0bba2f848a40e9166da3f78c793675f8ea40c11a332"),
+    "ss-tor-module": (
+        ["ss", "tor", "--module", "fixtures/y-z4.alg", "--coeffs", "2",
+         "--check"],
+        "e51fada9edb68714c05c639cae5308b04a5f2b309a20e6318cc5b55bd84a3d62"),
+    "ss-rev-adams-homology": (
+        ["ss", "rev-adams", "--module", "fixtures/y-z4.alg", "--coeffs", "2",
+         "--check", "--variant", "homology"],
+        "413c0731769c32fabb8f888a9db244a06acb4bc7fbf2dc681b9e89efc46330dd"),
+    "ss-rev-adams-cohomology": (
+        ["ss", "rev-adams", "--module", "fixtures/y-z4.alg", "--coeffs", "2",
+         "--check", "--variant", "cohomology"],
+        "202fdd26234bc85809080f720ddda58bbc9d7cfe55ef2b3f73a0e846b06a25e6"),
+    "ss-uct-ring-z4": (
+        ["ss", "uct", "--ring", "Z/4", "--module", "fixtures/y-z4.alg",
+         "--coeffs", "2", "--check"],
+        "d4e7fb10898a09f680e14af9a7420ac193848b2816cfd74068e5faedad842625"),
+    "ss-tor-graded": (
+        ["ss", "tor", "--h", "0:4", "--h", "1:2", "--coeffs", "0,2"],
+        "8f524879f5e0c7189cf82564aa3d2479e40bdd408f4e61dc92151cf177e64232"),
+    "cohomology-y-z4-both": (
+        ["cohomology", "--theory", "mod:Z", "--algebra", "fixtures/y-z4.alg",
+         "--coeffs", "2", "--method", "both", "--max-degree", "2"],
+        "455ef294d7267b5e6ce5c938875aeb68f3e5284e6f24ff42bcf35aad8d132e32"),
+    "homology-y-z4-integral": (
+        ["homology", "--theory", "mod:Z", "--algebra", "fixtures/y-z4.alg",
+         "--max-degree", "2"],
+        "0b5af3d5e3005b2a443f01bffaa1ecf0830a88c2497ec85cee2f817756f814cd"),
 }
 
 ACCEPT_QUICK = (
