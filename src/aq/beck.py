@@ -280,7 +280,7 @@ def _pair_label(klabel, xlabel):
     return f"{klabel}|{xlabel}"
 
 
-def _k_label(k: FinAb, el):
+def _k_label(el):
     return "0" if not any(el) else "k" + ".".join(str(c) for c in el)
 
 
@@ -324,7 +324,7 @@ def semidirect_product(k: XModule, x: FiniteAlgebra, name=None, validate=True):
     kels = k.elements()
     xels = x.carriers[sort]
     labels = {
-        (ke, xe): _pair_label(_k_label(k.carrier, ke), xe)
+        (ke, xe): _pair_label(_k_label(ke), xe)
         for ke in kels for xe in xels
     }
     pairs = list(labels)

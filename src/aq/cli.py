@@ -289,9 +289,13 @@ def cmd_invariants(args):
         resolve_module
 
     theory = _load_theory_arg(args.theory)
-    if args.over and theory.class_tag != "group":
-        raise UsageError(f"--over {args.over}: only a group theory reads "
-                         f"a base algebra, and --theory {args.theory} is not one")
+    group = theory.class_tag == "group"
+    for flag, path, what in (("--over", args.over, "a base algebra"),
+                             ("--resolution", args.resolution,
+                              "a resolution")):
+        if path and not group:
+            raise UsageError(f"{flag} {path}: only a group theory reads "
+                             f"{what}, and --theory {args.theory} is not one")
     for path in filter(None, (args.algebra, args.over)):
         declared = declared_theory(path)
         if declared is not theory and \
@@ -300,69 +304,48 @@ def cmd_invariants(args):
                 f"--theory {args.theory} (theory {theory.name}) does not "
                 f"match theory {declared.name} declared by {path}")
     top = args.max_degree
-    if theory.class_tag == "group":
+    degrees = range(top + 1)
+    if group:
         y = load_algebra(args.algebra)
-        x = load_algebra(args.over) if args.over else y
+        x = target = load_algebra(args.over) if args.over else y
         if args.resolution:
             v = load_sres(args.resolution)
         else:
             v = loop_group_resolution(y, truncation=top + 1)
-        cert = check_certificate(v, x, rng=min(top, v.truncation - 1))
-        if not cert.valid:
-            failing = [k for k, ok in cert.checks.items() if not ok]
-            print(f"resolution certificate failed: {failing}", file=sys.stderr)
-            return 1
-        if args.command == "cohomology":
-            k = _parse_coeffs(args, theory, x)
-            values = cohomology(v, k, range(top + 1), x=x, certificate=cert)
-            em_values = {}
-            if args.method in ("em", "both"):
-                em_values = cohomology_via_em(v, k, range(1, top + 1), x=x)
-                if args.method == "both":
-                    for n in em_values:
-                        if em_values[n] != values[n]:
-                            print(f"route disagreement at degree {n}",
-                                  file=sys.stderr)
-                            return 1
-            return _report_values(args, values, em_values)
-        if args.coeffs:
-            k = _parse_coeffs(args, theory, x)
-            values = homology_with_coeffs(v, k, range(top + 1), x=x,
-                                          certificate=cert)
-            return _report_values(args, values, {})
-        if args.over:
-            values, actions = homology(v, range(top + 1), x=x,
-                                       certificate=cert, with_action=True)
-            return _report_values(args, values, {}, actions=actions)
-        values = homology(v, range(top + 1), certificate=cert)
-        return _report_values(args, values, {})
-    # module theories: resolve the presented module through level top + 1,
-    # the last one that the certificate and every route read
-    y = parse_file(args.algebra, parse_module_presentation,
-                   source=args.algebra)
-    v = resolve_module(y, length=top + 1)
-    cert = check_certificate(v, y, rng=min(top, v.truncation - 1))
+    else:
+        # resolve the presented module through level top + 1, the last one
+        # that the certificate and every route read
+        x = None
+        target = parse_file(args.algebra, parse_module_presentation,
+                            source=args.algebra)
+        v = resolve_module(target, length=top + 1)
+    cert = check_certificate(v, target, rng=min(top, v.truncation - 1))
     if not cert.valid:
-        print("resolution certificate failed", file=sys.stderr)
+        failing = [k for k, ok in cert.checks.items() if not ok]
+        print(f"resolution certificate failed: {failing}", file=sys.stderr)
         return 1
     if args.command == "cohomology":
-        k = _parse_coeffs(args, theory, None)
-        values = cohomology(v, k, range(top + 1), certificate=cert)
+        k = _parse_coeffs(args, theory, x)
+        values = cohomology(v, k, degrees, x=x, certificate=cert)
         em_values = {}
         if args.method in ("em", "both"):
-            em_values = cohomology_via_em(v, k, range(1, top + 1))
-            if args.method == "both" and any(
-                em_values[n] != values[n] for n in em_values
-            ):
-                print("route disagreement", file=sys.stderr)
-                return 1
+            em_values = cohomology_via_em(v, k, range(1, top + 1), x=x)
+            if args.method == "both":
+                for n in em_values:
+                    if em_values[n] != values[n]:
+                        print(f"route disagreement at degree {n}",
+                              file=sys.stderr)
+                        return 1
         return _report_values(args, values, em_values)
     if args.coeffs:
-        k = _parse_coeffs(args, theory, None)
-        values = homology_with_coeffs(v, k, range(top + 1), certificate=cert)
-    else:
-        values = homology(v, range(top + 1), certificate=cert)
-    return _report_values(args, values, {})
+        k = _parse_coeffs(args, theory, x)
+        values = homology_with_coeffs(v, k, degrees, x=x, certificate=cert)
+        return _report_values(args, values, {})
+    if args.over:
+        values, actions = homology(v, degrees, x=x, certificate=cert,
+                                   with_action=True)
+        return _report_values(args, values, {}, actions=actions)
+    return _report_values(args, homology(v, degrees, certificate=cert), {})
 
 
 def _report_values(args, values, em_values, actions=None):

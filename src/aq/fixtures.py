@@ -176,14 +176,15 @@ def declared_theory(path) -> TheoryPresentation:
 def parse_algebra(text, base_dir="", source="<algebra>") -> FiniteAlgebra:
     p = _FixtureParser(tokenize(text))
     name, theory, _ = _algebra_header(p, base_dir)
-    line = p.peek().line
+    tok = p.peek()
     kw = p.expect_ident()
     if kw == "table":
-        alg = _parse_table_block(p, theory, name, f"{source}:{line}")
+        alg = _parse_table_block(p, theory, name, f"{source}:{tok.line}")
     elif kw == "presentation":
         alg = _parse_presentation_block(p, theory, name, source)
     else:
-        raise FixtureError(f"unknown algebra block {kw!r}")
+        raise DslSyntaxError(tok.line, tok.col,
+                             f"unknown algebra block {kw!r}")
     p.expect("}")
     return alg
 
@@ -196,6 +197,7 @@ def _parse_table_block(p, theory, name, where):
     carriers = {}
     tables = {}
     while p.peek().text != "}":
+        tok = p.peek()
         kw = p.expect_ident()
         if kw == "sort":
             s = p.expect_ident()
@@ -220,7 +222,8 @@ def _parse_table_block(p, theory, name, where):
                 tab[tuple(tup)] = p.expect_ident()
             tables[opname] = tab
         else:
-            raise FixtureError(f"unknown table entry {kw!r}")
+            raise DslSyntaxError(tok.line, tok.col,
+                                 f"unknown table entry {kw!r}")
     p.expect("}")
     try:
         return FiniteAlgebra(theory, name, carriers, tables)
@@ -236,10 +239,10 @@ def _parse_presentation_block(p, theory, name, source):
     bound = 256
     gens_line = None
     while p.peek().text != "}":
-        line = p.peek().line
+        tok = p.peek()
         kw = p.expect_ident()
         if kw == "gens":
-            gens_line = gens_line or line
+            gens_line = gens_line or tok.line
             p.expect_ident()  # sort name
             p.expect(":")
             while p.peek().kind == "ident" and p.peek().text not in (
@@ -259,7 +262,8 @@ def _parse_presentation_block(p, theory, name, source):
             p.expect("=")
             bound = p.parse_int()
         else:
-            raise FixtureError(f"unknown presentation entry {kw!r}")
+            raise DslSyntaxError(tok.line, tok.col,
+                                 f"unknown presentation entry {kw!r}")
     p.expect("}")
     free = _free_at(theory, gens, f"{source}:{gens_line}")
     for rel, line in zip(rels, rel_lines):
@@ -280,18 +284,19 @@ def parse_module_presentation(text, base_dir="", source="<module>"):
             f"{source}:{line}: theory {theory.name} is neither abelian nor "
             "a module theory")
     ring = theory.ring
-    kw = p.expect_ident()
-    if kw != "presentation":
-        raise FixtureError("module presentations need a presentation block")
+    tok = p.peek()
+    if p.expect_ident() != "presentation":
+        raise DslSyntaxError(tok.line, tok.col, "module presentations need "
+                             "a presentation block")
     p.expect("{")
     gens = []
     rel_terms = []
     gens_line = None
     while p.peek().text != "}":
-        line = p.peek().line
+        tok = p.peek()
         kw2 = p.expect_ident()
         if kw2 == "gens":
-            gens_line = gens_line or line
+            gens_line = gens_line or tok.line
             p.expect_ident()
             p.expect(":")
             while p.peek().kind == "ident" and p.peek().text not in (
@@ -311,7 +316,8 @@ def parse_module_presentation(text, base_dir="", source="<module>"):
             p.expect("=")
             p.parse_int()
         else:
-            raise FixtureError(f"unknown presentation entry {kw2!r}")
+            raise DslSyntaxError(tok.line, tok.col,
+                                 f"unknown presentation entry {kw2!r}")
     p.expect("}")
     p.expect("}")
     free = _free_at(theory, gens, f"{source}:{gens_line}")
@@ -346,7 +352,7 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
     """The module of an .xmod text; a module that fails validation raises
     FixtureError at `source`:line of its first act entry (or its header)."""
     p = _FixtureParser(tokenize(text))
-    line = p.peek().line
+    line = header = p.peek().line
     p.expect("xmodule")
     name = p.expect_ident()
     p.expect("{")
@@ -354,6 +360,7 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
     act = {}
     fhat_tables = []
     while p.peek().text != "}":
+        tok = p.peek()
         kw = p.expect_ident()
         if kw == "base":
             path = p.parse_string_ref()
@@ -400,12 +407,13 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
             p.expect("}")
             fhat_tables.append((opname, tuple(tup), entries))
         else:
-            raise FixtureError(f"unknown xmodule entry {kw!r}")
+            raise DslSyntaxError(tok.line, tok.col,
+                                 f"unknown xmodule entry {kw!r}")
     p.expect("}")
     if base is None:
-        raise FixtureError("xmodule needs a base algebra")
+        raise FixtureError(f"{source}:{header}: xmodule needs a base algebra")
     if moduli is None:
-        raise FixtureError("xmodule needs a carrier")
+        raise FixtureError(f"{source}:{header}: xmodule needs a carrier")
     finab = FinAb([m for m in moduli if m > 1] or [1])
     if not act:
         act_mats = _derive_action_from_tables(base, finab, fhat_tables, source)
@@ -413,7 +421,8 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
         act_mats = {el: m for el, m in act.items()}
         for el in base.carriers[base.theory.sorts[0]]:
             if el not in act_mats:
-                raise FixtureError(f"missing act matrix for {el!r}")
+                raise FixtureError(
+                    f"{source}:{line}: missing act matrix for {el!r}")
     try:
         km = XModule(base, finab, act_mats, name=name)
     except AlgebraError as exc:
@@ -495,6 +504,8 @@ def load_sres(path):
 
 def parse_sres(text, base_dir="", source="<sres>"):
     p = _FixtureParser(tokenize(text))
+    # the line that fixes the truncation: its entry, else the header
+    truncation_line = p.peek().line
     p.expect("sres")
     name = p.expect_ident()
     p.expect("{")
@@ -553,11 +564,14 @@ def parse_sres(text, base_dir="", source="<sres>"):
     augment = {}
     augment_line = None
     while p.peek().text != "}":
-        line = p.peek().line
+        tok = p.peek()
+        line = tok.line
         kw = p.expect_ident()
         if kw == "over":
+            over_line = line
             over = load_algebra(os.path.join(base_dir, p.parse_string_ref()))
         elif kw == "truncation":
+            truncation_line = line
             truncation = p.parse_int()
         elif kw == "level":
             idx = p.parse_int()
@@ -593,14 +607,15 @@ def parse_sres(text, base_dir="", source="<sres>"):
                 augment[g] = p.expect_ident()
             p.expect("}")
         else:
-            raise FixtureError(f"unknown sres entry {kw!r}")
+            raise DslSyntaxError(tok.line, tok.col,
+                                 f"unknown sres entry {kw!r}")
     p.expect("}")
     if truncation is None:
         truncation = max(level_gens) if level_gens else 0
     levels = []
     for n in range(truncation + 1):
         if n not in level_gens:
-            raise FixtureError(f"missing level {n}")
+            raise FixtureError(f"{source}:{truncation_line}: missing level {n}")
         levels.append(_free_at(theory, level_gens[n],
                                f"{source}:{level_lines[n]}"))
     face_maps = [[]]
@@ -610,14 +625,16 @@ def parse_sres(text, base_dir="", source="<sres>"):
             fs = []
             for i in range(n + 1):
                 if (n, i) not in faces:
-                    raise FixtureError(f"missing face {n} {i}")
+                    raise FixtureError(
+                        f"{source}:{level_lines[n]}: missing face {n} {i}")
                 fs.append(_sres_map(faces[(n, i)], levels[n], levels[n - 1]))
             face_maps.append(fs)
         if n < truncation:
             ds = []
             for j in range(n + 1):
                 if (n, j) not in degens:
-                    raise FixtureError(f"missing degen {n} {j}")
+                    raise FixtureError(
+                        f"{source}:{level_lines[n]}: missing degen {n} {j}")
                 ds.append(_sres_map(degens[(n, j)], levels[n], levels[n + 1]))
             degen_maps.append(ds)
         else:
@@ -628,7 +645,8 @@ def parse_sres(text, base_dir="", source="<sres>"):
                            f"the over line that names its target")
     if over is not None:
         if set(augment) != set(level_gens[0]):
-            raise FixtureError("augment block must cover level-0 generators")
+            raise FixtureError(f"{source}:{augment_line or over_line}: "
+                               "augment block must cover level-0 generators")
         aug_map = AlgebraMap.from_generator_images(levels[0], over, augment)
     v = SimplicialTheta(theory, levels, face_maps, degen_maps, truncation,
                         augmentation=aug_map)

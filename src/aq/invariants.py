@@ -111,7 +111,7 @@ def cohomology(v, k, degrees, x=None, certificate=None):
     return cohomology_groups(levels, deltas, degrees)
 
 
-def _dual_degen_matrices(v, k, x, coeff):
+def _dual_degen_matrices(v, x, coeff):
     """Codegeneracy duals s^j: C^n -> C^{n-1} for normalization."""
     ab = _abelianization(v, x)
     ranks = ab.ranks
@@ -138,7 +138,7 @@ def cohomology_via_em(v, k, degrees, x=None, certificate=None):
     top = max(degrees)
     coeff = _coefficient(k, x)
     w = der_cochain(v, k, x=x)
-    duals = _dual_degen_matrices(v, k, x, coeff)
+    duals = _dual_degen_matrices(v, x, coeff)
     deltas = [_alternating_sum(cofaces) for cofaces in w.cofaces[:top + 1]]
     p = common_prime(list(coeff.moduli))
     if p and all(_composes_to_zero(deltas[n], deltas[n - 1], p)

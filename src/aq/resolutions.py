@@ -304,7 +304,7 @@ def bar_cochain_complex(g: FiniteAlgebra, coeff, top):
     sort = g.theory.sorts[0]
     ident = g.identity(sort)
     els = [x for x in g.carriers[sort] if x != ident]
-    act, moduli = _coefficient_data(g, coeff)
+    act, moduli = _coefficient_data(coeff)
     dim = len(moduli)
 
     def tuples(n):
@@ -355,7 +355,7 @@ def _norm_tuple(t, ident):
     return None if any(x == ident for x in t) else t
 
 
-def _coefficient_data(g: FiniteAlgebra, coeff):
+def _coefficient_data(coeff):
     """(action matrices per group element, moduli) from an XModule or a
     CoefficientModule over Z[G]."""
     if isinstance(coeff, XModule):
@@ -370,7 +370,7 @@ def bar_resolution_group(g: FiniteAlgebra, coeff, top, budget=10**7):
     """H^n(G; K) for 0 <= n <= top via the normalized bar complex."""
     sort = g.theory.sorts[0]
     size = (len(g.carriers[sort]) - 1) ** (top + 1)
-    cells = size * max(1, len(_coefficient_data(g, coeff)[1]))
+    cells = size * max(1, len(_coefficient_data(coeff)[1]))
     if cells > budget:
         raise BudgetExhausted(f"bar complex: {cells} cells, limit {budget}")
     levels, deltas = bar_cochain_complex(g, coeff, top)

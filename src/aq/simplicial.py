@@ -23,7 +23,6 @@ from .presented import (
     Presentation,
     Subquotient,
     _apply_columns,
-    cohomology_at,
     cohomology_groups,
     cycle_lattice,
     homology_groups,
@@ -444,7 +443,7 @@ def _sigma_codegen(j, m):
     return tuple(v if v <= j else v - 1 for v in range(m + 2))
 
 
-def _factor_epi_mono(values, k):
+def _factor_epi_mono(values):
     """values: a monotone map [m] -> [k]; factor as delta . tau.
 
     Returns (tau values tuple, image tuple)."""
@@ -458,7 +457,7 @@ def _dk_block(sigma, k, alpha):
     """Target summand and kind ('id' | 'd' | None) of the alpha-component
     out of summand (sigma, k)."""
     composite = tuple(sigma[a] for a in alpha)
-    tau, image = _factor_epi_mono(composite, k)
+    tau, image = _factor_epi_mono(composite)
     if image == tuple(range(k + 1)):
         return (tau, k), "id"
     if image == tuple(range(k)):
@@ -1355,9 +1354,9 @@ def diag_e2_page(b: BisimplicialAbelian, smax, tmax):
                 hsum = [[(pos[i], x) for i, x in hsum[j] if i in pos]
                         for j in cells]
                 diffs.append(induced_map(hsum, subq, prev))
-        h = homology_of_complex(levels, diffs, range(min(smax, len(cols) - 2) + 1))
+        h = homology_groups(levels, diffs, range(min(smax, len(cols) - 2) + 1))
         for s in h:
-            grid[(s, t)] = h[s].invariants()
+            grid[(s, t)] = h[s]
     return grid
 
 
@@ -1504,9 +1503,9 @@ def tot_e2_page(w: CosimplicialSimplicial, smax, tmax):
         for s in range(1, trunc + 1):
             dsum = _alternating_sum(w.cofaces[s - 1][t])
             deltas.append(induced_map(dsum, cols[s - 1], cols[s]))
-        for s in range(min(smax, trunc - 1) + 1):
-            sq = cohomology_at(levels, deltas, s)
-            grid[(s, t)] = sq.invariants()
+        h = cohomology_groups(levels, deltas, range(min(smax, trunc - 1) + 1))
+        for s in h:
+            grid[(s, t)] = h[s]
     return grid
 
 

@@ -78,7 +78,7 @@ class SpectralPage:
                     "indices must be >= 0")
         # d2 followed by d2 must vanish (trivially so for forced-zero data)
         for (s, t), mat in self.d2.items():
-            nxt = (s + 2, t + 1) if self.quadrant == "first" else (s + 2, t + 1)
+            nxt = (s + 2, t + 1)
             if nxt in self.d2:
                 comp = mat_mul(self.d2[nxt], mat)
                 if any(any(row) for row in comp):
@@ -117,50 +117,66 @@ def _order_or_rank_consistent(groups, target: FGAbelianGroup):
     return total_rank == target.rank and tor == target_tor
 
 
+def _derived_page(h: GradedModule, g: CoefficientModule, smax, derived):
+    """The nonzero entries E2[s, t] = derived(h_t, g)[s], s <= smax, for
+    `derived` one of `ext_groups` / `tor_groups`."""
+    grid = {}
+    for t in h.degrees():
+        values = derived(h[t], g, smax)
+        for s in range(smax + 1):
+            if not values[s].is_trivial():
+                grid[(s, t)] = values[s]
+    return grid
+
+
+def _convergence(grid, values, exact, tmax=None):
+    """One report row per degree n of `values` ({n: FGAbelianGroup}): the
+    diagonal s + t = n of `grid` (t <= tmax) against values[n].  With
+    `exact` the diagonal must sum to the target; otherwise orders and
+    ranks must agree (`_order_or_rank_consistent`), which a sum equal to
+    the target also satisfies."""
+    rows = []
+    for n, target in sorted(values.items()):
+        contributions = [grid[(s, t)] for (s, t) in sorted(grid)
+                         if s + t == n and (tmax is None or t <= tmax)]
+        if exact:
+            total = FGAbelianGroup()
+            for c in contributions:
+                total = total.direct_sum(c)
+            ok = total == target
+        else:
+            ok = _order_or_rank_consistent(contributions, target)
+        rows.append({
+            "degree": n,
+            "page": [c.to_json() for c in contributions],
+            "target": target.to_json(),
+            "consistent": ok,
+        })
+    return rows
+
+
 def uct_e2(h: GradedModule, g: CoefficientModule, smax, tmax,
            cohomology_values=None) -> SpectralPage:
     """E2^{s,t} = Ext^s(H_t, G), converging (over rings of global
     dimension <= 1, where the page is two columns) to H^{t-s}.
 
     cohomology_values: optional {n: FGAbelianGroup} to check the
-    two-column exact sequence against directly computed cohomology.
+    two-column exact sequence against directly computed cohomology:
+    degree n collects Hom(H_n, G) and Ext^1(H_{n-1}, G), the diagonal
+    s + t = n with t <= tmax, and over Z, where the sequence splits, is
+    their sum.
     """
-    ring = h.ring
-    grid = {}
-    for t in h.degrees():
-        exts = ext_groups(h[t], g, smax)
-        for s in range(smax + 1):
-            if not exts[s].is_trivial():
-                grid[(s, t)] = exts[s]
+    grid = _derived_page(h, g, smax, ext_groups)
     d2 = {}
-    two_column = all(s <= 1 for (s, t) in grid)
-    if two_column:
+    convergence = []
+    if all(s <= 1 for (s, t) in grid):
         # d2 lands outside the support, so it is forced to vanish
         for (s, t) in grid:
             d2[(s, t)] = [[0] * max(1, _dim(grid[(s, t)]))
                           for _ in range(1)]
-    convergence = []
-    if cohomology_values is not None and two_column:
-        for n, target in sorted(cohomology_values.items()):
-            # cohomological degree n collects Hom(H_n, G) and
-            # Ext^1(H_{n-1}, G): the diagonal s + t = n
-            contributions = []
-            for (s, t) in sorted(grid):
-                if s + t == n and t <= tmax:
-                    contributions.append(grid[(s, t)])
-            ok = _order_or_rank_consistent(contributions, target)
-            if ring.kind == "Z":
-                # over Z the sequence splits, so full isomorphism holds
-                total = FGAbelianGroup()
-                for c in contributions:
-                    total = total.direct_sum(c)
-                ok = ok and total == target
-            convergence.append({
-                "degree": n,
-                "page": [c.to_json() for c in contributions],
-                "target": target.to_json(),
-                "consistent": ok,
-            })
+        if cohomology_values is not None:
+            convergence = _convergence(grid, cohomology_values,
+                                       h.ring.kind == "Z", tmax)
     return SpectralPage(grid, "second", d2, convergence,
                         description="universal coefficients (Ext) page")
 
@@ -171,35 +187,14 @@ def _dim(group: FGAbelianGroup):
 
 def tor_e2(h: GradedModule, g: CoefficientModule, smax, tmax,
            homology_values=None) -> SpectralPage:
-    """E2_{s,t} = Tor_s(H_t, G), the homological (first quadrant) page."""
-    ring = h.ring
-    grid = {}
-    for t in h.degrees():
-        tors = tor_groups(h[t], g, smax)
-        for s in range(smax + 1):
-            if not tors[s].is_trivial():
-                grid[(s, t)] = tors[s]
-    d2 = {}
-    two_column = all(s <= 1 for (s, t) in grid)
+    """E2_{s,t} = Tor_s(H_t, G), the homological (first quadrant) page;
+    `homology_values` is checked as `cohomology_values` is by `uct_e2`."""
+    grid = _derived_page(h, g, smax, tor_groups)
     convergence = []
-    if homology_values is not None and two_column:
-        for n, target in sorted(homology_values.items()):
-            contributions = [
-                grid[(s, t)] for (s, t) in sorted(grid) if s + t == n
-            ]
-            ok = _order_or_rank_consistent(contributions, target)
-            if ring.kind == "Z":
-                total = FGAbelianGroup()
-                for c in contributions:
-                    total = total.direct_sum(c)
-                ok = ok and total == target
-            convergence.append({
-                "degree": n,
-                "page": [c.to_json() for c in contributions],
-                "target": target.to_json(),
-                "consistent": ok,
-            })
-    return SpectralPage(grid, "first", d2, convergence,
+    if homology_values is not None and all(s <= 1 for (s, t) in grid):
+        convergence = _convergence(grid, homology_values,
+                                   h.ring.kind == "Z", tmax)
+    return SpectralPage(grid, "first", {}, convergence,
                         description="homology universal coefficients (Tor) page")
 
 
@@ -216,38 +211,14 @@ def reverse_adams_e2(pi: GradedModule, g: CoefficientModule, variant,
         raise AlgebraError(
             f"reverse_adams_e2: variant must be homology or cohomology, "
             f"not {variant!r}")
-    grid = {}
-    for t in pi.degrees():
-        if variant == "homology":
-            vals = tor_groups(pi[t], g, smax)
-        else:
-            vals = ext_groups(pi[t], g, smax)
-        for s in range(smax + 1):
-            if not vals[s].is_trivial():
-                grid[(s, t)] = vals[s]
-    single_row = all(t == 0 for (_, t) in grid)
+    derived = tor_groups if variant == "homology" else ext_groups
+    grid = _derived_page(pi, g, smax, derived)
     convergence = []
     if comparison is not None:
-        for n, target in sorted(comparison.items()):
-            # both variants pair the derived degree s and the internal
-            # degree t into total degree s + t
-            contributions = [
-                grid[(s, t)] for (s, t) in sorted(grid) if s + t == n
-            ]
-            if single_row:
-                # collapse: a single contribution that must equal the target
-                total = FGAbelianGroup()
-                for c in contributions:
-                    total = total.direct_sum(c)
-                ok = total == target
-            else:
-                ok = _order_or_rank_consistent(contributions, target)
-            convergence.append({
-                "degree": n,
-                "page": [c.to_json() for c in contributions],
-                "target": target.to_json(),
-                "consistent": ok,
-            })
+        # both variants pair the derived degree s and the internal degree
+        # t into total degree s + t
+        convergence = _convergence(grid, comparison,
+                                   all(t == 0 for (_, t) in grid))
     quadrant = "first" if variant == "homology" else "second"
     return SpectralPage(grid, quadrant, {}, convergence,
                         description=f"reverse Adams ({variant}) page")

@@ -892,3 +892,72 @@ def test_over_with_a_module_theory_exits_2_naming_the_flag(tmp_path, capsys):
         assert code == 2 and not out
         assert err.startswith(f"error: --over {over}: ")
         assert "--theory mod:Z is not one" in err
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["existing", "missing"])
+def test_resolution_with_a_module_theory_exits_2_naming_the_flag(
+        exists, tmp_path, capsys):
+    # a module theory resolves its module itself: --resolution is refused
+    # before its file is read, and a missing path cannot pass unseen
+    path = fx("z2res.sres") if exists else str(tmp_path / "missing.sres")
+    code = main(["cohomology", "--theory", "mod:Z", "--algebra",
+                 fx("y-z4.alg"), "--coeffs", "2", "--max-degree", "1",
+                 "--resolution", path])
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert err.startswith(f"error: --resolution {path}: only a group theory "
+                          "reads a resolution")
+    assert "--theory mod:Z is not one" in err
+
+
+# (fixture, text replaced, replacement, line, message); a module
+# presentation is read by `aq homology`, every other fixture by `aq check`
+MALFORMED = {
+    "algebra-block": ("z2.alg", "table {", "bogus {", 3,
+                      "unknown algebra block 'bogus'"),
+    "table-entry": ("z2.alg", "sort g", "sorts g", 4,
+                    "unknown table entry 'sorts'"),
+    "presentation-entry": ("z4-presented.alg", "realize", "realise", 6,
+                           "unknown presentation entry 'realise'"),
+    "module-presentation-entry": ("y-z4.alg", "realize", "realise", 7,
+                                  "unknown presentation entry 'realise'"),
+    "module-block": ("y-z4.alg", "presentation {", "table {", 4,
+                     "module presentations need a presentation block"),
+    "xmodule-entry": ("z2-triv.xmod", "carrier g", "karrier g", 4,
+                      "unknown xmodule entry 'karrier'"),
+    "xmodule-base": ("z2-triv.xmod", 'base "z2.alg"', "", 2,
+                     "xmodule needs a base algebra"),
+    "xmodule-carrier": ("z2-triv.xmod", "carrier g : 2", "", 2,
+                        "xmodule needs a carrier"),
+    "xmodule-act": ("z2-triv.xmod", "act a : [[1]]", "", 5,
+                    "missing act matrix for 'a'"),
+    "sres-entry": ("z2res.sres", "truncation 3", "bogus 3", 4,
+                   "unknown sres entry 'bogus'"),
+    "sres-level": ("z2res.sres", "level 2 {", "level 5 {", 4,
+                   "missing level 2"),
+    "sres-face": ("broken.sres", "face 1 1 { y -> x() }", "", 6,
+                  "missing face 1 1"),
+    "sres-degen": ("broken.sres", "degen 1 1 { y -> z() }", "", 6,
+                   "missing degen 1 1"),
+    "sres-augment": ("z2res.sres", "t/a -> a", "t/b -> a", 104,
+                     "augment block must cover level-0 generators"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_a_malformed_fixture_exits_2_at_its_position(name, tmp_path, capsys):
+    fixture, old, new, line, message = MALFORMED[name]
+    (tmp_path / "z2.alg").write_text(fx_text("z2.alg"))  # the base file
+    text = fx_text(fixture)
+    assert text.count(old) == 1
+    bad = tmp_path / f"bad-{fixture}"
+    bad.write_text(text.replace(old, new))
+    if name.startswith("module-"):
+        argv = ["homology", "--theory", "mod:Z", "--algebra", str(bad)]
+    else:
+        argv = ["check", str(bad)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and not out
+    assert err.startswith(f"error: {bad}:{line}:")
+    assert err.rstrip().endswith(message)

@@ -223,7 +223,7 @@ def test_em_route_matches_brute_force_simplicial_maps():
 
     w = der_cochain(v, k, x=z2)
     coeff = _coefficient(k, z2)
-    duals = _dual_degen_matrices(v, k, z2, coeff)
+    duals = _dual_degen_matrices(v, z2, coeff)
     stacked = [(duals[1][0], w.levels[0]),
                (_alternating_sum(w.cofaces[1]), w.levels[2])]
     lattice = cycle_lattice(stacked, w.levels[1].gens)

@@ -5,7 +5,8 @@ body.  Every module-level import of a module in `src/aq` (other than
 `__init__.py` and `__future__`) is used there, listed in its `__all__`,
 or imported from it by another module.  Every name a module-level
 assignment in `src/aq` binds (other than `__all__` and `__slots__`) is
-read somewhere in `src/aq` or `tests`."""
+read somewhere in `src/aq` or `tests`.  Every parameter of a private
+module-level function in `src/aq` is read in its body."""
 
 import ast
 import pathlib
@@ -144,3 +145,24 @@ def test_every_module_level_name_is_read():
               for path in SRC for name, line in _assigned_names(trees[path])
               if name not in read and name not in ("__all__", "__slots__")]
     assert unread == [], f"module-level names nothing reads: {unread}"
+
+
+def _parameters(fn):
+    args = fn.args
+    return [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                            args.vararg, args.kwarg) if a is not None]
+
+
+def test_every_parameter_of_a_private_function_is_read():
+    unread = []
+    for path in SRC:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(top, FUNCS) or not top.name.startswith("_") \
+                    or top.name.endswith("__"):
+                continue
+            read = {node.id for stmt in top.body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}:{top.lineno}:{top.name}({name})"
+                       for name in _parameters(top) if name not in read]
+    assert unread == [], f"parameters their function never reads: {unread}"

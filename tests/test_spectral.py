@@ -62,6 +62,26 @@ def test_tor_page_against_homology_with_coeffs():
     assert page.consistent(), page.convergence
 
 
+def test_tor_page_reads_tmax_as_the_uct_page_does():
+    # H_0 = Z/4, H_1 = Z/2 with Z/2 coefficients: E2[0,1] = Z/2 sits on
+    # the diagonal of degree 1, and tmax = 0 leaves it out of that row
+    ring = Ring("Z")
+    h = GradedModule(ring, {0: RModulePresentation.cyclic(ring, 4),
+                            1: RModulePresentation.cyclic(ring, 2)})
+    g = CoefficientModule.trivial(ring, [2])
+    values = {0: G(2), 1: G(2, 2)}
+    for page_of in (
+            lambda tmax: uct_e2(h, g, 2, tmax, cohomology_values=values),
+            lambda tmax: tor_e2(h, g, 2, tmax, homology_values=values)):
+        assert page_of(0).entry(0, 1) == G(2)
+        rows = {tmax: {row["degree"]: row for row in page_of(tmax).convergence}
+                for tmax in (0, 1)}
+        assert len(rows[1][1]["page"]) == 2 and rows[1][1]["consistent"]
+        assert rows[0][1]["page"] == [G(2).to_json()]
+        assert not rows[0][1]["consistent"]
+        assert rows[0][0] == rows[1][0]
+
+
 def test_tor_page_free_coefficients_single_column():
     ring = Ring("Z")
     h = GradedModule.concentrated(RModulePresentation.cyclic(ring, 4))
