@@ -18,6 +18,7 @@ from .algebras import (
     AlgebraMap,
     FiniteAlgebra,
     FreeAlgebra,
+    _thaw,
     cyclic_group,
     realize_presentation,
 )
@@ -31,7 +32,7 @@ from .dsl import (
     parse_theory,
     tokenize,
 )
-from .rings import RingDescriptorError, parse_ring
+from .rings import RModulePresentation, RingDescriptorError, parse_ring
 from .simplicial import ChainComplex, SimplicialTheta, dold_kan
 from .snf import _sparse_cols
 from .theories import TheoryPresentation, module_theory, zmod_module_theory
@@ -231,11 +232,13 @@ def _parse_table_block(p, theory, name, where):
         raise FixtureError(f"{where}: {exc}") from exc
 
 
-def _parse_presentation_block(p, theory, name, source):
+def _read_presentation_block(p):
+    """The entries of a presentation block through its closing brace:
+    the generators, the line of the first `gens` entry, per relation
+    (lhs, rhs or None, line), and the `realize bound` (256 by default)."""
     p.expect("{")
     gens = []
     rels = []
-    rel_lines = []
     bound = 256
     gens_line = None
     while p.peek().text != "}":
@@ -250,13 +253,13 @@ def _parse_presentation_block(p, theory, name, source):
             ):
                 gens.append(p.expect_ident())
         elif kw == "rel":
-            rel_lines.append(p.peek().line)
+            line = p.peek().line
             lhs = p.parse_term()
+            rhs = None
             if p.peek().text == "=":
                 p.next()
-                rels.append((lhs, p.parse_term()))
-            else:
-                rels.append(lhs)
+                rhs = p.parse_term()
+            rels.append((lhs, rhs, line))
         elif kw == "realize":
             p.expect("bound")
             p.expect("=")
@@ -265,18 +268,32 @@ def _parse_presentation_block(p, theory, name, source):
             raise DslSyntaxError(tok.line, tok.col,
                                  f"unknown presentation entry {kw!r}")
     p.expect("}")
+    return gens, gens_line, rels, bound
+
+
+def _evaluated_relations(theory, gens, gens_line, rels, source):
+    """The free algebra on `gens` and each relation's sides evaluated
+    there, (lhs, rhs or None); generators or a term it rejects are a
+    fixture error at the path:line of their entry."""
     free = _free_at(theory, gens, f"{source}:{gens_line}")
-    for rel, line in zip(rels, rel_lines):
-        for term in rel if isinstance(rel, tuple) else (rel,):
-            _eval_at(free, term, f"{source}:{line}")
-    return realize_presentation(theory, gens, rels, bound=bound, name=name)
+    return free, [
+        (_eval_at(free, lhs, f"{source}:{line}"),
+         None if rhs is None else _eval_at(free, rhs, f"{source}:{line}"))
+        for lhs, rhs, line in rels]
+
+
+def _parse_presentation_block(p, theory, name, source):
+    gens, gens_line, rels, bound = _read_presentation_block(p)
+    # evaluated here only to report a bad term at its path:line
+    _evaluated_relations(theory, gens, gens_line, rels, source)
+    return realize_presentation(
+        theory, gens, [lhs if rhs is None else (lhs, rhs)
+                       for lhs, rhs, _ in rels], bound=bound, name=name)
 
 
 def parse_module_presentation(text, base_dir="", source="<module>"):
     """A presentation-form .alg over a module theory, kept as an
     RModulePresentation (for the resolution pipeline)."""
-    from .rings import RModulePresentation
-
     p = _FixtureParser(tokenize(text))
     name, theory, line = _algebra_header(p, base_dir)
     if theory.ring is None:
@@ -288,56 +305,14 @@ def parse_module_presentation(text, base_dir="", source="<module>"):
     if p.expect_ident() != "presentation":
         raise DslSyntaxError(tok.line, tok.col, "module presentations need "
                              "a presentation block")
-    p.expect("{")
-    gens = []
-    rel_terms = []
-    gens_line = None
-    while p.peek().text != "}":
-        tok = p.peek()
-        kw2 = p.expect_ident()
-        if kw2 == "gens":
-            gens_line = gens_line or tok.line
-            p.expect_ident()
-            p.expect(":")
-            while p.peek().kind == "ident" and p.peek().text not in (
-                "gens", "rel", "realize",
-            ):
-                gens.append(p.expect_ident())
-        elif kw2 == "rel":
-            line = p.peek().line
-            lhs = p.parse_term()
-            if p.peek().text == "=":
-                p.next()
-                rel_terms.append((lhs, p.parse_term(), line))
-            else:
-                rel_terms.append((lhs, None, line))
-        elif kw2 == "realize":
-            p.expect("bound")
-            p.expect("=")
-            p.parse_int()
-        else:
-            raise DslSyntaxError(tok.line, tok.col,
-                                 f"unknown presentation entry {kw2!r}")
+    gens, gens_line, rels, _ = _read_presentation_block(p)
     p.expect("}")
-    p.expect("}")
-    free = _free_at(theory, gens, f"{source}:{gens_line}")
+    free, sides = _evaluated_relations(theory, gens, gens_line, rels, source)
     cols = []
-    for lhs, rhs, line in rel_terms:
-        where = f"{source}:{line}"
-        word = _eval_at(free, lhs, where)
-        if rhs is not None:
-            word = free.mul(word, free.inv(_eval_at(free, rhs, where)))
-        col = []
-        wd = dict(word)
-        for g in gens:
-            c = wd.get(g, None)
-            if c is None:
-                col.append(ring.zero())
-            else:
-                from .algebras import _thaw
-
-                col.append(_thaw(c, ring))
-        cols.append(col)
+    for lhs, rhs in sides:
+        wd = dict(lhs if rhs is None else free.mul(lhs, free.inv(rhs)))
+        cols.append([ring.zero() if g not in wd else _thaw(wd[g], ring)
+                     for g in gens])
     mod = RModulePresentation(ring, len(gens), cols)
     mod.name = name
     return mod
@@ -380,6 +355,7 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
             p.expect(":")
             act[el] = p.parse_matrix()
         elif kw == "action":
+            block_line = tok.line
             opname = p.expect_ident()
             p.expect("(")
             tup = []
@@ -405,7 +381,7 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
                 p.expect("->")
                 entries[tuple(args)] = (p.expect_ident(), entry_line)
             p.expect("}")
-            fhat_tables.append((opname, tuple(tup), entries))
+            fhat_tables.append((opname, tuple(tup), entries, block_line))
         else:
             raise DslSyntaxError(tok.line, tok.col,
                                  f"unknown xmodule entry {kw!r}")
@@ -417,6 +393,11 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
     finab = FinAb([m for m in moduli if m > 1] or [1])
     if not act:
         act_mats = _derive_action_from_tables(base, finab, fhat_tables, source)
+        missing = [x for x in base.carriers[base.theory.sorts[0]]
+                   if x not in act_mats]
+        if missing:
+            raise FixtureError(f"{source}:{header}: cannot derive action for "
+                               f"{missing}; add act blocks")
     else:
         act_mats = {el: m for el, m in act.items()}
         for el in base.carriers[base.theory.sorts[0]]:
@@ -449,12 +430,14 @@ def _parse_carrier_element(token, finab, where):
 
 
 def _derive_action_from_tables(base, finab, fhat_tables, source):
-    """x . k is read off the mul action table at the tuple (x, e)."""
+    """x . k is read off the mul action table at the tuple (x, e), for
+    each x that has one; an entry missing from that table is a fixture
+    error at the path:line of its `action` block."""
     sort = base.theory.sorts[0]
     mul, _, _ = base.group_ops(sort)
     ident = base.identity(sort)
     per_element = {}
-    for opname, tup, entries in fhat_tables:
+    for opname, tup, entries, block_line in fhat_tables:
         if opname != mul or len(tup) != 2 or tup[1] != ident:
             continue
         x = tup[0]
@@ -465,14 +448,11 @@ def _derive_action_from_tables(base, finab, fhat_tables, source):
             key = (_element_token(finab.zero()), _element_token(basis))
             if key not in entries:
                 raise FixtureError(
-                    f"action table for ({x},{ident}) missing entry {key}"
-                )
+                    f"{source}:{block_line}: action table for ({x},{ident}) "
+                    f"missing entry {key}")
             img, line = entries[key]
             cols.append(_parse_carrier_element(img, finab, f"{source}:{line}"))
         per_element[x] = [[cols[j][i] for j in range(dim)] for i in range(dim)]
-    missing = [x for x in base.carriers[sort] if x not in per_element]
-    if missing:
-        raise FixtureError(f"cannot derive action for {missing}; add act blocks")
     return per_element
 
 
@@ -483,7 +463,7 @@ def _element_token(el):
 def _validate_fhat_tables(km: XModule, fhat_tables, source):
     """Explicit per-(op, tuple) tables must match the structural f_hat."""
     finab = km.carrier
-    for opname, tup, entries in fhat_tables:
+    for opname, tup, entries, _ in fhat_tables:
         fh = km.f_hat(opname, tup)
         for args, (img, line) in entries.items():
             where = f"{source}:{line}"

@@ -33,8 +33,6 @@ from .rings import CoefficientModule, Ring, _act_matrix, with_coefficients
 from .simplicial import (
     CosimplicialAbelian,
     PresentedComplex,
-    SimplicialFreeModule,
-    SimplicialTheta,
     _alternating_sum,
     moore_homotopy,
     require_levels,
@@ -71,22 +69,12 @@ def _coefficient(k, x=None):
     return k
 
 
-def _abelianization(v, x):
-    """The free simplicial module the (co)homology of `v` is computed on:
-    the abelianization of a free simplicial algebra (over Z[X] when x is
-    given, its columns the sparse Fox matrices), or a free simplicial
-    module itself.  Each object builds it once."""
-    if isinstance(v, SimplicialTheta):
-        return v.abelianization(x is not None)
-    return v
-
-
 def der_cochain(v, k, x=None) -> CosimplicialAbelian:
     """The cosimplicial abelian group n -> Der_{p_n}(V_n, K) on every
     generator, with cofaces pulled back along the faces (the free-case
     identification K^T): the derivation complex of the EM route."""
     coeff = _coefficient(k, x)
-    ab = _abelianization(v, x)
+    ab = v.abelianization(x is not None)
     ranks = ab.ranks
     levels = [Presentation.from_moduli(list(coeff.moduli) * r) for r in ranks]
     face_mats, _ = ab.columns()
@@ -106,14 +94,14 @@ def cohomology(v, k, degrees, x=None, certificate=None):
     _require_valid(certificate)
     require_levels(v, degrees)
     levels, deltas = with_coefficients(
-        *_abelianization(v, x).reduced_complex(), _coefficient(k, x),
+        *v.abelianization(x is not None).reduced_complex(), _coefficient(k, x),
         max(degrees) + 1, dual=True)
     return cohomology_groups(levels, deltas, degrees)
 
 
 def _dual_degen_matrices(v, x, coeff):
     """Codegeneracy duals s^j: C^n -> C^{n-1} for normalization."""
-    ab = _abelianization(v, x)
+    ab = v.abelianization(x is not None)
     ranks = ab.ranks
     _, degen_mats = ab.columns()
     # s_j: V_{n-1} -> V_n (rows: T_n), dual: C^n -> C^{n-1}
@@ -192,32 +180,29 @@ def _em_groups_mod_p(levels, duals, deltas, degrees, p):
 # homology
 
 def homology(v, degrees, x=None, certificate=None, with_action=False):
-    """Homotopy of the (relative) abelianization of a free resolution.
-
-    Group-like theories: values are the homotopy of the Fox-differential
-    complex (over Z absolutely, over Z[X] relatively, reported as abelian
-    groups, optionally with the X-action on canonical generators).
-    Module theories: abelianization is the identity, so this is Moore
-    homotopy of the resolution itself."""
+    """Homotopy of the (relative) abelianization of a free resolution:
+    over Z absolutely, over Z[X] relatively, reported as abelian groups,
+    optionally with the X-action on canonical generators.  A free
+    simplicial module is its own abelianization, so for a module
+    resolution this is its Moore homotopy.  Degrees that a valid
+    certificate of the same abelianization read are taken from it."""
     _require_valid(certificate)
     require_levels(v, degrees)
-    if isinstance(v, SimplicialFreeModule):
-        # a module certificate has just computed this Moore homotopy
-        pis = (certificate.detail.get("abelianized_homotopy", {})
-               if certificate is not None and certificate.object is v else {})
+    if not with_action or x is None:
+        ab = v.abelianization(x is not None)
+        # the certificate read the abelianization of its object over X
+        pis = (certificate.detail["abelianized_homotopy"]
+               if certificate is not None and certificate.object is v
+               and v.abelianization(True) is ab else {})
         if degrees and all(n in pis for n in degrees):
             return {n: pis[n] for n in degrees}
-        return moore_homotopy(v, degrees)
-    if not with_action or x is None:
-        cx, _, _ = abelianized_complex(v, over=x, reduced=True)
-        return cx.homology(degrees)
+        return moore_homotopy(ab, degrees)
     # the action is read in the canonical coordinates of the unreduced
     # complex, so its matrices stay those of the whole normalized complex
     cx, ranks, ring = abelianized_complex(v, over=x)
     subq = cx.homology_subquotients(degrees)
     out = {nn: subq[nn].invariants() for nn in degrees}
     actions = {}
-    zr = ring.zrank()
     for nn in degrees:
         dim = len(subq[nn].canonical_generators())
         acts = {}
@@ -244,7 +229,7 @@ def homology_with_coeffs(v, g, degrees, x=None, certificate=None):
     _require_valid(certificate)
     require_levels(v, degrees)
     levels, bnds = with_coefficients(
-        *_abelianization(v, x).reduced_complex(), _coefficient(g, x),
+        *v.abelianization(x is not None).reduced_complex(), _coefficient(g, x),
         max(degrees) + 1)
     return PresentedComplex(levels, bnds).homology(degrees)
 
@@ -274,7 +259,7 @@ def diagram_coefficients(v, nodes, edges, op, degrees, x=None,
     require_levels(v, degrees)
     # induced maps are read in the canonical coordinates of the
     # unreduced complex, as the X-action on homology is
-    ranks, diffs = _abelianization(v, x).normalized_complex()
+    ranks, diffs = v.abelianization(x is not None).normalized_complex()
     top = max(degrees) + 1
     values = {}
     subquots = {}
@@ -319,7 +304,7 @@ def diagram_coefficients(v, nodes, edges, op, degrees, x=None,
 
 
 def _equal_mod_canon(m1, m2, subq: Subquotient):
-    mods = [d for d in subq._diag if d != 1]
+    mods = subq.moduli()
     if len(m1) != len(m2):
         return False
     for i in range(len(m1)):

@@ -187,6 +187,11 @@ class Subquotient:
             self._zsolver = solver
         return solver.solve(vec)
 
+    def moduli(self):
+        """The moduli of the canonical coordinates (`canon`), 0 for a free
+        one, in order."""
+        return [d for d in self._diag if d != 1]
+
     def invariants(self) -> FGAbelianGroup:
         tor = [d for d in self._diag if d > 1]
         rank = sum(1 for d in self._diag if d == 0)

@@ -38,7 +38,6 @@ from .simplicial import (
     _normalized_quotient,
     dold_kan,
     moore_homotopy,
-    reduced_quotient,
 )
 from .terms import App
 
@@ -144,22 +143,19 @@ def loop_group_resolution(g: FiniteAlgebra, truncation=2) -> SimplicialTheta:
 # ---------------------------------------------------------------------------
 # abelianized chain complexes of free simplicial algebras
 
-def abelianized_complex(v: SimplicialTheta, over=None, reduced=False):
+def abelianized_complex(v: SimplicialTheta, over=None):
     """The (relative or absolute) abelianization of a free simplicial
-    algebra as a normalized presented complex over Z.
+    algebra as a normalized presented complex over Z, for the `--over`
+    action route, which reads canonical coordinates on it.
 
     over=None: coefficients Z (exponent sums).  over=X: coefficients in
     the group ring Z[X] through the structure maps, then restricted to Z.
     The abelianization is a free simplicial module (`abelianization`), so
-    this is its normalized complex (`_normalized_quotient`); `reduced`
-    gives its reduced complex (`reduced_quotient`) instead.  Returns
+    this is its normalized complex (`_normalized_quotient`).  Returns
     (PresentedComplex, ranks, ring), ranks the generator counts per level
     of that complex.
     """
     ab = v.abelianization(over is not None)
-    if reduced:
-        ranks, _ = ab.reduced_complex()
-        return reduced_quotient(ab, v.truncation), ranks, ab.ring
     cx, cells = _normalized_quotient(ab, v.truncation)
     return cx, [len(c) for c in cells], ab.ring
 
@@ -189,11 +185,15 @@ class ResolutionCertificate:
 
 
 def check_certificate(v, x, rng) -> ResolutionCertificate:
-    """Run the decidable resolution checks: simplicial identities,
-    degreewise freeness, pi_0 recovering the target, and acyclicity of the
-    abelianization over the target in degrees 1..rng."""
-    if isinstance(v, SimplicialFreeModule):
-        return _check_module_certificate(v, x, rng)
+    """Run the decidable resolution checks on a free simplicial algebra or
+    module `v` over the target `x`: simplicial identities, degreewise
+    freeness, pi_0 recovering the target, and acyclicity in degrees
+    1..rng of the abelianization over the target (a free simplicial
+    module is its own).  Where the identities and freeness hold, and a
+    group resolution has an augmentation, the Moore homotopy of that
+    abelianization through degree rng is kept in
+    detail["abelianized_homotopy"]."""
+    module = isinstance(v, SimplicialFreeModule)
     checks = {}
     detail = {}
     try:
@@ -203,15 +203,21 @@ def check_certificate(v, x, rng) -> ResolutionCertificate:
         checks["simplicial_identities"] = False
         detail["identity_failure"] = str(exc)
     checks["degreewise_free"] = v.is_free_levelwise()
-    checks["pi0"] = _pi0_matches(v, x) if checks["degreewise_free"] else False
-    # the abelianization over x is taken along the augmentation
+    # pi_0 of a group resolution by Todd-Coxeter, of a module's from H_0
+    checks["pi0"] = not module and checks["degreewise_free"] \
+        and _pi0_matches(v, x)
+    checks["abelianized_acyclic"] = False
     if checks["simplicial_identities"] and checks["degreewise_free"] \
-            and v.augmentation is not None:
-        ok, got = _abelianized_acyclic(v, x, rng)
-        checks["abelianized_acyclic"] = ok
-        detail["abelianized_homotopy"] = got
-    else:
-        checks["abelianized_acyclic"] = False
+            and (module or v.augmentation is not None):
+        pis = moore_homotopy(v.abelianization(True), range(rng + 1))
+        detail["abelianized_homotopy"] = pis
+        acyclic = all(pis[k].is_trivial() for k in range(1, rng + 1))
+        if module:
+            checks["pi0"] = pis[0] == x.invariants()
+        else:
+            # H_0 over X is the augmentation ideal, free on X minus e
+            acyclic = acyclic and pis[0] == FGAbelianGroup(x.order() - 1)
+        checks["abelianized_acyclic"] = acyclic
     return ResolutionCertificate(x, v, checks, rng, detail)
 
 
@@ -245,43 +251,6 @@ def _pi0_matches(v: SimplicialTheta, x) -> bool:
         ):
             return True
     return False
-
-
-def _abelianized_acyclic(v: SimplicialTheta, x, rng):
-    if rng + 1 > v.truncation:
-        raise AlgebraError("certificate range exceeds the truncation")
-    cx, _, _ = abelianized_complex(v, over=x, reduced=True)
-    got = cx.homology(range(rng + 1))
-    expected0 = FGAbelianGroup(x.order() - 1)
-    ok = got[0] == expected0 and all(
-        got[k].is_trivial() for k in range(1, rng + 1)
-    )
-    return ok, got
-
-
-def _check_module_certificate(v: SimplicialFreeModule, module, rng):
-    checks = {}
-    detail = {}
-    try:
-        v.check_identities()
-        checks["simplicial_identities"] = True
-    except SimplicialIdentityError as exc:
-        checks["simplicial_identities"] = False
-        detail["identity_failure"] = str(exc)
-    checks["degreewise_free"] = True  # free by construction of the container
-    if rng + 1 > v.truncation:
-        raise AlgebraError("certificate range exceeds the truncation")
-    pis = moore_homotopy(v, range(rng + 1))
-    if isinstance(module, RModulePresentation):
-        target_inv = module.invariants()
-    else:
-        target_inv = module
-    checks["pi0"] = pis[0] == target_inv
-    checks["abelianized_acyclic"] = all(
-        pis[k].is_trivial() for k in range(1, rng + 1)
-    )
-    detail["abelianized_homotopy"] = pis
-    return ResolutionCertificate(module, v, checks, rng, detail)
 
 
 def resolve_module(module: RModulePresentation, length=4):

@@ -321,6 +321,14 @@ class SimplicialFreeModule(_MatrixSimplicial):
         self.ring = ring
         self.ranks = list(ranks)
 
+    def is_free_levelwise(self):
+        return True
+
+    def abelianization(self, relative):
+        """A free simplicial module is its own abelianization, absolute or
+        relative."""
+        return self
+
     def _maps_equal(self, m1, m2, src_level, tgt_level):
         """Equal as they are, or column by column as {row: entry} dicts
         (a column is a dict or its (row, entry) pairs, in any order)."""
@@ -812,7 +820,7 @@ def moore_homotopy(v, degrees):
     (`reduced_quotient`).
     """
     require_levels(v, degrees)
-    top = max(degrees)
+    top = max(degrees, default=0)
     if isinstance(v, SimplicialFreeModule):
         quo = reduced_quotient(v, top + 1)
     else:
@@ -1342,9 +1350,7 @@ def diag_e2_page(b: BisimplicialAbelian, smax, tmax):
         levels = []
         diffs = [None]
         for p, (subq, cells) in enumerate(cols):
-            levels.append(Presentation.from_moduli(
-                [d for d in subq._diag if d != 1]
-            ))
+            levels.append(Presentation.from_moduli(subq.moduli()))
             if p >= 1:
                 prev, rows = cols[p - 1]
                 # the horizontal faces are vertical simplicial maps, so they
@@ -1494,10 +1500,7 @@ def tot_e2_page(w: CosimplicialSimplicial, smax, tmax):
                                   diffs)
             subq = cx.homology_subquotients([t])[t]
             cols.append(subq)
-        levels = [
-            Presentation.from_moduli([d for d in sq._diag if d != 1])
-            for sq in cols
-        ]
+        levels = [Presentation.from_moduli(sq.moduli()) for sq in cols]
         # cochain complex in s: flip to chain shape for the helper
         deltas = [None]
         for s in range(1, trunc + 1):

@@ -28,7 +28,6 @@ from .simplicial import (
     moore_homotopy,
     total_complex,
 )
-from .snf import mat_mul
 
 
 class GradedModule:
@@ -59,31 +58,18 @@ class GradedModule:
 
 
 class SpectralPage:
-    """An E2 grid with its (forced) d2 data and a convergence report."""
+    """An E2 grid with its convergence report."""
 
-    def __init__(self, grid, quadrant, d2=None, convergence=None,
-                 description=""):
+    def __init__(self, grid, quadrant, convergence=None, description=""):
         self.grid = dict(grid)
         self.quadrant = quadrant
-        self.d2 = dict(d2 or {})
         self.convergence = convergence or []
         self.description = description
-        self._validate()
-
-    def _validate(self):
         for (s, t) in self.grid:
             if s < 0 or t < 0:
                 raise AlgebraError(
                     f"grid entry ({s},{t}) lies outside the quadrant: "
                     "indices must be >= 0")
-        # d2 followed by d2 must vanish (trivially so for forced-zero data)
-        for (s, t), mat in self.d2.items():
-            nxt = (s + 2, t + 1)
-            if nxt in self.d2:
-                comp = mat_mul(self.d2[nxt], mat)
-                if any(any(row) for row in comp):
-                    raise AlgebraError(
-                        f"d2 . d2 != 0 at ({s},{t}) -> {nxt}")
 
     def entry(self, s, t) -> FGAbelianGroup:
         return self.grid.get((s, t), FGAbelianGroup())
@@ -167,22 +153,12 @@ def uct_e2(h: GradedModule, g: CoefficientModule, smax, tmax,
     their sum.
     """
     grid = _derived_page(h, g, smax, ext_groups)
-    d2 = {}
     convergence = []
-    if all(s <= 1 for (s, t) in grid):
-        # d2 lands outside the support, so it is forced to vanish
-        for (s, t) in grid:
-            d2[(s, t)] = [[0] * max(1, _dim(grid[(s, t)]))
-                          for _ in range(1)]
-        if cohomology_values is not None:
-            convergence = _convergence(grid, cohomology_values,
-                                       h.ring.kind == "Z", tmax)
-    return SpectralPage(grid, "second", d2, convergence,
+    if cohomology_values is not None and all(s <= 1 for (s, t) in grid):
+        convergence = _convergence(grid, cohomology_values,
+                                   h.ring.kind == "Z", tmax)
+    return SpectralPage(grid, "second", convergence,
                         description="universal coefficients (Ext) page")
-
-
-def _dim(group: FGAbelianGroup):
-    return group.rank + len(group.torsion)
 
 
 def tor_e2(h: GradedModule, g: CoefficientModule, smax, tmax,
@@ -194,7 +170,7 @@ def tor_e2(h: GradedModule, g: CoefficientModule, smax, tmax,
     if homology_values is not None and all(s <= 1 for (s, t) in grid):
         convergence = _convergence(grid, homology_values,
                                    h.ring.kind == "Z", tmax)
-    return SpectralPage(grid, "first", {}, convergence,
+    return SpectralPage(grid, "first", convergence,
                         description="homology universal coefficients (Tor) page")
 
 
@@ -220,7 +196,7 @@ def reverse_adams_e2(pi: GradedModule, g: CoefficientModule, variant,
         convergence = _convergence(grid, comparison,
                                    all(t == 0 for (_, t) in grid))
     quadrant = "first" if variant == "homology" else "second"
-    return SpectralPage(grid, quadrant, {}, convergence,
+    return SpectralPage(grid, quadrant, convergence,
                         description=f"reverse Adams ({variant}) page")
 
 

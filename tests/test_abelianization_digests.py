@@ -15,7 +15,7 @@ import pytest
 from aq.algebras import cyclic_group, klein_four, symmetric_3
 from aq.beck import XModule
 from aq.fixtures import load_algebra, load_sres
-from aq.invariants import _abelianization, _coefficient, der_cochain
+from aq.invariants import _coefficient, der_cochain
 from aq.presented import Presentation
 from aq.resolutions import abelianized_complex, loop_group_resolution
 from aq.rings import CoefficientModule, Ring, _act_matrix
@@ -57,7 +57,7 @@ def _cochain_digest(v, k, x, cells):
         levels, cofaces = w.levels, w.cofaces
     else:
         coeff = _coefficient(k, x)
-        face_mats, _ = _abelianization(v, x).columns()
+        face_mats, _ = v.abelianization(x is not None).columns()
         levels = [Presentation.from_moduli(list(coeff.moduli) * len(c))
                   for c in cells]
         cofaces = [[_act_matrix(fox, coeff, cells[n], cells[n + 1], dual=True)

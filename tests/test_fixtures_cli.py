@@ -494,6 +494,37 @@ def test_cli_invalid_xmodule_exits_2_with_its_position(tmp_path, capsys):
     assert f"{bad}:4: xmodule bad: identity of X must act trivially" in err
 
 
+def _action_table_xmodule(tmp_path, tables):
+    bad = tmp_path / "bad.xmod"
+    bad.write_text("xmodule bad {\n"
+                   f"  base \"{os.path.abspath(fx('z2.alg'))}\"\n"
+                   "  carrier g : 2\n"
+                   + "".join(f"  action mul {t}\n" for t in tables) + "}\n")
+    return bad
+
+
+def test_cli_action_table_missing_an_entry_names_its_block(tmp_path, capsys):
+    bad = _action_table_xmodule(tmp_path, [
+        "(e, e) { (0,0)->0 (0,1)->1 (1,0)->1 (1,1)->0 }",
+        "(a, e) { (0,0)->0 (1,0)->1 (1,1)->0 }"])
+    code = main(["cohomology", "--theory", "gp", "--algebra", fx("z2.alg"),
+                 "--coeffs", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}:5: action table for (a,e) missing entry ('0', '1')" in err
+
+
+def test_cli_action_tables_missing_an_element_name_the_header(tmp_path,
+                                                              capsys):
+    bad = _action_table_xmodule(tmp_path, [
+        "(e, e) { (0,0)->0 (0,1)->1 (1,0)->1 (1,1)->0 }"])
+    code = main(["cohomology", "--theory", "gp", "--algebra", fx("z2.alg"),
+                 "--coeffs", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{bad}:1: cannot derive action for ['a']; add act blocks" in err
+
+
 def test_cli_algebra_error_exits_1_naming_the_check(capsys):
     # the fixture resolution has too few levels for degree 3
     code = main(["cohomology", "--theory", "gp", "--algebra", fx("z2.alg"),

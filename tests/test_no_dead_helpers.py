@@ -6,7 +6,9 @@ body.  Every module-level import of a module in `src/aq` (other than
 or imported from it by another module.  Every name a module-level
 assignment in `src/aq` binds (other than `__all__` and `__slots__`) is
 read somewhere in `src/aq` or `tests`.  Every parameter of a private
-module-level function in `src/aq` is read in its body."""
+module-level function in `src/aq` is read in its body.  No module in
+`src/aq` reads or sets a `_`-prefixed attribute that only another module
+defines, other than on `self` or `cls`."""
 
 import ast
 import pathlib
@@ -166,3 +168,41 @@ def test_every_parameter_of_a_private_function_is_read():
             unread += [f"{path.name}:{top.lineno}:{top.name}({name})"
                        for name in _parameters(top) if name not in read]
     assert unread == [], f"parameters their function never reads: {unread}"
+
+
+def _private_attributes(tree):
+    """The `_`-prefixed (not dunder) attribute names a module defines: its
+    functions and methods, the names its class bodies bind and the
+    attributes it stores."""
+    for node in ast.walk(tree):
+        names = []
+        if isinstance(node, FUNCS):
+            names = [node.name]
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Store):
+            names = [node.attr]
+        elif isinstance(node, ast.ClassDef):
+            names = [name.id for item in node.body
+                     if isinstance(item, (ast.Assign, ast.AnnAssign))
+                     for name in ast.walk(item)
+                     if isinstance(name, ast.Name)
+                     and isinstance(name.ctx, ast.Store)]
+        yield from (name for name in names
+                    if name.startswith("_") and not name.endswith("__"))
+
+
+def test_no_module_reads_private_attributes_of_another():
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in SRC}
+    defined = {path: set(_private_attributes(tree))
+               for path, tree in trees.items()}
+    reads = []
+    for path, tree in trees.items():
+        foreign = set().union(*(names for other, names in defined.items()
+                                if other != path)) - defined[path]
+        reads += [f"{path.name}:{node.lineno}:{ast.unparse(node)}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in foreign
+                  and not (isinstance(node.value, ast.Name)
+                           and node.value.id in ("self", "cls"))]
+    assert reads == [], f"private attributes read across modules: {reads}"

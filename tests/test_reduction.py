@@ -164,8 +164,9 @@ def test_reduced_and_unreduced_agree_on_group_fixtures(name):
     for x in (None, g):
         ab = v.abelianization(x is not None)
         unreduced, _, _ = abelianized_complex(v, over=x)
-        reduced, _, _ = abelianized_complex(v, over=x, reduced=True)
-        assert reduced.homology(degrees) == unreduced.homology(degrees)
+        # the Moore homotopy of a free simplicial module reads its reduced
+        # complex
+        assert moore_homotopy(ab, degrees) == unreduced.homology(degrees)
         for k in coeffs:
             hom, tensor = _unreduced_values(ab, _coefficient(k, x), degrees)
             assert cohomology(v, k, degrees, x=x) == hom, (x, k.action)
@@ -291,13 +292,6 @@ _INPUT_CHECKS = {
         "bad = FiniteAlgebra(g.theory, 'bad', g.carriers, tables, "
         "validate=False)\n"
         "comma_theory(g.theory, bad)\n", "bad"),
-    "E2 page whose d2 squares to nonzero": (
-        "from aq.abgroups import FGAbelianGroup\n"
-        "from aq.spectral import SpectralPage\n"
-        "grid = {(0, 0): FGAbelianGroup(1), (2, 1): FGAbelianGroup(1),\n"
-        "        (4, 2): FGAbelianGroup(1)}\n"
-        "SpectralPage(grid, 'first', d2={(0, 0): [[1]], (2, 1): [[1]]})\n",
-        "d2"),
     "group operations of a theory with no group structure": (
         "from aq.algebras import FiniteAlgebra\n"
         "from aq.theories import trivial_theory\n"
