@@ -884,8 +884,8 @@ def cyclic_group(m, name=None, theory=None):
     )
 
 
-def trivial_group(theory=None):
-    return cyclic_group(1, name="1", theory=theory)
+def trivial_group():
+    return cyclic_group(1, name="1")
 
 
 def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name=None):
@@ -913,11 +913,11 @@ def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name=None):
     return FiniteAlgebra(t, name or f"{a.name}x{b.name}", carriers, tables)
 
 
-def klein_four(name="V4"):
-    return direct_product(cyclic_group(2), cyclic_group(2), name=name)
+def klein_four():
+    return direct_product(cyclic_group(2), cyclic_group(2), name="V4")
 
 
-def symmetric_3(name="S3"):
+def symmetric_3():
     # permutations of {0,1,2} as labels
     import itertools
 
@@ -936,11 +936,11 @@ def symmetric_3(name="S3"):
         for q in perms:
             if compose(p, q) == (0, 1, 2):
                 inv[(label[p],)] = label[q]
-    return FiniteAlgebra(GP, name, {GP.sorts[0]: labels},
+    return FiniteAlgebra(GP, "S3", {GP.sorts[0]: labels},
                          {"mul": mul, "inv": inv, "e": {(): "e"}})
 
 
-def dihedral_4(name="D4"):
+def dihedral_4():
     # <r, s | r^4, s^2, srsr> of order 8
     labels = ["e", "r", "r2", "r3", "s", "sr", "sr2", "sr3"]
 
@@ -965,11 +965,11 @@ def dihedral_4(name="D4"):
         for y in labels:
             if mul[(x, y)] == "e":
                 inv[(x,)] = y
-    return FiniteAlgebra(GP, name, {GP.sorts[0]: labels},
+    return FiniteAlgebra(GP, "D4", {GP.sorts[0]: labels},
                          {"mul": mul, "inv": inv, "e": {(): "e"}})
 
 
-def quaternion_8(name="Q8"):
+def quaternion_8():
     labels = ["e", "m", "i", "mi", "j", "mj", "k", "mk"]
     # encode as pairs (sign, axis) with axis in {1, i, j, k}
     def enc(z):
@@ -1005,7 +1005,7 @@ def quaternion_8(name="Q8"):
         for y in labels:
             if mul[(x, y)] == "e":
                 inv[(x,)] = y
-    return FiniteAlgebra(GP, name, {GP.sorts[0]: labels},
+    return FiniteAlgebra(GP, "Q8", {GP.sorts[0]: labels},
                          {"mul": mul, "inv": inv, "e": {(): "e"}})
 
 
@@ -1079,13 +1079,13 @@ def abelianization_table(alg: FiniteAlgebra):
     )
 
 
-def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra, budget=DEFAULT_BUDGET):
+def find_isomorphism(a: FiniteAlgebra, b: FiniteAlgebra):
     """An explicit isomorphism a -> b, or None (label-blind search)."""
     if any(
         len(a.carriers[s]) != len(b.carriers.get(s, ())) for s in a.theory.sorts
     ):
         return None
-    for m in enumerate_homs(a, b, budget=budget):
+    for m in enumerate_homs(a, b):
         if m.is_bijective():
             return m
     return None

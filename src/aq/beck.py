@@ -9,10 +9,12 @@ from itertools import product
 
 from .abgroups import FGAbelianGroup, FinAb, invariants_from_addition
 from .algebras import (
+    DEFAULT_BUDGET,
     GP,
     AB,
     AlgebraMap,
     AlgebraError,
+    BudgetExhausted,
     FiniteAlgebra,
     FreeAlgebra,
     enumerate_homs,
@@ -68,8 +70,8 @@ class XModule:
                     )
 
     @classmethod
-    def trivial(cls, base, moduli, name=None):
-        return cls(base, FinAb(moduli), None, name=name)
+    def trivial(cls, base, moduli):
+        return cls(base, FinAb(moduli))
 
     def act(self, x, el):
         return self._acts[x][el]
@@ -117,8 +119,11 @@ class XModule:
         """All additive X-equivariant bijections self -> other."""
         if self.carrier.invariants() != other.carrier.invariants():
             return []
+        if self.carrier.order() > 8:
+            raise AlgebraError("additive bijection search limited to order <= 8")
         out = []
-        for phi in _additive_bijections(self.carrier, other.carrier):
+        for phi in _bijection_candidates(other.elements(), other.carrier.add,
+                                         other.zero(), self.carrier):
             if all(
                 phi[self.act(x, el)] == other.act(x, phi[el])
                 for x in self.base.carriers[self.sort]
@@ -129,26 +134,6 @@ class XModule:
 
     def __repr__(self):
         return f"XModule({self.name}: {self.invariants()} over {self.base.name})"
-
-
-def _additive_bijections(k1: FinAb, k2: FinAb):
-    """All additive bijections k1 -> k2 as dicts (brute force, small only)."""
-    els1 = k1.elements()
-    out = []
-    from itertools import permutations
-
-    if k1.order() > 8:
-        raise AlgebraError("additive bijection search limited to order <= 8")
-    for perm in permutations(k2.elements()):
-        phi = dict(zip(els1, perm))
-        if phi[k1.zero()] != k2.zero():
-            continue
-        if all(
-            phi[k1.add(a, b)] == k2.add(phi[a], phi[b])
-            for a in els1 for b in els1
-        ):
-            out.append(phi)
-    return out
 
 
 class Derivation:
@@ -223,7 +208,7 @@ class DerivationGroup:
         )
 
 
-def derivations(p: AlgebraMap, k: XModule, budget=10**7) -> DerivationGroup:
+def derivations(p: AlgebraMap, k: XModule) -> DerivationGroup:
     """All derivations Y -> K with respect to p.
 
     Free Y: every generator assignment (the free-case identification).
@@ -246,9 +231,7 @@ def derivations(p: AlgebraMap, k: XModule, budget=10**7) -> DerivationGroup:
     steps = 0
     for combo in product(k.elements(), repeat=len(gens)):
         steps += y_alg.order()
-        if steps > budget:
-            from .algebras import BudgetExhausted
-
+        if steps > DEFAULT_BUDGET:
             raise BudgetExhausted("derivation search budget exhausted")
         assign = dict(zip(gens, combo))
         vals = {ident: k.zero()}
@@ -458,7 +441,7 @@ def _hom_key(phi: AlgebraMap):
 # ---------------------------------------------------------------------------
 # group objects in the slice over X
 
-def fiber_product(p: AlgebraMap, q: AlgebraMap, name=None) -> FiniteAlgebra:
+def fiber_product(p: AlgebraMap, q: AlgebraMap) -> FiniteAlgebra:
     """Y x_X Z for two maps into the same finite X (componentwise tables)."""
     y_alg, z_alg = p.source, q.source
     t = y_alg.theory
@@ -478,7 +461,7 @@ def fiber_product(p: AlgebraMap, q: AlgebraMap, name=None) -> FiniteAlgebra:
             rb = z_alg.apply(op.name, tuple(b for _, b in asplit))
             tab[tup] = f"{ra}&{rb}"
         tables[op.name] = tab
-    fp = FiniteAlgebra(t, name or f"{y_alg.name}&{z_alg.name}", carriers, tables)
+    fp = FiniteAlgebra(t, f"{y_alg.name}&{z_alg.name}", carriers, tables)
     sort = t.sorts[0]
     fp.pr1 = AlgebraMap(
         fp, y_alg, {sort: {x: x.split("&")[0] for x in carriers[sort]}}
@@ -506,7 +489,7 @@ class GroupObjectStructure:
         )
 
 
-def brute_force_group_objects(p: AlgebraMap, budget=10**7):
+def brute_force_group_objects(p: AlgebraMap):
     """Every group object structure on p: Y -> X, by exhaustive search
     over candidate multiplication tables on the fiber product (as algebra
     maps over X) with unit/associativity/inverse pruning."""
@@ -519,10 +502,10 @@ def brute_force_group_objects(p: AlgebraMap, budget=10**7):
         check=False,
     )
     sections = [
-        s for s in enumerate_homs(x, y_alg, over=(identity_map(x), p), budget=budget)
+        s for s in enumerate_homs(x, y_alg, over=(identity_map(x), p))
     ]
     out = []
-    for mu in enumerate_homs(fp, y_alg, over=(q, p), budget=budget):
+    for mu in enumerate_homs(fp, y_alg, over=(q, p)):
         mumap = mu.mapping[sort]
 
         def m(a, b):
@@ -684,7 +667,7 @@ def _automorphism_matrices(k: FinAb):
     return cands
 
 
-def formula_group_objects(p: AlgebraMap, budget=10**7):
+def formula_group_objects(p: AlgebraMap):
     """Group object structures on p generated from (module, derivation)
     pairs pushed through every isomorphism K x| X -> Y over X."""
     y_alg, x = p.source, p.target
@@ -695,8 +678,7 @@ def formula_group_objects(p: AlgebraMap, budget=10**7):
         sd = semidirect_product(k, x)
         ders = derivations(identity_map(x), k)
         isos = [
-            h for h in enumerate_homs(sd, y_alg, over=(sd.projection, p),
-                                      budget=budget)
+            h for h in enumerate_homs(sd, y_alg, over=(sd.projection, p))
             if h.is_bijective()
         ]
         if not isos:
@@ -738,7 +720,7 @@ def formula_group_objects(p: AlgebraMap, budget=10**7):
     return list(out.values())
 
 
-def classify_group_objects(x: FiniteAlgebra, fixtures, budget=10**7):
+def classify_group_objects(x: FiniteAlgebra, fixtures):
     """For each surjection (Y, p) onto x in `fixtures`, compare the brute
     force list of group object structures with the formula-generated one.
 
@@ -746,8 +728,8 @@ def classify_group_objects(x: FiniteAlgebra, fixtures, budget=10**7):
     structure tables."""
     out = []
     for p in fixtures:
-        brute = brute_force_group_objects(p, budget=budget)
-        formed = formula_group_objects(p, budget=budget)
+        brute = brute_force_group_objects(p)
+        formed = formula_group_objects(p)
         bk = {s.key() for s in brute}
         fk = {s.key() for s in formed}
         out.append({

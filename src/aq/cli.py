@@ -21,9 +21,9 @@ from .fixtures import (
     builtin_theory,
     declared_theory,
     load_algebra,
+    load_module,
     load_sres,
     load_xmodule,
-    parse_module_presentation,
 )
 from .rings import CoefficientModule, Ring, RingDescriptorError, parse_ring
 from .simplicial import SimplicialIdentityError, SimplicialTheta
@@ -95,7 +95,7 @@ def _parser():
     p_oracle.add_argument("kind", choices=["bar", "factor-set", "ext", "tor"])
     p_oracle.add_argument("--group", help=".alg path (bar/factor-set)")
     p_oracle.add_argument("--coeffs", help=".xmod path or moduli")
-    p_oracle.add_argument("--ring", default="Z", help="Z, Z/m (ext/tor)")
+    p_oracle.add_argument("--ring", help="the --module's ring (ext/tor)")
     p_oracle.add_argument("--module", help=".alg presentation path (ext/tor)")
     p_oracle.add_argument("--max-degree", type=_degree, default=2)
     p_oracle.add_argument("--degree", type=int, default=2,
@@ -107,7 +107,7 @@ def _parser():
 
     p_ss = sub.add_parser("ss", help="spectral sequence E2 pages")
     p_ss.add_argument("kind", choices=["uct", "tor", "rev-adams"])
-    p_ss.add_argument("--ring", default="Z")
+    p_ss.add_argument("--ring", help="the --module's ring; with --h, Z or as given")
     p_ss.add_argument("--module",
                       help=".alg presentation (concentrated in degree 0)")
     p_ss.add_argument("--h", action="append", default=[],
@@ -252,6 +252,16 @@ def _ring_option(text):
         raise UsageError(f"--ring: {exc}") from exc
 
 
+def _module_ring(args, mod):
+    """The ring of the --module `mod`, which a --ring must name."""
+    if args.ring is not None:
+        ring = _ring_option(args.ring)
+        if ring != mod.ring:
+            raise UsageError(f"--ring {args.ring} is the ring {ring!r}, but "
+                             f"--module {args.module} is over {mod.ring!r}")
+    return mod.ring
+
+
 def _moduli_option(text):
     try:
         return [int(x) for x in text.split(",") if x != ""]
@@ -316,8 +326,7 @@ def cmd_invariants(args):
         # resolve the presented module through level top + 1, the last one
         # that the certificate and every route read
         x = None
-        target = parse_file(args.algebra, parse_module_presentation,
-                            source=args.algebra)
+        target = load_module(args.algebra)
         v = resolve_module(target, length=top + 1)
     cert = check_certificate(v, target, rng=min(top, v.truncation - 1))
     if not cert.valid:
@@ -398,10 +407,12 @@ def cmd_oracle(args):
         value = factor_set_cohomology(g, k, args.degree, budget=args.budget)
         return _emit(args, {"degree": args.degree, **value.to_json()},
                      [f"H^{args.degree}({g.name}) = {value}"])
-    ring = _ring_option(args.ring)
-    mod = parse_file(args.module, parse_module_presentation,
-                     source=args.module)
-    coeff = _trivial_coefficients(CoefficientModule, ring, args.coeffs or "2")
+    if not args.module:
+        print("needs --module", file=sys.stderr)
+        return 2
+    mod = load_module(args.module)
+    coeff = _trivial_coefficients(CoefficientModule, _module_ring(args, mod),
+                                  args.coeffs or "2")
     fn = ext_oracle if args.kind == "ext" else tor_oracle
     values = fn(mod, coeff, args.max_degree)
     name = "Ext" if args.kind == "ext" else "Tor"
@@ -415,14 +426,14 @@ def cmd_ss(args):
     from .resolutions import resolve_module
     from .spectral import GradedModule, reverse_adams_e2, tor_e2, uct_e2
 
-    ring = _ring_option(args.ring)
     if args.module:
-        mod = parse_file(args.module, parse_module_presentation,
-                         source=args.module)
+        mod = load_module(args.module)
+        ring = _module_ring(args, mod)
         graded = GradedModule.concentrated(mod)
     elif args.h:
         from .rings import RModulePresentation
 
+        ring = _ring_option(args.ring or "Z")
         components = {}
         for spec in args.h:
             try:

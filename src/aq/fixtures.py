@@ -318,6 +318,11 @@ def parse_module_presentation(text, base_dir="", source="<module>"):
     return mod
 
 
+def load_module(path) -> RModulePresentation:
+    return parse_file(path, parse_module_presentation,
+                      base_dir=os.path.dirname(path), source=path)
+
+
 def load_xmodule(path, base=None) -> XModule:
     return parse_file(path, parse_xmodule, base_dir=os.path.dirname(path),
                       base=base, source=path)

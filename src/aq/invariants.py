@@ -95,7 +95,7 @@ def cohomology(v, k, degrees, x=None, certificate=None):
     require_levels(v, degrees)
     levels, deltas = with_coefficients(
         *v.abelianization(x is not None).reduced_complex(), _coefficient(k, x),
-        max(degrees) + 1, dual=True)
+        max(degrees, default=-1) + 1, dual=True)
     return cohomology_groups(levels, deltas, degrees)
 
 
@@ -112,13 +112,12 @@ def _dual_degen_matrices(v, x, coeff):
     ]
 
 
-def cohomology_via_em(v, k, degrees, x=None, certificate=None):
+def cohomology_via_em(v, k, degrees, x=None):
     """Cohomology as homotopy classes of maps into the extended
     Eilenberg-MacLane object: strict simplicial maps over X (normalized
     cocycles of the derivation complex) modulo path-object homotopies
     (coboundaries of normalized cochains).  {n: group} for each of
     `degrees`, all read off one derivation complex."""
-    _require_valid(certificate)
     degrees = list(degrees)
     require_levels(v, degrees)
     if not degrees:
@@ -230,7 +229,7 @@ def homology_with_coeffs(v, g, degrees, x=None, certificate=None):
     require_levels(v, degrees)
     levels, bnds = with_coefficients(
         *v.abelianization(x is not None).reduced_complex(), _coefficient(g, x),
-        max(degrees) + 1)
+        max(degrees, default=-1) + 1)
     return PresentedComplex(levels, bnds).homology(degrees)
 
 
@@ -242,8 +241,7 @@ def tensor_free_generators(gens_t, gens_s):
 # ---------------------------------------------------------------------------
 # diagram coefficients
 
-def diagram_coefficients(v, nodes, edges, op, degrees, x=None,
-                         certificate=None):
+def diagram_coefficients(v, nodes, edges, op, degrees, x=None):
     """Pointwise (co)homology for a finite poset diagram of coefficient
     modules, with the induced maps between the values.
 
@@ -252,7 +250,6 @@ def diagram_coefficients(v, nodes, edges, op, degrees, x=None,
     induced matrix per edge and degree, and a functoriality report for
     composable pairs.
     """
-    _require_valid(certificate)
     if op not in ("cohomology", "homology"):
         raise AlgebraError(
             f"diagram coefficients: op must be cohomology or homology, not {op!r}")
@@ -260,7 +257,7 @@ def diagram_coefficients(v, nodes, edges, op, degrees, x=None,
     # induced maps are read in the canonical coordinates of the
     # unreduced complex, as the X-action on homology is
     ranks, diffs = v.abelianization(x is not None).normalized_complex()
-    top = max(degrees) + 1
+    top = max(degrees, default=-1) + 1
     values = {}
     subquots = {}
     for name, coeff in nodes.items():

@@ -38,6 +38,8 @@ class GroupTable:
                     break
         if len(self.inv) != len(self.elements):
             raise AlgebraError("not a group table: an element has no inverse")
+        self.abelian = all(self.mul[(g, h)] == self.mul[(h, g)]
+                           for g in self.elements for h in self.elements)
 
     @classmethod
     def cyclic(cls, m, prefix="g"):
@@ -383,8 +385,12 @@ def _act_matrix(mat, coeff, rows, cols, dual=False):
     """Sparse integer columns of the sparse R-matrix `mat`, restricted to
     rows x cols, acting on coefficient blocks: block (r, c) is the action
     of entry (rows[r], cols[c]), placed at (c, r) when `dual`.  Each
-    distinct entry's block is worked out once per call."""
+    distinct entry's block is worked out once per call.  - (x) coeff
+    (not `dual`) acts on the right, k.r = antipode(r).k with g -> g^-1
+    (Brown, GTM 87, III.1), which over an abelian group is the left action."""
     dim = coeff.dim
+    group = coeff.ring.group
+    antipode = not dual and group is not None and not group.abelian
     pos = {i: r for r, i in enumerate(rows)}
     out = [[] for _ in range((len(rows) if dual else len(cols)) * dim)]
     blocks = {}
@@ -397,9 +403,10 @@ def _act_matrix(mat, coeff, rows, cols, dual=False):
                 else entry
             blk = blocks.get(key)
             if blk is None:
-                blk = blocks[key] = [
-                    (a, b, x) for a, row in enumerate(coeff.act_of(entry))
-                    for b, x in enumerate(row) if x]
+                act = coeff.act_of({group.inv[g]: x for g, x in entry.items()}
+                                   if antipode else entry)
+                blk = blocks[key] = [(a, b, x) for a, row in enumerate(act)
+                                     for b, x in enumerate(row) if x]
             br, bc = (c, r) if dual else (r, c)
             for a, b, x in blk:
                 out[bc * dim + b].append((br * dim + a, x))

@@ -1123,11 +1123,11 @@ def eilenberg_maclane(x, k: XModule, n, truncation=None):
     return _semidirect_object(x, k, n, kernel, "E")
 
 
-def em_pi_checks(em, upto=None):
+def em_pi_checks(em):
     """Homotopy prescription of an EM object: kernel Moore homotopy is K
     concentrated in the defining degree; pi_0 of the total object is X."""
     n = em.degree
-    top = upto if upto is not None else em.truncation - 1
+    top = em.truncation - 1
     kernel_pis = moore_homotopy(em.kernel_part, range(top + 1))
     expected = {
         i: (em.xmodule.invariants() if i == n else FGAbelianGroup())
@@ -1522,10 +1522,10 @@ def _free_ranks(levels, what):
     return [lv.gens for lv in levels]
 
 
-def hom_cochain_of_simplicial(v: SimplicialAbelian, moduli, truncation=None):
+def hom_cochain_of_simplicial(v: SimplicialAbelian, moduli):
     """Hom(v, G) for free levels: the cosimplicial abelian group with
     C^n = G^{rank v_n} and cofaces dual to the faces."""
-    trunc = truncation if truncation is not None else v.truncation
+    trunc = v.truncation
     ranks = _free_ranks(v.levels[:trunc + 1], "hom_cochain_of_simplicial")
     g = CoefficientModule.trivial(Ring("Z"), moduli)
     levels = [Presentation.from_moduli(moduli * rk) for rk in ranks]

@@ -233,12 +233,12 @@ class TheoryMap:
     standing for the op's arguments (in order).
     """
 
-    def __init__(self, source, target, sort_map, op_map, check_bound=2):
+    def __init__(self, source, target, sort_map, op_map):
         self.source = source
         self.target = target
         self.sort_map = dict(sort_map)
         self.op_map = dict(op_map)
-        self.validate(check_bound)
+        self.validate(2)
 
     def apply_term(self, t: Term) -> Term:
         if isinstance(t, Var):
@@ -299,8 +299,8 @@ def group_theory(name="Gp", sort="g"):
     return t
 
 
-def abelian_theory(name="Ab", sort="g"):
-    t = group_theory(name, sort)
+def abelian_theory(name="Ab"):
+    t = group_theory(name)
     x, y = Var("x"), Var("y")
     t.equations.append((App("mul", (x, y)), App("mul", (y, x))))
     t.class_tag = "abelian"
@@ -310,13 +310,13 @@ def abelian_theory(name="Ab", sort="g"):
     return t
 
 
-def trivial_theory(name="Triv", sort="g"):
-    return TheoryPresentation(name, [sort], [], [], class_tag="discrete")
+def trivial_theory(name="Triv"):
+    return TheoryPresentation(name, ["g"], [], [], class_tag="discrete")
 
 
-def zmod_module_theory(m, name=None, sort="g"):
+def zmod_module_theory(m):
     """Theory of Z/m-modules: abelian groups killed by m."""
-    t = abelian_theory(name or f"Mod-Z/{m}", sort)
+    t = abelian_theory(f"Mod-Z/{m}")
     x = Var("x")
     acc = x
     for _ in range(m - 1):
@@ -375,9 +375,9 @@ def _all_ops_homomorphic(t, triples):
     return True
 
 
-def _interchange_equation(f: OpDecl, phi_of_sort, phi_result=None):
+def _interchange_equation(f: OpDecl, phi_of_sort):
     """f(g(x..), g(y..), ...) = g(f(x,y..), ...) for a graded op g."""
-    g_res, arity = (phi_of_sort(f.result) if phi_result is None else phi_result)
+    g_res, arity = phi_of_sort(f.result)
     cols = []
     for k in range(arity):
         cols.append([Var(f"x{k}_{i}") for i in range(len(f.args))])
@@ -397,8 +397,7 @@ def discrete_theory(t: TheoryPresentation):
     )
 
 
-def product_theory(phi: TheoryPresentation, theta: TheoryPresentation,
-                   prefix=True, name=None):
+def product_theory(phi: TheoryPresentation, theta: TheoryPresentation):
     """Add an S-graded copy of the (singly sorted) theory phi to theta and
     force all theta operations to commute with the new ones."""
     if len(phi.sorts) != 1:
@@ -406,7 +405,7 @@ def product_theory(phi: TheoryPresentation, theta: TheoryPresentation,
     phi_sort = phi.sorts[0]
 
     def phi_op_name(op, sort):
-        base = f"{phi.name}.{op}" if prefix else op
+        base = f"{phi.name}.{op}"
         return base if len(theta.sorts) == 1 else f"{base}@{sort}"
 
     ops = list(theta.ops)
@@ -414,16 +413,11 @@ def product_theory(phi: TheoryPresentation, theta: TheoryPresentation,
         for op in phi.ops:
             new = phi_op_name(op.name, sort)
             if any(o.name == new for o in ops):
-                if prefix:
-                    new = new + "'"
-                else:
-                    raise DuplicateNameError(
-                        f"op name collision {new!r}; enable prefixing"
-                    )
+                new = new + "'"
             ops.append(OpDecl(new, tuple(sort for _ in op.args), sort))
 
     out = TheoryPresentation(
-        name or f"{phi.name}.{theta.name}", theta.sorts, ops,
+        f"{phi.name}.{theta.name}", theta.sorts, ops,
         list(theta.equations),
         group_witness=theta.group_witness, class_tag="enum",
     )
@@ -451,7 +445,7 @@ def _rename_ops(t: Term, rename):
     return App(rename.get(t.op, t.op), tuple(_rename_ops(a, rename) for a in t.args))
 
 
-def abelianization_theory(theta: TheoryPresentation, name=None):
+def abelianization_theory(theta: TheoryPresentation):
     """Quotient presentation making every algebra an abelian group object:
     commutativity at each sort plus the commuting squares of all ops
     against the witnessed group structure."""
@@ -459,7 +453,7 @@ def abelianization_theory(theta: TheoryPresentation, name=None):
     if not witness:
         raise TheoryError(f"{theta.name} is not a g-theory: {witness.missing}")
     out = TheoryPresentation(
-        name or f"{theta.name}_ab", theta.sorts, theta.ops, list(theta.equations),
+        f"{theta.name}_ab", theta.sorts, theta.ops, list(theta.equations),
         group_witness=theta.group_witness or {
             s: witness.triples[s] for s in theta.sorts},
         class_tag=theta.class_tag, ring=theta.ring, strength_flag=True,
@@ -491,7 +485,7 @@ def abelianization_theory(theta: TheoryPresentation, name=None):
     return out
 
 
-def comma_theory(theta: TheoryPresentation, x, name=None):
+def comma_theory(theta: TheoryPresentation, x):
     """The theory of theta-algebras over the finite algebra x: sorts are
     indexed by elements of x, ops by element tuples (fiberwise ops)."""
     _require_finite(x, theta)
@@ -508,7 +502,7 @@ def comma_theory(theta: TheoryPresentation, x, name=None):
                 tuple(_fiber_sort(s, c) for s, c in zip(f.args, tup)),
                 _fiber_sort(f.result, res),
             ))
-    out = TheoryPresentation(name or f"{theta.name}/{x.name}", sorts, ops, [],
+    out = TheoryPresentation(f"{theta.name}/{x.name}", sorts, ops, [],
                              class_tag="enum")
     for lhs, rhs in theta.equations:
         _, env = theta.infer_equation_sorts(lhs, rhs)
@@ -555,14 +549,14 @@ def _tuples(x, sorts):
     return product(*pools) if pools else [()]
 
 
-def module_theory(theta: TheoryPresentation, x, name=None):
+def module_theory(theta: TheoryPresentation, x):
     """Theta_X: the abelianized theory plus one unary action op per element
     of x, with unit/additivity/composition axioms.  Algebras are modules
     over the (graded) group ring of the underlying group of x."""
     _require_finite(x, theta)
     tab = abelianization_theory(theta)
     if x.order() == 1:
-        return tab.rename(name or f"{theta.name}_{x.name}")
+        return tab.rename(f"{theta.name}_{x.name}")
     witness = validate_group_structure(theta)
     if not witness:
         raise TheoryError("module_theory needs a g-theory")
@@ -572,7 +566,7 @@ def module_theory(theta: TheoryPresentation, x, name=None):
         for c in x.carriers[s]:
             ops.append(OpDecl(_act_op(s, c, sorts), (s,), s))
     out = TheoryPresentation(
-        name or f"{theta.name}_{x.name}", sorts, ops, list(tab.equations),
+        f"{theta.name}_{x.name}", sorts, ops, list(tab.equations),
         group_witness=tab.group_witness, strength_flag=True, class_tag="enum",
     )
     v, w = Var("v"), Var("w")

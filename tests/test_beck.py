@@ -2,8 +2,11 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from aq.abgroups import FGAbelianGroup, FinAb
 from aq.algebras import (
+    AlgebraError,
     AlgebraMap,
     cyclic_group,
     find_isomorphism,
@@ -349,3 +352,18 @@ def test_fox_chain_rule():
                     acc = ring.add(acc, ring.mul(mat2[i][t], mat1[t][j]))
                 prod[i][j] = acc
         assert prod == matc
+
+
+def test_module_isomorphisms_are_the_equivariant_additive_bijections():
+    z2 = cyclic_group(2)
+    trivial = XModule.trivial(z2, [2, 2])
+    swap = XModule(z2, FinAb([2, 2]), {"e": [[1, 0], [0, 1]],
+                                       "a": [[0, 1], [1, 0]]})
+    assert len(trivial.module_isomorphisms(trivial)) == 6  # GL_2(F_2)
+    assert len(swap.module_isomorphisms(swap)) == 2  # its centralizer
+    assert trivial.module_isomorphisms(swap) == []
+    for phi in swap.module_isomorphisms(swap):
+        assert phi[(0, 0)] == (0, 0)
+    nine = XModule.trivial(z2, [3, 3])
+    with pytest.raises(AlgebraError, match="limited to order <= 8"):
+        nine.module_isomorphisms(nine)

@@ -548,7 +548,7 @@ def test_cli_malformed_ring_exits_2_naming_the_option(ring, capsys):
 @pytest.mark.parametrize("argv,message", [
     (["oracle", "ext", "--ring", "Z", "--module", fx("y-z4.alg"),
       "--coeffs", "2,x"], "--coeffs: expected moduli"),
-    (["oracle", "ext", "--ring", "Z/4", "--module", fx("y-z4.alg"),
+    (["oracle", "ext", "--ring", "Z/4", "--module", fx("m-z4.alg"),
       "--coeffs", "3"], "--coeffs 3: Z/4-module carrier must be 4-torsion"),
     (["ss", "uct", "--ring", "Z/4", "--h", "0:2", "--coeffs", "3"],
      "--coeffs 3: Z/4-module carrier must be 4-torsion"),
@@ -992,3 +992,88 @@ def test_a_malformed_fixture_exits_2_at_its_position(name, tmp_path, capsys):
     assert code == 2 and not out
     assert err.startswith(f"error: {bad}:{line}:")
     assert err.rstrip().endswith(message)
+
+
+_AB_THY = """theory Ab {
+  sort g
+  op mul : g g -> g
+  op inv : g -> g
+  op e : -> g
+  eq mul(mul($x, $y), $z) = mul($x, mul($y, $z))
+  eq mul(e, $x) = $x
+  eq mul($x, e) = $x
+  eq mul(inv($x), $x) = e
+  eq mul($x, inv($x)) = e
+  eq mul($x, $y) = mul($y, $x)
+  group g { mul = mul, inv = inv, unit = e }
+}
+"""
+
+
+def test_module_presentations_read_their_theory_beside_them(
+        tmp_path, monkeypatch, capsys):
+    """`theory "ab.thy"` in sub/m.alg names sub/ab.thy for every command
+    that reads the module, run from the parent directory; the results are
+    those of the same module over mod:Z."""
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "ab.thy").write_text(_AB_THY)
+    (sub / "m.alg").write_text(
+        fx_text("y-z4.alg").replace("theory mod:Z", 'theory "ab.thy"'))
+    runs = [(["homology", "--theory", "sub/ab.thy", "--algebra", "sub/m.alg"],
+             ["homology", "--theory", "mod:Z", "--algebra", fx("y-z4.alg")]),
+            (["ss", "uct", "--module", "sub/m.alg", "--check"],
+             ["ss", "uct", "--module", fx("y-z4.alg"), "--check"]),
+            (["oracle", "ext", "--module", "sub/m.alg"],
+             ["oracle", "ext", "--module", fx("y-z4.alg")])]
+    monkeypatch.chdir(tmp_path)
+    for beside, builtin in runs:
+        assert main(beside + ["--coeffs", "2"]) == 0, capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert main(builtin + ["--coeffs", "2"]) == 0
+        assert out == capsys.readouterr().out
+
+
+_ZC2_SIGN = """algebra sign {
+  theory mod:Z[C2]
+  presentation {
+    gens g : x
+    rel mul(x, act_a(x))
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("route,oracle,pages", [
+    ("cohomology", "ext", [["uct"], ["rev-adams", "--variant", "cohomology"]]),
+    ("homology", "tor", [["tor"], ["rev-adams"]])])
+def test_zc2_ss_and_oracle_read_the_module_ring(tmp_path, capsys, route,
+                                                 oracle, pages):
+    """Without --ring, `ss --check` and `oracle ext|tor` over Z[C2] take
+    the module's ring and agree with the module route (AQ of a module is
+    Ext or Tor over its ring)."""
+    path = tmp_path / "sign.alg"
+    path.write_text(_ZC2_SIGN)
+
+    def run(*argv):
+        out = tmp_path / "out.json"
+        assert main([*argv, "--coeffs", "2", "--json", str(out)]) == 0, \
+            capsys.readouterr().err
+        return json.loads(out.read_text())
+
+    direct = run(route, "--theory", "mod:Z[C2]", "--algebra", str(path),
+                 "--max-degree", "2")
+    assert run("oracle", oracle, "--module", str(path),
+               "--max-degree", "2") == direct
+    for page in pages:
+        grid = run("ss", page[0], *page[1:], "--module", str(path),
+                   "--smax", "2", "--check")
+        assert all(row["consistent"] for row in grid["convergence"])
+        row0 = {c["s"]: c["group"] for c in grid["grid"] if c["t"] == 0}
+        assert [{"degree": s, **row0[s]} for s in sorted(row0)] == [
+            d for d in direct if d["rank"] or d["torsion"]]
+
+
+def test_oracle_ext_without_module_exits_2(capsys):
+    assert main(["oracle", "ext", "--coeffs", "2"]) == 2
+    assert "needs --module" in capsys.readouterr().err

@@ -428,3 +428,47 @@ def test_coefficient_and_diagram_checks_do_not_depend_on_assert():
             "diagram coefficients: the map of edge a -> a is not 1 x 1",
             "structure map: the simplicial algebra has no augmentation",
         ], flags
+
+
+def _permutation_module(s3, p):
+    """(Z/p)^3 with S3 permuting the coordinates: the label p021 is the
+    permutation (0, 2, 1), acting by e_i -> e_p(i)."""
+    action = {}
+    for label in s3.carriers["g"]:
+        perm = (0, 1, 2) if label == "e" else tuple(map(int, label[1:]))
+        action[label] = [[int(perm[j] == i) for j in range(3)]
+                         for i in range(3)]
+    return XModule(s3, FinAb([p] * 3), action)
+
+
+@pytest.mark.parametrize("p,expected", [
+    (2, {0: G(2, 2, 2), 1: G(2), 2: G(2)}),
+    (3, {0: G(3, 3), 1: G(), 2: G()}),
+])
+def test_homology_over_a_nonabelian_action_equals_cohomology(p, expected):
+    """Over F_p the permutation module is self-dual, so homology with its
+    coefficients equals cohomology degree by degree (Shapiro: both are
+    those of C2 with Z/p, shifted by the derivations).  The tensor routes
+    read the left action as a right one through g -> g^-1; with the left
+    action itself d1 d2 is not zero mod p."""
+    s3 = symmetric_3()
+    v = loop_group_resolution(s3, truncation=3)
+    k = _permutation_module(s3, p)
+    degrees = range(3)
+    assert cohomology(v, k, degrees, x=s3) == expected
+    assert homology_with_coeffs(v, k, degrees, x=s3) == expected
+    report = diagram_coefficients(v, {"K": k}, {}, "homology", degrees, x=s3)
+    assert report["values"]["K"] == expected
+
+
+def test_no_degrees_give_no_groups():
+    z2 = cyclic_group(2)
+    v = loop_group_resolution(z2, truncation=2)
+    k = XModule.trivial(z2, [2])
+    for x in (None, z2):
+        assert cohomology(v, k, [], x=x) == {}
+        assert homology_with_coeffs(v, k, [], x=x) == {}
+        assert cohomology_via_em(v, k, [], x=x) == {}
+        assert homology(v, [], x=x) == {}
+        report = diagram_coefficients(v, {"K": k}, {}, "homology", [], x=x)
+        assert report["values"] == {"K": {}}

@@ -86,10 +86,6 @@ COMMANDS = {
         ["ss", "rev-adams", "--module", "fixtures/y-z4.alg", "--coeffs", "2",
          "--check", "--variant", "cohomology"],
         "202fdd26234bc85809080f720ddda58bbc9d7cfe55ef2b3f73a0e846b06a25e6"),
-    "ss-uct-ring-z4": (
-        ["ss", "uct", "--ring", "Z/4", "--module", "fixtures/y-z4.alg",
-         "--coeffs", "2", "--check"],
-        "d4e7fb10898a09f680e14af9a7420ac193848b2816cfd74068e5faedad842625"),
     "ss-tor-graded": (
         ["ss", "tor", "--h", "0:4", "--h", "1:2", "--coeffs", "0,2"],
         "8f524879f5e0c7189cf82564aa3d2479e40bdd408f4e61dc92151cf177e64232"),
@@ -119,6 +115,33 @@ def test_json_digest(name, tmp_path, monkeypatch):
     argv, digest = COMMANDS[name]
     data = _json_of(argv, tmp_path, monkeypatch)
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+def test_a_ring_other_than_the_modules_exits_2(tmp_path, monkeypatch,
+                                               capsys):
+    """`--ring` with `--module` must name the module's own ring: Z/4 for
+    the Z-module y-z4 is a usage error naming both rings, and writes no
+    `--json`.  So is `--ring Z[C2]`, whose elements are g0, g1, for a
+    mod:Z[C2] module, whose elements are e, a."""
+    monkeypatch.chdir(ROOT)
+    zc2 = tmp_path / "zc2.alg"
+    zc2.write_text("algebra m {\n  theory mod:Z[C2]\n  presentation {\n"
+                   "    gens g : x\n    rel mul(x, act_a(x))\n  }\n}\n")
+    out = tmp_path / "out.json"
+    for argv, ring, module_ring in [
+            (["ss", "uct", "--ring", "Z/4", "--module", "fixtures/y-z4.alg",
+              "--check"], "Z/4", "Z"),
+            (["oracle", "ext", "--ring", "Z/4", "--module",
+              "fixtures/y-z4.alg"], "Z/4", "Z"),
+            (["ss", "tor", "--ring", "Z[C2]", "--module", str(zc2)],
+             "Z[g0xg1]", "Z[exa]"),
+            (["oracle", "tor", "--ring", "Z[C2]", "--module", str(zc2)],
+             "Z[g0xg1]", "Z[exa]")]:
+        assert main(argv + ["--coeffs", "2", "--json", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"the ring {ring}, but --module" in err, err
+        assert err.rstrip().endswith(f"is over {module_ring}"), err
+        assert not out.exists()
 
 
 def test_accept_quick_json_digest_without_seconds(tmp_path, monkeypatch):

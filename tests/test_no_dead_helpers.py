@@ -6,9 +6,12 @@ body.  Every module-level import of a module in `src/aq` (other than
 or imported from it by another module.  Every name a module-level
 assignment in `src/aq` binds (other than `__all__` and `__slots__`) is
 read somewhere in `src/aq` or `tests`.  Every parameter of a private
-module-level function in `src/aq` is read in its body.  No module in
-`src/aq` reads or sets a `_`-prefixed attribute that only another module
-defines, other than on `self` or `cls`."""
+module-level function in `src/aq` is read in its body.  Every parameter
+with a default, of a module-level function or a class method in `src/aq`,
+is set by some call in `src/aq` or `tests` (the code that tests run in a
+subprocess included).  No module in `src/aq` reads or sets a
+`_`-prefixed attribute that only another module defines, other than on
+`self` or `cls`."""
 
 import ast
 import pathlib
@@ -169,6 +172,132 @@ def test_every_parameter_of_a_private_function_is_read():
                        for name in _parameters(top) if name not in read]
     assert unread == [], f"parameters their function never reads: {unread}"
 
+
+
+def _defaulted(fn):
+    """(position, or None when keyword-only, and name) of each parameter
+    of `fn` that has a default."""
+    args = fn.args
+    pos = [*args.posonlyargs, *args.args]
+    first = len(pos) - len(args.defaults)
+    return [(i, a.arg) for i, a in enumerate(pos) if i >= first] + [
+        (None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+        if d is not None]
+
+
+def _callables(tree):
+    """(label, the name a call uses, definition, arguments bound before the
+    first one a call passes) of each module-level function and class
+    method; a constructor is called by its class name."""
+    for top in tree.body:
+        if isinstance(top, FUNCS):
+            yield top.name, top.name, top, 0
+        elif isinstance(top, ast.ClassDef):
+            for item in top.body:
+                if isinstance(item, FUNCS):
+                    static = any(_name(d) == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield (f"{top.name}.{item.name}",
+                           top.name if item.name == "__init__" else item.name,
+                           item, 0 if static else 1)
+
+
+def _passed(call):
+    """(positional count, a `*` argument, keyword names, a `**` argument)."""
+    return (len(call.args), any(isinstance(a, ast.Starred) for a in call.args),
+            {k.arg for k in call.keywords if k.arg},
+            any(k.arg is None for k in call.keywords))
+
+
+def _forwarders(tree):
+    """Functions like `parse_file(path, parse, **kwargs)` that call their
+    parameter `parse` with their own `**kwargs`: name -> (position of that
+    parameter, its name, positional count of the inner call, own
+    parameter names)."""
+    out = {}
+    for top in tree.body:
+        if not isinstance(top, FUNCS) or top.args.kwarg is None:
+            continue
+        params = [a.arg for a in top.args.args]
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and _name(node.func) in params \
+                    and any(k.arg is None and _name(k.value)
+                            == top.args.kwarg.arg for k in node.keywords):
+                fn = _name(node.func)
+                out[top.name] = (params.index(fn), fn, len(node.args),
+                                 set(params))
+    return out
+
+
+def _table_calls(tree):
+    """Calls through the loop variable of `for ..., fn in TABLE`, with
+    TABLE a module-level list or tuple: (each function name TABLE holds,
+    the call)."""
+    tables = {target.id: {n.id for n in ast.walk(top.value)
+                          if isinstance(n, ast.Name)}
+              for top in tree.body if isinstance(top, ast.Assign)
+              and isinstance(top.value, (ast.List, ast.Tuple))
+              for target in top.targets if isinstance(target, ast.Name)}
+    for loop in ast.walk(tree):
+        if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Name) \
+                and loop.iter.id in tables:
+            bound = {n.id for n in ast.walk(loop.target)
+                     if isinstance(n, ast.Name)}
+            for call in ast.walk(loop):
+                if isinstance(call, ast.Call) and _name(call.func) in bound:
+                    for fn in tables[loop.iter.id]:
+                        yield fn, call
+
+
+def _code_in_strings(tree):
+    """The string constants under `tree` that are Python code calling
+    something, parsed: what a test runs in a subprocess."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and "(" in node.value:
+            try:
+                yield ast.parse(node.value)
+            except SyntaxError:
+                continue
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    src = {path: ast.parse(path.read_text(), filename=str(path))
+           for path in SRC}
+    trees = list(src.values())
+    for path in TESTS:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        trees += [tree, *_code_in_strings(tree)]
+    forwarders = {}
+    for tree in src.values():
+        forwarders.update(_forwarders(tree))
+    calls = {}  # the name a call uses -> what each call passes
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = _name(node.func)
+            calls.setdefault(name, []).append(_passed(node))
+            if name not in forwarders:
+                continue
+            at, param, npos, own = forwarders[name]
+            target = node.args[at] if len(node.args) > at else next(
+                (k.value for k in node.keywords if k.arg == param), None)
+            _, _, keywords, dstar = _passed(node)
+            calls.setdefault(_name(target), []).append(
+                (npos, False, keywords - own, dstar))
+        for fn, call in _table_calls(tree):
+            calls.setdefault(fn, []).append(_passed(call))
+    unset = []
+    for path, tree in src.items():
+        for label, name, fn, bound in _callables(tree):
+            for i, param in _defaulted(fn):
+                if not any(star or dstar or param in keywords
+                           or (i is not None and npos + bound > i)
+                           for npos, star, keywords, dstar in
+                           calls.get(name, ())):
+                    unset.append(f"{path.name}:{fn.lineno}:{label}({param})")
+    assert unset == [], f"parameters with a default no call sets: {unset}"
 
 def _private_attributes(tree):
     """The `_`-prefixed (not dunder) attribute names a module defines: its
