@@ -26,9 +26,8 @@ from .algebras import (
 )
 from .beck import (
     XModule,
-    brute_force_group_objects,
+    classify_group_objects,
     derivations,
-    formula_group_objects,
     identity_map,
 )
 from .invariants import cohomology, cohomology_via_em, homology_with_coeffs
@@ -167,15 +166,11 @@ def criterion_1(quick=False):
     def run():
         records = []
         for x, fixtures in classification_fixtures(quick):
-            for p in fixtures:
-                brute = {s.key() for s in brute_force_group_objects(p)}
-                formed = {s.key() for s in formula_group_objects(p)}
-                records.append((p.source.name, x.name,
-                                len(brute), brute == formed))
-                if brute != formed:
-                    return False, f"mismatch for {p.source.name} -> {x.name}"
-        checked = ", ".join(f"{y}->{x}:{n}" for y, x, n, _ in records)
-        return True, f"structures per fixture: {checked}"
+            for rec in classify_group_objects(x, fixtures):
+                if not rec["match"]:
+                    return False, f"mismatch for {rec['Y']} -> {rec['X']}"
+                records.append(f"{rec['Y']}->{rec['X']}:{rec['brute_count']}")
+        return True, f"structures per fixture: {', '.join(records)}"
 
     return _timed(run)
 

@@ -11,9 +11,9 @@ from operator import itemgetter
 
 from .abgroups import FinAb
 from .errors import AlgebraError
-from .presented import Subquotient
-from .rings import GroupTable, Ring
-from .snf import identity_matrix
+from .presented import Subquotient, _vectors
+from .rings import GroupTable, Ring, RModulePresentation
+from .snf import identity_matrix, mat_vec
 from .terms import App, Term, Var, term_str
 from .theories import (
     TheoryPresentation,
@@ -48,8 +48,9 @@ class FreeAlgebra:
     """Free algebra on a graded generating set, represented lazily through
     a normal-form engine chosen by the theory's registry tag.
 
-    Normal forms: reduced words (groups), sorted exponent vectors (abelian),
-    sorted generator/ring-coefficient pairs (modules over group rings).
+    Normal forms: reduced words (groups), sorted (generator, coefficient)
+    pairs over the theory's ring (abelian groups, as Z-modules, and
+    modules over Z/m or Z[G]).
     """
 
     def __init__(self, theory: TheoryPresentation, generators):
@@ -65,7 +66,7 @@ class FreeAlgebra:
         for s in self.generators:
             if s not in theory.sorts:
                 raise AlgebraError(f"unknown sort {s!r}")
-        if theory.class_tag not in ("discrete", "group", "abelian", "module"):
+        if theory.class_tag not in ("discrete", "group") and theory.ring is None:
             if any(self.generators.values()):
                 raise NotRegisteredError(
                     f"no normal-form engine for theory class {theory.class_tag!r}"
@@ -102,8 +103,6 @@ class FreeAlgebra:
             return g
         if tag == "group":
             return ((g, 1),)
-        if tag == "abelian":
-            return ((g, 1),)
         return ((g, _freeze(self.theory.ring.one())),)
 
     def mul(self, a, b):
@@ -116,21 +115,22 @@ class FreeAlgebra:
                 else:
                     word.append(x)
             return tuple(word)
-        if tag == "abelian":
-            return _merge_exponents(a, b, lambda u, v: u + v, lambda c: c == 0)
         ring = self.theory.ring
-        return _merge_exponents(
-            a, b,
-            lambda u, v: _freeze(ring.add(_thaw(u, ring), _thaw(v, ring))),
-            lambda c: ring.is_zero(_thaw(c, ring)),
-        )
+        out = dict(a)
+        for g, c in b:
+            if g in out:
+                s = ring.add(_thaw(out[g], ring), _thaw(c, ring))
+                if ring.is_zero(s):
+                    del out[g]
+                    continue
+                c = _freeze(s)
+            out[g] = c
+        return tuple(sorted(out.items()))
 
     def inv(self, a):
         tag = self.theory.class_tag
         if tag == "group":
             return tuple((g, -e) for g, e in reversed(a))
-        if tag == "abelian":
-            return tuple((g, -c) for g, c in a)
         ring = self.theory.ring
         return tuple((g, _freeze(ring.neg(_thaw(c, ring)))) for g, c in a)
 
@@ -154,16 +154,21 @@ class FreeAlgebra:
 
     def scale(self, n, a):
         """n-fold sum (group: n-th power) of a normal form."""
-        tag = self.theory.class_tag
-        if tag == "abelian":
-            return tuple((g, n * c) for g, c in a if n * c != 0)
-        if tag == "module":
+        if self.theory.class_tag != "group":
             return self.rscale(self.theory.ring.from_int(n), a)
         out = self.zero()
         step = a if n >= 0 else self.inv(a)
         for _ in range(abs(n)):
             out = self.mul(out, step)
         return out
+
+    def coefficients(self, word):
+        """The R-column of a normal form over the theory's ring R: its
+        coefficient at each generator, in generator order."""
+        ring = self.theory.ring
+        coeff = dict(word)
+        return [_thaw(coeff[g], ring) if g in coeff else ring.zero()
+                for g in self.gen_list]
 
     def eval_term(self, t: Term, env=None):
         env = env or {}
@@ -177,7 +182,7 @@ class FreeAlgebra:
         if op is not None and len(t.args) != len(op.args):
             raise AlgebraError(f"arity mismatch in term {term_str(t)}")
         tag = self.theory.class_tag
-        if tag in ("group", "abelian", "module"):
+        if tag == "group" or self.theory.ring is not None:
             witness = self.theory.group_witness[self.sort]
             mul, inv, unit = witness
             if t.op == mul:
@@ -187,7 +192,7 @@ class FreeAlgebra:
                 return self.inv(self.eval_term(t.args[0], env))
             if t.op == unit:
                 return self.zero()
-            if tag == "module" and t.op in self.theory.op_index:
+            if t.op in self.theory.op_index:
                 return self.act(t.op, self.eval_term(t.args[0], env))
         raise AlgebraError(f"cannot evaluate {term_str(t)} in free {tag} algebra")
 
@@ -206,9 +211,6 @@ class FreeAlgebra:
         if tag == "group":
             for g, e in a:
                 factors.extend(power(App(g, ()), e))
-        elif tag == "abelian":
-            for g, c in a:
-                factors.extend(power(App(g, ()), c))
         else:
             ring = self.theory.ring
             for g, c in a:
@@ -230,20 +232,6 @@ class FreeAlgebra:
 
     def __repr__(self):
         return f"FreeAlgebra({self.theory.name}, {self.generators})"
-
-
-def _merge_exponents(a, b, add, is_zero):
-    out = dict(a)
-    for g, c in b:
-        if g in out:
-            s = add(out[g], c)
-            if is_zero(s):
-                del out[g]
-            else:
-                out[g] = s
-        else:
-            out[g] = c
-    return tuple(sorted(out.items()))
 
 
 def _freeze(relem):
@@ -281,6 +269,7 @@ class FiniteAlgebra:
         self.carriers = {s: tuple(els) for s, els in carriers.items()}
         self.tables = {op: dict(tab) for op, tab in tables.items()}
         self._witness = None
+        self._group_rings = {}
         if validate:
             self.validate()
 
@@ -422,6 +411,12 @@ class FiniteAlgebra:
             self.identity(sort),
         )
 
+    def group_ring(self, sort) -> Ring:
+        """Z[G] for the group G at `sort`, built once per sort."""
+        if sort not in self._group_rings:
+            self._group_rings[sort] = Ring("ZG", group=self.group_table(sort))
+        return self._group_rings[sort]
+
     def __repr__(self):
         sizes = {s: len(e) for s, e in self.carriers.items()}
         return f"FiniteAlgebra({self.name}, {sizes})"
@@ -472,27 +467,18 @@ class AlgebraMap:
                     val = tgt.ginv(val, sort)
                 acc = tgt.gmul(acc, val, sort)
             return acc
-        if tag == "abelian":
-            for g, c in word:
+        ring = src.theory.ring
+        for g, c in word:
+            coeff = _thaw(c, ring)
+            items = sorted(coeff.items()) if ring.kind == "ZG" else [(None, coeff)]
+            for h, n in items:
                 val = images[g]
-                step = val if c > 0 else tgt.ginv(val, sort)
-                for _ in range(abs(c)):
+                if h is not None and h != ring.group.identity:
+                    val = tgt.apply(f"act_{h}", (val,))
+                step = val if n > 0 else tgt.ginv(val, sort)
+                for _ in range(abs(n)):
                     acc = tgt.gmul(acc, step, sort)
-            return acc
-        if tag == "module":
-            ring = src.theory.ring
-            for g, c in word:
-                coeff = _thaw(c, ring)
-                items = sorted(coeff.items()) if ring.kind == "ZG" else [(None, coeff)]
-                for h, n in items:
-                    val = images[g]
-                    if h is not None and h != ring.group.identity:
-                        val = tgt.apply(f"act_{h}", (val,))
-                    step = val if n > 0 else tgt.ginv(val, sort)
-                    for _ in range(abs(n)):
-                        acc = tgt.gmul(acc, step, sort)
-            return acc
-        raise NotRegisteredError(tag)
+        return acc
 
     def _apply_into_free(self, word, images, tag):
         tgt = self.target
@@ -504,16 +490,10 @@ class AlgebraMap:
                     val = tgt.inv(val)
                 acc = tgt.mul(acc, val)
             return acc
-        if tag == "abelian":
-            for g, c in word:
-                acc = tgt.mul(acc, tgt.scale(c, images[g]))
-            return acc
-        if tag == "module":
-            ring = self.source.theory.ring
-            for g, c in word:
-                acc = tgt.mul(acc, tgt.rscale(_thaw(c, ring), images[g]))
-            return acc
-        raise NotRegisteredError(tag)
+        ring = self.source.theory.ring
+        for g, c in word:
+            acc = tgt.mul(acc, tgt.rscale(_thaw(c, ring), images[g]))
+        return acc
 
     def is_homomorphism(self):
         src, tgt = self.source, self.target
@@ -716,7 +696,7 @@ def realize_presentation(theta: TheoryPresentation, gens, rels, bound=256,
             pairs.append((r, App(theta.group_witness[theta.sorts[0]][2], ())))
     if tag == "group":
         return _realize_group(theta, list(gens), pairs, bound, name)
-    if tag in ("abelian", "module"):
+    if theta.ring is not None:
         return _realize_abelian_or_module(theta, list(gens), pairs, bound, name)
     raise NotRegisteredError(f"cannot realize presentations over {tag!r}")
 
@@ -754,45 +734,19 @@ def _realize_group(theta, gens, pairs, bound, name):
 
 def _realize_abelian_or_module(theta, gens, pairs, bound, name):
     free = FreeAlgebra(theta, gens)
-    ring = theta.ring or Ring("Z")
-    zr = ring.zrank() if ring.kind == "ZG" else 1
-    dim = len(gens) * zr
-
-    def to_zvec(word):
-        vec = [0] * dim
-        for g, c in word:
-            gi = gens.index(g)
-            coeff = _thaw(c, ring)
-            col = ring.element_zcol(coeff) if ring.kind == "ZG" else [coeff]
-            for k, x in enumerate(col):
-                vec[gi * zr + k] = x
-        return vec
-
-    rel_vectors = []
-    for lhs, rhs in pairs:
-        word = free.mul(free.eval_term(lhs), free.inv(free.eval_term(rhs)))
-        rel_vectors.append(to_zvec(word))
-    if ring.kind == "Zmod":
-        for i in range(dim):
-            rel_vectors.append([ring.m if j == i else 0 for j in range(dim)])
-    if ring.kind == "ZG":
-        # relation submodules are closed under the group action
-        extra = []
-        for vec in rel_vectors:
-            for h in ring.group.elements:
-                if h == ring.group.identity:
-                    continue
-                acted = [0] * dim
-                for gi in range(len(gens)):
-                    chunk = vec[gi * zr:(gi + 1) * zr]
-                    elem = ring.zcol_element(chunk)
-                    moved = ring.mul({h: 1}, elem)
-                    for k, x in enumerate(ring.element_zcol(moved)):
-                        acted[gi * zr + k] = x
-                extra.append(acted)
-        rel_vectors.extend(extra)
-
-    sq = Subquotient(dim, identity_matrix(dim), rel_vectors)
+    ring = theta.ring
+    pres = RModulePresentation(ring, len(gens), [
+        free.coefficients(free.mul(free.eval_term(lhs),
+                                   free.inv(free.eval_term(rhs))))
+        for lhs, rhs in pairs]).z_presentation()
+    zr, dim = ring.zrank(), pres.gens
+    one = ring.element_zcol(ring.one())
+    # the relations first, then their other translates under the group:
+    # the Smith reduction, and so each label, depends on this order
+    first = one.index(1)
+    order = sorted(range(pres.nrels()), key=lambda j: j % zr != first)
+    sq = Subquotient(dim, identity_matrix(dim),
+                     _vectors([pres.rels[j] for j in order], dim))
     inv = sq.invariants()
     if inv.rank > 0:
         raise NotFiniteWithinBound("quotient has free rank; not finite")
@@ -818,26 +772,19 @@ def _realize_abelian_or_module(theta, gens, pairs, bound, name):
     if ring.kind == "ZG":
         gens_amb = sq.canonical_generators()
         for h in ring.group.elements:
+            block = ring.regular_block({h: 1})
             tab = {}
             for x in finab.elements():
-                amb = [0] * dim
-                for coord, gvec in zip(x, gens_amb):
-                    for i in range(dim):
-                        amb[i] += coord * gvec[i]
-                acted = [0] * dim
-                for gi in range(len(gens)):
-                    chunk = amb[gi * zr:(gi + 1) * zr]
-                    moved = ring.mul({h: 1}, ring.zcol_element(chunk))
-                    for k, v in enumerate(ring.element_zcol(moved)):
-                        acted[gi * zr + k] = v
+                amb = [sum(c * v[i] for c, v in zip(x, gens_amb))
+                       for i in range(dim)]
+                acted = [y for b in range(0, dim, zr)
+                         for y in mat_vec(block, amb[b:b + zr])]
                 tab[(labels[x],)] = labels[canon_of(acted)]
             tables[f"act_{h}"] = tab
     alg = FiniteAlgebra(theta, name or "realized", {sort: carrier}, tables)
-    gen_images = {}
-    for i, g in enumerate(gens):
-        e_i = [1 if k == i * zr else 0 for k in range(dim)]
-        gen_images[g] = labels[canon_of(e_i)]
-    alg.gen_images = gen_images
+    alg.gen_images = {
+        g: labels[canon_of([0] * (i * zr) + one + [0] * (dim - (i + 1) * zr))]
+        for i, g in enumerate(gens)}
     alg.element_coords = el_of
     return alg
 
@@ -848,7 +795,7 @@ def entails_by_normalization(theory, eq, bound=4):
     For registered classes the theory equations are a confluent system, so
     comparing normal forms on formal generators decides the equation.
     """
-    if theory.class_tag in ("group", "abelian", "module"):
+    if theory.class_tag == "group" or theory.ring is not None:
         try:
             _, env = theory.infer_equation_sorts(*eq)
         except Exception:

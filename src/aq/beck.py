@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .abgroups import FGAbelianGroup, FinAb, invariants_from_addition
+from .abgroups import FGAbelianGroup, FinAb, _factor, invariants_from_addition
 from .algebras import (
     DEFAULT_BUDGET,
     GP,
@@ -109,11 +109,8 @@ class XModule:
 
     def coefficient_module(self) -> CoefficientModule:
         """The group-ring-module view over Z[VX]."""
-        ring = Ring("ZG", group=self.base.group_table(self.sort))
-        return CoefficientModule(ring, list(self.carrier.moduli), self.action)
-
-    def group_ring(self) -> Ring:
-        return Ring("ZG", group=self.base.group_table(self.sort))
+        return CoefficientModule(self.base.group_ring(self.sort),
+                                 list(self.carrier.moduli), self.action)
 
     def module_isomorphisms(self, other):
         """All additive X-equivariant bijections self -> other."""
@@ -381,10 +378,7 @@ def hom_as_derivations(p: AlgebraMap, k: XModule):
     sort = k.sort
     sd = semidirect_product(k, x)
     ders = derivations(p, k)
-    if y_alg.is_free():
-        homs = enumerate_homs(y_alg, sd, over=(p, sd.projection))
-    else:
-        homs = enumerate_homs(y_alg, sd, over=(p, sd.projection))
+    homs = enumerate_homs(y_alg, sd, over=(p, sd.projection))
     # bijection: a hom phi corresponds to y -> k-component of phi(y)
     der_of_hom = {}
     for phi in homs:
@@ -566,18 +560,6 @@ def abelian_group_isomorphism_types(order):
         return [[1]]
     out = []
 
-    def factor(n):
-        f = {}
-        d = 2
-        while d * d <= n:
-            while n % d == 0:
-                f[d] = f.get(d, 0) + 1
-                n //= d
-            d += 1
-        if n > 1:
-            f[n] = f.get(n, 0) + 1
-        return f
-
     def partitions(n):
         if n == 0:
             yield []
@@ -587,9 +569,8 @@ def abelian_group_isomorphism_types(order):
                 if not rest or rest[0] <= first:
                     yield [first] + rest
 
-    fac = factor(order)
     per_prime = []
-    for prime, exp in sorted(fac.items()):
+    for prime, exp in sorted(_factor(order).items()):
         per_prime.append([(prime, part) for part in partitions(exp)])
     for combo in product(*per_prime):
         width = max(len(part) for _, part in combo)
@@ -877,7 +858,7 @@ def fox_columns(m: AlgebraMap, over: AlgebraMap | None):
             return 1
     else:
         x = over.target
-        ring = Ring("ZG", group=x.group_table(sort))
+        ring = x.group_ring(sort)
         pmap = over.mapping[sort]
 
         def p_of(g, e):

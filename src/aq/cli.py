@@ -41,8 +41,9 @@ class UsageError(Exception):
 
 
 def _degree(text):
-    """The value of a degree bound (--max-degree, --smax): an integer
-    >= 0, else a usage error (exit 2) that names the flag."""
+    """The value of a degree bound (--max-degree, --range, --smax,
+    --tmax): an integer >= 0, else a usage error (exit 2) that names the
+    flag."""
     try:
         value = int(text)
     except ValueError:
@@ -65,7 +66,7 @@ def _parser():
 
     p_check = sub.add_parser("check", help="validate a fixture file")
     p_check.add_argument("path")
-    p_check.add_argument("--range", type=int, default=1,
+    p_check.add_argument("--range", type=_degree, default=1,
                          help="certificate range for .sres fixtures")
     p_check.add_argument("--json", dest="json_path")
 
@@ -115,7 +116,7 @@ def _parser():
                            "(repeatable; alternative to --module)")
     p_ss.add_argument("--coeffs", required=True, help="moduli like 2 or 0,2")
     p_ss.add_argument("--smax", type=_degree, default=3)
-    p_ss.add_argument("--tmax", type=int, default=2)
+    p_ss.add_argument("--tmax", type=_degree, default=2)
     p_ss.add_argument("--variant", choices=["homology", "cohomology"],
                       default="homology")
     p_ss.add_argument("--check", action="store_true",

@@ -18,7 +18,6 @@ from .algebras import (
     AlgebraMap,
     FiniteAlgebra,
     FreeAlgebra,
-    _thaw,
     cyclic_group,
     realize_presentation,
 )
@@ -300,7 +299,6 @@ def parse_module_presentation(text, base_dir="", source="<module>"):
         raise FixtureError(
             f"{source}:{line}: theory {theory.name} is neither abelian nor "
             "a module theory")
-    ring = theory.ring
     tok = p.peek()
     if p.expect_ident() != "presentation":
         raise DslSyntaxError(tok.line, tok.col, "module presentations need "
@@ -308,12 +306,9 @@ def parse_module_presentation(text, base_dir="", source="<module>"):
     gens, gens_line, rels, _ = _read_presentation_block(p)
     p.expect("}")
     free, sides = _evaluated_relations(theory, gens, gens_line, rels, source)
-    cols = []
-    for lhs, rhs in sides:
-        wd = dict(lhs if rhs is None else free.mul(lhs, free.inv(rhs)))
-        cols.append([ring.zero() if g not in wd else _thaw(wd[g], ring)
-                     for g in gens])
-    mod = RModulePresentation(ring, len(gens), cols)
+    mod = RModulePresentation(theory.ring, len(gens), [
+        free.coefficients(lhs if rhs is None else free.mul(lhs, free.inv(rhs)))
+        for lhs, rhs in sides])
     mod.name = name
     return mod
 

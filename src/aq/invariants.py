@@ -64,8 +64,8 @@ def _coefficient(k, x=None):
         raise AlgebraError(
             "coefficients must be an XModule or a CoefficientModule")
     if x is not None and k.ring.kind != "ZG":
-        ring = Ring("ZG", group=x.group_table(x.theory.sorts[0]))
-        return CoefficientModule.trivial(ring, list(k.moduli))
+        return CoefficientModule.trivial(x.group_ring(x.theory.sorts[0]),
+                                         list(k.moduli))
     return k
 
 

@@ -189,7 +189,7 @@ class SimplicialTheta(_SimplicialBase):
             ring = Ring("Z")
             if relative:
                 x = self.augmentation.target
-                ring = Ring("ZG", group=x.group_table(sort))
+                ring = x.group_ring(sort)
             faces = [[]] + [
                 [fox_columns(d, over=over[n - 1]) for d in self.faces[n]]
                 for n in range(1, self.truncation + 1)

@@ -589,7 +589,7 @@ def module_theory(theta: TheoryPresentation, x):
                     (act(c, act(g, v)), act(x.apply(mul, (c, g)), v))
                 )
     out.class_tag = "module"
-    out.ring = Ring("ZG", group=x.group_table())
+    out.ring = x.group_ring(x.theory.sorts[0])
     out.validate()
     return out
 

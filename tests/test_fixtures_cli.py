@@ -898,7 +898,11 @@ def test_builtin_module_theories_are_built_once():
       "2", "--max-degree", "-1", "--method", "em"], "--max-degree"),
     (["oracle", "bar", "--group", fx("z4.alg"), "--coeffs", "2",
       "--max-degree", "-1"], "--max-degree"),
-], ids=["homology", "ss-tor", "cohomology-em", "oracle-bar"])
+    (["check", fx("z2res.sres"), "--range", "-1"], "--range"),
+    (["ss", "uct", "--module", fx("y-z4.alg"), "--coeffs", "2", "--check",
+      "--tmax", "-1"], "--tmax"),
+], ids=["homology", "ss-tor", "cohomology-em", "oracle-bar", "check-range",
+        "ss-uct-tmax"])
 def test_a_negative_degree_bound_is_a_usage_error(argv, flag, capsys):
     # exit 2 with the flag named, never a ValueError or IndexError (nor,
     # for an oracle, an empty answer with exit 0)
