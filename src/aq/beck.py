@@ -872,10 +872,13 @@ def fox_columns(m: AlgebraMap, over: AlgebraMap | None):
     for t in src.generators[sort]:
         coeffs = {}
         prefix = ring.one()
-        for g, e in m.mapping[sort][t]:
+        word = m.mapping[sort][t]
+        for k, (g, e) in enumerate(word, 1):
             if e > 0:
                 coeffs[g] = ring.add(coeffs.get(g, ring.zero()), prefix)
-                prefix = _rmul_group(ring, prefix, p_of(g, 1))
+                # no letter reads the prefix after the last one
+                if k < len(word):
+                    prefix = _rmul_group(ring, prefix, p_of(g, 1))
             else:
                 prefix = _rmul_group(ring, prefix, p_of(g, -1))
                 coeffs[g] = ring.add(coeffs.get(g, ring.zero()),

@@ -36,6 +36,7 @@ from .simplicial import (
     _alternating_sum,
     moore_homotopy,
     require_levels,
+    trim_top,
 )
 from .snf import cols_to_matrix, mat_mul, rank_mod_p
 
@@ -90,12 +91,14 @@ def der_cochain(v, k, x=None) -> CosimplicialAbelian:
 def cohomology(v, k, degrees, x=None, certificate=None):
     """Andre-Quillen cohomology groups through the cochain route: Hom into
     the coefficients of the reduced complex
-    (`SimplicialFreeModule.reduced_complex`)."""
+    (`SimplicialFreeModule.reduced_complex`), its top read only through
+    its image (`trim_top`)."""
     _require_valid(certificate)
     require_levels(v, degrees)
+    top = max(degrees, default=-1) + 1
     levels, deltas = with_coefficients(
-        *v.abelianization(x is not None).reduced_complex(), _coefficient(k, x),
-        max(degrees, default=-1) + 1, dual=True)
+        *trim_top(*v.abelianization(x is not None).reduced_complex(), top),
+        _coefficient(k, x), top, dual=True)
     return cohomology_groups(levels, deltas, degrees)
 
 
@@ -222,14 +225,15 @@ def _block_diagonal(block, copies):
 
 def homology_with_coeffs(v, g, degrees, x=None, certificate=None):
     """Homology with coefficients: the reduced complex
-    (`SimplicialFreeModule.reduced_complex`) tensored with a module over
-    its ring (free levels tensor by the generator-product rule), then
-    homology."""
+    (`SimplicialFreeModule.reduced_complex`), its top read only through
+    its image (`trim_top`), tensored with a module over its ring (free
+    levels tensor by the generator-product rule), then homology."""
     _require_valid(certificate)
     require_levels(v, degrees)
+    top = max(degrees, default=-1) + 1
     levels, bnds = with_coefficients(
-        *v.abelianization(x is not None).reduced_complex(), _coefficient(g, x),
-        max(degrees, default=-1) + 1)
+        *trim_top(*v.abelianization(x is not None).reduced_complex(), top),
+        _coefficient(g, x), top)
     return PresentedComplex(levels, bnds).homology(degrees)
 
 

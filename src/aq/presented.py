@@ -370,7 +370,7 @@ def _composes_to_zero(dn, dn1, p):
     return True
 
 
-def homology_groups(levels, diffs, degrees):
+def homology_groups(levels, diffs, degrees, checked=False):
     """The homology groups {n: FGAbelianGroup} of the complex that
     `homology_of_complex` reads, from one elimination per differential,
     without transforms, shared by the two degrees that read it.
@@ -381,7 +381,8 @@ def homology_groups(levels, diffs, degrees):
     (Z/p)^(g_n - rank_p d_n - rank_p d_{n+1}).  A level on no generators
     fits either kind.  Any other degree, and one where d_n d_{n+1} is not
     zero (mod p), is read from its Subquotient, which raises on the
-    latter."""
+    latter; d_n d_{n+1} is not recomputed when the caller has `checked`
+    that the complex squares to zero."""
     kinds = {}
     eliminated = {}
 
@@ -411,7 +412,8 @@ def homology_groups(levels, diffs, degrees):
         read = {kind(k) for k in ((n - 1, n) if dn is not None else (n,))}
         read.discard(None)
         p = read.pop() if read else 0
-        if read or p < 0 or (dn is not None and dn1 is not None
+        if read or p < 0 or (not checked and dn is not None
+                              and dn1 is not None
                               and not _composes_to_zero(dn, dn1, p)):
             out[n] = _homology_at(levels, diffs, n).invariants()
             continue

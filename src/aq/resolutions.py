@@ -18,7 +18,6 @@ from .algebras import (
     BudgetExhausted,
     FiniteAlgebra,
     FreeAlgebra,
-    enumerate_homs,
     realize_presentation,
 )
 from .beck import XModule
@@ -207,8 +206,9 @@ def check_certificate(v, x, rng) -> ResolutionCertificate:
     checks["pi0"] = not module and checks["degreewise_free"] \
         and _pi0_matches(v, x)
     checks["abelianized_acyclic"] = False
+    # H_0 needs level 1, which a resolution of truncation 0 lacks
     if checks["simplicial_identities"] and checks["degreewise_free"] \
-            and (module or v.augmentation is not None):
+            and (module or v.augmentation is not None) and rng >= 0:
         pis = moore_homotopy(v.abelianization(True), range(rng + 1))
         detail["abelianized_homotopy"] = pis
         acyclic = all(pis[k].is_trivial() for k in range(1, rng + 1))
@@ -222,7 +222,8 @@ def check_certificate(v, x, rng) -> ResolutionCertificate:
 
 
 def _pi0_matches(v: SimplicialTheta, x) -> bool:
-    if v.augmentation is None:
+    # pi_0 is level 0 modulo d_0 y = d_1 y for y in level 1
+    if v.augmentation is None or v.truncation < 1:
         return False
     sort = v.theory.sorts[0]
     lvl0, lvl1 = v.levels[0], v.levels[1]
@@ -240,17 +241,25 @@ def _pi0_matches(v: SimplicialTheta, x) -> bool:
         return False
     if quo.order() != x.order():
         return False
-    # the augmentation must descend to an isomorphism
-    p = v.augmentation
-    for h in enumerate_homs(quo, x):
-        if not h.is_bijective():
-            continue
-        if all(
-            h.mapping[sort][quo.gen_images[g]] == p.mapping[sort][g]
-            for g in gens
-        ):
-            return True
-    return False
+    # the augmentation must descend to an isomorphism: the generators fix
+    # the one candidate, built breadth-first as `reached` grows
+    p = v.augmentation.mapping[sort]
+    if not set(p.values()) <= set(x.carriers[sort]):
+        return False
+    one = quo.identity(sort)
+    image = {one: x.identity(sort)}
+    reached = [one]
+    for y in reached:
+        for g in gens:
+            z = quo.gmul(y, quo.gen_images[g], sort)
+            w = x.gmul(image[y], p[g], sort)
+            if z not in image:
+                image[z] = w
+                reached.append(z)
+            elif image[z] != w:
+                return False
+    h = AlgebraMap(quo, x, {sort: image}, check=False)
+    return h.is_bijective() and h.is_homomorphism()
 
 
 def resolve_module(module: RModulePresentation, length=4):

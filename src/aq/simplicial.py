@@ -15,6 +15,7 @@ from .algebras import (
     AlgebraError,
     AlgebraMap,
     FreeAlgebra,
+    _freeze,
     find_isomorphism,
     quotient_by_normal_closure,
 )
@@ -132,8 +133,11 @@ class SimplicialTheta(_SimplicialBase):
         src = inner.source
         sort = src.theory.sorts[0]
         if src.is_free():
+            # a one-letter image g^+1 goes to the outer image of g
+            outer_images, words = outer.mapping[sort], inner.mapping[sort]
             images = {
-                g: outer.apply_free_element(inner.mapping[sort][g])
+                g: outer_images[w[0][0]] if len(w := words[g]) == 1
+                and w[0][1] == 1 else outer.apply_free_element(w)
                 for g in src.generators[sort]
             }
             return AlgebraMap.from_generator_images(src, outer.target, images)
@@ -165,15 +169,15 @@ class SimplicialTheta(_SimplicialBase):
             )
         return m1.mapping == m2.mapping
 
-    def structure_map(self, n):
-        """The canonical map level n -> X (augmentation after d_0 chains)."""
+    def structure_maps(self, top):
+        """The canonical maps level n -> X for n <= top: the augmentation,
+        then each one after d_0 of the level above it."""
         if self.augmentation is None:
             raise AlgebraError(
                 "structure map: the simplicial algebra has no augmentation")
-        m = self.augmentation
-        chain = m
-        for k in range(1, n + 1):
-            chain = self._compose(chain, self.faces[k][0])
+        chain = [self.augmentation]
+        for k in range(1, top + 1):
+            chain.append(self._compose(chain[-1], self.faces[k][0]))
         return chain
 
     def abelianization(self, relative):
@@ -184,8 +188,8 @@ class SimplicialTheta(_SimplicialBase):
         (`fox_columns`).  Built once per object."""
         if relative not in self._abelianizations:
             sort = self.theory.sorts[0]
-            over = [self.structure_map(n) if relative else None
-                    for n in range(self.truncation + 1)]
+            over = (self.structure_maps(self.truncation) if relative
+                    else [None] * (self.truncation + 1))
             ring = Ring("Z")
             if relative:
                 x = self.augmentation.target
@@ -746,13 +750,32 @@ def check_square_zero(ring, diffs):
                 f"d_{n} d_{n + 1} is not zero in degree {n}")
 
 
+def trim_top(ranks, diffs, top):
+    """A complex of free modules (ranks, diffs) through level `top`, its
+    top differential cut to its distinct nonzero columns, in their order.
+    Every degree n below the top keeps its groups, since it reads level
+    n + 1 only through im d_{n+1}: H_n(F (x) K) through its image, and
+    H^n(Hom(F, K)) through ker delta^n = Hom(F_n / im d_{n+1}, K).  The
+    groups of the top degree itself change."""
+    ranks, diffs = list(ranks[:top + 1]), list(diffs[:top + 1])
+    top = len(ranks) - 1
+    if top:
+        seen, cols = set(), []
+        for col in diffs[top]:
+            key = tuple((i, _freeze(x)) for i, x in col)
+            if col and key not in seen:
+                seen.add(key)
+                cols.append(col)
+        ranks[top], diffs[top] = len(cols), cols
+    return ranks, diffs
+
+
 def reduced_quotient(v, top):
     """The reduced complex of a SimplicialFreeModule `v`
-    (`SimplicialFreeModule.reduced_complex`) realized over Z through
-    level `top`."""
-    ranks, diffs = v.reduced_complex()
-    ranks = ranks[:top + 1]
-    return _realize(v.ring, ranks, [[]] * len(ranks), diffs[:top + 1])
+    (`SimplicialFreeModule.reduced_complex`) through level `top`, read
+    there only through its image (`trim_top`), realized over Z."""
+    ranks, diffs = trim_top(*v.reduced_complex(), top)
+    return _realize(v.ring, ranks, [[]] * len(ranks), diffs)
 
 
 def _normalized_quotient(v, top):
@@ -817,14 +840,15 @@ def moore_homotopy(v, degrees):
     """Homotopy groups of a simplicial abelian object: homology of the
     normalized (Moore) complex, built through level max(degrees) + 1;
     for a free simplicial module, of its reduced complex
-    (`reduced_quotient`).
+    (`reduced_quotient`), which squares to zero over its ring
+    (`check_square_zero`) and so over Z, and is not checked again.
     """
     require_levels(v, degrees)
     top = max(degrees, default=0)
     if isinstance(v, SimplicialFreeModule):
         quo = reduced_quotient(v, top + 1)
-    else:
-        quo, _ = _normalized_quotient(v, top + 1)
+        return homology_groups(quo.levels, quo.diffs, degrees, checked=True)
+    quo, _ = _normalized_quotient(v, top + 1)
     return quo.homology(degrees)
 
 

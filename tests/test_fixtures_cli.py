@@ -187,6 +187,32 @@ def _z2res_without_over(keep_augment):
     return text
 
 
+def test_a_resolution_of_truncation_0_exits_1_naming_the_checks(tmp_path):
+    # z2res.sres cut to level 0 and its augmentation: pi_0 and H_0 both
+    # need level 1, so both checks fail, under `python -O` too
+    text = fx_text("z2res.sres")
+    text = text[:text.index("  level 1")].replace(
+        "truncation 3", "truncation 0") + text[text.index("  augment {"):]
+    (tmp_path / "z2.alg").write_text(fx_text("z2.alg"))
+    path = tmp_path / "z2res0.sres"
+    path.write_text(text)
+    failing = "['pi0', 'abelianized_acyclic']"
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), "..", "src"))
+    for argv, message in (
+            (["check", str(path)], f"certificate failed: {failing}"),
+            (["cohomology", "--theory", "gp", "--algebra", fx("z2.alg"),
+              "--resolution", str(path), "--coeffs", "2",
+              "--max-degree", "0"],
+             f"resolution certificate failed: {failing}")):
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "aq.cli", *argv],
+                capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stderr.splitlines()[-1:]) == \
+                (1, [message]), (flags, argv, proc.stderr)
+
+
 def test_an_sres_without_over_fails_the_pi0_check(tmp_path, capsys):
     path = tmp_path / "z2res-no-over.sres"
     path.write_text(_z2res_without_over(keep_augment=False))

@@ -157,7 +157,7 @@ def test_em_route_matches_brute_force_simplicial_maps():
     # of E_n in the fiber over its augmentation image; the kernel (K-part)
     # components are arbitrary functions, constrained by commutation
     lvl_gens = [v.levels[i].generators[sort] for i in range(3)]
-    aug = [v.structure_map(i) for i in range(3)]
+    aug = v.structure_maps(2)
 
     def fiber_elements(i, g):
         xval = aug[i].mapping[sort][g] if i == 0 else \
@@ -415,7 +415,7 @@ def test_coefficient_and_diagram_checks_do_not_depend_on_assert():
         "fails(lambda: diagram_coefficients(v, {'a': k}, {('a', 'a'): [[1, 0]]},",
         "                                   'homology', [0]))",
         "v.augmentation = None",
-        "fails(lambda: v.structure_map(1))",
+        "fails(lambda: v.structure_maps(1))",
     ])
     for flags in ([], ["-O"]):
         out = subprocess.run([sys.executable, *flags, "-c", code], check=True,

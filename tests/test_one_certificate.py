@@ -11,12 +11,14 @@ import pytest
 
 from aq import invariants
 from aq.abgroups import FGAbelianGroup
-from aq.algebras import cyclic_group, klein_four, symmetric_3
+from aq.algebras import AlgebraMap, FreeAlgebra, cyclic_group, klein_four, \
+    symmetric_3
 from aq.fixtures import load_algebra, load_sres
 from aq.invariants import homology
-from aq.resolutions import check_certificate, loop_group_resolution, \
-    resolve_module
+from aq.resolutions import _pi0_matches, check_certificate, \
+    loop_group_resolution, resolve_module
 from aq.rings import RModulePresentation, parse_ring
+from aq.simplicial import SimplicialTheta
 from test_normalized import RINGS, SEEDS, _seeded_module
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -81,6 +83,46 @@ def test_sres_certificates():
                            "abelianized_acyclic": False}
     assert cert.detail == {"identity_failure":
                            "d_0 d_1 != d_0 d_0 at level 2"}
+
+
+def test_a_resolution_of_s3_certified_against_z6_fails_pi0():
+    # the orders agree, but the augmentation's images are no elements of
+    # Z/6, so no isomorphism pi_0 -> Z/6 agrees with it
+    v = loop_group_resolution(symmetric_3(), truncation=2)
+    cert = check_certificate(v, cyclic_group(6), rng=1)
+    assert cert.checks == {"simplicial_identities": True,
+                           "degreewise_free": True, "pi0": False,
+                           "abelianized_acyclic": True}
+
+
+def test_pi0_refuses_an_augmentation_that_descends_to_no_isomorphism():
+    # the pi_0 check alone: the relative abelianization over such an
+    # augmentation is no complex.  Z/4 from its loop group, with the
+    # augmentation squared, or composed with a swap of labels that is no
+    # automorphism
+    g = cyclic_group(4)
+    assert _pi0_matches(loop_group_resolution(g, truncation=2), g)
+    swap = {"a": "a2", "a2": "a"}
+    for edit in (lambda x: g.gmul(x, x), lambda x: swap.get(x, x)):
+        v = loop_group_resolution(g, truncation=2)
+        images = v.augmentation.mapping["g"]
+        v.augmentation.mapping["g"] = {t: edit(x) for t, x in images.items()}
+        assert not _pi0_matches(v, g)
+    # pi_0 = <x, y | x = y, x^2> = Z/2: an augmentation must agree on the
+    # two generators of one element
+    z2 = cyclic_group(2)
+    lv0, lv1 = FreeAlgebra(z2.theory, ["x", "y"]), \
+        FreeAlgebra(z2.theory, ["r", "s"])
+    x, y = lv0.gen("x"), lv0.gen("y")
+    faces = [[], [AlgebraMap.from_generator_images(lv1, lv0, images)
+                  for images in ({"r": x, "s": lv0.mul(x, x)},
+                                 {"r": y, "s": lv0.zero()})]]
+    for images, expected in (({"x": "a", "y": "a"}, True),
+                             ({"x": "a", "y": "e"}, False)):
+        aug = AlgebraMap.from_generator_images(lv0, z2, images)
+        v = SimplicialTheta(z2.theory, [lv0, lv1], faces, [[], []], 1,
+                            augmentation=aug)
+        assert _pi0_matches(v, z2) is expected
 
 
 @pytest.mark.parametrize("name,seed", SEEDS)
