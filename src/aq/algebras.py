@@ -152,16 +152,6 @@ class FreeAlgebra:
                 out.append((g, _freeze(prod)))
         return tuple(sorted(out))
 
-    def scale(self, n, a):
-        """n-fold sum (group: n-th power) of a normal form."""
-        if self.theory.class_tag != "group":
-            return self.rscale(self.theory.ring.from_int(n), a)
-        out = self.zero()
-        step = a if n >= 0 else self.inv(a)
-        for _ in range(abs(n)):
-            out = self.mul(out, step)
-        return out
-
     def coefficients(self, word):
         """The R-column of a normal form over the theory's ring R: its
         coefficient at each generator, in generator order."""
@@ -244,15 +234,6 @@ def _thaw(frozen, ring):
     if ring.kind == "ZG":
         return dict(frozen)
     return frozen
-
-
-def normalize(t: Term, a: FreeAlgebra) -> Term:
-    """Canonical representative of a term in a free algebra; idempotent."""
-    return a.element_to_term(a.eval_term(t))
-
-
-def free_algebra(theta: TheoryPresentation, generators) -> FreeAlgebra:
-    return FreeAlgebra(theta, generators)
 
 
 # ---------------------------------------------------------------------------
@@ -438,17 +419,6 @@ class AlgebraMap:
         """images: generator -> target element (single-sorted free source)."""
         return cls(source, target, {source.sort: dict(images)}, check=False)
 
-    def gen_images(self):
-        # internal invariant: called only on maps out of a free algebra
-        assert self.source.is_free()
-        return self.mapping[self.source.sort]
-
-    def apply(self, x, sort=None):
-        sort = sort or self.source.theory.sorts[0]
-        if self.source.is_free():
-            return self.apply_free_element(x)
-        return self.mapping[sort][x]
-
     def apply_free_element(self, word):
         """Evaluate a free-source normal form through the generator images
         (finite or free target)."""
@@ -524,11 +494,6 @@ class AlgebraMap:
             for s, m in other.mapping.items()
         }
         return AlgebraMap(other.source, self.target, mapping, check=False)
-
-    def key(self):
-        return tuple(
-            (s, tuple(sorted(m.items()))) for s, m in sorted(self.mapping.items())
-        )
 
     def __repr__(self):
         return f"AlgebraMap({self.source!r} -> {self.target!r})"
@@ -789,7 +754,7 @@ def _realize_abelian_or_module(theta, gens, pairs, bound, name):
     return alg
 
 
-def entails_by_normalization(theory, eq, bound=4):
+def entails_by_normalization(theory, eq):
     """True/False via the normal-form engine; None when undecidable here.
 
     For registered classes the theory equations are a confluent system, so
@@ -829,10 +794,6 @@ def cyclic_group(m, name=None, theory=None):
         theory, name or f"Z{m}", {sort: labels},
         {"mul": mul, "inv": inv, "e": {(): "e"}},
     )
-
-
-def trivial_group():
-    return cyclic_group(1, name="1")
 
 
 def direct_product(a: FiniteAlgebra, b: FiniteAlgebra, name=None):

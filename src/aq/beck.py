@@ -1,6 +1,6 @@
 """Beck modules over a fixed algebra: modules, derivations, semidirect
 products, the classification of group objects in the slice category, and
-abelianization of free algebras (with its Fox-derivative functoriality).
+the Fox derivatives that abelianize maps of free groups.
 """
 
 from __future__ import annotations
@@ -10,18 +10,14 @@ from itertools import product
 from .abgroups import FGAbelianGroup, FinAb, _factor, invariants_from_addition
 from .algebras import (
     DEFAULT_BUDGET,
-    GP,
-    AB,
     AlgebraMap,
     AlgebraError,
     BudgetExhausted,
     FiniteAlgebra,
-    FreeAlgebra,
     enumerate_homs,
 )
 from .rings import CoefficientModule, Ring
 from .snf import identity_matrix, mat_mul
-from .theories import abelianization_theory, module_theory
 
 
 class XModule:
@@ -85,13 +81,6 @@ class XModule:
     def invariants(self) -> FGAbelianGroup:
         return self.carrier.invariants()
 
-    def is_trivial_action(self):
-        return all(
-            self.act(x, el) == el
-            for x in self.base.carriers[self.sort]
-            for el in self.carrier.elements()
-        )
-
     def f_hat(self, op, x_tuple):
         """The additive map f_hat(-, x): a function on carrier tuples."""
         opdecl = self.base.theory.op_index[op]
@@ -111,23 +100,6 @@ class XModule:
         """The group-ring-module view over Z[VX]."""
         return CoefficientModule(self.base.group_ring(self.sort),
                                  list(self.carrier.moduli), self.action)
-
-    def module_isomorphisms(self, other):
-        """All additive X-equivariant bijections self -> other."""
-        if self.carrier.invariants() != other.carrier.invariants():
-            return []
-        if self.carrier.order() > 8:
-            raise AlgebraError("additive bijection search limited to order <= 8")
-        out = []
-        for phi in _bijection_candidates(other.elements(), other.carrier.add,
-                                         other.zero(), self.carrier):
-            if all(
-                phi[self.act(x, el)] == other.act(x, phi[el])
-                for x in self.base.carriers[self.sort]
-                for el in self.carrier.elements()
-            ):
-                out.append(phi)
-        return out
 
     def __repr__(self):
         return f"XModule({self.name}: {self.invariants()} over {self.base.name})"
@@ -365,71 +337,6 @@ def _semidirect_mul(k: XModule, x: FiniteAlgebra, kels, xels, labels):
                 for j2 in xidx:
                     tab[(left, row2[j2])] = out[prod1[j2]]
     return tab
-
-
-def hom_as_derivations(p: AlgebraMap, k: XModule):
-    """The bijection Hom_{/X}(Y, K x| X) = Der_p(Y, K), with the group
-    structures compared under the zero-derivation structure on the target.
-
-    Returns a dict with both sides, the bijection, and check flags.
-    """
-    y_alg = p.source
-    x = p.target
-    sort = k.sort
-    sd = semidirect_product(k, x)
-    ders = derivations(p, k)
-    homs = enumerate_homs(y_alg, sd, over=(p, sd.projection))
-    # bijection: a hom phi corresponds to y -> k-component of phi(y)
-    der_of_hom = {}
-    for phi in homs:
-        if y_alg.is_free():
-            vals = {
-                g: sd.pair_of[phi.mapping[sort][g]][0]
-                for g in y_alg.generators[sort]
-            }
-        else:
-            vals = {
-                y: sd.pair_of[phi.mapping[sort][y]][0]
-                for y in y_alg.carriers[sort]
-            }
-        der_of_hom[_hom_key(phi)] = tuple(sorted(vals.items()))
-    der_keys = {d.key() for d in ders} if not y_alg.is_free() else {
-        tuple(sorted(d.values.items())) for d in ders
-    }
-    bijective = (
-        len(der_of_hom) == len(homs) == len(ders)
-        and set(der_of_hom.values()) == der_keys
-    )
-    # group structures agree: mu-addition of homs matches pointwise addition
-    additive = True
-    if not y_alg.is_free():
-        for phi1 in homs[:4]:
-            for phi2 in homs[:4]:
-                summed = {}
-                for y in y_alg.carriers[sort]:
-                    k1 = sd.pair_of[phi1.mapping[sort][y]][0]
-                    k2 = sd.pair_of[phi2.mapping[sort][y]][0]
-                    summed[y] = k.carrier.add(k1, k2)
-                target = tuple(sorted(summed.items()))
-                d1 = dict(der_of_hom[_hom_key(phi1)])
-                d2 = dict(der_of_hom[_hom_key(phi2)])
-                pointwise = tuple(sorted(
-                    (y, k.carrier.add(d1[y], d2[y])) for y in d1
-                ))
-                if target != pointwise:
-                    additive = False
-    return {
-        "homs": homs,
-        "derivations": ders,
-        "bijective": bijective,
-        "additive_match": additive,
-    }
-
-
-def _hom_key(phi: AlgebraMap):
-    return tuple(
-        (s, tuple(sorted(m.items()))) for s, m in sorted(phi.mapping.items())
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -724,125 +631,7 @@ def classify_group_objects(x: FiniteAlgebra, fixtures):
 
 
 # ---------------------------------------------------------------------------
-# the kernel functor and its inverse
-
-def kappa(p: AlgebraMap, structure: GroupObjectStructure) -> XModule:
-    """The X-module carried by the zero section's fiber of a group object."""
-    y_alg, x = p.source, p.target
-    sort = y_alg.theory.sorts[0]
-    ident_x = x.identity(sort)
-    kels = [y for y in y_alg.carriers[sort] if p.mapping[sort][y] == ident_x]
-    zero = structure.sigma[ident_x]
-
-    def kadd(a, b):
-        return structure.mu[f"{a}&{b}"]
-
-    inv = invariants_from_addition(kels, kadd, zero)
-    moduli = list(inv.torsion) or [1]
-    finab = FinAb(moduli)
-    # coordinatize: find an additive bijection finab -> kernel set
-    coords = _coordinatize(kels, kadd, zero, finab)
-    # conjugation action through arbitrary lifts (checked independent)
-    action = {}
-    for xe in x.carriers[sort]:
-        lifts = [y for y in y_alg.carriers[sort] if p.mapping[sort][y] == xe]
-        mats = None
-        for lift in lifts:
-            images = {}
-            for kel in kels:
-                conj = y_alg.gmul(
-                    y_alg.gmul(lift, kel, sort), y_alg.ginv(lift, sort), sort
-                )
-                images[kel] = conj
-            mat = _matrix_of(images, coords, finab)
-            if mats is None:
-                mats = mat
-            else:
-                # internal invariant: K is abelian, so every lift acts alike
-                assert mats == mat, "conjugation action depends on the lift"
-        action[xe] = mats
-    km = XModule(x, finab, action, name=f"ker({y_alg.name})")
-    km.fiber_coords = coords
-    return km
-
-
-def _coordinatize(kels, kadd, zero, finab: FinAb):
-    """dict finab-element -> kernel label, additive."""
-    for cand in _bijection_candidates(kels, kadd, zero, finab):
-        return cand
-    raise AlgebraError("could not coordinatize kernel")
-
-
-def _bijection_candidates(kels, kadd, zero, finab):
-    from itertools import permutations
-
-    nonzero = [y for y in kels if y != zero]
-    felements = finab.elements()
-    fnonzero = [e for e in felements if any(e)]
-    for perm in permutations(nonzero, len(fnonzero)):
-        phi = {finab.zero(): zero}
-        phi.update(dict(zip(fnonzero, perm)))
-        ok = all(
-            phi[finab.add(a, b)] == kadd(phi[a], phi[b])
-            for a in felements for b in felements
-        )
-        if ok:
-            yield phi
-
-
-def _matrix_of(images, coords, finab: FinAb):
-    """Matrix (in finab coordinates) of an additive self-map given on
-    kernel labels."""
-    inv_coords = {v: k for k, v in coords.items()}
-    n = len(finab.moduli)
-    cols = []
-    for j in range(n):
-        basis = tuple(1 if i == j else 0 for i in range(n))
-        img = inv_coords[images[coords[basis]]]
-        cols.append(img)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def lam(k: XModule) -> tuple:
-    """K -> (semidirect product with the zero-derivation group structure)."""
-    x = k.base
-    sort = k.sort
-    sd = semidirect_product(k, x)
-    sigma = {xe: sd.label_of[(k.carrier.zero(), xe)] for xe in x.carriers[sort]}
-    mu = {}
-    for ke1 in k.elements():
-        for ke2 in k.elements():
-            for xe in x.carriers[sort]:
-                a = sd.label_of[(ke1, xe)]
-                b = sd.label_of[(ke2, xe)]
-                mu[f"{a}&{b}"] = sd.label_of[(k.carrier.add(ke1, ke2), xe)]
-    rho = {}
-    for ke in k.elements():
-        for xe in x.carriers[sort]:
-            rho[sd.label_of[(ke, xe)]] = sd.label_of[(k.carrier.neg(ke), xe)]
-    return sd, GroupObjectStructure(sigma, mu, rho)
-
-
-def lambda_kappa_roundtrip(k: XModule) -> bool:
-    """kappa(lam(K)) is isomorphic to K as an X-module."""
-    sd, structure = lam(k)
-    back = kappa(sd.projection, structure)
-    return bool(k.module_isomorphisms(back))
-
-
-def kappa_lambda_roundtrip(p: AlgebraMap, structure: GroupObjectStructure) -> bool:
-    """lam(kappa(Y)) is isomorphic to Y over X."""
-    km = kappa(p, structure)
-    sd, _ = lam(km)
-    isos = [
-        h for h in enumerate_homs(sd, p.source, over=(sd.projection, p))
-        if h.is_bijective()
-    ]
-    return bool(isos)
-
-
-# ---------------------------------------------------------------------------
-# abelianization of free algebras and its Fox-derivative functoriality
+# the abelianization of maps of free groups: Fox derivatives
 
 def fox_columns(m: AlgebraMap, over: AlgebraMap | None):
     """The abelianization of a map of free group-theory algebras, sparse:
@@ -887,32 +676,7 @@ def fox_columns(m: AlgebraMap, over: AlgebraMap | None):
     return cols
 
 
-def abelianized_matrix(m: AlgebraMap, over: AlgebraMap | None):
-    """Matrix of the abelianization of a map of free group-theory algebras:
-    `fox_columns` as a dense matrix, rows indexing target generators."""
-    rows = len(m.target.generators[m.source.sort])
-    zero = 0 if over is None else {}
-    cols = fox_columns(m, over)
-    out = [[zero] * len(cols) for _ in range(rows)]
-    for j, col in enumerate(cols):
-        for i, entry in col:
-            out[i][j] = entry
-    return out
-
-
 def _rmul_group(ring: Ring, acc, gelem):
     if ring.kind == "Z":
         return acc
     return ring.mul(acc, {gelem: 1})
-
-
-def abelianize_free(f: FreeAlgebra, over: AlgebraMap | None = None):
-    """A free algebra's abelianization: same generators over the
-    abelianized theory (absolute) or the module theory over X (relative).
-    """
-    if over is None:
-        theory_ab = AB if f.theory is GP else abelianization_theory(f.theory)
-        return FreeAlgebra(theory_ab, dict(f.generators))
-    x = over.target
-    tx = module_theory(f.theory, x)
-    return FreeAlgebra(tx, dict(f.generators))

@@ -152,7 +152,7 @@ def main(argv=None):
     except NotFiniteWithinBound as exc:
         print(f"not finite within bound: {exc}", file=sys.stderr)
         return 3
-    except (FixtureError, DslSyntaxError, TheoryError, FileNotFoundError,
+    except (FixtureError, DslSyntaxError, TheoryError, OSError,
             UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

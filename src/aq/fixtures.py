@@ -351,9 +351,13 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
         elif kw == "act":
             if not act:
                 line = p.peek().line
+            act_line = p.peek().line
             el = p.expect_ident()
+            if el in act:
+                raise FixtureError(f"{source}:{act_line}: act {el} is "
+                                   f"given twice")
             p.expect(":")
-            act[el] = p.parse_matrix()
+            act[el] = p.parse_matrix(), act_line
         elif kw == "action":
             block_line = tok.line
             opname = p.expect_ident()
@@ -391,6 +395,16 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
     if moduli is None:
         raise FixtureError(f"{source}:{header}: xmodule needs a carrier")
     finab = FinAb([m for m in moduli if m > 1] or [1])
+    dim = len(finab.moduli)
+    for el, (mat, act_line) in act.items():
+        if el not in base.carriers[base.theory.sorts[0]]:
+            raise FixtureError(f"{source}:{act_line}: {el!r} is not an "
+                               f"element of {base.name}")
+        if len(mat) != dim or any(len(row) != dim for row in mat):
+            raise FixtureError(
+                f"{source}:{act_line}: act {el} must be a {dim} x {dim} "
+                f"matrix, one row and column per carrier modulus > 1")
+    _check_action_blocks(base, fhat_tables, source)
     if not act:
         act_mats = _derive_action_from_tables(base, finab, fhat_tables, source)
         missing = [x for x in base.carriers[base.theory.sorts[0]]
@@ -399,7 +413,7 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
             raise FixtureError(f"{source}:{header}: cannot derive action for "
                                f"{missing}; add act blocks")
     else:
-        act_mats = {el: m for el, m in act.items()}
+        act_mats = {el: mat for el, (mat, _) in act.items()}
         for el in base.carriers[base.theory.sorts[0]]:
             if el not in act_mats:
                 raise FixtureError(
@@ -410,6 +424,31 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
         raise FixtureError(f"{source}:{line}: xmodule {name}: {exc}") from exc
     _validate_fhat_tables(km, fhat_tables, source)
     return km
+
+
+def _check_action_blocks(base, fhat_tables, source):
+    """Each `action` block names an op of the base's theory and a tuple of
+    base elements of that op's arity, and each of its entries takes that
+    many carrier elements; else a fixture error at its path:line."""
+    elements = base.carriers[base.theory.sorts[0]]
+    arity = {op.name: len(op.args) for op in base.theory.ops}
+    for opname, tup, entries, block_line in fhat_tables:
+        where = f"{source}:{block_line}"
+        if opname not in arity:
+            raise FixtureError(f"{where}: {opname!r} is not an op of "
+                               f"theory {base.theory.name}")
+        if len(tup) != arity[opname]:
+            raise FixtureError(f"{where}: {opname} takes {arity[opname]} "
+                               f"elements, not {len(tup)}")
+        for x in tup:
+            if x not in elements:
+                raise FixtureError(
+                    f"{where}: {x!r} is not an element of {base.name}")
+        for args, (_, line) in entries.items():
+            if len(args) != arity[opname]:
+                raise FixtureError(
+                    f"{source}:{line}: an entry of action {opname} takes "
+                    f"{arity[opname]} carrier elements, not {len(args)}")
 
 
 def _parse_carrier_element(token, finab, where):

@@ -21,11 +21,9 @@ from .presented import (
     _apply_columns,
     _composes_to_zero,
     _vectors,
-    cohomology_at,
     cohomology_groups,
     common_prime,
     cycle_lattice,
-    homology_of_complex,
     induced_map,
 )
 from .resolutions import abelianized_complex
@@ -38,7 +36,7 @@ from .simplicial import (
     require_levels,
     trim_top,
 )
-from .snf import cols_to_matrix, mat_mul, rank_mod_p
+from .snf import cols_to_matrix, rank_mod_p
 
 
 class InvalidCertificate(AlgebraError):
@@ -235,83 +233,3 @@ def homology_with_coeffs(v, g, degrees, x=None, certificate=None):
         *trim_top(*v.abelianization(x is not None).reduced_complex(), top),
         _coefficient(g, x), top)
     return PresentedComplex(levels, bnds).homology(degrees)
-
-
-def tensor_free_generators(gens_t, gens_s):
-    """The generator set of F(T) tensor F(S) = F(T x S)."""
-    return [f"{a}*{b}" for a in gens_t for b in gens_s]
-
-
-# ---------------------------------------------------------------------------
-# diagram coefficients
-
-def diagram_coefficients(v, nodes, edges, op, degrees, x=None):
-    """Pointwise (co)homology for a finite poset diagram of coefficient
-    modules, with the induced maps between the values.
-
-    nodes: {name: coefficient}; edges: {(src, dst): matrix} of additive
-    equivariant maps between the carriers.  Returns values per node, an
-    induced matrix per edge and degree, and a functoriality report for
-    composable pairs.
-    """
-    if op not in ("cohomology", "homology"):
-        raise AlgebraError(
-            f"diagram coefficients: op must be cohomology or homology, not {op!r}")
-    require_levels(v, degrees)
-    # induced maps are read in the canonical coordinates of the
-    # unreduced complex, as the X-action on homology is
-    ranks, diffs = v.abelianization(x is not None).normalized_complex()
-    top = max(degrees, default=-1) + 1
-    values = {}
-    subquots = {}
-    for name, coeff in nodes.items():
-        levels, maps = with_coefficients(ranks, diffs, _coefficient(coeff, x),
-                                         top, dual=op == "cohomology")
-        if op == "cohomology":
-            subq = {n: cohomology_at(levels, maps, n) for n in degrees}
-        else:
-            subq = homology_of_complex(levels, maps, degrees)
-        subquots[name] = subq
-        values[name] = {n: subq[n].invariants() for n in degrees}
-    induced = {}
-    for (src, dst), alpha in edges.items():
-        co_s = _coefficient(nodes[src], x)
-        co_d = _coefficient(nodes[dst], x)
-        if len(alpha) != co_d.dim or any(len(r) != co_s.dim for r in alpha):
-            raise AlgebraError(f"diagram coefficients: the map of edge "
-                               f"{src} -> {dst} is not {co_d.dim} x {co_s.dim}")
-        per_degree = {}
-        for n in degrees:
-            target = subquots[dst][n]
-            per_degree[n] = cols_to_matrix(
-                induced_map(_block_diagonal(alpha, ranks[n]),
-                            subquots[src][n], target),
-                len(target.canonical_generators()))
-        induced[(src, dst)] = per_degree
-    functorial = True
-    for (a, b) in edges:
-        for (bb, c) in edges:
-            if bb != b or (a, c) not in edges:
-                continue
-            co_c = _coefficient(nodes[c], x)
-            for n in degrees:
-                m1 = induced[(a, b)][n]
-                m2 = induced[(b, c)][n]
-                m3 = induced[(a, c)][n]
-                comp = mat_mul(m2, m1)
-                if not _equal_mod_canon(comp, m3, subquots[c][n]):
-                    functorial = False
-    return {"values": values, "induced": induced, "functorial": functorial}
-
-
-def _equal_mod_canon(m1, m2, subq: Subquotient):
-    mods = subq.moduli()
-    if len(m1) != len(m2):
-        return False
-    for i in range(len(m1)):
-        m = mods[i] if i < len(mods) else 0
-        for j in range(len(m1[0]) if m1 else 0):
-            diff = m1[i][j] - m2[i][j]
-            if (diff % m != 0) if m else diff != 0:
-                return False
-    return True

@@ -7,15 +7,14 @@ are dense, and so is what a Subquotient keeps for its solver.
 
 Homology is read two ways.  A caller that needs only the isomorphism
 class of each group (the certificate, Moore homotopy, homology with and
-without coefficients, the cochain route, cohomotopy, the groups of an
-E2 grid) takes `homology_groups` / `cohomology_groups`: one elimination
-per differential, its Smith diagonal over free levels or its rank mod p
-over (Z/p)^g levels, with no cycle lattice and no transforms.  A caller
-that reads canonical coordinates (induced maps, the X-action, diagram
-coefficients, the columns of an E2 grid) takes the Subquotients of
-`homology_of_complex` / `cohomology_at`, and so do the oracles
-(`bar_resolution_group`, `ext_groups`, `tor_groups`), so that they stay
-independent of the elimination the main routes read.  Any other level,
+without coefficients, the cochain route, cohomotopy) takes
+`homology_groups` / `cohomology_groups`: one elimination per
+differential, its Smith diagonal over free levels or its rank mod p over
+(Z/p)^g levels, with no cycle lattice and no transforms.  A caller that
+reads canonical coordinates (the X-action through induced maps) takes
+the Subquotients of `homology_of_complex` / `cohomology_at`, and so do
+the oracles (`bar_resolution_group`, `ext_groups`, `tor_groups`), so
+that they stay independent of the elimination the main routes read.  Any other level,
 such as Z/4 or Z + Z/2, goes through the Subquotient either way.
 """
 
@@ -186,11 +185,6 @@ class Subquotient:
             solver = IntegerSolver(self._zmat)
             self._zsolver = solver
         return solver.solve(vec)
-
-    def moduli(self):
-        """The moduli of the canonical coordinates (`canon`), 0 for a free
-        one, in order."""
-        return [d for d in self._diag if d != 1]
 
     def invariants(self) -> FGAbelianGroup:
         tor = [d for d in self._diag if d > 1]

@@ -189,8 +189,8 @@ def check_certificate(v, x, rng) -> ResolutionCertificate:
     freeness, pi_0 recovering the target, and acyclicity in degrees
     1..rng of the abelianization over the target (a free simplicial
     module is its own).  Where the identities and freeness hold, and a
-    group resolution has an augmentation, the Moore homotopy of that
-    abelianization through degree rng is kept in
+    group resolution's augmentation descends to pi_0, the Moore homotopy
+    of that abelianization through degree rng is kept in
     detail["abelianized_homotopy"]."""
     module = isinstance(v, SimplicialFreeModule)
     checks = {}
@@ -208,7 +208,7 @@ def check_certificate(v, x, rng) -> ResolutionCertificate:
     checks["abelianized_acyclic"] = False
     # H_0 needs level 1, which a resolution of truncation 0 lacks
     if checks["simplicial_identities"] and checks["degreewise_free"] \
-            and (module or v.augmentation is not None) and rng >= 0:
+            and (module or _augmentation_descends(v)) and rng >= 0:
         pis = moore_homotopy(v.abelianization(True), range(rng + 1))
         detail["abelianized_homotopy"] = pis
         acyclic = all(pis[k].is_trivial() for k in range(1, rng + 1))
@@ -219,6 +219,22 @@ def check_certificate(v, x, rng) -> ResolutionCertificate:
             acyclic = acyclic and pis[0] == FGAbelianGroup(x.order() - 1)
         checks["abelianized_acyclic"] = acyclic
     return ResolutionCertificate(x, v, checks, rng, detail)
+
+
+def _augmentation_descends(v: SimplicialTheta) -> bool:
+    """Whether the augmentation of `v` maps into its target and agrees on
+    d_0 y and d_1 y for every generator y of level 1: then it descends to
+    pi_0, and the structure maps over its target make the abelianization
+    over it a complex."""
+    if v.augmentation is None or v.truncation < 1:
+        return False
+    sort = v.theory.sorts[0]
+    eps = v.augmentation
+    if not set(eps.mapping[sort].values()) <= set(eps.target.carriers[sort]):
+        return False
+    d0, d1 = (f.mapping[sort] for f in v.faces[1][:2])
+    return all(eps.apply_free_element(d0[y]) == eps.apply_free_element(d1[y])
+               for y in v.levels[1].generators[sort])
 
 
 def _pi0_matches(v: SimplicialTheta, x) -> bool:

@@ -269,18 +269,6 @@ class CoefficientModule:
             act = {g: ident for g in ring.group.elements}
         return cls(ring, moduli, act)
 
-    @classmethod
-    def group_ring(cls, ring):
-        """Z[G] as a module over itself (free rank one)."""
-        if ring.kind != "ZG":
-            raise AlgebraError(f"{ring!r} is not a group ring")
-        n = ring.zrank()
-        act = {g: ring.regular_block({g: 1}) for g in ring.group.elements}
-        return cls(ring, [0] * n, act)
-
-    def invariants(self) -> FGAbelianGroup:
-        return FGAbelianGroup.from_divisors(self.moduli)
-
     def act_of(self, r):
         """Integer action matrix of an arbitrary ring element."""
         if self.ring.kind == "ZG":

@@ -1,8 +1,8 @@
 """Simplicial machinery: simplicial objects in three flavors (free/finite
 algebras, presented abelian groups, free modules over a registered ring),
-Moore homotopy and cohomotopy, the Dold-Kan correspondence, latching and
-matching objects, extended Eilenberg-MacLane objects with path objects,
-and bisimplicial diagonal / cosimplicial totalization with their E2 grids.
+Moore homotopy and cohomotopy, the Dold-Kan correspondence, matching
+objects, extended Eilenberg-MacLane objects, and the diagonal and total
+complex of a bisimplicial abelian group.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from .abgroups import FGAbelianGroup, FinAb, invariants_from_addition
 from .algebras import (
     AlgebraError,
     AlgebraMap,
-    FreeAlgebra,
     _freeze,
     find_isomorphism,
     quotient_by_normal_closure,
@@ -22,13 +21,10 @@ from .algebras import (
 from .beck import XModule, fox_columns, semidirect_product
 from .presented import (
     Presentation,
-    Subquotient,
     _apply_columns,
     cohomology_groups,
-    cycle_lattice,
     homology_groups,
     homology_of_complex,
-    induced_map,
 )
 from .rings import (
     CoefficientModule,
@@ -38,16 +34,13 @@ from .rings import (
     with_coefficients,
     z_presentation,
 )
-from .snf import kernel_basis
 
 __all__ = [
     "SimplicialTheta", "SimplicialAbelian",
     "SimplicialFreeModule", "ChainComplex", "PresentedComplex",
     "dold_kan", "normalize_dk", "moore_homotopy", "nondegenerate_cells",
-    "cohomotopy",
-    "CosimplicialAbelian", "latching", "matching", "eilenberg_maclane",
-    "path_object", "BisimplicialAbelian", "diag", "diag_e2_page",
-    "total_complex", "CosimplicialSimplicial", "tot", "tot_e2_page",
+    "cohomotopy", "CosimplicialAbelian", "matching", "eilenberg_maclane",
+    "BisimplicialAbelian", "diag", "total_complex",
 ]
 
 
@@ -852,14 +845,6 @@ def moore_homotopy(v, degrees):
     return quo.homology(degrees)
 
 
-def moore_subquotients(v, degrees):
-    """The homology subquotients of the normalized complex at `degrees`,
-    and per level the generator indices that complex lives on."""
-    top = min(max(degrees) + 1, v.truncation)
-    quo, cells = _normalized_quotient(v, top)
-    return quo.homology_subquotients(degrees), cells
-
-
 def unnormalized_homotopy(v, degrees):
     """Homology of the raw alternating-sum complex on every generator,
     modulo the level relations (cross-check route)."""
@@ -900,60 +885,7 @@ def cohomotopy(w: CosimplicialAbelian, degrees):
 
 
 # ---------------------------------------------------------------------------
-# latching and matching objects
-
-def latching(v: SimplicialTheta, n):
-    """The n-th latching object of a degreewise-free simplicial algebra:
-    free on degeneracy classes s_J(generator), glued by the simplicial
-    identities."""
-    if n > v.truncation + 1:
-        raise AlgebraError("degree beyond truncation")
-    theory = v.theory
-    if not v.is_free_levelwise():
-        raise AlgebraError("latching objects need free levels")
-    sort = theory.sorts[0]
-    if n == 0:
-        return FreeAlgebra(theory, {sort: []})
-    # classes of pairs (j, g): s_j applied to generators of level n-1,
-    # identified along s_i s_j = s_{j+1} s_i
-    items = []
-    for j in range(n):
-        for g in v.levels[n - 1].generators[sort]:
-            items.append((j, g))
-    parent = {it: it for it in items}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    if n >= 2:
-        for i in range(n - 1):
-            for j in range(i, n - 1):
-                # s_i s_j = s_{j+1} s_i on level n-2 generators
-                for g in v.levels[n - 2].generators[sort]:
-                    w1 = v.degens[n - 2][j].mapping[sort][g]
-                    w2 = v.degens[n - 2][i].mapping[sort][g]
-                    if _is_single_gen(w1) and _is_single_gen(w2):
-                        union((i, _the_gen(w1)), ((j + 1), _the_gen(w2)))
-    classes = sorted({find(it) for it in items})
-    gens = [f"L{j}_{g}" for j, g in classes]
-    return FreeAlgebra(theory, {sort: gens})
-
-
-def _is_single_gen(word):
-    return len(word) == 1 and word[0][1] == 1
-
-
-def _the_gen(word):
-    return word[0][0]
-
+# matching objects
 
 def matching(v, n):
     """The n-th matching object of a simplicial abelian object with finite
@@ -1178,39 +1110,8 @@ def _pi0_is_x(em):
     return find_isomorphism(quo, em.base) is not None
 
 
-def path_object(em):
-    """The path object of an EM object: the Dold-Kan image of the two-term
-    complex [K + K -> K] semidirect X, with its two projections."""
-    k = em.xmodule
-    x = em.base
-    n = em.degree
-    trunc = em.truncation
-    dim = len(k.carrier.moduli)
-    moduli = list(k.carrier.moduli)
-    levels = [Presentation.free(0) for _ in range(n - 1)]
-    levels.append(Presentation.from_moduli(moduli))
-    levels.append(Presentation.from_moduli(moduli * 2))
-    # zero below degree n; the boundary K + K -> K is (id, -id)
-    diffs = [None] + [[[] for _ in range(levels[t].gens)] for t in range(1, n)]
-    diffs.append([[(i, 1)] for i in range(dim)] + [[(i, -1)] for i in range(dim)])
-    kernel = dold_kan(PresentedComplex(levels, diffs), truncation=trunc)
-    pe = _semidirect_object(x, k, n, kernel, "EI")
-    # the chain maps K + K -> K onto the first and second copy in degree
-    # n; the EM complex is zero below degree n, so are the projections
-    below = [[[] for _ in range(lv.gens)] for lv in levels[:n]]
-    unit, zero = [[(i, 1)] for i in range(dim)], [[] for _ in range(dim)]
-    pe.projections = [
-        [_lift(x, _dk_map(kernel, em.kernel_part, below + [proj], i),
-               pe.levels[i], pe.level_xmodules[i],
-               em.levels[i], em.level_xmodules[i])
-         for i in range(trunc + 1)]
-        for proj in (unit + zero, zero + unit)
-    ]
-    return pe
-
-
 # ---------------------------------------------------------------------------
-# bisimplicial objects: diagonal, total complex, E2 grids
+# bisimplicial objects: diagonal and total complex
 
 class BisimplicialAbelian:
     """levels[p][q]: Presentation; hfaces[p][q][i]: (p,q) -> (p-1,q);
@@ -1351,189 +1252,6 @@ def total_complex(b: BisimplicialAbelian) -> PresentedComplex:
                                else []))
         diffs.append(cols)
     return PresentedComplex(levels, diffs)
-
-
-def diag_e2_page(b: BisimplicialAbelian, smax, tmax):
-    """E2 of the first-quadrant (diagonal) spectral sequence:
-    E2[s][t] = pi_s of the horizontal complex of vertical homotopy groups."""
-    trunc = b.truncation
-    grid = {}
-    for t in range(tmax + 1):
-        # vertical homotopy at level t for each horizontal degree p
-        cols = []
-        for p in range(min(smax + 2, trunc) + 1):
-            vlevels = [b.levels[p][q] for q in range(trunc + 1)]
-            col = SimplicialAbelian(
-                vlevels,
-                [[]] + [b.vfaces[p][q] for q in range(1, trunc + 1)],
-                [b.vdegens[p][q] for q in range(trunc)] + [[]],
-                trunc,
-            )
-            subq, cells = moore_subquotients(col, [t])
-            cols.append((subq[t], cells[t]))
-        levels = []
-        diffs = [None]
-        for p, (subq, cells) in enumerate(cols):
-            levels.append(Presentation.from_moduli(subq.moduli()))
-            if p >= 1:
-                prev, rows = cols[p - 1]
-                # the horizontal faces are vertical simplicial maps, so they
-                # act on the vertical normalized complexes by restriction
-                hsum = _alternating_sum(b.hfaces[p][t])
-                pos = {i: r for r, i in enumerate(rows)}
-                hsum = [[(pos[i], x) for i, x in hsum[j] if i in pos]
-                        for j in cells]
-                diffs.append(induced_map(hsum, subq, prev))
-        h = homology_groups(levels, diffs, range(min(smax, len(cols) - 2) + 1))
-        for s in h:
-            grid[(s, t)] = h[s]
-    return grid
-
-
-class CosimplicialSimplicial:
-    """levels[s][t]; cofaces[s][t][i]: (s,t) -> (s+1,t) for s < smax;
-    codegens[s][t][j]: (s,t) -> (s-1,t) for s >= 1;
-    faces[s][t][j]: (s,t) -> (s,t-1); every map as sparse columns, one
-    per generator of its source."""
-
-    def __init__(self, levels, cofaces, faces, truncation, codegens=None):
-        self.levels = levels
-        self.cofaces = cofaces
-        self.faces = faces
-        self.codegens = codegens
-        self.truncation = truncation
-
-
-def _conormalized_lattices(w: CosimplicialSimplicial):
-    """Per (s,t): a basis of the conormalized sublattice (joint kernel of
-    the codegeneracies, modulo the level's relations)."""
-    trunc = w.truncation
-    out = {}
-    for s in range(trunc + 1):
-        for t in range(trunc + 1):
-            pairs = []
-            if s > 0 and w.codegens is not None:
-                pairs = [(m, w.levels[s - 1][t]) for m in w.codegens[s][t]]
-            out[(s, t)] = cycle_lattice(pairs, w.levels[s][t].gens)
-    return out
-
-
-def tot(w: CosimplicialSimplicial):
-    """Totalization of the conormalized (in the cosimplicial direction)
-    double complex: a chain complex graded by t - s, stored with offset,
-    with differential (alternating face sum) + (-1)^t (coface sum)."""
-    trunc = w.truncation
-    lattices = _conormalized_lattices(w)
-    pieces = {}
-    for (s, t), basis in lattices.items():
-        lv = w.levels[s][t]
-        pieces[(s, t)] = Subquotient(
-            lv.gens, basis, _intersect_relations(basis, lv.rels, lv.gens))
-
-    def express_in(sq: Subquotient, vec, s, t):
-        y = sq.express(vec)
-        if y is None:
-            raise AlgebraError(f"tot: the differential out of ({s}, {t}) "
-                               "leaves the conormalized part")
-        return y
-
-    offset = trunc
-    levels = []
-    offsets = []
-    for idx in range(2 * trunc + 1):
-        m = idx - offset
-        off = {}
-        pos = 0
-        pres = None
-        for s in range(trunc + 1):
-            t = m + s
-            if t < 0 or t > trunc:
-                continue
-            sq = pieces[(s, t)]
-            k = len(sq.basis)
-            off[(s, t)] = pos
-            pos += k
-            piece = Presentation(k, [[(i, x) for i, x in enumerate(y) if x]
-                                     for y in sq.rels_z])
-            pres = piece if pres is None else pres.direct_sum(piece)
-        offsets.append(off)
-        levels.append(pres if pres is not None else Presentation.free(0))
-    diffs = [None]
-    for idx in range(1, 2 * trunc + 1):
-        cols = []
-        for s, t in offsets[idx]:
-            # the face sum into (s, t-1) and the coface sum, signed
-            # (-1)^t, into (s+1, t), each in the basis of its target
-            parts = []
-            if t >= 1 and (s, t - 1) in offsets[idx - 1]:
-                parts.append((_alternating_sum(w.faces[s][t]), (s, t - 1), 1))
-            if s < trunc and (s + 1, t) in offsets[idx - 1]:
-                parts.append((_alternating_sum(w.cofaces[s][t]), (s + 1, t),
-                              1 if t % 2 == 0 else -1))
-            for basis_vec in pieces[(s, t)].basis:
-                col = []
-                for m, target, sgn in parts:
-                    r0 = offsets[idx - 1][target]
-                    img = _apply_columns(m, basis_vec,
-                                         w.levels[target[0]][target[1]].gens)
-                    y = express_in(pieces[target], img, s, t)
-                    col += [(r0 + i, sgn * x) for i, x in enumerate(y) if x]
-                cols.append(col)
-        diffs.append(cols)
-    cx = PresentedComplex(levels, diffs)
-    cx.degree_offset = offset
-    return cx
-
-
-def _intersect_relations(basis, rel_cols, ambient):
-    """Generators of (relation lattice) intersected with span(basis), for
-    the sparse relation columns `rel_cols`: v[:k] of each v in the kernel
-    of [basis | -relations], mapped back through the basis."""
-    if not rel_cols:
-        return []
-    k = len(basis)
-    mat = [[b[i] for b in basis] + [0] * len(rel_cols) for i in range(ambient)]
-    for j, col in enumerate(rel_cols):
-        for i, x in col:
-            mat[i][k + j] = -x
-    return [[sum(c * b[i] for c, b in zip(v, basis)) for i in range(ambient)]
-            for v in kernel_basis(mat, k + len(rel_cols))]
-
-
-def tot_homotopy(w: CosimplicialSimplicial, degrees):
-    """pi_{t-s} of the totalization for the requested total degrees."""
-    cx = tot(w)
-    idx = {m: m + cx.degree_offset for m in degrees}
-    safe = [i for i in idx.values() if 0 <= i < len(cx.levels)]
-    h = cx.homology(safe)
-    return {m: h[i] for m, i in idx.items() if i in h}
-
-
-def tot_e2_page(w: CosimplicialSimplicial, smax, tmax):
-    """E2[s][t] = pi^s (cosimplicial direction) of pi_t (simplicial)."""
-    trunc = w.truncation
-    grid = {}
-    for t in range(tmax + 1):
-        cols = []
-        for s in range(trunc + 1):
-            # unnormalized homotopy of the simplicial direction
-            diffs = [None] + [
-                _alternating_sum(w.faces[s][q]) for q in range(1, trunc + 1)
-            ]
-            cx = PresentedComplex([w.levels[s][q] for q in range(trunc + 1)],
-                                  diffs)
-            subq = cx.homology_subquotients([t])[t]
-            cols.append(subq)
-        levels = [Presentation.from_moduli(sq.moduli()) for sq in cols]
-        # cochain complex in s: flip to chain shape for the helper
-        deltas = [None]
-        for s in range(1, trunc + 1):
-            dsum = _alternating_sum(w.cofaces[s - 1][t])
-            deltas.append(induced_map(dsum, cols[s - 1], cols[s]))
-        h = cohomology_groups(levels, deltas, range(min(smax, trunc - 1) + 1))
-        for s in h:
-            grid[(s, t)] = h[s]
-    return grid
 
 
 # ---------------------------------------------------------------------------

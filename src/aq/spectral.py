@@ -71,9 +71,6 @@ class SpectralPage:
                     f"grid entry ({s},{t}) lies outside the quadrant: "
                     "indices must be >= 0")
 
-    def entry(self, s, t) -> FGAbelianGroup:
-        return self.grid.get((s, t), FGAbelianGroup())
-
     def consistent(self):
         return all(row["consistent"] for row in self.convergence)
 

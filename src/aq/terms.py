@@ -6,9 +6,6 @@ from __future__ import annotations
 class Term:
     __slots__ = ()
 
-    def is_var(self):
-        return isinstance(self, Var)
-
 
 class Var(Term):
     __slots__ = ("name",)

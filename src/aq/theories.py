@@ -1,6 +1,6 @@
 """Theory presentations for multi-sorted equational theories, the group
 structure ("g-theory") machinery, and the derived theory constructions:
-discrete, product, abelianization, comma, and module theories.
+product, abelianization, comma, and module theories.
 """
 
 from __future__ import annotations
@@ -13,9 +13,7 @@ from .terms import (
     Var,
     equations_equal_up_to_renaming,
     rename_canonical,
-    substitute,
     term_str,
-    variables,
 )
 
 
@@ -226,65 +224,6 @@ class GTheoryFailure:
         return False
 
 
-class TheoryMap:
-    """A map of theory presentations: sorts to sorts, ops to derived terms.
-
-    op_map sends each source op to a target term over variables $x0..$xN
-    standing for the op's arguments (in order).
-    """
-
-    def __init__(self, source, target, sort_map, op_map):
-        self.source = source
-        self.target = target
-        self.sort_map = dict(sort_map)
-        self.op_map = dict(op_map)
-        self.validate(2)
-
-    def apply_term(self, t: Term) -> Term:
-        if isinstance(t, Var):
-            return t
-        args = [self.apply_term(a) for a in t.args]
-        image = self.op_map[t.op]
-        env = {f"x{i}": a for i, a in enumerate(args)}
-        return substitute(image, {k: env.get(k, Var(k)) for k in _term_vars(image)})
-
-    def validate(self, bound):
-        for s in self.source.sorts:
-            if self.sort_map.get(s) not in self.target.sorts:
-                raise TheoryError(f"sort {s!r} not mapped into target")
-        for op in self.source.ops:
-            if op.name not in self.op_map:
-                raise TheoryError(f"op {op.name!r} has no image")
-            env = {f"x{i}": self.sort_map[a] for i, a in enumerate(op.args)}
-            image = self.op_map[op.name]
-            got = self.target.sort_of(image, dict(env))
-            if got != self.sort_map[op.result]:
-                raise SortingError(
-                    f"image of op {op.name!r} has sort {got!r}"
-                )
-        for eq in self.source.equations:
-            img = (self.apply_term(eq[0]), self.apply_term(eq[1]))
-            if not self._holds_in_target(img, bound):
-                raise TheoryError(
-                    f"equation image fails in target: "
-                    f"{term_str(img[0])} = {term_str(img[1])}"
-                )
-
-    def _holds_in_target(self, eq, bound):
-        # syntactic presence, then normalization for registered classes,
-        # then bounded substitution search
-        if self.target.has_equation(eq):
-            return True
-        from .algebras import entails_by_normalization
-
-        verdict = entails_by_normalization(self.target, eq, bound)
-        return verdict is not False
-
-
-def _term_vars(t):
-    return set(variables(t))
-
-
 # ---------------------------------------------------------------------------
 # builtin theories
 
@@ -308,10 +247,6 @@ def abelian_theory(name="Ab"):
     t.ring = Ring("Z")
     t.validate()
     return t
-
-
-def trivial_theory(name="Triv"):
-    return TheoryPresentation(name, ["g"], [], [], class_tag="discrete")
 
 
 def zmod_module_theory(m):
@@ -388,13 +323,6 @@ def _interchange_equation(f: OpDecl, phi_of_sort):
     lhs = App(f.name, tuple(lhs_args))
     rhs = App(g_res, tuple(App(f.name, tuple(cols[k])) for k in range(arity)))
     return (lhs, rhs)
-
-
-def discrete_theory(t: TheoryPresentation):
-    """Same sorts, no ops, no equations."""
-    return TheoryPresentation(
-        f"{t.name}^d", t.sorts, [], [], class_tag="discrete"
-    )
 
 
 def product_theory(phi: TheoryPresentation, theta: TheoryPresentation):

@@ -80,7 +80,9 @@ def _cases(g):
     """(x, coefficients): absolute Z/2, relative Z/3 and the group ring."""
     ring = Ring("ZG", group=g.group_table("g"))
     return [(None, XModule.trivial(g, [2])), (g, XModule.trivial(g, [3])),
-            (g, CoefficientModule.group_ring(ring))]
+            # Z[G] as a module over itself
+            (g, CoefficientModule(ring, [0] * ring.zrank(), {h: ring.regular_block(
+                {h: 1}) for h in ring.group.elements}))]
 
 
 def _all_digests(name):

@@ -48,7 +48,10 @@ def _material(name, seed):
     coeffs = [CoefficientModule.trivial(ring, COEFFS[name]),
               CoefficientModule.trivial(ring, EXTRA[name])]
     if ring.kind == "ZG":
-        coeffs.append(CoefficientModule.group_ring(ring))
+        # Z[G] as a module over itself
+        coeffs.append(CoefficientModule(
+            ring, [0] * ring.zrank(),
+            {h: ring.regular_block({h: 1}) for h in ring.group.elements}))
     for coeff in coeffs:
         for dual in (True, False):
             levels, maps = with_coefficients(ranks, diffs, coeff,

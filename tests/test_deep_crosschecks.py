@@ -6,8 +6,8 @@ actions)."""
 import random
 
 from aq.abgroups import FGAbelianGroup
-from aq.algebras import AlgebraMap, cyclic_group, free_algebra, symmetric_3, GP
-from aq.beck import abelianized_matrix, x_module_structures
+from aq.algebras import AlgebraMap, FreeAlgebra, cyclic_group, symmetric_3, GP
+from aq.beck import fox_columns, x_module_structures
 from aq.invariants import cohomology, cohomology_via_em
 from aq.resolutions import bar_resolution_group, loop_group_resolution
 from aq.rings import Ring
@@ -81,9 +81,9 @@ def test_fox_chain_rule_noncommutative():
     rng = random.Random(17)
     s3 = symmetric_3()
     sort = "g"
-    a = free_algebra(GP, ["u", "v"])
-    b = free_algebra(GP, ["s", "t"])
-    c = free_algebra(GP, ["w"])
+    a = FreeAlgebra(GP, ["u", "v"])
+    b = FreeAlgebra(GP, ["s", "t"])
+    c = FreeAlgebra(GP, ["w"])
     ring = Ring("ZG", group=s3.group_table(sort))
     els = list(s3.carriers[sort])
 
@@ -112,15 +112,15 @@ def test_fox_chain_rule_noncommutative():
             b, s3, {"s": p_a.apply_free_element(m2.mapping[sort]["s"]),
                     "t": p_a.apply_free_element(m2.mapping[sort]["t"])}
         )
-        mat1 = abelianized_matrix(m1, over=p_b)
-        mat2 = abelianized_matrix(m2, over=p_a)
-        matc = abelianized_matrix(comp, over=p_a)
+        (col1,) = fox_columns(m1, over=p_b)
+        cols2 = fox_columns(m2, over=p_a)
+        (colc,) = fox_columns(comp, over=p_a)
         # left-module convention: inner coefficients multiply on the left
-        for i in range(2):
-            acc = ring.zero()
-            for t in range(2):
-                acc = ring.add(acc, ring.mul(mat1[t][0], mat2[i][t]))
-            assert acc == matc[i][0]
+        acc = {}
+        for t, y in col1:
+            for i, x2 in cols2[t]:
+                acc[i] = ring.add(acc.get(i, ring.zero()), ring.mul(y, x2))
+        assert {i: c for i, c in acc.items() if c} == dict(colc)
 
 
 def test_route_agreement_over_all_small_modules():

@@ -1,7 +1,5 @@
-"""Edge paths: chain-form .sres fixtures, the bidegree Ext fixture through
-tot, latching/Moore rank bookkeeping on generated resolutions, error
-positions, budget exhaustion, and searches that leave no reference
-cycles."""
+"""Edge paths: chain-form .sres fixtures, error positions, budget
+exhaustion, and searches that leave no reference cycles."""
 
 import os
 
@@ -10,24 +8,17 @@ import pytest
 from aq.abgroups import FGAbelianGroup
 from aq.algebras import (
     BudgetExhausted,
+    FreeAlgebra,
     cyclic_group,
     enumerate_homs,
-    free_algebra,
     GP,
 )
 from aq.beck import XModule
 from aq.dsl import DslSyntaxError
 from aq.fixtures import FixtureError, parse_sres, parse_xmodule
 from aq.errors import AlgebraError
-from aq.resolutions import factor_set_cohomology, loop_group_resolution
+from aq.resolutions import factor_set_cohomology
 from aq.rings import CoefficientModule, GroupTable, RModulePresentation, Ring
-from aq.simplicial import (
-    CosimplicialSimplicial,
-    dold_kan,
-    hom_cochain_of_simplicial,
-    latching,
-    tot_homotopy,
-)
 from aq.theories import SortingError
 
 
@@ -69,72 +60,6 @@ def test_chain_form_sres_over_zmod():
 
     pis = moore_homotopy(v, range(2))
     assert pis[0] == G(2) and pis[1] == G()
-
-
-def test_tot_on_ext_bidegree_fixture():
-    # Hom(resolution of Z/4, Z/2) as a bidegree object: the cochain data
-    # sits in the cosimplicial direction, constant in the simplicial one;
-    # total degrees -n carry H^n = (Z/2, Z/2, 0)
-    from aq.presented import Presentation
-    from aq.simplicial import PresentedComplex
-
-    cx = PresentedComplex(
-        [Presentation.free(1), Presentation.free(1)], [None, [[(0, 4)]]]
-    )
-    v = dold_kan(cx, truncation=3)
-    w_cochain = hom_cochain_of_simplicial(v, [2])
-    trunc = 3
-    zero_level = Presentation.free(0)
-    levels = [[w_cochain.levels[s] if t == 0 else zero_level
-               for t in range(trunc + 1)] for s in range(trunc + 1)]
-    cofaces = [[w_cochain.cofaces[s] if (t == 0 and s < trunc) else
-                [[] for _ in range(s + 2)]
-                for t in range(trunc + 1)] for s in range(trunc + 1)]
-    faces = [[[[] for _ in range(t + 1)] if t else []
-              for t in range(trunc + 1)] for s in range(trunc + 1)]
-    w = CosimplicialSimplicial(levels, cofaces, faces, trunc)
-    pis = tot_homotopy(w, [0, -1, -2])
-    assert pis[0] == G(2)
-    assert pis[-1] == G(2)
-    assert pis[-2] == G()
-
-
-def test_latching_plus_moore_ranks_cover_levels():
-    # degreewise-free resolutions split level n into the latching
-    # (degenerate) part and the normalized part
-    from aq.resolutions import abelianized_complex
-    from aq.simplicial import _degenerate_quotient
-
-    for m in (2, 3):
-        g = cyclic_group(m)
-        v = loop_group_resolution(g, truncation=3)
-        closure, _ = _degenerate_quotient(v.abelianization(True), 3)
-        normalized, ranks, _ = abelianized_complex(v, over=g)
-        for n in (1, 2, 3):
-            l_rank = len(latching(v, n).generators["g"])
-            level_rank = len(v.levels[n].generators["g"])
-            # the degenerate relation lattice has one free Z[X]-summand
-            # per latching generator
-            assert l_rank * _zr(g) == _degenerate_rank(closure.levels[n]), (m, n)
-            assert l_rank < level_rank
-            # latching rank + normalized rank = level rank
-            assert l_rank + ranks[n] == level_rank, (m, n)
-            assert normalized.levels[n].gens == ranks[n] * _zr(g)
-            assert normalized.levels[n].nrels() == 0
-
-
-def _degenerate_rank(pres):
-    from aq.snf import cols_to_matrix, smith_diagonal
-
-    if not pres.rels:
-        return 0
-    return len(smith_diagonal(cols_to_matrix(pres.rels, pres.gens)))
-
-
-def _zr(g):
-    return g.order()
-
-
 def test_sorting_error_names_term():
     from aq.dsl import parse_theory
 
@@ -170,7 +95,7 @@ def test_xmodule_action_table_violation_rejected():
 
 
 def test_enumerate_homs_budget_exhaustion():
-    f = free_algebra(GP, [f"t{i}" for i in range(6)])
+    f = FreeAlgebra(GP, [f"t{i}" for i in range(6)])
     target = cyclic_group(4)
     # free sources enumerate assignments directly, so use a finite source
     big = cyclic_group(6)

@@ -48,10 +48,15 @@ def test_load_algebra_presentation():
     assert find_isomorphism(z4p, cyclic_group(4)) is not None
 
 
+def _acts_trivially(km):
+    return all(km.act(x, el) == el for x in km.base.carriers[km.sort]
+               for el in km.carrier.elements())
+
+
 def test_load_xmodule_with_action_tables():
     km = load_xmodule(fx("z2-triv.xmod"))
     assert km.invariants() == G(2)
-    assert km.is_trivial_action()
+    assert _acts_trivially(km)
 
 
 def test_xmodule_given_by_action_tables_alone():
@@ -106,7 +111,7 @@ def test_a_bad_action_table_entry_is_a_fixture_error(tmp_path, entry, message):
 def test_load_xmodule_inversion():
     km = load_xmodule(fx("z3-inv.xmod"))
     assert km.invariants() == G(3)
-    assert not km.is_trivial_action()
+    assert not _acts_trivially(km)
 
 
 def test_load_module_presentation():
@@ -1107,3 +1112,100 @@ def test_zc2_ss_and_oracle_read_the_module_ring(tmp_path, capsys, route,
 def test_oracle_ext_without_module_exits_2(capsys):
     assert main(["oracle", "ext", "--coeffs", "2"]) == 2
     assert "needs --module" in capsys.readouterr().err
+
+
+# (fixture, text, its replacement, line, message) of malformed .xmod edits
+_BAD_XMODULES = [
+    *(("z3-inv.xmod", "act a : [[2]]", f"act a : {mat}", 6,
+       "act a must be a 1 x 1 matrix, one row and column per carrier "
+       "modulus > 1") for mat in ("[[]]", "[]", "[[1, 0]]", "[[2], [1]]")),
+    *(("z2-table.xmod", "action mul (a, e) { (0,0)->0",
+       f"action mul (a, e) {{ {entry}->1 (0,0)->0", 7,
+       f"an entry of action mul takes 2 carrier elements, not {n}")
+      for entry, n in (("(1,)", 1), ("(1,0,1)", 3))),
+    *(("z2-table.xmod", "action mul (a, e)", f"action {op} (a, e)", 7,
+       f"'{op}' is not an op of theory Gp") for op in ("mu", "mule")),
+    *(("z2-table.xmod", "action mul (a, e)", f"action mul ({tup} e)", 7,
+       f"'{el}' is not an element of z2")
+      for tup, el in (("ae", "ae"), ("a.", "a."))),
+    ("z2-table.xmod", "action mul (a, e)", "action mul (a)", 7,
+     "mul takes 2 elements, not 1"),
+    ("z3-inv.xmod", "act a : [[2]]", "act a : [[2]]\n  act b : [[1]]", 7,
+     "'b' is not an element of z2"),
+    ("z3-inv.xmod", "act a : [[2]]", "act a : [[2]]\n  act a : [[1]]", 7,
+     "act a is given twice"),
+]
+
+
+def _write_bad_xmodule(tmp_path, i, case):
+    name, old, new, _, _ = case
+    text = fx_text(name).replace('"z2.alg"',
+                                 f'"{os.path.abspath(fx("z2.alg"))}"')
+    assert old in text
+    path = tmp_path / f"bad{i}.xmod"
+    path.write_text(text.replace(old, new, 1))
+    return path
+
+
+@pytest.mark.parametrize("case", _BAD_XMODULES, ids=[
+    c[2].replace("\n  ", " ") for c in _BAD_XMODULES])
+def test_a_malformed_xmodule_exits_2_at_its_position(case, tmp_path, capsys):
+    path = _write_bad_xmodule(tmp_path, 0, case)
+    for argv in (["check", str(path)],
+                 ["cohomology", "--theory", "gp", "--algebra", fx("z2.alg"),
+                  "--coeffs", str(path)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == \
+            f"error: {path}:{case[3]}: {case[4]}\n", argv
+
+
+def test_the_xmodule_checks_do_not_depend_on_assert(tmp_path):
+    paths = [str(_write_bad_xmodule(tmp_path, i, case))
+             for i, case in enumerate(_BAD_XMODULES)]
+    code = ("import sys\n"
+            "from aq.cli import main\n"
+            "print([main(['check', p]) for p in sys.argv[1:]])\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(__file__), "..", "src"))
+    proc = subprocess.run([sys.executable, "-O", "-c", code, *paths],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout == f"{[2] * len(paths)}\n", proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: {p}:{case[3]}: {case[4]}"
+        for p, case in zip(paths, _BAD_XMODULES)]
+
+
+def test_an_input_path_that_is_a_directory_exits_2_naming_it(tmp_path,
+                                                              capsys):
+    z2 = os.path.abspath(fx("z2.alg"))
+    sres = tmp_path / "over-a-file.sres"
+    sres.write_text(fx_text("z2res.sres").replace('"z2.alg"', f'"{z2}/"'))
+    for argv, path in (
+            (["cohomology", "--theory", "gp", "--algebra", FIXTURES + "/",
+              "--coeffs", "2"], FIXTURES + "/"),
+            (["check", str(sres)], z2 + "/"),
+            (["cohomology", "--theory", "gp", "--algebra", z2,
+              "--resolution", str(sres), "--coeffs", "2"], z2 + "/")):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{path}'" in err, (argv, err)
+
+
+def test_an_augmentation_that_descends_to_no_map_fails_pi0(tmp_path, capsys):
+    # the loop-group resolution of Z/4 with a and a2 swapped in its
+    # augmentation: pi_0 and the abelianization over Z/4 both fail, as
+    # checks, rather than as a complex whose square is not zero
+    v = loop_group_resolution(load_algebra(fx("z4.alg")), truncation=2)
+    text = write_sres(v, name="z4swap", over=os.path.abspath(fx("z4.alg")))
+    assert "    t/a -> a\n    t/a2 -> a2\n" in text
+    path = tmp_path / "z4swap.sres"
+    path.write_text(text.replace("    t/a -> a\n    t/a2 -> a2\n",
+                                 "    t/a -> a2\n    t/a2 -> a\n"))
+    failing = "['pi0', 'abelianized_acyclic']"
+    for argv, message in (
+            (["check", str(path)], f"certificate failed: {failing}"),
+            (["cohomology", "--theory", "gp", "--algebra", fx("z4.alg"),
+              "--resolution", str(path), "--max-degree", "1",
+              "--coeffs", "2"], f"resolution certificate failed: {failing}")):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == f"{message}\n", argv

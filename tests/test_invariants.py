@@ -7,10 +7,8 @@ from aq.invariants import (
     InvalidCertificate,
     cohomology,
     cohomology_via_em,
-    diagram_coefficients,
     homology,
     homology_with_coeffs,
-    tensor_free_generators,
 )
 from aq.resolutions import (
     bar_resolution_group,
@@ -307,7 +305,8 @@ def test_homology_over_x_contractibility():
         g = cyclic_group(m)
         v = loop_group_resolution(g, truncation=3)
         ring = Ring("ZG", group=g.group_table("g"))
-        zg = CoefficientModule.group_ring(ring)
+        zg = CoefficientModule(ring, [0] * m, {h: ring.regular_block({h: 1})
+                                               for h in g.carriers["g"]})
         hs = homology_with_coeffs(v, zg, [0, 1, 2], x=g)
         assert hs[0] == FGAbelianGroup(m - 1), (m, hs)
         assert hs[1] == G() and hs[2] == G()
@@ -337,12 +336,6 @@ def test_homology_with_free_coeffs_equals_homology():
     v = resolve_module(y, length=3)
     free = CoefficientModule.trivial(ring, [0])
     assert homology_with_coeffs(v, free, [0, 1]) == homology(v, [0, 1])
-
-
-def test_tensor_free_generator_product():
-    assert len(tensor_free_generators(["a", "b"], ["u", "v", "w"])) == 6
-
-
 def test_homology_with_action_tag():
     z2 = cyclic_group(2)
     v = loop_group_resolution(z2, truncation=2)
@@ -352,44 +345,6 @@ def test_homology_with_action_tag():
     assert hs[0] == G(0)
     assert actions[0]["a"] == [[-1]]
     assert actions[0]["e"] == [[1]]
-
-
-def test_diagram_coefficients_reduction():
-    ring = Ring("Z")
-    y = RModulePresentation.cyclic(ring, 4)
-    v = resolve_module(y, length=3)
-    z_mod = CoefficientModule.trivial(ring, [0])
-    z2_mod = CoefficientModule.trivial(ring, [2])
-    out = diagram_coefficients(
-        v, {"Z": z_mod, "Z2": z2_mod}, {("Z", "Z2"): [[1]]},
-        "cohomology", [0, 1],
-    )
-    assert out["values"]["Z"][0] == G()      # Hom(Z/4, Z) = 0
-    assert out["values"]["Z"][1] == G(4)     # Ext(Z/4, Z) = Z/4
-    assert out["values"]["Z2"][0] == G(2)
-    assert out["values"]["Z2"][1] == G(2)
-    assert out["functorial"]
-    # induced Ext(Z/4, Z) -> Ext(Z/4, Z/2) is reduction (surjective)
-    mat = out["induced"][("Z", "Z2")][1]
-    assert mat and mat[0] and mat[0][0] % 2 == 1
-
-
-def test_diagram_constant_and_identity():
-    ring = Ring("Z")
-    y = RModulePresentation.cyclic(ring, 4)
-    v = resolve_module(y, length=3)
-    g = CoefficientModule.trivial(ring, [2])
-    out = diagram_coefficients(
-        v, {"a": g, "b": g}, {("a", "b"): [[1]]}, "cohomology", [0, 1],
-    )
-    assert out["values"]["a"] == out["values"]["b"]
-    out2 = diagram_coefficients(
-        v, {"a": g}, {("a", "a"): [[1]]}, "homology", [0, 1],
-    )
-    assert out2["functorial"]
-    assert out2["values"]["a"][1] == G(2)  # Tor_1(Z/4, Z/2)
-
-
 def test_coefficient_and_diagram_checks_do_not_depend_on_assert():
     # each check raises an AlgebraError that names it, under `python -O`
     # (which strips asserts) as well
@@ -400,8 +355,7 @@ def test_coefficient_and_diagram_checks_do_not_depend_on_assert():
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     code = "\n".join([
         "from aq.algebras import AlgebraError, cyclic_group",
-        "from aq.beck import XModule",
-        "from aq.invariants import _coefficient, diagram_coefficients",
+        "from aq.invariants import _coefficient",
         "from aq.resolutions import loop_group_resolution",
         "v = loop_group_resolution(cyclic_group(2), truncation=2)",
         "def fails(f):",
@@ -410,10 +364,6 @@ def test_coefficient_and_diagram_checks_do_not_depend_on_assert():
         "    except AlgebraError as exc:",
         "        print(exc)",
         "fails(lambda: _coefficient([2]))",
-        "fails(lambda: diagram_coefficients(v, {}, {}, 'tensor', [0]))",
-        "k = _coefficient(XModule.trivial(cyclic_group(2), [2]))",
-        "fails(lambda: diagram_coefficients(v, {'a': k}, {('a', 'a'): [[1, 0]]},",
-        "                                   'homology', [0]))",
         "v.augmentation = None",
         "fails(lambda: v.structure_maps(1))",
     ])
@@ -423,9 +373,6 @@ def test_coefficient_and_diagram_checks_do_not_depend_on_assert():
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.splitlines() == [
             "coefficients must be an XModule or a CoefficientModule",
-            "diagram coefficients: op must be cohomology or homology, "
-            "not 'tensor'",
-            "diagram coefficients: the map of edge a -> a is not 1 x 1",
             "structure map: the simplicial algebra has no augmentation",
         ], flags
 
@@ -457,8 +404,6 @@ def test_homology_over_a_nonabelian_action_equals_cohomology(p, expected):
     degrees = range(3)
     assert cohomology(v, k, degrees, x=s3) == expected
     assert homology_with_coeffs(v, k, degrees, x=s3) == expected
-    report = diagram_coefficients(v, {"K": k}, {}, "homology", degrees, x=s3)
-    assert report["values"]["K"] == expected
 
 
 def test_no_degrees_give_no_groups():
@@ -470,5 +415,3 @@ def test_no_degrees_give_no_groups():
         assert homology_with_coeffs(v, k, [], x=x) == {}
         assert cohomology_via_em(v, k, [], x=x) == {}
         assert homology(v, [], x=x) == {}
-        report = diagram_coefficients(v, {"K": k}, {}, "homology", [], x=x)
-        assert report["values"] == {"K": {}}

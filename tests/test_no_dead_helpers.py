@@ -11,10 +11,21 @@ with a default, of a module-level function or a class method in `src/aq`,
 is set by some call in `src/aq` or `tests` (the code that tests run in a
 subprocess included).  No module in `src/aq` reads or sets a
 `_`-prefixed attribute that only another module defines, other than on
-`self` or `cls`."""
+`self` or `cls`.
+
+A reference from a test is not use: every such function and method is
+entered by some command of a fixed list run under a profiler, apart from
+an allowlist whose entries each name their category.  Every `aq` name
+that `perfbench/` reads exists, so that no deletion breaks the
+benchmark."""
 
 import ast
+import importlib
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "aq").glob("*.py"))
@@ -46,15 +57,17 @@ def _references(node, own=frozenset()):
 
 
 def _definitions(tree):
+    """(label, node) of each module-level function and each non-dunder
+    method of a module-level class."""
     for top in tree.body:
         if isinstance(top, FUNCS):
-            yield top.name
+            yield top.name, top
         elif isinstance(top, ast.ClassDef):
             for item in top.body:
                 if isinstance(item, FUNCS) and not (
                     item.name.startswith("__") and item.name.endswith("__")
                 ):
-                    yield f"{top.name}.{item.name}"
+                    yield f"{top.name}.{item.name}", item
 
 
 def test_every_module_level_function_is_referenced():
@@ -63,7 +76,7 @@ def test_every_module_level_function_is_referenced():
     for path in SRC + TESTS:
         tree = ast.parse(path.read_text(), filename=str(path))
         if path in SRC:
-            defined += [(path.name, name) for name in _definitions(tree)]
+            defined += [(path.name, name) for name, _ in _definitions(tree)]
         referenced.update(_references(tree))
     dead = sorted(f"{mod}:{name}" for mod, name in defined
                   if name.rsplit(".", 1)[-1] not in referenced)
@@ -335,3 +348,243 @@ def test_no_module_reads_private_attributes_of_another():
                   and not (isinstance(node.value, ast.Name)
                            and node.value.id in ("self", "cls"))]
     assert reads == [], f"private attributes read across modules: {reads}"
+
+
+# ---------------------------------------------------------------------------
+# every function serves a command
+
+# Inputs that the guard's commands read beside the shipped fixtures,
+# written to a temporary directory: the trivial group (its module theory is
+# the abelianized theory, renamed), a Z[C2]-module whose relation reads the
+# action, and a malformed module for the error paths.
+GUARD_FILES = {
+    "one.alg": """algebra one {
+  theory gp
+  table {
+    sort g : e
+    op mul : (e,e)->e
+    op inv : (e)->e
+    op e : ()->e
+  }
+}
+""",
+    "zc2.alg": """algebra zc2 {
+  theory mod:Z[C2]
+  presentation {
+    gens g : x
+    rel mul(x, act_a(x))
+  }
+}
+""",
+    "bad-act.xmod": """xmodule bad {
+  base "%s/fixtures/z2.alg"
+  carrier g : 3
+  act e : [[1]]
+  act a : [[1, 0]]
+}
+""" % ROOT,
+}
+
+# (exit code, command line) of every command the guard runs, in one
+# process; {tmp} is the directory of GUARD_FILES.
+GUARD_COMMANDS = [
+    # the README
+    (0, "check fixtures/z2res.sres"),
+    (0, "theory module --theory gp --algebra fixtures/z2.alg"),
+    (0, "cohomology --theory gp --algebra fixtures/z2.alg --coeffs "
+        "fixtures/z2-triv.xmod --max-degree 1 --method both"),
+    (0, "homology --theory mod:Z --algebra fixtures/y-z4.alg --coeffs 2 "
+        "--max-degree 1"),
+    (0, "oracle bar --group fixtures/z4.alg --coeffs 2 --max-degree 3"),
+    (0, "oracle factor-set --group fixtures/z3.alg --coeffs 3 --degree 2"),
+    (0, "ss uct --ring Z --module fixtures/y-z4.alg --coeffs 2 --smax 3 "
+        "--check"),
+    (0, "ss uct --ring Z --h 0:4 --h 1:2 --coeffs 2"),
+    (0, "accept"),
+    # every shipped fixture
+    *((1 if name == "broken.sres" else 0, f"check fixtures/{name}")
+      for name in sorted(p.name for p in (ROOT / "fixtures").iterdir())),
+    # the other pages, oracles and constructions
+    (0, "ss tor --ring Z --module fixtures/y-z4.alg --coeffs 2 --check"),
+    (0, "ss rev-adams --ring Z --module fixtures/y-z4.alg --coeffs 2 "
+        "--check"),
+    (0, "ss uct --module fixtures/y-z4.alg --coeffs 2 --variant cohomology"),
+    (0, "oracle ext --module fixtures/y-z4.alg --coeffs 2"),
+    (0, "oracle tor --module fixtures/y-z4.alg --coeffs 2"),
+    (0, "theory comma --theory gp --algebra fixtures/z2.alg"),
+    (0, "theory product --theory gp --phi ab"),
+    (0, "theory abelianize --theory gp"),
+    (0, "theory module --theory gp --algebra {tmp}/one.alg"),
+    # the other routes and inputs of cohomology and homology
+    (0, "cohomology --theory ab --algebra fixtures/y-z4.alg --coeffs 2"),
+    (0, "cohomology --theory gp --algebra fixtures/z4-presented.alg "
+        "--coeffs 2 --method both"),
+    (0, "cohomology --theory gp --algebra fixtures/z2.alg --coeffs "
+        "fixtures/z3-inv.xmod --method both --max-degree 2"),
+    (0, "cohomology --theory gp --algebra fixtures/z2.alg --coeffs "
+        "fixtures/z2-table.xmod"),
+    (0, "cohomology --theory gp --algebra fixtures/z2.alg --resolution "
+        "fixtures/z2res.sres --coeffs 2"),
+    (0, "homology --theory gp --algebra fixtures/s3.alg --max-degree 1"),
+    (0, "homology --theory gp --algebra fixtures/z4.alg --over "
+        "fixtures/z4.alg --max-degree 2"),
+    (0, "homology --theory gp --algebra fixtures/z2.alg --resolution "
+        "fixtures/z2res-basis.sres --over fixtures/z2.alg"),
+    (0, "homology --theory mod:Z[C2] --algebra {tmp}/zc2.alg --coeffs 3"),
+    # Z/4 is injective over Z/4: a one-column page over a ring other than Z
+    (0, "ss uct --module fixtures/m-z4.alg --coeffs 4 --check"),
+    # malformed inputs
+    (2, "check fixtures/missing.alg"),
+    (2, "check {tmp}/bad-act.xmod"),
+    (2, "cohomology --theory gp --algebra fixtures/ --coeffs 2"),
+    (2, "cohomology --theory gp --algebra fixtures/z2.alg --coeffs 2,x"),
+]
+
+# The functions that no command reaches, each with its category.
+CATEGORIES = {
+    "oracle": "an oracle that tests compare the main routes against",
+    "perfbench": "a name that perfbench/ reads",
+    "writer": "a fixture writer, which round-trips through its reader",
+    "constructor": "a constructor that tests build inputs with",
+    "branch": "a branch of a served function for inputs no command builds",
+}
+UNREACHED = {
+    "rings._pairwise": "oracle",
+    "rings.hom_z": "oracle",
+    "rings.ext_z": "oracle",
+    "rings.tor_z": "oracle",
+    "rings.tensor_z": "oracle",
+    "algebras.abelianization_table": "oracle",
+    "simplicial.unnormalized_homotopy": "oracle",
+    "snf.lattice_basis": "perfbench",
+    "fixtures.write_sres": "writer",
+    "fixtures.write_alg": "writer",
+    "dsl.parse_term": "constructor",
+    # enumerate_homs from a multi-sorted or non-group finite algebra
+    "algebras._finite_generic_homs": "branch",
+    # the identity check of a simplicial abelian group, modulo relations
+    "simplicial.SimplicialAbelian._maps_equal": "branch",
+    "presented.Presentation.contains_in_relations": "branch",
+}
+
+_PROFILE = """
+import contextlib, io, json, sys
+reached = set()
+def record(frame, event, arg):
+    if event == "call":
+        reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(record)
+import aq.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes.append(aq.cli.main(argv))
+sys.setprofile(None)
+print(json.dumps({"codes": codes, "reached": sorted(reached)}))
+"""
+
+
+def _served_functions():
+    """(path, first line, label) of each function `_definitions` finds in
+    `src/aq`; the first line is that of the first decorator, as the code
+    object has it."""
+    for path in SRC:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for label, fn in _definitions(tree):
+            first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+            yield path.resolve(), first, f"{path.stem}.{label}"
+
+
+def test_every_function_is_reached_by_a_command(tmp_path):
+    for name, text in GUARD_FILES.items():
+        (tmp_path / name).write_text(text)
+    commands = [line.format(tmp=tmp_path).split()
+                for _, line in GUARD_COMMANDS]
+    out = subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, "-c", _PROFILE,
+         json.dumps(commands)],
+        cwd=ROOT, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert out.returncode == 0, out.stderr
+    run = json.loads(out.stdout)
+    assert run["codes"] == [code for code, _ in GUARD_COMMANDS]
+    reached = {(pathlib.Path(f).resolve(), line) for f, line in run["reached"]}
+    unreached = {label for path, line, label in _served_functions()
+                 if (path, line) not in reached}
+    assert set(UNREACHED.values()) <= set(CATEGORIES)
+    assert sorted(unreached - set(UNREACHED)) == [], \
+        "functions that no command reaches"
+    assert sorted(set(UNREACHED) - unreached) == [], \
+        "allowlisted functions that a command reaches or that are gone"
+
+
+# ---------------------------------------------------------------------------
+# the names the benchmark reads
+
+def _dotted(node):
+    """['a', 'b', 'c'] for the expression a.b.c, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) \
+        else None
+
+
+def _perfbench_reads():
+    """(file, dotted aq name) of each name that a file of perfbench/
+    reads: its imports from `aq`, the attributes it reads through them,
+    and the `spans.TARGETS` that `Tracer.install` looks up."""
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {}  # a name the file binds -> the aq name it binds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or "aq", a.name if a.asname else "aq")
+                             for a in node.names if a.name.startswith("aq."))
+            elif isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.startswith("aq."):
+                bound.update((a.asname or a.name, f"{node.module}.{a.name}")
+                             for a in node.names)
+        yield from ((path.name, name) for name in bound.values())
+        for node in ast.walk(tree):
+            chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+            if chain and chain[0] in bound:
+                yield path.name, ".".join([bound[chain[0]], *chain[1:]])
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "TARGETS"
+                    for t in node.targets):
+                scope = {}
+                exec(compile(ast.Module([node], []), str(path), "exec"), scope)
+                yield from ((path.name, f"aq.{module}.{qualname}")
+                            for module, qualname in scope["TARGETS"])
+
+
+def _resolve(name):
+    """The object the dotted name `aq.x.y...` names: the longest prefix
+    that is a module, then attributes; `Tracer.install` reads a method
+    from its own class's __dict__."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            obj = vars(obj)[attr] if isinstance(obj, type) \
+                else getattr(obj, attr)
+        return obj
+    raise ImportError(name)
+
+
+def test_every_name_the_benchmark_reads_resolves():
+    reads = sorted(set(_perfbench_reads()))
+    assert any(f == "spans.py" for f, _ in reads)
+    missing = []
+    for path, name in reads:
+        try:
+            _resolve(name)
+        except (ImportError, AttributeError, KeyError):
+            missing.append(f"{path}: {name}")
+    assert missing == [], f"names perfbench/ reads that aq lacks: {missing}"

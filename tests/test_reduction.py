@@ -271,7 +271,7 @@ def test_cycle_lattices_hand_the_smith_kernel_no_relation_columns(monkeypatch):
 
     monkeypatch.setattr(snf, "smith_normal_form", recording_smith)
     monkeypatch.setattr(presented, "smith_normal_form", recording_smith)
-    for module in (presented, invariants, simplicial):
+    for module in (presented, invariants):
         monkeypatch.setattr(module, "cycle_lattice", recording_lattice)
     g = symmetric_3()
     v = loop_group_resolution(g, truncation=3)
@@ -294,8 +294,8 @@ _INPUT_CHECKS = {
         "comma_theory(g.theory, bad)\n", "bad"),
     "group operations of a theory with no group structure": (
         "from aq.algebras import FiniteAlgebra\n"
-        "from aq.theories import trivial_theory\n"
-        "t = trivial_theory()\n"
+        "from aq.theories import TheoryPresentation\n"
+        "t = TheoryPresentation('Triv', ['g'], [], [])\n"
         "FiniteAlgebra(t, 'one', {'g': ['x']}, {}).identity()\n", "Triv"),
     "generators that do not generate": (
         "from aq.algebras import FiniteAlgebra, cyclic_group\n"

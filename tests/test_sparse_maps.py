@@ -20,16 +20,12 @@ from aq.rings import (
     with_coefficients,
 )
 from aq.simplicial import (
-    CosimplicialSimplicial,
     PresentedComplex,
     bisimplicial_from_double_complex,
     dold_kan,
-    eilenberg_maclane,
     eilenberg_maclane_complex,
     k_object,
     normalize_dk,
-    path_object,
-    tot,
     total_complex,
 )
 from aq.spectral import _tensor_double_complex
@@ -93,16 +89,6 @@ def test_dold_kan_objects_of_presented_complexes_keep_sparse_columns():
     em = eilenberg_maclane_complex(FGAbelianGroup.from_divisors([2, 0]), 2)
     _check_complex(em.levels, em.diffs)
     _check_simplicial(k_object(FGAbelianGroup.from_divisors([3]), 2))
-
-
-def test_path_object_kernel_keeps_sparse_columns():
-    x = cyclic_group(2)
-    em = eilenberg_maclane(x, XModule.trivial(x, [2]), 1, truncation=3)
-    pe = path_object(em)
-    _check_simplicial(em.kernel_part)
-    _check_simplicial(pe.kernel_part)
-
-
 def test_coefficient_complexes_keep_sparse_columns():
     group = cyclic_group(2).group_table("g")
     for ring, module, moduli in (
@@ -146,26 +132,6 @@ def test_bisimplicial_and_total_complexes_keep_sparse_columns():
                         _check_map(m, gens, b.levels[p + dp][q + dq].gens)
         cx = total_complex(b)
         _check_complex(cx.levels, cx.diffs)
-
-
-def test_totalization_keeps_sparse_columns():
-    trunc = 3
-    inner = k_object(FGAbelianGroup.from_divisors([2]), 1, truncation=trunc)
-    faces, _ = inner.columns()
-    levels = [list(inner.levels) for _ in range(trunc + 1)]
-    ident = [[[(i, 1)] for i in range(lv.gens)] for lv in inner.levels]
-    w = CosimplicialSimplicial(
-        levels,
-        [[[ident[t]] * (s + 2) for t in range(trunc + 1)]
-         for s in range(trunc + 1)],
-        [list(faces) for _ in range(trunc + 1)],
-        trunc,
-        codegens=[[[ident[t]] * s for t in range(trunc + 1)]
-                  for s in range(trunc + 1)])
-    cx = tot(w)
-    _check_complex(cx.levels, cx.diffs)
-
-
 def test_bar_cochain_complex_keeps_sparse_columns():
     s3, z2 = symmetric_3(), cyclic_group(2)
     for g, coeff in ((s3, XModule.trivial(s3, [2, 3])),

@@ -12,9 +12,9 @@ from aq.abgroups import FGAbelianGroup
 from aq.algebras import (
     AB,
     GP,
+    FreeAlgebra,
     cyclic_group,
     enumerate_homs,
-    free_algebra,
     klein_four,
     realize_presentation,
 )
@@ -55,7 +55,7 @@ def _words_up_to(alg, gens, length):
 def test_normalization_soundness_group_like(theory):
     # every theory equation holds under all substitutions by generator
     # words of length <= 4 (on two generators)
-    free = free_algebra(theory, ["a", "b"])
+    free = FreeAlgebra(theory, ["a", "b"])
     words = _words_up_to(free, ["a", "b"], 4)
     for lhs, rhs in theory.equations:
         _, env = theory.infer_equation_sorts(lhs, rhs)
@@ -69,7 +69,7 @@ def test_normalization_soundness_group_like(theory):
 
 def test_normalization_soundness_module_theory():
     tx = module_theory(group_theory(), cyclic_group(2))
-    free = free_algebra(tx, ["m", "n"])
+    free = FreeAlgebra(tx, ["m", "n"])
     words = _words_up_to(free, ["m", "n"], 3)
     acted = set(words)
     for w in list(acted):

@@ -26,9 +26,9 @@ def test_uct_page_z4_z2_over_z():
     page = uct_e2(h, g, smax=3, tmax=3,
                   cohomology_values={n: hs[n] for n in range(4)})
     # grid: Hom = Z/2 at (0,0), Ext^1 = Z/2 at (1,0)
-    assert page.entry(0, 0) == G(2)
-    assert page.entry(1, 0) == G(2)
-    assert page.entry(2, 0) == G()
+    assert page.grid[(0, 0)] == G(2)
+    assert page.grid[(1, 0)] == G(2)
+    assert (2, 0) not in page.grid
     # total degree t - s: H^0 at 0, H^1 at -1
     assert page.consistent(), page.convergence
 
@@ -47,7 +47,7 @@ def test_uct_periodic_over_z4():
     g = CoefficientModule.trivial(ring, [2])
     page = uct_e2(h, g, smax=4, tmax=2)
     for s in range(5):
-        assert page.entry(s, 0) == G(2)
+        assert page.grid[(s, 0)] == G(2)
 
 
 def test_tor_page_against_homology_with_coeffs():
@@ -58,7 +58,7 @@ def test_tor_page_against_homology_with_coeffs():
     v = resolve_module(y, length=4)
     hs = homology_with_coeffs(v, g, [0, 1, 2])
     page = tor_e2(h, g, smax=3, tmax=2, homology_values=hs)
-    assert page.entry(0, 0) == G(2) and page.entry(1, 0) == G(2)
+    assert page.grid[(0, 0)] == G(2) and page.grid[(1, 0)] == G(2)
     assert page.consistent(), page.convergence
 
 
@@ -73,7 +73,7 @@ def test_tor_page_reads_tmax_as_the_uct_page_does():
     for page_of in (
             lambda tmax: uct_e2(h, g, 2, tmax, cohomology_values=values),
             lambda tmax: tor_e2(h, g, 2, tmax, homology_values=values)):
-        assert page_of(0).entry(0, 1) == G(2)
+        assert page_of(0).grid[(0, 1)] == G(2)
         rows = {tmax: {row["degree"]: row for row in page_of(tmax).convergence}
                 for tmax in (0, 1)}
         assert len(rows[1][1]["page"]) == 2 and rows[1][1]["consistent"]
@@ -87,7 +87,7 @@ def test_tor_page_free_coefficients_single_column():
     h = GradedModule.concentrated(RModulePresentation.cyclic(ring, 4))
     g = CoefficientModule.trivial(ring, [0])
     page = tor_e2(h, g, smax=3, tmax=2)
-    assert page.entry(0, 0) == G(4)
+    assert page.grid[(0, 0)] == G(4)
     assert all(s == 0 for (s, t) in page.grid)
 
 
@@ -96,7 +96,7 @@ def test_tor_page_free_h_collapses_to_tensor():
     h = GradedModule.concentrated(RModulePresentation(ring, 1, []))
     g = CoefficientModule.trivial(ring, [6])
     page = tor_e2(h, g, smax=2, tmax=1)
-    assert page.entry(0, 0) == G(6)
+    assert page.grid[(0, 0)] == G(6)
     assert len(page.grid) == 1
 
 
@@ -108,7 +108,7 @@ def test_reverse_adams_homology_collapse():
     v = resolve_module(y, length=4)
     hs = homology_with_coeffs(v, g, [0, 1, 2, 3])
     page = reverse_adams_e2(pi, g, "homology", smax=3, comparison=hs)
-    assert page.entry(0, 0) == G(2) and page.entry(1, 0) == G(2)
+    assert page.grid[(0, 0)] == G(2) and page.grid[(1, 0)] == G(2)
     assert page.consistent(), page.convergence
 
 

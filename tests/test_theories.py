@@ -6,15 +6,12 @@ from aq.theories import (
     DuplicateNameError,
     OpDecl,
     SortingError,
-    TheoryMap,
     abelian_theory,
     abelianization_theory,
     comma_theory,
-    discrete_theory,
     group_theory,
     module_theory,
     product_theory,
-    trivial_theory,
     validate_group_structure,
     zmod_module_theory,
 )
@@ -105,17 +102,6 @@ def test_validate_group_structure_failure_report():
     w = validate_group_structure(t)
     assert not w
     assert w.missing["g"] == ["mul"]
-
-
-def test_discrete_theory():
-    for t in (group_theory(), abelian_theory()):
-        d = discrete_theory(t)
-        assert d.sorts == t.sorts
-        assert d.ops == [] and d.equations == []
-    two = parse_theory("theory Pair { sort a b }")
-    assert len(discrete_theory(two).sorts) == 2
-
-
 def test_product_theory_ab_gp():
     prod = product_theory(abelian_theory("A"), group_theory())
     # 3 group ops + 3 added abelian ops
@@ -124,7 +110,8 @@ def test_product_theory_ab_gp():
     assert "A.mul" in names and "mul" in names
     # interchange: Eckmann-Hilton equations present
     assert any("A.mul" == eq[0].op or "A.mul" == eq[1].op
-               for eq in prod.equations if not eq[0].is_var() and not eq[1].is_var())
+               for eq in prod.equations
+               if not isinstance(eq[0], Var) and not isinstance(eq[1], Var))
     # every generated equation is well-sorted (validate would have raised)
     prod.validate()
 
@@ -139,7 +126,7 @@ def test_product_theory_on_graded_sets():
 
 
 def test_product_with_trivial_theory_is_identity_up_to_renaming():
-    prod = product_theory(trivial_theory("T"), group_theory())
+    prod = product_theory(parse_theory("theory T { sort g }"), group_theory())
     gp = group_theory()
     assert len(prod.ops) == len(gp.ops)
     assert len(prod.equations) == len(gp.equations)
@@ -176,12 +163,12 @@ def test_abelianization_of_module_theory_is_itself():
 
 
 def test_comma_theory_sort_counts():
-    from aq.algebras import cyclic_group, trivial_group
+    from aq.algebras import cyclic_group
 
     for m in (2, 3):
         t = comma_theory(group_theory(), cyclic_group(m))
         assert len(t.sorts) == m
-    t1 = comma_theory(group_theory(), trivial_group())
+    t1 = comma_theory(group_theory(), cyclic_group(1))
     assert len(t1.sorts) == 1
     assert len(t1.ops) == 3  # mul@, inv@, e@ on the unique fiber
 
@@ -196,7 +183,7 @@ def test_comma_theory_mul_ops_indexed_by_pairs():
 
 
 def test_module_theory_z2():
-    from aq.algebras import cyclic_group, trivial_group
+    from aq.algebras import cyclic_group
 
     tx = module_theory(group_theory(), cyclic_group(2))
     assert tx.class_tag == "module"
@@ -208,40 +195,13 @@ def test_module_theory_z2():
     extra = len(tx.equations) - len(tab.equations)
     assert extra == 2 * 2 + 1
     # trivial base degenerates to the abelianized theory
-    t0 = module_theory(group_theory(), trivial_group())
+    t0 = module_theory(group_theory(), cyclic_group(1))
     assert not any(o.name.startswith("act_") for o in t0.ops)
 
 
 def test_zmod_module_theory():
     t = zmod_module_theory(4)
     assert t.class_tag == "module" and t.ring.kind == "Zmod" and t.ring.m == 4
-
-
-def test_theory_map_gp_to_ab():
-    gp = group_theory()
-    ab = abelian_theory()
-    m = TheoryMap(
-        gp, ab, {"g": "g"},
-        {"mul": App("mul", (Var("x0"), Var("x1"))),
-         "inv": App("inv", (Var("x0"),)),
-         "e": App("e", ())},
-    )
-    img = m.apply_term(App("mul", (Var("a"), App("inv", (Var("a"),)))))
-    assert img == App("mul", (Var("a"), App("inv", (Var("a"),))))
-
-
-def test_theory_map_rejects_bad_image():
-    gp = group_theory()
-    ab = abelian_theory()
-    with pytest.raises(Exception):
-        TheoryMap(
-            gp, ab, {"g": "g"},
-            {"mul": App("mul", (Var("x0"), Var("x0"))),  # x*x is not a hom image
-             "inv": App("inv", (Var("x0"),)),
-             "e": App("e", ())},
-        )
-
-
 def test_equation_renaming_comparison():
     x, y, u, v = Var("x"), Var("y"), Var("u"), Var("v")
     e1 = (App("mul", (x, y)), App("mul", (y, x)))
