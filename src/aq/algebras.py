@@ -251,6 +251,7 @@ class FiniteAlgebra:
         self.tables = {op: dict(tab) for op, tab in tables.items()}
         self._witness = None
         self._group_rings = {}
+        self.path = None  # the file it was read from (fixtures.load_algebra)
         if validate:
             self.validate()
 
@@ -428,14 +429,15 @@ class AlgebraMap:
         images = self.mapping[src.sort]
         if tgt.is_free():
             return self._apply_into_free(word, images, tag)
-        sort = tgt.theory.sorts[0]
-        acc = tgt.identity(sort)
+        mul, inv, unit = tgt.group_ops(tgt.theory.sorts[0])
+        mul, inv = tgt.tables[mul], tgt.tables[inv]
+        acc = tgt.tables[unit][()]
         if tag == "group":
             for g, e in word:
                 val = images[g]
                 if e < 0:
-                    val = tgt.ginv(val, sort)
-                acc = tgt.gmul(acc, val, sort)
+                    val = inv[(val,)]
+                acc = mul[(acc, val)]
             return acc
         ring = src.theory.ring
         for g, c in word:
@@ -445,21 +447,19 @@ class AlgebraMap:
                 val = images[g]
                 if h is not None and h != ring.group.identity:
                     val = tgt.apply(f"act_{h}", (val,))
-                step = val if n > 0 else tgt.ginv(val, sort)
+                step = val if n > 0 else inv[(val,)]
                 for _ in range(abs(n)):
-                    acc = tgt.gmul(acc, step, sort)
+                    acc = mul[(acc, step)]
         return acc
 
     def _apply_into_free(self, word, images, tag):
         tgt = self.target
-        acc = tgt.zero()
         if tag == "group":
-            for g, e in word:
-                val = images[g]
-                if e < 0:
-                    val = tgt.inv(val)
-                acc = tgt.mul(acc, val)
-            return acc
+            # the images' letters in turn, reduced in one pass
+            return tgt.mul(tgt.zero(), [
+                x for g, e in word
+                for x in (images[g] if e > 0 else tgt.inv(images[g]))])
+        acc = tgt.zero()
         ring = self.source.theory.ring
         for g, c in word:
             acc = tgt.mul(acc, tgt.rscale(_thaw(c, ring), images[g]))

@@ -16,7 +16,7 @@ from .algebras import (
     FiniteAlgebra,
     enumerate_homs,
 )
-from .rings import CoefficientModule, Ring
+from .rings import CoefficientModule
 from .snf import identity_matrix, mat_mul
 
 
@@ -637,46 +637,40 @@ def fox_columns(m: AlgebraMap, over: AlgebraMap | None):
     """The abelianization of a map of free group-theory algebras, sparse:
     per source generator, the (target generator index, entry) pairs of the
     nonzero Fox derivatives of its image.  Entries lie in Z (absolute case,
-    `over` None) or Z[X] (over p: target -> X)."""
+    `over` None) or Z[X] (over p: target -> X).
+
+    The Fox derivative of a word w_1 ... w_k at g sums p(w_1 ... w_(j-1))
+    over the letters w_j = g and -p(w_1 ... w_j) over the letters
+    w_j = g^-1 (Brown, GTM 87, IV.2).  That prefix is carried as an
+    element of X, one table lookup per letter; over Z, X is trivial."""
     src, tgt = m.source, m.target
     sort = src.sort
+    gens = tgt.generators[sort]
     if over is None:
-        ring = Ring("Z")
-
-        def p_of(g, e):
-            return 1
+        one, rows = None, {None: {None: None}}
+        image = inverse = dict.fromkeys(gens)
     else:
-        x = over.target
-        ring = x.group_ring(sort)
-        pmap = over.mapping[sort]
-
-        def p_of(g, e):
-            val = pmap[g]
-            if e < 0:
-                val = x.ginv(val, sort)
-            return val
-
-    index = {g: i for i, g in enumerate(tgt.generators[sort])}
+        group = over.target.group_ring(sort).group
+        one, rows = group.identity, group.rows
+        image = over.mapping[sort]
+        inverse = {g: group.inv[image[g]] for g in gens}
+    index = {g: i for i, g in enumerate(gens)}
     cols = []
     for t in src.generators[sort]:
+        # coeffs[g] is the Fox derivative at g as {prefix: integer}
         coeffs = {}
-        prefix = ring.one()
-        word = m.mapping[sort][t]
-        for k, (g, e) in enumerate(word, 1):
-            if e > 0:
-                coeffs[g] = ring.add(coeffs.get(g, ring.zero()), prefix)
-                # no letter reads the prefix after the last one
-                if k < len(word):
-                    prefix = _rmul_group(ring, prefix, p_of(g, 1))
+        prefix = one
+        for g, e in m.mapping[sort][t]:
+            if e < 0:
+                prefix = rows[prefix][inverse[g]]
+            entry = coeffs.setdefault(g, {})
+            c = entry.get(prefix, 0) + e
+            if c:
+                entry[prefix] = c
             else:
-                prefix = _rmul_group(ring, prefix, p_of(g, -1))
-                coeffs[g] = ring.add(coeffs.get(g, ring.zero()),
-                                     ring.neg(prefix))
-        cols.append([(index[g], c) for g, c in coeffs.items() if c])
+                del entry[prefix]
+            if e > 0:
+                prefix = rows[prefix][image[g]]
+        cols.append([(index[g], c if over is not None else c[None])
+                     for g, c in coeffs.items() if c])
     return cols
-
-
-def _rmul_group(ring: Ring, acc, gelem):
-    if ring.kind == "Z":
-        return acc
-    return ring.mul(acc, {gelem: 1})

@@ -187,7 +187,20 @@ def cmd_check(args):
                      [f"theory {t.name}: {len(t.sorts)} sorts, "
                       f"{len(t.ops)} ops, {len(t.equations)} equations: ok"])
     if path.endswith(".alg"):
-        alg = load_algebra(path)
+        try:
+            alg = load_algebra(path)
+        except NotFiniteWithinBound:
+            # a module presentation need not be finite: the commands read
+            # it as a module, and so does this check
+            if declared_theory(path).ring is None:
+                raise
+            mod = load_module(path)
+            inv = mod.invariants()
+            return _emit(args, {"kind": "module", "name": mod.name,
+                                "ring": repr(mod.ring),
+                                "invariants": inv.to_json()},
+                         [f"module {mod.name} over {mod.ring!r}: "
+                          f"underlying group {inv}: ok"])
         sizes = {s: len(e) for s, e in alg.carriers.items()}
         return _emit(args, {"kind": "algebra", "name": alg.name,
                             "carriers": sizes},

@@ -130,8 +130,10 @@ def _group_suffix(p: _FixtureParser):
 
 
 def load_algebra(path) -> FiniteAlgebra:
-    return parse_file(path, parse_algebra, base_dir=os.path.dirname(path),
-                      source=path)
+    alg = parse_file(path, parse_algebra, base_dir=os.path.dirname(path),
+                     source=path)
+    alg.path = os.path.realpath(path)
+    return alg
 
 
 def _eval_at(free, term, where):
@@ -324,8 +326,10 @@ def load_xmodule(path, base=None) -> XModule:
 
 
 def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
-    """The module of an .xmod text; a module that fails validation raises
-    FixtureError at `source`:line of its first act entry (or its header)."""
+    """The module of an .xmod text over `base`, or over the algebra its
+    `base` entry names when `base` is None; a module that fails validation
+    raises FixtureError at `source`:line of its first act entry (or its
+    header)."""
     p = _FixtureParser(tokenize(text))
     line = header = p.peek().line
     p.expect("xmodule")
@@ -338,10 +342,13 @@ def parse_xmodule(text, base_dir="", base=None, source="<xmodule>") -> XModule:
         tok = p.peek()
         kw = p.expect_ident()
         if kw == "base":
-            path = p.parse_string_ref()
-            loaded = load_algebra(os.path.join(base_dir, path))
-            if base is None:
-                base = loaded
+            path = os.path.join(base_dir, p.parse_string_ref())
+            # a `base` read from this same file is not read again; another
+            # file is read, for its errors, and the `base` given kept
+            if base is None or base.path != os.path.realpath(path):
+                loaded = load_algebra(path)
+                if base is None:
+                    base = loaded
         elif kw == "carrier":
             p.expect_ident()  # sort
             p.expect(":")

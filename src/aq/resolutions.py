@@ -44,95 +44,66 @@ from .terms import App
 # ---------------------------------------------------------------------------
 # the loop-group resolution of a finite group
 
-def _nerve_face(alg: FiniteAlgebra, tup, j):
-    sort = alg.theory.sorts[0]
-    k = len(tup)
-    if j == 0:
-        return tup[1:]
-    if j == k:
-        return tup[:-1]
-    return tup[:j - 1] + (alg.gmul(tup[j - 1], tup[j], sort),) + tup[j + 1:]
-
-
-def _nerve_degen(alg: FiniteAlgebra, tup, j):
-    ident = alg.identity()
-    return tup[:j] + (ident,) + tup[j:]
-
-
-def _gen_name(tup):
-    return "t/" + "/".join(tup)
-
-
 def loop_group_resolution(g: FiniteAlgebra, truncation=2) -> SimplicialTheta:
     """A free simplicial resolution of a finite group: level n is free on
     the (n+1)-tuples of elements with nonidentity first coordinate, with
     the loop-group structure maps
 
         d_0 t(x) = t(d_1 x) t(d_0 x)^(-1),   d_i t(x) = t(d_{i+1} x),
-        s_i t(x) = t(s_{i+1} x),             t(degenerate) = e.
+        s_i t(x) = t(s_{i+1} x),             t(degenerate) = e,
+
+    where d_0 and d_k of a nerve k-tuple drop its first and last entry,
+    d_j (0 < j < k) multiplies entries j and j+1, and s_j puts e before
+    entry j+1.  The generator of x is named t/x_1/.../x_k.
     """
     sort = g.theory.sorts[0]
-    ident = g.identity(sort)
+    group = g.group_ring(sort).group
+    ident, rows = group.identity, group.rows
     els = list(g.carriers[sort])
-
-    def level_tuples(n):
-        return [
+    # names[n]: the generator name of each tuple of level n, in order; a
+    # tuple missing from it starts with e, so t of it is e
+    names = [
+        {t: "t/" + "/".join(t) for t in (
             (first,) + rest
             for first in els if first != ident
-            for rest in product(els, repeat=n)
-        ]
+            for rest in product(els, repeat=n))}
+        for n in range(truncation + 1)]
+    levels = [FreeAlgebra(g.theory, {sort: list(nm.values())})
+              for nm in names]
 
-    levels = []
-    for n in range(truncation + 1):
-        levels.append(FreeAlgebra(
-            g.theory, {sort: [_gen_name(t) for t in level_tuples(n)]}
-        ))
-
-    def tau(level, tup):
-        # image of a nerve simplex in the free level: degenerates die
-        if tup[0] == ident:
-            return levels[level].zero()
-        return levels[level].gen(_gen_name(tup))
+    def letter(name):
+        return ((name, 1),) if name else ()
 
     faces = [[]]
     degens = []
     for n in range(truncation + 1):
         if n >= 1:
-            fs = []
-            for i in range(n + 1):
-                images = {}
-                for tup in level_tuples(n):
-                    if i == 0:
-                        w1 = tau(n - 1, _nerve_face(g, tup, 1))
-                        w0 = tau(n - 1, _nerve_face(g, tup, 0))
-                        images[_gen_name(tup)] = levels[n - 1].mul(
-                            w1, levels[n - 1].inv(w0)
-                        )
-                    else:
-                        images[_gen_name(tup)] = tau(
-                            n - 1, _nerve_face(g, tup, i + 1)
-                        )
-                fs.append(AlgebraMap.from_generator_images(
-                    levels[n], levels[n - 1], images
-                ))
-            faces.append(fs)
+            below, lvl = names[n - 1], levels[n - 1]
+            # the nerve faces d_2, ..., d_(n+1) keep the first entry, so
+            # d_1, ..., d_n and every s_i give one-letter images
+            fs = [{name: lvl.mul(
+                letter(below.get((rows[t[0]][t[1]],) + t[2:])),
+                lvl.inv(letter(below.get(t[1:]))))
+                for t, name in names[n].items()}]
+            fs += [{name: ((below[t[:i] + (rows[t[i]][t[i + 1]],)
+                                  + t[i + 2:]], 1),)
+                    for t, name in names[n].items()} for i in range(1, n)]
+            fs.append({name: ((below[t[:-1]], 1),)
+                       for t, name in names[n].items()})
+            faces.append([AlgebraMap.from_generator_images(
+                levels[n], lvl, images) for images in fs])
         if n < truncation:
-            ds = []
-            for j in range(n + 1):
-                images = {
-                    _gen_name(tup): tau(n + 1, _nerve_degen(g, tup, j + 1))
-                    for tup in level_tuples(n)
-                }
-                ds.append(AlgebraMap.from_generator_images(
-                    levels[n], levels[n + 1], images
-                ))
-            degens.append(ds)
+            above = names[n + 1]
+            degens.append([AlgebraMap.from_generator_images(
+                levels[n], levels[n + 1],
+                {name: ((above[t[:j + 1] + (ident,) + t[j + 1:]], 1),)
+                 for t, name in names[n].items()})
+                for j in range(n + 1)])
         else:
             degens.append([])
 
     aug = AlgebraMap.from_generator_images(
-        levels[0], g, {_gen_name((x,)): x for x in els if x != ident}
-    )
+        levels[0], g, {name: t[0] for t, name in names[0].items()})
     v = SimplicialTheta(g.theory, levels, faces, degens, truncation,
                         augmentation=aug)
     v.target = g

@@ -40,6 +40,9 @@ class GroupTable:
             raise AlgebraError("not a group table: an element has no inverse")
         self.abelian = all(self.mul[(g, h)] == self.mul[(h, g)]
                            for g in self.elements for h in self.elements)
+        # rows[g] is h -> gh, a bijection of the elements for each g
+        self.rows = {g: {h: self.mul[(g, h)] for h in self.elements}
+                     for g in self.elements}
 
     @classmethod
     def cyclic(cls, m, prefix="g"):
@@ -54,7 +57,8 @@ class GroupTable:
 
 
 class Ring:
-    """Z, Z/m, or Z[G]; elements are ints (Z, Z/m) or {label: int} dicts."""
+    """Z, Z/m, or Z[G]; elements are ints (Z, Z/m) or {label: int} dicts
+    of nonzero coefficients."""
 
     def __init__(self, kind, m=None, group: GroupTable | None = None):
         if kind not in ("Z", "Zmod", "ZG"):
@@ -105,6 +109,8 @@ class Ring:
 
     def add(self, a, b):
         if self.kind == "ZG":
+            if not a:
+                return dict(b)
             out = dict(a)
             for g, c in b.items():
                 out[g] = out.get(g, 0) + c
@@ -121,10 +127,21 @@ class Ring:
 
     def mul(self, a, b):
         if self.kind == "ZG":
+            rows = self.group.rows
+            # a one-term factor permutes the other's support: no two of
+            # its terms meet, and no coefficient vanishes
+            if len(a) == 1:
+                ((g, c),) = a.items()
+                row = rows[g]
+                return {row[h]: c * d for h, d in b.items()}
+            if len(b) == 1:
+                ((h, d),) = b.items()
+                return {rows[g][h]: c * d for g, c in a.items()}
             out = {}
             for g, c in a.items():
+                row = rows[g]
                 for h, d in b.items():
-                    gh = self.group.mul[(g, h)]
+                    gh = row[h]
                     out[gh] = out.get(gh, 0) + c * d
             return {g: c for g, c in out.items() if c}
         p = a * b

@@ -707,14 +707,14 @@ def reduce_by_units(ring, ranks, diffs):
             if best is None:
                 continue
             i, inv = best
+            neg_inv = ring.neg(inv)
+            others = [(r, e) for r, e in col.items() if r != i]
             for r in col:
                 rows[r].discard(j)
             for k in rows.pop(i):
                 dk = d[k]
-                f = ring.neg(ring.mul(dk.pop(i), inv))
-                for r, e in col.items():
-                    if r == i:
-                        continue
+                f = ring.mul(dk.pop(i), neg_inv)
+                for r, e in others:
                     x = ring.add(dk.get(r, zero), ring.mul(f, e))
                     if not ring.is_zero(x):
                         if r not in dk:

@@ -880,6 +880,88 @@ def test_syntax_error_in_a_base_file_names_that_file(tmp_path, capsys):
         assert str(exc.value).startswith(f"{path}:"), (name, str(exc.value))
 
 
+S3_PRESENTED = """algebra s3p {
+  theory gp
+  presentation {
+    gens g : a b
+    rel mul(a, a)
+    rel mul(b, mul(b, b))
+    rel mul(mul(a, b), mul(a, b))
+  }
+}
+"""
+
+
+def _trivial_xmodule(base_path, order):
+    return "xmodule k {\n  base \"%s\"\n  carrier g : 2\n%s}\n" % (
+        base_path, "".join(f"  act x{i} : [[1]]\n" for i in range(order)))
+
+
+def test_an_xmodule_base_the_command_read_is_not_realized_again(
+        tmp_path, monkeypatch, capsys):
+    from aq import fixtures
+
+    realized = []
+    realize = fixtures.realize_presentation
+
+    def spy(*args, **kwargs):
+        realized.append(kwargs["name"])
+        return realize(*args, **kwargs)
+
+    monkeypatch.setattr(fixtures, "realize_presentation", spy)
+    (tmp_path / "s3p.alg").write_text(S3_PRESENTED)
+    (tmp_path / "k.xmod").write_text(_trivial_xmodule("s3p.alg", 6))
+    (tmp_path / "copy").mkdir()
+    (tmp_path / "copy" / "s3p.alg").write_text(S3_PRESENTED)
+    (tmp_path / "k2.xmod").write_text(_trivial_xmodule("copy/s3p.alg", 6))
+    alg, k = str(tmp_path / "s3p.alg"), str(tmp_path / "k.xmod")
+    # one realization per option that names an algebra file, the same path
+    # however it is spelled; a base in another file is still read
+    for argv, count in [
+        (["cohomology", "--theory", "gp", "--algebra", alg, "--coeffs", k],
+         1),
+        (["cohomology", "--theory", "gp", "--algebra",
+          str(tmp_path / "copy" / ".." / "s3p.alg"), "--coeffs", k], 1),
+        (["homology", "--theory", "gp", "--algebra", alg, "--over", alg,
+          "--coeffs", k], 2),
+        (["oracle", "bar", "--group", alg, "--coeffs", k], 1),
+        (["check", k], 1),
+        (["cohomology", "--theory", "gp", "--algebra", alg, "--coeffs",
+          str(tmp_path / "k2.xmod")], 2),
+    ]:
+        realized.clear()
+        assert main(argv) == 0, argv
+        assert realized == ["s3p"] * count, argv
+    capsys.readouterr()
+
+
+def test_check_reads_a_module_presentation_with_free_rank_as_a_module(
+        tmp_path, capsys):
+    # Z with the sign action of C2: a module, but no finite algebra
+    path = tmp_path / "zsign.alg"
+    path.write_text("algebra zsign {\n  theory mod:Z[C2]\n  presentation {\n"
+                    "    gens g : x\n    rel mul(x, act_a(x))\n  }\n}\n")
+    out = tmp_path / "check.json"
+    assert main(["check", str(path), "--json", str(out)]) == 0
+    assert capsys.readouterr().out == \
+        "module zsign over Z[exa]: underlying group Z: ok\n"
+    assert json.loads(out.read_text()) == {
+        "kind": "module", "name": "zsign", "ring": "Z[exa]",
+        "invariants": {"rank": 1, "torsion": []}}
+    assert main(["cohomology", "--theory", "mod:Z[C2]", "--algebra",
+                 str(path), "--coeffs", "2"]) == 0
+    assert capsys.readouterr().out == "H^0 = Z/2\nH^1 = Z/2\n"
+    # finite presentations are algebras, as before; an infinite group is
+    # not finite within its bound
+    assert main(["check", fx("m-z4.alg")]) == 0
+    assert capsys.readouterr().out == "algebra mz4: carriers {'g': 8}: ok\n"
+    free = tmp_path / "free.alg"
+    free.write_text(fx_text("z4-presented.alg").replace(
+        "    rel mul(a, mul(a, mul(a, a)))\n", ""))
+    assert main(["check", str(free)]) == 3
+    assert "not finite within bound" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,theory,declared", [
     (["cohomology", "--coeffs", "2", "--theory", "mod:Z[C2]", "--algebra",
       fx("y-z4.alg")], "mod:Z[C2]", "Ab"),

@@ -431,6 +431,7 @@ GUARD_COMMANDS = [
     (0, "homology --theory gp --algebra fixtures/z2.alg --resolution "
         "fixtures/z2res-basis.sres --over fixtures/z2.alg"),
     (0, "homology --theory mod:Z[C2] --algebra {tmp}/zc2.alg --coeffs 3"),
+    (0, "check {tmp}/zc2.alg"),
     # Z/4 is injective over Z/4: a one-column page over a ring other than Z
     (0, "ss uct --module fixtures/m-z4.alg --coeffs 4 --check"),
     # malformed inputs
