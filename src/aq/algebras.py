@@ -12,7 +12,7 @@ from operator import itemgetter
 from .abgroups import FinAb
 from .errors import AlgebraError
 from .presented import Subquotient, _vectors
-from .rings import GroupTable, Ring, RModulePresentation
+from .rings import GroupTable, Ring, RModulePresentation, element_key
 from .snf import identity_matrix, mat_vec
 from .terms import App, Term, Var, term_str
 from .theories import (
@@ -103,7 +103,7 @@ class FreeAlgebra:
             return g
         if tag == "group":
             return ((g, 1),)
-        return ((g, _freeze(self.theory.ring.one())),)
+        return ((g, element_key(self.theory.ring.one())),)
 
     def mul(self, a, b):
         tag = self.theory.class_tag
@@ -123,7 +123,7 @@ class FreeAlgebra:
                 if ring.is_zero(s):
                     del out[g]
                     continue
-                c = _freeze(s)
+                c = element_key(s)
             out[g] = c
         return tuple(sorted(out.items()))
 
@@ -132,7 +132,7 @@ class FreeAlgebra:
         if tag == "group":
             return tuple((g, -e) for g, e in reversed(a))
         ring = self.theory.ring
-        return tuple((g, _freeze(ring.neg(_thaw(c, ring)))) for g, c in a)
+        return tuple((g, element_key(ring.neg(_thaw(c, ring)))) for g, c in a)
 
     def act(self, op_name, a):
         """Unary module action op applied to a normal form."""
@@ -141,15 +141,11 @@ class FreeAlgebra:
         assert ring is not None and op_name.startswith("act_")
         label = op_name[len("act_"):]
         r = ring.from_group_element(label)
-        return self.rscale(r, a)
-
-    def rscale(self, r, a):
-        ring = self.theory.ring
         out = []
         for g, c in a:
             prod = ring.mul(r, _thaw(c, ring))
             if not ring.is_zero(prod):
-                out.append((g, _freeze(prod)))
+                out.append((g, element_key(prod)))
         return tuple(sorted(out))
 
     def coefficients(self, word):
@@ -222,12 +218,6 @@ class FreeAlgebra:
 
     def __repr__(self):
         return f"FreeAlgebra({self.theory.name}, {self.generators})"
-
-
-def _freeze(relem):
-    if isinstance(relem, dict):
-        return tuple(sorted(relem.items()))
-    return relem
 
 
 def _thaw(frozen, ring):
@@ -421,48 +411,23 @@ class AlgebraMap:
         return cls(source, target, {source.sort: dict(images)}, check=False)
 
     def apply_free_element(self, word):
-        """Evaluate a free-source normal form through the generator images
-        (finite or free target)."""
-        src = self.source
+        """Evaluate a free-group normal form through the generator images,
+        into a finite group or a free group."""
         tgt = self.target
-        tag = src.theory.class_tag
-        images = self.mapping[src.sort]
+        images = self.mapping[self.source.sort]
         if tgt.is_free():
-            return self._apply_into_free(word, images, tag)
-        mul, inv, unit = tgt.group_ops(tgt.theory.sorts[0])
-        mul, inv = tgt.tables[mul], tgt.tables[inv]
-        acc = tgt.tables[unit][()]
-        if tag == "group":
-            for g, e in word:
-                val = images[g]
-                if e < 0:
-                    val = inv[(val,)]
-                acc = mul[(acc, val)]
-            return acc
-        ring = src.theory.ring
-        for g, c in word:
-            coeff = _thaw(c, ring)
-            items = sorted(coeff.items()) if ring.kind == "ZG" else [(None, coeff)]
-            for h, n in items:
-                val = images[g]
-                if h is not None and h != ring.group.identity:
-                    val = tgt.apply(f"act_{h}", (val,))
-                step = val if n > 0 else inv[(val,)]
-                for _ in range(abs(n)):
-                    acc = mul[(acc, step)]
-        return acc
-
-    def _apply_into_free(self, word, images, tag):
-        tgt = self.target
-        if tag == "group":
             # the images' letters in turn, reduced in one pass
             return tgt.mul(tgt.zero(), [
                 x for g, e in word
                 for x in (images[g] if e > 0 else tgt.inv(images[g]))])
-        acc = tgt.zero()
-        ring = self.source.theory.ring
-        for g, c in word:
-            acc = tgt.mul(acc, tgt.rscale(_thaw(c, ring), images[g]))
+        mul, inv, unit = tgt.group_ops(tgt.theory.sorts[0])
+        mul, inv = tgt.tables[mul], tgt.tables[inv]
+        acc = tgt.tables[unit][()]
+        for g, e in word:
+            val = images[g]
+            if e < 0:
+                val = inv[(val,)]
+            acc = mul[(acc, val)]
         return acc
 
     def is_homomorphism(self):

@@ -580,7 +580,16 @@ def parse_sres(text, base_dir="", source="<sres>"):
         v = dold_kan(cx)
         v.name = name
         return v
+    theory_line = p.peek().line
     theory = _theory_ref(p, base_dir)
+    if theory.class_tag != "group":
+        # the term-image form is read as a free simplicial group: faces
+        # compose as words and abelianize by Fox derivatives
+        raise FixtureError(
+            f"{source}:{theory_line}: theory {theory.name} "
+            f"({theory.class_tag}) is not a group theory, which the "
+            f"term-image form needs (a module resolution is a ring and "
+            f"chain block)")
     over = None
     truncation = None
     level_gens = {}

@@ -16,7 +16,6 @@ from .abgroups import FGAbelianGroup
 from .algebras import AlgebraError
 from .beck import XModule
 from .presented import (
-    Presentation,
     Subquotient,
     _apply_columns,
     _composes_to_zero,
@@ -27,11 +26,12 @@ from .presented import (
     induced_map,
 )
 from .resolutions import abelianized_complex
-from .rings import CoefficientModule, Ring, _act_matrix, with_coefficients
+from .rings import CoefficientModule, Ring, with_coefficients
 from .simplicial import (
     CosimplicialAbelian,
     PresentedComplex,
     _alternating_sum,
+    hom_cochain_of_simplicial,
     moore_homotopy,
     require_levels,
     trim_top,
@@ -70,20 +70,12 @@ def _coefficient(k, x=None):
 
 def der_cochain(v, k, x=None) -> CosimplicialAbelian:
     """The cosimplicial abelian group n -> Der_{p_n}(V_n, K) on every
-    generator, with cofaces pulled back along the faces (the free-case
-    identification K^T): the derivation complex of the EM route."""
-    coeff = _coefficient(k, x)
-    ab = v.abelianization(x is not None)
-    ranks = ab.ranks
-    levels = [Presentation.from_moduli(list(coeff.moduli) * r) for r in ranks]
-    face_mats, _ = ab.columns()
-    cofaces = [
-        [_act_matrix(fox, coeff, range(ranks[n]), range(ranks[n + 1]),
-                     dual=True)
-         for fox in face_mats[n + 1]]
-        for n in range(v.truncation)
-    ]
-    return CosimplicialAbelian(levels, cofaces, [], v.truncation)
+    generator, Hom of the (relative) abelianization into the coefficients
+    (the free-case identification K^T), cofaces pulled back along the
+    faces and codegeneracies along the degeneracies: the derivation
+    complex of the EM route."""
+    return hom_cochain_of_simplicial(v.abelianization(x is not None),
+                                     _coefficient(k, x))
 
 
 def cohomology(v, k, degrees, x=None, certificate=None):
@@ -100,19 +92,6 @@ def cohomology(v, k, degrees, x=None, certificate=None):
     return cohomology_groups(levels, deltas, degrees)
 
 
-def _dual_degen_matrices(v, x, coeff):
-    """Codegeneracy duals s^j: C^n -> C^{n-1} for normalization."""
-    ab = v.abelianization(x is not None)
-    ranks = ab.ranks
-    _, degen_mats = ab.columns()
-    # s_j: V_{n-1} -> V_n (rows: T_n), dual: C^n -> C^{n-1}
-    return [[]] + [
-        [_act_matrix(degen_mats[n - 1][j], coeff, range(ranks[n]),
-                     range(ranks[n - 1]), dual=True) for j in range(n)]
-        for n in range(1, len(ranks))
-    ]
-
-
 def cohomology_via_em(v, k, degrees, x=None):
     """Cohomology as homotopy classes of maps into the extended
     Eilenberg-MacLane object: strict simplicial maps over X (normalized
@@ -124,11 +103,10 @@ def cohomology_via_em(v, k, degrees, x=None):
     if not degrees:
         return {}
     top = max(degrees)
-    coeff = _coefficient(k, x)
     w = der_cochain(v, k, x=x)
-    duals = _dual_degen_matrices(v, x, coeff)
+    duals = w.codegens
     deltas = [_alternating_sum(cofaces) for cofaces in w.cofaces[:top + 1]]
-    p = common_prime(list(coeff.moduli))
+    p = common_prime(list(_coefficient(k, x).moduli))
     if p and all(_composes_to_zero(deltas[n], deltas[n - 1], p)
                  for n in degrees if n >= 1):
         return _em_groups_mod_p(w.levels, duals, deltas, degrees, p)

@@ -1,6 +1,7 @@
 """Registered coefficient rings (Z, Z/m, group rings Z[G] for finite G),
-their modules, free resolutions, and the classical Hom/Ext/Tor formulas
-over Z used as independent oracles.
+their modules, free resolutions and Ext/Tor through them, and the
+invariants of a presentation by the naive Smith reduction, an independent
+oracle.
 """
 
 from __future__ import annotations
@@ -54,6 +55,12 @@ class GroupTable:
 
     def order(self):
         return len(self.elements)
+
+
+def element_key(x):
+    """A hashable key of a ring element: a Z[G] element as its sorted
+    (label, coefficient) pairs, an integer as itself."""
+    return tuple(sorted(x.items())) if isinstance(x, dict) else x
 
 
 class Ring:
@@ -404,8 +411,7 @@ def _act_matrix(mat, coeff, rows, cols, dual=False):
             r = pos.get(i)
             if r is None:
                 continue
-            key = frozenset(entry.items()) if isinstance(entry, dict) \
-                else entry
+            key = element_key(entry)
             blk = blocks.get(key)
             if blk is None:
                 act = coeff.act_of({group.inv[g]: x for g, x in entry.items()}
@@ -451,7 +457,7 @@ def tor_groups(module: RModulePresentation, coeff: CoefficientModule, top):
 
 
 # ---------------------------------------------------------------------------
-# independent closed-form oracles over Z
+# independent oracle
 
 def invariants_naive(pres: Presentation) -> FGAbelianGroup:
     """Invariants using the second (naive) Smith reduction."""
@@ -462,39 +468,6 @@ def invariants_naive(pres: Presentation) -> FGAbelianGroup:
     diag = smith_diagonal_naive(cols_to_matrix(pres.rels, pres.gens))
     rank = pres.gens - len(diag)
     return FGAbelianGroup.from_divisors([d for d in diag if d > 1] + [0] * rank)
-
-
-def _pairwise(a: FGAbelianGroup, b: FGAbelianGroup, cyclic_rule, za_rule, az_rule, zz_rank):
-    divisors = []
-    for s in list(a.torsion) + [0] * a.rank:
-        for t in list(b.torsion) + [0] * b.rank:
-            if s and t:
-                d = cyclic_rule(s, t)
-            elif s == 0 and t:
-                d = za_rule(t)
-            elif s and t == 0:
-                d = az_rule(s)
-            else:
-                d = 0 if zz_rank else 1
-            if d != 1:
-                divisors.append(d)
-    return FGAbelianGroup.from_divisors(divisors)
-
-
-def hom_z(a, b):
-    return _pairwise(a, b, gcd, lambda t: t, lambda s: 1, True)
-
-
-def ext_z(a, b):
-    return _pairwise(a, b, gcd, lambda t: 1, lambda s: s, False)
-
-
-def tor_z(a, b):
-    return _pairwise(a, b, gcd, lambda t: 1, lambda s: 1, False)
-
-
-def tensor_z(a, b):
-    return _pairwise(a, b, gcd, lambda t: t, lambda s: s, True)
 
 
 class RingDescriptorError(ValueError):

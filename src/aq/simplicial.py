@@ -14,7 +14,6 @@ from .abgroups import FGAbelianGroup, FinAb, invariants_from_addition
 from .algebras import (
     AlgebraError,
     AlgebraMap,
-    _freeze,
     find_isomorphism,
     quotient_by_normal_closure,
 )
@@ -30,6 +29,7 @@ from .rings import (
     CoefficientModule,
     Ring,
     _act_matrix,
+    element_key,
     r_matrix_to_z,
     with_coefficients,
     z_presentation,
@@ -755,7 +755,7 @@ def trim_top(ranks, diffs, top):
     if top:
         seen, cols = set(), []
         for col in diffs[top]:
-            key = tuple((i, _freeze(x)) for i, x in col)
+            key = tuple((i, element_key(x)) for i, x in col)
             if col and key not in seen:
                 seen.add(key)
                 cols.append(col)
@@ -1255,7 +1255,7 @@ def total_complex(b: BisimplicialAbelian) -> PresentedComplex:
 
 
 # ---------------------------------------------------------------------------
-# Hom duals used by the adjointness identity
+# Hom duals: the EM route's derivation complex and the adjointness identity
 
 def _free_ranks(levels, what):
     """Ranks of free levels; Hom duals on generators need them free."""
@@ -1264,18 +1264,28 @@ def _free_ranks(levels, what):
     return [lv.gens for lv in levels]
 
 
-def hom_cochain_of_simplicial(v: SimplicialAbelian, moduli):
-    """Hom(v, G) for free levels: the cosimplicial abelian group with
-    C^n = G^{rank v_n} and cofaces dual to the faces."""
+def hom_cochain_of_simplicial(v, coeff: CoefficientModule):
+    """Hom(v, K) for `v` on free levels (a free simplicial module, or a
+    simplicial abelian group with free levels such as `diag(b)`) and a
+    module K over its ring: the cosimplicial abelian group with
+    C^n = K^{rank v_n}, cofaces dual to the faces and codegeneracies dual
+    to the degeneracies (none out of C^0)."""
     trunc = v.truncation
     ranks = _free_ranks(v.levels[:trunc + 1], "hom_cochain_of_simplicial")
-    g = CoefficientModule.trivial(Ring("Z"), moduli)
-    levels = [Presentation.from_moduli(moduli * rk) for rk in ranks]
-    faces, _ = v.columns()
-    cofaces = [[_act_matrix(f, g, range(ranks[n]), range(ranks[n + 1]),
-                            dual=True)
-                for f in faces[n + 1]] for n in range(trunc)]
-    return CosimplicialAbelian(levels, cofaces, [], trunc)
+    levels = [Presentation.from_moduli(list(coeff.moduli) * rk)
+              for rk in ranks]
+    faces, degens = v.columns()
+
+    def dual(mat, rows, cols):
+        # mat: level cols -> level rows; its dual: C^rows -> C^cols
+        return _act_matrix(mat, coeff, range(ranks[rows]), range(ranks[cols]),
+                           dual=True)
+
+    cofaces = [[dual(f, n, n + 1) for f in faces[n + 1]]
+               for n in range(trunc)]
+    codegens = [[]] + [[dual(s, n, n - 1) for s in degens[n - 1]]
+                       for n in range(1, trunc + 1)]
+    return CosimplicialAbelian(levels, cofaces, codegens, trunc)
 
 
 def hom_bicomplex_total_cohomology(b: BisimplicialAbelian, moduli, degrees):

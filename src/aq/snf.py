@@ -446,13 +446,5 @@ def cokernel_diagonal(mat, ambient_rank):
     if len(mat) != ambient_rank:
         raise AlgebraError(
             f"cokernel_diagonal: {len(mat)} rows for ambient rank {ambient_rank}")
-    _, d, _ = smith_normal_form(mat, want_u=False, want_v=False)
-    tor = []
-    rank = ambient_rank
-    for t in range(min(len(d), len(d[0]))):
-        dt = d[t][t]
-        if dt != 0:
-            rank -= 1
-            if dt > 1:
-                tor.append(dt)
-    return tor, rank
+    diag = smith_diagonal(mat)
+    return [x for x in diag if x > 1], ambient_rank - len(diag)

@@ -218,7 +218,8 @@ def bicomplex_checks(trials=50):
             ez_pass += 1
         g = [2]
         lhs = hom_bicomplex_total_cohomology(b, g, range(truncation))
-        rhs = cohomotopy(hom_cochain_of_simplicial(d, g), range(truncation))
+        rhs = cohomotopy(hom_cochain_of_simplicial(
+            d, CoefficientModule.trivial(Ring("Z"), g)), range(truncation))
         if lhs == rhs:
             adj_pass += 1
     return {

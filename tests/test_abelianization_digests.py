@@ -1,10 +1,11 @@
 """Pinned SHA-256 digests of the abelianized complexes of loop-group
 resolutions (absolute and relative) and of their derivation cochain
-complexes, on all and on the nondegenerate generators, and of the
-fallback resolution `z2res-basis.sres`.  Any change to how these are
-built must leave every matrix, relation and rank as it is.  The
-relations and maps, kept as sparse columns, are written out here as the
-dense matrices the digests were taken on."""
+complexes, on all and on the nondegenerate generators, with their
+codegeneracies, and of the fallback resolution `z2res-basis.sres`.  Any
+change to how these are built must leave every matrix, relation and rank
+as it is.  The relations and maps, kept as sparse columns, are written
+out here as the dense matrices the digests were taken on.  The
+derivation complexes also satisfy the cosimplicial identities."""
 
 import hashlib
 import json
@@ -19,6 +20,7 @@ from aq.invariants import _coefficient, der_cochain
 from aq.presented import Presentation
 from aq.resolutions import abelianized_complex, loop_group_resolution
 from aq.rings import CoefficientModule, Ring, _act_matrix
+from aq.simplicial import _compose_columns, _equal_mod_relations
 from aq.snf import cols_to_matrix
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -68,6 +70,14 @@ def _cochain_digest(v, k, x, cells):
         for n, maps in enumerate(cofaces)]})
 
 
+def _codegen_digest(v, k, x):
+    """The codegeneracies of the derivation complex (`der_cochain`)."""
+    w = der_cochain(v, k, x=x)
+    return _digest({"codegens": [
+        [cols_to_matrix(c, w.levels[n - 1].gens) for c in maps]
+        for n, maps in enumerate(w.codegens)]})
+
+
 def _nondegenerate_tuples(v, g):
     """Per level, the indices of the generators t/x0/.../xn with no
     identity after the first entry."""
@@ -95,6 +105,7 @@ def _all_digests(name):
     for i, (x, k) in enumerate(_cases(g)):
         out[f"cochain/{i}/all"] = _cochain_digest(v, k, x, None)
         out[f"cochain/{i}/nondegenerate"] = _cochain_digest(v, k, x, cells)
+        out[f"codegens/{i}"] = _codegen_digest(v, k, x)
     return out
 
 
@@ -105,10 +116,12 @@ def _fallback_digests():
            for over in (None, z2)}
     for i, (x, k) in enumerate(_cases(z2)):
         out[f"cochain/{i}/all"] = _cochain_digest(v, k, x, None)
+        out[f"codegens/{i}"] = _codegen_digest(v, k, x)
     return out
 
 
-# taken before the abelianization became a free simplicial module
+# taken before the abelianization became a free simplicial module; the
+# codegeneracy digests before Hom(v, K) had one builder
 EXPECTED = {
     "S3": {
         "complex/False":
@@ -127,6 +140,12 @@ EXPECTED = {
             "7ef80c70b0ffa36bef4a33ba8d4081d59e41da1196803bc1d40ce6d188ae1cb7",
         "cochain/2/nondegenerate":
             "c4b51561bd2934633a1617badcf034e9fb4966b716448c5f9fbcb87d8cd96144",
+        "codegens/0":
+            "d473557bcc468c273192f6590d38d8f90eb9363898a3b05c0dffeff5ca4aba85",
+        "codegens/1":
+            "d473557bcc468c273192f6590d38d8f90eb9363898a3b05c0dffeff5ca4aba85",
+        "codegens/2":
+            "9a8fe69f64bf73816bb6ad23f16a85103b7cf06642305611b99b06f0ce55abd8",
     },
     "V4": {
         "complex/False":
@@ -145,6 +164,12 @@ EXPECTED = {
             "a59c7b887d750b9126bc0eba44473b5a513893cac2645055fb1086dd3a5c6987",
         "cochain/2/nondegenerate":
             "2a8828a6bc7557ea687c653ba7c53dd9f49cee3f4d84034bf9dce3c204367fd4",
+        "codegens/0":
+            "a40773e6ca77a116a1905febcd202d30b067b5481a720b8f9c6e014c063fcc17",
+        "codegens/1":
+            "a40773e6ca77a116a1905febcd202d30b067b5481a720b8f9c6e014c063fcc17",
+        "codegens/2":
+            "5f6165bff3b9eb37780f8d74e3197ed5708dd1a8b7cbf79d6224dc184f819503",
     },
     "Z2": {
         "complex/False":
@@ -163,6 +188,12 @@ EXPECTED = {
             "b8d3d8473dde3d33b486a4a06ff6b66ea9fc2037266eef2064ce9bc3b1b9e499",
         "cochain/2/nondegenerate":
             "06f6e40006b8e85192a9fb2dcbdcca52405c14e4fa2e3011b07d76f043be942f",
+        "codegens/0":
+            "585c9cb3a818171047f457900586b91f722f93a86b45cd758e34afb8437f9754",
+        "codegens/1":
+            "585c9cb3a818171047f457900586b91f722f93a86b45cd758e34afb8437f9754",
+        "codegens/2":
+            "9b66b31d66f5be8b5742f7e8164a97eb2676365d3154cadee80131befaa4006e",
     },
     "Z3": {
         "complex/False":
@@ -181,6 +212,12 @@ EXPECTED = {
             "e36142530893d907f9a38bd8d86fb5fdbf917588e7f0422272296b4b42729972",
         "cochain/2/nondegenerate":
             "fda230d193745520c1a43bb0c92432c874c581ed53a4d00ea6b45b7d0ef98a17",
+        "codegens/0":
+            "521b0208f1d33b2ac726a2c99c6a3e9e4b079e5df4804dc9805f337a0b18f7e7",
+        "codegens/1":
+            "521b0208f1d33b2ac726a2c99c6a3e9e4b079e5df4804dc9805f337a0b18f7e7",
+        "codegens/2":
+            "8b631f97b9e741d58044cb7f954ede2e96b15a8bc2a951a1045fda266ed929ef",
     },
     "Z4": {
         "complex/False":
@@ -199,6 +236,12 @@ EXPECTED = {
             "11b5ec7101843736903727cc5bb9c75881927ccdfa2b6239a4b39293d103f94d",
         "cochain/2/nondegenerate":
             "dae0f498c2e19ebc33573e50a52ba1b56a242a595ee2614903db8dcecb71221c",
+        "codegens/0":
+            "a40773e6ca77a116a1905febcd202d30b067b5481a720b8f9c6e014c063fcc17",
+        "codegens/1":
+            "a40773e6ca77a116a1905febcd202d30b067b5481a720b8f9c6e014c063fcc17",
+        "codegens/2":
+            "5f6165bff3b9eb37780f8d74e3197ed5708dd1a8b7cbf79d6224dc184f819503",
     },
     "z2res-basis": {
         "complex/False":
@@ -211,6 +254,12 @@ EXPECTED = {
             "516a10cdbd3a2a9381fe19d44373615bf77980e35add3f5fbfa2069fa610a9f0",
         "cochain/2/all":
             "3a7722348605704cd8777b91780e799f6b5b4f5514219afdd556f7e2bdf68cb9",
+        "codegens/0":
+            "3ec2547ea866391125b07d3cf7650dc1f3e8607fbc9fcff24a72b0dca040976e",
+        "codegens/1":
+            "3ec2547ea866391125b07d3cf7650dc1f3e8607fbc9fcff24a72b0dca040976e",
+        "codegens/2":
+            "adea3d0a3290b12d1623e6dde3b03674ebaee9765fbe90c4d670cbf83440e30d",
     },
 }
 
@@ -222,3 +271,53 @@ def test_loop_group_abelianization_digests(name):
 
 def test_fallback_abelianization_digests():
     assert _fallback_digests() == EXPECTED["z2res-basis"]
+
+
+def _cosimplicial_identities(w):
+    """The pairs (i, j) of the identities of cofaces and codegeneracies
+    that fail somewhere, modulo the relations of the target level:
+    delta^j delta^i = delta^i delta^(j-1) for i < j, and sigma^j delta^i
+    = delta^i sigma^(j-1) for i < j, the identity for i = j, j + 1, and
+    delta^(i-1) sigma^j for i > j + 1."""
+    ring = Ring("Z")
+
+    def comp(outer, inner):
+        return _compose_columns(outer, inner, ring)
+
+    failing = []
+    for n in range(w.truncation - 1):
+        # C^n -> C^(n+2) through C^(n+1)
+        up, upup = w.cofaces[n], w.cofaces[n + 1]
+        for j in range(n + 2):
+            for i in range(j):
+                if not _equal_mod_relations(comp(upup[j], up[i]),
+                                            comp(upup[i], up[j - 1]),
+                                            w.levels[n + 2]):
+                    failing.append(("cofaces", n, i, j))
+    for n in range(w.truncation):
+        # C^n -> C^n through C^(n+1)
+        up, down = w.cofaces[n], w.codegens[n + 1]
+        # through C^(n-1) on the other side
+        below, across = w.codegens[n], w.cofaces[n - 1] if n else []
+        ident = [[(c, 1)] for c in range(w.levels[n].gens)]
+        for j in range(n + 1):
+            for i in range(n + 2):
+                if i < j:
+                    want = comp(across[i], below[j - 1])
+                elif i in (j, j + 1):
+                    want = ident
+                else:
+                    want = comp(across[i - 1], below[j])
+                if not _equal_mod_relations(comp(down[j], up[i]), want,
+                                            w.levels[n]):
+                    failing.append(("codegens", n, i, j))
+    return failing
+
+
+@pytest.mark.parametrize("name", ["S3", "V4", "Z4"])
+def test_the_derivation_complex_is_cosimplicial(name):
+    make, truncation = GROUPS[name]
+    g = make()
+    v = loop_group_resolution(g, truncation=truncation)
+    for x, k in _cases(g):
+        assert _cosimplicial_identities(der_cochain(v, k, x=x)) == [], x

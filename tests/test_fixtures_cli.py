@@ -651,6 +651,43 @@ def _check_with_and_without_asserts(path):
     return outcomes.pop()
 
 
+_NOT_A_GROUP_THEORY = {
+    # file name: text
+    "nop.thy": "theory Nop {\n  sort g\n}\n",
+    "zc2.alg": ("algebra zc2 {\n  theory mod:Z[C2]\n  presentation {\n"
+                "    gens g : x\n    rel mul(x, x)\n    rel mul(x, act_a(x))\n"
+                "  }\n}\n"),
+}
+
+
+@pytest.mark.parametrize("theory,over,aug,d0,message", [
+    ('"nop.thy"', "z2.alg", "a", "x()", "theory Nop (discrete)"),
+    ("mod:Z[C2]", "zc2.alg", "x", "mul(x(), x())", "theory Gp_Z2 (module)"),
+    ("ab", "z2.alg", "a", "mul(x(), x())", "theory Ab (abelian)"),
+    ("mod:Z/4", "z2.alg", "a", "mul(x(), x())", "theory Mod-Z/4 (module)"),
+], ids=["no-ops", "zc2", "ab", "z-mod-4"])
+def test_a_resolution_of_terms_over_a_theory_that_is_not_a_group_exits_2(
+        tmp_path, theory, over, aug, d0, message):
+    # the term-image form is a free simplicial group: over another theory
+    # it would compose, abelianize and certify words it cannot read
+    (tmp_path / "z2.alg").write_text(fx_text("z2.alg"))
+    for name, text in _NOT_A_GROUP_THEORY.items():
+        (tmp_path / name).write_text(text)
+    bad = tmp_path / "bad.sres"
+    bad.write_text(
+        f"sres bad {{\n  theory {theory}\n  over \"{over}\"\n"
+        "  truncation 1\n  level 0 { gens g : x }\n"
+        "  level 1 { gens g : y z }\n"
+        f"  face 1 0 {{ y -> x()  z -> {d0} }}\n"
+        f"  face 1 1 {{ y -> x()  z -> x() }}\n"
+        "  degen 0 0 { x -> y() }\n"
+        f"  augment {{ x -> {aug} }}\n}}\n")
+    assert _check_with_and_without_asserts(bad) == (
+        2, "", f"error: {bad}:2: {message} is not a group theory, which the "
+        "term-image form needs (a module resolution is a ring and chain "
+        "block)\n")
+
+
 @pytest.mark.parametrize("ring,body,line,message", [
     ("Z", ["d 3 : [[1]]"], 5,
      "d 3 is not a differential of ranks 1 1 1 (d 1 to d 2)"),

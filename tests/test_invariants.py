@@ -215,14 +215,11 @@ def test_em_route_matches_brute_force_simplicial_maps():
             maps_found.add(key)
 
     # strict cocycles of the derivation complex at degree 1
-    from aq.invariants import _dual_degen_matrices, _coefficient
     from aq.presented import cycle_lattice
     from aq.simplicial import _alternating_sum
 
     w = der_cochain(v, k, x=z2)
-    coeff = _coefficient(k, z2)
-    duals = _dual_degen_matrices(v, z2, coeff)
-    stacked = [(duals[1][0], w.levels[0]),
+    stacked = [(w.codegens[1][0], w.levels[0]),
                (_alternating_sum(w.cofaces[1]), w.levels[2])]
     lattice = cycle_lattice(stacked, w.levels[1].gens)
     # enumerate the finite set of lattice points mod the moduli
@@ -271,7 +268,14 @@ def test_absolute_group_cohomology_matches_uct():
     # absolute case: coefficients are plain abelian groups, and the
     # cohomology obeys universal coefficients against the absolute
     # homology (computed independently from the abelianized complex)
-    from aq.rings import ext_z, hom_z
+    from aq.acceptance import closed_form_ext
+    from test_presented import M
+
+    def hom(a):
+        return closed_form_ext(M(*[0] * a.rank, *a.torsion), [2], 0)
+
+    def ext(a):
+        return closed_form_ext(M(*[0] * a.rank, *a.torsion), [2], 1)
 
     for m in (2, 3, 4):
         y = cyclic_group(m)
@@ -279,9 +283,9 @@ def test_absolute_group_cohomology_matches_uct():
         g = CoefficientModule.trivial(Ring("Z"), [2])
         hs = cohomology(v, g, [0, 1, 2])
         h_low = homology(v, [0, 1, 2])
-        assert hs[0] == hom_z(h_low[0], G(2))
-        assert hs[1] == ext_z(h_low[0], G(2)).direct_sum(hom_z(h_low[1], G(2)))
-        want2 = ext_z(h_low[1], G(2)).direct_sum(hom_z(h_low[2], G(2)))
+        assert hs[0] == hom(h_low[0])
+        assert hs[1] == ext(h_low[0]).direct_sum(hom(h_low[1]))
+        want2 = ext(h_low[1]).direct_sum(hom(h_low[2]))
         assert hs[2] == want2, (m, hs[2], want2)
 
 

@@ -356,7 +356,8 @@ def test_no_module_reads_private_attributes_of_another():
 # Inputs that the guard's commands read beside the shipped fixtures,
 # written to a temporary directory: the trivial group (its module theory is
 # the abelianized theory, renamed), a Z[C2]-module whose relation reads the
-# action, and a malformed module for the error paths.
+# action, and a malformed module and a resolution of terms over a theory
+# that is not a group theory for the error paths.
 GUARD_FILES = {
     "one.alg": """algebra one {
   theory gp
@@ -383,6 +384,16 @@ GUARD_FILES = {
   act a : [[1, 0]]
 }
 """ % ROOT,
+    "ab.sres": """sres ab {
+  theory ab
+  truncation 1
+  level 0 { gens g : x }
+  level 1 { gens g : y }
+  face 1 0 { y -> x() }
+  face 1 1 { y -> x() }
+  degen 0 0 { x -> y() }
+}
+""",
 }
 
 # (exit code, command line) of every command the guard runs, in one
@@ -437,6 +448,7 @@ GUARD_COMMANDS = [
     # malformed inputs
     (2, "check fixtures/missing.alg"),
     (2, "check {tmp}/bad-act.xmod"),
+    (2, "check {tmp}/ab.sres"),
     (2, "cohomology --theory gp --algebra fixtures/ --coeffs 2"),
     (2, "cohomology --theory gp --algebra fixtures/z2.alg --coeffs 2,x"),
 ]
@@ -450,11 +462,6 @@ CATEGORIES = {
     "branch": "a branch of a served function for inputs no command builds",
 }
 UNREACHED = {
-    "rings._pairwise": "oracle",
-    "rings.hom_z": "oracle",
-    "rings.ext_z": "oracle",
-    "rings.tor_z": "oracle",
-    "rings.tensor_z": "oracle",
     "algebras.abelianization_table": "oracle",
     "simplicial.unnormalized_homotopy": "oracle",
     "snf.lattice_basis": "perfbench",

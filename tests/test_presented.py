@@ -17,18 +17,15 @@ from aq.presented import (
     homology_of_complex,
     induced_map,
 )
+from aq.acceptance import closed_form_ext, closed_form_tor
 from aq.rings import (
     CoefficientModule,
     Ring,
     RModulePresentation,
     ext_groups,
-    ext_z,
     free_resolution,
-    hom_z,
     invariants_naive,
-    tensor_z,
     tor_groups,
-    tor_z,
 )
 from aq.snf import IntegerSolver, cols_to_matrix, kernel_basis, lattice_basis
 from aq.spectral import random_columns
@@ -109,15 +106,23 @@ def test_invariants_from_addition_klein():
     assert inv == G(2, 2)
 
 
+def M(*divs):
+    """The Z-module Z/d_1 + ... + Z/d_k (0 gives a Z summand)."""
+    return RModulePresentation(Ring("Z"), len(divs), [
+        [d if i == j else 0 for i in range(len(divs))]
+        for j, d in enumerate(divs) if d])
+
+
 def test_hom_ext_tor_tensor_formulas():
-    assert hom_z(G(4), G(6)) == G(2)
-    assert hom_z(G(0), G(0, 5)) == G(0, 5)
-    assert ext_z(G(4), G(6)) == G(2)
-    assert ext_z(G(4), G(0)) == G(4)
-    assert ext_z(G(0), G(7)) == G()
-    assert tor_z(G(4), G(6)) == G(2)
-    assert tor_z(G(0), G(6)) == G()
-    assert tensor_z(G(0, 3), G(0, 5)) == G(0, 3, 5)
+    # degree 0 of the closed forms is Hom and tensor, degree 1 Ext and Tor
+    assert closed_form_ext(M(4), [6], 0) == G(2)
+    assert closed_form_ext(M(0), [0, 5], 0) == G(0, 5)
+    assert closed_form_ext(M(4), [6], 1) == G(2)
+    assert closed_form_ext(M(4), [0], 1) == G(4)
+    assert closed_form_ext(M(0), [7], 1) == G()
+    assert closed_form_tor(M(4), [6], 1) == G(2)
+    assert closed_form_tor(M(0), [6], 1) == G()
+    assert closed_form_tor(M(0, 3), [0, 5], 0) == G(0, 3, 5)
 
 
 def test_free_resolution_over_z():
@@ -136,8 +141,8 @@ def test_ext_tor_z4_z2_over_z():
     assert ext_groups(m, g, 3) == [G(2), G(2), G(), G()]
     assert tor_groups(m, g, 3) == [G(2), G(2), G(), G()]
     # against the closed-form oracle
-    assert ext_groups(m, g, 1)[0] == hom_z(G(4), G(2))
-    assert ext_groups(m, g, 1)[1] == ext_z(G(4), G(2))
+    assert ext_groups(m, g, 1)[0] == closed_form_ext(m, [2], 0)
+    assert ext_groups(m, g, 1)[1] == closed_form_ext(m, [2], 1)
 
 
 def test_ext_periodic_over_z4():

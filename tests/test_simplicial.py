@@ -5,7 +5,7 @@ from aq.abgroups import FGAbelianGroup, FinAb
 from aq.algebras import AlgebraError, cyclic_group
 from aq.beck import XModule
 from aq.presented import Presentation
-from aq.rings import Ring
+from aq.rings import CoefficientModule, Ring
 from aq.simplicial import (
     ChainComplex,
     CosimplicialAbelian,
@@ -189,7 +189,7 @@ def test_cohomotopy_ext_fixture():
         [Presentation.free(1), Presentation.free(1)], [None, [[(0, 4)]]]
     )
     v = dold_kan(cx, truncation=3)
-    w = hom_cochain_of_simplicial(v, [2])
+    w = hom_cochain_of_simplicial(v, CoefficientModule.trivial(Ring("Z"), [2]))
     pis = cohomotopy(w, range(3))
     assert pis[0] == G(2) and pis[1] == G(2) and pis[2] == G()
 def test_matching_of_em_object():
@@ -218,6 +218,7 @@ def test_matching_and_hom_dual_checks_do_not_depend_on_assert():
         "from aq.abgroups import FGAbelianGroup",
         "from aq.algebras import AlgebraError",
         "from aq.presented import Presentation",
+        "from aq.rings import CoefficientModule, Ring",
         "from aq.simplicial import PresentedComplex, dold_kan, "
         "hom_cochain_of_simplicial, k_object, matching",
         "def fails(f):",
@@ -230,7 +231,8 @@ def test_matching_and_hom_dual_checks_do_not_depend_on_assert():
         "z = k_object(FGAbelianGroup(1), 1, truncation=3)",
         "fails(lambda: matching(z, 2))",
         "z2 = k_object(FGAbelianGroup.from_divisors([2]), 1, truncation=3)",
-        "fails(lambda: hom_cochain_of_simplicial(z2, [2]))",
+        "fails(lambda: hom_cochain_of_simplicial(",
+        "    z2, CoefficientModule.trivial(Ring('Z'), [2])))",
     ])
     for flags in ([], ["-O"]):
         out = subprocess.run([sys.executable, *flags, "-c", code], check=True,
@@ -402,6 +404,7 @@ def test_adjointness_identity_on_fixtures(seed=13, trials=4):
         for g in ([2], [0]):
             lhs = hom_bicomplex_total_cohomology(b, g, range(3))
             d = diag(b)
-            w = hom_cochain_of_simplicial(d, g)
+            w = hom_cochain_of_simplicial(
+                d, CoefficientModule.trivial(Ring("Z"), g))
             rhs = cohomotopy(w, range(3))
             assert lhs == rhs, (lhs, rhs)
