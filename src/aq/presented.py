@@ -233,17 +233,24 @@ def homology_of_complex(levels, diffs, degrees):
     """
     out = {}
     for n in degrees:
-        if n >= len(levels):
-            raise AlgebraError(
-                f"homology_of_complex: degree {n} beyond the {len(levels)} levels")
+        _require_degree("homology_of_complex", n, levels)
         out[n] = _homology_at(levels, diffs, n)
     return out
+
+
+def _require_degree(reader, n, levels):
+    """Raise an AlgebraError naming `reader` and the degree unless n is
+    the degree of one of `levels`."""
+    if not 0 <= n < len(levels):
+        raise AlgebraError(f"{reader}: degree {n} beyond the {len(levels)} "
+                           f"levels 0..{len(levels) - 1}")
 
 
 def cohomology_at(levels, deltas, n):
     """Cohomology at degree n of a cochain complex of presented modules
     (deltas[k]: level k-1 -> level k, as sparse columns, one per generator
     of level k-1), as a Subquotient of level n."""
+    _require_degree("cohomology_at", n, levels)
     top = len(levels) - 1
     return homology_of_complex(*_flipped(levels, deltas), [top - n])[top - n]
 
@@ -399,9 +406,7 @@ def homology_groups(levels, diffs, degrees, checked=False):
 
     out = {}
     for n in degrees:
-        if n >= len(levels):
-            raise AlgebraError(
-                f"homology_of_complex: degree {n} beyond the {len(levels)} levels")
+        _require_degree("homology_groups", n, levels)
         dn, dn1 = diff(n), diff(n + 1)
         read = {kind(k) for k in ((n - 1, n) if dn is not None else (n,))}
         read.discard(None)
@@ -428,6 +433,8 @@ def cohomology_groups(levels, deltas, degrees):
     """The cohomology groups {n: FGAbelianGroup} of the cochain complex
     that `cohomology_at` reads, by `homology_groups` on the flipped
     complex."""
+    for n in degrees:
+        _require_degree("cohomology_groups", n, levels)
     top = len(levels) - 1
     flipped = homology_groups(*_flipped(levels, deltas),
                               [top - n for n in degrees])

@@ -34,9 +34,10 @@ from .simplicial import (
     SimplicialFreeModule,
     SimplicialIdentityError,
     SimplicialTheta,
-    _normalized_quotient,
     dold_kan,
+    moore_cells,
     moore_homotopy,
+    realized_complex,
 )
 from .terms import App
 
@@ -121,13 +122,14 @@ def abelianized_complex(v: SimplicialTheta, over=None):
     over=None: coefficients Z (exponent sums).  over=X: coefficients in
     the group ring Z[X] through the structure maps, then restricted to Z.
     The abelianization is a free simplicial module (`abelianization`), so
-    this is its normalized complex (`_normalized_quotient`).  Returns
+    this is its Moore complex (`realized_complex` on `moore_cells`): on
+    the nondegenerate generators, else on every generator.  Returns
     (PresentedComplex, ranks, ring), ranks the generator counts per level
     of that complex.
     """
     ab = v.abelianization(over is not None)
-    cx, cells = _normalized_quotient(ab, v.truncation)
-    return cx, [len(c) for c in cells], ab.ring
+    cells = moore_cells(ab)
+    return realized_complex(ab, cells), [len(c) for c in cells], ab.ring
 
 
 # ---------------------------------------------------------------------------

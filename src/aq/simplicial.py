@@ -335,10 +335,8 @@ class SimplicialFreeModule(_MatrixSimplicial):
     def normalized_complex(self):
         """(ranks, diffs): the normalized (Moore) complex through the
         truncation, the alternating face sums as sparse R-columns on
-        `nondegenerate_cells`; on every generator when the degeneracies
-        single out none, which is the unnormalized complex, of the same
-        homotopy type.  The free complex every coefficient route reads."""
-        cells = nondegenerate_cells(self) or [range(r) for r in self.ranks]
+        `moore_cells`.  The free complex every coefficient route reads."""
+        cells = moore_cells(self)
         return [len(c) for c in cells], _alternating_columns(self, cells)
 
     def reduced_complex(self):
@@ -612,23 +610,26 @@ def nondegenerate_cells(v):
     return out
 
 
-def _level_relations(v, n, cells):
-    """The sparse relation columns of level n of `v` restricted to the
-    generators `cells`, rows numbered by their position in `cells`, and
-    the columns left empty dropped: none for a free module, the level's
-    own for a presented one."""
-    if isinstance(v, SimplicialFreeModule):
-        return []
-    pos = {i: r for r, i in enumerate(cells)}
-    return [r for r in ([(pos[i], x) for i, x in col if i in pos]
-                        for col in v.levels[n].rels) if r]
+def moore_cells(v):
+    """Per level, the generators the Moore complex of `v` lives on:
+    `nondegenerate_cells`, or every generator where the degeneracies
+    single out none, which gives the unnormalized complex, of the same
+    homotopy (the normalization theorem)."""
+    return nondegenerate_cells(v) or [range(lv.gens) for lv in v.levels]
 
 
-def _restricted_complex(v, cells, rels):
-    """The presented complex on the generators cells[n] of each level of
-    `v`, modulo the relation columns rels[n] over the ring, whose
-    differential at n is the alternating sum of the sparse face columns
-    restricted to cells[n-1] x cells[n]; both realized over Z once."""
+def realized_complex(v, cells):
+    """The complex on the generators cells[n] of each level n of `v`,
+    realized over Z once: the alternating sum of the faces restricted to
+    cells[n-1] x cells[n], and level n modulo its relations restricted to
+    cells[n] (rows numbered by position in cells[n], the columns left
+    empty dropped; a free level has none).  On `moore_cells` this is the
+    Moore complex."""
+    rels = []
+    for lv, c in zip(v.levels, cells):
+        pos = {i: r for r, i in enumerate(c)}
+        rels.append([r for r in ([(pos[i], x) for i, x in col if i in pos]
+                                 for col in lv.rels) if r])
     return _realize(v.ring, [len(c) for c in cells], rels,
                     _alternating_columns(v, cells))
 
@@ -771,40 +772,6 @@ def reduced_quotient(v, top):
     return _realize(v.ring, ranks, [[]] * len(ranks), diffs)
 
 
-def _normalized_quotient(v, top):
-    """The normalized (Moore) complex of a SimplicialAbelian or
-    SimplicialFreeModule through level `top`, with the alternating-sum
-    differential, and per level the generator indices it lives on.
-
-    On the nondegenerate generators (`nondegenerate_cells`) level n is the
-    quotient by the degenerate ones: free over the ring on the others, or
-    presented by its relations restricted to them.  Otherwise every
-    generator stays, modulo the degenerate images (`_degenerate_quotient`).
-    """
-    cells = nondegenerate_cells(v)
-    if cells is None:
-        return _degenerate_quotient(v, top)
-    cells = cells[:top + 1]
-    rels = [_level_relations(v, n, c) for n, c in enumerate(cells)]
-    return _restricted_complex(v, cells, rels), cells
-
-
-def _degenerate_quotient(v, top):
-    """The degenerate-image quotient complex through level `top`, and per
-    level its generator indices: every generator, modulo the level's
-    relations and the degeneracy columns, each realized over Z as the
-    submodule it spans (closed under the ring's Z-basis)."""
-    _, degens = v.columns()
-    cells = [range(lv.gens) for lv in v.levels[:top + 1]]
-    rels = []
-    for n, c in enumerate(cells):
-        cols = _level_relations(v, n, c)
-        for s in degens[n - 1] if n >= 1 else []:
-            cols += s
-        rels.append(cols)
-    return _restricted_complex(v, cells, rels), cells
-
-
 def _alternating_sum(maps):
     """The alternating sum maps[0] - maps[1] + ... of integer maps given
     as sparse columns, column by column."""
@@ -820,8 +787,9 @@ def _alternating_sum(maps):
 
 def require_levels(v, degrees):
     """Raise an AlgebraError naming the degree and the truncation unless
-    `v` has level max(degrees) + 1, where the boundaries of the top degree
-    (or the coboundaries out of it) come from."""
+    `v` (a simplicial, cosimplicial or bisimplicial object) has level
+    max(degrees) + 1, where the boundaries of the top degree (or the
+    coboundaries out of it) come from."""
     top = max(degrees, default=-1)
     if top + 1 > v.truncation:
         raise AlgebraError(
@@ -841,16 +809,14 @@ def moore_homotopy(v, degrees):
     if isinstance(v, SimplicialFreeModule):
         quo = reduced_quotient(v, top + 1)
         return homology_groups(quo.levels, quo.diffs, degrees, checked=True)
-    quo, _ = _normalized_quotient(v, top + 1)
-    return quo.homology(degrees)
+    return realized_complex(v, moore_cells(v)[:top + 2]).homology(degrees)
 
 
 def unnormalized_homotopy(v, degrees):
     """Homology of the raw alternating-sum complex on every generator,
     modulo the level relations (cross-check route)."""
-    cells = [range(lv.gens) for lv in v.levels]
-    rels = [_level_relations(v, n, c) for n, c in enumerate(cells)]
-    return _restricted_complex(v, cells, rels).homology(degrees)
+    return realized_complex(
+        v, [range(lv.gens) for lv in v.levels]).homology(degrees)
 
 
 class CosimplicialAbelian:
@@ -877,9 +843,7 @@ class CosimplicialAbelian:
 def cohomotopy(w: CosimplicialAbelian, degrees):
     """Cohomotopy of a cosimplicial abelian object: cohomology of the
     associated cochain complex."""
-    top = max(degrees)
-    if top + 1 > w.truncation:
-        raise AlgebraError("truncation too small")
+    require_levels(w, degrees)
     cx = w.total_cochain_complex()
     return cohomology_groups(cx.levels, cx.diffs, degrees)
 
@@ -1292,8 +1256,7 @@ def hom_bicomplex_total_cohomology(b: BisimplicialAbelian, moduli, degrees):
     """Cohomology of the total complex of Hom(b, G) (free levels) below
     the truncation: Hom of the total complex is the total complex of the
     Hom bicomplex, with the same blocks and signs."""
-    if max(degrees) + 1 > b.truncation:
-        raise AlgebraError("truncation too small")
+    require_levels(b, degrees)
     cx = total_complex(b)
     ranks = _free_ranks(cx.levels, "hom_bicomplex_total_cohomology")
     levels, deltas = with_coefficients(

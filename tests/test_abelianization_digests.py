@@ -1,7 +1,9 @@
 """Pinned SHA-256 digests of the abelianized complexes of loop-group
 resolutions (absolute and relative) and of their derivation cochain
 complexes, on all and on the nondegenerate generators, with their
-codegeneracies, and of the fallback resolution `z2res-basis.sres`.  Any
+codegeneracies, and of the fallback resolution `z2res-basis.sres`, whose
+degeneracies single out no generators, so that its complex lives on
+every generator (the unnormalized complex, free on each level).  Any
 change to how these are built must leave every matrix, relation and rank
 as it is.  The relations and maps, kept as sparse columns, are written
 out here as the dense matrices the digests were taken on.  The
@@ -121,7 +123,9 @@ def _fallback_digests():
 
 
 # taken before the abelianization became a free simplicial module; the
-# codegeneracy digests before Hom(v, K) had one builder
+# codegeneracy digests before Hom(v, K) had one builder; the two complex
+# digests of z2res-basis when its complex became the unnormalized one
+# (before, every generator modulo the degenerate images)
 EXPECTED = {
     "S3": {
         "complex/False":
@@ -245,9 +249,9 @@ EXPECTED = {
     },
     "z2res-basis": {
         "complex/False":
-            "ca58432d6d1c4b3dc22fc4cac88d92a11b48f937f245813364c4e673cefd50e4",
+            "8356d6d49e78906dce8e654f3d87b5195579868a1510bdf553e1caa27fbf10d2",
         "complex/True":
-            "d965f93d2859224c5a76554ee411dda11ac850458d5ac1659d6731909539e987",
+            "28e75f182ba5e5016d430fe986af167412f9317fe6dfbb77d9fea9938f4fa2ed",
         "cochain/0/all":
             "3898135e1ef616bc183b7d365cb7d9891d9c77775170b55e14bcc14340b319bd",
         "cochain/1/all":

@@ -15,8 +15,7 @@ import pytest
 
 from aq.rings import CoefficientModule, free_resolution, with_coefficients
 from aq.snf import cols_to_matrix
-from test_dold_kan_digests import _dense
-from test_normalized import COEFFS, RINGS, SEEDS, _seeded_module
+from inputs import COEFFS, RINGS, SEEDS, _dense, _seeded_module
 
 EXTRA = {"Z": [0, 2], "Z/4": [4, 2], "Z/6": [6, 2], "Z[C2]": [0],
          "Z[C3]": [0, 2]}

@@ -26,6 +26,7 @@ from aq.simplicial import (
     normalize_dk,
 )
 from aq.snf import _sparse_cols
+from inputs import _dense
 
 
 def _rings():
@@ -78,14 +79,6 @@ def _boundary_complex():
               Presentation.from_moduli(moduli * 2)]
     diffs = [None, [[], []], [[(0, 1)], [(1, 1)], [(0, -1)], [(1, -1)]]]
     return PresentedComplex(levels, diffs)
-
-
-def _dense(cols, rows, zero):
-    mat = [[zero] * len(cols) for _ in range(rows)]
-    for j, col in enumerate(cols):
-        for i, x in col:
-            mat[i][j] = x
-    return mat
 
 
 def _dense_maps(v):

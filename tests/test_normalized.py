@@ -1,19 +1,17 @@
 """The normalized complexes: homology and the cochain route on the
-nondegenerate generators agree with the degenerate-quotient construction,
-for loop-group resolutions and for free simplicial modules; the fallbacks
-for resolutions whose degeneracies send generators to words or to
-anything but one unit entry; groups of order 8 realized from
-presentations."""
+nondegenerate generators agree with the unnormalized complex on every
+generator, for loop-group resolutions and for free simplicial modules;
+the fallback to every generator for resolutions whose degeneracies send
+generators to words or to anything but one unit entry; groups of order
+8 realized from presentations."""
 
-import copy
 import os
-import random
 import re
 
 import pytest
 
 from aq import simplicial
-from aq.abgroups import FGAbelianGroup, FinAb
+from aq.abgroups import FGAbelianGroup
 from aq.algebras import (
     AlgebraError,
     cyclic_group,
@@ -48,17 +46,28 @@ from aq.rings import (
     with_coefficients,
 )
 from aq.simplicial import (
-    SimplicialAbelian,
     SimplicialFreeModule,
     SimplicialIdentityError,
-    _degenerate_quotient,
     check_square_zero,
     cohomotopy,
     k_object,
     matching,
+    moore_cells,
     moore_homotopy,
     nondegenerate_cells,
+    realized_complex,
     unnormalized_homotopy,
+)
+from inputs import (
+    COEFFS,
+    D4_PRESENTED,
+    Q8_PRESENTED,
+    RINGS,
+    SEEDS,
+    _seeded_module,
+    _sign_module,
+    _sparse_column,
+    with_entry,
 )
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -72,20 +81,13 @@ GROUPS = {
 }
 
 
-def _sign_module(g, m):
-    """Z/m on which the elements of order 2 act by -1: the sign
-    character of S3 or of Z/2 (the groups it is used on)."""
-    e = g.identity()
-    act = {x: [[m - 1 if x != e and g.gmul(x, x) == e else 1]]
-           for x in g.carriers["g"]}
-    return XModule(g, FinAb([m]), act)
-
-
 @pytest.mark.parametrize("name,truncation", [
     ("Z2", 2), ("Z2", 3), ("Z3", 2), ("Z3", 3), ("Z4", 2), ("Z4", 3),
     ("V4", 2), ("V4", 3), ("S3", 2),
 ])
 def test_normalized_complex_matches_the_degenerate_quotient(name, truncation):
+    # the reference is the complex on every generator, which has the
+    # homology of the quotient by the degenerate images
     g = GROUPS[name]()
     v = loop_group_resolution(g, truncation=truncation)
     order = g.order()
@@ -100,14 +102,16 @@ def test_normalized_complex_matches_the_degenerate_quotient(name, truncation):
         ab.check_identities()
         assert nondegenerate_cells(ab) == cells
         normalized, ranks, ring = abelianized_complex(v, over=over)
-        closure, full_cells = _degenerate_quotient(ab, truncation)
+        full_cells = [range(lv.gens) for lv in ab.levels]
+        unnormalized = realized_complex(ab, full_cells)
         assert ranks == [len(c) for c in cells]
         assert [len(c) for c in full_cells] == [
             len(lv.generators["g"]) for lv in v.levels]
         assert all(lv.nrels() == 0 for lv in normalized.levels)
         assert [lv.gens for lv in normalized.levels] == [
             r * ring.zrank() for r in ranks]
-        assert normalized.homology(degrees) == closure.homology(degrees), over
+        assert normalized.homology(degrees) == \
+            unnormalized.homology(degrees), over
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
@@ -149,29 +153,6 @@ def test_fallback_for_degeneracies_into_words():
         assert homology(v, degrees, x=x) == homology(loop, degrees, x=x)
 
 
-D4_PRESENTED = """algebra d4p {
-  theory gp
-  presentation {
-    gens g : r s
-    rel mul(r, mul(r, mul(r, r)))
-    rel mul(s, s)
-    rel mul(s, mul(r, mul(s, r)))
-    realize bound = 64
-  }
-}"""
-
-Q8_PRESENTED = """algebra q8p {
-  theory gp
-  presentation {
-    gens g : i j
-    rel mul(i, mul(i, mul(i, i)))
-    rel mul(i, i) = mul(j, j)
-    rel mul(j, mul(i, inv(j))) = inv(i)
-    realize bound = 64
-  }
-}"""
-
-
 @pytest.mark.parametrize("text,reference,modulus", [
     (D4_PRESENTED, dihedral_4, 2),
     (Q8_PRESENTED, quaternion_8, 3),
@@ -192,37 +173,6 @@ def test_order_8_groups_from_presentations(text, reference, modulus):
     assert cochain[1] == bar[2] == cohomology_via_em(v, k, [1], x=g)[1]
 
 
-RINGS = {
-    "Z": lambda: Ring("Z"),
-    "Z/4": lambda: Ring("Zmod", m=4),
-    "Z/6": lambda: Ring("Zmod", m=6),
-    "Z[C2]": lambda: Ring("ZG", group=cyclic_group(2).group_table("g")),
-    "Z[C3]": lambda: Ring("ZG", group=cyclic_group(3).group_table("g")),
-}
-
-COEFFS = {"Z": [3], "Z/4": [2], "Z/6": [3], "Z[C2]": [2], "Z[C3]": [3]}
-
-# per ring, two seeds; the first gives nonzero (co)homology with COEFFS in
-# degree 1 (over Z/6, a product of fields, every module is projective)
-SEEDS = [("Z", 2), ("Z", 3), ("Z/4", 7), ("Z/4", 2), ("Z/6", 1), ("Z/6", 2),
-         ("Z[C2]", 2), ("Z[C2]", 1), ("Z[C3]", 3), ("Z[C3]", 1)]
-
-
-def _seeded_module(ring, seed):
-    """A module on two generators with two seeded relation columns of
-    small entries (group-ring entries with one or two terms)."""
-    rng = random.Random(seed)
-
-    def entry():
-        if ring.kind != "ZG":
-            return ring.from_int(rng.randint(-3, 3))
-        els = ring.group.elements
-        return ring.add({rng.choice(els): rng.choice((-2, -1, 1, 2))},
-                        {rng.choice(els): rng.choice((-1, 0, 1))})
-
-    return RModulePresentation(ring, 2, [[entry(), entry()] for _ in range(2)])
-
-
 @pytest.mark.parametrize("name,seed", SEEDS)
 def test_normalized_module_route_matches_the_degenerate_quotient(
         name, seed, monkeypatch):
@@ -235,11 +185,12 @@ def test_normalized_module_route_matches_the_degenerate_quotient(
     cert = check_certificate(v, m, rng=2)
     assert cert.valid, cert.checks
     degrees = range(3)
-    quotient, all_cells = _degenerate_quotient(v, 3)
+    all_cells = [range(lv.gens) for lv in v.levels[:4]]
+    unnormalized = realized_complex(v, all_cells)
     assert [len(c) for c in all_cells] == v.ranks[:4]
-    assert [lv.gens for lv in quotient.levels] == [
+    assert [lv.gens for lv in unnormalized.levels] == [
         r * ring.zrank() for r in v.ranks[:4]]
-    assert homology(v, degrees) == quotient.homology(degrees)
+    assert homology(v, degrees) == unnormalized.homology(degrees)
     k = CoefficientModule.trivial(ring, COEFFS[name])
     assert cohomology(v, k, degrees) == \
         cohomotopy(der_cochain(v, k), degrees)
@@ -261,14 +212,6 @@ def _tensored(free_complex, k, degrees=range(3)):
     with the coefficients `k`."""
     levels, maps = with_coefficients(*free_complex, k, max(degrees) + 1)
     return simplicial.PresentedComplex(levels, maps).homology(degrees)
-
-
-def _sparse_column(entries):
-    """A {row: entry} dict as a sparse column: the (row, entry) pairs of
-    its entries other than 0 (or the empty group-ring element), in row
-    order.  Entries are kept as they are, unreduced."""
-    return sorted(((i, x) for i, x in entries.items() if x),
-                  key=lambda pair: pair[0])
 
 
 def _rebased(v, n, a, b):
@@ -302,26 +245,6 @@ def _rebased(v, n, a, b):
     return SimplicialFreeModule(ring, v.ranks, faces, degens, v.truncation)
 
 
-def with_entry(v, kind, n, i, row, col, change):
-    """A new simplicial object like `v` (its flavor, levels and Dold-Kan
-    tags) built from a copy of its columns in which entry (row, col) of
-    the face (`kind` "faces") or degeneracy ("degens") i at level n is
-    change(entry), kept as `_sparse_column` keeps it."""
-    faces, degens = copy.deepcopy(v.columns())
-    maps = faces if kind == "faces" else degens
-    entries = dict(maps[n][i][col])
-    entries[row] = change(entries.get(row, v.ring.zero()))
-    maps[n][i][col] = _sparse_column(entries)
-    if isinstance(v, SimplicialFreeModule):
-        w = SimplicialFreeModule(v.ring, v.ranks, faces, degens, v.truncation)
-    else:
-        w = SimplicialAbelian(v.levels, faces, degens, v.truncation)
-    for tag in ("dk_source", "dk_offsets"):
-        if hasattr(v, tag):
-            setattr(w, tag, getattr(v, tag))
-    return w
-
-
 def _rebased_resolution(name):
     """(m, v, w): a seeded module over the ring `name`, its resolution v
     through level 3, and w, v with level 1 rebased so that s_0 sends a
@@ -353,15 +276,14 @@ def test_module_fallback_for_a_degeneracy_that_is_not_one_unit(name):
 def _check_reduced_fallback(ab):
     """The free simplicial module `ab` singles out no nondegenerate
     generators, yet its reduced complex exists, squares to zero and has
-    the homology of the degenerate-image quotient below the truncation."""
+    the homology of the unnormalized complex below the truncation."""
     assert nondegenerate_cells(ab) is None
     ranks, diffs = ab.reduced_complex()
     assert [len(d) for d in diffs[1:]] == ranks[1:]
     check_square_zero(ab.ring, diffs)
     top = ab.truncation
-    reference, _ = _degenerate_quotient(ab, top)
     assert simplicial.reduced_quotient(ab, top).homology(range(top)) == \
-        reference.homology(range(top))
+        unnormalized_homotopy(ab, range(top))
 
 
 @pytest.mark.parametrize("relative", [False, True])
@@ -375,6 +297,30 @@ def test_a_resolution_with_degeneracies_into_words_has_a_reduced_complex(
 def test_a_rebased_module_resolution_has_a_reduced_complex(name):
     _, _, w = _rebased_resolution(name)
     _check_reduced_fallback(w)
+
+
+@pytest.mark.parametrize("case", ["z2res-basis", "Z/4", "Z[C3]"])
+def test_the_fallback_moore_complex_has_the_unnormalized_homotopy(case):
+    # where the degeneracies single out no generators, the Moore complex
+    # that the `--over` route and the presented levels read is the one on
+    # every generator, and has the homotopy of the resolution it replaces
+    if case == "z2res-basis":
+        v = load_sres(os.path.join(FIXTURES, "z2res-basis.sres"))
+        z2 = load_algebra(os.path.join(FIXTURES, "z2.alg"))
+        loop = loop_group_resolution(z2, truncation=v.truncation)
+        degrees = range(v.truncation)
+        for over in (None, z2):
+            ab = v.abelianization(over is not None)
+            cx, ranks, _ = abelianized_complex(v, over=over)
+            assert ranks == ab.ranks
+            assert cx.homology(degrees) == unnormalized_homotopy(ab, degrees) \
+                == homology(loop, degrees, x=over)
+        return
+    _, v, w = _rebased_resolution(case)
+    assert moore_cells(w) == [range(r) for r in w.ranks]
+    degrees = range(3)
+    assert realized_complex(w, moore_cells(w)).homology(degrees) == \
+        unnormalized_homotopy(w, degrees) == moore_homotopy(v, degrees)
 
 
 @pytest.mark.parametrize("name,seed", SEEDS[::2])
@@ -405,7 +351,7 @@ def test_module_routes_build_no_dense_matrices(name, seed):
                for d in v.dk_source.diffs[1:] for column in d
                for pair in column)
     presented = [simplicial.reduced_quotient(v, 3),
-                 simplicial._normalized_quotient(v, 3)[0]]
+                 realized_complex(v, moore_cells(v)[:4])]
     for free_complex in (v.reduced_complex(), v.normalized_complex()):
         for dual in (True, False):
             levels, maps = with_coefficients(*free_complex, k, 3, dual=dual)

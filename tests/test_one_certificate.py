@@ -19,7 +19,7 @@ from aq.resolutions import _pi0_matches, check_certificate, \
     loop_group_resolution, resolve_module
 from aq.rings import RModulePresentation, parse_ring
 from aq.simplicial import SimplicialTheta
-from test_normalized import RINGS, SEEDS, _seeded_module
+from inputs import RINGS, SEEDS, _seeded_module
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 KEYS = ["simplicial_identities", "degreewise_free", "pi0",

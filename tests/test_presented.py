@@ -13,7 +13,10 @@ from aq.errors import AlgebraError
 from aq.presented import (
     Presentation,
     Subquotient,
+    cohomology_at,
+    cohomology_groups,
     cycle_lattice,
+    homology_groups,
     homology_of_complex,
     induced_map,
 )
@@ -191,6 +194,26 @@ def test_kernel_validation_raises_named_algebra_errors():
         Presentation(2, [[(2, 1)]])
     with pytest.raises(AlgebraError, match="beyond the 1 levels"):
         homology_of_complex([Presentation.free(1)], [None], [1])
+
+
+@pytest.mark.parametrize("reader", [
+    "homology_of_complex", "homology_groups", "cohomology_at",
+    "cohomology_groups"])
+def test_readers_refuse_degrees_outside_the_complex(reader):
+    # Z -> Z, multiplication by 2, read as a chain or a cochain complex:
+    # a degree outside 0..1 would wrap around as a negative list index
+    levels, maps = [Presentation.free(1)] * 2, [None, [[(0, 2)]]]
+    read = {
+        "homology_of_complex": lambda n: homology_of_complex(levels, maps, [n]),
+        "homology_groups": lambda n: homology_groups(levels, maps, [n]),
+        "cohomology_at": lambda n: cohomology_at(levels, maps, n),
+        "cohomology_groups": lambda n: cohomology_groups(levels, maps, [n]),
+    }[reader]
+    assert read(0) is not None and read(1) is not None
+    for n in (-1, 2, 3):
+        with pytest.raises(AlgebraError, match=rf"^{reader}: degree {n} "
+                           r"beyond the 2 levels 0\.\.1$"):
+            read(n)
 
 
 def test_subquotient_validation_does_not_depend_on_assert():

@@ -41,13 +41,14 @@ from aq.rings import CoefficientModule, Ring, with_coefficients
 from aq.simplicial import (
     PresentedComplex,
     _alternating_columns,
-    _normalized_quotient,
     check_square_zero,
+    moore_cells,
     moore_homotopy,
     nondegenerate_cells,
+    realized_complex,
     reduce_by_units,
 )
-from test_normalized import COEFFS, RINGS, SEEDS, _seeded_module
+from inputs import COEFFS, RINGS, SEEDS, _seeded_module
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -116,8 +117,8 @@ def test_reduced_ranks_of_s3_are_pinned(monkeypatch):
     def unreduced(*args, **kwargs):
         raise AssertionError("the unreduced complex was built")
 
-    monkeypatch.setattr(resolutions, "_normalized_quotient", unreduced)
-    monkeypatch.setattr(simplicial, "_normalized_quotient", unreduced)
+    monkeypatch.setattr(resolutions, "realized_complex", unreduced)
+    monkeypatch.setattr(simplicial, "realized_complex", unreduced)
     monkeypatch.setattr(invariants, "der_cochain", unreduced)
     cert = check_certificate(v, g, rng=2)
     assert cert.valid, cert.checks
@@ -211,7 +212,7 @@ def _module_fixtures():
 def test_reduced_and_unreduced_agree_on_module_fixtures(name, module, k):
     v = resolve_module(module, length=4)
     degrees = range(4)
-    unreduced, _ = _normalized_quotient(v, 4)
+    unreduced = realized_complex(v, moore_cells(v)[:5])
     assert moore_homotopy(v, degrees) == unreduced.homology(degrees)
     hom, tensor = _unreduced_values(v, k, degrees)
     assert cohomology(v, k, degrees) == hom

@@ -28,7 +28,7 @@ from aq.rings import (
 )
 from aq.simplicial import moore_homotopy
 from aq.snf import _sparse_cols, cols_to_matrix, mat_mul
-from test_normalized import with_entry
+from inputs import with_entry
 
 
 def G(*divs):

@@ -1,6 +1,8 @@
 import hashlib
 import random
 
+import pytest
+
 from aq.abgroups import FGAbelianGroup, FinAb
 from aq.algebras import AlgebraError, cyclic_group
 from aq.beck import XModule
@@ -28,7 +30,7 @@ from aq.simplicial import (
 )
 from aq.snf import cols_to_matrix
 from aq.spectral import random_columns
-from test_normalized import with_entry
+from inputs import with_entry
 
 
 def G(*divs):
@@ -192,6 +194,29 @@ def test_cohomotopy_ext_fixture():
     w = hom_cochain_of_simplicial(v, CoefficientModule.trivial(Ring("Z"), [2]))
     pis = cohomotopy(w, range(3))
     assert pis[0] == G(2) and pis[1] == G(2) and pis[2] == G()
+
+
+def test_cosimplicial_readers_name_the_degree_and_the_truncation():
+    # no degrees is no groups; a degree whose coboundary leaves the
+    # truncation is named with it
+    from aq.spectral import _tensor_double_complex
+
+    cx = PresentedComplex(
+        [Presentation.free(1), Presentation.free(1)], [None, [[(0, 4)]]]
+    )
+    w = hom_cochain_of_simplicial(dold_kan(cx, truncation=3),
+                                  CoefficientModule.trivial(Ring("Z"), [2]))
+    b = bisimplicial_from_double_complex(
+        *_tensor_double_complex(random.Random(1), 2, 2), 3)
+    for reader in (lambda d: cohomotopy(w, d),
+                   lambda d: hom_bicomplex_total_cohomology(b, [2], d)):
+        assert reader([]) == {}
+        assert set(reader([2])) == {2}
+        with pytest.raises(AlgebraError, match=r"^degree 3 needs level 4, "
+                           r"above the truncation 3$"):
+            reader([0, 3])
+
+
 def test_matching_of_em_object():
     x = cyclic_group(2)
     k = XModule.trivial(x, [2])

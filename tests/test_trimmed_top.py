@@ -25,8 +25,8 @@ from aq.resolutions import check_certificate, loop_group_resolution, \
     resolve_module
 from aq.rings import CoefficientModule, Ring, r_matrix_to_z
 from aq.simplicial import _compose_columns
-from test_normalized import (COEFFS, D4_PRESENTED, Q8_PRESENTED, RINGS,
-                             SEEDS, _seeded_module, _sign_module)
+from inputs import (COEFFS, D4_PRESENTED, Q8_PRESENTED, RINGS, SEEDS,
+                    _seeded_module, _sign_module)
 
 
 def _slice(ranks, diffs, top):
